@@ -1,31 +1,23 @@
-// Engine performance bench: the committed perf trajectory (BENCH_perf.json)
-// and the behaviour-preservation proof for the hot-path refactor.
+// bench_perf: the telemetry-overhead and checkpoint-cost gates, each with a
+// bit-identity check on every cell's skew output.
 //
-// Every scenario runs twice per repeat -- optimized engine (calendar queue
-// + batched broadcast, the defaults) vs reference engine (binary heap,
-// unbatched, the pre-refactor behaviour). Per-cell skew outputs must be
-// bit-identical between the two; throughput is reported as logical
-// events/sec (invariant under broadcast batching, see runner/perf.hpp) and
-// the headline number is the optimized:reference speedup.
+// Modes (exactly one):
+//   --telemetry-gate=TOL   telemetry on vs off on the gate scenario; fails
+//              (exit 1) when enabling telemetry costs more than TOL or
+//              changes any result.
+//   --checkpoint-gate=BUDGET  plain vs snapshotting vs restored passes;
+//              fails when the mean per-snapshot write or restore cost
+//              exceeds BUDGET seconds or any path diverges.
 //
-// Modes:
-//   (default)  timing on the timing set (quickstart-grid, torus-smoke,
-//              table1-comparison, thm11-logd, thm16-stabilization) with
-//              --repeats, identity check on ALL built-in scenarios; prints
-//              the BENCH_perf.json document.
-//   --quick    CI smoke: timing on quickstart-grid + table1-comparison with
-//              2 repeats, identity additionally on torus-smoke.
-//   --baseline=FILE  regression gate: compares the measured table1-comparison
-//              speedup against the committed baseline's and fails (exit 1)
-//              if it dropped by more than --max-regression (default 0.25).
-//              The gate is on the engine-relative speedup, not absolute
-//              events/sec, so it is meaningful on any hardware.
+// Absolute per-layer host cost is measured by hostbench/ (python3
+// hostbench/run.py); result identity is guarded by the committed
+// BENCH_*.json summaries (tests/golden_summary_test.py).
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "runner/perf.hpp"
 #include "scenario/registry.hpp"
@@ -34,8 +26,7 @@
 namespace gtrix {
 namespace {
 
-// The regression gate anchors on table1-comparison: a ~0.5 s workload with
-// the largest committed speedup (batching + column-split delays), far less
+// Both gates anchor on table1-comparison: a ~0.5 s workload, far less
 // noise-prone than gating on the ~6 ms quickstart-grid cells.
 constexpr const char* kGateScenario = "table1-comparison";
 
@@ -46,29 +37,13 @@ void write_file(const std::filesystem::path& path, const std::string& contents) 
   if (!out.flush()) throw std::runtime_error("short write to " + path.string());
 }
 
-double baseline_speedup(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read baseline " + path);
-  std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  const Json doc = Json::parse(text);
-  for (const Json& scenario : doc.at("scenarios").as_array()) {
-    if (scenario.at("scenario").as_string() == kGateScenario) {
-      return scenario.at("speedup").as_double();
-    }
-  }
-  throw std::runtime_error("baseline " + path + " has no '" + kGateScenario +
-                           "' scenario entry");
-}
-
 int run(int argc, char** argv) {
   Usage usage("bench_perf",
-              "Engine throughput vs the reference engine, with a bit-identity check.");
-  usage.flag("--quick", "CI smoke: small timing + identity sets");
-  usage.flag("--repeats=N", "timing repeats per scenario (best run counts; default 5)");
-  usage.flag("--scenario=NAME", "time only this built-in scenario");
+              "Telemetry-overhead and checkpoint-cost gates, with a bit-identity check.");
+  usage.flag("--repeats=N", "timing repeats per cell (best run counts; default 5)");
+  usage.flag("--scenario=NAME", "gate on this built-in scenario instead of " +
+                                    std::string(kGateScenario));
   usage.flag("--out=FILE", "also write the report JSON to FILE");
-  usage.flag("--baseline=FILE", "fail on speedup regression vs this BENCH_perf.json");
-  usage.flag("--max-regression=X", "allowed fractional speedup drop (default 0.25)");
   usage.flag("--telemetry-gate=TOL",
              "run ONLY the telemetry on/off overhead comparison on the gate "
              "scenario and fail if overhead exceeds TOL (e.g. 0.05); results "
@@ -82,7 +57,7 @@ int run(int argc, char** argv) {
              "snapshot interval for --checkpoint-gate (simulated time; "
              "default 4000 = two nominal waves)");
   usage.flag("--help", "show this help");
-  const Flags flags(argc, argv, {"--quick", "--help"});
+  const Flags flags(argc, argv, {"--help"});
   if (flags.get_bool("help", false)) {
     std::fputs(usage.str().c_str(), stdout);
     return 0;
@@ -95,8 +70,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  const bool quick = flags.get_bool("quick", false);
-  const int repeats = static_cast<int>(flags.get_int("repeats", quick ? 2 : 5));
+  const int repeats = static_cast<int>(flags.get_int("repeats", 5));
 
   if (flags.has("telemetry-gate")) {
     if (!kObsCompiled) {
@@ -192,85 +166,9 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<std::string> timing_set;
-  std::vector<std::string> identity_set;
-  if (flags.has("scenario")) {
-    timing_set = {flags.get_string("scenario", "")};
-    identity_set = timing_set;
-  } else if (quick) {
-    timing_set = {"quickstart-grid", kGateScenario};
-    identity_set = {"quickstart-grid", kGateScenario, "torus-smoke"};
-  } else {
-    // The timing set spans the engine's regimes: tiny grid with i.i.d.
-    // random delays (quickstart), component-spec torus (torus-smoke),
-    // uniform-delay batching (table1), large-grid scheduling (thm11-logd),
-    // and the corruption/realign path (thm16).
-    timing_set = {"quickstart-grid", "torus-smoke", kGateScenario, "thm11-logd",
-                  "thm16-stabilization"};
-    for (const BuiltinInfo& info : builtin_scenarios()) {
-      identity_set.emplace_back(info.name);
-    }
-  }
-
-  std::vector<PerfScenarioReport> reports;
-  for (const std::string& name : timing_set) {
-    std::fprintf(stderr, "timing %s (%d repeats, both engines)...\n", name.c_str(),
-                 repeats);
-    reports.push_back(run_perf_scenario(builtin_scenario(name), repeats));
-  }
-  bool all_identical = true;
-  for (const std::string& name : identity_set) {
-    const bool timed_already =
-        std::find(timing_set.begin(), timing_set.end(), name) != timing_set.end();
-    if (timed_already) continue;
-    std::fprintf(stderr, "identity check %s...\n", name.c_str());
-    const PerfScenarioReport report = check_perf_identity(builtin_scenario(name));
-    all_identical = all_identical && report.skew_identical;
-    if (!report.skew_identical) {
-      std::fprintf(stderr, "FAIL: %s skew diverged between engines\n", name.c_str());
-    }
-  }
-  for (const PerfScenarioReport& report : reports) {
-    all_identical = all_identical && report.skew_identical;
-    std::fprintf(stderr, "%s: %.3g ev/s optimized vs %.3g ev/s reference (%.2fx)%s\n",
-                 report.scenario.c_str(), report.optimized.events_per_sec,
-                 report.reference.events_per_sec, report.speedup,
-                 report.skew_identical ? "" : "  SKEW MISMATCH");
-  }
-
-  const Json doc = perf_report_json(reports);
-  std::fputs((doc.dump(2) + "\n").c_str(), stdout);
-  if (flags.has("out")) write_file(flags.get_string("out", ""), doc.dump(2) + "\n");
-
-  if (!all_identical) {
-    std::fprintf(stderr, "FAIL: engines disagree -- the refactor is not "
-                         "behaviour-preserving\n");
-    return 1;
-  }
-
-  if (flags.has("baseline")) {
-    const double committed = baseline_speedup(flags.get_string("baseline", ""));
-    const double allowed_drop = flags.get_double("max-regression", 0.25);
-    double measured = 0.0;
-    for (const PerfScenarioReport& report : reports) {
-      if (report.scenario == kGateScenario) measured = report.speedup;
-    }
-    if (measured <= 0.0) {
-      std::fprintf(stderr, "FAIL: no %s timing to gate on\n", kGateScenario);
-      return 1;
-    }
-    const double floor = committed * (1.0 - allowed_drop);
-    if (measured < floor) {
-      std::fprintf(stderr,
-                   "FAIL: %s speedup regressed: measured %.2fx < %.2fx "
-                   "(committed %.2fx minus %.0f%% tolerance)\n",
-                   kGateScenario, measured, floor, committed, allowed_drop * 100.0);
-      return 1;
-    }
-    std::fprintf(stderr, "perf gate OK: %.2fx >= %.2fx floor (committed %.2fx)\n",
-                 measured, floor, committed);
-  }
-  return 0;
+  std::fputs(usage.str().c_str(), stderr);
+  std::fputs("\nerror: choose --telemetry-gate=TOL or --checkpoint-gate=BUDGET\n", stderr);
+  return 2;
 }
 
 }  // namespace

@@ -9,7 +9,7 @@ namespace gtrix {
 LynchWelchGridNode::LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId self,
                                        HardwareClock clock, std::vector<NetNodeId> preds,
                                        Params params, std::uint32_t trim, Recorder* recorder,
-                                       LwSoa* soa)
+                                       LwSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
@@ -17,16 +17,12 @@ LynchWelchGridNode::LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId s
       preds_(std::move(preds)),
       params_(params),
       trim_(trim),
-      recorder_(recorder) {
+      recorder_(recorder),
+      soa_(&soa) {
   GTRIX_CHECK_MSG(preds_.size() >= 2, "LW grid node needs at least 2 predecessors");
   // Clamp so the trimmed window keeps at least its two extremes.
   const auto max_trim = static_cast<std::uint32_t>((preds_.size() - 1) / 2);
   trim_ = std::min(trim_, max_trim);
-  if (soa == nullptr) {
-    owned_soa_ = std::make_unique<LwSoa>();
-    soa = owned_soa_.get();
-  }
-  soa_ = soa;
   i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()));
   slot_base_ = soa_->slot_base[i_];
 }

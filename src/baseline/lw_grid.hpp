@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "clock/hardware_clock.hpp"
@@ -34,11 +33,10 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   /// `preds` lists the predecessors' network ids, own copy first (exactly
   /// Grid::predecessors). `trim` receptions are discarded on each side; it
   /// is clamped so at least two receptions survive. Hot per-wave state
-  /// lives in `soa` (the World arena's lw lanes); null falls back to a
-  /// private single-entry arena.
+  /// lives in `soa` (the World arena's lw lanes).
   LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
                      std::vector<NetNodeId> preds, Params params, std::uint32_t trim,
-                     Recorder* recorder, LwSoa* soa = nullptr);
+                     Recorder* recorder, LwSoa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
   void on_timer(const Event& event) override;
@@ -87,7 +85,6 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   std::uint32_t trim_;
   Recorder* recorder_;
 
-  std::unique_ptr<LwSoa> owned_soa_;  // fallback only
   LwSoa* soa_;
   std::uint32_t i_;
   std::uint32_t slot_base_;

@@ -6,21 +6,17 @@ namespace gtrix {
 
 TrixNaiveNode::TrixNaiveNode(Simulator& sim, Network& net, NetNodeId self,
                              HardwareClock clock, std::vector<NetNodeId> preds,
-                             Params params, Recorder* recorder, TrixSoa* soa)
+                             Params params, Recorder* recorder, TrixSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
       preds_(std::move(preds)),
       params_(params),
-      recorder_(recorder) {
+      recorder_(recorder),
+      soa_(&soa) {
   GTRIX_CHECK_MSG(preds_.size() >= 2 && preds_.size() <= kMaxSlots,
                   "naive TRIX node needs 2..5 predecessors");
-  if (soa == nullptr) {
-    owned_soa_ = std::make_unique<TrixSoa>();
-    soa = owned_soa_.get();
-  }
-  soa_ = soa;
   i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()));
   slot_base_ = soa_->slot_base[i_];
 }

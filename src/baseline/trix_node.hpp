@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "clock/hardware_clock.hpp"
@@ -23,11 +22,10 @@ namespace gtrix {
 
 class TrixNaiveNode final : public PulseSink, public TimerTarget {
  public:
-  /// Hot per-wave state lives in `soa` (the World arena's trix lanes);
-  /// null falls back to a private single-entry arena.
+  /// Hot per-wave state lives in `soa` (the World arena's trix lanes).
   TrixNaiveNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
                 std::vector<NetNodeId> preds, Params params, Recorder* recorder,
-                TrixSoa* soa = nullptr);
+                TrixSoa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
 
@@ -75,7 +73,6 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
   Params params_;
   Recorder* recorder_;
 
-  std::unique_ptr<TrixSoa> owned_soa_;  // fallback only
   TrixSoa* soa_;
   std::uint32_t i_;
   std::uint32_t slot_base_;

@@ -141,6 +141,19 @@ std::string CkptCursor::str() {
   return s;
 }
 
+std::uint64_t CkptCursor::count(std::size_t min_bytes, std::string_view what) {
+  GTRIX_CHECK_MSG(min_bytes > 0, "checkpoint element size must be positive");
+  const std::uint64_t n = u64();
+  const auto left = static_cast<std::uint64_t>(end_ - p_);
+  if (n > left / min_bytes) {
+    throw CkptError("checkpoint section '" + name_ + "': " + std::string(what) + " count " +
+                    std::to_string(n) + " needs at least " + std::to_string(min_bytes) +
+                    " byte(s) each but only " + std::to_string(left) +
+                    " byte(s) are left (corrupt file)");
+  }
+  return n;
+}
+
 void CkptCursor::expect_done() const {
   if (!done()) {
     throw CkptError("checkpoint section '" + name_ + "' has trailing bytes (corrupt file)");

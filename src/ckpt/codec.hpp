@@ -38,7 +38,8 @@ class TimerTarget;
 inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // v2: recorder corruption-anchored retention state (pin box, early list,
 // lost ranges) and the streaming suppression counter.
-inline constexpr std::uint32_t kCkptFormatVersion = 2;
+// v3: the header's engine fingerprint shrinks to {"shards": N}.
+inline constexpr std::uint32_t kCkptFormatVersion = 3;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by
@@ -78,7 +79,10 @@ class CkptWriter {
 
 /// Bounds-checked reader over one section's body. Every primitive throws
 /// CkptError("truncated checkpoint section ...") instead of reading past
-/// the end; expect_done() catches trailing garbage.
+/// the end; expect_done() catches trailing garbage. Every element count
+/// that sizes an allocation or a decode loop is read through count(); a
+/// bare u64() count is only ever compared against this configuration's
+/// own sizes.
 class CkptCursor {
  public:
   CkptCursor(const std::uint8_t* begin, const std::uint8_t* end, std::string name)
@@ -90,6 +94,13 @@ class CkptCursor {
   std::int64_t i64();
   double f64();
   std::string str();
+
+  /// Reads a u64 element count ahead of decoding that many elements of at
+  /// least `min_bytes` encoded bytes each. Throws a section-qualified
+  /// CkptError naming `what` when the elements cannot fit in the bytes
+  /// left, so an inflated count in a CRC-valid file fails before anything
+  /// is allocated or looped over.
+  std::uint64_t count(std::size_t min_bytes, std::string_view what);
 
   bool done() const noexcept { return p_ == end_; }
   void expect_done() const;

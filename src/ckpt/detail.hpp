@@ -16,8 +16,7 @@ namespace gtrix::ckpt::probe {
 // Compile-time field counter for aggregates: the largest N for which
 // T{AnyConv, ... N times ...} is well-formed. Each direct member counts
 // once (std::array members count as one -- AnyConv converts to the array
-// wholesale). The same probe idiom tests/test_obs.cpp uses to pin
-// EngineOptions' field count.
+// wholesale).
 struct AnyConv {
   template <class T>
   operator T() const;  // never defined: overload-resolution probe only
@@ -80,6 +79,11 @@ inline TimerHandle read_timer(CkptCursor& cur) {
   h.gen = cur.u32();
   return h;
 }
+
+/// Encoded size of one write_iteration record: the count() element bound
+/// for decoders reading a run of them.
+inline constexpr std::size_t kIterationBytes = 8 + 4 * 8 + 4 + 2 * 8 + 1 +
+                                               IterationRecord::kMaxSlots * (8 + 1);
 
 inline void write_iteration(CkptWriter& w, const IterationRecord& rec) {
   GTRIX_CKPT_FIELDS(IterationRecord, 14);

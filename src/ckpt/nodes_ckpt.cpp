@@ -1,10 +1,9 @@
 // Member checkpoint functions for every node class: the algorithm nodes
 // (gradient, naive TRIX, Lynch-Welch), the layer-0 line node and the fault
 // behaviours. Each serializes its arena registers through its own
-// accessors, so the same code covers World-owned arenas and the private
-// fallback arenas of standalone nodes. Timer handles are stored verbatim:
-// the event-queue snapshot preserves slot indices and generations, so a
-// restored handle refers to exactly the event it did at save time.
+// accessors. Timer handles are stored verbatim: the event-queue snapshot
+// preserves slot indices and generations, so a restored handle refers to
+// exactly the event it did at save time.
 #include "baseline/lw_grid.hpp"
 #include "baseline/trix_node.hpp"
 #include "ckpt/codec.hpp"
@@ -18,6 +17,9 @@ namespace gtrix {
 
 namespace {
 
+/// Encoded size of one pending message: from, arrival local time, sigma.
+constexpr std::size_t kPendingMsgBytes = 4 + 8 + 8;
+
 void check_slots(std::uint64_t saved, std::size_t now, const char* who) {
   if (saved != now) {
     throw CkptError(std::string("checkpoint ") + who + " node has " + std::to_string(saved) +
@@ -30,7 +32,7 @@ void check_slots(std::uint64_t saved, std::size_t now, const char* who) {
 // --- GradientTrixNode --------------------------------------------------------
 
 void GradientTrixNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(GradientTrixNode, 480);
+  GTRIX_CKPT_SIZEOF(GradientTrixNode, 472);
   GTRIX_CKPT_FIELDS(PendingMsg, 3);
   GTRIX_CKPT_FIELDS(Counters, 8);
   w.u8(soa_->phase[i_]);
@@ -80,7 +82,7 @@ void GradientTrixNode::checkpoint_restore(CkptCursor& cur) {
     slot_sigma(s) = cur.i64();
   }
   pending_.clear();
-  const std::uint64_t npending = cur.u64();
+  const std::uint64_t npending = cur.count(kPendingMsgBytes, "pending message");
   for (std::uint64_t i = 0; i < npending; ++i) {
     PendingMsg m;
     m.from = cur.u32();
@@ -102,7 +104,7 @@ void GradientTrixNode::checkpoint_restore(CkptCursor& cur) {
 // --- Layer0LineNode ----------------------------------------------------------
 
 void Layer0LineNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(Layer0LineNode, 144);
+  GTRIX_CKPT_SIZEOF(Layer0LineNode, 136);
   w.f64(soa_->stored_h[i_]);
   w.i64(soa_->out_sigma[i_]);
   ckpt::write_timer(w, soa_->broadcast_timer[i_]);
@@ -119,7 +121,7 @@ void Layer0LineNode::checkpoint_restore(CkptCursor& cur) {
 // --- TrixNaiveNode -----------------------------------------------------------
 
 void TrixNaiveNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 240);
+  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 232);
   GTRIX_CKPT_FIELDS(PendingMsg, 3);
   w.u8(soa_->armed[i_]);
   w.u32(soa_->seen_count[i_]);
@@ -148,7 +150,7 @@ void TrixNaiveNode::checkpoint_restore(CkptCursor& cur) {
     slot_sigma(s) = cur.i64();
   }
   pending_.clear();
-  const std::uint64_t npending = cur.u64();
+  const std::uint64_t npending = cur.count(kPendingMsgBytes, "pending message");
   for (std::uint64_t i = 0; i < npending; ++i) {
     PendingMsg m;
     m.from = cur.u32();
@@ -162,7 +164,7 @@ void TrixNaiveNode::checkpoint_restore(CkptCursor& cur) {
 // --- LynchWelchGridNode ------------------------------------------------------
 
 void LynchWelchGridNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 248);
+  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 240);
   GTRIX_CKPT_FIELDS(PendingMsg, 3);
   w.u32(soa_->seen_count[i_]);
   ckpt::write_timer(w, soa_->fire_timer[i_]);
@@ -191,7 +193,7 @@ void LynchWelchGridNode::checkpoint_restore(CkptCursor& cur) {
     slot_sigma(s) = cur.i64();
   }
   pending_.clear();
-  const std::uint64_t npending = cur.u64();
+  const std::uint64_t npending = cur.count(kPendingMsgBytes, "pending message");
   for (std::uint64_t i = 0; i < npending; ++i) {
     PendingMsg m;
     m.from = cur.u32();

@@ -4,7 +4,6 @@
 // accumulators. Defined here -- not in each class's own TU -- so the whole
 // binary serialization of the engine lives in src/ckpt and the state
 // classes only carry declarations.
-#include <queue>
 #include <vector>
 
 #include "ckpt/codec.hpp"
@@ -87,12 +86,11 @@ void LogQuantileSketch::checkpoint_restore(CkptCursor& cur) {
 // a TimerHandle (arena lanes) and to the (time, seq) total order -- the
 // next event scheduled after a restore gets the same slot, generation and
 // sequence number it would have gotten in the uninterrupted run. Only the
-// priority structure's internal layout (heap array order, calendar bucket
-// geometry) is rebuilt rather than copied: it is engine-shaped state with
-// no influence on the event order.
+// calendar's bucket geometry is rebuilt rather than copied: it is
+// engine-shaped state with no influence on the event order.
 
 void EventQueue::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const {
-  GTRIX_CKPT_SIZEOF(EventQueue, 248);
+  GTRIX_CKPT_SIZEOF(EventQueue, 208);
   GTRIX_CKPT_FIELDS(Slot, 7);
   GTRIX_CKPT_FIELDS(QueueEntry, 5);
   GTRIX_CKPT_FIELDS(EventPayload, 5);
@@ -103,27 +101,15 @@ void EventQueue::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) co
   w.u64(purged_);
   w.u64(rebuilds_);
 
-  // Harvest each live slot's sequence number from the priority structure
-  // (the slot itself does not store it).
+  // Harvest each live slot's sequence number from the calendar (the slot
+  // itself does not store it).
   std::vector<std::uint64_t> seq_of(slots_.size(), 0);
   std::vector<std::uint8_t> has_seq(slots_.size(), 0);
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    std::priority_queue<QueueEntry> copy = heap_;
-    while (!copy.empty()) {
-      const QueueEntry entry = copy.top();
-      copy.pop();
+  for (const std::vector<QueueEntry>& bucket : buckets_) {
+    for (const QueueEntry& entry : bucket) {
       if (!stale(entry)) {
         seq_of[entry.slot] = entry.seq;
         has_seq[entry.slot] = 1;
-      }
-    }
-  } else {
-    for (const std::vector<QueueEntry>& bucket : buckets_) {
-      for (const QueueEntry& entry : bucket) {
-        if (!stale(entry)) {
-          seq_of[entry.slot] = entry.seq;
-          has_seq[entry.slot] = 1;
-        }
       }
     }
   }
@@ -166,7 +152,7 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
   purged_ = cur.u64();
   rebuilds_ = cur.u64();
 
-  const std::uint64_t nslots = cur.u64();
+  const std::uint64_t nslots = cur.count(4 + 1, "event slot");  // gen + live flag
   slots_.assign(nslots, Slot{});
   struct LiveRef {
     std::uint32_t slot;
@@ -192,7 +178,7 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
     ++live_;
   }
 
-  const std::uint64_t nfree = cur.u64();
+  const std::uint64_t nfree = cur.count(4, "event freelist entry");
   if (nfree + live_ != nslots) {
     throw CkptError("checkpoint event queue freelist inconsistent (corrupt file)");
   }
@@ -211,36 +197,29 @@ void EventQueue::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& target
     prev = idx;
   }
 
-  // Reset the priority structures and refill from the exact (time, seq)
-  // pairs. The calendar is refit to the restored population (same policy
-  // as any purge rebuild); bucket geometry is engine-shaped state.
-  heap_ = {};
+  // Reset the calendar and refill it from the exact (time, seq) pairs,
+  // refit to the restored population (same policy as any purge rebuild);
+  // bucket geometry is engine-shaped state.
   buckets_.clear();
+  buckets_.resize(8);  // kMinBuckets; the rebuild below refits the size
+  bucket_mask_ = buckets_.size() - 1;
+  width_ = 1.0;
+  inv_width_ = 1.0;
   entry_count_ = 0;
   dead_ = 0;
   cur_epoch_ = 0;
   peek_ = PeekRef{};
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    for (const LiveRef& ref : lives) {
-      heap_.push(QueueEntry{slots_[ref.slot].time, ref.seq, 0, ref.slot, slots_[ref.slot].gen});
-    }
-  } else {
-    buckets_.resize(8);  // kMinBuckets; the rebuild below refits the size
-    bucket_mask_ = buckets_.size() - 1;
-    width_ = 1.0;
-    inv_width_ = 1.0;
-    for (const LiveRef& ref : lives) {
-      calendar_insert(
-          QueueEntry{slots_[ref.slot].time, ref.seq, 0, ref.slot, slots_[ref.slot].gen});
-    }
-    calendar_rebuild(8);
+  for (const LiveRef& ref : lives) {
+    calendar_insert(
+        QueueEntry{slots_[ref.slot].time, ref.seq, 0, ref.slot, slots_[ref.slot].gen});
   }
+  calendar_rebuild(8);
 }
 
 // --- Simulator ---------------------------------------------------------------
 
 void Simulator::checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const {
-  GTRIX_CKPT_SIZEOF(Simulator, 264);
+  GTRIX_CKPT_SIZEOF(Simulator, 216);
   w.f64(now_);
   queue_.checkpoint_save(w, targets);
 }
@@ -253,7 +232,7 @@ void Simulator::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& targets
 // --- Network -----------------------------------------------------------------
 
 void Network::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(Network, 392);
+  GTRIX_CKPT_SIZEOF(Network, 384);
   GTRIX_CKPT_FIELDS(DeferCell, 3);
   GTRIX_CKPT_FIELDS(ShardCounters, 4);
   GTRIX_CKPT_FIELDS(ShardEnvelope, 5);
@@ -321,7 +300,7 @@ void Network::checkpoint_restore(CkptCursor& cur) {
     }
     for (std::vector<ShardEnvelope>& cell : matrix) {
       cell.clear();
-      const std::uint64_t n = cur.u64();
+      const std::uint64_t n = cur.count(8 + 3 * 4 + 8, "mailbox envelope");
       cell.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
         ShardEnvelope e;
@@ -390,24 +369,26 @@ void Recorder::checkpoint_restore(CkptCursor& cur) {
   }
   for (NodeLog& log : logs_) {
     log.first_sigma = cur.i64();
-    const std::uint64_t ntimes = cur.u64();
+    const std::uint64_t ntimes = cur.count(8, "pulse time");
     log.times.resize(ntimes);
     for (SimTime& t : log.times) t = cur.f64();
-    const std::uint64_t niters = cur.u64();
+    const std::uint64_t niters = cur.count(ckpt::kIterationBytes, "iteration record");
     log.iterations.clear();
     log.iterations.reserve(niters);
     for (std::uint64_t i = 0; i < niters; ++i) {
       log.iterations.push_back(ckpt::read_iteration(cur));
     }
     log.iterations_dropped = cur.u64();
-    const std::uint64_t nearly = cur.u64();
+    const std::uint64_t nearly = cur.count(8, "early wave");
     log.early.resize(nearly);
     for (Sigma& s : log.early) s = cur.i64();
     log.pin_first = cur.i64();
-    const std::uint64_t npin_times = cur.u64();
+    const std::uint64_t npin_times = cur.count(8, "pinned pulse time");
     log.pin_times.resize(npin_times);
     for (SimTime& t : log.pin_times) t = cur.f64();
-    const std::uint64_t npin_iters = cur.u64();
+    // Each pinned record is followed (after the run) by its u64 absolute index.
+    const std::uint64_t npin_iters =
+        cur.count(ckpt::kIterationBytes + 8, "pinned iteration record");
     log.pin_iterations.clear();
     log.pin_iterations.reserve(npin_iters);
     for (std::uint64_t i = 0; i < npin_iters; ++i) {
@@ -417,7 +398,7 @@ void Recorder::checkpoint_restore(CkptCursor& cur) {
     for (std::uint64_t& abs : log.pin_iter_abs) abs = cur.u64();
     log.lost_lo = cur.i64();
     log.lost_hi = cur.i64();
-    const std::uint64_t nlost = cur.u64();
+    const std::uint64_t nlost = cur.count(8 + 8, "lost iteration");
     log.lost_iters.resize(nlost);
     for (LostIter& li : log.lost_iters) {
       li.abs = cur.u64();

@@ -5,6 +5,7 @@
 // ascending -- so a fresh World built from the same config enumerates the
 // identical sequence and pointer ids round-trip as dense indices.
 #include <string>
+#include <string_view>
 
 #include "ckpt/codec.hpp"
 #include "runner/experiment.hpp"
@@ -42,18 +43,10 @@ Json World::checkpoint_header(const std::string& meta_json) const {
   j.set("format", "gtrix-checkpoint");
   j.set("version", kCkptFormatVersion);
   j.set("config", to_json(config_));
-  // The engine fingerprint pins everything that shapes serialized state:
-  // the scheduler kind decides how the queue snapshot is rebuilt, the shard
-  // count decides the queue/mailbox layout, and the remaining gates guard
-  // against restoring into an engine whose counters would diverge from the
-  // snapshotted run's summary. `shards` is the clamped effective count.
+  // The engine fingerprint pins what shapes serialized state: the shard
+  // count decides the queue/mailbox layout. `shards` is the clamped
+  // effective count.
   Json engine = Json::object();
-  engine.set("scheduler",
-             engine_.scheduler == SchedulerKind::kCalendar ? "calendar" : "binary-heap");
-  engine.set("batched_broadcast", engine_.batched_broadcast);
-  engine.set("soa_arena", engine_.soa_arena);
-  engine.set("cached_metrics", engine_.cached_metrics);
-  engine.set("single_locate_loop", engine_.single_locate_loop);
   engine.set("shards", shard_count_);
   j.set("engine", engine);
   j.set("meta", meta_json.empty() ? Json() : Json::parse(meta_json));
@@ -155,7 +148,7 @@ void World::checkpoint_restore(const CkptFile& file) {
       throw CkptError(file.path() + ": checkpoint engine fingerprint " +
                       header.at("engine").dump() + " does not match this run's " +
                       expected.at("engine").dump() +
-                      " (resume with the same scheduler and shard count)");
+                      " (resume with the same shard count)");
     }
   } catch (const JsonError& e) {
     throw CkptError(file.path() + ": checkpoint header is malformed (" + e.what() + ")");
@@ -164,11 +157,23 @@ void World::checkpoint_restore(const CkptFile& file) {
   CkptTargetMap targets;
   checkpoint_targets(targets);
 
-  {
-    CkptCursor cur = file.section("sims");
+  // Decodes one section to its last byte. Decoder errors name the section
+  // (and, for counts, the element); this prefixes the file path, so every
+  // restore failure is path-qualified.
+  const auto restore_section = [&file](std::string_view name, const auto& decode) {
+    CkptCursor cur = file.section(name);
+    try {
+      decode(cur);
+      cur.expect_done();
+    } catch (const CkptError& e) {
+      throw CkptError(file.path() + ": " + e.what());
+    }
+  };
+
+  restore_section("sims", [&](CkptCursor& cur) {
     const std::uint32_t shards = cur.u32();
     if (shards != shard_count_) {
-      throw CkptError(file.path() + ": checkpoint was taken with " + std::to_string(shards) +
+      throw CkptError("checkpoint was taken with " + std::to_string(shards) +
                       " shard(s), this run has " + std::to_string(shard_count_));
     }
     if (shard_count_ <= 1) {
@@ -176,17 +181,11 @@ void World::checkpoint_restore(const CkptFile& file) {
     } else {
       for (Simulator* sim : shard_sims_) sim->checkpoint_restore(cur, targets);
     }
-    cur.expect_done();
-  }
+  });
 
-  {
-    CkptCursor cur = file.section("net");
-    net_.checkpoint_restore(cur);
-    cur.expect_done();
-  }
+  restore_section("net", [&](CkptCursor& cur) { net_.checkpoint_restore(cur); });
 
-  {
-    CkptCursor cur = file.section("nodes");
+  restore_section("nodes", [&](CkptCursor& cur) {
     for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
       const std::uint8_t tag = cur.u8();
       std::uint8_t want = kTagNone;
@@ -195,8 +194,8 @@ void World::checkpoint_restore(const CkptFile& file) {
       else if (dynamic_cast<FixedPeriodRogue*>(sinks_[g].get()) != nullptr) want = kTagRogue;
       else if (dynamic_cast<CrashSink*>(sinks_[g].get()) != nullptr) want = kTagCrash;
       if (tag != want) {
-        throw CkptError(file.path() + ": checkpoint node record kind " + std::to_string(tag) +
-                        " at grid node " + std::to_string(g) + " does not match this config's " +
+        throw CkptError("checkpoint node record kind " + std::to_string(tag) + " at grid node " +
+                        std::to_string(g) + " does not match this config's " +
                         std::to_string(want) + " (corrupt file?)");
       }
       switch (tag) {
@@ -207,14 +206,12 @@ void World::checkpoint_restore(const CkptFile& file) {
         default: break;
       }
     }
-    cur.expect_done();
-  }
+  });
 
-  {
-    CkptCursor cur = file.section("faults");
+  restore_section("faults", [&](CkptCursor& cur) {
     const std::uint64_t nfaults = cur.u64();
     if (nfaults != fault_runtimes_.size()) {
-      throw CkptError(file.path() + ": checkpoint has " + std::to_string(nfaults) +
+      throw CkptError("checkpoint has " + std::to_string(nfaults) +
                       " fault runtime(s), this configuration has " +
                       std::to_string(fault_runtimes_.size()));
     }
@@ -222,19 +219,12 @@ void World::checkpoint_restore(const CkptFile& file) {
       rt->rng.checkpoint_restore(cur);
       rt->sent = cur.i64();
     }
-    cur.expect_done();
-  }
+  });
 
-  {
-    CkptCursor cur = file.section("recorder");
-    recorder_.checkpoint_restore(cur);
-    cur.expect_done();
-  }
+  restore_section("recorder", [&](CkptCursor& cur) { recorder_.checkpoint_restore(cur); });
 
   if (streaming_ != nullptr) {
-    CkptCursor cur = file.section("streaming");
-    streaming_->checkpoint_restore(cur);
-    cur.expect_done();
+    restore_section("streaming", [&](CkptCursor& cur) { streaming_->checkpoint_restore(cur); });
   } else if (file.has_section("streaming")) {
     throw CkptError(file.path() +
                     ": checkpoint carries streaming accumulators but this run records in "

@@ -14,21 +14,17 @@ constexpr double kGuardSlack = 1e-9;  // float-noise tolerance in guard checks
 GradientTrixNode::GradientTrixNode(Simulator& sim, Network& net, NetNodeId self,
                                    HardwareClock clock, std::vector<NetNodeId> preds,
                                    GradientNodeConfig config, Recorder* recorder,
-                                   GradientSoa* soa)
+                                   GradientSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
       preds_(std::move(preds)),
       config_(config),
-      recorder_(recorder) {
+      recorder_(recorder),
+      soa_(&soa) {
   GTRIX_CHECK_MSG(preds_.size() >= 2, "node needs its own copy plus >= 1 neighbour");
   GTRIX_CHECK_MSG(preds_.size() <= kMaxSlots, "too many predecessors");
-  if (soa == nullptr) {
-    owned_soa_ = std::make_unique<GradientSoa>();
-    soa = owned_soa_.get();
-  }
-  soa_ = soa;
   i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()));
   slot_base_ = soa_->slot_base[i_];
 }

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "clock/hardware_clock.hpp"
@@ -77,13 +76,11 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
  public:
   /// `preds` lists the network ids of the predecessors, own copy first --
   /// exactly Grid::predecessors mapped to network ids. The clock is owned.
-  /// Hot per-iteration state lives in `soa` (typically the World-owned
-  /// NodeArena's gradient lanes, see core/node_state.hpp); when null the
-  /// node allocates a private single-entry arena so standalone construction
-  /// keeps working unchanged.
+  /// Hot per-iteration state lives in `soa` (the World-owned NodeArena's
+  /// gradient lanes, see core/node_state.hpp), which must outlive the node.
   GradientTrixNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
                    std::vector<NetNodeId> preds, GradientNodeConfig config,
-                   Recorder* recorder, GradientSoa* soa = nullptr);
+                   Recorder* recorder, GradientSoa& soa);
 
   GradientTrixNode(const GradientTrixNode&) = delete;
   GradientTrixNode& operator=(const GradientTrixNode&) = delete;
@@ -189,10 +186,9 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   Recorder* recorder_;  // non-owning; may be null
   SendOverride send_override_;
 
-  // SoA residency: World-owned arena lanes, or the private fallback arena
-  // for standalone nodes. Timer handles live there too; they go stale
-  // automatically when a timer fires, so a reset is always safe.
-  std::unique_ptr<GradientSoa> owned_soa_;  // fallback only
+  // SoA residency: the arena's gradient lanes. Timer handles live there
+  // too; they go stale automatically when a timer fires, so a reset is
+  // always safe.
   GradientSoa* soa_;
   std::uint32_t i_;          // arena index
   std::uint32_t slot_base_;  // first entry of this node's slot lanes

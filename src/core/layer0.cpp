@@ -35,21 +35,16 @@ void ClockSource::on_timer(const Event& event) {
 
 Layer0LineNode::Layer0LineNode(Simulator& sim, Network& net, NetNodeId self,
                                HardwareClock clock, NetNodeId line_pred, Params params,
-                               Recorder* recorder, Layer0Soa* soa)
+                               Recorder* recorder, Layer0Soa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
       line_pred_(line_pred),
       params_(params),
-      recorder_(recorder) {
-  if (soa == nullptr) {
-    owned_soa_ = std::make_unique<Layer0Soa>();
-    soa = owned_soa_.get();
-  }
-  soa_ = soa;
-  i_ = soa_->add_node();
-}
+      recorder_(recorder),
+      soa_(&soa),
+      i_(soa.add_node()) {}
 
 void Layer0LineNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pulse,
                               SimTime now) {

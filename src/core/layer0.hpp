@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "clock/hardware_clock.hpp"
@@ -54,13 +53,12 @@ class ClockSource final : public TimerTarget {
 
 /// Algorithm 2: layer-0 line forwarding node. Hot state (the stored
 /// timestamp, outgoing wave label and armed broadcast timer) lives in the
-/// arena's layer-0 lanes; `soa = nullptr` falls back to a private
-/// single-entry arena for standalone construction.
+/// arena's layer-0 lanes.
 class Layer0LineNode final : public PulseSink, public TimerTarget {
  public:
   Layer0LineNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
                  NetNodeId line_pred, Params params, Recorder* recorder,
-                 Layer0Soa* soa = nullptr);
+                 Layer0Soa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
 
@@ -97,7 +95,6 @@ class Layer0LineNode final : public PulseSink, public TimerTarget {
   Params params_;
   Recorder* recorder_;
 
-  std::unique_ptr<Layer0Soa> owned_soa_;  // fallback only
   Layer0Soa* soa_;
   std::uint32_t i_;
   std::uint64_t forwarded_ = 0;

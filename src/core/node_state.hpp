@@ -11,9 +11,9 @@
 // NodeArena instead packs each register into one dense lane (one vector per
 // field, indexed by an arena slot the node claims at construction), so a
 // wave of events sweeping the grid walks a few contiguous arrays. World
-// owns one arena per experiment; a node constructed without an arena (unit
-// tests, ad-hoc harnesses) transparently falls back to a private
-// single-entry arena, so the SoA layout is invisible at the call sites.
+// owns one arena per experiment (per shard, when sharded) and every node
+// constructor takes its lanes by reference; a standalone harness owns its
+// own arena the same way.
 //
 // Per-predecessor lanes are bump-allocated: a node with k predecessors
 // claims k consecutive entries of the slot lanes and remembers its base

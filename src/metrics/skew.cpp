@@ -16,9 +16,7 @@ namespace {
 /// from O(pairs x waves x pulses) to O(pairs x waves).
 class SteadyWindows {
  public:
-  explicit SteadyWindows(const GridTrace& trace)
-      : trace_(trace), cached_(trace.cached_metrics) {
-    if (!cached_) return;  // pre-refactor path: scan per query instead
+  explicit SteadyWindows(const GridTrace& trace) : trace_(trace) {
     const std::uint32_t n = trace.grid->node_count();
     from_.resize(n);
     to_.resize(n);
@@ -33,7 +31,6 @@ class SteadyWindows {
 
   /// Same value as GridTrace::steady_pulse, from the cached window.
   std::optional<SimTime> pulse(GridNodeId g, Sigma s) const {
-    if (!cached_) return trace_.steady_pulse(g, s);
     if (from_[g] == Recorder::kInvalidSigma || s < from_[g]) return std::nullopt;
     if (to_[g] == Recorder::kInvalidSigma || s > to_[g]) return std::nullopt;
     return trace_.recorder->pulse_time(trace_.rec_id(g), s);
@@ -41,7 +38,6 @@ class SteadyWindows {
 
  private:
   const GridTrace& trace_;
-  bool cached_;
   std::vector<Sigma> from_;
   std::vector<Sigma> to_;
 };

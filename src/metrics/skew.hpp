@@ -27,9 +27,6 @@ struct GridTrace {
   /// under Appendix-A line input), so the filter is per node, not global.
   Sigma node_warmup = 3;
   Sigma node_tail = 1;
-  /// Memoize per-node steady windows inside the metric computations; false
-  /// reproduces the pre-refactor per-query log scans (EngineOptions).
-  bool cached_metrics = true;
 
   RecNodeId rec_id(GridNodeId g) const { return node_ids.at(g); }
   bool is_faulty(GridNodeId g) const { return recorder->meta(rec_id(g)).faulty; }

@@ -220,7 +220,7 @@ void Network::broadcast(NetNodeId from, const Pulse& pulse) {
     return;
   }
   const double uniform = uniform_out_delay_[from];
-  if (batching_ && !modulation_ && outs.size() > 1 && !std::isnan(uniform)) {
+  if (!modulation_ && outs.size() > 1 && !std::isnan(uniform)) {
     // All out-edges share one delay: a single queue event fans the pulse out
     // at fire time. Order-equivalent to the per-edge path (see the header).
     sent_ += outs.size();
@@ -234,7 +234,7 @@ void Network::broadcast_sharded(NetNodeId from, const Pulse& pulse,
                                 const std::vector<EdgeId>& outs) {
   const std::uint32_t src = node_shard_[from];
   const double uniform = uniform_out_delay_[from];
-  if (batching_ && outs.size() > 1 && !std::isnan(uniform)) {
+  if (outs.size() > 1 && !std::isnan(uniform)) {
     // Batched fan-out splits: same-shard receivers keep the single
     // kBatchDeliver event (whose fan-out skips remote edges), cross-shard
     // receivers get envelopes immediately -- the arrival time and the

@@ -96,7 +96,14 @@ class Network final : public TimerTarget {
   /// behaviours that delay or jitter individual out-edges.
   void send_after(EdgeId e, const Pulse& pulse, double extra);
 
-  /// Sends on every out-edge of `from`.
+  /// Sends on every out-edge of `from`. Batched delivery: when every
+  /// out-edge of the sender carries the same delay and no modulation is
+  /// installed, the broadcast schedules ONE queue event that fans out to all
+  /// sinks at fire time, instead of one event per edge. Per-edge events
+  /// would occupy consecutive sequence numbers anyway (the send loop is
+  /// atomic), so the collapse preserves the global event order; only the
+  /// events_executed / delivery_events counters see it. Modulated,
+  /// non-uniform and single-out-edge broadcasts take the per-edge path.
   void broadcast(NetNodeId from, const Pulse& pulse);
 
   /// Delivers a pulse directly to `to` at absolute time `t` with a synthetic
@@ -113,18 +120,6 @@ class Network final : public TimerTarget {
   using DelayModulation = std::function<double(EdgeId, SimTime)>;
   void set_delay_modulation(DelayModulation fn);
 
-  /// Batched broadcast delivery (on by default): when every out-edge of the
-  /// sender carries the same delay and no modulation is installed, one
-  /// broadcast schedules ONE queue event that fans out to all sinks at fire
-  /// time, instead of one event per edge. Within a broadcast the per-edge
-  /// events would occupy consecutive sequence numbers anyway (the send loop
-  /// is atomic), so collapsing them preserves the global event order --
-  /// simulations are bit-identical with batching on or off; only the
-  /// events_executed / delivery_events counters differ. The reference mode
-  /// of bench_perf turns this off.
-  void set_broadcast_batching(bool enabled) noexcept { batching_ = enabled; }
-  bool broadcast_batching() const noexcept { return batching_; }
-
   // Counter accessors sum the per-shard cells (empty in serial mode); call
   // them only outside a sharded run, i.e. with no worker threads live.
   std::uint64_t messages_sent() const noexcept;
@@ -139,10 +134,10 @@ class Network final : public TimerTarget {
     return shard_counters_.at(shard).envelopes_drained;
   }
 
-  /// Queue events spent performing deliveries (one per message unbatched,
-  /// one per broadcast batched). executed_events - delivery_events +
-  /// messages_delivered is the engine-independent logical event count
-  /// bench_perf normalizes throughput with.
+  /// Queue events spent performing deliveries (one per per-edge message,
+  /// one per batched broadcast). executed_events - delivery_events +
+  /// messages_delivered is the engine-independent logical event count the
+  /// campaign output and telemetry report.
   std::uint64_t delivery_events() const noexcept;
 
   Simulator& simulator() noexcept { return sim_; }
@@ -283,7 +278,6 @@ class Network final : public TimerTarget {
   /// broadcast fast path keys off it.
   std::vector<double> uniform_out_delay_;
   DelayModulation modulation_;
-  bool batching_ = true;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t delivery_events_ = 0;

@@ -3,13 +3,12 @@
 //
 // Determinism discipline -- the part that makes telemetry safe to embed in
 // campaign JSONL: every counter in the catalog is tagged either
-//  * engine-invariant: the value is identical for EVERY EngineOptions
-//    combination (scheduler kind, batching, shard count, sweep threads),
-//    because it counts behaviour the engine gates provably preserve --
-//    algorithm-issued timer cancels, recorded pulses, logical events. Only
-//    these fields appear in the per-cell `engine_stats` JSONL block, so the
-//    CI byte-identity diffs across (threads, shards) keep holding with
-//    telemetry on; or
+//  * engine-invariant: the value is identical for EVERY shard count and
+//    sweep thread count, because it counts simulated behaviour, which
+//    sharding provably preserves -- algorithm-issued timer cancels,
+//    recorded pulses, logical events. Only these fields appear in the
+//    per-cell `engine_stats` JSONL block, so the CI byte-identity diffs
+//    across (threads, shards) keep holding with telemetry on; or
 //  * engine-shaped: deterministic for a FIXED engine config but dependent
 //    on it (raw executed events, lazy-cancel purges, window counts, mailbox
 //    envelopes). These live only in the summary JSON, next to the equally

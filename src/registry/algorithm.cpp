@@ -42,7 +42,7 @@ class GradientNodeModel final : public NodeModel {
     config.broadcast_offset = ctx.broadcast_offset;
     node_ = std::make_unique<GradientTrixNode>(
         ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), std::move(ctx.preds), config,
-        ctx.recorder, ctx.arena != nullptr ? &ctx.arena->gradient : nullptr);
+        ctx.recorder, ctx.arena.gradient);
   }
 
   PulseSink& sink() override { return *node_; }
@@ -92,7 +92,7 @@ class TrixNaiveNodeModel final : public NodeModel {
   explicit TrixNaiveNodeModel(NodeContext ctx)
       : node_(std::make_unique<TrixNaiveNode>(
             ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), std::move(ctx.preds),
-            ctx.params, ctx.recorder, ctx.arena != nullptr ? &ctx.arena->trix : nullptr)) {}
+            ctx.params, ctx.recorder, ctx.arena.trix)) {}
 
   PulseSink& sink() override { return *node_; }
 
@@ -124,8 +124,7 @@ class LynchWelchNodeModel final : public NodeModel {
   explicit LynchWelchNodeModel(NodeContext ctx)
       : node_(std::make_unique<LynchWelchGridNode>(
             ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), std::move(ctx.preds),
-            ctx.params, ctx.trim, ctx.recorder,
-            ctx.arena != nullptr ? &ctx.arena->lw : nullptr)) {}
+            ctx.params, ctx.trim, ctx.recorder, ctx.arena.lw)) {}
 
   PulseSink& sink() override { return *node_; }
 

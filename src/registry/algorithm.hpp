@@ -53,7 +53,7 @@ struct ExperimentCounters {
   std::uint64_t messages_delivered = 0;
   /// Queue events spent on deliveries (see Network::delivery_events).
   /// events_executed - delivery_events + messages_delivered is the
-  /// engine-independent logical event count bench_perf reports.
+  /// engine-independent logical event count the campaign reports.
   std::uint64_t delivery_events = 0;
 };
 
@@ -89,9 +89,8 @@ struct NodeContext {
   double broadcast_offset = 0.0;     ///< static fault shift (0 when correct)
   Recorder* recorder = nullptr;
   /// Struct-of-arrays store for the node's hot state (core/node_state.hpp),
-  /// owned by World. Null is valid: the node falls back to a private
-  /// single-entry arena, so providers can ignore the field entirely.
-  NodeArena* arena = nullptr;
+  /// owned by World; providers hand the node its algorithm's lanes.
+  NodeArena& arena;
 };
 
 /// One constructed algorithm node; owns the underlying object.

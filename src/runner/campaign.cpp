@@ -57,9 +57,9 @@ Json counters_to_json(const ExperimentCounters& counters) {
   // Logical events, not raw executed events: broadcast batching and the
   // sharded engine's cross-shard fan-out splitting change how many queue
   // events realize the same deliveries, so the raw count is engine-
-  // dependent. This normalized count is invariant across every
-  // EngineOptions combination, which keeps the JSONL byte-identical across
-  // (threads, shards) -- the CI determinism diffs rely on it.
+  // dependent. This normalized count is invariant across every shard
+  // count, which keeps the JSONL byte-identical across (threads, shards) --
+  // the CI determinism diffs rely on it.
   j.set("logical_events", counters.events_executed - counters.delivery_events +
                               counters.messages_delivered);
   j.set("messages_sent", counters.messages_sent);

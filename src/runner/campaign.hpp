@@ -104,9 +104,8 @@ struct CellObs {
 /// Theorem 1.6 workload: run to wave * lambda, scramble `fraction` of all
 /// nodes, run out, realign labels, then measure -- in the configured
 /// recording mode; memory-bounded modes pin a corruption-anchored look-back
-/// box). `engine` selects the simulation engine (bench_perf runs the
-/// reference engine through here; results are bit-identical for every
-/// engine).
+/// box). `engine` selects shards and telemetry; results are
+/// bit-identical for every engine.
 ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& corrupt,
                           EngineOptions engine = {}, CellObs obs = {});
 

@@ -12,27 +12,6 @@
 
 namespace gtrix {
 
-std::vector<EngineGateDesc> engine_gate_descs() {
-  return {
-      {"scheduler", "calendar", "binary-heap",
-       "event queue structure; both kinds execute identical event sequences"},
-      {"batched_broadcast", "on", "off",
-       "one queue event per uniform-delay broadcast instead of one per edge"},
-      {"soa_arena", "on", "off",
-       "node hot state in a struct-of-arrays arena vs object-per-node"},
-      {"cached_metrics", "on", "off",
-       "memoized per-node steady windows in skew computation"},
-      {"single_locate_loop", "on", "off",
-       "one find-minimum per event in the simulator loop"},
-      {"shards", "1", "1",
-       "conservative-parallel shards per run (--shards; clamped to columns "
-       "and the thread budget); every count is bit-identical"},
-      {"telemetry", "off", "off",
-       "engine counters, window timings and peak RSS (--telemetry; "
-       "docs/observability.md); purely observational, results identical"},
-  };
-}
-
 ResolvedComponents resolve_components(const ExperimentConfig& c) {
   ResolvedComponents r;
   r.topology = topology_registry().canonicalize(
@@ -93,10 +72,8 @@ World::World(ExperimentConfig config, EngineOptions engine)
       algorithm_provider_(algorithm_registry().create(components_.algorithm)),
       algorithm_caps_(algorithm_provider_->caps()),
       grid_(make_base(config_, components_), config_.layers),
-      sim_(engine.scheduler, engine.single_locate_loop),
       net_(sim_),
       arena_(std::make_unique<NodeArena>()) {
-  net_.set_broadcast_batching(engine.batched_broadcast);
   GTRIX_CHECK_MSG(config_.layers >= 2, "need at least layer 0 and one algorithm layer");
   GTRIX_CHECK_MSG(config_.pulses >= 1, "need at least one pulse");
   GTRIX_CHECK_MSG(config_.params.u >= 0.0 && config_.params.u < config_.params.d,
@@ -174,8 +151,7 @@ void World::init_shards() {
   // so it lives in shard 0 -- node_shard_ already says so.
 
   for (std::uint32_t s = 1; s < shard_count_; ++s) {
-    extra_sims_.push_back(
-        std::make_unique<Simulator>(engine_.scheduler, engine_.single_locate_loop));
+    extra_sims_.push_back(std::make_unique<Simulator>());
     extra_arenas_.push_back(std::make_unique<NodeArena>());
   }
   shard_sims_.push_back(&sim_);
@@ -327,8 +303,7 @@ void World::build_layer0(Rng& clock_rng, Rng& layer0_rng) {
     }
     auto node = std::make_unique<Layer0LineNode>(sim_for(g), net_, g, make_clock(clock_rng, col, 0),
                                                  line_pred, config_.params, recorder_for(g),
-                                                 engine_.soa_arena ? &arena_for(g)->layer0
-                                                                   : nullptr);
+                                                 arena_for(g).layer0);
     layer0_by_grid_[g] = node.get();
     net_.set_sink(g, node.get());
     sinks_[g] = std::move(node);
@@ -388,7 +363,7 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
     auto model = algorithm_provider_->make_node(NodeContext{
         sim_for(g), net_, g, std::move(clock), std::move(preds), config_.params, diameter,
         config_.trim, config_.self_stabilizing, config_.jump_condition, broadcast_offset,
-        recorder_for(g), engine_.soa_arena ? arena_for(g) : nullptr});
+        recorder_for(g), arena_for(g)});
     if (spec != nullptr) install_fault(g, *spec, *model, fault_rng);
     model_by_grid_[g] = model.get();
     gradient_by_grid_[g] = model->gradient();
@@ -563,7 +538,6 @@ GridTrace World::trace() const {
   for (GridNodeId g = 0; g < grid_.node_count(); ++g) t.node_ids[g] = g;
   t.node_warmup = config_.warmup;
   t.node_tail = 1;
-  t.cached_metrics = engine_.cached_metrics;
   return t;
 }
 

@@ -113,28 +113,12 @@ struct ResolvedComponents {
 
 ResolvedComponents resolve_components(const ExperimentConfig& config);
 
-/// Engine selection, orthogonal to the experiment config. Every gate is
-/// behaviour-preserving (all combinations produce bit-identical
-/// simulations -- tests/test_perf.cpp proves each gate in isolation); the
-/// defaults are the fast path, and bench_perf runs reference() against
-/// them to measure the speedup and prove the identity. Deliberately NOT
-/// part of ExperimentConfig: configs describe the system under test,
-/// engine options only how fast it is simulated, so they stay out of
-/// config equality, serialization and the scenario format.
+/// Engine selection, orthogonal to the experiment config. Both fields are
+/// behaviour-preserving: every combination produces bit-identical
+/// simulations. Deliberately NOT part of ExperimentConfig: configs describe
+/// the system under test, engine options only how it is executed, so they
+/// stay out of config equality, serialization and the scenario format.
 struct EngineOptions {
-  SchedulerKind scheduler = SchedulerKind::kCalendar;
-  /// One queue event per uniform-delay broadcast instead of one per edge.
-  bool batched_broadcast = true;
-  /// Node hot state in the World-owned struct-of-arrays arena; off = each
-  /// node keeps a private single-entry arena (the pre-refactor
-  /// object-per-node memory layout).
-  bool soa_arena = true;
-  /// Memoized per-node steady windows in skew computation; off = the
-  /// pre-refactor O(pulse-log) scan per (node, wave) query.
-  bool cached_metrics = true;
-  /// Single find-minimum per event in the simulator loop; off = the
-  /// pre-refactor next_time() + run_next() pair.
-  bool single_locate_loop = true;
   /// Conservative-parallel shards for a single run (docs/performance.md,
   /// "Sharded execution"): the base graph is cut into contiguous column
   /// ranges, each with its own event queue, NodeArena and worker thread,
@@ -146,36 +130,9 @@ struct EngineOptions {
   /// harvests counters, window timings and peak RSS after a run. Purely
   /// observational -- simulations are bit-identical with it on or off, and
   /// the engine-invariant counter block is byte-identical across every
-  /// engine combination. Off by default; no-op when compiled out
-  /// (GTRIX_OBS=OFF).
+  /// shard count. Off by default; no-op when compiled out (GTRIX_OBS=OFF).
   bool telemetry = false;
-
-  /// The pre-refactor hot path, reproduced choice by choice: binary heap,
-  /// per-edge broadcasts, object-per-node state, uncached metrics, paired
-  /// locate+pop loop, serial (single-shard) execution. bench_perf measures
-  /// the defaults against this and asserts bit-identical skew results.
-  static EngineOptions reference() {
-    EngineOptions e;
-    e.scheduler = SchedulerKind::kBinaryHeap;
-    e.batched_broadcast = false;
-    e.soa_arena = false;
-    e.cached_metrics = false;
-    e.single_locate_loop = false;
-    e.shards = 1;
-    return e;
-  }
 };
-
-/// One row per EngineOptions gate, for gtrix_campaign --list / --describe:
-/// runnable engine configurations are discoverable without reading headers.
-struct EngineGateDesc {
-  std::string name;         ///< gate name, e.g. "shards"
-  std::string fast_value;   ///< the default (fast-path) setting
-  std::string reference_value;  ///< the EngineOptions::reference() setting
-  std::string summary;
-};
-
-std::vector<EngineGateDesc> engine_gate_descs();
 
 /// A fully wired simulated system. Most callers use run_experiment(); the
 /// class is exposed for experiments needing custom control (e.g. corrupting
@@ -288,8 +245,8 @@ class World {
   /// enabled == false with zeroed counters when telemetry is off or
   /// compiled out; callable repeatedly (counters are cumulative totals,
   /// not deltas). The invariant_json() block is byte-identical across
-  /// every EngineOptions combination; summary_json() is engine-shaped
-  /// and wall-clock data.
+  /// every shard count; summary_json() is engine-shaped and wall-clock
+  /// data.
   EngineStats engine_stats() const;
 
   /// The gradient node simulating grid node g; null for layer 0, faulty
@@ -352,9 +309,9 @@ class World {
   Simulator& sim_for(NetNodeId id) {
     return shard_count_ <= 1 ? sim_ : *shard_sims_[node_shard_[id]];
   }
-  NodeArena* arena_for(NetNodeId id) {
+  NodeArena& arena_for(NetNodeId id) {
     const std::uint32_t s = shard_count_ <= 1 ? 0 : node_shard_[id];
-    return s == 0 ? arena_.get() : extra_arenas_[s - 1].get();
+    return s == 0 ? *arena_ : *extra_arenas_[s - 1];
   }
   Recorder* recorder_for(NetNodeId id) {
     if (shard_count_ <= 1) return &recorder_;

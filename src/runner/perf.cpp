@@ -4,106 +4,12 @@
 #include <chrono>
 #include <filesystem>
 #include <limits>
+#include <vector>
 
 #include "runner/ckpt_runner.hpp"
 #include "support/check.hpp"
 
 namespace gtrix {
-
-namespace {
-
-/// Runs every cell of the scenario on `engine`, returning aggregate
-/// counters, wall time and the per-cell skew digests. Cells run serially:
-/// bench_perf measures single-thread engine throughput (parallel sweep
-/// scaling is the SweepRunner's own, separately tested property).
-struct EnginePass {
-  PerfEngineStats stats;
-  std::vector<std::string> digests;
-};
-
-EnginePass run_pass(const std::vector<ScenarioCell>& cells, EngineOptions engine) {
-  EnginePass pass;
-  pass.digests.reserve(cells.size());
-  const auto started = std::chrono::steady_clock::now();
-  for (const ScenarioCell& cell : cells) {
-    const ExperimentResult result = run_cell(cell.config, cell.corrupt, engine);
-    const ExperimentCounters& c = result.counters;
-    pass.stats.events_executed += c.events_executed;
-    pass.stats.messages_delivered += c.messages_delivered;
-    pass.stats.logical_events += c.events_executed - c.delivery_events + c.messages_delivered;
-    pass.digests.push_back(skew_digest(result));
-  }
-  pass.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  return pass;
-}
-
-void finalize(PerfEngineStats& stats) {
-  if (stats.wall_seconds > 0.0) {
-    stats.events_per_sec = static_cast<double>(stats.logical_events) / stats.wall_seconds;
-  }
-}
-
-PerfScenarioReport run_both(const Scenario& scenario, int repeats) {
-  GTRIX_CHECK_MSG(repeats >= 1, "perf repeats must be >= 1");
-  PerfScenarioReport report;
-  report.scenario = scenario.name();
-  report.repeats = repeats;
-  const std::vector<ScenarioCell> cells = scenario.cells();
-  report.cells = cells.size();
-
-  EnginePass reference;
-  EnginePass optimized;
-  for (int r = 0; r < repeats; ++r) {
-    // Alternate which engine runs first so neither systematically enjoys a
-    // warmer allocator / cache / frequency state from the other's pass.
-    EnginePass ref_pass;
-    EnginePass opt_pass;
-    if (r % 2 == 0) {
-      ref_pass = run_pass(cells, EngineOptions::reference());
-      opt_pass = run_pass(cells, EngineOptions{});
-    } else {
-      opt_pass = run_pass(cells, EngineOptions{});
-      ref_pass = run_pass(cells, EngineOptions::reference());
-    }
-    if (r == 0) {
-      reference = std::move(ref_pass);
-      optimized = std::move(opt_pass);
-      continue;
-    }
-    // Counters and digests are deterministic; only wall time varies.
-    GTRIX_CHECK(ref_pass.digests == reference.digests);
-    GTRIX_CHECK(opt_pass.digests == optimized.digests);
-    reference.stats.wall_seconds =
-        std::min(reference.stats.wall_seconds, ref_pass.stats.wall_seconds);
-    optimized.stats.wall_seconds =
-        std::min(optimized.stats.wall_seconds, opt_pass.stats.wall_seconds);
-  }
-  finalize(reference.stats);
-  finalize(optimized.stats);
-  report.reference = reference.stats;
-  report.optimized = optimized.stats;
-  report.skew_identical = reference.digests == optimized.digests;
-  GTRIX_CHECK_MSG(
-      reference.stats.logical_events == optimized.stats.logical_events,
-      "logical event counts diverged between engines -- batching accounting bug");
-  if (report.reference.events_per_sec > 0.0) {
-    report.speedup = report.optimized.events_per_sec / report.reference.events_per_sec;
-  }
-  return report;
-}
-
-Json engine_json(const PerfEngineStats& stats) {
-  Json j = Json::object();
-  j.set("wall_seconds", stats.wall_seconds);
-  j.set("events_executed", stats.events_executed);
-  j.set("messages_delivered", stats.messages_delivered);
-  j.set("logical_events", stats.logical_events);
-  j.set("events_per_sec", stats.events_per_sec);
-  return j;
-}
-
-}  // namespace
 
 std::string skew_digest(const ExperimentResult& result) {
   const SkewReport& skew = result.skew;
@@ -120,10 +26,6 @@ std::string skew_digest(const ExperimentResult& result) {
   for (const double v : skew.intra_by_layer) by_layer.push_back(v);
   j.set("intra_by_layer", std::move(by_layer));
   return j.dump();
-}
-
-PerfScenarioReport run_perf_scenario(const Scenario& scenario, int repeats) {
-  return run_both(scenario, repeats);
 }
 
 TelemetryOverheadReport run_telemetry_overhead(const Scenario& scenario, int repeats) {
@@ -169,7 +71,7 @@ TelemetryOverheadReport run_telemetry_overhead(const Scenario& scenario, int rep
   };
 
   for (int r = 0; r < repeats; ++r) {
-    // Alternate mode order per repeat, like the engine comparison.
+    // Alternate mode order per repeat.
     if (r % 2 == 0) {
       timed_pass(EngineOptions{}, off_best, off_digests);
       timed_pass(on_engine, on_best, on_digests);
@@ -278,7 +180,7 @@ CheckpointOverheadReport run_checkpoint_overhead(const Scenario& scenario, int r
   };
 
   for (int r = 0; r < repeats; ++r) {
-    // Alternate mode order per repeat, like the engine comparison.
+    // Alternate mode order per repeat, like the telemetry comparison.
     if (r % 2 == 0) {
       plain_pass();
       ckpt_pass();
@@ -342,32 +244,6 @@ Json checkpoint_overhead_json(const CheckpointOverheadReport& report) {
   j.set("checkpoints_restored", report.checkpoints_restored);
   j.set("skew_identical", report.skew_identical);
   return j;
-}
-
-PerfScenarioReport check_perf_identity(const Scenario& scenario) {
-  return run_both(scenario, 1);
-}
-
-Json perf_report_json(const std::vector<PerfScenarioReport>& reports) {
-  Json doc = Json::object();
-  doc.set("bench", std::string("bench_perf"));
-  Json scenarios = Json::array();
-  bool all_identical = true;
-  for (const PerfScenarioReport& report : reports) {
-    Json j = Json::object();
-    j.set("scenario", report.scenario);
-    j.set("cells", static_cast<std::int64_t>(report.cells));
-    j.set("repeats", report.repeats);
-    j.set("reference", engine_json(report.reference));
-    j.set("optimized", engine_json(report.optimized));
-    j.set("speedup", report.speedup);
-    j.set("skew_identical", report.skew_identical);
-    all_identical = all_identical && report.skew_identical;
-    scenarios.push_back(std::move(j));
-  }
-  doc.set("scenarios", std::move(scenarios));
-  doc.set("all_skew_identical", all_identical);
-  return doc;
 }
 
 }  // namespace gtrix

@@ -1,23 +1,11 @@
-// Performance measurement harness: the committed perf trajectory.
-//
-// bench_perf (and the CI perf smoke) run every cell of a scenario twice --
-// once on the optimized engine (calendar queue + batched broadcast, the
-// defaults) and once on the reference engine (binary heap, unbatched, the
-// pre-refactor behaviour) -- and
-//  * assert the two engines' skew outputs are BIT-identical per cell (the
-//    refactor is provably behaviour-preserving, not approximately so),
-//  * time both and report events/sec plus the optimized:reference speedup.
-//
-// Throughput is normalized to LOGICAL events -- executed queue events minus
-// delivery events plus messages delivered -- which is invariant under
-// broadcast batching (a batched fan-out counts once per message, exactly
-// like the unbatched per-edge events), so the two engines are compared on
-// identical work. See docs/performance.md.
+// Performance gates behind bench_perf: the telemetry-overhead and
+// checkpoint-cost comparisons, each with a bit-identity check on the skew
+// outputs of every cell. Absolute per-layer host time is measured by
+// hostbench/ (docs/performance.md).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "runner/campaign.hpp"
 #include "scenario/spec.hpp"
@@ -25,45 +13,15 @@
 
 namespace gtrix {
 
-/// One engine's aggregate over all cells of a scenario.
-struct PerfEngineStats {
-  double wall_seconds = 0.0;  ///< best (minimum) over the repeat runs
-  std::uint64_t events_executed = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t logical_events = 0;
-  double events_per_sec = 0.0;  ///< logical_events / wall_seconds
-};
-
-struct PerfScenarioReport {
-  std::string scenario;
-  std::size_t cells = 0;
-  int repeats = 1;
-  PerfEngineStats reference;
-  PerfEngineStats optimized;
-  double speedup = 0.0;  ///< optimized.events_per_sec / reference.events_per_sec
-  bool skew_identical = false;
-};
-
 /// Serializes one cell's skew report to the exact byte string the identity
-/// check compares (the campaign JSONL skew object).
+/// checks compare (the campaign JSONL skew object).
 std::string skew_digest(const ExperimentResult& result);
 
-/// Runs every cell of `scenario` on both engines `repeats` times (timing
-/// takes the fastest repeat; the identity check covers every cell).
-PerfScenarioReport run_perf_scenario(const Scenario& scenario, int repeats);
-
-/// Identity-only variant: runs each cell once per engine and reports
-/// whether all skew digests matched (no timing emphasis; wall times are
-/// still filled in from the single run).
-PerfScenarioReport check_perf_identity(const Scenario& scenario);
-
-/// The BENCH_perf.json document.
-Json perf_report_json(const std::vector<PerfScenarioReport>& reports);
-
 /// Telemetry overhead measurement (the CI "telemetry is ~free" gate; see
-/// docs/observability.md). Runs every cell on the DEFAULT engine with
-/// telemetry off and on, alternating pass order per repeat exactly like the
-/// engine comparison; wall time takes the fastest repeat per mode.
+/// docs/observability.md). Runs every cell with telemetry off and on,
+/// alternating pass order per repeat so neither mode systematically enjoys
+/// a warmer allocator / cache state; wall time takes the fastest repeat per
+/// cell and mode.
 struct TelemetryOverheadReport {
   std::string scenario;
   std::size_t cells = 0;

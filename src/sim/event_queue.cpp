@@ -16,12 +16,7 @@ constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
 
 }  // namespace
 
-EventQueue::EventQueue(SchedulerKind kind) : kind_(kind) {
-  if (kind_ == SchedulerKind::kCalendar) {
-    buckets_.resize(kMinBuckets);
-    bucket_mask_ = buckets_.size() - 1;
-  }
-}
+EventQueue::EventQueue() : buckets_(kMinBuckets), bucket_mask_(kMinBuckets - 1) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kInvalidEventSlot) {
@@ -53,11 +48,7 @@ TimerHandle EventQueue::schedule(SimTime t, TimerTarget* target, std::uint32_t k
   slot.time = t;
   slot.kind = kind;
   slot.live = true;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_.push(QueueEntry{t, next_seq_++, 0, index, slot.gen});
-  } else {
-    calendar_insert(QueueEntry{t, next_seq_++, 0, index, slot.gen});
-  }
+  calendar_insert(QueueEntry{t, next_seq_++, 0, index, slot.gen});
   ++scheduled_;
   ++live_;
   return TimerHandle{index, slot.gen};
@@ -65,19 +56,17 @@ TimerHandle EventQueue::schedule(SimTime t, TimerTarget* target, std::uint32_t k
 
 bool EventQueue::cancel(TimerHandle handle) {
   if (!pending(handle)) return false;
-  if (kind_ == SchedulerKind::kCalendar) {
-    // The bucket entry stays until a scan meets it; account it as dead so
-    // the purge policy keeps the calendar free of cancelled bulk.
-    ++dead_;
-    if (peek_.valid) {
-      const QueueEntry& cached = buckets_[peek_.bucket][peek_.index];
-      if (cached.slot == handle.slot && cached.gen == handle.gen) peek_.valid = false;
-    }
+  // The bucket entry stays until a scan meets it; account it as dead so the
+  // purge policy keeps the calendar free of cancelled bulk.
+  ++dead_;
+  if (peek_.valid) {
+    const QueueEntry& cached = buckets_[peek_.bucket][peek_.index];
+    if (cached.slot == handle.slot && cached.gen == handle.gen) peek_.valid = false;
   }
   release_slot(handle.slot);
   --live_;
   ++cancelled_;
-  if (kind_ == SchedulerKind::kCalendar && dead_ > 64 && dead_ * 2 > entry_count_) {
+  if (dead_ > 64 && dead_ * 2 > entry_count_) {
     calendar_rebuild(kMinBuckets);
   }
   return true;
@@ -91,10 +80,6 @@ bool EventQueue::pending(TimerHandle handle) const noexcept {
 
 SimTime EventQueue::next_time() const {
   GTRIX_CHECK_MSG(live_ > 0, "next_time on empty queue");
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_skim();
-    return heap_.top().time;
-  }
   GTRIX_CHECK(calendar_find_min());
   return buckets_[peek_.bucket][peek_.index].time;
 }
@@ -105,20 +90,20 @@ bool EventQueue::run_next() {
 }
 
 bool EventQueue::run_next_due(SimTime deadline, SimTime& fired) {
+  return run_next_below(deadline, /*inclusive=*/true, fired);
+}
+
+bool EventQueue::run_next_strictly_before(SimTime horizon, SimTime& fired) {
+  return run_next_below(horizon, /*inclusive=*/false, fired);
+}
+
+bool EventQueue::run_next_below(SimTime bound, bool inclusive, SimTime& fired) {
   if (live_ == 0) return false;
-  std::uint32_t slot_index;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_skim();
-    if (heap_.top().time > deadline) return false;
-    slot_index = heap_.top().slot;
-    heap_.pop();
-  } else {
-    GTRIX_CHECK(calendar_find_min());
-    const QueueEntry& top = buckets_[peek_.bucket][peek_.index];
-    if (top.time > deadline) return false;
-    slot_index = top.slot;
-    calendar_pop_peeked();
-  }
+  GTRIX_CHECK(calendar_find_min());
+  const QueueEntry& top = buckets_[peek_.bucket][peek_.index];
+  if (top.time > bound || (!inclusive && top.time == bound)) return false;
+  const std::uint32_t slot_index = top.slot;
+  calendar_pop_peeked();
   Slot& slot = slots_[slot_index];
   const Event event{slot.time, slot.kind, slot.payload};
   TimerTarget* target = slot.target;
@@ -132,44 +117,9 @@ bool EventQueue::run_next_due(SimTime deadline, SimTime& fired) {
   return true;
 }
 
-bool EventQueue::run_next_strictly_before(SimTime horizon, SimTime& fired) {
-  if (live_ == 0) return false;
-  std::uint32_t slot_index;
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_skim();
-    if (heap_.top().time >= horizon) return false;
-    slot_index = heap_.top().slot;
-    heap_.pop();
-  } else {
-    GTRIX_CHECK(calendar_find_min());
-    const QueueEntry& top = buckets_[peek_.bucket][peek_.index];
-    if (top.time >= horizon) return false;
-    slot_index = top.slot;
-    calendar_pop_peeked();
-  }
-  Slot& slot = slots_[slot_index];
-  const Event event{slot.time, slot.kind, slot.payload};
-  TimerTarget* target = slot.target;
-  release_slot(slot_index);
-  --live_;
-  ++executed_;
-  fired = event.time;
-  target->on_timer(event);
-  return true;
-}
-
-// --- binary-heap engine ------------------------------------------------------
-
-void EventQueue::heap_skim() const {
-  while (!heap_.empty() && stale(heap_.top())) {
-    heap_.pop();
-    ++purged_;
-  }
-}
-
-// --- calendar engine ---------------------------------------------------------
+// --- calendar ----------------------------------------------------------------
 //
-// Invariants (kCalendar):
+// Invariants:
 //  * an entry with time t lives in bucket epoch_of(t) mod nbuckets;
 //  * every bucket is sorted DESCENDING by (time, seq), so the bucket's
 //    earliest entry sits at the back and a pop is an O(1) pop_back;

@@ -16,22 +16,17 @@
 //    assigned at schedule time, so two events scheduled for the same instant
 //    fire in scheduling order. Entire simulations are bit-reproducible.
 //
-// Two interchangeable scheduler structures sit behind the one interface:
-//  * SchedulerKind::kCalendar (default) -- a calendar queue (Brown 1988):
-//    an array of time buckets of width ~ the mean gap between pending
-//    events. The simulation's bounded-delay event horizon (every event is
-//    scheduled at most ~Lambda + d past the cursor) keeps the calendar a
-//    single "year" wide in steady state, so schedule and pop are O(1)
-//    bucket operations instead of O(log n) heap sifts on pointer-cold
-//    array levels.
-//  * SchedulerKind::kBinaryHeap -- the pre-calendar binary-heap engine,
-//    kept as the bit-identity reference for bench_perf and the
-//    differential tests. Both structures pop the global (time, seq)
-//    minimum, so they execute identical event sequences.
+// The priority structure is a calendar queue (Brown 1988): an array of time
+// buckets of width ~ the mean gap between pending events. The simulation's
+// bounded-delay event horizon (every event is scheduled at most ~Lambda + d
+// past the cursor) keeps the calendar a single "year" wide in steady state,
+// so schedule and pop are O(1) bucket operations instead of O(log n) heap
+// sifts on pointer-cold array levels. tests/binary_heap_queue.hpp keeps a
+// binary-heap queue with the same (time, seq) order as the differential
+// oracle for tests/test_calendar_queue.cpp.
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -43,11 +38,6 @@ class CkptCursor;
 class CkptTargetMap;
 
 inline constexpr std::uint32_t kInvalidEventSlot = 0xffffffffU;
-
-/// Which internal priority structure an EventQueue / Simulator uses. The
-/// two kinds execute bit-identical event sequences; kCalendar is the fast
-/// default, kBinaryHeap the reference engine bench_perf compares against.
-enum class SchedulerKind : std::uint8_t { kCalendar, kBinaryHeap };
 
 /// POD payload carried by every event, interpreted by the target according
 /// to the event kind. The fields are deliberately generic so one layout
@@ -97,7 +87,7 @@ struct TimerHandle {
 
 class EventQueue {
  public:
-  explicit EventQueue(SchedulerKind kind = SchedulerKind::kCalendar);
+  EventQueue();
 
   /// Schedules an event for `target` at absolute time `t`. Returns a handle
   /// usable with cancel() / pending() until the event fires.
@@ -124,8 +114,8 @@ class EventQueue {
   /// run_next() gated on the event being due: pops and dispatches only if
   /// the next event's time is <= deadline. `fired` is set to the event time
   /// BEFORE dispatch, so a driver passing its clock cursor exposes the
-  /// correct now() to the handler. One minimum-location per event, instead
-  /// of the next_time() + run_next() pair (the simulator's main loop).
+  /// correct now() to the handler. One minimum-location per event (the
+  /// simulator's main loop).
   bool run_next_due(SimTime deadline, SimTime& fired);
 
   /// run_next_due with an exclusive bound: dispatches only events strictly
@@ -134,16 +124,14 @@ class EventQueue {
   /// horizon, which is the earliest time a cross-shard message can land.
   bool run_next_strictly_before(SimTime horizon, SimTime& fired);
 
-  SchedulerKind scheduler_kind() const noexcept { return kind_; }
-
   std::uint64_t executed_count() const noexcept { return executed_; }
   std::uint64_t scheduled_count() const noexcept { return scheduled_; }
   /// Successful cancel() calls. Engine-invariant: cancellations are issued
-  /// by node code, which behaves identically under every scheduler kind and
-  /// shard layout (telemetry's JSONL block relies on this).
+  /// by node code, which behaves identically under every shard layout
+  /// (telemetry's JSONL block relies on this).
   std::uint64_t cancelled_count() const noexcept { return cancelled_; }
   /// Lazily-cancelled entries physically removed by scan skims and purge
-  /// rebuilds. Engine-SHAPED (scheduler- and traffic-pattern dependent):
+  /// rebuilds. Engine-SHAPED (calendar- and traffic-pattern dependent):
   /// summary telemetry only.
   std::uint64_t purged_count() const noexcept { return purged_; }
   std::size_t pending_count() const noexcept { return live_; }
@@ -153,7 +141,7 @@ class EventQueue {
   std::size_t slot_capacity() const noexcept { return slots_.size(); }
 
   /// Calendar internals exposed read-only for tests: bucket count, current
-  /// bucket width, rebuild count. Meaningless under kBinaryHeap.
+  /// bucket width, rebuild count.
   std::size_t calendar_buckets() const noexcept { return buckets_.size(); }
   double calendar_width() const noexcept { return width_; }
   std::uint64_t calendar_rebuilds() const noexcept { return rebuilds_; }
@@ -162,9 +150,9 @@ class EventQueue {
   /// exact slot table -- indices, generations, freelist order and the
   /// per-entry sequence numbers -- so outstanding TimerHandles stay valid
   /// across a restore and the (time, seq) total order continues
-  /// unperturbed. The priority structure itself is refit on restore
-  /// (calendar width/bucket layout are engine-shaped, not part of the
-  /// simulated behaviour). Targets round-trip through `targets` ids.
+  /// unperturbed. The calendar itself is refit on restore (width and
+  /// bucket layout are engine-shaped, not part of the simulated
+  /// behaviour). Targets round-trip through `targets` ids.
   void checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const;
   void checkpoint_restore(CkptCursor& r, const CkptTargetMap& targets);
 
@@ -182,18 +170,12 @@ class EventQueue {
   struct QueueEntry {
     SimTime time;
     std::uint64_t seq;  ///< schedule order; breaks same-time ties FIFO
-    long long epoch;    ///< calendar only: epoch_of(time), cached at insert
+    long long epoch;    ///< epoch_of(time), cached at insert
     std::uint32_t slot;
     std::uint32_t gen;
-    // priority_queue is a max-heap by default; invert the comparison.
-    bool operator<(const QueueEntry& other) const noexcept {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
-    }
   };
 
-  /// Lexicographic (time, seq) order -- the one total event order both
-  /// scheduler kinds realize.
+  /// Lexicographic (time, seq) order -- the one total event order.
   static bool fires_before(const QueueEntry& a, const QueueEntry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
@@ -206,12 +188,11 @@ class EventQueue {
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
+  /// The pop routine behind run_next_due / run_next_strictly_before: locates
+  /// the minimum once and dispatches it when its time is below `bound`
+  /// (or equal to it, when `inclusive`).
+  bool run_next_below(SimTime bound, bool inclusive, SimTime& fired);
 
-  // --- binary-heap engine ---------------------------------------------------
-  /// Drops cancelled (stale) entries from the top of the heap.
-  void heap_skim() const;
-
-  // --- calendar engine ------------------------------------------------------
   /// Epoch = which width_-sized time window a timestamp falls in. Exact
   /// integer bookkeeping (no accumulated float boundaries): an entry lives
   /// in bucket epoch mod nbuckets and belongs to the cursor's window iff
@@ -231,7 +212,7 @@ class EventQueue {
   /// bucketed and cursored under the post-purge width, so the year scan
   /// meets it first. tests/test_calendar_queue.cpp pins this with a
   /// directed purge -> behind-cursor-insert regression and a purge/resize
-  /// differential fuzz against the binary heap at the >= 64k-pending
+  /// differential fuzz against the binary-heap oracle at the >= 64k-pending
   /// scale-grid population.
   long long epoch_of(SimTime t) const noexcept;
   std::size_t bucket_of_epoch(long long epoch) const noexcept;
@@ -252,8 +233,6 @@ class EventQueue {
   /// cursor. O(pending), so only the debug-assertion builds call it.
   void calendar_verify_epochs() const;
 
-  SchedulerKind kind_;
-
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kInvalidEventSlot;
   std::uint64_t next_seq_ = 0;
@@ -261,15 +240,12 @@ class EventQueue {
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   /// mutable: the skims that remove stale entries run inside const peeks
-  /// (same reason the structures below are mutable).
+  /// (same reason the calendar state below is mutable).
   mutable std::uint64_t purged_ = 0;
   std::size_t live_ = 0;
 
-  // kBinaryHeap state. mutable: next_time()/empty() skim lazily.
-  mutable std::priority_queue<QueueEntry> heap_;
-
-  // kCalendar state. mutable for the same reason: locating the minimum from
-  // const peeks skims stale entries and advances the cursor.
+  // Calendar state. mutable: locating the minimum from const peeks
+  // (next_time) skims stale entries and advances the cursor.
   mutable std::vector<std::vector<QueueEntry>> buckets_;
   double width_ = 1.0;
   double inv_width_ = 1.0;        ///< 1 / width_; epochs use the multiply form

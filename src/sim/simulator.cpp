@@ -18,20 +18,10 @@ TimerHandle Simulator::after(SimTime delay, TimerTarget* target, std::uint32_t k
 
 std::uint64_t Simulator::run_until(SimTime deadline) {
   std::uint64_t executed = 0;
-  if (single_locate_) {
-    // run_next_due writes now_ before dispatching, so handlers observe the
-    // event's time as now() -- and the loop locates each minimum only once.
-    while (queue_.run_next_due(deadline, now_)) {
-      ++executed;
-    }
-  } else {
-    // Pre-refactor driver loop (EngineOptions::reference()): a separate
-    // minimum location per next_time() and per run_next().
-    while (!queue_.empty() && queue_.next_time() <= deadline) {
-      now_ = queue_.next_time();
-      queue_.run_next();
-      ++executed;
-    }
+  // run_next_due writes now_ before dispatching, so handlers observe the
+  // event's time as now() -- and the loop locates each minimum only once.
+  while (queue_.run_next_due(deadline, now_)) {
+    ++executed;
   }
   // Advance the cursor so subsequent scheduling is relative to the deadline.
   if (deadline > now_) now_ = deadline;
@@ -40,16 +30,8 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
 
 std::uint64_t Simulator::run_before(SimTime horizon) {
   std::uint64_t executed = 0;
-  if (single_locate_) {
-    while (queue_.run_next_strictly_before(horizon, now_)) {
-      ++executed;
-    }
-  } else {
-    while (!queue_.empty() && queue_.next_time() < horizon) {
-      now_ = queue_.next_time();
-      queue_.run_next();
-      ++executed;
-    }
+  while (queue_.run_next_strictly_before(horizon, now_)) {
+    ++executed;
   }
   // The whole window [old now, horizon) is settled; scheduling below the
   // horizon from outside an event handler would now be scheduling into the
@@ -60,19 +42,10 @@ std::uint64_t Simulator::run_before(SimTime horizon) {
 
 std::uint64_t Simulator::run_all(std::uint64_t max_events) {
   std::uint64_t executed = 0;
-  if (single_locate_) {
-    while (!queue_.empty()) {
-      GTRIX_CHECK_MSG(executed < max_events, "event budget exhausted");
-      queue_.run_next_due(kTimeInfinity, now_);
-      ++executed;
-    }
-  } else {
-    while (!queue_.empty()) {
-      GTRIX_CHECK_MSG(executed < max_events, "event budget exhausted");
-      now_ = queue_.next_time();
-      queue_.run_next();
-      ++executed;
-    }
+  while (!queue_.empty()) {
+    GTRIX_CHECK_MSG(executed < max_events, "event budget exhausted");
+    queue_.run_next_due(kTimeInfinity, now_);
+    ++executed;
   }
   return executed;
 }

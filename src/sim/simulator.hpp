@@ -16,19 +16,10 @@ namespace gtrix {
 
 class Simulator {
  public:
-  /// `kind` selects the scheduler structure (calendar queue by default;
-  /// the binary-heap reference engine for differential runs -- both execute
-  /// bit-identical event sequences, see sim/event_queue.hpp).
-  /// `single_locate_loop` keeps the one-find-minimum-per-event driver loop;
-  /// false reproduces the pre-refactor next_time() + run_next() pair.
-  explicit Simulator(SchedulerKind kind = SchedulerKind::kCalendar,
-                     bool single_locate_loop = true)
-      : queue_(kind), single_locate_(single_locate_loop) {}
+  Simulator() = default;
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  SchedulerKind scheduler_kind() const noexcept { return queue_.scheduler_kind(); }
 
   SimTime now() const noexcept { return now_; }
 
@@ -89,15 +80,13 @@ class Simulator {
   const EventQueue& event_queue() const noexcept { return queue_; }
 
   /// Checkpoint hooks (src/ckpt/state_ckpt.cpp): the clock cursor and the
-  /// full queue. Scheduler kind and loop shape are construction parameters
-  /// validated by the World-level engine fingerprint, not snapshotted.
+  /// full queue.
   void checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const;
   void checkpoint_restore(CkptCursor& r, const CkptTargetMap& targets);
 
  private:
   EventQueue queue_;
   SimTime now_ = 0.0;
-  bool single_locate_ = true;
 };
 
 }  // namespace gtrix

@@ -12,6 +12,10 @@ For each scenario (plain, mid-run corruption, streaming recording) and each
      summary skew block (wall-clock and engine-shaped telemetry excluded --
      they are documented as non-portable).
 
+Then damaged snapshots -- a flipped bit, and a CRC-valid file with an
+inflated element count -- must fail the resume with exit 2 and a
+path-qualified message.
+
 A kill that lands after the campaign already finished still exercises the
 done-file reload path; the randomized delay is printed so a failing timing
 can be replayed.
@@ -23,10 +27,12 @@ import os
 import pathlib
 import random
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
 SCENARIOS = {
     "kr-plain": {
@@ -59,6 +65,8 @@ SCENARIOS = {
         "sweep": {"seed": [1, 2]},
     },
 }
+
+CKPT_MAGIC = b"GTRXCKPT"
 
 COMBOS = [(1, 1), (1, 2), (1, 4), (4, 1), (4, 2), (4, 4)]
 
@@ -173,9 +181,7 @@ def main(argv):
         if not victims:
             fail("checkpointed reference run left no .ckpt files to corrupt")
         victim = victims[0]
-        blob = bytearray(victim.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        victim.write_bytes(blob)
+        original = victim.read_bytes()
         # Remove the done marker so the resume actually opens the snapshot.
         done = victim.parent / (victim.name[:-len(".ckpt")] + ".done.json")
         if done.exists():
@@ -183,14 +189,36 @@ def main(argv):
         cmd = [binary, str(scenario_file), "--threads=1", "--shards=1",
                f"--out={out_dir}", "--quiet", f"--checkpoint-dir={ckpt_dir}",
                "--checkpoint-every=4000", "--resume"]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-        if proc.returncode != 2:
-            fail(f"corrupt snapshot: expected exit 2, got {proc.returncode} "
-                 f"(stderr: {proc.stderr!r})")
-        if "CRC mismatch" not in proc.stderr or victim.name not in proc.stderr:
-            fail(f"corrupt snapshot: stderr lacks a path-qualified CRC "
-                 f"message: {proc.stderr!r}")
-        print("kill_resume_test: corrupt snapshot fails hard with exit 2")
+
+        def expect_resume_fails(blob, needle, what):
+            victim.write_bytes(blob)
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+            if proc.returncode != 2:
+                fail(f"{what}: expected exit 2, got {proc.returncode} "
+                     f"(stderr: {proc.stderr!r})")
+            if needle not in proc.stderr or victim.name not in proc.stderr:
+                fail(f"{what}: stderr lacks a path-qualified {needle!r} "
+                     f"message: {proc.stderr!r}")
+            print(f"kill_resume_test: {what} fails hard with exit 2")
+
+        flipped = bytearray(original)
+        flipped[len(flipped) // 2] ^= 0x01
+        expect_resume_fails(flipped, "CRC mismatch", "corrupt snapshot")
+
+        # CRC-valid but inflated: the event-queue slot count (offset 60 of
+        # the "sims" body) set to 2^40 must be bounded before allocation.
+        inflated = bytearray(original)
+        at = len(CKPT_MAGIC) + 4
+        (header_len,) = struct.unpack_from("<I", inflated, at)
+        at += 4 + header_len
+        (name_len,) = struct.unpack_from("<I", inflated, at)
+        if inflated[at + 4:at + 4 + name_len] != b"sims":
+            fail("snapshot does not start with the 'sims' section")
+        body = at + 4 + name_len + 8
+        struct.pack_into("<Q", inflated, body + 60, 1 << 40)
+        struct.pack_into("<I", inflated, len(inflated) - 4,
+                         zlib.crc32(bytes(inflated[:-4])))
+        expect_resume_fails(inflated, "event slot count", "inflated slot count")
 
     print("kill_resume_test: OK")
     return 0

@@ -1,8 +1,8 @@
-// Calendar-queue scheduler tests: the kCalendar engine's own semantics
-// (churn, FIFO tie-breaks, handle generations -- mirroring the binary-heap
-// suite in test_event_queue.cpp), its resize/rebuild behaviour, and a
-// randomized differential check that kCalendar and kBinaryHeap execute
-// identical event sequences under heavy schedule/cancel churn.
+// Calendar-queue scheduler tests: the calendar's own semantics (churn, FIFO
+// tie-breaks, handle generations), its resize/rebuild behaviour, and
+// randomized differential checks that it executes the identical event
+// sequence as the binary-heap oracle (binary_heap_queue.hpp) under heavy
+// schedule/cancel churn.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <vector>
 
+#include "binary_heap_queue.hpp"
 #include "support/rng.hpp"
 
 namespace gtrix {
@@ -28,12 +29,17 @@ struct EventLog final : TimerTarget {
 };
 
 TEST(CalendarQueue, DefaultEngineIsCalendar) {
+  // A fresh queue is an empty calendar of the minimum geometry: eight
+  // unit-width buckets, never rebuilt.
   EventQueue q;
-  EXPECT_EQ(q.scheduler_kind(), SchedulerKind::kCalendar);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.calendar_buckets(), 8u);
+  EXPECT_EQ(q.calendar_width(), 1.0);
+  EXPECT_EQ(q.calendar_rebuilds(), 0u);
 }
 
 TEST(CalendarQueue, RunsInTimeOrder) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   q.schedule(3.0, &log, 0, EventPayload{.i = 3});
   q.schedule(1.0, &log, 0, EventPayload{.i = 1});
@@ -44,7 +50,7 @@ TEST(CalendarQueue, RunsInTimeOrder) {
 }
 
 TEST(CalendarQueue, TiesBreakInSchedulingOrder) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   for (int i = 0; i < 10; ++i) {
     q.schedule(5.0, &log, 0, EventPayload{.i = i});
@@ -58,7 +64,7 @@ TEST(CalendarQueue, TiesBreakInSchedulingOrder) {
 }
 
 TEST(CalendarQueue, SameTimestampFifoSurvivesCancellationChurn) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   std::vector<TimerHandle> doomed;
   for (int i = 0; i < 20; ++i) {
@@ -74,7 +80,7 @@ TEST(CalendarQueue, SameTimestampFifoSurvivesCancellationChurn) {
 }
 
 TEST(CalendarQueue, HandleGenerationsSurviveSlotRecycling) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   const TimerHandle old_handle = q.schedule(1.0, &log, 0, EventPayload{.i = 1});
   q.run_next();
@@ -91,7 +97,7 @@ TEST(CalendarQueue, SchedulingBehindTheCursorStillFiresInOrder) {
   // Popping advances the scan cursor; an event scheduled at an earlier
   // time afterwards must pull the cursor back instead of waiting for a
   // calendar-year wraparound.
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   q.schedule(100.0, &log, 0, EventPayload{.i = 100});
   q.schedule(5000.0, &log, 0, EventPayload{.i = 5000});
@@ -105,7 +111,7 @@ TEST(CalendarQueue, SchedulingBehindTheCursorStillFiresInOrder) {
 
 TEST(CalendarQueue, SparseFarFutureEventsAreFound) {
   // Events many calendar years apart exercise the global-minimum fallback.
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   q.schedule(1.0, &log, 0, EventPayload{.i = 1});
   q.schedule(1e9, &log, 0, EventPayload{.i = 2});
@@ -116,7 +122,7 @@ TEST(CalendarQueue, SparseFarFutureEventsAreFound) {
 }
 
 TEST(CalendarQueue, SlotTableStaysFlatUnderScheduleCancelChurn) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   constexpr int kLive = 8;
   std::vector<TimerHandle> live;
@@ -142,7 +148,7 @@ TEST(CalendarQueue, SlotTableStaysFlatUnderScheduleCancelChurn) {
 }
 
 TEST(CalendarQueue, ResizeGrowsAndShrinksWithThePendingPopulation) {
-  EventQueue q(SchedulerKind::kCalendar);
+  EventQueue q;
   EventLog log;
   Rng rng(7);
   std::vector<TimerHandle> handles;
@@ -157,17 +163,17 @@ TEST(CalendarQueue, ResizeGrowsAndShrinksWithThePendingPopulation) {
 }
 
 /// Differential fuzz: a random interleaving of schedule / cancel / pop must
-/// dispatch the identical event sequence on both engines.
+/// dispatch the identical event sequence on the calendar and the oracle.
 TEST(CalendarQueue, MatchesBinaryHeapOnRandomChurn) {
   for (std::uint64_t seed : {1ULL, 42ULL, 1234ULL}) {
-    EventQueue cal(SchedulerKind::kCalendar);
-    EventQueue heap(SchedulerKind::kBinaryHeap);
+    EventQueue cal;
+    BinaryHeapQueue heap;
     EventLog cal_log;
     EventLog heap_log;
     Rng cal_rng(seed);
     Rng heap_rng(seed);
 
-    const auto drive = [](EventQueue& q, EventLog& log, Rng& rng) {
+    const auto drive = [](auto& q, EventLog& log, Rng& rng) {
       std::vector<TimerHandle> handles;
       double now = 0.0;
       std::int64_t tag = 0;
@@ -212,12 +218,12 @@ TEST(CalendarQueue, MatchesBinaryHeapOnRandomChurn) {
 /// identity below.
 TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
   for (const std::uint64_t seed : {7ULL, 99ULL}) {
-    EventQueue cal(SchedulerKind::kCalendar);
-    EventQueue heap(SchedulerKind::kBinaryHeap);
+    EventQueue cal;
+    BinaryHeapQueue heap;
     EventLog cal_log;
     EventLog heap_log;
 
-    const auto drive = [seed](EventQueue& q, EventLog& log) {
+    const auto drive = [seed](auto& q, EventLog& log) {
       Rng rng(seed);
       std::int64_t tag = 0;
       // Phase 1: >= 64k pending events in a dense window (forces several
@@ -279,12 +285,12 @@ TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
 /// fit-to-population rebuilds interleave with behind-cursor scheduling.
 TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
   for (const std::uint64_t seed : {5ULL, 2024ULL}) {
-    EventQueue cal(SchedulerKind::kCalendar);
-    EventQueue heap(SchedulerKind::kBinaryHeap);
+    EventQueue cal;
+    BinaryHeapQueue heap;
     EventLog cal_log;
     EventLog heap_log;
 
-    const auto drive = [seed](EventQueue& q, EventLog& log) {
+    const auto drive = [seed](auto& q, EventLog& log) {
       Rng rng(seed);
       std::vector<TimerHandle> handles;
       double now = 0.0;
@@ -342,12 +348,12 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
 /// failure at the exact operation that staled it.
 TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
   for (const std::uint64_t seed : {11ULL, 4242ULL}) {
-    EventQueue cal(SchedulerKind::kCalendar);
-    EventQueue heap(SchedulerKind::kBinaryHeap);
+    EventQueue cal;
+    BinaryHeapQueue heap;
     EventLog cal_log;
     EventLog heap_log;
 
-    const auto drive = [seed](EventQueue& q, EventLog& log) {
+    const auto drive = [seed](auto& q, EventLog& log) {
       Rng rng(seed);
       std::vector<TimerHandle> handles;
       std::int64_t tag = 0;
@@ -394,8 +400,7 @@ TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
 /// run_next_due respects the deadline and reports fire times (the single-
 /// locate simulator loop depends on both).
 TEST(CalendarQueue, RunNextDueStopsAtDeadline) {
-  for (const SchedulerKind kind : {SchedulerKind::kCalendar, SchedulerKind::kBinaryHeap}) {
-    EventQueue q(kind);
+  const auto check = [](auto& q) {
     EventLog log;
     q.schedule(1.0, &log, 0, EventPayload{.i = 1});
     q.schedule(2.0, &log, 0, EventPayload{.i = 2});
@@ -406,10 +411,15 @@ TEST(CalendarQueue, RunNextDueStopsAtDeadline) {
     EXPECT_TRUE(q.run_next_due(2.0, fired));
     EXPECT_DOUBLE_EQ(fired, 2.0);
     EXPECT_FALSE(q.run_next_due(2.0, fired));  // t=3 is past the deadline
-    EXPECT_EQ(q.pending_count(), 1u);
+    EXPECT_FALSE(q.empty());
     EXPECT_TRUE(q.run_next_due(5.0, fired));
     EXPECT_DOUBLE_EQ(fired, 3.0);
-  }
+  };
+  EventQueue cal;
+  check(cal);
+  EXPECT_EQ(cal.pending_count(), 0u);
+  BinaryHeapQueue heap;
+  check(heap);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Checkpoint subsystem harness (src/ckpt/, runner/ckpt_runner.hpp): a world
 // snapshotted mid-run and restored into a freshly constructed world must
 // continue bit-identically -- same skew digest, same counters -- at every
-// (scheduler, shard count) combination, including mid-run corruption and
-// streaming recording. Plus the hard-failure contract: truncated, corrupt,
-// version-bumped and config-mismatched checkpoints throw CkptError with a
-// message naming the file, never a silent partial restore.
+// shard count, including mid-run corruption and streaming recording. Plus
+// the hard-failure contract: truncated, corrupt, version-bumped,
+// config-mismatched and count-inflated checkpoints throw CkptError with a
+// message naming the file, never a silent partial restore or an OOM.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include "runner/experiment.hpp"
 #include "runner/perf.hpp"
 #include "runner/result_io.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 
 namespace gtrix {
@@ -105,12 +106,7 @@ TEST(Ckpt, RestoreContinuesBitIdenticallyAcrossShardsAndSchedulers) {
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     EngineOptions engine;
     engine.shards = shards;
-    expect_roundtrip_identical(config, engine, mid,
-                               "calendar/" + std::to_string(shards) + " shards");
-    EngineOptions reference = EngineOptions::reference();
-    reference.shards = shards;
-    expect_roundtrip_identical(config, reference, mid,
-                               "reference/" + std::to_string(shards) + " shards");
+    expect_roundtrip_identical(config, engine, mid, std::to_string(shards) + " shards");
   }
 }
 
@@ -289,6 +285,76 @@ TEST(Ckpt, HardFailuresNameTheFileAndTheCause) {
     FAIL() << "expected engine-mismatch CkptError";
   } catch (const CkptError& e) {
     EXPECT_NE(std::string(e.what()).find("engine fingerprint"), std::string::npos) << e.what();
+  }
+}
+
+// Byte offset of section `name`'s body inside a checkpoint image (walks the
+// container framing: magic, version, header, then name/length/body records).
+std::size_t section_body_offset(const std::vector<std::uint8_t>& image, const std::string& name) {
+  const auto u32_at = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; --i) v = (v << 8) | image[at + static_cast<std::size_t>(i)];
+    return v;
+  };
+  std::size_t at = kCkptMagic.size() + 4;
+  at += 4 + u32_at(at);  // header length + header
+  while (at + 4 < image.size()) {
+    const std::uint32_t name_len = u32_at(at);
+    const std::string section(image.begin() + static_cast<std::ptrdiff_t>(at + 4),
+                              image.begin() + static_cast<std::ptrdiff_t>(at + 4 + name_len));
+    at += 4 + name_len;
+    std::uint64_t body_len = 0;
+    for (int i = 7; i >= 0; --i) {
+      body_len = (body_len << 8) | image[at + static_cast<std::size_t>(i)];
+    }
+    at += 8;
+    if (section == name) return at;
+    at += body_len;
+  }
+  ADD_FAILURE() << "no section " << name;
+  return 0;
+}
+
+// Overwrites the u64 at `at` and re-seals the CRC, so the damage reaches
+// the section decoders instead of being caught by the container check.
+std::vector<std::uint8_t> with_u64_patched(std::vector<std::uint8_t> image, std::size_t at,
+                                           std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i) image[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  const std::uint32_t crc = ckpt_crc32(image.data(), image.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    image[image.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  return image;
+}
+
+TEST(Ckpt, InflatedCountInACrcValidSnapshotIsAPathQualifiedError) {
+  // A real quickstart-grid snapshot with the event-queue slot count patched:
+  // the count sits at offset 60 of the "sims" body (u32 shard count, f64
+  // clock cursor, six u64 queue counters). The two values cover both ways
+  // an unbounded count fails in the allocator: 2^40 slots as
+  // std::bad_alloc, 2^62 as std::length_error.
+  const ExperimentConfig config = builtin_scenario("quickstart-grid").cells().front().config;
+  std::vector<std::uint8_t> image;
+  {
+    World world(config, {});
+    world.run_until(3.0 * config.params.lambda);
+    image = world.checkpoint_save("");
+  }
+  const std::size_t slot_count_at = section_body_offset(image, "sims") + 60;
+  for (const std::uint64_t inflated : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    const CkptFile file =
+        CkptFile::parse(with_u64_patched(image, slot_count_at, inflated), "x.ckpt");
+    World target(config, {});
+    try {
+      target.checkpoint_restore(file);
+      FAIL() << "expected CkptError for slot count " << inflated;
+    } catch (const CkptError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("x.ckpt"), std::string::npos) << what;
+      EXPECT_NE(what.find("'sims'"), std::string::npos) << what;
+      EXPECT_NE(what.find("event slot count " + std::to_string(inflated)), std::string::npos)
+          << what;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "runner/experiment.hpp"
 
@@ -28,6 +29,11 @@ struct FaultCase {
   const char* name;
   FaultSpec spec;
 };
+
+// gtest prints the parameter beside each case name. Without this printer it
+// dumps the raw bytes, the name pointer and padding included, so the listed
+// names changed per run.
+void PrintTo(const FaultCase& c, std::ostream* os) { *os << c.name; }
 
 class SingleFaultSweep : public ::testing::TestWithParam<FaultCase> {};
 

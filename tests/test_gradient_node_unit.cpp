@@ -9,6 +9,7 @@
 #include <optional>
 
 #include "core/gradient_node.hpp"
+#include "core/node_state.hpp"
 #include "metrics/recorder.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
@@ -23,6 +24,7 @@ struct NodeHarness {
   Simulator sim;
   Network net{sim};
   Recorder recorder;
+  GradientSoa soa;  // the node's hot-state lanes; outlives the node
   NetNodeId own_pred, nbr_a, nbr_b, self;
   std::optional<GradientTrixNode> node;
   Params params = Params::with(1000.0, 10.0, 1.0005);
@@ -36,7 +38,7 @@ struct NodeHarness {
     config.params = params;
     if (config.skew_bound_hint == 0.0) config.skew_bound_hint = params.thm11_bound(15);
     node.emplace(sim, net, self, HardwareClock(1.0, 0.0),
-                 std::vector<NetNodeId>{own_pred, nbr_a, nbr_b}, config, &recorder);
+                 std::vector<NetNodeId>{own_pred, nbr_a, nbr_b}, config, &recorder, soa);
     net.set_sink(self, &*node);
   }
 
@@ -393,7 +395,7 @@ TEST(NodeUnit, DriftingClockStretchesWait) {
                    c.skew_bound_hint = h.params.thm11_bound(15);
                    return c;
                  }(),
-                 &h.recorder);
+                 &h.recorder, h.soa);
   h.net.set_sink(h.self, &*h.node);
   h.arrive(h.nbr_a, 1000.0);
   h.arrive(h.own_pred, 1002.0);

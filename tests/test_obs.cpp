@@ -2,13 +2,11 @@
 // engine-invariant counter block must be byte-identical across every
 // (threads, shards) combination, telemetry must stay strictly
 // observational (disabled -> empty stats, enabled -> identical results),
-// the histogram layout is pinned, and every EngineOptions field must have
-// an engine-gate description row so --list never silently lags the struct.
+// and the histogram layout is pinned.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/progress.hpp"
@@ -87,44 +85,6 @@ TEST(ObsCatalog, RowsAlignWithEnumAndNamesAreUnique) {
   }
 }
 
-// Counts EngineOptions' aggregate fields at compile time: EngineOptions{N
-// converters} is well-formed exactly while N <= field count, so the largest
-// constructible N IS the field count. Adding a field without a gate-desc
-// row fails the test below -- --list can never lag the struct.
-struct AnyConv {
-  template <class T>
-  operator T() const;  // never defined: only used in unevaluated contexts
-};
-
-template <std::size_t N>
-constexpr bool kEngineOptionsTakes = []<std::size_t... I>(std::index_sequence<I...>) {
-  return requires { EngineOptions{((void)I, AnyConv{})...}; };
-}(std::make_index_sequence<N>{});
-
-template <std::size_t N = 0>
-constexpr std::size_t engine_options_field_count() {
-  if constexpr (kEngineOptionsTakes<N + 1>) {
-    return engine_options_field_count<N + 1>();
-  } else {
-    return N;
-  }
-}
-
-TEST(EngineGates, EveryEngineOptionsFieldHasADescRow) {
-  const std::vector<EngineGateDesc> descs = engine_gate_descs();
-  EXPECT_EQ(descs.size(), engine_options_field_count())
-      << "EngineOptions gained/lost a field without updating "
-         "engine_gate_descs() (gtrix_campaign --list)";
-  std::set<std::string> names;
-  for (const EngineGateDesc& d : descs) {
-    EXPECT_FALSE(d.name.empty());
-    EXPECT_FALSE(d.summary.empty());
-    EXPECT_TRUE(names.insert(d.name).second) << "duplicate gate " << d.name;
-  }
-  EXPECT_TRUE(names.contains("telemetry"));
-  EXPECT_TRUE(names.contains("shards"));
-}
-
 ExperimentConfig tiny_config() {
   return builtin_scenario("quickstart-grid").cells().front().config;
 }
@@ -153,8 +113,6 @@ TEST(EngineStats, InvariantBlockIsByteIdenticalAcrossEngines) {
 
   EngineOptions fast;
   fast.telemetry = true;
-  EngineOptions reference = EngineOptions::reference();
-  reference.telemetry = true;
   EngineOptions sharded2;
   sharded2.telemetry = true;
   sharded2.shards = 2;
@@ -165,7 +123,7 @@ TEST(EngineStats, InvariantBlockIsByteIdenticalAcrossEngines) {
   const std::string base =
       run_experiment(config, fast).engine_stats.invariant_json().dump();
   EXPECT_FALSE(base.empty());
-  for (const EngineOptions& engine : {reference, sharded2, sharded4}) {
+  for (const EngineOptions& engine : {sharded2, sharded4}) {
     const ExperimentResult result = run_experiment(config, engine);
     ASSERT_TRUE(result.engine_stats.enabled);
     EXPECT_EQ(result.engine_stats.invariant_json().dump(), base);

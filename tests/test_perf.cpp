@@ -1,10 +1,5 @@
-// Perf-harness tests: the optimized engine (calendar queue, batched
-// broadcasts, SoA arena, cached metrics, single-locate loop) must be
-// bit-identical to the reference engine (the pre-refactor
-// hot path) on real scenarios, including 1-vs-N-thread campaign byte
-// identity over the new engine.
-#include "runner/perf.hpp"
-
+// Sweep determinism over the production engine: 1-vs-N-thread campaign
+// byte identity.
 #include <gtest/gtest.h>
 
 #include "runner/campaign.hpp"
@@ -13,85 +8,14 @@
 namespace gtrix {
 namespace {
 
-TEST(Perf, EnginesProduceBitIdenticalSkewOnQuickstartGrid) {
-  const PerfScenarioReport report =
-      check_perf_identity(builtin_scenario("quickstart-grid"));
-  EXPECT_TRUE(report.skew_identical);
-  EXPECT_EQ(report.cells, 8u);
-  // Work normalization: logical events are engine-invariant even though the
-  // executed event counts may differ under broadcast batching.
-  EXPECT_EQ(report.reference.logical_events, report.optimized.logical_events);
-  EXPECT_GT(report.optimized.logical_events, 0u);
-}
-
-TEST(Perf, EnginesProduceBitIdenticalSkewUnderCorruption) {
-  // thm16-stabilization runs the mid-run corruption + realignment path;
-  // the engines must stay identical through Rng-driven corruption too.
-  // Shrink the scenario (one cell) to keep the test fast.
-  Json doc = builtin_scenario_doc("thm16-stabilization");
-  Json sweep = Json::object();
-  Json layers = Json::array();
-  layers.push_back(static_cast<std::int64_t>(6));
-  sweep.set("layers", std::move(layers));
-  Json seeds = Json::object();
-  seeds.set("from", static_cast<std::int64_t>(100));
-  seeds.set("count", static_cast<std::int64_t>(1));
-  sweep.set("seed", std::move(seeds));
-  doc.set("sweep", std::move(sweep));
-  const PerfScenarioReport report = check_perf_identity(Scenario::from_json(doc));
-  EXPECT_TRUE(report.skew_identical);
-  EXPECT_EQ(report.cells, 1u);
-}
-
-TEST(Perf, EveryEngineGateIsIndividuallyIdentical) {
-  // Flip each EngineOptions gate on its own against the full reference:
-  // any single optimization must already be behaviour-preserving (catches
-  // a gate "working" only because another gate masks its divergence).
-  const auto cells = builtin_scenario("quickstart-grid").cells();
-  const ExperimentConfig& config = cells.front().config;
-  const CorruptPlan& corrupt = cells.front().corrupt;
-  const std::string baseline =
-      skew_digest(run_cell(config, corrupt, EngineOptions::reference()));
-
-  for (int gate = 0; gate < 5; ++gate) {
-    EngineOptions engine = EngineOptions::reference();
-    switch (gate) {
-      case 0: engine.scheduler = SchedulerKind::kCalendar; break;
-      case 1: engine.batched_broadcast = true; break;
-      case 2: engine.soa_arena = true; break;
-      case 3: engine.cached_metrics = true; break;
-      case 4: engine.single_locate_loop = true; break;
-    }
-    EXPECT_EQ(skew_digest(run_cell(config, corrupt, engine)), baseline)
-        << "gate " << gate << " diverged";
-  }
-}
-
 TEST(Perf, SweepOverNewEngineIsThreadCountInvariant) {
-  // 1-vs-N-thread byte identity over the optimized engine: the campaign
-  // JSONL (which serializes skew AND counters) must not depend on worker
-  // count. This is the satellite guarantee that parallel sweeps remain
+  // 1-vs-N-thread byte identity: the campaign JSONL (which serializes skew
+  // AND counters) must not depend on worker count, so parallel sweeps stay
   // deterministic on the calendar-queue engine.
   const Scenario scenario = builtin_scenario("quickstart-grid");
   const CampaignResult one = run_campaign(scenario, CampaignOptions{.threads = 1, .recording_override = {}});
   const CampaignResult four = run_campaign(scenario, CampaignOptions{.threads = 4, .recording_override = {}});
   EXPECT_EQ(campaign_jsonl(one), campaign_jsonl(four));
-}
-
-TEST(Perf, ReportJsonCarriesSpeedupAndIdentity) {
-  PerfScenarioReport report = run_perf_scenario(builtin_scenario("torus-smoke"), 1);
-  EXPECT_TRUE(report.skew_identical);
-  EXPECT_GT(report.optimized.events_per_sec, 0.0);
-  EXPECT_GT(report.reference.events_per_sec, 0.0);
-  EXPECT_GT(report.speedup, 0.0);
-
-  const Json doc = perf_report_json({report});
-  EXPECT_EQ(doc.at("bench").as_string(), "bench_perf");
-  EXPECT_TRUE(doc.at("all_skew_identical").as_bool());
-  const Json& entry = doc.at("scenarios").as_array().front();
-  EXPECT_EQ(entry.at("scenario").as_string(), "torus-smoke");
-  EXPECT_EQ(entry.at("reference").at("logical_events").as_int(),
-            entry.at("optimized").at("logical_events").as_int());
 }
 
 }  // namespace

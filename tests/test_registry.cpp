@@ -10,6 +10,7 @@
 #include <string>
 
 #include "baseline/lw_grid.hpp"
+#include "core/node_state.hpp"
 #include "registry/algorithm.hpp"
 #include "registry/clock_model.hpp"
 #include "registry/delay.hpp"
@@ -502,8 +503,9 @@ TEST(LynchWelchGrid, PredecessorRunningTwoWavesAheadDoesNotStallTheNode) {
   const NetNodeId a = net.add_node();
   const NetNodeId b = net.add_node();
   const NetNodeId lw = net.add_node();
+  LwSoa soa;
   LynchWelchGridNode node(sim, net, lw, HardwareClock(1.0, 0.0), {a, b},
-                          Params::with(1000.0, 10.0, 1.0005), 0, nullptr);
+                          Params::with(1000.0, 10.0, 1.0005), 0, nullptr, soa);
   net.set_sink(lw, &node);
   // Wave 0 completes; A then runs two waves ahead before the node fires.
   net.inject(a, lw, Pulse{0}, 1.0);

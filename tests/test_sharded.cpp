@@ -97,23 +97,6 @@ TEST(Sharded, LineModeClockSourceLivesInShardZero) {
   EXPECT_EQ(world.shard_of(world.grid().node_count()), 0u);
 }
 
-TEST(Sharded, ShardGateIsIdenticalOverTheReferenceEngine) {
-  // Same shape as Perf.EveryEngineGateIsIndividuallyIdentical: flip ONLY the
-  // shard count against the full reference engine, so sharding cannot
-  // "work" by leaning on another optimization masking a divergence.
-  const auto cells = builtin_scenario("quickstart-grid").cells();
-  const ExperimentConfig& config = cells.front().config;
-  const CorruptPlan& corrupt = cells.front().corrupt;
-  const std::string baseline =
-      skew_digest(run_cell(config, corrupt, EngineOptions::reference()));
-  for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    EngineOptions engine = EngineOptions::reference();
-    engine.shards = shards;
-    EXPECT_EQ(skew_digest(run_cell(config, corrupt, engine)), baseline)
-        << shards << " shards diverged from the serial reference engine";
-  }
-}
-
 TEST(Sharded, AllBuiltinScenariosIdenticalAcrossShardCounts) {
   // 1-vs-2-vs-4-vs-8-shard differential over every builtin scenario (thinned
   // to one cell each): skew reports AND logical event counts must match the

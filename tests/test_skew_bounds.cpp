@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "metrics/potentials.hpp"
+#include "registry/delay.hpp"
 #include "runner/experiment.hpp"
 
 namespace gtrix {
@@ -18,6 +20,13 @@ struct GridSetup {
   std::uint64_t seed;
   DelayModelKind delays;
 };
+
+// gtest names each case after its printed parameter. Without this printer
+// it dumps the raw bytes, padding included, so the names changed per run.
+void PrintTo(const GridSetup& setup, std::ostream* os) {
+  *os << setup.columns << "x" << setup.columns << " seed " << setup.seed << " "
+      << to_string(setup.delays);
+}
 
 class SkewBoundSweep : public ::testing::TestWithParam<GridSetup> {};
 

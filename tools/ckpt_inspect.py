@@ -10,12 +10,12 @@ decoder, never just round-tripped through the code that wrote it:
   | u32 CRC-32 (zlib polynomial, over every preceding byte)
 
 All integers little-endian. Checks performed per file:
-  * magic, supported version (1), CRC over the full image;
+  * magic, supported version (3), CRC over the full image;
   * the JSON header parses and carries format/version/config/engine/meta;
   * the section table frames exactly the bytes between header and CRC;
   * the mandatory sections (sims, net, nodes, faults, recorder) are present.
 
-Then prints the engine fingerprint, runner metadata (sim time, phase, chunk
+Then prints the engine fingerprint (the shard count), runner metadata (sim time, phase, chunk
 index) and a per-section size table. Exits 2 on any validation failure, in
 line with the CLI tools' corrupt-checkpoint contract.
 
@@ -30,7 +30,7 @@ import sys
 import zlib
 
 MAGIC = b"GTRXCKPT"
-SUPPORTED_VERSION = 2
+SUPPORTED_VERSION = 3
 MANDATORY_SECTIONS = ("sims", "net", "nodes", "faults", "recorder")
 
 
@@ -109,10 +109,7 @@ def describe(path, size, header, sections, quiet):
     meta = header.get("meta")
     config = header.get("config", {})
     print(f"{path}: {size} bytes, format version {header['version']}, CRC ok")
-    print(f"  engine: scheduler={engine.get('scheduler')} "
-          f"shards={engine.get('shards')} "
-          f"batched_broadcast={engine.get('batched_broadcast')} "
-          f"soa_arena={engine.get('soa_arena')}")
+    print(f"  engine: shards={engine.get('shards')}")
     shape = {k: config.get(k) for k in ("columns", "layers", "pulses", "seed")
              if k in config}
     print(f"  config: {shape}")

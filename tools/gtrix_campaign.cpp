@@ -113,14 +113,6 @@ int list_builtins() {
       "(+/-window waves around the corruption wave). An under-sized window is a\n"
       "hard error naming the lost waves -- there is no silent fallback to full\n"
       "recording. See docs/scaling.md, 'Realignment at scale'.\n");
-
-  Table gates({"engine gate", "fast", "reference", "summary"});
-  for (const EngineGateDesc& desc : engine_gate_descs()) {
-    gates.row().add(desc.name).add(desc.fast_value).add(desc.reference_value).add(desc.summary);
-  }
-  std::printf("\nengine gates (EngineOptions; performance only -- every combination "
-              "produces bit-identical results):\n%s",
-              gates.render().c_str());
   return 0;
 }
 
@@ -146,25 +138,11 @@ int describe_component(const std::string& kind) {
     }
     std::printf("\n");
   }
-  // Engine gates share the --describe namespace: they are not scenario
-  // components (they never appear in configs or JSONL), but users discover
-  // them through the same --list table.
-  for (const EngineGateDesc& desc : engine_gate_descs()) {
-    if (desc.name != kind) continue;
-    found = true;
-    std::printf("engine gate '%s' (EngineOptions; performance only, results are "
-                "bit-identical)\n  %s\n  fast engine: %s, reference engine: %s\n\n",
-                desc.name.c_str(), desc.summary.c_str(), desc.fast_value.c_str(),
-                desc.reference_value.c_str());
-  }
   if (!found) {
     std::string valid;
     for (const ComponentDesc& desc : all_component_descs()) {
       if (!valid.empty()) valid += ", ";
       valid += desc.kind;
-    }
-    for (const EngineGateDesc& desc : engine_gate_descs()) {
-      valid += ", " + desc.name;
     }
     std::fprintf(stderr, "error: no registered component named '%s' (valid: %s)\n",
                  kind.c_str(), valid.c_str());

@@ -44,11 +44,6 @@ Rules (kebab-case ids, used in allow pragmas):
                          allow pragma stating the aliasing/lifetime
                          argument (char-access of raw bytes is the only
                          blessed case).
-  gate-desc              every EngineOptions field must have a matching
-                         engine_gate_descs() row (by NAME, superseding the
-                         old field-count test) and a name-level mention in
-                         docs/, so every gate stays discoverable via
-                         --list and documented.
   counter-tag            every ObsCounter enumerator must have a catalog
                          row whose engine-invariant tag is an explicit
                          bool literal; the JSONL byte-identity contract
@@ -116,11 +111,8 @@ CKPT_PLUMBING_TYPES = {
     "Json", "Section",
 }
 
-GATE_HEADER = "src/runner/experiment.hpp"
-GATE_IMPL = "src/runner/experiment.cpp"
 TELEMETRY_HEADER = "src/obs/telemetry.hpp"
 TELEMETRY_IMPL = "src/obs/telemetry.cpp"
-DOCS_DIR = "docs"
 
 CPP_EXTENSIONS = (".cpp", ".hpp", ".cc", ".h")
 
@@ -263,19 +255,6 @@ class LintContext:
                     rels.append(os.path.relpath(full, self.root).replace(os.sep, "/"))
         return [s for rel in sorted(rels) if (s := self.source(rel))]
 
-    def docs_texts(self) -> dict[str, str]:
-        texts = {}
-        base = os.path.join(self.root, DOCS_DIR)
-        if os.path.isdir(base):
-            for name in sorted(os.listdir(base)):
-                if name.endswith(".md"):
-                    try:
-                        with open(os.path.join(base, name), encoding="utf-8") as f:
-                            texts[f"{DOCS_DIR}/{name}"] = f.read()
-                    except OSError:
-                        pass
-        return texts
-
 
 def pattern_findings(src: SourceFile, rule: str, regex: re.Pattern,
                      message) -> list[Finding]:
@@ -412,93 +391,6 @@ def extract_braced_block(code: str, open_brace: int) -> str:
     return code[open_brace:]
 
 
-def top_level_only(block: str) -> str:
-    """Blanks out text nested inside inner braces (member function bodies),
-    keeping newlines, so field scans see only depth-1 declarations."""
-    out: list[str] = []
-    depth = 0
-    for c in block:
-        if c == "{":
-            depth += 1
-            out.append(c if depth <= 1 else " ")
-        elif c == "}":
-            out.append(c if depth <= 1 else " ")
-            depth -= 1
-        elif c == "\n":
-            out.append(c)
-        else:
-            out.append(c if depth <= 1 else " ")
-    return "".join(out)
-
-
-FIELD_DECL_RE = re.compile(
-    r"^\s*(?!static\b|using\b|typedef\b|friend\b|public|private|protected)"
-    r"[A-Za-z_][\w:<>,\s*&]*?[\s&*]([a-z_][a-z0-9_]*)\s*(?:=[^;]*)?;",
-    re.MULTILINE)
-
-
-class GateDescRule(Rule):
-    name = "gate-desc"
-    summary = ("every EngineOptions field needs an engine_gate_descs() row "
-               "and a name-level docs/ mention")
-
-    def run(self, ctx: LintContext) -> list[Finding]:
-        header = ctx.source(GATE_HEADER)
-        impl = ctx.source(GATE_IMPL)
-        if header is None or impl is None:
-            return []
-        findings: list[Finding] = []
-
-        m = re.search(r"struct\s+EngineOptions[^{;]*\{", header.code)
-        if not m:
-            return [Finding(GATE_HEADER, 1, self.name,
-                            "cannot locate 'struct EngineOptions'")]
-        block = top_level_only(extract_braced_block(header.code, m.end() - 1))
-        field_lines: dict[str, int] = {}
-        base_line = header.line_of_offset(m.end() - 1)
-        for fm in FIELD_DECL_RE.finditer(block):
-            decl = fm.group(0)
-            if "(" in decl or ")" in decl:
-                continue  # member function / constructor noise
-            field_lines[fm.group(1)] = base_line + block.count("\n", 0, fm.start())
-
-        dm = re.search(r"engine_gate_descs\s*\(\s*\)\s*\{", impl.code)
-        if not dm:
-            return [Finding(GATE_IMPL, 1, self.name,
-                            "cannot locate the engine_gate_descs() definition")]
-        body = extract_braced_block(impl.code, dm.end() - 1)
-        # Row names are string literals, which strip_cpp blanks out -- read
-        # them from the raw text of the same region instead.
-        body_start = impl.line_of_offset(dm.end() - 1)
-        body_end = body_start + body.count("\n")
-        raw_body = "\n".join(impl.raw_lines[body_start - 1:body_end])
-        desc_names: dict[str, int] = {}
-        for rm in re.finditer(r"\{\s*\"([^\"]+)\"", raw_body):
-            desc_names[rm.group(1)] = body_start + raw_body.count("\n", 0, rm.start())
-
-        docs = ctx.docs_texts()
-        for name, line in sorted(field_lines.items()):
-            if name not in desc_names:
-                findings.append(Finding(
-                    GATE_HEADER, line, self.name,
-                    f"EngineOptions field '{name}' has no engine_gate_descs() "
-                    "row: the gate would be invisible to gtrix_campaign "
-                    "--list/--describe"))
-            if not any(re.search(rf"\b{re.escape(name)}\b", text)
-                       for text in docs.values()):
-                findings.append(Finding(
-                    GATE_HEADER, line, self.name,
-                    f"EngineOptions field '{name}' is not mentioned by name "
-                    f"anywhere under {DOCS_DIR}/: document the gate"))
-        for name, line in sorted(desc_names.items()):
-            if name not in field_lines:
-                findings.append(Finding(
-                    GATE_IMPL, line, self.name,
-                    f"engine_gate_descs() row '{name}' matches no "
-                    "EngineOptions field: stale row or renamed gate"))
-        return findings
-
-
 class CounterTagRule(Rule):
     name = "counter-tag"
     summary = ("every ObsCounter needs a catalog row whose engine-invariant "
@@ -621,7 +513,6 @@ ALL_RULES: list[Rule] = [
     WallClockRule(),
     PointerKeyOrderedRule(),
     ReinterpretCastRule(),
-    GateDescRule(),
     CounterTagRule(),
     CkptFieldGuardRule(),
 ]
