@@ -30,7 +30,7 @@ Outcome run_scenario(std::uint32_t columns, std::uint64_t seed, bool jitter_faul
   if (jitter_fault) {
     config.faults = {{columns / 2, columns / 2, FaultSpec::jitter(80.0)}};
   }
-  if (vary_clocks) config.clock_model = ClockModelKind::kAlternating;
+  if (vary_clocks) config.clock_spec = ComponentSpec::of("alternating");
   World world(config);
   if (delay_amplitude > 0.0) {
     // Sinusoidal per-edge delay modulation, period ~30 pulses: "slow

@@ -27,9 +27,9 @@ struct Variant {
 double run_variant(const Variant& variant, std::uint32_t columns, std::uint32_t layers,
                    const std::vector<PlacedFault>& faults, std::uint64_t seed) {
   ExperimentConfig config;
-  config.base_kind = BaseGraphKind::kCycle;
+  config.topology_spec = ComponentSpec::of("cycle");
+  config.topology_spec.params.set("reach", variant.reach);
   config.columns = columns;
-  config.cycle_reach = variant.reach;
   config.trim = variant.trim;
   config.layers = layers;
   config.pulses = 18;

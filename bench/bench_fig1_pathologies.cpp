@@ -32,11 +32,11 @@ int run(int argc, char** argv) {
   config.layers = layers;
   config.pulses = 16;
   config.seed = seed;
-  config.delay_kind = DelayModelKind::kColumnSplit;
-  config.delay_split_column = columns / 2;
-  config.algorithm = Algorithm::kTrixNaive;
+  config.delay_spec = ComponentSpec::of("column-split");
+  config.delay_spec.params.set("split_column", columns / 2);
+  config.algorithm_spec = ComponentSpec::of("trix-naive");
   const ExperimentResult trix = run_experiment(config);
-  config.algorithm = Algorithm::kGradientFull;
+  config.algorithm_spec = ComponentSpec::of("gradient-full");
   const ExperimentResult gradient = run_experiment(config);
 
   std::printf("== Figure 1 (left): local skew by layer, adversarial split delays ==\n");

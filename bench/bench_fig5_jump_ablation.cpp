@@ -37,8 +37,8 @@ Outcome run_case(bool jump_condition, std::uint32_t columns, std::uint32_t layer
   // measurement overestimates by u, so undamped jumps overshoot by u each
   // layer (the Fig. 5 amplification); drift noise is removed so the effect
   // is isolated.
-  config.delay_kind = DelayModelKind::kOwnSlowCrossFast;
-  config.clock_model = ClockModelKind::kAllSlow;
+  config.delay_spec = ComponentSpec::of("own-slow-cross-fast");
+  config.clock_spec = ComponentSpec::of("all-slow");
   // Alternating +/- layer-0 offsets: the adversarial initial pattern of
   // Figure 5 (adjacent nodes maximally out of phase).
   config.layer0_jitter = 0.0;

@@ -61,7 +61,7 @@ int run(int argc, char** argv) {
     // Adversarial setting where margins matter: consistent +u measurement
     // bias (own-copy edges slow) plus an oscillatory start, and one crash
     // to exercise the median machinery.
-    config.delay_kind = DelayModelKind::kOwnSlowCrossFast;
+    config.delay_spec = ComponentSpec::of("own-slow-cross-fast");
     config.layer0_jitter = 0.0;
     config.layer0_offset_by_column.resize(columns);
     for (std::uint32_t c = 0; c < columns; ++c) {

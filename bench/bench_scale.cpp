@@ -102,8 +102,7 @@ Json run_mode(const ExperimentConfig& base_config, const CorruptPlan& corrupt,
   // Keep a scenario-declared window when overriding the mode kind: the
   // corruption look-back is sized by the scenario, not by mode defaults.
   ComponentSpec spec = ComponentSpec::of(mode);
-  if (mode != "full" && !base_config.recording_spec.empty() &&
-      base_config.recording_spec.params.contains("window")) {
+  if (mode != "full" && base_config.recording_spec.params.contains("window")) {
     recording_registry().set_param(spec, "window",
                                    base_config.recording_spec.params.at("window"));
   }
@@ -380,7 +379,7 @@ int run(int argc, char** argv) {
   shape.set("columns", config.columns);
   shape.set("layers", config.layers);
   shape.set("pulses", config.pulses);
-  if (!config.topology_spec.empty()) {
+  if (config.topology_spec.kind != "line-replicated") {  // the paper's line is implied
     Json topo = Json::object();
     topo.set("kind", config.topology_spec.kind);
     topo.set("params", config.topology_spec.params);

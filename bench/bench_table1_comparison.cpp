@@ -32,15 +32,21 @@ struct Row {
   std::string paper_bound;
 };
 
-Row run_gradient(std::uint32_t columns, bool crash, DelayModelKind delays,
+/// The adversarial column-split delays, split at the center column.
+ComponentSpec center_split_delays(std::uint32_t columns) {
+  ComponentSpec spec = ComponentSpec::of("column-split");
+  spec.params.set("split_column", columns / 2);
+  return spec;
+}
+
+Row run_gradient(std::uint32_t columns, bool crash, const ComponentSpec& delays,
                  std::uint64_t seed) {
   ExperimentConfig config;
   config.columns = columns;
   config.layers = columns;
   config.pulses = 16;
   config.seed = seed;
-  config.delay_kind = delays;
-  config.delay_split_column = columns / 2;
+  config.delay_spec = delays;
   if (crash) config.faults = {{columns / 2, columns / 3, FaultSpec::crash()}};
   const ExperimentResult result = run_experiment(config);
   Row row;
@@ -52,16 +58,15 @@ Row run_gradient(std::uint32_t columns, bool crash, DelayModelKind delays,
   return row;
 }
 
-Row run_trix(std::uint32_t columns, bool crash, DelayModelKind delays,
+Row run_trix(std::uint32_t columns, bool crash, const ComponentSpec& delays,
              std::uint64_t seed) {
   ExperimentConfig config;
   config.columns = columns;
   config.layers = columns;
   config.pulses = 16;
   config.seed = seed;
-  config.algorithm = Algorithm::kTrixNaive;
-  config.delay_kind = delays;
-  config.delay_split_column = columns / 2;
+  config.algorithm_spec = ComponentSpec::of("trix-naive");
+  config.delay_spec = delays;
   if (crash) config.faults = {{columns / 2, columns / 3, FaultSpec::crash()}};
   const ExperimentResult result = run_experiment(config);
   Row row;
@@ -160,12 +165,12 @@ int run(int argc, char** argv) {
       plan(scenario, [columns, crash, seed] { return run_hex_row(columns, crash, seed); });
       if (crash && columns == 16) idx_hex16_crash = cells.size() - 1;
       plan(scenario, [columns, crash, seed] {
-        return run_trix(columns, crash, DelayModelKind::kColumnSplit, seed);
+        return run_trix(columns, crash, center_split_delays(columns), seed);
       });
       if (!crash && columns == sizes.front()) idx_trix_small = cells.size() - 1;
       if (!crash && columns == sizes.back()) idx_trix_big = cells.size() - 1;
       plan(scenario, [columns, crash, seed] {
-        return run_gradient(columns, crash, DelayModelKind::kColumnSplit, seed);
+        return run_gradient(columns, crash, center_split_delays(columns), seed);
       });
       if (!crash && columns == sizes.front()) idx_grad_small = cells.size() - 1;
       if (!crash && columns == sizes.back()) idx_grad_big = cells.size() - 1;
@@ -176,7 +181,7 @@ int run(int argc, char** argv) {
   GTRIX_CHECK_MSG(idx_hex16_crash < shape_base, "size list must include 16");
   const std::size_t idx_grad16_random = cells.size();
   plan("shape", [seed] {
-    return run_gradient(16, true, DelayModelKind::kUniformRandom, seed);
+    return run_gradient(16, true, ComponentSpec::of("uniform-random"), seed);
   });
 
   parallel_for_index(cells.size(), threads,

@@ -18,16 +18,6 @@ namespace gtrix {
 
 using BaseNodeId = std::uint32_t;
 
-/// Legacy closed enumeration of base-graph shapes, kept as a thin adapter
-/// for ExperimentConfig source compatibility. New topologies (e.g. the
-/// torus) exist only as registered TopologyProvider kinds and have no enum
-/// value -- see registry/topology.hpp.
-enum class BaseGraphKind {
-  kLineReplicated,  ///< paper default (Fig. 2)
-  kCycle,
-  kPath,  ///< min degree 1; not valid for the full algorithm
-};
-
 class BaseGraph {
  public:
   /// Line over `columns >= 2` columns with replicated, connected endpoints.

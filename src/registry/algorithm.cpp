@@ -174,39 +174,4 @@ ComponentRegistry<AlgorithmProvider>& algorithm_registry() {
   return *registry;
 }
 
-ComponentSpec algorithm_spec_from_legacy(Algorithm kind) {
-  switch (kind) {
-    case Algorithm::kGradientFull: return ComponentSpec::of("gradient-full");
-    case Algorithm::kGradientSimplified: return ComponentSpec::of("gradient-simplified");
-    case Algorithm::kTrixNaive: return ComponentSpec::of("trix-naive");
-  }
-  return ComponentSpec::of("gradient-full");
-}
-
-bool algorithm_spec_to_legacy(const ComponentSpec& canonical, Algorithm& kind) {
-  if (canonical.kind == "gradient-full") kind = Algorithm::kGradientFull;
-  else if (canonical.kind == "gradient-simplified") kind = Algorithm::kGradientSimplified;
-  else if (canonical.kind == "trix-naive") kind = Algorithm::kTrixNaive;
-  else return false;
-  return true;
-}
-
-std::string_view to_string(Algorithm v) {
-  switch (v) {
-    case Algorithm::kGradientFull: return "gradient-full";
-    case Algorithm::kGradientSimplified: return "gradient-simplified";
-    case Algorithm::kTrixNaive: return "trix-naive";
-  }
-  return "?";
-}
-
-Algorithm algorithm_from_string(std::string_view s) {
-  Algorithm kind = Algorithm::kGradientFull;
-  const ComponentSpec spec = algorithm_registry().canonicalize(ComponentSpec::of(std::string(s)));
-  if (!algorithm_spec_to_legacy(spec, kind)) {
-    throw JsonError("algorithm '" + std::string(s) + "' has no legacy enum value");
-  }
-  return kind;
-}
-
 }  // namespace gtrix

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "clock/hardware_clock.hpp"
@@ -30,15 +29,6 @@ class GradientTrixNode;
 struct NodeArena;
 class CkptWriter;
 class CkptCursor;
-
-/// Legacy closed enumeration of algorithms, kept as a thin adapter for
-/// ExperimentConfig source compatibility. New algorithms (e.g. the
-/// Lynch-Welch grid adaptation) exist only as registered kinds.
-enum class Algorithm {
-  kGradientFull,        ///< Algorithm 3 (optionally with Algorithm 4 guards)
-  kGradientSimplified,  ///< Algorithm 1 (fault-free settings only)
-  kTrixNaive,           ///< baseline [LW20]
-};
 
 /// Aggregated algorithm counters (summed over all nodes by World).
 struct ExperimentCounters {
@@ -133,12 +123,5 @@ class AlgorithmProvider {
 /// Global registry; built-ins (gradient-full, gradient-simplified,
 /// trix-naive, lynch-welch) register on first access.
 ComponentRegistry<AlgorithmProvider>& algorithm_registry();
-
-// --- legacy enum adapters ---------------------------------------------------
-ComponentSpec algorithm_spec_from_legacy(Algorithm kind);
-bool algorithm_spec_to_legacy(const ComponentSpec& canonical, Algorithm& kind);
-
-std::string_view to_string(Algorithm v);
-Algorithm algorithm_from_string(std::string_view s);
 
 }  // namespace gtrix

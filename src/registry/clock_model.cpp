@@ -10,8 +10,8 @@ namespace {
 
 /// The four static models share one shape: pick a rate, then an initial
 /// offset uniform in [0, Lambda). Draw order (rate first, offset second)
-/// matches the historical World::make_clock, so legacy configs reproduce
-/// bit-identical runs.
+/// is part of the result contract: the committed BENCH_*.json runs depend
+/// on it.
 class StaticRateClock final : public ClockModelProvider {
  public:
   enum class Rate { kRandom, kFast, kSlow, kAlternating };
@@ -113,45 +113,6 @@ ComponentRegistry<ClockModelProvider>& clock_model_registry() {
     return reg;
   }();
   return *registry;
-}
-
-ComponentSpec clock_spec_from_legacy(ClockModelKind kind) {
-  switch (kind) {
-    case ClockModelKind::kRandomStatic: return ComponentSpec::of("random-static");
-    case ClockModelKind::kAllFast: return ComponentSpec::of("all-fast");
-    case ClockModelKind::kAllSlow: return ComponentSpec::of("all-slow");
-    case ClockModelKind::kAlternating: return ComponentSpec::of("alternating");
-  }
-  return ComponentSpec::of("random-static");
-}
-
-bool clock_spec_to_legacy(const ComponentSpec& canonical, ClockModelKind& kind) {
-  if (canonical.kind == "random-static") kind = ClockModelKind::kRandomStatic;
-  else if (canonical.kind == "all-fast") kind = ClockModelKind::kAllFast;
-  else if (canonical.kind == "all-slow") kind = ClockModelKind::kAllSlow;
-  else if (canonical.kind == "alternating") kind = ClockModelKind::kAlternating;
-  else return false;
-  return true;
-}
-
-std::string_view to_string(ClockModelKind v) {
-  switch (v) {
-    case ClockModelKind::kRandomStatic: return "random-static";
-    case ClockModelKind::kAllFast: return "all-fast";
-    case ClockModelKind::kAllSlow: return "all-slow";
-    case ClockModelKind::kAlternating: return "alternating";
-  }
-  return "?";
-}
-
-ClockModelKind clock_model_from_string(std::string_view s) {
-  ClockModelKind kind = ClockModelKind::kRandomStatic;
-  const ComponentSpec spec =
-      clock_model_registry().canonicalize(ComponentSpec::of(std::string(s)));
-  if (!clock_spec_to_legacy(spec, kind)) {
-    throw JsonError("clock model '" + std::string(s) + "' has no legacy enum value");
-  }
-  return kind;
 }
 
 }  // namespace gtrix

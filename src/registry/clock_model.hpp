@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "clock/hardware_clock.hpp"
 #include "core/params.hpp"
@@ -15,16 +14,6 @@
 #include "support/rng.hpp"
 
 namespace gtrix {
-
-/// Legacy closed enumeration of clock models, kept as a thin adapter for
-/// ExperimentConfig source compatibility. New models (e.g. drift-walk)
-/// exist only as registered ClockModelProvider kinds.
-enum class ClockModelKind {
-  kRandomStatic,  ///< per-node rate uniform in [1, theta]
-  kAllFast,       ///< every clock at rate theta
-  kAllSlow,       ///< every clock at rate 1
-  kAlternating,   ///< rate alternates 1 / theta by column (drift stress)
-};
 
 /// Everything a clock model may read when building one node's clock.
 struct ClockContext {
@@ -48,12 +37,5 @@ class ClockModelProvider {
 
 /// Global registry; built-ins register on first access.
 ComponentRegistry<ClockModelProvider>& clock_model_registry();
-
-// --- legacy enum adapters ---------------------------------------------------
-ComponentSpec clock_spec_from_legacy(ClockModelKind kind);
-bool clock_spec_to_legacy(const ComponentSpec& canonical, ClockModelKind& kind);
-
-std::string_view to_string(ClockModelKind v);
-ClockModelKind clock_model_from_string(std::string_view s);
 
 }  // namespace gtrix

@@ -24,8 +24,9 @@ namespace gtrix {
 /// Reference to a registered component. `params` is always a JSON object;
 /// after canonicalization (ComponentRegistry::canonicalize) it holds every
 /// declared parameter in schema order with defaults filled in, so two
-/// spellings of the same configuration compare equal. An empty kind means
-/// "unspecified" -- the legacy enum fields of ExperimentConfig decide.
+/// spellings of the same configuration compare equal. Every registry
+/// rejects an empty kind; only optional selections such as
+/// CampaignOptions::recording_override use it, to mean "no override".
 struct ComponentSpec {
   std::string kind;
   Json params = Json::object();

@@ -80,56 +80,4 @@ ComponentRegistry<DelayProvider>& delay_registry() {
   return *registry;
 }
 
-ComponentSpec delay_spec_from_legacy(DelayModelKind kind, std::uint32_t split_column) {
-  switch (kind) {
-    case DelayModelKind::kUniformRandom: return ComponentSpec::of("uniform-random");
-    case DelayModelKind::kAllMax: return ComponentSpec::of("all-max");
-    case DelayModelKind::kAllMin: return ComponentSpec::of("all-min");
-    case DelayModelKind::kColumnSplit: {
-      ComponentSpec spec = ComponentSpec::of("column-split");
-      spec.params.set("split_column", static_cast<std::int64_t>(split_column));
-      return spec;
-    }
-    case DelayModelKind::kAlternating: return ComponentSpec::of("alternating");
-    case DelayModelKind::kOwnSlowCrossFast: return ComponentSpec::of("own-slow-cross-fast");
-  }
-  return ComponentSpec::of("uniform-random");
-}
-
-bool delay_spec_to_legacy(const ComponentSpec& canonical, DelayModelKind& kind,
-                          std::uint32_t& split_column) {
-  if (canonical.kind == "uniform-random") kind = DelayModelKind::kUniformRandom;
-  else if (canonical.kind == "all-max") kind = DelayModelKind::kAllMax;
-  else if (canonical.kind == "all-min") kind = DelayModelKind::kAllMin;
-  else if (canonical.kind == "column-split") {
-    kind = DelayModelKind::kColumnSplit;
-    split_column = static_cast<std::uint32_t>(canonical.params.at("split_column").as_int());
-  } else if (canonical.kind == "alternating") kind = DelayModelKind::kAlternating;
-  else if (canonical.kind == "own-slow-cross-fast") kind = DelayModelKind::kOwnSlowCrossFast;
-  else return false;
-  return true;
-}
-
-std::string_view to_string(DelayModelKind v) {
-  switch (v) {
-    case DelayModelKind::kUniformRandom: return "uniform-random";
-    case DelayModelKind::kAllMax: return "all-max";
-    case DelayModelKind::kAllMin: return "all-min";
-    case DelayModelKind::kColumnSplit: return "column-split";
-    case DelayModelKind::kAlternating: return "alternating";
-    case DelayModelKind::kOwnSlowCrossFast: return "own-slow-cross-fast";
-  }
-  return "?";
-}
-
-DelayModelKind delay_model_from_string(std::string_view s) {
-  DelayModelKind kind = DelayModelKind::kUniformRandom;
-  std::uint32_t split = 0;
-  const ComponentSpec spec = delay_registry().canonicalize(ComponentSpec::of(std::string(s)));
-  if (!delay_spec_to_legacy(spec, kind, split)) {
-    throw JsonError("delay model '" + std::string(s) + "' has no legacy enum value");
-  }
-  return kind;
-}
-
 }  // namespace gtrix

@@ -1,14 +1,12 @@
 // DelayProvider: pluggable per-edge delay assignment in [d-u, d].
 //
-// Mirrors the historical DelayModelKind strategies as registered kinds;
-// column-split's split column is a component parameter instead of a
-// config-level field.
+// Built-ins: uniform-random (paper default), all-max, all-min, column-split
+// (the Fig. 1 adversary; its split column is a component parameter),
+// alternating and own-slow-cross-fast (the Figure 5 scenario).
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
-#include "net/delay_model.hpp"
 #include "registry/registry.hpp"
 #include "support/rng.hpp"
 
@@ -35,13 +33,5 @@ class DelayProvider {
 
 /// Global registry; built-ins register on first access.
 ComponentRegistry<DelayProvider>& delay_registry();
-
-// --- legacy enum adapters ---------------------------------------------------
-ComponentSpec delay_spec_from_legacy(DelayModelKind kind, std::uint32_t split_column);
-bool delay_spec_to_legacy(const ComponentSpec& canonical, DelayModelKind& kind,
-                          std::uint32_t& split_column);
-
-std::string_view to_string(DelayModelKind v);
-DelayModelKind delay_model_from_string(std::string_view s);
 
 }  // namespace gtrix

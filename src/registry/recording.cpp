@@ -71,7 +71,6 @@ ComponentSpec recording_spec_default() {
 }
 
 RecordingOptions resolve_recording(const ComponentSpec& spec) {
-  if (spec.empty()) return RecordingOptions{};
   return recording_registry().create(spec)->options();
 }
 

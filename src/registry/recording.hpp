@@ -28,11 +28,11 @@ class RecordingProvider {
 /// access.
 ComponentRegistry<RecordingProvider>& recording_registry();
 
-/// Resolves a config's recording spec: an empty spec means full recording
-/// (the historical behaviour and the serialization default).
+/// Resolves a recording spec to the recorder's options (the factory's range
+/// checks apply; unknown kinds throw JsonError).
 RecordingOptions resolve_recording(const ComponentSpec& spec);
 
-/// The canonical spec an empty selection resolves to ("full").
+/// The canonical default spec ("full"), omitted from serialized configs.
 ComponentSpec recording_spec_default();
 
 }  // namespace gtrix

@@ -76,54 +76,4 @@ ComponentRegistry<TopologyProvider>& topology_registry() {
   return *registry;
 }
 
-ComponentSpec topology_spec_from_legacy(BaseGraphKind kind, std::uint32_t cycle_reach) {
-  switch (kind) {
-    case BaseGraphKind::kLineReplicated: return ComponentSpec::of("line-replicated");
-    case BaseGraphKind::kCycle: {
-      ComponentSpec spec = ComponentSpec::of("cycle");
-      spec.params.set("reach", static_cast<std::int64_t>(cycle_reach));
-      return spec;
-    }
-    case BaseGraphKind::kPath: return ComponentSpec::of("path");
-  }
-  return ComponentSpec::of("line-replicated");
-}
-
-bool topology_spec_to_legacy(const ComponentSpec& canonical, BaseGraphKind& kind,
-                             std::uint32_t& cycle_reach) {
-  if (canonical.kind == "line-replicated") {
-    kind = BaseGraphKind::kLineReplicated;
-    return true;
-  }
-  if (canonical.kind == "cycle") {
-    kind = BaseGraphKind::kCycle;
-    cycle_reach = static_cast<std::uint32_t>(canonical.params.at("reach").as_int());
-    return true;
-  }
-  if (canonical.kind == "path") {
-    kind = BaseGraphKind::kPath;
-    return true;
-  }
-  return false;
-}
-
-std::string_view to_string(BaseGraphKind v) {
-  switch (v) {
-    case BaseGraphKind::kLineReplicated: return "line-replicated";
-    case BaseGraphKind::kCycle: return "cycle";
-    case BaseGraphKind::kPath: return "path";
-  }
-  return "?";
-}
-
-BaseGraphKind base_graph_from_string(std::string_view s) {
-  BaseGraphKind kind = BaseGraphKind::kLineReplicated;
-  std::uint32_t reach = 1;
-  const ComponentSpec spec = topology_registry().canonicalize(ComponentSpec::of(std::string(s)));
-  if (!topology_spec_to_legacy(spec, kind, reach)) {
-    throw JsonError("base graph '" + std::string(s) + "' has no legacy enum value");
-  }
-  return kind;
-}
-
 }  // namespace gtrix

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "graph/base_graph.hpp"
 #include "registry/registry.hpp"
@@ -30,20 +29,5 @@ class TopologyProvider {
 
 /// Global registry; built-ins register on first access.
 ComponentRegistry<TopologyProvider>& topology_registry();
-
-// --- legacy enum adapters ---------------------------------------------------
-// BaseGraphKind (+ the ExperimentConfig cycle_reach field) remains as a thin
-// source-compatibility layer; these map between it and component specs.
-
-/// The spec a legacy enum value stands for (reach folded into the params).
-ComponentSpec topology_spec_from_legacy(BaseGraphKind kind, std::uint32_t cycle_reach);
-
-/// Fills the legacy fields when `canonical` names an enum-representable
-/// kind; returns false otherwise (e.g. torus).
-bool topology_spec_to_legacy(const ComponentSpec& canonical, BaseGraphKind& kind,
-                             std::uint32_t& cycle_reach);
-
-std::string_view to_string(BaseGraphKind v);
-BaseGraphKind base_graph_from_string(std::string_view s);
 
 }  // namespace gtrix

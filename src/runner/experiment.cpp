@@ -14,19 +14,18 @@ namespace gtrix {
 
 ResolvedComponents resolve_components(const ExperimentConfig& c) {
   ResolvedComponents r;
-  r.topology = topology_registry().canonicalize(
-      c.topology_spec.empty() ? topology_spec_from_legacy(c.base_kind, c.cycle_reach)
-                              : c.topology_spec);
-  r.clock = clock_model_registry().canonicalize(
-      c.clock_spec.empty() ? clock_spec_from_legacy(c.clock_model) : c.clock_spec);
-  r.delay = delay_registry().canonicalize(
-      c.delay_spec.empty() ? delay_spec_from_legacy(c.delay_kind, c.delay_split_column)
-                           : c.delay_spec);
-  r.algorithm = algorithm_registry().canonicalize(
-      c.algorithm_spec.empty() ? algorithm_spec_from_legacy(c.algorithm) : c.algorithm_spec);
-  r.recording = recording_registry().canonicalize(
-      c.recording_spec.empty() ? ComponentSpec::of("full") : c.recording_spec);
+  r.topology = topology_registry().canonicalize(c.topology_spec);
+  r.clock = clock_model_registry().canonicalize(c.clock_spec);
+  r.delay = delay_registry().canonicalize(c.delay_spec);
+  r.algorithm = algorithm_registry().canonicalize(c.algorithm_spec);
+  r.recording = recording_registry().canonicalize(c.recording_spec);
   return r;
+}
+
+BaseGraph make_base_graph(const ExperimentConfig& config) {
+  TopologyContext ctx;
+  ctx.columns = config.columns;
+  return topology_registry().create(config.topology_spec)->build(ctx);
 }
 
 bool ExperimentConfig::operator==(const ExperimentConfig& other) const {
@@ -45,22 +44,11 @@ bool ExperimentConfig::operator==(const ExperimentConfig& other) const {
     return resolve_components(*this) == resolve_components(other);
   } catch (const JsonError&) {
     // Unresolvable (unregistered kind) on either side: equality must not
-    // throw, so fall back to comparing the raw selections.
-    return topology_spec == other.topology_spec && base_kind == other.base_kind &&
-           cycle_reach == other.cycle_reach && clock_spec == other.clock_spec &&
-           clock_model == other.clock_model && delay_spec == other.delay_spec &&
-           delay_kind == other.delay_kind &&
-           delay_split_column == other.delay_split_column &&
-           algorithm_spec == other.algorithm_spec && algorithm == other.algorithm &&
+    // throw, so fall back to comparing the raw specs.
+    return topology_spec == other.topology_spec && clock_spec == other.clock_spec &&
+           delay_spec == other.delay_spec && algorithm_spec == other.algorithm_spec &&
            recording_spec == other.recording_spec;
   }
-}
-
-BaseGraph World::make_base(const ExperimentConfig& config,
-                           const ResolvedComponents& components) {
-  TopologyContext ctx;
-  ctx.columns = config.columns;
-  return topology_registry().create(components.topology)->build(ctx);
 }
 
 World::World(ExperimentConfig config, EngineOptions engine)
@@ -71,7 +59,7 @@ World::World(ExperimentConfig config, EngineOptions engine)
       delay_provider_(delay_registry().create(components_.delay)),
       algorithm_provider_(algorithm_registry().create(components_.algorithm)),
       algorithm_caps_(algorithm_provider_->caps()),
-      grid_(make_base(config_, components_), config_.layers),
+      grid_(make_base_graph(config_), config_.layers),
       net_(sim_),
       arena_(std::make_unique<NodeArena>()) {
   GTRIX_CHECK_MSG(config_.layers >= 2, "need at least layer 0 and one algorithm layer");

@@ -2,13 +2,12 @@
 // config, runs it, and produces skew/condition reports.
 //
 // The four experiment dimensions -- topology, clock model, delay model and
-// algorithm -- are resolved against the string-keyed component registries
-// (see registry/*.hpp); World is a pure wiring engine over the resolved
-// providers and contains no per-kind switches. The legacy enum fields on
-// ExperimentConfig (BaseGraphKind, ClockModelKind, DelayModelKind,
-// Algorithm) remain as thin adapters for source compatibility: a non-empty
-// ComponentSpec wins over its enum counterpart, and equality compares the
-// resolved components, so both spellings are interchangeable.
+// algorithm -- plus the recording mode are selected by ComponentSpecs and
+// resolved against the string-keyed component registries (see
+// registry/*.hpp); World is a pure wiring engine over the resolved
+// providers and contains no per-kind switches. Each spec defaults to the
+// paper's choice, and equality compares the canonicalized specs, so every
+// spelling of the same parameters is interchangeable.
 #pragma once
 
 #include <cstdint>
@@ -54,18 +53,13 @@ enum class Layer0Mode {
 };
 
 struct ExperimentConfig {
-  /// Legacy topology selection; `topology_spec` wins when non-empty.
-  BaseGraphKind base_kind = BaseGraphKind::kLineReplicated;
   /// Registered topology by kind name, e.g. {"torus", {"rows": 4}}.
-  ComponentSpec topology_spec;
+  ComponentSpec topology_spec = ComponentSpec::of("line-replicated");
   std::uint32_t columns = 16;  ///< base-graph columns (diameter = columns-1)
-  std::uint32_t cycle_reach = 1;  ///< legacy kCycle only: adjacency reach (degree 2*reach)
-  std::uint32_t trim = 0;         ///< trimmed aggregation (extension; see core)
+  std::uint32_t trim = 0;      ///< trimmed aggregation (extension; see core)
   std::uint32_t layers = 16;   ///< grid layers including layer 0
   Params params = Params::with(1000.0, 10.0, 1.0005);
-  /// Legacy algorithm selection; `algorithm_spec` wins when non-empty.
-  Algorithm algorithm = Algorithm::kGradientFull;
-  ComponentSpec algorithm_spec;
+  ComponentSpec algorithm_spec = ComponentSpec::of("gradient-full");
   Layer0Mode layer0 = Layer0Mode::kIdealJitter;
   double layer0_jitter = -1.0;  ///< ideal-mode input jitter; < 0 -> kappa/2
   /// Optional deterministic per-column extra offsets for ideal-mode layer-0
@@ -74,33 +68,27 @@ struct ExperimentConfig {
   /// scenario) without declaring any node faulty. May contain negative
   /// values; the whole pattern is shifted to keep emitter offsets >= 0.
   std::vector<double> layer0_offset_by_column;
-  /// Legacy delay selection; `delay_spec` wins when non-empty.
-  DelayModelKind delay_kind = DelayModelKind::kUniformRandom;
-  ComponentSpec delay_spec;
-  std::uint32_t delay_split_column = 0;  ///< legacy kColumnSplit only
-  /// Legacy clock selection; `clock_spec` wins when non-empty.
-  ClockModelKind clock_model = ClockModelKind::kRandomStatic;
-  ComponentSpec clock_spec;
+  ComponentSpec delay_spec = ComponentSpec::of("uniform-random");
+  ComponentSpec clock_spec = ComponentSpec::of("random-static");
   std::vector<PlacedFault> faults;
   std::int64_t pulses = 30;
   bool self_stabilizing = false;
   bool jump_condition = true;
   std::uint64_t seed = 1;
   Sigma warmup = 4;  ///< waves skipped at the start of the measurement window
-  /// Trace-retention mode (registry/recording.hpp); empty means full
-  /// recording. Streaming/windowed bound the metrics memory for mega-grid
-  /// scenarios -- skew extrema stay bit-identical to full recording.
-  ComponentSpec recording_spec;
+  /// Trace-retention mode (registry/recording.hpp). Streaming/windowed
+  /// bound the metrics memory for mega-grid scenarios -- skew extrema stay
+  /// bit-identical to full recording.
+  ComponentSpec recording_spec = ComponentSpec::of("full");
 
-  /// Semantic equality: the four component dimensions compare by their
-  /// resolved canonical specs, so a config authored via the legacy enums
-  /// equals the identical config authored via component specs.
+  /// Semantic equality: the component specs compare by their canonical
+  /// forms, so a spec that spells out a default parameter equals one that
+  /// omits it.
   bool operator==(const ExperimentConfig& other) const;
 };
 
-/// The component selections with the legacy enum fields folded in,
-/// canonicalized against the registries (unknown kinds throw JsonError).
-/// `recording` resolves an empty spec to canonical "full".
+/// The component selections canonicalized against the registries (unknown
+/// kinds throw JsonError).
 struct ResolvedComponents {
   ComponentSpec topology;
   ComponentSpec clock;
@@ -112,6 +100,9 @@ struct ResolvedComponents {
 };
 
 ResolvedComponents resolve_components(const ExperimentConfig& config);
+
+/// Builds the config's base graph (topology spec at `columns`).
+BaseGraph make_base_graph(const ExperimentConfig& config);
 
 /// Engine selection, orthogonal to the experiment config. Both fields are
 /// behaviour-preserving: every combination produces bit-identical
@@ -290,8 +281,6 @@ class World {
     FaultRuntime() : rng(0) {}
   };
 
-  static BaseGraph make_base(const ExperimentConfig& config,
-                             const ResolvedComponents& components);
   /// Enumerates every possible event target in construction order (the
   /// identity scheme queue snapshots serialize pointers through).
   void checkpoint_targets(CkptTargetMap& targets) const;

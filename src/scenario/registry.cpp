@@ -213,9 +213,8 @@ Json thm16_stabilization() {
 }
 
 /// Registry smoke: a 2D torus base graph under bounded-drift random-walk
-/// clocks -- both addressed purely through the component registries (no
-/// legacy enum value exists for either), proving the provider API end to
-/// end. Small and fast; wired into the CI determinism check.
+/// clocks -- two kinds beyond the paper's defaults, proving the provider
+/// API end to end. Small and fast; wired into the CI determinism check.
 Json torus_smoke() {
   Json doc = Json::object();
   doc.set("name", "torus-smoke");

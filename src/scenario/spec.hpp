@@ -29,8 +29,8 @@
 //   "recording": {"kind": "windowed", "window": 16}
 //
 // Sweep axes reach component parameters through dotted paths
-// ("base_graph.rows", "clock_model.step", "recording.window"). Legacy
-// spellings ("cycle_reach", "delay_split_column") keep working as adapters.
+// ("base_graph.rows", "clock_model.step", "recording.window"). A component
+// key left out of "config" selects the paper's default kind.
 //
 // "config" holds the base ExperimentConfig plus *generators* -- fields that
 // cannot be resolved until the concrete cell is known (grid-dependent fault
@@ -39,6 +39,7 @@
 //   "layers": "columns"                   layers track the columns axis
 //   "params": {"derive": {...}}           Params::derive_for per cell
 //   "layer0_pattern": {"amplitude": A}    alternating +/- A/2 layer-0 offsets
+//   "delay_split_column": "center"        column-split at columns / 2
 //   "random_faults": {...}                i.i.d. placement (Theorem 1.3)
 //   "clustered_faults": {...}             stacked column faults (Theorem 1.2)
 //
@@ -47,12 +48,15 @@
 // explicit array or {"from", "count"[, "step"]} for integer ranges. The
 // cartesian product expands in key order with the last axis fastest, so
 // cell order -- and therefore result emission order -- is deterministic.
+// The product is capped at kMaxScenarioCells, checked at load time before
+// any axis's values are stored.
 //
 // Parsing is strict: unknown keys, wrong types and malformed values are
 // rejected with path-qualified messages ("$.config.columns: expected int,
 // got string").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -64,10 +68,13 @@
 
 namespace gtrix {
 
+/// Largest matrix one scenario may expand to (the product of its sweep axis
+/// lengths). Far above any paper experiment; it bounds what a malformed or
+/// hostile document can make the loader allocate.
+inline constexpr std::size_t kMaxScenarioCells = 1'000'000;
+
 // --- enum <-> string names --------------------------------------------------
-// The component-dimension names (Algorithm, ClockModelKind, DelayModelKind,
-// BaseGraphKind) live next to their registry adapters in registry/*.hpp and
-// FaultKind's in fault/fault.hpp; all are visible through this header.
+// FaultKind's names live in fault/fault.hpp (visible through this header);
 // Layer0Mode is not a registry dimension and stays here.
 std::string_view to_string(Layer0Mode v);
 Layer0Mode layer0_mode_from_string(std::string_view s);
@@ -110,7 +117,8 @@ class Scenario {
  public:
   /// Validates the whole document (strict keys) and keeps it for re-export.
   static Scenario from_json(const Json& doc);
-  /// Reads and parses a scenario file; errors are prefixed with the path.
+  /// Reads and parses a scenario file; errors -- including later
+  /// cells() expansion errors -- are prefixed with the path.
   static Scenario from_file(const std::string& path);
 
   const std::string& name() const noexcept { return name_; }
@@ -136,6 +144,7 @@ class Scenario {
  private:
   std::string name_;
   std::string description_;
+  std::string origin_;  // file path (from_file); empty for in-memory docs
   Json doc_;
   Json base_config_;  // "config" object (possibly empty object)
   CorruptPlan corrupt_;

@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Malformed-scenario test: a bad scenario file exits 2 and names the file.
+
+Writes malformed scenario documents to a temp dir and runs
+`gtrix_campaign FILE --dry-run` on each. Every run must exit 2 with stderr
+starting with the file's path and naming the fault. The runs are held to
+the address space of `ulimit -v 2000000`: an oversized sweep must be refused
+before it allocates, never grow until the host runs out of memory.
+
+Sanitizer builds skip the address-space limit: their shadow memory alone
+reserves far more than 2 GB of address space.
+
+Usage: tests/malformed_scenario_test.py GTRIX_CAMPAIGN_BINARY
+"""
+import json
+import pathlib
+import resource
+import subprocess
+import sys
+import tempfile
+
+ADDRESS_SPACE_LIMIT = 2_000_000 * 1024  # ulimit -v 2000000 (KiB)
+
+
+def scenario(config=None, sweep=None):
+    doc = {"name": "malformed",
+           "config": {"columns": 8, "layers": 6, "pulses": 8, **(config or {})}}
+    if sweep is not None:
+        doc["sweep"] = sweep
+    return doc
+
+
+# name -> (document, text stderr must contain after "<path>: ").
+CASES = {
+    # The two spellings the scenario format no longer accepts.
+    "cycle-reach": (
+        scenario({"base_graph": "cycle", "cycle_reach": 2}),
+        "$.config.cycle_reach: unknown key 'cycle_reach'"),
+    "int-delay-split": (
+        scenario({"delay_model": "column-split", "delay_split_column": 4}),
+        "$.config.delay_split_column: expected \"center\""),
+    "unknown-key": (
+        scenario({"colums": 8}),
+        "$.config.colums: unknown key 'colums'"),
+    # Sweeps that would expand past the cell cap or overflow.
+    "huge-range": (
+        scenario(sweep={"seed": {"from": 1, "count": 4_000_000_000_000}}),
+        "$.sweep.seed: 4000000000000 values"),
+    "product-wrap": (
+        scenario(sweep={axis: {"from": 1, "count": 65536}
+                        for axis in ("seed", "pulses", "warmup", "trim")}),
+        "$.sweep.pulses: 65536 values x 65536 cells"),
+    "int64-wrap": (
+        scenario(sweep={"seed": {"from": 9223372036854775000, "count": 2000}}),
+        "$.sweep.seed: range from 9223372036854775000"),
+    # Found only when the cells expand.
+    "clustered-column": (
+        scenario({"clustered_faults": {"count": 1, "column": 20}}),
+        "cell 'base': clustered_faults.column 20 out of range (columns 8)"),
+}
+
+
+def fail(msg):
+    print(f"malformed_scenario_test: FAIL: {msg}", file=sys.stderr)
+    sys.exit(1)
+
+
+def sanitized(binary):
+    image = pathlib.Path(binary).read_bytes()
+    return any(marker in image for marker in (b"__asan_init", b"__tsan_init", b"__msan_init"))
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    binary = argv[1]
+    limit = None if sanitized(binary) else limit_address_space
+
+    with tempfile.TemporaryDirectory(prefix="gtrix_malformed_") as tmp:
+        for name, (doc, expected) in CASES.items():
+            path = pathlib.Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            proc = subprocess.run([binary, str(path), "--dry-run"], capture_output=True,
+                                  text=True, timeout=120, preexec_fn=limit)
+            if proc.returncode != 2:
+                fail(f"{name}: expected exit 2, got {proc.returncode}\n{proc.stderr}")
+            if not proc.stderr.startswith(f"{path}: "):
+                fail(f"{name}: stderr does not start with the file path:\n{proc.stderr}")
+            if expected not in proc.stderr:
+                fail(f"{name}: stderr lacks {expected!r}:\n{proc.stderr}")
+            print(f"malformed_scenario_test: {name}: exit 2, {proc.stderr.strip()}")
+
+    print("malformed_scenario_test: OK")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -17,7 +17,7 @@ ExperimentConfig trix_config(std::uint32_t columns, std::uint64_t seed) {
   config.layers = columns + 1;
   config.pulses = 16;
   config.seed = seed;
-  config.algorithm = Algorithm::kTrixNaive;
+  config.algorithm_spec = ComponentSpec::of("trix-naive");
   return config;
 }
 
@@ -32,8 +32,8 @@ TEST(TrixNaive, AccumulatesSkewUnderSplitDelays) {
   // Adversarial column-split delays (Fig. 1 left): local skew grows with
   // the layer index for naive TRIX.
   ExperimentConfig config = trix_config(12, 2);
-  config.delay_kind = DelayModelKind::kColumnSplit;
-  config.delay_split_column = 6;
+  config.delay_spec = ComponentSpec::of("column-split");
+  config.delay_spec.params.set("split_column", 6);
   const ExperimentResult result = run_experiment(config);
   const auto& profile = result.skew.intra_by_layer;
   // Skew at the last layer is much larger than in early layers.
@@ -44,10 +44,10 @@ TEST(TrixNaive, AccumulatesSkewUnderSplitDelays) {
 
 TEST(TrixNaive, GradientTrixBeatsItUnderSplitDelays) {
   ExperimentConfig config = trix_config(12, 3);
-  config.delay_kind = DelayModelKind::kColumnSplit;
-  config.delay_split_column = 6;
+  config.delay_spec = ComponentSpec::of("column-split");
+  config.delay_spec.params.set("split_column", 6);
   const ExperimentResult naive = run_experiment(config);
-  config.algorithm = Algorithm::kGradientFull;
+  config.algorithm_spec = ComponentSpec::of("gradient-full");
   const ExperimentResult gradient = run_experiment(config);
   EXPECT_LT(gradient.skew.intra_by_layer.back(), naive.skew.intra_by_layer.back());
 }

@@ -3,31 +3,41 @@
 // satisfy them, across seeds, drift rates, and delay models.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "runner/experiment.hpp"
+#include "scenario/spec.hpp"
 
 namespace gtrix {
 namespace {
 
-struct Scenario {
+struct ConditionCase {
   std::uint64_t seed;
   double u;
   double theta;
-  DelayModelKind delays;
+  const char* delays;  ///< delay model kind
   Layer0Mode layer0;
 };
 
-class ConditionSweep : public ::testing::TestWithParam<Scenario> {};
+// gtest names each case after its printed parameter. Without this printer
+// it dumps the raw bytes, padding included, so the names changed per run.
+void PrintTo(const ConditionCase& s, std::ostream* os) {
+  *os << "seed " << s.seed << " u " << s.u << " theta " << s.theta << " " << s.delays << " "
+      << to_string(s.layer0);
+}
+
+class ConditionSweep : public ::testing::TestWithParam<ConditionCase> {};
 
 TEST_P(ConditionSweep, AllConditionsHold) {
-  const Scenario& scenario = GetParam();
+  const ConditionCase& scenario = GetParam();
   ExperimentConfig config;
   config.columns = 10;
   config.layers = 10;
   config.pulses = 18;
   config.seed = scenario.seed;
   config.params = Params::with(1000.0, scenario.u, scenario.theta);
-  config.delay_kind = scenario.delays;
-  config.delay_split_column = 5;
+  config.delay_spec = ComponentSpec::of(scenario.delays);
+  if (config.delay_spec.kind == "column-split") config.delay_spec.params.set("split_column", 5);
   config.layer0 = scenario.layer0;
   ASSERT_TRUE(config.params.valid_for(config.columns - 1, 1.0));
 
@@ -44,30 +54,29 @@ TEST_P(ConditionSweep, AllConditionsHold) {
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, ConditionSweep,
     ::testing::Values(
-        Scenario{1, 10.0, 1.0005, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter},
-        Scenario{2, 10.0, 1.0005, DelayModelKind::kUniformRandom, Layer0Mode::kLinePropagation},
-        Scenario{3, 5.0, 1.0002, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter},
-        Scenario{4, 20.0, 1.001, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter},
-        Scenario{5, 10.0, 1.0005, DelayModelKind::kColumnSplit, Layer0Mode::kIdealJitter},
-        Scenario{6, 10.0, 1.0005, DelayModelKind::kAlternating, Layer0Mode::kIdealJitter},
-        Scenario{7, 10.0, 1.0005, DelayModelKind::kAllMax, Layer0Mode::kIdealJitter},
-        Scenario{8, 10.0, 1.0005, DelayModelKind::kAllMin, Layer0Mode::kLinePropagation},
-        Scenario{9, 1.0, 1.00005, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter},
-        Scenario{10, 10.0, 1.0005, DelayModelKind::kUniformRandom, Layer0Mode::kIdealJitter}));
+        ConditionCase{1, 10.0, 1.0005, "uniform-random", Layer0Mode::kIdealJitter},
+        ConditionCase{2, 10.0, 1.0005, "uniform-random", Layer0Mode::kLinePropagation},
+        ConditionCase{3, 5.0, 1.0002, "uniform-random", Layer0Mode::kIdealJitter},
+        ConditionCase{4, 20.0, 1.001, "uniform-random", Layer0Mode::kIdealJitter},
+        ConditionCase{5, 10.0, 1.0005, "column-split", Layer0Mode::kIdealJitter},
+        ConditionCase{6, 10.0, 1.0005, "alternating", Layer0Mode::kIdealJitter},
+        ConditionCase{7, 10.0, 1.0005, "all-max", Layer0Mode::kIdealJitter},
+        ConditionCase{8, 10.0, 1.0005, "all-min", Layer0Mode::kLinePropagation},
+        ConditionCase{9, 1.0, 1.00005, "uniform-random", Layer0Mode::kIdealJitter},
+        ConditionCase{10, 10.0, 1.0005, "uniform-random", Layer0Mode::kIdealJitter}));
 
 TEST(Conditions, HoldUnderClockModelExtremes) {
-  for (const ClockModelKind model :
-       {ClockModelKind::kAllFast, ClockModelKind::kAllSlow, ClockModelKind::kAlternating}) {
+  for (const char* model : {"all-fast", "all-slow", "alternating"}) {
     ExperimentConfig config;
     config.columns = 8;
     config.layers = 8;
     config.pulses = 14;
     config.seed = 42;
-    config.clock_model = model;
+    config.clock_spec = ComponentSpec::of(model);
     World world(config);
     world.run_to_completion();
     const ConditionReport report = world.conditions(5);
-    EXPECT_TRUE(report.ok()) << "model=" << static_cast<int>(model) << ": "
+    EXPECT_TRUE(report.ok()) << "model=" << model << ": "
                              << report.summary();
   }
 }

@@ -18,11 +18,11 @@ TEST_P(EquivalenceSweep, FullMatchesSimplified) {
   config.pulses = 15;
   config.seed = GetParam();
 
-  config.algorithm = Algorithm::kGradientFull;
+  config.algorithm_spec = ComponentSpec::of("gradient-full");
   World full(config);
   full.run_to_completion();
 
-  config.algorithm = Algorithm::kGradientSimplified;
+  config.algorithm_spec = ComponentSpec::of("gradient-simplified");
   World simplified(config);
   simplified.run_to_completion();
 
@@ -57,7 +57,7 @@ TEST(Equivalence, CorrectionsMatchToo) {
 
   World full(config);
   full.run_to_completion();
-  config.algorithm = Algorithm::kGradientSimplified;
+  config.algorithm_spec = ComponentSpec::of("gradient-simplified");
   World simplified(config);
   simplified.run_to_completion();
 
@@ -93,7 +93,7 @@ TEST(Equivalence, DivergesWithFaults) {
 
   World full(config);
   full.run_to_completion();
-  config.algorithm = Algorithm::kGradientSimplified;
+  config.algorithm_spec = ComponentSpec::of("gradient-simplified");
   World simplified(config);
   simplified.run_to_completion();
 

@@ -11,9 +11,9 @@ namespace {
 
 ExperimentConfig wide_config(std::uint64_t seed) {
   ExperimentConfig config;
-  config.base_kind = BaseGraphKind::kCycle;
+  config.topology_spec = ComponentSpec::of("cycle");
+  config.topology_spec.params.set("reach", 2);
   config.columns = 12;
-  config.cycle_reach = 2;
   config.trim = 1;
   config.layers = 12;
   config.pulses = 18;
@@ -95,9 +95,8 @@ TEST(ExtensionFLocal, DegreeThreeGridDegradesOnSamePattern) {
   // leaves some node with two faulty predecessors and visibly worse skew
   // than the degree-5 trimmed grid -- the point of the extension.
   ExperimentConfig narrow;
-  narrow.base_kind = BaseGraphKind::kCycle;
+  narrow.topology_spec = ComponentSpec::of("cycle");
   narrow.columns = 12;
-  narrow.cycle_reach = 1;
   narrow.layers = 12;
   narrow.pulses = 18;
   narrow.seed = 5;

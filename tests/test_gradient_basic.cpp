@@ -145,7 +145,7 @@ TEST(GradientBasic, TimeoutBranchUnusedWithoutFaults) {
 
 TEST(GradientBasic, WorksOnCycleBaseGraph) {
   ExperimentConfig config = small_config(7);
-  config.base_kind = BaseGraphKind::kCycle;
+  config.topology_spec = ComponentSpec::of("cycle");
   config.columns = 10;
   const ExperimentResult result = run_experiment(config);
   EXPECT_GT(result.skew.pairs_checked, 0u);

@@ -194,20 +194,26 @@ TEST(Network, NonPositiveDelayRejected) {
   EXPECT_THROW(net.add_edge(a, b, -1.0), std::logic_error);
 }
 
-double sample_delay(DelayModelKind kind, std::uint32_t split, std::uint32_t from_col,
-                    std::uint32_t to_col, Rng& rng) {
+double sample_delay(const ComponentSpec& spec, std::uint32_t from_col, std::uint32_t to_col,
+                    Rng& rng) {
   DelayContext ctx;
   ctx.from_column = from_col;
   ctx.to_column = to_col;
   ctx.d = 100.0;
   ctx.u = 10.0;
-  return delay_registry().create(delay_spec_from_legacy(kind, split))->sample(ctx, rng);
+  return delay_registry().create(spec)->sample(ctx, rng);
+}
+
+ComponentSpec column_split(std::uint32_t split) {
+  ComponentSpec spec = ComponentSpec::of("column-split");
+  spec.params.set("split_column", split);
+  return spec;
 }
 
 TEST(DelayModelTest, UniformStaysInRange) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
-    const double delay = sample_delay(DelayModelKind::kUniformRandom, 0, 0, 1, rng);
+    const double delay = sample_delay(ComponentSpec::of("uniform-random"), 0, 1, rng);
     EXPECT_GE(delay, 90.0);
     EXPECT_LE(delay, 100.0);
   }
@@ -215,13 +221,13 @@ TEST(DelayModelTest, UniformStaysInRange) {
 
 TEST(DelayModelTest, ExtremesAndSplit) {
   Rng rng(6);
-  EXPECT_DOUBLE_EQ(sample_delay(DelayModelKind::kAllMax, 0, 3, 4, rng), 100.0);
-  EXPECT_DOUBLE_EQ(sample_delay(DelayModelKind::kAllMin, 0, 3, 4, rng), 90.0);
+  EXPECT_DOUBLE_EQ(sample_delay(ComponentSpec::of("all-max"), 3, 4, rng), 100.0);
+  EXPECT_DOUBLE_EQ(sample_delay(ComponentSpec::of("all-min"), 3, 4, rng), 90.0);
   // from column < split 4: fast.
-  EXPECT_DOUBLE_EQ(sample_delay(DelayModelKind::kColumnSplit, 4, 3, 4, rng), 90.0);
-  EXPECT_DOUBLE_EQ(sample_delay(DelayModelKind::kColumnSplit, 4, 4, 5, rng), 100.0);
-  EXPECT_DOUBLE_EQ(sample_delay(DelayModelKind::kAlternating, 0, 0, 2, rng), 100.0);
-  EXPECT_DOUBLE_EQ(sample_delay(DelayModelKind::kAlternating, 0, 0, 3, rng), 90.0);
+  EXPECT_DOUBLE_EQ(sample_delay(column_split(4), 3, 4, rng), 90.0);
+  EXPECT_DOUBLE_EQ(sample_delay(column_split(4), 4, 5, rng), 100.0);
+  EXPECT_DOUBLE_EQ(sample_delay(ComponentSpec::of("alternating"), 0, 2, rng), 100.0);
+  EXPECT_DOUBLE_EQ(sample_delay(ComponentSpec::of("alternating"), 0, 3, rng), 90.0);
 }
 
 }  // namespace

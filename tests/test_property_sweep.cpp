@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "runner/experiment.hpp"
+#include "scenario/spec.hpp"
 
 namespace gtrix {
 namespace {
@@ -22,10 +24,18 @@ struct SweepCase {
   double u;
   double theta;
   Layer0Mode layer0;
-  DelayModelKind delays;
-  ClockModelKind clocks;
+  const char* delays;  ///< delay model kind
+  const char* clocks;  ///< clock model kind
   bool with_fault;
 };
+
+// gtest names each case after its printed parameter. Without this printer
+// it dumps the raw bytes, padding included, so the names changed per run.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "seed " << c.seed << " " << c.columns << "x" << c.layers << " u " << c.u << " theta "
+      << c.theta << " " << to_string(c.layer0) << " " << c.delays << " " << c.clocks
+      << (c.with_fault ? " offset fault" : "");
+}
 
 class PropertySweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -38,9 +48,11 @@ TEST_P(PropertySweep, AllInvariantsHold) {
   config.seed = c.seed;
   config.params = Params::with(1000.0, c.u, c.theta);
   config.layer0 = c.layer0;
-  config.delay_kind = c.delays;
-  config.delay_split_column = c.columns / 2;
-  config.clock_model = c.clocks;
+  config.delay_spec = ComponentSpec::of(c.delays);
+  if (config.delay_spec.kind == "column-split") {
+    config.delay_spec.params.set("split_column", c.columns / 2);
+  }
+  config.clock_spec = ComponentSpec::of(c.clocks);
   if (c.with_fault) {
     config.faults = {{c.columns / 2, c.layers / 2, FaultSpec::static_offset(120.0)}};
   }
@@ -114,10 +126,8 @@ std::vector<SweepCase> make_cases() {
         c.u = u;
         c.theta = theta;
         c.layer0 = layer0;
-        c.delays = seed % 2 == 0 ? DelayModelKind::kUniformRandom
-                                 : DelayModelKind::kColumnSplit;
-        c.clocks = seed % 3 == 0 ? ClockModelKind::kAlternating
-                                 : ClockModelKind::kRandomStatic;
+        c.delays = seed % 2 == 0 ? "uniform-random" : "column-split";
+        c.clocks = seed % 3 == 0 ? "alternating" : "random-static";
         c.with_fault = fault;
         cases.push_back(c);
       }

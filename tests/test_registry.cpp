@@ -1,5 +1,5 @@
 // Tests for the pluggable component registries: schema validation,
-// duplicate/unknown-kind rejection, legacy-enum interchangeability, the
+// duplicate/unknown-kind rejection, the "center" split generator, the
 // torus topology and drift-walk clock model shipped through the API, and
 // the capability checks that turned silent fault/corruption no-ops into
 // hard config errors.
@@ -193,46 +193,6 @@ TEST(DriftWalk, DeterministicForSameSeed) {
   }
 }
 
-// --- legacy enum adapters ----------------------------------------------------
-
-TEST(Adapters, EnumAndSpecSpellingsCompareEqual) {
-  ExperimentConfig via_enum;
-  via_enum.base_kind = BaseGraphKind::kCycle;
-  via_enum.cycle_reach = 2;
-  via_enum.clock_model = ClockModelKind::kAllFast;
-  via_enum.delay_kind = DelayModelKind::kColumnSplit;
-  via_enum.delay_split_column = 4;
-  via_enum.algorithm = Algorithm::kTrixNaive;
-
-  ExperimentConfig via_spec;
-  via_spec.topology_spec = ComponentSpec::of("cycle");
-  via_spec.topology_spec.params.set("reach", 2);
-  via_spec.clock_spec = ComponentSpec::of("all-fast");
-  via_spec.delay_spec = ComponentSpec::of("column-split");
-  via_spec.delay_spec.params.set("split_column", 4);
-  via_spec.algorithm_spec = ComponentSpec::of("trix-naive");
-
-  EXPECT_EQ(via_enum, via_spec);
-  EXPECT_EQ(resolve_components(via_enum), resolve_components(via_spec));
-}
-
-TEST(Adapters, LegacyEnumConfigsProduceIdenticalRunsAsSpecConfigs) {
-  ExperimentConfig via_enum;
-  via_enum.base_kind = BaseGraphKind::kCycle;
-  via_enum.cycle_reach = 2;
-  via_enum.columns = 6;
-  via_enum.layers = 5;
-  via_enum.pulses = 6;
-  ExperimentConfig via_spec = via_enum;
-  via_spec.base_kind = BaseGraphKind::kLineReplicated;  // ignored: spec wins
-  via_spec.topology_spec = ComponentSpec::of("cycle");
-  via_spec.topology_spec.params.set("reach", 2);
-  const ExperimentResult a = run_experiment(via_enum);
-  const ExperimentResult b = run_experiment(via_spec);
-  EXPECT_EQ(a.skew.local_skew, b.skew.local_skew);
-  EXPECT_EQ(a.counters.messages_sent, b.counters.messages_sent);
-}
-
 // --- JSON round trips of the new components ----------------------------------
 
 TEST(ComponentJson, TorusAndDriftWalkRoundTripThroughText) {
@@ -254,74 +214,62 @@ TEST(ComponentJson, TorusAndDriftWalkRoundTripThroughText) {
   EXPECT_NE(text.find("\"step\": 0.25"), std::string::npos) << text;
 }
 
-TEST(ComponentJson, LegacyParamKeysAreKeyOrderIndependent) {
-  // 'cycle_reach' before or after a bare-string "cycle" must mean the same
-  // thing (the string spelling never touches the parameter fields).
-  const ExperimentConfig before = config_from_json(
-      Json::parse(R"({"cycle_reach": 2, "base_graph": "cycle", "columns": 8})"));
-  const ExperimentConfig after = config_from_json(
-      Json::parse(R"({"base_graph": "cycle", "cycle_reach": 2, "columns": 8})"));
-  EXPECT_EQ(before, after);
-  EXPECT_EQ(resolve_components(before).topology.params.at("reach").as_int(), 2);
-  // Same for delay_split_column around a bare-string column-split.
-  const ExperimentConfig split = config_from_json(Json::parse(
-      R"({"delay_split_column": 5, "delay_model": "column-split", "columns": 8})"));
-  EXPECT_EQ(resolve_components(split).delay.params.at("split_column").as_int(), 5);
-}
-
 TEST(ComponentJson, LegacyParamKeyReachesAnObjectFormSpec) {
-  // A swept 'cycle_reach' must land in the object-form cycle spec instead
-  // of being silently ignored (which would emit identical cells under
-  // distinct sweep labels).
+  // The "center" generator must land in the column-split spec of every
+  // cell, at that cell's columns / 2, instead of being silently ignored
+  // (which would emit identical cells under distinct sweep labels).
   Json doc = Json::parse(R"({
-    "name": "reach-sweep",
-    "config": {"base_graph": {"kind": "cycle"}, "columns": 9},
-    "sweep": {"cycle_reach": [1, 2]}
+    "name": "center-split",
+    "config": {"delay_split_column": "center", "delay_model": {"kind": "column-split"}},
+    "sweep": {"columns": [8, 10]}
   })");
   const auto cells = Scenario::from_json(doc).cells();
   ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(resolve_components(cells[0].config).topology.params.at("reach").as_int(), 1);
-  EXPECT_EQ(resolve_components(cells[1].config).topology.params.at("reach").as_int(), 2);
+  EXPECT_EQ(resolve_components(cells[0].config).delay.params.at("split_column").as_int(), 4);
+  EXPECT_EQ(resolve_components(cells[1].config).delay.params.at("split_column").as_int(), 5);
 
-  // On a kind that cannot take it, the legacy key is a config error --
-  // whether the kind was selected via spec or via the legacy enum path.
+  // On a kind that cannot take it, the generator is a config error --
+  // whether the kind was selected explicitly or left at the default.
   const std::string what = error_of([] {
-    (void)config_from_json(
-        Json::parse(R"({"base_graph": {"kind": "torus"}, "cycle_reach": 2, "columns": 6})"));
+    (void)config_from_json(Json::parse(
+        R"({"delay_model": "all-max", "delay_split_column": "center", "columns": 6})"));
   });
-  EXPECT_NE(what.find("'cycle_reach' has no effect"), std::string::npos) << what;
-
+  EXPECT_NE(what.find("'delay_split_column' has no effect on delay model 'all-max'"),
+            std::string::npos)
+      << what;
   const std::string on_default = error_of([] {
-    (void)config_from_json(Json::parse(R"({"cycle_reach": 2, "columns": 6})"));
+    (void)config_from_json(Json::parse(R"({"delay_split_column": "center", "columns": 6})"));
   });
-  EXPECT_NE(on_default.find("'cycle_reach' has no effect on base graph 'line-replicated'"),
+  EXPECT_NE(on_default.find("'delay_split_column' has no effect on delay model 'uniform-random'"),
             std::string::npos)
       << on_default;
 
-  const std::string split_default = error_of([] {
-    (void)config_from_json(Json::parse(R"({"delay_split_column": 3, "columns": 6})"));
+  // A fixed split column is the spec's own parameter, not the generator's.
+  const std::string fixed = error_of([] {
+    (void)config_from_json(
+        Json::parse(R"({"delay_model": "column-split", "delay_split_column": 3})"));
   });
-  EXPECT_NE(split_default.find("'delay_split_column' has no effect"), std::string::npos)
-      << split_default;
+  EXPECT_NE(fixed.find("$.delay_split_column: expected \"center\""), std::string::npos) << fixed;
 }
 
 TEST(ComponentJson, LegacyKeyConflictingWithExplicitSpecParamIsAnError) {
-  // Static 'cycle_reach' vs a swept 'base_graph.reach' axis: erroring beats
-  // the legacy constant silently clobbering every swept cell.
+  // The "center" generator vs a swept 'delay_model.split_column' axis:
+  // erroring beats the generator silently clobbering every swept cell.
   Json doc = Json::parse(R"({
     "name": "conflict",
-    "config": {"base_graph": {"kind": "cycle"}, "cycle_reach": 2, "columns": 9},
-    "sweep": {"base_graph.reach": [1, 2, 3]}
+    "config": {"delay_model": "column-split", "delay_split_column": "center", "columns": 9},
+    "sweep": {"delay_model.split_column": [1, 2, 3]}
   })");
   const Scenario scenario = Scenario::from_json(doc);
   const std::string what = error_of([&] { (void)scenario.cells(); });
-  EXPECT_NE(what.find("'cycle_reach' conflicts"), std::string::npos) << what;
+  EXPECT_NE(what.find("'delay_split_column' conflicts"), std::string::npos) << what;
 
   const std::string object = error_of([] {
     (void)config_from_json(Json::parse(
-        R"({"base_graph": {"kind": "cycle", "reach": 3}, "cycle_reach": 2, "columns": 9})"));
+        R"({"delay_model": {"kind": "column-split", "split_column": 3},
+            "delay_split_column": "center", "columns": 9})"));
   });
-  EXPECT_NE(object.find("'cycle_reach' conflicts"), std::string::npos) << object;
+  EXPECT_NE(object.find("'delay_split_column' conflicts"), std::string::npos) << object;
 }
 
 TEST(ComponentJson, WholeComponentKeyCannotClobberDottedParams) {
@@ -483,7 +431,7 @@ TEST(Caps, CorruptPlanOnNaiveTrixIsAConfigError) {
 
 TEST(Caps, DirectWorldCorruptionIsAHardError) {
   ExperimentConfig config;
-  config.algorithm = Algorithm::kTrixNaive;
+  config.algorithm_spec = ComponentSpec::of("trix-naive");
   config.columns = 4;
   config.layers = 3;
   config.pulses = 4;

@@ -93,9 +93,9 @@ TEST(Runner, InvalidConfigsRejected) {
 
 TEST(Runner, DelayModelsChangeOutcomes) {
   ExperimentConfig config = config_for(9);
-  config.delay_kind = DelayModelKind::kAllMax;
+  config.delay_spec = ComponentSpec::of("all-max");
   const ExperimentResult all_max = run_experiment(config);
-  config.delay_kind = DelayModelKind::kUniformRandom;
+  config.delay_spec = ComponentSpec::of("uniform-random");
   const ExperimentResult random = run_experiment(config);
   EXPECT_NE(all_max.skew.max_intra, random.skew.max_intra);
   // Identical delays mean the only noise sources are layer-0 jitter and

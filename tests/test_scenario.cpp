@@ -14,26 +14,8 @@ namespace {
 // --- enum string round trips -------------------------------------------------
 
 TEST(ScenarioEnums, RoundTripAllValues) {
-  for (const Algorithm v : {Algorithm::kGradientFull, Algorithm::kGradientSimplified,
-                            Algorithm::kTrixNaive}) {
-    EXPECT_EQ(algorithm_from_string(to_string(v)), v);
-  }
   for (const Layer0Mode v : {Layer0Mode::kIdealJitter, Layer0Mode::kLinePropagation}) {
     EXPECT_EQ(layer0_mode_from_string(to_string(v)), v);
-  }
-  for (const ClockModelKind v : {ClockModelKind::kRandomStatic, ClockModelKind::kAllFast,
-                                 ClockModelKind::kAllSlow, ClockModelKind::kAlternating}) {
-    EXPECT_EQ(clock_model_from_string(to_string(v)), v);
-  }
-  for (const DelayModelKind v :
-       {DelayModelKind::kUniformRandom, DelayModelKind::kAllMax, DelayModelKind::kAllMin,
-        DelayModelKind::kColumnSplit, DelayModelKind::kAlternating,
-        DelayModelKind::kOwnSlowCrossFast}) {
-    EXPECT_EQ(delay_model_from_string(to_string(v)), v);
-  }
-  for (const BaseGraphKind v :
-       {BaseGraphKind::kLineReplicated, BaseGraphKind::kCycle, BaseGraphKind::kPath}) {
-    EXPECT_EQ(base_graph_from_string(to_string(v)), v);
   }
   for (const FaultKind v : {FaultKind::kCrash, FaultKind::kMuteAfter,
                             FaultKind::kStaticOffset, FaultKind::kSplit, FaultKind::kJitter,
@@ -44,13 +26,21 @@ TEST(ScenarioEnums, RoundTripAllValues) {
 
 TEST(ScenarioEnums, UnknownNameListsValidValues) {
   try {
-    (void)algorithm_from_string("nope");
+    (void)layer0_mode_from_string("nope");
     FAIL() << "expected JsonError";
   } catch (const JsonError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("'nope'"), std::string::npos) << what;
-    EXPECT_NE(what.find("gradient-full"), std::string::npos) << what;
-    EXPECT_NE(what.find("trix-naive"), std::string::npos) << what;
+    EXPECT_NE(what.find("ideal-jitter"), std::string::npos) << what;
+    EXPECT_NE(what.find("line-propagation"), std::string::npos) << what;
+  }
+  try {
+    (void)fault_kind_from_string("nope");
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'nope'"), std::string::npos) << what;
+    EXPECT_NE(what.find("crash"), std::string::npos) << what;
   }
 }
 
@@ -63,19 +53,19 @@ TEST(ConfigJson, DefaultConfigRoundTrips) {
 
 ExperimentConfig make_exotic_config() {
   ExperimentConfig config;
-  config.base_kind = BaseGraphKind::kCycle;
+  config.topology_spec = ComponentSpec::of("cycle");
+  config.topology_spec.params.set("reach", 2);
   config.columns = 24;
-  config.cycle_reach = 2;
   config.trim = 1;
   config.layers = 12;
   config.params = Params::with(500.0, 5.0, 1.001);
-  config.algorithm = Algorithm::kGradientSimplified;
+  config.algorithm_spec = ComponentSpec::of("gradient-simplified");
   config.layer0 = Layer0Mode::kLinePropagation;
   config.layer0_jitter = 3.5;
   config.layer0_offset_by_column = {1.0, -2.0, 0.5};
-  config.delay_kind = DelayModelKind::kColumnSplit;
-  config.delay_split_column = 7;
-  config.clock_model = ClockModelKind::kAlternating;
+  config.delay_spec = ComponentSpec::of("column-split");
+  config.delay_spec.params.set("split_column", 7);
+  config.clock_spec = ComponentSpec::of("alternating");
   config.faults = {
       {3, 4, FaultSpec::crash()},
       {5, 6, FaultSpec::static_offset(-42.0)},
@@ -270,6 +260,48 @@ TEST(Scenario, RangeAxisWithStep) {
   EXPECT_EQ(cells[2].config.seed, 10u);
 }
 
+std::string load_error(const char* text) {
+  try {
+    (void)scenario_from_text(text);
+  } catch (const JsonError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Scenario, OversizedOrOverflowingSweepsFailBeforeExpansion) {
+  // Each must fail at load time with the offending axis's path, before the
+  // axis's values are stored: a range far past the cell cap, an axis
+  // product that would wrap size_t (65536^4 == 2^64), and a range whose
+  // values leave int64.
+  const std::string huge = load_error(R"({
+    "name": "huge", "sweep": {"seed": {"from": 1, "count": 4000000000000}}
+  })");
+  EXPECT_EQ(huge.rfind("$.sweep.seed: ", 0), 0u) << huge;
+  EXPECT_NE(huge.find("cap of 1000000 cells"), std::string::npos) << huge;
+
+  const std::string product = load_error(R"({
+    "name": "product",
+    "sweep": {"seed": {"from": 1, "count": 65536}, "pulses": {"from": 1, "count": 65536},
+              "warmup": {"from": 0, "count": 65536}, "trim": {"from": 0, "count": 65536}}
+  })");
+  EXPECT_EQ(product.rfind("$.sweep.pulses: ", 0), 0u) << product;
+  EXPECT_NE(product.find("cap of 1000000 cells"), std::string::npos) << product;
+
+  const std::string wrap = load_error(R"({
+    "name": "wrap", "sweep": {"seed": {"from": 9223372036854775000, "count": 2000}}
+  })");
+  EXPECT_EQ(wrap.rfind("$.sweep.seed: ", 0), 0u) << wrap;
+  EXPECT_NE(wrap.find("overflows int64"), std::string::npos) << wrap;
+
+  // Exactly at the cap is admitted, and cell_count() reports it.
+  const Scenario at_cap = scenario_from_text(R"({
+    "name": "cap",
+    "sweep": {"seed": {"from": 1, "count": 1000}, "pulses": {"from": 1, "count": 1000}}
+  })");
+  EXPECT_EQ(at_cap.cell_count(), kMaxScenarioCells);
+}
+
 TEST(Scenario, BadAxisValueFailsAtLoadTime) {
   // "columns" axis with a string value must fail in from_json, not cells().
   EXPECT_THROW((void)scenario_from_text(R"({
@@ -442,6 +474,24 @@ TEST(Scenario, FromFileReportsPathInErrors) {
   }
   std::remove(path.c_str());
   EXPECT_THROW((void)Scenario::from_file("/nonexistent/nope.json"), JsonError);
+
+  // Errors found only when the cells expand name the file too.
+  const std::string cell_path = testing::TempDir() + "gtrix_bad_cell_scenario.json";
+  {
+    std::ofstream out(cell_path);
+    out << R"({"name": "bad-cell", "config": {"columns": 8,
+               "clustered_faults": {"count": 1, "column": 20}}})";
+  }
+  const Scenario bad_cell = Scenario::from_file(cell_path);
+  try {
+    (void)bad_cell.cells();
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(cell_path + ": cell 'base': clustered_faults.column", 0),
+              0u)
+        << e.what();
+  }
+  std::remove(cell_path.c_str());
 }
 
 TEST(Scenario, FromFileLoadsValidDocument) {
@@ -519,12 +569,13 @@ TEST(Registry, PaperScenariosCoverHeadlineSetups) {
   const auto table1 = builtin_scenario("table1-comparison").cells();
   bool saw_trix_crash = false;
   for (const auto& cell : table1) {
-    if (cell.config.algorithm == Algorithm::kTrixNaive && !cell.config.faults.empty()) {
+    if (cell.config.algorithm_spec.kind == "trix-naive" && !cell.config.faults.empty()) {
       saw_trix_crash = true;
       EXPECT_EQ(cell.config.faults[0].spec.kind, FaultKind::kCrash);
     }
-    EXPECT_EQ(cell.config.delay_kind, DelayModelKind::kColumnSplit);
-    EXPECT_EQ(cell.config.delay_split_column, cell.config.columns / 2);
+    const ComponentSpec delays = resolve_components(cell.config).delay;
+    EXPECT_EQ(delays.kind, "column-split");
+    EXPECT_EQ(delays.params.at("split_column").as_int(), cell.config.columns / 2);
   }
   EXPECT_TRUE(saw_trix_crash);
 

@@ -9,7 +9,6 @@
 #include <ostream>
 
 #include "metrics/potentials.hpp"
-#include "registry/delay.hpp"
 #include "runner/experiment.hpp"
 
 namespace gtrix {
@@ -18,14 +17,14 @@ namespace {
 struct GridSetup {
   std::uint32_t columns;
   std::uint64_t seed;
-  DelayModelKind delays;
+  const char* delays;  ///< delay model kind
 };
 
 // gtest names each case after its printed parameter. Without this printer
 // it dumps the raw bytes, padding included, so the names changed per run.
 void PrintTo(const GridSetup& setup, std::ostream* os) {
   *os << setup.columns << "x" << setup.columns << " seed " << setup.seed << " "
-      << to_string(setup.delays);
+      << setup.delays;
 }
 
 class SkewBoundSweep : public ::testing::TestWithParam<GridSetup> {};
@@ -37,8 +36,10 @@ TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
   config.layers = setup.columns;
   config.pulses = 16;
   config.seed = setup.seed;
-  config.delay_kind = setup.delays;
-  config.delay_split_column = setup.columns / 2;
+  config.delay_spec = ComponentSpec::of(setup.delays);
+  if (config.delay_spec.kind == "column-split") {
+    config.delay_spec.params.set("split_column", setup.columns / 2);
+  }
   const ExperimentResult result = run_experiment(config);
   ASSERT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
@@ -47,13 +48,13 @@ TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grids, SkewBoundSweep,
-    ::testing::Values(GridSetup{6, 1, DelayModelKind::kUniformRandom},
-                      GridSetup{6, 2, DelayModelKind::kColumnSplit},
-                      GridSetup{10, 3, DelayModelKind::kUniformRandom},
-                      GridSetup{10, 4, DelayModelKind::kAlternating},
-                      GridSetup{14, 5, DelayModelKind::kUniformRandom},
-                      GridSetup{14, 6, DelayModelKind::kColumnSplit},
-                      GridSetup{18, 7, DelayModelKind::kUniformRandom}));
+    ::testing::Values(GridSetup{6, 1, "uniform-random"},
+                      GridSetup{6, 2, "column-split"},
+                      GridSetup{10, 3, "uniform-random"},
+                      GridSetup{10, 4, "alternating"},
+                      GridSetup{14, 5, "uniform-random"},
+                      GridSetup{14, 6, "column-split"},
+                      GridSetup{18, 7, "uniform-random"}));
 
 TEST(SkewBounds, Psi1WithinCorollary423) {
   ExperimentConfig config;
@@ -105,8 +106,8 @@ TEST(SkewBounds, SkewDoesNotGrowAcrossLayers) {
   config.layers = 24;  // deep grid
   config.pulses = 20;
   config.seed = 23;
-  config.delay_kind = DelayModelKind::kColumnSplit;
-  config.delay_split_column = 6;
+  config.delay_spec = ComponentSpec::of("column-split");
+  config.delay_spec.params.set("split_column", 6);
   const ExperimentResult result = run_experiment(config);
   EXPECT_LE(result.skew.intra_by_layer.back(), result.thm11_bound);
 }

@@ -377,6 +377,11 @@ int main(int argc, char** argv) {
     // not a crash: exit 2, like every other validation error.
     std::fprintf(stderr, "gtrix_campaign: %s\n", e.what());
     return 2;
+  } catch (const gtrix::JsonError& e) {
+    // Malformed scenario input: the message already starts with its origin
+    // (the file path for scenario files), so print it unprefixed.
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gtrix_campaign: %s\n", e.what());
     return 1;
