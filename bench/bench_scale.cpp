@@ -66,15 +66,15 @@ namespace gtrix {
 namespace {
 
 /// Committed streaming-mode peak-RSS budgets, asserted by default at full
-/// scale (docs/scaling.md explains the headroom: measured peaks are ~500 MB
-/// for scale-grid, ~1.6 GB for scale-torus and ~1.3 GB for
+/// scale, about 1.25x the measured peaks (docs/scaling.md): ~250 MB for
+/// scale-grid, ~830 MB for scale-torus and ~1.2 GB for
 /// scale-stabilization, whose corruption-anchored look-back box is the
-/// dominant retained state; full-trace recording measures ~1.1 GB on
-/// scale-grid and ~2.7 GB on scale-stabilization, clearly over budget).
+/// dominant retained state. Full-trace recording measures ~0.95 GB on
+/// scale-grid and ~2.5 GB on scale-stabilization, far over budget.
 long default_budget_mb(const std::string& scenario) {
-  if (scenario == "scale-grid") return 640;
-  if (scenario == "scale-torus") return 2048;
-  if (scenario == "scale-stabilization") return 1536;
+  if (scenario == "scale-grid") return 320;
+  if (scenario == "scale-torus") return 1040;
+  if (scenario == "scale-stabilization") return 1520;
   return 0;  // no default budget for other scenarios
 }
 

@@ -7,14 +7,14 @@
 namespace gtrix {
 
 LynchWelchGridNode::LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId self,
-                                       HardwareClock clock, std::vector<NetNodeId> preds,
+                                       HardwareClock clock, std::span<const NetNodeId> preds,
                                        Params params, std::uint32_t trim, Recorder* recorder,
                                        LwSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
-      preds_(std::move(preds)),
+      preds_(preds),
       params_(params),
       trim_(trim),
       recorder_(recorder),
@@ -36,10 +36,11 @@ int LynchWelchGridNode::slot_of(NetNodeId from) const {
 
 void LynchWelchGridNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pulse,
                                   SimTime now) {
-  const int slot = slot_of(from);
-  if (slot < 0) return;
+  const int found = slot_of(from);
+  if (found < 0) return;
+  const auto slot = static_cast<std::size_t>(found);
   const LocalTime h = clock_.to_local(now);
-  if (seen(static_cast<std::size_t>(slot))) {
+  if (seen(slot)) {
     // A second pulse from the same predecessor belongs to the next wave.
     // Dropping one would leave a wave permanently incomplete (the node only
     // fires on a FULL reception set), so overflow is a hard error rather
@@ -50,11 +51,10 @@ void LynchWelchGridNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& 
     pending_.push_back(PendingMsg{from, h, pulse.stamp});
     return;
   }
-  process(from, h, pulse.stamp);
+  process(slot, h, pulse.stamp);
 }
 
-void LynchWelchGridNode::process(NetNodeId from, LocalTime h, Sigma sigma) {
-  const auto slot = static_cast<std::size_t>(slot_of(from));
+void LynchWelchGridNode::process(std::size_t slot, LocalTime h, Sigma sigma) {
   seen(slot) = 1;
   slot_arrival(slot) = h;
   slot_sigma(slot) = sigma;
@@ -88,16 +88,19 @@ void LynchWelchGridNode::fire(SimTime now) {
   reset();
   // Deliver each predecessor's earliest queued pulse into the new wave,
   // LEAVING later duplicates queued: a predecessor two waves ahead must not
-  // lose its second queued pulse (per-predecessor order within the deque is
+  // lose its second queued pulse (per-predecessor order within the queue is
   // arrival order, so a front-to-back scan takes the earliest first).
   for (auto it = pending_.begin(); it != pending_.end() && seen_count() < preds_.size();) {
-    if (seen(static_cast<std::size_t>(slot_of(it->from)))) {
+    const int found = slot_of(it->from);
+    GTRIX_CHECK(found >= 0);  // only a checkpoint restore could queue a stranger
+    const auto slot = static_cast<std::size_t>(found);
+    if (seen(slot)) {
       ++it;
       continue;
     }
     const PendingMsg msg = *it;
     it = pending_.erase(it);
-    process(msg.from, msg.h_arrival, msg.sigma);
+    process(slot, msg.h_arrival, msg.sigma);
   }
 }
 

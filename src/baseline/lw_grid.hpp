@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "clock/hardware_clock.hpp"
@@ -31,11 +31,12 @@ namespace gtrix {
 class LynchWelchGridNode final : public PulseSink, public TimerTarget {
  public:
   /// `preds` lists the predecessors' network ids, own copy first (exactly
-  /// Grid::predecessors). `trim` receptions are discarded on each side; it
-  /// is clamped so at least two receptions survive. Hot per-wave state
-  /// lives in `soa` (the World arena's lw lanes).
+  /// Grid::predecessors); the node keeps a view, so it must outlive the
+  /// node. `trim` receptions are discarded on each side; it is clamped so
+  /// at least two receptions survive. Hot per-wave state lives in `soa`
+  /// (the World arena's lw lanes).
   LynchWelchGridNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                     std::vector<NetNodeId> preds, Params params, std::uint32_t trim,
+                     std::span<const NetNodeId> preds, Params params, std::uint32_t trim,
                      Recorder* recorder, LwSoa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
@@ -61,7 +62,7 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   };
 
   int slot_of(NetNodeId from) const;
-  void process(NetNodeId from, LocalTime h, Sigma sigma);
+  void process(std::size_t slot, LocalTime h, Sigma sigma);
   void fire(SimTime now);
   void reset();
   Sigma estimate_sigma() const;
@@ -80,7 +81,7 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   Network& net_;
   NetNodeId self_;
   HardwareClock clock_;
-  std::vector<NetNodeId> preds_;
+  std::span<const NetNodeId> preds_;
   Params params_;
   std::uint32_t trim_;
   Recorder* recorder_;
@@ -89,7 +90,7 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   std::uint32_t i_;
   std::uint32_t slot_base_;
 
-  std::deque<PendingMsg> pending_;
+  std::vector<PendingMsg> pending_;  // no heap until a message is queued
   std::uint64_t forwarded_ = 0;
 };
 

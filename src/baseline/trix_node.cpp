@@ -5,13 +5,13 @@
 namespace gtrix {
 
 TrixNaiveNode::TrixNaiveNode(Simulator& sim, Network& net, NetNodeId self,
-                             HardwareClock clock, std::vector<NetNodeId> preds,
+                             HardwareClock clock, std::span<const NetNodeId> preds,
                              Params params, Recorder* recorder, TrixSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
-      preds_(std::move(preds)),
+      preds_(preds),
       params_(params),
       recorder_(recorder),
       soa_(&soa) {
@@ -30,21 +30,21 @@ int TrixNaiveNode::slot_of(NetNodeId from) const {
 
 void TrixNaiveNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pulse,
                              SimTime now) {
-  const int slot = slot_of(from);
-  if (slot < 0) return;
+  const int found = slot_of(from);
+  if (found < 0) return;
+  const auto slot = static_cast<std::size_t>(found);
   const LocalTime h = clock_.to_local(now);
-  if (seen(static_cast<std::size_t>(slot))) {
+  if (seen(slot)) {
     // Second message from the same predecessor within this iteration: it
     // belongs to the next wave; queue it.
-    if (pending_.size() >= kPendingCap) pending_.pop_front();
+    if (pending_.size() >= kPendingCap) pending_.erase(pending_.begin());
     pending_.push_back(PendingMsg{from, h, pulse.stamp});
     return;
   }
-  process(from, h, pulse.stamp, now);
+  process(slot, h, pulse.stamp, now);
 }
 
-void TrixNaiveNode::process(NetNodeId from, LocalTime h, Sigma sigma, SimTime /*now*/) {
-  const auto slot = static_cast<std::size_t>(slot_of(from));
+void TrixNaiveNode::process(std::size_t slot, LocalTime h, Sigma sigma, SimTime /*now*/) {
   seen(slot) = 1;
   slot_sigma(slot) = sigma;
   ++seen_count();
@@ -72,9 +72,11 @@ void TrixNaiveNode::fire(SimTime now, LocalTime fire_local) {
   reset();
   while (!pending_.empty() && !armed()) {
     const PendingMsg msg = pending_.front();
-    pending_.pop_front();
-    if (!seen(static_cast<std::size_t>(slot_of(msg.from)))) {
-      process(msg.from, msg.h_arrival, msg.sigma, now);
+    pending_.erase(pending_.begin());
+    const int slot = slot_of(msg.from);
+    GTRIX_CHECK(slot >= 0);  // only a checkpoint restore could queue a stranger
+    if (!seen(static_cast<std::size_t>(slot))) {
+      process(static_cast<std::size_t>(slot), msg.h_arrival, msg.sigma, now);
     }
   }
 }

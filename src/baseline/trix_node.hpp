@@ -8,7 +8,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <vector>
 
 #include "clock/hardware_clock.hpp"
@@ -22,9 +22,10 @@ namespace gtrix {
 
 class TrixNaiveNode final : public PulseSink, public TimerTarget {
  public:
-  /// Hot per-wave state lives in `soa` (the World arena's trix lanes).
+  /// Hot per-wave state lives in `soa` (the World arena's trix lanes). The
+  /// node views `preds` (own copy first); both must outlive it.
   TrixNaiveNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                std::vector<NetNodeId> preds, Params params, Recorder* recorder,
+                std::span<const NetNodeId> preds, Params params, Recorder* recorder,
                 TrixSoa& soa);
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
@@ -51,7 +52,7 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
   };
 
   int slot_of(NetNodeId from) const;
-  void process(NetNodeId from, LocalTime h, Sigma sigma, SimTime now);
+  void process(std::size_t slot, LocalTime h, Sigma sigma, SimTime now);
   void fire(SimTime now, LocalTime fire_local);
   void reset();
   Sigma estimate_sigma() const;
@@ -69,7 +70,7 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
   Network& net_;
   NetNodeId self_;
   HardwareClock clock_;
-  std::vector<NetNodeId> preds_;
+  std::span<const NetNodeId> preds_;
   Params params_;
   Recorder* recorder_;
 
@@ -77,7 +78,7 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
   std::uint32_t i_;
   std::uint32_t slot_base_;
 
-  std::deque<PendingMsg> pending_;
+  std::vector<PendingMsg> pending_;  // no heap until a message is queued
   std::uint64_t forwarded_ = 0;
 };
 

@@ -32,7 +32,7 @@ void check_slots(std::uint64_t saved, std::size_t now, const char* who) {
 // --- GradientTrixNode --------------------------------------------------------
 
 void GradientTrixNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(GradientTrixNode, 472);
+  GTRIX_CKPT_SIZEOF(GradientTrixNode, 408);
   GTRIX_CKPT_FIELDS(PendingMsg, 3);
   GTRIX_CKPT_FIELDS(Counters, 8);
   w.u8(soa_->phase[i_]);
@@ -104,7 +104,7 @@ void GradientTrixNode::checkpoint_restore(CkptCursor& cur) {
 // --- Layer0LineNode ----------------------------------------------------------
 
 void Layer0LineNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(Layer0LineNode, 136);
+  GTRIX_CKPT_SIZEOF(Layer0LineNode, 160);
   w.f64(soa_->stored_h[i_]);
   w.i64(soa_->out_sigma[i_]);
   ckpt::write_timer(w, soa_->broadcast_timer[i_]);
@@ -121,7 +121,7 @@ void Layer0LineNode::checkpoint_restore(CkptCursor& cur) {
 // --- TrixNaiveNode -----------------------------------------------------------
 
 void TrixNaiveNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 232);
+  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 192);
   GTRIX_CKPT_FIELDS(PendingMsg, 3);
   w.u8(soa_->armed[i_]);
   w.u32(soa_->seen_count[i_]);
@@ -164,7 +164,7 @@ void TrixNaiveNode::checkpoint_restore(CkptCursor& cur) {
 // --- LynchWelchGridNode ------------------------------------------------------
 
 void LynchWelchGridNode::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 240);
+  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 200);
   GTRIX_CKPT_FIELDS(PendingMsg, 3);
   w.u32(soa_->seen_count[i_]);
   ckpt::write_timer(w, soa_->fire_timer[i_]);

@@ -232,7 +232,7 @@ void Simulator::checkpoint_restore(CkptCursor& cur, const CkptTargetMap& targets
 // --- Network -----------------------------------------------------------------
 
 void Network::checkpoint_save(CkptWriter& w) const {
-  GTRIX_CKPT_SIZEOF(Network, 384);
+  GTRIX_CKPT_SIZEOF(Network, 440);
   GTRIX_CKPT_FIELDS(DeferCell, 3);
   GTRIX_CKPT_FIELDS(ShardCounters, 4);
   GTRIX_CKPT_FIELDS(ShardEnvelope, 5);
@@ -328,8 +328,11 @@ void Recorder::checkpoint_save(CkptWriter& w) const {
   w.i64(max_sigma_);
   w.u64(pulses_recorded_);
   w.u64(pinned_pulses_);  // anchor/box bounds are config-derived, not state
-  w.u64(logs_.size());
-  for (const NodeLog& log : logs_) {
+  // Every registered node gets a log record; without kept logs (un-anchored
+  // streaming) each is an empty one, exactly as if the logs existed.
+  w.u64(metas_.size());
+  for (RecNodeId node = 0; node < metas_.size(); ++node) {
+    const NodeLog& log = log_of(node);
     w.i64(log.first_sigma);
     w.u64(log.times.size());
     for (SimTime t : log.times) w.f64(t);  // raw bits: NaN = missing survives
@@ -363,11 +366,15 @@ void Recorder::checkpoint_restore(CkptCursor& cur) {
   pulses_recorded_ = cur.u64();
   pinned_pulses_ = cur.u64();
   const std::uint64_t nodes = cur.u64();
-  if (nodes != logs_.size()) {
+  if (nodes != metas_.size()) {
     throw CkptError("checkpoint recorder covers " + std::to_string(nodes) +
-                    " node(s), this configuration registers " + std::to_string(logs_.size()));
+                    " node(s), this configuration registers " + std::to_string(metas_.size()));
   }
-  for (NodeLog& log : logs_) {
+  // Without kept logs (un-anchored streaming) the snapshot's records are the
+  // empty logs its writer emitted; they decode into a scratch log and drop.
+  NodeLog scratch;
+  for (RecNodeId node = 0; node < metas_.size(); ++node) {
+    NodeLog& log = keeps_logs() ? logs_[node] : scratch;
     log.first_sigma = cur.i64();
     const std::uint64_t ntimes = cur.count(8, "pulse time");
     log.times.resize(ntimes);

@@ -59,8 +59,8 @@ void World::checkpoint_targets(CkptTargetMap& targets) const {
   for (const auto& emitter : emitters_) targets.add(emitter.get());
   for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
     if (layer0_by_grid_[g] != nullptr) targets.add(layer0_by_grid_[g]);
-    if (model_by_grid_[g] != nullptr) {
-      TimerTarget* t = model_by_grid_[g]->timer_target();
+    if (models_[g] != nullptr) {
+      TimerTarget* t = models_[g]->timer_target();
       if (t != nullptr) targets.add(t);
     }
     if (auto* rogue = dynamic_cast<FixedPeriodRogue*>(sinks_[g].get())) targets.add(rogue);
@@ -91,9 +91,9 @@ std::vector<std::uint8_t> World::checkpoint_save(const std::string& meta_json) c
     if (layer0_by_grid_[g] != nullptr) {
       w.u8(kTagLayer0);
       layer0_by_grid_[g]->checkpoint_save(w);
-    } else if (model_by_grid_[g] != nullptr) {
+    } else if (models_[g] != nullptr) {
       w.u8(kTagAlgorithm);
-      model_by_grid_[g]->checkpoint_save(w);
+      models_[g]->checkpoint_save(w);
     } else if (auto* rogue = dynamic_cast<const FixedPeriodRogue*>(sinks_[g].get())) {
       w.u8(kTagRogue);
       rogue->checkpoint_save(w);
@@ -190,7 +190,7 @@ void World::checkpoint_restore(const CkptFile& file) {
       const std::uint8_t tag = cur.u8();
       std::uint8_t want = kTagNone;
       if (layer0_by_grid_[g] != nullptr) want = kTagLayer0;
-      else if (model_by_grid_[g] != nullptr) want = kTagAlgorithm;
+      else if (models_[g] != nullptr) want = kTagAlgorithm;
       else if (dynamic_cast<FixedPeriodRogue*>(sinks_[g].get()) != nullptr) want = kTagRogue;
       else if (dynamic_cast<CrashSink*>(sinks_[g].get()) != nullptr) want = kTagCrash;
       if (tag != want) {
@@ -200,7 +200,7 @@ void World::checkpoint_restore(const CkptFile& file) {
       }
       switch (tag) {
         case kTagLayer0: layer0_by_grid_[g]->checkpoint_restore(cur); break;
-        case kTagAlgorithm: model_by_grid_[g]->checkpoint_restore(cur); break;
+        case kTagAlgorithm: models_[g]->checkpoint_restore(cur); break;
         case kTagRogue: dynamic_cast<FixedPeriodRogue*>(sinks_[g].get())->checkpoint_restore(cur); break;
         case kTagCrash: dynamic_cast<CrashSink*>(sinks_[g].get())->checkpoint_restore(cur); break;
         default: break;

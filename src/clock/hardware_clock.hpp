@@ -12,6 +12,7 @@
 //    on slowly varying clock speeds).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -36,19 +37,17 @@ class HardwareClock {
   /// on the hot path. Identical arithmetic to the schedule walk.
   LocalTime to_local(SimTime t) const {
     GTRIX_CHECK_MSG(t >= 0.0, "negative real time");
-    if (segments_.size() == 1) [[likely]] {
-      const Segment& seg = segments_.front();
-      return seg.h0 + seg.rate * (t - seg.t0);
+    if (schedule_.empty()) [[likely]] {
+      return origin_.h0 + origin_.rate * (t - origin_.t0);
     }
     return to_local_schedule(t);
   }
 
   /// Real time at which the local reading reaches h (h >= H(0)).
   SimTime to_real(LocalTime h) const {
-    GTRIX_CHECK_MSG(h >= segments_.front().h0, "local time precedes clock origin");
-    if (segments_.size() == 1) [[likely]] {
-      const Segment& seg = segments_.front();
-      return seg.t0 + (h - seg.h0) / seg.rate;
+    GTRIX_CHECK_MSG(h >= origin_.h0, "local time precedes clock origin");
+    if (schedule_.empty()) [[likely]] {
+      return origin_.t0 + (h - origin_.h0) / origin_.rate;
     }
     return to_real_schedule(h);
   }
@@ -69,8 +68,16 @@ class HardwareClock {
 
   LocalTime to_local_schedule(SimTime t) const;
   SimTime to_real_schedule(LocalTime h) const;
+  std::span<const Segment> segments() const {
+    return schedule_.empty() ? std::span<const Segment>(&origin_, 1) : schedule_;
+  }
 
-  std::vector<Segment> segments_;  // sorted by t0; first has t0 == 0
+  // The first segment lives inline, so a static-rate clock -- one per grid
+  // node on the default models -- owns no heap memory. A multi-segment
+  // schedule keeps every segment (sorted by t0, schedule_[0] == origin_) in
+  // schedule_, which is empty for a single segment.
+  Segment origin_{};
+  std::vector<Segment> schedule_;
 };
 
 }  // namespace gtrix

@@ -12,19 +12,23 @@ constexpr double kGuardSlack = 1e-9;  // float-noise tolerance in guard checks
 }
 
 GradientTrixNode::GradientTrixNode(Simulator& sim, Network& net, NetNodeId self,
-                                   HardwareClock clock, std::vector<NetNodeId> preds,
+                                   HardwareClock clock, std::span<const NetNodeId> preds,
                                    GradientNodeConfig config, Recorder* recorder,
                                    GradientSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
-      preds_(std::move(preds)),
+      preds_(preds),
       config_(config),
       recorder_(recorder),
       soa_(&soa) {
   GTRIX_CHECK_MSG(preds_.size() >= 2, "node needs its own copy plus >= 1 neighbour");
   GTRIX_CHECK_MSG(preds_.size() <= kMaxSlots, "too many predecessors");
+  // Backstop for the scenario layer's cell-expansion check: the trimmed
+  // window must keep H_min at or before H_max.
+  GTRIX_CHECK_MSG(2 * static_cast<std::size_t>(config_.trim) < preds_.size() - 1,
+                  "trim too large for degree");
   i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()));
   slot_base_ = soa_->slot_base[i_];
 }
@@ -38,8 +42,9 @@ int GradientTrixNode::slot_of(NetNodeId from) const {
 
 void GradientTrixNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pulse,
                                 SimTime now) {
-  const int slot = slot_of(from);
-  if (slot < 0) return;  // not one of our predecessors
+  const int found = slot_of(from);
+  if (found < 0) return;  // not one of our predecessors
+  const auto slot = static_cast<std::size_t>(found);
   const LocalTime h = clock_.to_local(now);
   if (phase() != Phase::kCollect) {
     // The pulse decision for this iteration is already made. A message from
@@ -48,29 +53,25 @@ void GradientTrixNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pu
     // or the last neighbour arriving after the until-loop expired): consume
     // it so it cannot leak into the next iteration. Repeats belong to the
     // next wave and are queued.
-    const auto uslot = static_cast<std::size_t>(slot);
-    if (!seen(uslot)) {
-      seen(uslot) = 1;
-      if (slot > 0) r(uslot) = 1;
-      slot_sigma(uslot) = pulse.stamp;
+    if (!seen(slot)) {
+      seen(slot) = 1;
+      if (slot > 0) r(slot) = 1;
+      slot_sigma(slot) = pulse.stamp;
       ++counters_.late_absorbed;
       return;
     }
     if (pending_.size() >= kPendingCap) {
-      pending_.pop_front();
+      pending_.erase(pending_.begin());
       ++counters_.pending_overflow;
     }
     pending_.push_back(PendingMsg{from, h, pulse.stamp});
     return;
   }
-  process_message(from, h, pulse.stamp, now);
+  process_message(slot, h, pulse.stamp, now);
 }
 
-void GradientTrixNode::process_message(NetNodeId from, LocalTime h, Sigma sigma,
+void GradientTrixNode::process_message(std::size_t slot, LocalTime h, Sigma sigma,
                                        SimTime now) {
-  const int slot = slot_of(from);
-  GTRIX_CHECK(slot >= 0);
-  const auto uslot = static_cast<std::size_t>(slot);
   bool changed = false;
   if (slot == 0) {
     // Pulse from the node's own copy (v, l-1).
@@ -86,19 +87,18 @@ void GradientTrixNode::process_message(NetNodeId from, LocalTime h, Sigma sigma,
     // Pulse from a neighbour copy (w, l-1). With trimming, H_min is the
     // (trim+1)-th earliest and H_max the (deg - trim)-th reception; the
     // paper's rule is trim = 0 (first and last).
-    if (!r(uslot)) {
+    if (!r(slot)) {
       std::size_t seen_before = 0;
       for (std::size_t i = 1; i < preds_.size(); ++i) seen_before += r(i) ? 1U : 0U;
       const std::size_t degree = preds_.size() - 1;
       const std::size_t trim = config_.trim;
-      GTRIX_CHECK_MSG(2 * trim < degree, "trim too large for degree");
       if (seen_before == trim) {
         h_min() = h;
         if (config_.self_stabilizing || config_.startup_watchdog) arm_watchdog();
       }
-      r(uslot) = 1;
-      seen(uslot) = 1;
-      slot_sigma(uslot) = sigma;
+      r(slot) = 1;
+      seen(slot) = 1;
+      slot_sigma(slot) = sigma;
       if (seen_before + 1 == degree - trim) h_max() = h;
       changed = true;
     } else {
@@ -310,8 +310,8 @@ void GradientTrixNode::do_broadcast(SimTime now, LocalTime fire_local) {
     recorder_->record_iteration(self_, staged_record_);
   }
   ++counters_.iterations;
-  if (send_override_) {
-    send_override_(pulse, now);
+  if (send_override_ != nullptr) {
+    (*send_override_)(pulse, now);
   } else {
     net_.broadcast(self_, pulse);
   }
@@ -336,8 +336,12 @@ void GradientTrixNode::reset_iteration_state() {
 void GradientTrixNode::drain_pending(SimTime now) {
   while (!pending_.empty() && phase() == Phase::kCollect) {
     const PendingMsg msg = pending_.front();
-    pending_.pop_front();
-    process_message(msg.from, msg.h_arrival, msg.sigma, now);
+    pending_.erase(pending_.begin());
+    // Queued only after on_pulse resolved the slot; a checkpoint restore
+    // is the one way a stranger could get here.
+    const int slot = slot_of(msg.from);
+    GTRIX_CHECK(slot >= 0);
+    process_message(static_cast<std::size_t>(slot), msg.h_arrival, msg.sigma, now);
   }
 }
 

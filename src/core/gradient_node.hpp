@@ -17,8 +17,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "clock/hardware_clock.hpp"
@@ -75,11 +76,13 @@ struct GradientNodeConfig {
 class GradientTrixNode final : public PulseSink, public TimerTarget {
  public:
   /// `preds` lists the network ids of the predecessors, own copy first --
-  /// exactly Grid::predecessors mapped to network ids. The clock is owned.
-  /// Hot per-iteration state lives in `soa` (the World-owned NodeArena's
-  /// gradient lanes, see core/node_state.hpp), which must outlive the node.
+  /// exactly Grid::predecessors mapped to network ids. The node keeps a
+  /// view, so the list (in World: the Grid) must outlive the node, as must
+  /// `soa` (the World-owned NodeArena's gradient lanes, see
+  /// core/node_state.hpp), where the hot per-iteration state lives. The
+  /// clock is owned. Requires 2 * config.trim < the neighbour count.
   GradientTrixNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                   std::vector<NetNodeId> preds, GradientNodeConfig config,
+                   std::span<const NetNodeId> preds, GradientNodeConfig config,
                    Recorder* recorder, GradientSoa& soa);
 
   GradientTrixNode(const GradientTrixNode&) = delete;
@@ -94,9 +97,12 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   void on_timer(const Event& event) override;
 
   /// Replaces the default broadcast with a custom emitter (fault wrappers).
-  /// Arguments: the pulse the node would have broadcast, and the time.
+  /// Arguments: the pulse the node would have broadcast, and the time. Held
+  /// behind a pointer, so only fault-wrapped nodes pay for the function.
   using SendOverride = std::function<void(const Pulse&, SimTime)>;
-  void set_send_override(SendOverride fn) { send_override_ = std::move(fn); }
+  void set_send_override(SendOverride fn) {
+    send_override_ = std::make_unique<SendOverride>(std::move(fn));
+  }
 
   /// Randomizes all mutable state (phase, reception times, flags, timers)
   /// to model a transient fault / arbitrary initial state (Theorem 1.6).
@@ -142,7 +148,7 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   };
 
   int slot_of(NetNodeId from) const;
-  void process_message(NetNodeId from, LocalTime h, Sigma sigma, SimTime now);
+  void process_message(std::size_t slot, LocalTime h, Sigma sigma, SimTime now);
   void update_until(SimTime now, LocalTime now_local);
   void arm_until_timer(LocalTime threshold);
   void arm_watchdog();
@@ -181,10 +187,10 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   Network& net_;
   NetNodeId self_;
   HardwareClock clock_;
-  std::vector<NetNodeId> preds_;  // slot order; [0] is the own copy
+  std::span<const NetNodeId> preds_;  // slot order; [0] is the own copy
   GradientNodeConfig config_;
   Recorder* recorder_;  // non-owning; may be null
-  SendOverride send_override_;
+  std::unique_ptr<SendOverride> send_override_;  // null unless fault-wrapped
 
   // SoA residency: the arena's gradient lanes. Timer handles live there
   // too; they go stale automatically when a timer fires, so a reset is
@@ -194,8 +200,10 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   std::uint32_t slot_base_;  // first entry of this node's slot lanes
 
   // Cold per-node state: touched once per iteration (or less), kept out of
-  // the hot lanes on purpose.
-  std::deque<PendingMsg> pending_;
+  // the hot lanes on purpose. The pending queue is empty in steady state;
+  // as a vector it costs no heap until a message is queued, and its cap of
+  // kPendingCap entries keeps front pops cheap.
+  std::vector<PendingMsg> pending_;
   IterationRecord staged_record_{};  // filled at exit_collect, recorded at fire
   Counters counters_;
 };

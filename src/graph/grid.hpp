@@ -31,7 +31,8 @@ class Grid {
   std::uint32_t layer_of(GridNodeId id) const { return id / base_.node_count(); }
 
   /// In-neighbours of (v, l), l >= 1. The first entry is always the node's
-  /// own copy (v, l-1); the rest are neighbour copies in base-id order.
+  /// own copy (v, l-1); the rest are neighbour copies in base-id order. The
+  /// span points into the Grid and stays valid for the Grid's lifetime.
   std::span<const GridNodeId> predecessors(GridNodeId id) const;
 
   /// Out-neighbours on the next layer (empty for the last layer). The first
@@ -51,13 +52,14 @@ class Grid {
  private:
   BaseGraph base_;
   std::uint32_t layers_;
-  // Predecessor/successor lists are identical for every layer >= 1 (resp.
-  // < layers-1) up to an offset of base_.node_count(); store per-base-node
-  // template lists of base ids, own copy first.
-  std::vector<std::vector<BaseNodeId>> in_template_;
-  // Materialized lists per grid node (small grids; keeps call sites simple).
-  std::vector<std::vector<GridNodeId>> preds_;
-  std::vector<std::vector<GridNodeId>> succs_;
+  // Materialized lists in CSR form: node g's predecessors are
+  // pred_ids_[pred_off_[g] .. pred_off_[g + 1]), likewise for successors.
+  // Built once in the constructor and never resized: algorithm nodes keep
+  // spans into pred_ids_ as their slot order.
+  std::vector<std::uint32_t> pred_off_;
+  std::vector<GridNodeId> pred_ids_;
+  std::vector<std::uint32_t> succ_off_;
+  std::vector<GridNodeId> succ_ids_;
 };
 
 }  // namespace gtrix

@@ -22,6 +22,21 @@ void Recorder::configure(const RecordingOptions& options) {
                   "recording mode must be configured before the first pulse");
   GTRIX_CHECK_MSG(options.window >= 2, "recording window must be >= 2 waves");
   options_ = options;
+  resize_logs();
+}
+
+void Recorder::resize_logs() {
+  if (keeps_logs()) {
+    logs_.resize(metas_.size());
+  } else {
+    logs_ = {};
+  }
+}
+
+const Recorder::NodeLog& Recorder::log_of(RecNodeId node) const {
+  (void)metas_.at(node);
+  static const NodeLog kEmpty;
+  return node < logs_.size() ? logs_[node] : kEmpty;
 }
 
 void Recorder::register_node(RecNodeId node, NodeMeta meta) {
@@ -32,7 +47,7 @@ void Recorder::register_node(RecNodeId node, NodeMeta meta) {
                   "recorder node id overflows the uint32 id space");
   if (node >= metas_.size()) {
     metas_.resize(node + 1);
-    logs_.resize(node + 1);
+    if (keeps_logs()) logs_.resize(node + 1);
   }
   metas_[node] = meta;
 }
@@ -44,6 +59,7 @@ void Recorder::set_corruption_anchor(Sigma wave) {
   anchor_ = wave;
   box_lo_ = wave - options_.window;
   box_hi_ = wave + options_.window;
+  resize_logs();  // anchored streaming keeps per-wave times
 }
 
 void Recorder::note_early(NodeLog& log, Sigma sigma) {
@@ -81,9 +97,9 @@ void Recorder::pin_pulse(NodeLog& log, Sigma sigma, SimTime t) {
 }
 
 void Recorder::record_pulse(RecNodeId node, Sigma sigma, SimTime t) {
-  GTRIX_CHECK_MSG(node < logs_.size(), "pulse from unregistered node");
+  GTRIX_CHECK_MSG(node < metas_.size(), "pulse from unregistered node");
   if (stream_ != nullptr) stream_->on_pulse(node, sigma, t);
-  if (options_.mode == RecordingMode::kStreaming && anchor_ == kInvalidSigma) {
+  if (!keeps_logs()) {
     // No per-wave storage: the streaming accumulators above are the whole
     // metrics path. Global counters still track the run's envelope. (With a
     // corruption anchor, streaming mode takes the windowed times path below
@@ -167,13 +183,13 @@ void Recorder::evict_window(NodeLog& log) {
 }
 
 void Recorder::record_iteration(RecNodeId node, const IterationRecord& record) {
-  GTRIX_CHECK_MSG(node < logs_.size(), "iteration from unregistered node");
+  GTRIX_CHECK_MSG(node < metas_.size(), "iteration from unregistered node");
   if (options_.mode == RecordingMode::kStreaming) return;
   logs_[node].iterations.push_back(record);
 }
 
 std::uint64_t Recorder::iterations_dropped(RecNodeId node) const {
-  return logs_.at(node).iterations_dropped;
+  return log_of(node).iterations_dropped;
 }
 
 std::optional<SimTime> Recorder::pulse_time(RecNodeId node, Sigma sigma) const {
@@ -196,12 +212,12 @@ std::optional<SimTime> Recorder::pulse_time(RecNodeId node, Sigma sigma) const {
 }
 
 const std::vector<IterationRecord>& Recorder::iterations(RecNodeId node) const {
-  return logs_.at(node).iterations;
+  return log_of(node).iterations;
 }
 
 Sigma Recorder::steady_from(RecNodeId node, Sigma warmup_pulses) const {
-  if (node >= logs_.size()) return kInvalidSigma;
-  const NodeLog& log = logs_[node];
+  if (node >= metas_.size()) return kInvalidSigma;
+  const NodeLog& log = log_of(node);
   if (options_.mode != RecordingMode::kFull) {
     // The rolling window forgets the run's beginning, so the answer comes
     // from the capped early-wave set, which is complete for any warmup the
@@ -275,14 +291,14 @@ bool Recorder::covers(RecNodeId node, Sigma lo, Sigma hi) const {
 }
 
 std::pair<Sigma, Sigma> Recorder::lost_range(RecNodeId node) const {
-  const NodeLog& log = logs_.at(node);
+  const NodeLog& log = log_of(node);
   return {log.lost_lo, log.lost_hi};
 }
 
 std::uint64_t Recorder::iterations_lost_below(RecNodeId node, std::uint64_t abs_limit) const {
   GTRIX_CHECK_MSG(abs_limit <= kLostIterTrackCap,
                   "warmup exceeds the recorder's lost-iteration tracking capacity");
-  const NodeLog& log = logs_.at(node);
+  const NodeLog& log = log_of(node);
   std::uint64_t n = 0;
   for (const LostIter& li : log.lost_iters) {
     if (li.abs < abs_limit) ++n;
@@ -294,7 +310,7 @@ bool Recorder::iterations_covered(RecNodeId node, Sigma lo, Sigma hi,
                                   std::uint64_t warmup) const {
   GTRIX_CHECK_MSG(warmup <= kLostIterTrackCap,
                   "warmup exceeds the recorder's lost-iteration tracking capacity");
-  const NodeLog& log = logs_.at(node);
+  const NodeLog& log = log_of(node);
   for (const LostIter& li : log.lost_iters) {
     // A lost record full recording would have CHECKED (past warmup, inside
     // the requested window) makes the window unanswerable.

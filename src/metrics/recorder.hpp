@@ -102,7 +102,7 @@ class Recorder {
   /// registers its whole grid up front).
   void reserve(std::uint32_t nodes) {
     metas_.reserve(nodes);
-    logs_.reserve(nodes);
+    if (keeps_logs()) logs_.reserve(nodes);
   }
 
   void register_node(RecNodeId node, NodeMeta meta);
@@ -145,7 +145,7 @@ class Recorder {
   /// recording mode.
   template <typename F>
   void for_each_iteration(RecNodeId node, F&& f) const {
-    const NodeLog& log = logs_.at(node);
+    const NodeLog& log = log_of(node);
     for (std::size_t i = 0; i < log.pin_iterations.size(); ++i) {
       f(log.pin_iterations[i], log.pin_iter_abs[i]);
     }
@@ -237,6 +237,19 @@ class Recorder {
     Sigma iter_lost_lo = kInvalidSigma;  ///< lost records with abs >= the cap
     Sigma iter_lost_hi = kInvalidSigma;
   };
+
+  /// Per-node logs exist only while per-wave data can be stored: in full
+  /// and windowed mode, and in streaming mode once a corruption anchor is
+  /// set. Un-anchored streaming keeps none -- the accumulators are its
+  /// whole metrics path -- and every query answers as for an empty log.
+  bool keeps_logs() const noexcept {
+    return options_.mode != RecordingMode::kStreaming || anchor_ != kInvalidSigma;
+  }
+  /// Sizes logs_ to the registered nodes, or frees it when none are kept.
+  void resize_logs();
+  /// The node's log, or an empty one when no logs are kept; throws
+  /// std::out_of_range for an unregistered node.
+  const NodeLog& log_of(RecNodeId node) const;
 
   void evict_window(NodeLog& log);
   void pin_pulse(NodeLog& log, Sigma sigma, SimTime t);

@@ -12,9 +12,7 @@ NetNodeId Network::add_node(PulseSink* sink) {
   GTRIX_CHECK_MSG(shard_count_ <= 1, "cannot add nodes after configure_shards");
   const NetNodeId id = static_cast<NetNodeId>(sinks_.size());
   sinks_.push_back(sink);
-  out_.emplace_back();
-  in_.emplace_back();
-  uniform_out_delay_.push_back(std::numeric_limits<double>::quiet_NaN());
+  adjacency_stale_ = true;
   return id;
 }
 
@@ -26,14 +24,40 @@ EdgeId Network::add_edge(NetNodeId from, NetNodeId to, double delay) {
   GTRIX_CHECK(from < sinks_.size() && to < sinks_.size());
   const EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{from, to, delay});
-  out_[from].push_back(id);
-  in_[to].push_back(id);
-  if (out_[from].size() == 1) {
-    uniform_out_delay_[from] = delay;
-  } else if (uniform_out_delay_[from] != delay) {
-    uniform_out_delay_[from] = std::numeric_limits<double>::quiet_NaN();
-  }
+  adjacency_stale_ = true;
   return id;
+}
+
+void Network::rebuild_adjacency() const {
+  const std::size_t n = sinks_.size();
+  // Stable counting sort by endpoint: scanning edges in id order keeps each
+  // node's list in ascending edge id.
+  const auto build = [&](std::vector<std::uint32_t>& off, std::vector<EdgeId>& ids,
+                         NetNodeId Edge::*endpoint) {
+    off.assign(n + 1, 0);
+    for (const Edge& edge : edges_) ++off[edge.*endpoint + 1];
+    for (std::size_t v = 0; v < n; ++v) off[v + 1] += off[v];
+    ids.resize(edges_.size());
+    // Fill with off[v] as v's cursor; afterwards off[v] holds v's end,
+    // i.e. the start of v + 1, so shift the starts back into place.
+    for (EdgeId e = 0; e < edges_.size(); ++e) ids[off[edges_[e].*endpoint]++] = e;
+    for (std::size_t v = n; v > 0; --v) off[v] = off[v - 1];
+    off[0] = 0;
+  };
+  build(out_off_, out_ids_, &Edge::from);
+  build(in_off_, in_ids_, &Edge::to);
+  adjacency_stale_ = false;
+  uniform_out_delay_.resize(n);
+  for (NetNodeId v = 0; v < n; ++v) uniform_out_delay_[v] = uniform_delay(out_edges(v));
+}
+
+double Network::uniform_delay(std::span<const EdgeId> outs) const {
+  if (outs.empty()) return std::numeric_limits<double>::quiet_NaN();
+  const double uniform = edges_[outs.front()].delay;
+  for (EdgeId e : outs) {
+    if (edges_[e].delay != uniform) return std::numeric_limits<double>::quiet_NaN();
+  }
+  return uniform;
 }
 
 void Network::set_edge_delay(EdgeId e, double delay) {
@@ -41,14 +65,7 @@ void Network::set_edge_delay(EdgeId e, double delay) {
   edges_.at(e).delay = delay;
   // Re-derive the sender's uniformity from scratch (rare, config-time call).
   const NetNodeId from = edges_[e].from;
-  double uniform = edges_[out_[from].front()].delay;
-  for (EdgeId out_edge : out_[from]) {
-    if (edges_[out_edge].delay != uniform) {
-      uniform = std::numeric_limits<double>::quiet_NaN();
-      break;
-    }
-  }
-  uniform_out_delay_[from] = uniform;
+  uniform_out_delay_[from] = uniform_delay(out_edges(from));
   if (shard_count_ > 1) recompute_lookahead();
 }
 
@@ -66,6 +83,8 @@ void Network::configure_shards(std::vector<Simulator*> sims,
   GTRIX_CHECK_MSG(shard_count_ == 1 && mail_.empty(), "shards already configured");
   GTRIX_CHECK_MSG(node_shard.size() == sinks_.size(), "node_shard must cover every node");
   if (sims.size() == 1) return;  // serial engine, untouched
+  // Workers read the adjacency concurrently; it must never rebuild on them.
+  if (adjacency_stale_) rebuild_adjacency();
   shard_sims_ = std::move(sims);
   node_shard_ = std::move(node_shard);
   shard_count_ = static_cast<std::uint32_t>(shard_sims_.size());
@@ -165,7 +184,7 @@ std::uint64_t Network::delivery_events() const noexcept {
 }
 
 bool Network::find_edge(NetNodeId from, NetNodeId to, EdgeId& out) const {
-  for (EdgeId e : out_.at(from)) {
+  for (EdgeId e : out_edges(from)) {
     if (edges_[e].to == to) {
       out = e;
       return true;
@@ -214,7 +233,7 @@ void Network::send_after(EdgeId e, const Pulse& pulse, double extra) {
 }
 
 void Network::broadcast(NetNodeId from, const Pulse& pulse) {
-  const std::vector<EdgeId>& outs = out_.at(from);
+  const std::span<const EdgeId> outs = out_edges(from);
   if (shard_count_ > 1) {
     broadcast_sharded(from, pulse, outs);
     return;
@@ -231,7 +250,7 @@ void Network::broadcast(NetNodeId from, const Pulse& pulse) {
 }
 
 void Network::broadcast_sharded(NetNodeId from, const Pulse& pulse,
-                                const std::vector<EdgeId>& outs) {
+                                std::span<const EdgeId> outs) {
   const std::uint32_t src = node_shard_[from];
   const double uniform = uniform_out_delay_[from];
   if (outs.size() > 1 && !std::isnan(uniform)) {
@@ -344,7 +363,7 @@ void Network::on_timer(const Event& event) {
         ++delivery_events_;
       }
       Simulator& sim = sim_of(p.a);
-      for (EdgeId e : out_[p.a]) {
+      for (EdgeId e : out_edges(p.a)) {
         const Edge& edge = edges_[e];
         if (shard_count_ > 1 && node_shard_[edge.to] != src) continue;
         sink_or_defer(sim, src, edge.from, e, edge.to, p.i, event.time);

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "support/check.hpp"
 
 namespace gtrix {
 
@@ -81,8 +82,14 @@ class Network final : public TimerTarget {
   double edge_delay(EdgeId e) const { return edges_.at(e).delay; }
   void set_edge_delay(EdgeId e, double delay);
 
-  std::span<const EdgeId> out_edges(NetNodeId node) const { return out_.at(node); }
-  std::span<const EdgeId> in_edges(NetNodeId node) const { return in_.at(node); }
+  /// A node's out- (in-) edges in ascending edge id: the order broadcast()
+  /// sends in and kBatchDeliver fans out in, so it fixes sequence numbers.
+  std::span<const EdgeId> out_edges(NetNodeId node) const {
+    return adjacency_slice(out_off_, out_ids_, node);
+  }
+  std::span<const EdgeId> in_edges(NetNodeId node) const {
+    return adjacency_slice(in_off_, in_ids_, node);
+  }
 
   /// Finds the edge from -> to; returns true and sets `out` on success.
   bool find_edge(NetNodeId from, NetNodeId to, EdgeId& out) const;
@@ -206,7 +213,7 @@ class Network final : public TimerTarget {
   /// Event kinds this target schedules. Payload conventions:
   ///   kDeliver:        a=from, b=edge, c=to, i=pulse stamp
   ///   kDeferredSend:   b=edge, i=pulse stamp
-  ///   kBatchDeliver:   a=from, i=pulse stamp (fans out over out_[from])
+  ///   kBatchDeliver:   a=from, i=pulse stamp (fans out over out_edges(from))
   ///   kFlushArrivals:  a=defer cell index (the executing shard)
   enum TimerKind : std::uint32_t {
     kDeliver = 1,
@@ -261,9 +268,20 @@ class Network final : public TimerTarget {
                      NetNodeId to, std::int64_t stamp, SimTime t);
   void sink_pulse(NetNodeId from, EdgeId edge, NetNodeId to, std::int64_t stamp, SimTime t);
   void send_sharded(EdgeId e, const Pulse& pulse);
-  void broadcast_sharded(NetNodeId from, const Pulse& pulse,
-                         const std::vector<EdgeId>& outs);
+  void broadcast_sharded(NetNodeId from, const Pulse& pulse, std::span<const EdgeId> outs);
   void recompute_lookahead();
+  /// The node's entries in one CSR direction, rebuilding the arrays first
+  /// when the topology changed since the last query.
+  std::span<const EdgeId> adjacency_slice(const std::vector<std::uint32_t>& off,
+                                          const std::vector<EdgeId>& ids,
+                                          NetNodeId node) const {
+    if (adjacency_stale_) rebuild_adjacency();
+    GTRIX_CHECK(node < sinks_.size());
+    return {ids.data() + off[node], off[node + 1] - off[node]};
+  }
+  void rebuild_adjacency() const;
+  /// The shared delay of `outs`, or NaN once any two differ (or none exist).
+  double uniform_delay(std::span<const EdgeId> outs) const;
   Simulator& sim_of(NetNodeId node) {
     return shard_count_ <= 1 ? sim_ : *shard_sims_[node_shard_[node]];
   }
@@ -271,12 +289,21 @@ class Network final : public TimerTarget {
   Simulator& sim_;
   std::vector<PulseSink*> sinks_;  // non-owning
   std::vector<Edge> edges_;
-  std::vector<std::vector<EdgeId>> out_;
-  std::vector<std::vector<EdgeId>> in_;
+  /// Adjacency in CSR form, derived from edges_: node n's out-edges are
+  /// out_ids_[out_off_[n] .. out_off_[n + 1]) in ascending edge id, and
+  /// likewise for in-edges. add_node / add_edge only mark the arrays stale;
+  /// the next adjacency query rebuilds them with one counting sort, which is
+  /// why they are mutable. configure_shards rebuilds them before any worker
+  /// thread runs, and the topology is frozen from then on.
+  mutable std::vector<std::uint32_t> out_off_;
+  mutable std::vector<EdgeId> out_ids_;
+  mutable std::vector<std::uint32_t> in_off_;
+  mutable std::vector<EdgeId> in_ids_;
   /// Per node: the shared delay of all its out-edges, or NaN once any two
-  /// out-edge delays differ. Maintained by add_edge / set_edge_delay; the
-  /// broadcast fast path keys off it.
-  std::vector<double> uniform_out_delay_;
+  /// out-edge delays differ. Rebuilt with the CSR arrays and kept current by
+  /// set_edge_delay; the broadcast fast path keys off it.
+  mutable std::vector<double> uniform_out_delay_;
+  mutable bool adjacency_stale_ = false;
   DelayModulation modulation_;
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

@@ -29,28 +29,30 @@ void NodeModel::checkpoint_restore(CkptCursor&) {
 
 namespace {
 
+GradientNodeConfig gradient_config(const NodeContext& ctx, bool simplified) {
+  GradientNodeConfig config;
+  config.params = ctx.params;
+  config.simplified = simplified;
+  config.self_stabilizing = ctx.self_stabilizing;
+  config.jump_condition = ctx.jump_condition;
+  config.trim = ctx.trim;
+  config.skew_bound_hint = ctx.params.thm11_bound(ctx.diameter);
+  config.broadcast_offset = ctx.broadcast_offset;
+  return config;
+}
+
 class GradientNodeModel final : public NodeModel {
  public:
-  GradientNodeModel(NodeContext ctx, bool simplified) {
-    GradientNodeConfig config;
-    config.params = ctx.params;
-    config.simplified = simplified;
-    config.self_stabilizing = ctx.self_stabilizing;
-    config.jump_condition = ctx.jump_condition;
-    config.trim = ctx.trim;
-    config.skew_bound_hint = ctx.params.thm11_bound(ctx.diameter);
-    config.broadcast_offset = ctx.broadcast_offset;
-    node_ = std::make_unique<GradientTrixNode>(
-        ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), std::move(ctx.preds), config,
-        ctx.recorder, ctx.arena.gradient);
-  }
+  GradientNodeModel(NodeContext ctx, bool simplified)
+      : node_(ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds,
+              gradient_config(ctx, simplified), ctx.recorder, ctx.arena.gradient) {}
 
-  PulseSink& sink() override { return *node_; }
-  void set_send_override(SendOverride fn) override { node_->set_send_override(std::move(fn)); }
-  void corrupt_state(Rng& rng) override { node_->corrupt_state(rng); }
+  PulseSink& sink() override { return node_; }
+  void set_send_override(SendOverride fn) override { node_.set_send_override(std::move(fn)); }
+  void corrupt_state(Rng& rng) override { node_.corrupt_state(rng); }
 
   void add_counters(ExperimentCounters& total) const override {
-    const auto& c = node_->counters();
+    const auto& c = node_.counters();
     total.iterations += c.iterations;
     total.late_broadcasts += c.late_broadcasts;
     total.guard_aborts += c.guard_aborts;
@@ -59,14 +61,14 @@ class GradientNodeModel final : public NodeModel {
     total.duplicate_drops += c.duplicate_drops;
   }
 
-  GradientTrixNode* gradient() noexcept override { return node_.get(); }
+  GradientTrixNode* gradient() noexcept override { return &node_; }
 
-  TimerTarget* timer_target() noexcept override { return node_.get(); }
-  void checkpoint_save(CkptWriter& w) const override { node_->checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_->checkpoint_restore(r); }
+  TimerTarget* timer_target() noexcept override { return &node_; }
+  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
+  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
 
  private:
-  std::unique_ptr<GradientTrixNode> node_;
+  GradientTrixNode node_;
 };
 
 class GradientProvider final : public AlgorithmProvider {
@@ -76,7 +78,8 @@ class GradientProvider final : public AlgorithmProvider {
   AlgorithmCaps caps() const override {
     return AlgorithmCaps{.send_fault_overrides = true,
                          .state_corruption = true,
-                         .tolerates_silent_preds = true};
+                         .tolerates_silent_preds = true,
+                         .trim_limited_by_degree = true};
   }
 
   std::unique_ptr<NodeModel> make_node(NodeContext ctx) const override {
@@ -90,18 +93,17 @@ class GradientProvider final : public AlgorithmProvider {
 class TrixNaiveNodeModel final : public NodeModel {
  public:
   explicit TrixNaiveNodeModel(NodeContext ctx)
-      : node_(std::make_unique<TrixNaiveNode>(
-            ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), std::move(ctx.preds),
-            ctx.params, ctx.recorder, ctx.arena.trix)) {}
+      : node_(ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds, ctx.params,
+              ctx.recorder, ctx.arena.trix) {}
 
-  PulseSink& sink() override { return *node_; }
+  PulseSink& sink() override { return node_; }
 
-  TimerTarget* timer_target() noexcept override { return node_.get(); }
-  void checkpoint_save(CkptWriter& w) const override { node_->checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_->checkpoint_restore(r); }
+  TimerTarget* timer_target() noexcept override { return &node_; }
+  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
+  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
 
  private:
-  std::unique_ptr<TrixNaiveNode> node_;
+  TrixNaiveNode node_;
 };
 
 class TrixNaiveProvider final : public AlgorithmProvider {
@@ -122,18 +124,17 @@ class TrixNaiveProvider final : public AlgorithmProvider {
 class LynchWelchNodeModel final : public NodeModel {
  public:
   explicit LynchWelchNodeModel(NodeContext ctx)
-      : node_(std::make_unique<LynchWelchGridNode>(
-            ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), std::move(ctx.preds),
-            ctx.params, ctx.trim, ctx.recorder, ctx.arena.lw)) {}
+      : node_(ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds, ctx.params,
+              ctx.trim, ctx.recorder, ctx.arena.lw) {}
 
-  PulseSink& sink() override { return *node_; }
+  PulseSink& sink() override { return node_; }
 
-  TimerTarget* timer_target() noexcept override { return node_.get(); }
-  void checkpoint_save(CkptWriter& w) const override { node_->checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_->checkpoint_restore(r); }
+  TimerTarget* timer_target() noexcept override { return &node_; }
+  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
+  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
 
  private:
-  std::unique_ptr<LynchWelchGridNode> node_;
+  LynchWelchGridNode node_;
 };
 
 class LynchWelchProvider final : public AlgorithmProvider {

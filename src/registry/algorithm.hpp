@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "clock/hardware_clock.hpp"
@@ -58,6 +59,10 @@ struct AlgorithmCaps {
   /// Keeps making progress when a predecessor never pulses (crash or
   /// fixed-period faults anywhere in the grid).
   bool tolerates_silent_preds = false;
+  /// Reads the config-level `trim` and needs 2 * trim < every node's
+  /// neighbour count; the scenario layer checks it against the topology's
+  /// minimum degree when cells expand.
+  bool trim_limited_by_degree = false;
 };
 
 /// Replaces a node's default broadcast (fault wrappers). Same contract as
@@ -70,7 +75,9 @@ struct NodeContext {
   Network& net;
   NetNodeId self;
   HardwareClock clock;
-  std::vector<NetNodeId> preds;  ///< own copy first (Grid::predecessors)
+  /// Own copy first (Grid::predecessors). Nodes keep this view, so the
+  /// list must outlive them (World: the Grid outlives every node).
+  std::span<const NetNodeId> preds;
   Params params;
   std::uint32_t diameter = 0;        ///< base-graph diameter D
   std::uint32_t trim = 0;            ///< trimmed-aggregation extension
@@ -83,7 +90,8 @@ struct NodeContext {
   NodeArena& arena;
 };
 
-/// One constructed algorithm node; owns the underlying object.
+/// One constructed algorithm node. The built-in models hold their node by
+/// value, so a node costs a single allocation.
 class NodeModel {
  public:
   virtual ~NodeModel() = default;

@@ -101,8 +101,7 @@ World::World(ExperimentConfig config, EngineOptions engine)
   Rng fault_rng = master.split("faults");
 
   sinks_.resize(grid_.node_count() + 1);  // +1 possible source slot
-  model_by_grid_.assign(grid_.node_count(), nullptr);
-  gradient_by_grid_.assign(grid_.node_count(), nullptr);
+  models_.resize(grid_.node_count());
   layer0_by_grid_.assign(grid_.node_count(), nullptr);
 
   init_shards();
@@ -308,9 +307,6 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
     const std::uint32_t column = base.column(grid_.base_of(g));
     HardwareClock clock = make_clock(clock_rng, column, layer);
 
-    const auto preds_span = grid_.predecessors(g);
-    std::vector<NetNodeId> preds(preds_span.begin(), preds_span.end());
-
     const auto fault_it = fault_map_.find(g);
     const FaultSpec* spec = fault_it == fault_map_.end() ? nullptr : &fault_it->second;
 
@@ -348,15 +344,15 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
       broadcast_offset = -spec->alpha;
     }
 
+    // Network ids equal grid ids, so the node views its predecessors in
+    // the Grid, which outlives it.
     auto model = algorithm_provider_->make_node(NodeContext{
-        sim_for(g), net_, g, std::move(clock), std::move(preds), config_.params, diameter,
+        sim_for(g), net_, g, std::move(clock), grid_.predecessors(g), config_.params, diameter,
         config_.trim, config_.self_stabilizing, config_.jump_condition, broadcast_offset,
         recorder_for(g), arena_for(g)});
     if (spec != nullptr) install_fault(g, *spec, *model, fault_rng);
-    model_by_grid_[g] = model.get();
-    gradient_by_grid_[g] = model->gradient();
     net_.set_sink(g, &model->sink());
-    models_.push_back(std::move(model));
+    models_[g] = std::move(model);
   }
 }
 
@@ -510,8 +506,8 @@ void World::corrupt_fraction(double fraction, Rng& rng) {
                       "' does not support state corruption (Theorem 1.6 workloads need a "
                       "gradient algorithm)");
   for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
-    if (model_by_grid_[g] != nullptr && rng.bernoulli(fraction)) {
-      model_by_grid_[g]->corrupt_state(rng);
+    if (models_[g] != nullptr && rng.bernoulli(fraction)) {
+      models_[g]->corrupt_state(rng);
     } else if (layer0_by_grid_[g] != nullptr && rng.bernoulli(fraction)) {
       layer0_by_grid_[g]->corrupt_state(rng);
     }
@@ -611,7 +607,9 @@ ConditionReport World::conditions_window(std::uint32_t s_max, Sigma lo, Sigma hi
 
 ExperimentCounters World::counters() const {
   ExperimentCounters total;
-  for (const auto& model : models_) model->add_counters(total);
+  for (const auto& model : models_) {
+    if (model != nullptr) model->add_counters(total);
+  }
   total.events_executed = sim_.executed_events();
   for (const auto& sim : extra_sims_) total.events_executed += sim->executed_events();
   total.messages_sent = net_.messages_sent();
@@ -620,7 +618,10 @@ ExperimentCounters World::counters() const {
   return total;
 }
 
-GradientTrixNode* World::gradient_node(GridNodeId g) { return gradient_by_grid_.at(g); }
+GradientTrixNode* World::gradient_node(GridNodeId g) {
+  NodeModel* model = models_.at(g).get();
+  return model == nullptr ? nullptr : model->gradient();
+}
 Layer0LineNode* World::layer0_node(GridNodeId g) { return layer0_by_grid_.at(g); }
 
 ExperimentResult run_experiment(const ExperimentConfig& config, EngineOptions engine) {

@@ -314,6 +314,8 @@ class World {
   std::shared_ptr<const DelayProvider> delay_provider_;
   std::shared_ptr<const AlgorithmProvider> algorithm_provider_;
   AlgorithmCaps algorithm_caps_;
+  /// Declared before every node: algorithm nodes view their predecessor
+  /// lists in it (Grid::predecessors), so it must outlive them.
   Grid grid_;
   Simulator sim_;
   Network net_;
@@ -346,9 +348,7 @@ class World {
 
   NetNodeId source_id_ = 0;  // line mode only
   std::vector<std::unique_ptr<PulseSink>> sinks_;
-  std::vector<std::unique_ptr<NodeModel>> models_;
-  std::vector<NodeModel*> model_by_grid_;
-  std::vector<GradientTrixNode*> gradient_by_grid_;
+  std::vector<std::unique_ptr<NodeModel>> models_;  ///< by grid id; null if none
   std::vector<Layer0LineNode*> layer0_by_grid_;
   std::unique_ptr<ClockSource> source_;
   std::vector<std::unique_ptr<IdealEmitter>> emitters_;

@@ -629,27 +629,34 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
   // later inside a worker thread.
   const ResolvedComponents components = at_path(context, [&] { return resolve_components(c); });
   // Sweeps revisit a handful of topology shapes over and over; memoize the
-  // successfully built ones (keyed shape -> base node count) so expansion
-  // does not pay an all-pairs BFS per cell (the map stays tiny: one entry
-  // per distinct shape ever seen).
-  static thread_local std::map<std::string, std::uint32_t> valid_shapes;
+  // successfully built ones (keyed shape -> base node count and minimum
+  // degree) so expansion does not pay an all-pairs BFS per cell (the map
+  // stays tiny: one entry per distinct shape ever seen).
+  struct ShapeInfo {
+    std::uint32_t nodes;
+    std::uint32_t min_degree;
+  };
+  static thread_local std::map<std::string, ShapeInfo> valid_shapes;
   const std::string shape = component_to_json(topology_registry(), components.topology).dump() +
                             "@" + std::to_string(c.columns);
   auto shape_it = valid_shapes.find(shape);
   if (shape_it == valid_shapes.end()) {
     try {
-      shape_it = valid_shapes.emplace(shape, make_base_graph(c).node_count()).first;
+      const BaseGraph base = make_base_graph(c);
+      shape_it = valid_shapes.emplace(shape, ShapeInfo{base.node_count(), base.min_degree()})
+                     .first;
     } catch (const std::exception& e) {
       throw JsonError(context + ": invalid topology: " + e.what());
     }
   }
+  const ShapeInfo& info = shape_it->second;
   // The grid id space is uint32 (one sentinel reserved); a layers x base
   // product past that must fail here with cell context, not wrap inside a
   // worker thread (Grid re-checks as the last line of defense).
   try {
-    (void)checked_u32_mul(c.layers, shape_it->second,
+    (void)checked_u32_mul(c.layers, info.nodes,
                           "grid node count (" + std::to_string(c.layers) + " layers x " +
-                              std::to_string(shape_it->second) + " base nodes)");
+                              std::to_string(info.nodes) + " base nodes)");
   } catch (const std::overflow_error& e) {
     throw JsonError(context + ": " + e.what());
   }
@@ -663,6 +670,14 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
   // Capability checks (previously silent no-ops inside World): a fault plan
   // or corruption schedule the experiment cannot honor is a config error.
   const AlgorithmCaps caps = algorithm->caps();
+  // The trimmed window keeps H_min at or before H_max only while
+  // 2 * trim < the neighbour count; the node constructor re-checks.
+  if (caps.trim_limited_by_degree && 2 * static_cast<std::uint64_t>(c.trim) >= info.min_degree) {
+    throw JsonError(context + ": trim " + std::to_string(c.trim) + " needs 2 * trim < " +
+                    std::to_string(info.min_degree) +
+                    ", the minimum neighbour count of topology '" + components.topology.kind +
+                    "' (algorithm '" + components.algorithm.kind + "')");
+  }
   for (std::size_t i = 0; i < c.faults.size(); ++i) {
     const PlacedFault& fault = c.faults[i];
     const auto fault_error = [&](const std::string& reason) {

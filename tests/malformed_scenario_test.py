@@ -57,6 +57,11 @@ CASES = {
     "clustered-column": (
         scenario({"clustered_faults": {"count": 1, "column": 20}}),
         "cell 'base': clustered_faults.column 20 out of range (columns 8)"),
+    # The line's end replicas have two neighbours, so trim 1 leaves no
+    # window; refused at expansion, not when the run builds its nodes.
+    "trim-over-degree": (
+        scenario({"trim": 1}),
+        "cell 'base': trim 1 needs 2 * trim < 2, the minimum neighbour count"),
 }
 
 

@@ -122,9 +122,8 @@ TEST(ExtensionFLocal, ConditionsStillHoldFaultFree) {
 
 TEST(ExtensionFLocal, TrimTooLargeRejected) {
   ExperimentConfig config = wide_config(7);
-  config.trim = 2;  // 2*trim >= degree(4): invalid
-  World world(config);
-  EXPECT_THROW(world.run_to_completion(), std::logic_error);
+  config.trim = 2;  // 2*trim >= degree(4): invalid, refused when the nodes are built
+  EXPECT_THROW(World{config}, std::logic_error);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@ struct NodeHarness {
   Recorder recorder;
   GradientSoa soa;  // the node's hot-state lanes; outlives the node
   NetNodeId own_pred, nbr_a, nbr_b, self;
+  std::vector<NetNodeId> preds;  // the node views this list; outlives it
   std::optional<GradientTrixNode> node;
   Params params = Params::with(1000.0, 10.0, 1.0005);
 
@@ -37,8 +38,8 @@ struct NodeHarness {
     recorder.register_node(self, {});
     config.params = params;
     if (config.skew_bound_hint == 0.0) config.skew_bound_hint = params.thm11_bound(15);
-    node.emplace(sim, net, self, HardwareClock(1.0, 0.0),
-                 std::vector<NetNodeId>{own_pred, nbr_a, nbr_b}, config, &recorder, soa);
+    preds = {own_pred, nbr_a, nbr_b};
+    node.emplace(sim, net, self, HardwareClock(1.0, 0.0), preds, config, &recorder, soa);
     net.set_sink(self, &*node);
   }
 
@@ -387,8 +388,7 @@ TEST(NodeUnit, DriftingClockStretchesWait) {
   GradientNodeConfig config;
   NodeHarness h(config);
   // Re-create the node with a fast clock.
-  h.node.emplace(h.sim, h.net, h.self, HardwareClock(h.params.theta, 0.0),
-                 std::vector<NetNodeId>{h.own_pred, h.nbr_a, h.nbr_b},
+  h.node.emplace(h.sim, h.net, h.self, HardwareClock(h.params.theta, 0.0), h.preds,
                  [&] {
                    GradientNodeConfig c;
                    c.params = h.params;

@@ -452,7 +452,8 @@ TEST(LynchWelchGrid, PredecessorRunningTwoWavesAheadDoesNotStallTheNode) {
   const NetNodeId b = net.add_node();
   const NetNodeId lw = net.add_node();
   LwSoa soa;
-  LynchWelchGridNode node(sim, net, lw, HardwareClock(1.0, 0.0), {a, b},
+  const std::vector<NetNodeId> preds{a, b};
+  LynchWelchGridNode node(sim, net, lw, HardwareClock(1.0, 0.0), preds,
                           Params::with(1000.0, 10.0, 1.0005), 0, nullptr, soa);
   net.set_sink(lw, &node);
   // Wave 0 completes; A then runs two waves ahead before the node fires.
