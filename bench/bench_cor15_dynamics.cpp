@@ -49,9 +49,7 @@ Outcome run_scenario(std::uint32_t columns, std::uint64_t seed, bool jitter_faul
 
 int run(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const bool large = Flags::bench_scale() == "large";
-  const std::uint32_t columns = static_cast<std::uint32_t>(
-      flags.get_int("columns", large ? 32 : 16));
+  const auto columns = static_cast<std::uint32_t>(flags.get_int("columns", 16));
   const auto seed = flags.get_u64("seed", 1);
 
   const Params params = Params::with(1000.0, 10.0, 1.0005);

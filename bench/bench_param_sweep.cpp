@@ -29,9 +29,7 @@ struct SweepPoint {
 
 int run(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const bool large = Flags::bench_scale() == "large";
-  const std::uint32_t columns = static_cast<std::uint32_t>(
-      flags.get_int("columns", large ? 24 : 12));
+  const auto columns = static_cast<std::uint32_t>(flags.get_int("columns", 12));
   const auto seed = flags.get_u64("seed", 1);
   const auto threads = static_cast<unsigned>(flags.get_int("threads", 0));
 

@@ -177,7 +177,8 @@ ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& cor
   World world(config, engine);
   world.set_corruption_anchor(corrupt.wave);
   world.set_trace(trace, obs.trace_pid);
-  // Seed derivation matches the historical stabilization harnesses.
+  // Seeded from the cell seed alone. The committed BENCH_*.json of the
+  // corrupt scenarios depend on this stream, so the derivation is fixed.
   Rng rng(config.seed ^ 0xFEED);
   phase_span("run", [&] { world.run_until(corrupt.wave * config.params.lambda); });
   phase_span("corrupt", [&] { world.corrupt_fraction(corrupt.fraction, rng); });

@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace gtrix {
 
 namespace {
 
-bool parse_bool_value(const std::string& v) {
+bool parse_bool_value(std::string_view name, const std::string& v) {
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("invalid boolean flag value: " + v);
+  throw std::invalid_argument("invalid boolean value for --" + std::string(name) +
+                              ": '" + v + "'");
 }
 
 }  // namespace
@@ -124,12 +124,7 @@ double Flags::get_double(std::string_view name, double def) const {
 bool Flags::get_bool(std::string_view name, bool def) const {
   const auto v = raw(name);
   if (!v) return def;
-  return parse_bool_value(*v);
-}
-
-std::string Flags::bench_scale() {
-  const char* env = std::getenv("GTRIX_BENCH_SCALE");
-  return env == nullptr ? std::string("small") : std::string(env);
+  return parse_bool_value(name, *v);
 }
 
 Usage::Usage(std::string program, std::string summary)

@@ -41,10 +41,6 @@ class Flags {
   /// ("--thread=1") instead of silently falling back to defaults.
   std::vector<std::string> names() const;
 
-  /// Environment-variable helper shared by benches: GTRIX_BENCH_SCALE.
-  /// Returns "small" (default), or whatever the variable holds.
-  static std::string bench_scale();
-
  private:
   std::optional<std::string> raw(std::string_view name) const;
 

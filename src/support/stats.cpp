@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 namespace gtrix {
 
@@ -234,65 +233,5 @@ double quantile(std::span<const double> xs, double q) {
 }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
-
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
-  LinearFit fit;
-  const std::size_t n = std::min(xs.size(), ys.size());
-  if (n < 2) return fit;
-  double sx = 0, sy = 0, sxx = 0, sxy = 0, syy = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-    syy += ys[i] * ys[i];
-  }
-  const auto dn = static_cast<double>(n);
-  const double denom = dn * sxx - sx * sx;
-  if (denom == 0.0) return fit;
-  fit.slope = (dn * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / dn;
-  const double ss_tot = syy - sy * sy / dn;
-  double ss_res = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = ys[i] - (fit.intercept + fit.slope * xs[i]);
-    ss_res += r * r;
-  }
-  fit.r2 = ss_tot > 0 ? 1.0 - ss_res / ss_tot : 1.0;
-  return fit;
-}
-
-LinearFit fit_log2(std::span<const double> xs, std::span<const double> ys) {
-  std::vector<double> lx(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) lx[i] = std::log2(xs[i]);
-  return fit_linear(lx, ys);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins == 0 ? 1 : bins, 0) {}
-
-void Histogram::add(double x) noexcept {
-  const auto nbins = counts_.size();
-  double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(nbins));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(nbins) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream out;
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  const double bin_width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double left = lo_ + bin_width * static_cast<double>(i);
-    const auto bar = counts_[i] * width / peak;
-    out << "[" << left << ", " << left + bin_width << ") ";
-    for (std::size_t j = 0; j < bar; ++j) out << '#';
-    out << " " << counts_[i] << "\n";
-  }
-  return out.str();
-}
 
 }  // namespace gtrix

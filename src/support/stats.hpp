@@ -1,9 +1,9 @@
-// Small statistics helpers used by metrics and benchmark harnesses.
+// Small statistics helpers used by the metrics and campaign layers.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace gtrix {
@@ -121,37 +121,5 @@ double quantile_sorted(std::span<const double> sorted_xs, double q);
 
 /// Convenience: median.
 double median(std::span<const double> xs);
-
-/// Ordinary least squares fit y = a + b*x; returns {a, b, r2}.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-  double r2 = 0.0;
-};
-LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys);
-
-/// Fits y = a + b*log2(x); useful for checking O(log D) scaling claims.
-LinearFit fit_log2(std::span<const double> xs, std::span<const double> ys);
-
-/// Histogram with uniform bins over [lo, hi]; values outside are clamped
-/// into the first/last bin. Used for diagnostic printing.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t total() const noexcept { return total_; }
-
-  /// Renders a compact ASCII bar chart, one line per bin.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace gtrix

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Malformed-scenario test: a bad scenario file exits 2 and names the file.
+"""Malformed-input test: a bad scenario file or flag exits 2 and names it.
 
 Writes malformed scenario documents to a temp dir and runs
 `gtrix_campaign FILE --dry-run` on each. Every run must exit 2 with stderr
 starting with the file's path and naming the fault. The runs are held to
 the address space of `ulimit -v 2000000`: an oversized sweep must be refused
 before it allocates, never grow until the host runs out of memory.
+
+A second table runs `gtrix_campaign` with malformed flags (a non-numeric
+or partly numeric value, a repeated flag, a bad boolean). Each must exit 2
+with a stderr line that names the flag.
 
 Sanitizer builds skip the address-space limit: their shadow memory alone
 reserves far more than 2 GB of address space.
@@ -65,6 +69,24 @@ CASES = {
 }
 
 
+# name -> (argv after the binary, text one stderr line must contain).
+FLAG_CASES = {
+    "threads-word": (["quickstart-grid", "--threads=abc", "--dry-run"],
+                     "--threads: 'abc'"),
+    "threads-suffix": (["quickstart-grid", "--threads=4x", "--dry-run"],
+                       "--threads: '4x'"),
+    "progress-word": (["quickstart-grid", "--progress=abc", "--dry-run"],
+                      "--progress: 'abc'"),
+    "recording-window-word": (
+        ["quickstart-grid", "--recording=streaming", "--recording-window=abc", "--dry-run"],
+        "--recording-window: 'abc'"),
+    "duplicate-out": (["quickstart-grid", "--out=a", "--out=b", "--dry-run"],
+                      "duplicate flag --out"),
+    "quiet-maybe": (["quickstart-grid", "--quiet=maybe", "--dry-run"],
+                    "--quiet: 'maybe'"),
+}
+
+
 def fail(msg):
     print(f"malformed_scenario_test: FAIL: {msg}", file=sys.stderr)
     sys.exit(1)
@@ -98,6 +120,15 @@ def main(argv):
                 fail(f"{name}: stderr does not start with the file path:\n{proc.stderr}")
             if expected not in proc.stderr:
                 fail(f"{name}: stderr lacks {expected!r}:\n{proc.stderr}")
+            print(f"malformed_scenario_test: {name}: exit 2, {proc.stderr.strip()}")
+
+        for name, (args, expected) in FLAG_CASES.items():
+            proc = subprocess.run([binary, *args], capture_output=True, text=True,
+                                  timeout=120, preexec_fn=limit)
+            if proc.returncode != 2:
+                fail(f"{name}: expected exit 2, got {proc.returncode}\n{proc.stderr}")
+            if not any(expected in line for line in proc.stderr.splitlines()):
+                fail(f"{name}: no stderr line contains {expected!r}:\n{proc.stderr}")
             print(f"malformed_scenario_test: {name}: exit 2, {proc.stderr.strip()}")
 
     print("malformed_scenario_test: OK")

@@ -86,6 +86,30 @@ TEST(FaultTolerance, TwoDistantFaultsTolerated) {
   EXPECT_LE(result.skew.max_intra, config.params.thm12_bound(result.diameter, 2));
 }
 
+TEST(FaultTolerance, StackedStaticOffsetFaultsStayWithinTheorem12Bound) {
+  // Theorem 1.2's adversary: f static-offset faults stacked in the middle
+  // column from layer 2 at stride 1, so each displacement compounds before
+  // the previous one has flattened out. The thm12-worstcase-faults scenario
+  // runs the split-fault half of this search.
+  ExperimentConfig config;
+  config.columns = 12;
+  config.layers = 16;
+  config.pulses = 18;
+  config.seed = 1;
+  const Grid grid = world_grid(config);
+  const double kappa = config.params.kappa();
+  for (std::uint32_t f = 1; f <= 4; ++f) {
+    for (const double amplitude : {2.0 * kappa, 6.0 * kappa, 12.0 * kappa}) {
+      config.faults = clustered_faults(grid, f, config.columns / 2, 2, 1,
+                                       FaultSpec::static_offset(amplitude));
+      const ExperimentResult result = run_experiment(config);
+      ASSERT_GT(result.skew.pairs_checked, 0u);
+      EXPECT_LE(result.skew.max_intra, config.params.thm12_bound(config.columns - 1, f))
+          << "f=" << f << " amplitude=" << amplitude;
+    }
+  }
+}
+
 TEST(FaultTolerance, MedianConditionHoldsUnderAllFaultKinds) {
   for (const FaultSpec& spec :
        {FaultSpec::crash(), FaultSpec::static_offset(180.0), FaultSpec::split(120.0),

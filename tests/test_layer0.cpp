@@ -81,6 +81,31 @@ TEST(Layer0Line, HopOffsetWithinLemmaA1Window) {
   }
 }
 
+TEST(Layer0Line, PulseTimesWithinLemmaA1Envelope) {
+  // t^k_i in [(k+i-1)Lambda - i kappa/2, (k+i-1)Lambda], with i = c+1 hops
+  // from the source for a node in column c.
+  ExperimentConfig config = line_config(16, 1);
+  config.pulses = 20;
+  World world(config);
+  world.run_to_completion();
+  const auto& rec = world.recorder();
+  const auto& grid = world.grid();
+  const double kappa = config.params.kappa();
+  const double lambda = config.params.lambda;
+  for (BaseNodeId v = 0; v < grid.base().node_count(); ++v) {
+    const GridNodeId g = grid.id(v, 0);
+    const std::uint32_t c = grid.base().column(v);
+    for (std::int64_t k = 2; k <= config.pulses - 1; ++k) {
+      const auto t = rec.pulse_time(g, k + c);
+      ASSERT_TRUE(t.has_value()) << grid.label(g) << " missing wave " << k;
+      const double slack = static_cast<double>(k + c) * lambda - *t;
+      EXPECT_GE(slack, -1e-6) << grid.label(g) << " wave " << k;
+      EXPECT_LE(slack, (static_cast<double>(c) + 1.0) * kappa / 2.0 + 1e-6)
+          << grid.label(g) << " wave " << k;
+    }
+  }
+}
+
 TEST(Layer0Line, LocalSkewBelowHalfKappa) {
   // L_0 <= kappa/2 in the shifted (sigma) indexing (Lemma A.1).
   const ExperimentConfig config = line_config(12, 4);

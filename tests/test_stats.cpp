@@ -213,65 +213,5 @@ TEST(LogQuantileSketchTest, ZerosAndExtremesAreHandled) {
   EXPECT_GT(sketch.memory_bytes(), 0u);
 }
 
-TEST(LinearFitTest, ExactLine) {
-  std::vector<double> xs = {1, 2, 3, 4, 5};
-  std::vector<double> ys = {3, 5, 7, 9, 11};  // y = 1 + 2x
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-9);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-9);
-}
-
-TEST(LinearFitTest, NoisyLineHasHighR2) {
-  Rng rng(2);
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 200; ++i) {
-    xs.push_back(i);
-    ys.push_back(2.0 + 0.5 * i + rng.normal(0.0, 0.5));
-  }
-  const LinearFit fit = fit_linear(xs, ys);
-  EXPECT_NEAR(fit.slope, 0.5, 0.02);
-  EXPECT_GT(fit.r2, 0.99);
-}
-
-TEST(LinearFitTest, DegenerateInputs) {
-  std::vector<double> one = {1.0};
-  EXPECT_EQ(fit_linear(one, one).slope, 0.0);
-  std::vector<double> same_x = {2.0, 2.0, 2.0};
-  std::vector<double> ys = {1.0, 2.0, 3.0};
-  EXPECT_EQ(fit_linear(same_x, ys).slope, 0.0);
-}
-
-TEST(LinearFitTest, Log2Fit) {
-  // y = 1 + 3 log2(x)
-  std::vector<double> xs = {2, 4, 8, 16, 32};
-  std::vector<double> ys = {4, 7, 10, 13, 16};
-  const LinearFit fit = fit_log2(xs, ys);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-9);
-  EXPECT_NEAR(fit.slope, 3.0, 1e-9);
-}
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps to bin 0
-  h.add(0.5);    // bin 0
-  h.add(5.0);    // bin 2
-  h.add(100.0);  // clamps to bin 4
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-}
-
-TEST(HistogramTest, RenderContainsCounts) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25);
-  h.add(0.75);
-  h.add(0.8);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find('2'), std::string::npos);
-}
-
 }  // namespace
 }  // namespace gtrix

@@ -14,6 +14,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -381,6 +382,11 @@ int main(int argc, char** argv) {
     // Malformed scenario input: the message already starts with its origin
     // (the file path for scenario files), so print it unprefixed.
     std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  } catch (const std::invalid_argument& e) {
+    // A malformed flag ("--threads=abc", a repeated "--out", "--quiet=maybe"):
+    // Flags names it in the message. A usage error, so exit 2.
+    std::fprintf(stderr, "gtrix_campaign: %s\n", e.what());
     return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gtrix_campaign: %s\n", e.what());
