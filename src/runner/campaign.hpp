@@ -56,7 +56,7 @@ struct CampaignOptions {
   /// post-recovery measurement from a bounded look-back box (insufficient
   /// look-back fails loudly). The emitted JSONL configs always describe
   /// the mode that actually ran.
-  ComponentSpec recording_override;
+  ComponentSpec recording_override{};
   /// Engine telemetry per cell (--telemetry; docs/observability.md): cells
   /// harvest EngineStats, the JSONL gains the engine-invariant
   /// `engine_stats` block and the summary the merged engine-shaped one.
@@ -74,7 +74,7 @@ struct CampaignOptions {
   /// Diagnostics only; never written to the JSONL or summary.
   double progress_seconds = 0.0;
   /// Crash-safe per-cell checkpointing (--checkpoint-dir / --resume).
-  CheckpointOptions checkpoint;
+  CheckpointOptions checkpoint{};
 };
 
 struct CampaignCell {

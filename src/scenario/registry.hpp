@@ -1,9 +1,9 @@
 // Built-in scenarios reproducing the paper's headline experiments.
 //
-// Each built-in is authored as a JSON document and validated through the
-// same Scenario::from_json path as user files, so a registry scenario and
-// its exported scenarios/<name>.json file are guaranteed to behave
-// identically. `gtrix_campaign --export=DIR` writes them out.
+// The built-ins are the files scenarios/*.json: CMakeLists.txt compiles
+// their bytes into the library, and each loads through the same
+// Scenario::from_json path as a user file. To add or change a built-in,
+// edit its file and rebuild.
 #pragma once
 
 #include <string>
@@ -19,7 +19,8 @@ struct BuiltinInfo {
   std::string_view summary;
 };
 
-/// All built-in scenario names with one-line summaries, in a fixed order.
+/// All built-in scenario names with one-line summaries (the first sentence
+/// of each description), in file-name order.
 const std::vector<BuiltinInfo>& builtin_scenarios();
 
 bool is_builtin_scenario(std::string_view name);

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "graph/base_graph.hpp"
@@ -930,10 +929,16 @@ Scenario Scenario::from_json(const Json& doc) {
 Scenario Scenario::from_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw JsonError(path + ": cannot open file");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  // Read through the stream, not its buffer: a failed read (the path names
+  // a directory, an I/O error) then sets badbit instead of passing for an
+  // empty file.
+  std::string text;
+  for (char chunk[4096]; in.read(chunk, sizeof chunk) || in.gcount() > 0;) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw JsonError(path + ": cannot read file");
   try {
-    Scenario scenario = from_json(Json::parse(buffer.str()));
+    Scenario scenario = from_json(Json::parse(text));
     scenario.origin_ = path;
     return scenario;
   } catch (const JsonError& e) {

@@ -2,10 +2,11 @@
 """Malformed-input test: a bad scenario file or flag exits 2 and names it.
 
 Writes malformed scenario documents to a temp dir and runs
-`gtrix_campaign FILE --dry-run` on each. Every run must exit 2 with stderr
-starting with the file's path and naming the fault. The runs are held to
-the address space of `ulimit -v 2000000`: an oversized sweep must be refused
-before it allocates, never grow until the host runs out of memory.
+`gtrix_campaign FILE --dry-run` on each; one "file" is a directory, which
+opens but cannot be read. Every run must exit 2 with stderr starting with
+the file's path and naming the fault. The runs are held to the address
+space of `ulimit -v 2000000`: an oversized sweep must be refused before it
+allocates, never grow until the host runs out of memory.
 
 A second table runs `gtrix_campaign` with malformed flags (a non-numeric
 or partly numeric value, a repeated flag, a bad boolean). Each must exit 2
@@ -34,8 +35,13 @@ def scenario(config=None, sweep=None):
     return doc
 
 
-# name -> (document, text stderr must contain after "<path>: ").
+# name -> (document, text stderr must contain after "<path>: "). A string
+# document is written verbatim; None makes the path a directory.
 CASES = {
+    # A read failure is not a syntax error on the empty text; an empty
+    # file is.
+    "directory": (None, "cannot read file"),
+    "empty-file": ("", "line 1, column 1: unexpected end of input"),
     # The two spellings the scenario format no longer accepts.
     "cycle-reach": (
         scenario({"base_graph": "cycle", "cycle_reach": 2}),
@@ -111,7 +117,10 @@ def main(argv):
     with tempfile.TemporaryDirectory(prefix="gtrix_malformed_") as tmp:
         for name, (doc, expected) in CASES.items():
             path = pathlib.Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(doc))
+            if doc is None:
+                path.mkdir()
+            else:
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             proc = subprocess.run([binary, str(path), "--dry-run"], capture_output=True,
                                   text=True, timeout=120, preexec_fn=limit)
             if proc.returncode != 2:

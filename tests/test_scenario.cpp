@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "scenario/registry.hpp"
@@ -546,6 +548,24 @@ TEST(Registry, DocsSurviveTextRoundTrip) {
       EXPECT_EQ(a[i].label, b[i].label);
     }
   }
+}
+
+TEST(Registry, BuiltinsMatchScenarioFiles) {
+  // The builtins are scenarios/*.json: each file holds its builtin's
+  // document under the builtin's name, byte for byte in canonical form
+  // (dump(2) plus a newline), and no builtin lacks a file.
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(GTRIX_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    ++files;
+    const std::string stem = entry.path().stem().string();
+    SCOPED_TRACE(stem);
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    EXPECT_EQ(builtin_scenario_doc(stem).dump(2) + "\n", bytes.str());
+  }
+  EXPECT_EQ(builtin_scenarios().size(), files);
 }
 
 TEST(Registry, UnknownNameListsBuiltins) {

@@ -3,7 +3,6 @@
 //   gtrix_campaign thm13-random-faults --threads=8 --out=results
 //   gtrix_campaign scenarios/*.json --threads=4
 //   gtrix_campaign --list
-//   gtrix_campaign --export=scenarios
 //
 // Each scenario expands into a config matrix, runs through the parallel
 // sweep runner, and produces <out>/<name>.jsonl (one deterministic JSON
@@ -35,7 +34,6 @@ Usage make_usage(const std::string& program) {
   usage.positional("SCENARIO", "scenario .json file or built-in name (--list)");
   usage.flag("--list", "list built-in scenarios and registered components, then exit");
   usage.flag("--describe=KIND", "show a registered component's parameter schema and exit");
-  usage.flag("--export=DIR", "write built-in scenarios as JSON files and exit");
   usage.flag("--out=DIR", "output directory (default: campaign-out)");
   usage.flag("--threads=N", "sweep worker threads (default 0 = all cores)");
   usage.flag("--shards=N",
@@ -109,11 +107,11 @@ int list_builtins() {
               "or {\"kind\": ..., <params>}):\n%s",
               components.render().c_str());
   std::printf(
-      "\ncorrupt cells honor the configured recording mode: realignment, conditions\n"
-      "and the recovery scan replay from a corruption-anchored look-back window\n"
-      "(+/-window waves around the corruption wave). An under-sized window is a\n"
-      "hard error naming the lost waves -- there is no silent fallback to full\n"
-      "recording. See docs/scaling.md, 'Realignment at scale'.\n");
+      "\ncorrupt cells honor the configured recording mode: realignment and the\n"
+      "recovery scan replay from a corruption-anchored look-back window (+/-window\n"
+      "waves around the corruption wave). An under-sized window is a hard error\n"
+      "naming the lost waves -- there is no silent fallback to full recording.\n"
+      "See docs/scaling.md, 'Realignment at scale'.\n");
   return 0;
 }
 
@@ -152,18 +150,6 @@ int describe_component(const std::string& kind) {
   return 0;
 }
 
-int export_builtins(const std::string& dir) {
-  std::filesystem::create_directories(dir);
-  for (const BuiltinInfo& info : builtin_scenarios()) {
-    const Json doc = builtin_scenario_doc(info.name);
-    const std::filesystem::path path =
-        std::filesystem::path(dir) / (std::string(info.name) + ".json");
-    write_file(path, doc.dump(2) + "\n");
-    std::printf("wrote %s\n", path.string().c_str());
-  }
-  return 0;
-}
-
 Scenario load_scenario(const std::string& ref) {
   if (is_builtin_scenario(ref)) return builtin_scenario(ref);
   return Scenario::from_file(ref);
@@ -194,16 +180,6 @@ int run(int argc, char** argv) {
       return 2;
     }
     return describe_component(kind);
-  }
-  if (flags.has("export")) {
-    const std::string dir = flags.get_string("export", "");
-    // A bare "--export" parses as the boolean value "true" -- demand a real
-    // directory rather than silently creating one named "true".
-    if (dir.empty() || dir == "true") {
-      std::fputs("error: --export requires a directory (--export=DIR)\n", stderr);
-      return 2;
-    }
-    return export_builtins(dir);
   }
 
   const std::vector<std::string>& refs = flags.positional();
