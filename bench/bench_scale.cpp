@@ -17,10 +17,12 @@
 //   bench_scale --quick --assert-rss-mb=256  # CI smoke: reduced shape
 //   bench_scale --out=BENCH_scale-grid.json
 //
-// Corrupt scenarios (scale-stabilization) replay the campaign runner's
-// corruption sequence per cell; the identity gate then also covers the
-// realigned post-recovery skew, the exact quantiles and the recovery
-// report, and every cell of the fault-density sweep must recover.
+// Every run builds its own World and drives it through run_cell, the
+// campaign's cell runner. Corrupt scenarios (scale-stabilization) therefore
+// run the campaign's corruption sequence per cell; the identity gate then
+// also covers the realigned post-recovery skew, the exact quantiles and
+// the recovery report, and every cell of the fault-density sweep must
+// recover.
 //
 // --shards=LIST adds a second sweep axis: the first recording mode re-runs
 // once per engine shard count (same fork-per-run isolation), reporting wall
@@ -56,7 +58,6 @@
 #include "obs/rss.hpp"
 #include "registry/recording.hpp"
 #include "runner/campaign.hpp"
-#include "runner/experiment.hpp"
 #include "scenario/registry.hpp"
 #include "support/flags.hpp"
 #include "support/json.hpp"
@@ -78,24 +79,11 @@ long default_budget_mb(const std::string& scenario) {
   return 0;  // no default budget for other scenarios
 }
 
-struct ModeResult {
-  std::string mode;
-  double wall_seconds = 0.0;
-  double peak_rss_mb = 0.0;
-  std::uint64_t events_executed = 0;
-  std::uint64_t messages_delivered = 0;
-  double events_per_sec = 0.0;
-  SkewReport skew;
-  std::uint64_t window_overflows = 0;
-  std::uint64_t out_of_order = 0;
-  std::uint64_t stream_bytes = 0;
-};
-
 /// Runs one cell under `mode` with `shards` engine shards in THIS process
-/// and serializes the result. Corrupt cells replay the campaign runner's
-/// sequence exactly (anchor, run to the corruption boundary, scramble,
-/// finish, measure_cell), so the reported skew is the realigned
-/// post-recovery window and the recovery scan rides in the result.
+/// and serializes the result. The World goes through the campaign's own
+/// cell runner (run_cell), so a corrupt cell reports the realigned
+/// post-recovery window with the recovery scan riding in the result; the
+/// World outlives the run for the streaming diagnostics.
 Json run_mode(const ExperimentConfig& base_config, const CorruptPlan& corrupt,
               const std::string& mode, std::uint32_t shards) {
   ExperimentConfig config = base_config;
@@ -112,28 +100,14 @@ Json run_mode(const ExperimentConfig& base_config, const CorruptPlan& corrupt,
   engine.shards = shards;
   const auto started = std::chrono::steady_clock::now();
   World world(config, engine);
-  ExperimentResult measured;
-  if (corrupt.enabled) {
-    world.set_corruption_anchor(corrupt.wave);
-    Rng rng(config.seed ^ 0xFEED);  // matches run_cell's corruption stream
-    world.run_until(corrupt.wave * config.params.lambda);
-    world.corrupt_fraction(corrupt.fraction, rng);
-    world.run_to_completion();
-    measured = measure_cell(world, config, corrupt);
-  } else {
-    world.run_to_completion();
-    measured.skew = world.skew();
-  }
+  const ExperimentResult measured = run_cell(world, corrupt);
   const SkewReport& skew = measured.skew;
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-  const ExperimentCounters counters = world.counters();
-  // Throughput is normalized by LOGICAL events: the raw executed-event count
-  // depends on broadcast batching and on how many cross-shard fan-outs the
-  // shard plan splits, so events/sec would not be comparable across shard
-  // counts otherwise.
-  const std::uint64_t logical = counters.events_executed - counters.delivery_events +
-                                counters.messages_delivered;
+  const ExperimentCounters& counters = measured.counters;
+  // Throughput is normalized by LOGICAL events, so events/sec stays
+  // comparable across shard counts.
+  const std::uint64_t logical = counters.logical_events();
 
   Json j = Json::object();
   j.set("mode", mode);

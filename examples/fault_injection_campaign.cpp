@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 #include "support/flags.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
         }
       }
       config.faults = faults;
-      const ExperimentResult result = run_experiment(config);
+      const ExperimentResult result = run_cell(config);
       skews.push_back(result.skew.max_intra);
       fault_count.add(static_cast<double>(faults.size()));
     }

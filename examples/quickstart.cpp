@@ -4,7 +4,7 @@
 //   ./quickstart [--columns N] [--layers N] [--pulses N] [--seed S]
 #include <cstdio>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 #include "support/flags.hpp"
 
 int main(int argc, char** argv) {
@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
               config.layers, config.columns - 1);
   std::printf("  params: %s\n", config.params.describe().c_str());
 
-  const gtrix::ExperimentResult result = gtrix::run_experiment(config);
+  const gtrix::ExperimentResult result = gtrix::run_cell(config);
 
   std::printf("\nresults over %lld pulses:\n", static_cast<long long>(config.pulses));
   std::printf("  local skew (intra-layer) : %8.2f   bound 4k(2+lgD) = %.2f\n",

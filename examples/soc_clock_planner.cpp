@@ -11,7 +11,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 #include "support/flags.hpp"
 #include "support/table.hpp"
 
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   std::printf("\nsampled %zu permanent faults at rate %.4f (%.1f expected)\n",
               faults.size(), fault_rate, fault_rate * grid.node_count());
 
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
 
   const double local_skew = result.skew.local_skew;
   const double component_skew = local_skew + 2.0 * tree_depth_ps;

@@ -142,9 +142,8 @@ class Network final : public TimerTarget {
   }
 
   /// Queue events spent performing deliveries (one per per-edge message,
-  /// one per batched broadcast). executed_events - delivery_events +
-  /// messages_delivered is the engine-independent logical event count the
-  /// campaign output and telemetry report.
+  /// one per batched broadcast); ExperimentCounters::logical_events
+  /// subtracts them out.
   std::uint64_t delivery_events() const noexcept;
 
   Simulator& simulator() noexcept { return sim_; }

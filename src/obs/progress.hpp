@@ -4,7 +4,7 @@
 //
 //   [quickstart-grid] 3/8 cells | 1.82M ev/s | 4.1s elapsed | eta 6.8s
 //
-// The meter is fed from the SweepRunner worker threads (cell_done is two
+// The meter is fed from the campaign's worker threads (cell_done is two
 // relaxed atomic adds -- safe from any thread, nanoseconds of work) and
 // printed from its own heartbeat thread, so a stalled cell still heartbeats
 // and the workers never block on I/O. Progress is presentation only: it

@@ -43,9 +43,15 @@ struct ExperimentCounters {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
   /// Queue events spent on deliveries (see Network::delivery_events).
-  /// events_executed - delivery_events + messages_delivered is the
-  /// engine-independent logical event count the campaign reports.
   std::uint64_t delivery_events = 0;
+
+  /// The engine-independent logical event count the campaign, telemetry
+  /// and benches report: broadcast batching and the sharded engine's
+  /// cross-shard fan-out splitting change how many queue events realize
+  /// the same deliveries, so each delivery counts once instead.
+  std::uint64_t logical_events() const noexcept {
+    return events_executed - delivery_events + messages_delivered;
+  }
 };
 
 /// What an algorithm can be asked to do. The scenario layer checks these

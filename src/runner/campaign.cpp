@@ -3,21 +3,22 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
-#include <filesystem>
-
+#include "ckpt/codec.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
-#include "runner/ckpt_runner.hpp"
+#include "runner/result_io.hpp"
+#include "runner/sweep.hpp"
 #include "support/stats.hpp"
 
 namespace gtrix {
-
-namespace {
 
 Json skew_to_json(const SkewReport& skew) {
   Json j = Json::object();
@@ -46,6 +47,36 @@ Json skew_to_json(const SkewReport& skew) {
   return j;
 }
 
+namespace {
+
+constexpr const char* kDoneFormat = "gtrix-cell-done";
+constexpr std::int64_t kDoneVersion = 1;
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Reloads a completed cell's done file (format and version checked).
+ExperimentResult read_done_file(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = ckpt_read_file(path);
+  Json doc;
+  try {
+    doc = Json::parse(std::string(bytes.begin(), bytes.end()));
+    if (!(doc.at("format") == Json(kDoneFormat))) {
+      throw CkptError(path + ": not a gtrix cell-done document (format is " +
+                      doc.at("format").dump() + ")");
+    }
+    if (doc.at("version").as_int() != kDoneVersion) {
+      throw CkptError(path + ": cell-done format version " + doc.at("version").dump() +
+                      " is not supported (this build reads version " +
+                      std::to_string(kDoneVersion) + ")");
+    }
+  } catch (const JsonError& e) {
+    throw CkptError(path + ": malformed cell-done document (" + e.what() + ")");
+  }
+  return result_from_json(doc.at("result"), path);
+}
+
 Json counters_to_json(const ExperimentCounters& counters) {
   Json j = Json::object();
   j.set("iterations", counters.iterations);
@@ -54,14 +85,11 @@ Json counters_to_json(const ExperimentCounters& counters) {
   j.set("watchdog_resets", counters.watchdog_resets);
   j.set("timeout_branches", counters.timeout_branches);
   j.set("duplicate_drops", counters.duplicate_drops);
-  // Logical events, not raw executed events: broadcast batching and the
-  // sharded engine's cross-shard fan-out splitting change how many queue
-  // events realize the same deliveries, so the raw count is engine-
-  // dependent. This normalized count is invariant across every shard
-  // count, which keeps the JSONL byte-identical across (threads, shards) --
-  // the CI determinism diffs rely on it.
-  j.set("logical_events", counters.events_executed - counters.delivery_events +
-                              counters.messages_delivered);
+  // Logical events, not raw executed events: the raw count is engine-
+  // dependent, the logical one invariant across every shard count, which
+  // keeps the JSONL byte-identical across (threads, shards) -- the CI
+  // determinism diffs rely on it.
+  j.set("logical_events", counters.logical_events());
   j.set("messages_sent", counters.messages_sent);
   j.set("messages_delivered", counters.messages_delivered);
   return j;
@@ -145,11 +173,25 @@ ExperimentResult measure_cell(World& world, const ExperimentConfig& config,
   return result;
 }
 
-ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& corrupt,
-                          EngineOptions engine, CellObs obs) {
+std::string cell_key(std::size_t index, const std::string& label) {
+  char idx[32];
+  std::snprintf(idx, sizeof(idx), "%05zu", index);
+  std::string sanitized;
+  for (const char ch : label) {
+    const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
+                    (ch >= '0' && ch <= '9') || ch == '.' || ch == '_' || ch == '-';
+    sanitized.push_back(ok ? ch : '_');
+    if (sanitized.size() >= 80) break;
+  }
+  return std::string("cell-") + idx + "-" + sanitized;
+}
+
+ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs,
+                          const CheckpointOptions& ckpt, const std::string& key) {
+  const ExperimentConfig& config = world.config();
   // Phase spans land on (cell pid, tid 0); sharded window spans nest inside
   // them on the per-shard tids. Null trace -> zero added work.
-  TraceCollector* trace = kObsCompiled && engine.telemetry ? obs.trace : nullptr;
+  TraceCollector* trace = kObsCompiled && world.engine().telemetry ? obs.trace : nullptr;
   const auto phase_span = [&](const char* name, auto&& body) {
     if (trace == nullptr) {
       body();
@@ -160,31 +202,136 @@ ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& cor
     trace->add_complete(obs.trace_pid, 0, name, t0, trace->now_us() - t0);
   };
 
-  if (!corrupt.enabled) {
-    if (trace == nullptr) return run_experiment(config, engine);
-    World world(config, engine);
-    world.set_trace(trace, obs.trace_pid);
-    phase_span("run", [&] { world.run_to_completion(); });
-    return measure_cell(world, config, corrupt);
-  }
-
   // Corrupt cells honor the configured recording mode. Under the
   // memory-bounded modes the corruption anchor pins a look-back box of
   // waves around the injection so realignment, the post-recovery skew
   // window and the recovery-time scan stay answerable after eviction --
   // with insufficient look-back they fail loudly, never silently
-  // (docs/scaling.md, "Realignment at scale").
-  World world(config, engine);
-  world.set_corruption_anchor(corrupt.wave);
+  // (docs/scaling.md, "Realignment at scale"). Config-derived, so it is set
+  // identically on fresh and resumed runs -- BEFORE restore, which replays
+  // the pinned state the snapshotted run had accumulated.
+  if (corrupt.enabled) world.set_corruption_anchor(corrupt.wave);
   world.set_trace(trace, obs.trace_pid);
+
+  const bool snapshots = !ckpt.dir.empty();
+  const std::string ckpt_path = ckpt.dir + "/" + key + ".ckpt";
+  std::uint64_t written = 0, bytes_written = 0, restored = 0;
+  double write_seconds = 0.0, restore_seconds = 0.0;
+
+  // chunk = completed sim-time chunks of length `every`; phase = 0 before
+  // the corruption boundary (always 0 for non-corrupt cells), 1 after. Both
+  // ride in the snapshot header's meta block so a resume re-enters the
+  // chunk loop exactly where the killed run left it. Boundaries are
+  // computed as every * (chunk + 1) -- an exact product, never an
+  // accumulated float sum -- so the original and the resumed run stop at
+  // bit-identical deadlines.
+  std::uint64_t chunk = 0;
+  std::uint8_t phase = 0;
+
+  if (snapshots && ckpt.resume && std::filesystem::exists(ckpt_path)) {
+    const auto t0 = std::chrono::steady_clock::now();
+    CkptFile file = CkptFile::parse(ckpt_read_file(ckpt_path), ckpt_path);
+    world.checkpoint_restore(file);
+    try {
+      const Json meta = Json::parse(file.header_json()).at("meta");
+      chunk = meta.at("chunk").as_u64();
+      phase = static_cast<std::uint8_t>(meta.at("phase").as_u64());
+    } catch (const JsonError& e) {
+      throw CkptError(ckpt_path + ": checkpoint carries no usable runner metadata (" +
+                      e.what() + ")");
+    }
+    restored = 1;
+    restore_seconds += seconds_since(t0);
+  }
+
+  const auto save = [&](double t_now) {
+    if (!snapshots) return;
+    Json meta = Json::object();
+    meta.set("t", t_now);
+    meta.set("phase", phase);
+    meta.set("chunk", static_cast<std::int64_t>(chunk));
+    meta.set("cell", key);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<std::uint8_t> image = world.checkpoint_save(meta.dump());
+    ckpt_write_file_atomic(ckpt_path, image);
+    ++written;
+    bytes_written += image.size();
+    write_seconds += seconds_since(t0);
+  };
+
   // Seeded from the cell seed alone. The committed BENCH_*.json of the
   // corrupt scenarios depend on this stream, so the derivation is fixed.
+  // It is only ever drawn from at the corruption boundary, so
+  // reconstructing it fresh on a post-corrupt resume (phase == 1) is exact.
   Rng rng(config.seed ^ 0xFEED);
-  phase_span("run", [&] { world.run_until(corrupt.wave * config.params.lambda); });
-  phase_span("corrupt", [&] { world.corrupt_fraction(corrupt.fraction, rng); });
-  phase_span("recover", [&] { world.run_to_completion(); });
+  const double corrupt_t = corrupt.wave * config.params.lambda;
+  const double every = snapshots ? ckpt.every : 0.0;
+  const double inf = std::numeric_limits<double>::infinity();
+
+  while (!world.idle() || (corrupt.enabled && phase == 0)) {
+    const char* span = phase == 0 ? "run" : "recover";
+    const double boundary = every > 0.0 ? every * static_cast<double>(chunk + 1) : inf;
+    if (corrupt.enabled && phase == 0 && corrupt_t <= boundary) {
+      phase_span("run", [&] { world.run_until(corrupt_t); });
+      phase_span("corrupt", [&] { world.corrupt_fraction(corrupt.fraction, rng); });
+      phase = 1;
+      save(corrupt_t);
+      continue;
+    }
+    if (boundary == inf) {
+      phase_span(span, [&] { world.run_to_completion(); });
+      break;
+    }
+    phase_span(span, [&] { world.run_until(boundary); });
+    ++chunk;
+    if (!world.idle()) save(boundary);
+  }
+
   ExperimentResult result;
-  phase_span("realign", [&] { result = measure_cell(world, config, corrupt); });
+  if (corrupt.enabled) {
+    phase_span("realign", [&] { result = measure_cell(world, config, corrupt); });
+  } else {
+    result = measure_cell(world, config, corrupt);
+  }
+  result.engine_stats.checkpoints_written += written;
+  result.engine_stats.checkpoint_bytes += bytes_written;
+  result.engine_stats.checkpoints_restored += restored;
+  result.engine_stats.checkpoint_write_seconds += write_seconds;
+  result.engine_stats.checkpoint_restore_seconds += restore_seconds;
+  return result;
+}
+
+ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& corrupt,
+                          EngineOptions engine, CellObs obs, const CheckpointOptions& ckpt,
+                          std::size_t index, const std::string& label) {
+  if (ckpt.dir.empty()) {
+    World world(config, engine);
+    return run_cell(world, corrupt, obs);
+  }
+  const std::string key = cell_key(index, label);
+  const std::string done_path = ckpt.dir + "/" + key + ".done.json";
+  // Completed cells are NEVER re-run on resume: reloading the done file
+  // regenerates the identical JSONL line at zero simulation cost.
+  if (ckpt.resume && std::filesystem::exists(done_path)) {
+    ExperimentResult result = read_done_file(done_path);
+    result.engine_stats.cells_resumed_done += 1;
+    return result;
+  }
+  World world(config, engine);
+  const ExperimentResult result = run_cell(world, corrupt, obs, ckpt, key);
+  // The done file is the completion marker: written atomically AFTER the
+  // result exists, so a kill at any earlier instant leaves either no file
+  // or a complete one -- never a torn marker that would wrongly skip a
+  // half-run cell on resume.
+  Json doc = Json::object();
+  doc.set("format", kDoneFormat);
+  doc.set("version", kDoneVersion);
+  doc.set("cell", key);
+  doc.set("label", label);
+  doc.set("index", static_cast<std::int64_t>(index));
+  doc.set("result", result_to_json(result));
+  const std::string text = doc.dump(2) + "\n";
+  ckpt_write_file_atomic(done_path, std::vector<std::uint8_t>(text.begin(), text.end()));
   return result;
 }
 
@@ -199,30 +346,29 @@ CampaignResult run_campaign(const Scenario& scenario, const CampaignOptions& opt
       options.recording_override.empty()
           ? ComponentSpec{}
           : recording_registry().canonicalize(options.recording_override);
+  campaign.cells.reserve(cells.size());
   for (ScenarioCell& cell : cells) {
     // Every cell -- corrupt or not -- runs the mode its config says (the
     // historical silent rewrite of corrupt cells to full recording is gone;
     // corruption-anchored retention answers realignment from the bounded
     // trace). The JSONL therefore always describes the mode that ran.
     if (!canonical_override.empty()) cell.config.recording_spec = canonical_override;
+    campaign.cells.push_back(
+        CampaignCell{std::move(cell.label), std::move(cell.config), cell.corrupt, {}});
   }
-  std::vector<ExperimentConfig> configs;
-  configs.reserve(cells.size());
-  for (const ScenarioCell& cell : cells) configs.push_back(cell.config);
+  const std::size_t n = campaign.cells.size();
 
-  const SweepRunner runner(SweepOptions{options.threads});
   // parallel_for_index never spawns more workers than there is work.
-  campaign.threads_used = static_cast<unsigned>(
-      std::min<std::size_t>(runner.thread_count(), std::max<std::size_t>(1, cells.size())));
+  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
+  campaign.threads_used = static_cast<unsigned>(std::min<std::size_t>(
+      options.threads != 0 ? options.threads : hardware, std::max<std::size_t>(1, n)));
   // Nested-parallelism budget: sweep workers x shard threads stays within
   // hardware concurrency. Shard counts are behaviour-neutral (bit-identical
   // results), so clamping only changes the thread layout, never the output.
   const std::uint32_t requested_shards =
       options.shards != 0 ? options.shards : scenario.engine_shards();
-  const unsigned hardware = std::max(1u, std::thread::hardware_concurrency());
   campaign.shards_used = std::max<std::uint32_t>(
-      1, std::min<std::uint32_t>(requested_shards,
-                                 hardware / std::max(1u, campaign.threads_used)));
+      1, std::min<std::uint32_t>(requested_shards, hardware / campaign.threads_used));
   EngineOptions engine;
   engine.shards = campaign.shards_used;
   engine.telemetry = kObsCompiled && (options.telemetry || options.trace != nullptr);
@@ -230,9 +376,9 @@ CampaignResult run_campaign(const Scenario& scenario, const CampaignOptions& opt
   TraceCollector* trace = engine.telemetry ? options.trace : nullptr;
   if (trace != nullptr) {
     trace->set_process_name(1, "campaign " + campaign.scenario);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       trace->set_process_name(options.trace_pid_base + static_cast<std::uint32_t>(i),
-                              campaign.scenario + "/" + cells[i].label);
+                              campaign.scenario + "/" + campaign.cells[i].label);
     }
   }
   if (!options.checkpoint.dir.empty()) {
@@ -240,44 +386,26 @@ CampaignResult run_campaign(const Scenario& scenario, const CampaignOptions& opt
   }
   std::unique_ptr<ProgressMeter> progress;
   if (options.progress_seconds > 0.0) {
-    progress = std::make_unique<ProgressMeter>(campaign.scenario, cells.size(),
-                                               options.progress_seconds);
+    progress = std::make_unique<ProgressMeter>(campaign.scenario, n, options.progress_seconds);
   }
 
-  const std::vector<ExperimentResult> results = runner.run(
-      configs, [&](const ExperimentConfig& config, std::size_t i) {
-        CellObs obs;
-        if (trace != nullptr) {
-          obs.trace = trace;
-          obs.trace_pid = options.trace_pid_base + static_cast<std::uint32_t>(i);
-        }
-        const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-        ExperimentResult r =
-            options.checkpoint.dir.empty()
-                ? run_cell(config, cells[i].corrupt, engine, obs)
-                : run_cell_checkpointed(config, cells[i].corrupt, options.checkpoint, i,
-                                        cells[i].label, engine, obs);
-        const std::uint64_t logical = r.counters.events_executed -
-                                      r.counters.delivery_events +
-                                      r.counters.messages_delivered;
-        if (trace != nullptr) {
-          trace->add_complete(1, trace->tid_for_current_thread(), cells[i].label, t0,
-                              trace->now_us() - t0,
-                              static_cast<std::int64_t>(logical));
-        }
-        if (progress) progress->cell_done(logical);
-        return r;
-      });
-
-  campaign.cells.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    CampaignCell out;
-    out.label = std::move(cells[i].label);
-    out.config = std::move(cells[i].config);
-    out.corrupt = cells[i].corrupt;
-    out.result = results[i];
-    campaign.cells.push_back(std::move(out));
-  }
+  parallel_for_index(n, campaign.threads_used, [&](std::size_t i) {
+    CampaignCell& cell = campaign.cells[i];
+    CellObs obs;
+    if (trace != nullptr) {
+      obs.trace = trace;
+      obs.trace_pid = options.trace_pid_base + static_cast<std::uint32_t>(i);
+    }
+    const double t0 = trace != nullptr ? trace->now_us() : 0.0;
+    cell.result = run_cell(cell.config, cell.corrupt, engine, obs, options.checkpoint, i,
+                           cell.label);
+    const std::uint64_t logical = cell.result.counters.logical_events();
+    if (trace != nullptr) {
+      trace->add_complete(1, trace->tid_for_current_thread(), cell.label, t0,
+                          trace->now_us() - t0, static_cast<std::int64_t>(logical));
+    }
+    if (progress) progress->cell_done(logical);
+  });
 
   campaign.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();

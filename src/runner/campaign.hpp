@@ -1,5 +1,7 @@
-// Campaign execution: expand a Scenario's config matrix, fan it through the
-// parallel SweepRunner, and emit machine-readable results.
+// Cell and campaign execution. run_cell takes one cell from config to
+// ExperimentResult -- plain, traced or checkpointed; run_campaign expands a
+// Scenario's config matrix, fans the cells across parallel_for_index
+// workers, and emits machine-readable results.
 //
 // Two output artifacts per campaign:
 //  * JSONL -- one compact JSON object per cell, in cell order. Contains only
@@ -12,12 +14,14 @@
 //    which is why it lives here and never in the JSONL.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "runner/sweep.hpp"
+#include "runner/experiment.hpp"
 #include "scenario/spec.hpp"
+#include "support/json.hpp"
 
 namespace gtrix {
 
@@ -25,9 +29,8 @@ class TraceCollector;
 
 /// Per-cell checkpointing for crash-safe campaigns (docs/checkpointing.md).
 /// An empty `dir` disables the subsystem entirely; with a directory set,
-/// cells run through run_cell_checkpointed (runner/ckpt_runner.hpp), which
-/// snapshots at sim-time boundaries and records finished cells as done
-/// files. Resumed runs reproduce byte-identical JSONL output.
+/// run_cell snapshots at sim-time boundaries and records finished cells as
+/// done files. Resumed runs reproduce byte-identical JSONL output.
 struct CheckpointOptions {
   std::string dir;     ///< checkpoint/done-file directory; empty = off
   /// Simulated time between snapshots (--checkpoint-every). <= 0 means no
@@ -93,28 +96,64 @@ struct CampaignResult {
 };
 
 /// Per-cell observers (campaign internals; defaulted so direct run_cell
-/// callers -- tests, bench_perf -- are untouched). Only honored when
-/// `engine.telemetry` is set and GTRIX_OBS is compiled in.
+/// callers -- tests, benches -- are untouched). Only honored when the
+/// World's EngineOptions::telemetry is set and GTRIX_OBS is compiled in.
 struct CellObs {
   TraceCollector* trace = nullptr;  ///< non-owning
   std::uint32_t trace_pid = 0;      ///< trace process id for this cell
 };
 
-/// Runs one cell, honoring an optional mid-run corruption plan (the
-/// Theorem 1.6 workload: run to wave * lambda, scramble `fraction` of all
-/// nodes, run out, realign labels, then measure -- in the configured
-/// recording mode; memory-bounded modes pin a corruption-anchored look-back
-/// box). `engine` selects shards and telemetry; results are
-/// bit-identical for every engine.
-ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& corrupt,
-                          EngineOptions engine = {}, CellObs obs = {});
+/// Stable per-cell artifact key: "cell-<zero-padded index>-<sanitized
+/// label>" (characters outside [A-Za-z0-9._-] become '_', long labels are
+/// truncated). Cell order is deterministic, so the key names the same cell
+/// in the original run and in every resume.
+std::string cell_key(std::size_t index, const std::string& label);
+
+/// Runs one cell from config to result: builds the World (`engine` selects
+/// shards and telemetry; results are bit-identical for every engine) and
+/// drives it through the World-level run_cell below.
+///
+/// With `ckpt.dir` set the cell is crash-safe. Its artifacts live in
+/// `ckpt.dir` under cell_key(index, label): <key>.ckpt (newest snapshot;
+/// kept after completion for inspection) and <key>.done.json (completion
+/// marker + full result, written atomically after the result exists). A
+/// campaign killed at ANY point and rerun with resume=true reproduces the
+/// exact bytes of an uninterrupted run: completed cells reload their done
+/// file (the result_io round trip is bit-exact, so the cell never runs
+/// twice), incomplete ones restore the newest snapshot and continue
+/// (tests/kill_resume_test.py SIGKILLs real campaigns to prove it). Throws
+/// CkptError on corrupt or mismatched artifacts when resuming.
+ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& corrupt = {},
+                          EngineOptions engine = {}, CellObs obs = {},
+                          const CheckpointOptions& ckpt = {}, std::size_t index = 0,
+                          const std::string& label = "base");
+
+/// The World-level half of run_cell: drives a freshly constructed `world`
+/// through the cell and measures it. Honors an optional mid-run corruption
+/// plan (the Theorem 1.6 workload: run to wave * lambda, scramble
+/// `fraction` of all nodes, run out, realign labels, then measure -- in the
+/// configured recording mode; memory-bounded modes pin a
+/// corruption-anchored look-back box). With `ckpt.dir` set the run advances
+/// in sim-time chunks of `ckpt.every` and snapshots the world to
+/// <ckpt.dir>/<key>.ckpt at each chunk boundary and at the corruption
+/// boundary (resume=true first restores that snapshot); without it the
+/// chunk loop reduces to run_until -> corrupt_fraction ->
+/// run_to_completion. Each step is a phase span ("run", "corrupt",
+/// "recover", "realign") when `obs.trace` is set. Callers that need the
+/// World afterwards (bench_scale's streaming diagnostics) use this half.
+ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs = {},
+                          const CheckpointOptions& ckpt = {}, const std::string& key = {});
 
 /// Harvests a cell's final measurement from a COMPLETED world: for corrupt
 /// cells realigns wave labels and measures the post-recovery sub-window,
-/// otherwise the default window. Shared by run_cell and the checkpointed
-/// runner so a resumed cell measures exactly like an uninterrupted one.
+/// otherwise the default window.
 ExperimentResult measure_cell(World& world, const ExperimentConfig& config,
                               const CorruptPlan& corrupt);
+
+/// The campaign JSONL `skew` object of one cell: the one serializer of a
+/// SkewReport, which the identity checks (bench_perf's gates, the
+/// checkpoint and sharding tests) also compare byte for byte.
+Json skew_to_json(const SkewReport& skew);
 
 /// Expands and runs the whole scenario matrix in parallel.
 CampaignResult run_campaign(const Scenario& scenario, const CampaignOptions& options = {});

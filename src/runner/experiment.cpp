@@ -459,8 +459,7 @@ EngineStats World::engine_stats() const {
 
   // Engine-invariant block (JSONL-safe; see obs/telemetry.hpp).
   const ExperimentCounters c = counters();
-  stats.set(ObsCounter::kLogicalEvents,
-            c.events_executed - c.delivery_events + c.messages_delivered);
+  stats.set(ObsCounter::kLogicalEvents, c.logical_events());
   stats.set(ObsCounter::kMessagesSent, c.messages_sent);
   stats.set(ObsCounter::kMessagesDelivered, c.messages_delivered);
   stats.set(ObsCounter::kNodeIterations, c.iterations);
@@ -623,18 +622,5 @@ GradientTrixNode* World::gradient_node(GridNodeId g) {
   return model == nullptr ? nullptr : model->gradient();
 }
 Layer0LineNode* World::layer0_node(GridNodeId g) { return layer0_by_grid_.at(g); }
-
-ExperimentResult run_experiment(const ExperimentConfig& config, EngineOptions engine) {
-  World world(config, engine);
-  world.run_to_completion();
-  ExperimentResult result;
-  result.skew = world.skew();
-  result.counters = world.counters();
-  result.diameter = world.grid().base().diameter();
-  result.thm11_bound = config.params.thm11_bound(result.diameter);
-  result.global_bound = config.params.global_skew_bound(result.diameter);
-  result.engine_stats = world.engine_stats();
-  return result;
-}
 
 }  // namespace gtrix

@@ -125,9 +125,9 @@ struct EngineOptions {
   bool telemetry = false;
 };
 
-/// A fully wired simulated system. Most callers use run_experiment(); the
-/// class is exposed for experiments needing custom control (e.g. corrupting
-/// node state mid-run for Theorem 1.6).
+/// A fully wired simulated system. Most callers use run_cell()
+/// (runner/campaign.hpp); the class is exposed for experiments needing
+/// custom control (e.g. corrupting node state mid-run for Theorem 1.6).
 class World {
  public:
   explicit World(ExperimentConfig config, EngineOptions engine = {});
@@ -156,6 +156,7 @@ class World {
   void corrupt_fraction(double fraction, Rng& rng);
 
   const ExperimentConfig& config() const noexcept { return config_; }
+  const EngineOptions& engine() const noexcept { return engine_; }
   const ResolvedComponents& components() const noexcept { return components_; }
   const Grid& grid() const noexcept { return grid_; }
   Simulator& simulator() noexcept { return sim_; }
@@ -389,8 +390,5 @@ struct ExperimentResult {
   /// enabled == false unless EngineOptions::telemetry was set.
   EngineStats engine_stats;
 };
-
-/// Builds, runs and summarizes in one call.
-ExperimentResult run_experiment(const ExperimentConfig& config, EngineOptions engine = {});
 
 }  // namespace gtrix

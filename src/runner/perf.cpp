@@ -6,27 +6,9 @@
 #include <limits>
 #include <vector>
 
-#include "runner/ckpt_runner.hpp"
 #include "support/check.hpp"
 
 namespace gtrix {
-
-std::string skew_digest(const ExperimentResult& result) {
-  const SkewReport& skew = result.skew;
-  Json j = Json::object();
-  j.set("max_intra", skew.max_intra);
-  j.set("max_inter", skew.max_inter);
-  j.set("local", skew.local_skew);
-  j.set("global", skew.global_skew);
-  j.set("sigma_lo", skew.sigma_lo);
-  j.set("sigma_hi", skew.sigma_hi);
-  j.set("pairs_checked", skew.pairs_checked);
-  j.set("pairs_skipped", skew.pairs_skipped);
-  Json by_layer = Json::array();
-  for (const double v : skew.intra_by_layer) by_layer.push_back(v);
-  j.set("intra_by_layer", std::move(by_layer));
-  return j.dump();
-}
 
 TelemetryOverheadReport run_telemetry_overhead(const Scenario& scenario, int repeats) {
   GTRIX_CHECK_MSG(repeats >= 1, "perf repeats must be >= 1");
@@ -61,7 +43,7 @@ TelemetryOverheadReport run_telemetry_overhead(const Scenario& scenario, int rep
           best[i],
           std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
               .count());
-      pass_digests.push_back(skew_digest(result));
+      pass_digests.push_back(skew_to_json(result.skew).dump());
     }
     if (digests.empty()) {
       digests = std::move(pass_digests);
@@ -139,7 +121,7 @@ CheckpointOverheadReport run_checkpoint_overhead(const Scenario& scenario, int r
           plain_best[i],
           std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
               .count());
-      digests.push_back(skew_digest(result));
+      digests.push_back(skew_to_json(result.skew).dump());
     }
     if (plain_digests.empty()) {
       plain_digests = std::move(digests);
@@ -156,7 +138,7 @@ CheckpointOverheadReport run_checkpoint_overhead(const Scenario& scenario, int r
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const auto started = std::chrono::steady_clock::now();
       const ExperimentResult result =
-          run_cell_checkpointed(cells[i].config, cells[i].corrupt, ckpt, i, cells[i].label);
+          run_cell(cells[i].config, cells[i].corrupt, {}, {}, ckpt, i, cells[i].label);
       ckpt_best[i] = std::min(
           ckpt_best[i],
           std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
@@ -164,7 +146,7 @@ CheckpointOverheadReport run_checkpoint_overhead(const Scenario& scenario, int r
       written += result.engine_stats.checkpoints_written;
       bytes += result.engine_stats.checkpoint_bytes;
       write_seconds += result.engine_stats.checkpoint_write_seconds;
-      digests.push_back(skew_digest(result));
+      digests.push_back(skew_to_json(result.skew).dump());
     }
     // Snapshot count and size are deterministic; only the timings vary.
     if (ckpt_digests.empty()) {
@@ -213,10 +195,10 @@ CheckpointOverheadReport run_checkpoint_overhead(const Scenario& scenario, int r
   const auto started = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ExperimentResult result =
-        run_cell_checkpointed(cells[i].config, cells[i].corrupt, resume, i, cells[i].label);
+        run_cell(cells[i].config, cells[i].corrupt, {}, {}, resume, i, cells[i].label);
     report.checkpoints_restored += result.engine_stats.checkpoints_restored;
     report.checkpoint_restore_seconds += result.engine_stats.checkpoint_restore_seconds;
-    resumed_digests.push_back(skew_digest(result));
+    resumed_digests.push_back(skew_to_json(result.skew).dump());
   }
   report.restore_wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();

@@ -1,6 +1,7 @@
 // Performance gates behind bench_perf: the telemetry-overhead and
 // checkpoint-cost comparisons, each with a bit-identity check on the skew
-// outputs of every cell. Absolute per-layer host time is measured by
+// outputs of every cell (the bytes of the campaign JSONL skew object,
+// skew_to_json). Absolute per-layer host time is measured by
 // hostbench/ (docs/performance.md).
 #pragma once
 
@@ -12,10 +13,6 @@
 #include "support/json.hpp"
 
 namespace gtrix {
-
-/// Serializes one cell's skew report to the exact byte string the identity
-/// checks compare (the campaign JSONL skew object).
-std::string skew_digest(const ExperimentResult& result);
 
 /// Telemetry overhead measurement (the CI "telemetry is ~free" gate; see
 /// docs/observability.md). Runs every cell with telemetry off and on,
@@ -41,7 +38,7 @@ Json telemetry_overhead_json(const TelemetryOverheadReport& report);
 /// gate; see docs/checkpointing.md). Runs every cell plain vs checkpointed
 /// (periodic snapshots to `scratch_dir`), alternating order per repeat, then
 /// one resume pass that restores each cell from its newest snapshot. All
-/// three paths must produce bit-identical skew digests.
+/// three paths must produce bit-identical skew objects.
 struct CheckpointOverheadReport {
   std::string scenario;
   std::size_t cells = 0;

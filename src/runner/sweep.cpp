@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "support/check.hpp"
 
@@ -57,25 +57,6 @@ void parallel_for_index(std::size_t n, unsigned threads,
   for (unsigned w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
   if (first_error) std::rethrow_exception(first_error);
-}
-
-SweepRunner::SweepRunner(SweepOptions options)
-    : threads_(resolve_threads(options.threads, std::numeric_limits<std::size_t>::max())) {}
-
-std::vector<ExperimentResult> SweepRunner::run(
-    const std::vector<ExperimentConfig>& configs) const {
-  return run(configs, [](const ExperimentConfig& config, std::size_t /*index*/) {
-    return run_experiment(config);
-  });
-}
-
-std::vector<ExperimentResult> SweepRunner::run(
-    const std::vector<ExperimentConfig>& configs,
-    const std::function<ExperimentResult(const ExperimentConfig&, std::size_t)>& fn) const {
-  std::vector<ExperimentResult> results(configs.size());
-  parallel_for_index(configs.size(), threads_,
-                     [&](std::size_t i) { results[i] = fn(configs[i], i); });
-  return results;
 }
 
 }  // namespace gtrix

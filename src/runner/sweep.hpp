@@ -1,23 +1,19 @@
-// Parallel experiment sweep execution.
+// Parallel index fan-out for independent simulations.
 //
-// Parameter sweeps run thousands of independent discrete-event simulations
-// (grid sizes x seeds x fault plans). Each experiment owns its Simulator,
-// Network and Recorder, so a sweep is embarrassingly parallel: SweepRunner
-// fans the configs across a pool of std::thread workers pulling from a
-// shared atomic cursor, and writes each result into the slot matching its
-// input index.
+// Parameter sweeps run many independent discrete-event simulations (grid
+// sizes x seeds x fault plans). Each one owns its World, so a sweep is
+// embarrassingly parallel: parallel_for_index fans the indices across a
+// pool of std::thread workers pulling from a shared atomic cursor, and each
+// body writes only the result slot matching its index.
 //
-// Determinism: every experiment derives all randomness from its own config
-// seed and shares no mutable state with its siblings, so per-config results
-// are bit-identical no matter how many workers run the sweep or how the
-// configs interleave (test_sweep.cpp asserts 1 thread == N threads).
+// Determinism: every cell derives all randomness from its own config seed
+// and shares no mutable state with its siblings, so per-cell results are
+// bit-identical no matter how many workers run the sweep or how the cells
+// interleave (test_sweep.cpp asserts 1 thread == N threads).
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <vector>
-
-#include "runner/experiment.hpp"
 
 namespace gtrix {
 
@@ -27,32 +23,5 @@ namespace gtrix {
 /// calling thread after all workers have joined.
 void parallel_for_index(std::size_t n, unsigned threads,
                         const std::function<void(std::size_t)>& fn);
-
-struct SweepOptions {
-  /// Worker threads; 0 resolves to std::thread::hardware_concurrency().
-  unsigned threads = 0;
-};
-
-class SweepRunner {
- public:
-  explicit SweepRunner(SweepOptions options = {});
-
-  /// Runs every config through run_experiment(); results are returned in
-  /// input order regardless of completion order.
-  std::vector<ExperimentResult> run(const std::vector<ExperimentConfig>& configs) const;
-
-  /// Same fan-out with a custom per-config experiment body. `fn` is called
-  /// concurrently from worker threads and must not touch shared mutable
-  /// state (it receives the config by const reference and its input index).
-  std::vector<ExperimentResult> run(
-      const std::vector<ExperimentConfig>& configs,
-      const std::function<ExperimentResult(const ExperimentConfig&, std::size_t)>& fn) const;
-
-  /// The resolved worker count a run() call will use.
-  unsigned thread_count() const noexcept { return threads_; }
-
- private:
-  unsigned threads_;
-};
 
 }  // namespace gtrix

@@ -54,91 +54,6 @@ double Summary::max() const noexcept {
   return n_ == 0 ? std::numeric_limits<double>::quiet_NaN() : max_;
 }
 
-P2Quantile::P2Quantile(double q) : q_(std::clamp(q, 0.0, 1.0)) {
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q_;
-  desired_[2] = 1.0 + 4.0 * q_;
-  desired_[3] = 3.0 + 2.0 * q_;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q_ / 2.0;
-  increments_[2] = q_;
-  increments_[3] = (1.0 + q_) / 2.0;
-  increments_[4] = 1.0;
-}
-
-void P2Quantile::add(double x) noexcept {
-  if (n_ < 5) {
-    // Bootstrap: collect the first five observations sorted; the estimate
-    // is exact order statistics until the markers take over.
-    heights_[n_] = x;
-    ++n_;
-    std::sort(heights_, heights_ + n_);
-    if (n_ == 5) {
-      for (int i = 0; i < 5; ++i) positions_[i] = static_cast<double>(i + 1);
-    }
-    return;
-  }
-
-  // Locate the cell k the new observation falls into, extending extremes.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-  ++n_;
-
-  // Adjust the three interior markers toward their desired positions via
-  // the piecewise-parabolic (P^2) height update, falling back to linear
-  // interpolation when the parabolic step would leave the height ordered
-  // inconsistently with its neighbours.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double step_up = positions_[i + 1] - positions_[i];
-    const double step_dn = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && step_up > 1.0) || (d <= -1.0 && step_dn < -1.0)) {
-      const double sign = d >= 1.0 ? 1.0 : -1.0;
-      const double np = positions_[i];
-      const double parabolic =
-          heights_[i] +
-          sign / (positions_[i + 1] - positions_[i - 1]) *
-              ((np - positions_[i - 1] + sign) * (heights_[i + 1] - heights_[i]) /
-                   (positions_[i + 1] - np) +
-               (positions_[i + 1] - np - sign) * (heights_[i] - heights_[i - 1]) /
-                   (np - positions_[i - 1]));
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        heights_[i] = parabolic;
-      } else {
-        const int j = i + static_cast<int>(sign);
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const noexcept {
-  if (n_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  if (n_ < 5) {
-    // Exact type-7 quantile over the sorted bootstrap buffer.
-    const double pos = q_ * static_cast<double>(n_ - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const auto hi = std::min(lo + 1, n_ - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return heights_[lo] * (1.0 - frac) + heights_[hi] * frac;
-  }
-  return heights_[2];
-}
-
 LogQuantileSketch::LogQuantileSketch(double relative_error) {
   const double e = std::clamp(relative_error, 1e-4, 0.5);
   gamma_ = (1.0 + e) / (1.0 - e);

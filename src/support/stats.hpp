@@ -41,45 +41,16 @@ class Summary {
   double sum_ = 0.0;
 };
 
-/// Streaming quantile estimator (Jain & Chlamtac's P-squared algorithm):
-/// five markers track the target quantile in O(1) memory and O(1) time per
-/// observation, independent of stream length. Exact for the first five
-/// observations, an estimate afterwards; the error is a property of the
-/// sample distribution, not of the stream length (typically well under a
-/// few percent of the sample range for unimodal data -- see
-/// docs/scaling.md, "Quantile estimator error"). Deterministic: the same
-/// observation sequence always yields the same estimate, so streaming-mode
-/// campaign output stays byte-stable across thread counts.
-class P2Quantile {
- public:
-  /// `q` in (0, 1): the target quantile (0.5 = median).
-  explicit P2Quantile(double q);
-
-  void add(double x) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  bool empty() const noexcept { return n_ == 0; }
-
-  /// Current estimate; NaN while empty. Exact while count() <= 5.
-  double value() const noexcept;
-
- private:
-  double q_;
-  std::size_t n_ = 0;
-  double heights_[5] = {};        ///< marker heights q_0..q_4
-  double positions_[5] = {};      ///< actual marker positions n_i
-  double desired_[5] = {};        ///< desired marker positions n'_i
-  double increments_[5] = {};     ///< dn'_i per observation
-};
-
 /// Streaming quantile sketch over non-negative values with a GUARANTEED
 /// relative value error (DDSketch-style logarithmic binning): each
 /// observation lands in the bin whose geometric midpoint is within
 /// `relative_error` of it, so any reported quantile is within
 /// `relative_error` of a true order statistic at that rank -- independent
 /// of the distribution's shape. This is what the streaming metrics path
-/// uses for skew-deviation percentiles: unlike P-squared markers, the
-/// bound holds for multimodal and point-mass distributions too (the Fig. 5
-/// oscillation workload wedges P2's p90 marker; see docs/scaling.md).
+/// uses for skew-deviation percentiles: unlike the P-squared markers it
+/// replaced, the bound holds for multimodal and point-mass distributions
+/// too (the Fig. 5 oscillation workload wedges P2's p90 marker; see
+/// docs/scaling.md).
 /// Memory is a fixed ~2000-bin count array; fully deterministic.
 class LogQuantileSketch {
  public:

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/hex.hpp"
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 
 namespace gtrix {
 namespace {
@@ -22,7 +22,7 @@ ExperimentConfig trix_config(std::uint32_t columns, std::uint64_t seed) {
 }
 
 TEST(TrixNaive, RunsCleanlyWithRandomDelays) {
-  const ExperimentResult result = run_experiment(trix_config(8, 1));
+  const ExperimentResult result = run_cell(trix_config(8, 1));
   EXPECT_GT(result.skew.pairs_checked, 0u);
   // Random symmetric delays: skew stays small (a few u).
   EXPECT_LT(result.skew.max_intra, 100.0);
@@ -34,7 +34,7 @@ TEST(TrixNaive, AccumulatesSkewUnderSplitDelays) {
   ExperimentConfig config = trix_config(12, 2);
   config.delay_spec = ComponentSpec::of("column-split");
   config.delay_spec.params.set("split_column", 6);
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   const auto& profile = result.skew.intra_by_layer;
   // Skew at the last layer is much larger than in early layers.
   EXPECT_GT(profile.back(), 3.0 * profile[2]);
@@ -46,9 +46,9 @@ TEST(TrixNaive, GradientTrixBeatsItUnderSplitDelays) {
   ExperimentConfig config = trix_config(12, 3);
   config.delay_spec = ComponentSpec::of("column-split");
   config.delay_spec.params.set("split_column", 6);
-  const ExperimentResult naive = run_experiment(config);
+  const ExperimentResult naive = run_cell(config);
   config.algorithm_spec = ComponentSpec::of("gradient-full");
-  const ExperimentResult gradient = run_experiment(config);
+  const ExperimentResult gradient = run_cell(config);
   EXPECT_LT(gradient.skew.intra_by_layer.back(), naive.skew.intra_by_layer.back());
 }
 
@@ -136,7 +136,7 @@ TEST(GradientVsHex, GradientAbsorbsCrashCheaper) {
   config.pulses = 16;
   config.seed = 5;
   config.faults = {{6, 5, FaultSpec::crash()}};
-  const ExperimentResult gradient = run_experiment(config);
+  const ExperimentResult gradient = run_cell(config);
 
   EXPECT_LT(gradient.skew.max_intra, hex_result.max_intra / 2.0);
 }

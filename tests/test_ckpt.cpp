@@ -1,4 +1,4 @@
-// Checkpoint subsystem harness (src/ckpt/, runner/ckpt_runner.hpp): a world
+// Checkpoint subsystem harness (src/ckpt/, run_cell's checkpointing): a world
 // snapshotted mid-run and restored into a freshly constructed world must
 // continue bit-identically -- same skew digest, same counters -- at every
 // shard count, including mid-run corruption and streaming recording. Plus
@@ -15,9 +15,7 @@
 
 #include "ckpt/codec.hpp"
 #include "runner/campaign.hpp"
-#include "runner/ckpt_runner.hpp"
 #include "runner/experiment.hpp"
-#include "runner/perf.hpp"
 #include "runner/result_io.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
@@ -96,7 +94,7 @@ void expect_roundtrip_identical(const ExperimentConfig& config, EngineOptions en
   }
   resumed.run_to_completion();
   const ExperimentResult result = measure_cell(resumed, config, {});
-  EXPECT_EQ(skew_digest(result), skew_digest(baseline)) << what;
+  EXPECT_EQ(skew_to_json(result.skew).dump(), skew_to_json(baseline.skew).dump()) << what;
   EXPECT_EQ(counters_digest(result), counters_digest(baseline)) << what;
 }
 
@@ -122,13 +120,13 @@ TEST(Ckpt, RestoreContinuesBitIdenticallyUnderStreamingRecording) {
 }
 
 TEST(Ckpt, RestoreAtEveryBoundaryMatchesUninterruptedRun) {
-  // Simulated kill-at-boundary: run the checkpointed runner to completion
+  // Simulated kill-at-boundary: run the checkpointed cell to completion
   // once per boundary count, each time taking the snapshot left by an
   // earlier prefix and resuming it in a fresh runner invocation. Resumed
   // results must match the plain run_cell result exactly.
   const ExperimentConfig config = tiny_config();
   const double every = 2.0 * config.params.lambda;
-  const std::string baseline = skew_digest(run_cell(config, {}));
+  const std::string baseline = skew_to_json(run_cell(config, {}).skew).dump();
 
   for (const std::uint32_t shards : {1u, 2u}) {
     EngineOptions engine;
@@ -139,9 +137,8 @@ TEST(Ckpt, RestoreAtEveryBoundaryMatchesUninterruptedRun) {
     CheckpointOptions opts;
     opts.dir = dir.string();
     opts.every = every;
-    const ExperimentResult chunked =
-        run_cell_checkpointed(config, {}, opts, 0, "base", engine);
-    EXPECT_EQ(skew_digest(chunked), baseline) << shards << " shards";
+    const ExperimentResult chunked = run_cell(config, {}, engine, {}, opts, 0, "base");
+    EXPECT_EQ(skew_to_json(chunked.skew).dump(), baseline) << shards << " shards";
     EXPECT_GT(chunked.engine_stats.checkpoints_written, 0u);
     EXPECT_GT(chunked.engine_stats.checkpoint_bytes, 0u);
     ASSERT_TRUE(std::filesystem::exists(dir / "cell-00000-base.ckpt"));
@@ -151,15 +148,13 @@ TEST(Ckpt, RestoreAtEveryBoundaryMatchesUninterruptedRun) {
     // resume must restore (not restart) and land on the same bytes.
     std::filesystem::remove(dir / "cell-00000-base.done.json");
     opts.resume = true;
-    const ExperimentResult resumed =
-        run_cell_checkpointed(config, {}, opts, 0, "base", engine);
-    EXPECT_EQ(skew_digest(resumed), baseline) << shards << " shards resumed";
+    const ExperimentResult resumed = run_cell(config, {}, engine, {}, opts, 0, "base");
+    EXPECT_EQ(skew_to_json(resumed.skew).dump(), baseline) << shards << " shards resumed";
     EXPECT_EQ(resumed.engine_stats.checkpoints_restored, 1u);
 
     // Completed cell: resume short-circuits to the done file, zero re-run.
-    const ExperimentResult reloaded =
-        run_cell_checkpointed(config, {}, opts, 0, "base", engine);
-    EXPECT_EQ(skew_digest(reloaded), baseline) << shards << " shards reloaded";
+    const ExperimentResult reloaded = run_cell(config, {}, engine, {}, opts, 0, "base");
+    EXPECT_EQ(skew_to_json(reloaded.skew).dump(), baseline) << shards << " shards reloaded";
     EXPECT_EQ(reloaded.engine_stats.cells_resumed_done, 1u);
     EXPECT_EQ(counters_digest(reloaded), counters_digest(resumed));
     std::filesystem::remove_all(dir);
@@ -169,7 +164,7 @@ TEST(Ckpt, RestoreAtEveryBoundaryMatchesUninterruptedRun) {
 TEST(Ckpt, CorruptCellResumesIdenticallyAcrossThePhaseBoundary) {
   const ExperimentConfig config = corrupt_config();
   const CorruptPlan plan = corrupt_plan();
-  const std::string baseline = skew_digest(run_cell(config, plan));
+  const std::string baseline = skew_to_json(run_cell(config, plan).skew).dump();
 
   // `every` chosen so snapshots land both before wave 10 (phase 0) and
   // after (phase 1); the kill-and-resume covers whichever is newest.
@@ -178,13 +173,13 @@ TEST(Ckpt, CorruptCellResumesIdenticallyAcrossThePhaseBoundary) {
     CheckpointOptions opts;
     opts.dir = dir.string();
     opts.every = every;
-    const ExperimentResult chunked = run_cell_checkpointed(config, plan, opts, 3, "c", {});
-    EXPECT_EQ(skew_digest(chunked), baseline) << "every=" << every;
+    const ExperimentResult chunked = run_cell(config, plan, {}, {}, opts, 3, "c");
+    EXPECT_EQ(skew_to_json(chunked.skew).dump(), baseline) << "every=" << every;
 
     std::filesystem::remove(dir / "cell-00003-c.done.json");
     opts.resume = true;
-    const ExperimentResult resumed = run_cell_checkpointed(config, plan, opts, 3, "c", {});
-    EXPECT_EQ(skew_digest(resumed), baseline) << "every=" << every << " resumed";
+    const ExperimentResult resumed = run_cell(config, plan, {}, {}, opts, 3, "c");
+    EXPECT_EQ(skew_to_json(resumed.skew).dump(), baseline) << "every=" << every << " resumed";
     EXPECT_EQ(counters_digest(resumed), counters_digest(chunked)) << "every=" << every;
     std::filesystem::remove_all(dir);
   }
@@ -198,8 +193,8 @@ TEST(Ckpt, CorruptStreamingCellResumesIdenticallyMidCorruptionAndMidRecovery) {
   // which itself must match full recording on the same cell.
   const ExperimentConfig config = corrupt_streaming_config();
   const CorruptPlan plan = corrupt_plan();
-  const std::string baseline = skew_digest(run_cell(config, plan));
-  EXPECT_EQ(skew_digest(run_cell(corrupt_config(), plan)), baseline)
+  const std::string baseline = skew_to_json(run_cell(config, plan).skew).dump();
+  EXPECT_EQ(skew_to_json(run_cell(corrupt_config(), plan).skew).dump(), baseline)
       << "streaming corrupt cell diverged from full recording";
 
   // every=3 lambda: the newest snapshot before the kill sits at wave 12 --
@@ -214,15 +209,13 @@ TEST(Ckpt, CorruptStreamingCellResumesIdenticallyMidCorruptionAndMidRecovery) {
       opts.dir = dir.string();
       opts.every = every;
       const std::string tag = "every=" + std::to_string(every) + " shards=" + std::to_string(shards);
-      const ExperimentResult chunked =
-          run_cell_checkpointed(config, plan, opts, 7, "cs", engine);
-      EXPECT_EQ(skew_digest(chunked), baseline) << tag;
+      const ExperimentResult chunked = run_cell(config, plan, engine, {}, opts, 7, "cs");
+      EXPECT_EQ(skew_to_json(chunked.skew).dump(), baseline) << tag;
 
       std::filesystem::remove(dir / "cell-00007-cs.done.json");
       opts.resume = true;
-      const ExperimentResult resumed =
-          run_cell_checkpointed(config, plan, opts, 7, "cs", engine);
-      EXPECT_EQ(skew_digest(resumed), baseline) << tag << " resumed";
+      const ExperimentResult resumed = run_cell(config, plan, engine, {}, opts, 7, "cs");
+      EXPECT_EQ(skew_to_json(resumed.skew).dump(), baseline) << tag << " resumed";
       EXPECT_EQ(resumed.engine_stats.checkpoints_restored, 1u) << tag;
       EXPECT_EQ(counters_digest(resumed), counters_digest(chunked)) << tag;
       std::filesystem::remove_all(dir);
@@ -367,7 +360,7 @@ TEST(Ckpt, ResultJsonRoundTripIsBitExact) {
   // dump/parse leg is part of the contract (shortest-round-trip doubles).
   const Json reparsed = Json::parse(result_to_json(result).dump());
   const ExperimentResult back = result_from_json(reparsed, "done.json");
-  EXPECT_EQ(skew_digest(back), skew_digest(result));
+  EXPECT_EQ(skew_to_json(back.skew).dump(), skew_to_json(result.skew).dump());
   EXPECT_EQ(counters_digest(back), counters_digest(result));
   EXPECT_EQ(back.thm11_bound, result.thm11_bound);
   EXPECT_EQ(back.global_bound, result.global_bound);

@@ -4,7 +4,7 @@
 // one fault per neighbourhood with in-degree 2f+1.
 #include <gtest/gtest.h>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 
 namespace gtrix {
 namespace {
@@ -52,7 +52,7 @@ TEST(CycleWide, GridInDegreeFive) {
 }
 
 TEST(ExtensionFLocal, FaultFreeRunsClean) {
-  const ExperimentResult result = run_experiment(wide_config(1));
+  const ExperimentResult result = run_cell(wide_config(1));
   ASSERT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
 }
@@ -60,7 +60,7 @@ TEST(ExtensionFLocal, FaultFreeRunsClean) {
 TEST(ExtensionFLocal, TrimZeroStillWorksOnWideGrid) {
   ExperimentConfig config = wide_config(2);
   config.trim = 0;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
 }
 
@@ -75,7 +75,7 @@ TEST(ExtensionFLocal, SurvivesTwoFaultyPredecessors) {
   const Grid grid(BaseGraph::cycle_wide(config.columns, 2), config.layers);
   EXPECT_FALSE(is_one_local(grid, config.faults));  // beyond the base model
   EXPECT_TRUE(locality_violations(grid, config.faults, 2).empty());
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   ASSERT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, config.params.thm12_bound(result.diameter, 2));
 }
@@ -86,7 +86,7 @@ TEST(ExtensionFLocal, SurvivesOppositeSplitPair) {
   ExperimentConfig config = wide_config(4);
   config.faults = {{3, 6, FaultSpec::static_offset(200.0)},
                    {5, 6, FaultSpec::static_offset(-200.0)}};
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_LE(result.skew.max_intra, config.params.thm12_bound(result.diameter, 2));
 }
 
@@ -102,11 +102,11 @@ TEST(ExtensionFLocal, DegreeThreeGridDegradesOnSamePattern) {
   narrow.seed = 5;
   narrow.faults = {{4, 5, FaultSpec::static_offset(400.0)},
                    {5, 5, FaultSpec::static_offset(-400.0)}};
-  const ExperimentResult degraded = run_experiment(narrow);
+  const ExperimentResult degraded = run_cell(narrow);
 
   ExperimentConfig wide = wide_config(5);
   wide.faults = narrow.faults;
-  const ExperimentResult robust = run_experiment(wide);
+  const ExperimentResult robust = run_cell(wide);
 
   EXPECT_LT(robust.skew.max_intra, degraded.skew.max_intra);
 }

@@ -6,7 +6,7 @@
 #include <cmath>
 #include <ostream>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 
 namespace gtrix {
 namespace {
@@ -40,7 +40,7 @@ class SingleFaultSweep : public ::testing::TestWithParam<FaultCase> {};
 TEST_P(SingleFaultSweep, SkewStaysWithinTheorem12Bound) {
   ExperimentConfig config = fault_config(31);
   config.faults = {{5, 5, GetParam().spec}};
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   ASSERT_GT(result.skew.pairs_checked, 0u);
   const double bound = config.params.thm12_bound(result.diameter, 1);
   EXPECT_LE(result.skew.max_intra, bound) << GetParam().name;
@@ -82,7 +82,7 @@ TEST(FaultTolerance, TwoDistantFaultsTolerated) {
   ExperimentConfig config = fault_config(33);
   config.faults = {{2, 3, FaultSpec::crash()}, {7, 8, FaultSpec::static_offset(120.0)}};
   ASSERT_TRUE(is_one_local(world_grid(config), config.faults));
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_LE(result.skew.max_intra, config.params.thm12_bound(result.diameter, 2));
 }
 
@@ -102,7 +102,7 @@ TEST(FaultTolerance, StackedStaticOffsetFaultsStayWithinTheorem12Bound) {
     for (const double amplitude : {2.0 * kappa, 6.0 * kappa, 12.0 * kappa}) {
       config.faults = clustered_faults(grid, f, config.columns / 2, 2, 1,
                                        FaultSpec::static_offset(amplitude));
-      const ExperimentResult result = run_experiment(config);
+      const ExperimentResult result = run_cell(config);
       ASSERT_GT(result.skew.pairs_checked, 0u);
       EXPECT_LE(result.skew.max_intra, config.params.thm12_bound(config.columns - 1, f))
           << "f=" << f << " amplitude=" << amplitude;
@@ -153,7 +153,7 @@ TEST(FaultTolerance, RandomIidFaultsStayBounded) {
     options.probability = 0.5 / std::sqrt(n);
     config.faults =
         sample_iid_faults(world_grid(config), options, FaultSpec::crash(), rng);
-    const ExperimentResult result = run_experiment(config);
+    const ExperimentResult result = run_cell(config);
     // Bounded by the single-fault Theorem 1.2 envelope with slack: random
     // sparse faults must not compound (Theorem 1.3's point).
     EXPECT_LE(result.skew.max_intra, config.params.thm12_bound(result.diameter, 1))

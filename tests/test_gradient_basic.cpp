@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 
 namespace gtrix {
 namespace {
@@ -147,16 +147,15 @@ TEST(GradientBasic, WorksOnCycleBaseGraph) {
   ExperimentConfig config = small_config(7);
   config.topology_spec = ComponentSpec::of("cycle");
   config.columns = 10;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
 }
 
 TEST(GradientBasic, LineInputAlignsWithIdealBehaviour) {
   // Both layer-0 modes must deliver bounded steady skews.
-  const ExperimentResult ideal = run_experiment(small_config(8));
-  const ExperimentResult line =
-      run_experiment(small_config(8, Layer0Mode::kLinePropagation));
+  const ExperimentResult ideal = run_cell(small_config(8));
+  const ExperimentResult line = run_cell(small_config(8, Layer0Mode::kLinePropagation));
   EXPECT_LE(ideal.skew.max_intra, ideal.thm11_bound);
   EXPECT_LE(line.skew.max_intra, line.thm11_bound);
 }

@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 
 namespace gtrix {
 namespace {
@@ -20,7 +20,7 @@ TEST(InterLayer, StaticFaultTimingKeepsFullLBounded) {
   // Static-timing faults only (the Theorem 1.4 premise).
   config.faults = {{3, 4, FaultSpec::static_offset(150.0)},
                    {7, 8, FaultSpec::crash()}};
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   ASSERT_GT(result.skew.pairs_checked, 0u);
   const double bound = config.params.thm12_bound(result.diameter, 2);
   EXPECT_LE(result.skew.max_intra, bound);
@@ -114,7 +114,7 @@ TEST(InterLayer, InterLayerSkewTracksIntraLayer) {
   config.layers = 12;
   config.pulses = 18;
   config.seed = 5;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_GT(result.skew.max_inter, 0.0);
   EXPECT_LE(result.skew.max_inter,
             result.skew.max_intra + 2.0 * config.params.kappa() +

@@ -5,6 +5,8 @@
 // and the histogram layout is pinned.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -91,7 +93,7 @@ ExperimentConfig tiny_config() {
 
 TEST(EngineStats, DisabledTelemetryYieldsEmptyStats) {
   // Off by default: no stats, no JSONL block -- the pre-telemetry output.
-  const ExperimentResult result = run_experiment(tiny_config());
+  const ExperimentResult result = run_cell(tiny_config());
   EXPECT_FALSE(result.engine_stats.enabled);
   for (const ObsCounterInfo& info : obs_counter_catalog()) {
     EXPECT_EQ(result.engine_stats.get(info.id), 0u) << info.name;
@@ -120,11 +122,10 @@ TEST(EngineStats, InvariantBlockIsByteIdenticalAcrossEngines) {
   sharded4.telemetry = true;
   sharded4.shards = 4;
 
-  const std::string base =
-      run_experiment(config, fast).engine_stats.invariant_json().dump();
+  const std::string base = run_cell(config, {}, fast).engine_stats.invariant_json().dump();
   EXPECT_FALSE(base.empty());
   for (const EngineOptions& engine : {sharded2, sharded4}) {
-    const ExperimentResult result = run_experiment(config, engine);
+    const ExperimentResult result = run_cell(config, {}, engine);
     ASSERT_TRUE(result.engine_stats.enabled);
     EXPECT_EQ(result.engine_stats.invariant_json().dump(), base);
   }
@@ -284,6 +285,57 @@ TEST(Trace, ShardedRunEmitsNamedWindowAndBarrierSpans) {
   // Window spans account for every executed window, matching the stats.
   const EngineStats stats = world.engine_stats();
   EXPECT_EQ(windows, stats.get(ObsCounter::kShardWindows));
+}
+
+TEST(Trace, CheckpointedCampaignEmitsPhaseSpans) {
+  if (!kObsCompiled) GTEST_SKIP() << "built with GTRIX_OBS=OFF";
+  // Checkpointing must not cost observability: a traced campaign with a
+  // checkpoint directory gives every corrupt cell the same phase
+  // vocabulary as a plain traced campaign, with one run/recover span per
+  // snapshot chunk.
+  const Scenario scenario = Scenario::from_json(Json::parse(R"({
+    "name": "stab-traced",
+    "config": {"columns": 6, "layers": 5, "pulses": 30, "self_stabilizing": true},
+    "corrupt": {"wave": 8, "fraction": 1.0},
+    "sweep": {"seed": [1, 2]}
+  })"));
+  const double lambda = scenario.cells().at(0).config.params.lambda;
+  const auto dir = std::filesystem::temp_directory_path() / "gtrix_obs_ckpt_phase_spans";
+  std::filesystem::remove_all(dir);
+  for (const bool checkpointed : {false, true}) {
+    TraceCollector trace;
+    CampaignOptions options;
+    options.threads = 2;
+    options.trace = &trace;
+    if (checkpointed) {
+      options.checkpoint.dir = dir.string();
+      options.checkpoint.every = 5.0 * lambda;  // chunks end at waves 5, 10, 15, ...
+    }
+    (void)run_campaign(scenario, options);
+
+    const Json doc = trace.to_json();
+    std::map<std::int64_t, std::map<std::string, int>> phases;  // cell pid -> name -> count
+    for (const Json& e : doc.at("traceEvents").as_array()) {
+      if (e.at("ph").as_string() != "X" || e.at("pid").as_int() == 1) continue;
+      ++phases[e.at("pid").as_int()][e.at("name").as_string()];
+    }
+    const std::string mode = checkpointed ? "checkpointed" : "plain";
+    ASSERT_EQ(phases.size(), 2u) << mode;
+    for (auto& [pid, count] : phases) {
+      SCOPED_TRACE(mode + " cell pid " + std::to_string(pid));
+      EXPECT_EQ(count["corrupt"], 1);
+      EXPECT_EQ(count["realign"], 1);
+      // Plain: one span each. Checkpointed: the chunk to wave 5, then the
+      // run to the corruption at wave 8; recovery in chunks of 5 waves.
+      EXPECT_EQ(count["run"], checkpointed ? 2 : 1);
+      if (checkpointed) {
+        EXPECT_GE(count["recover"], 3);
+      } else {
+        EXPECT_EQ(count["recover"], 1);
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Trace, StableTidsPerThreadAndProcessNames) {

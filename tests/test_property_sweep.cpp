@@ -11,7 +11,7 @@
 #include <cmath>
 #include <ostream>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 #include "scenario/spec.hpp"
 
 namespace gtrix {
@@ -110,7 +110,7 @@ TEST_P(PropertySweep, AllInvariantsHold) {
   }
 
   // Determinism.
-  const ExperimentResult again = run_experiment(config);
+  const ExperimentResult again = run_cell(config);
   EXPECT_DOUBLE_EQ(again.skew.max_intra, skew.max_intra);
 }
 

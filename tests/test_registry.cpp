@@ -153,7 +153,7 @@ TEST(Torus, GradientExperimentRunsWithinBounds) {
   config.columns = 5;
   config.layers = 6;
   config.pulses = 8;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_EQ(result.diameter, 4u);
   EXPECT_GT(result.counters.iterations, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
@@ -473,7 +473,7 @@ TEST(LynchWelchGrid, RunsFaultFreeAndForwardsEveryWave) {
   config.columns = 6;
   config.layers = 5;
   config.pulses = 8;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_GT(result.counters.messages_sent, 0u);
   EXPECT_GT(result.skew.local_skew, 0.0);
   EXPECT_LE(result.skew.local_skew, result.global_bound);
@@ -547,7 +547,7 @@ TEST(RegistryExtension, TestRegisteredTopologyRunsEndToEnd) {
     "layers": 4,
     "pulses": 5
   })"));
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_EQ(result.diameter, 1u);
   EXPECT_GT(result.counters.iterations, 0u);
 }

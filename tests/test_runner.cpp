@@ -1,7 +1,7 @@
 // Experiment runner wiring: determinism, counters, trace mapping.
 #include <gtest/gtest.h>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 
 namespace gtrix {
 namespace {
@@ -16,8 +16,8 @@ ExperimentConfig config_for(std::uint64_t seed) {
 }
 
 TEST(Runner, SameSeedIsBitReproducible) {
-  const ExperimentResult a = run_experiment(config_for(123));
-  const ExperimentResult b = run_experiment(config_for(123));
+  const ExperimentResult a = run_cell(config_for(123));
+  const ExperimentResult b = run_cell(config_for(123));
   EXPECT_DOUBLE_EQ(a.skew.max_intra, b.skew.max_intra);
   EXPECT_DOUBLE_EQ(a.skew.max_inter, b.skew.max_inter);
   EXPECT_DOUBLE_EQ(a.skew.global_skew, b.skew.global_skew);
@@ -26,8 +26,8 @@ TEST(Runner, SameSeedIsBitReproducible) {
 }
 
 TEST(Runner, DifferentSeedsDiffer) {
-  const ExperimentResult a = run_experiment(config_for(1));
-  const ExperimentResult b = run_experiment(config_for(2));
+  const ExperimentResult a = run_cell(config_for(1));
+  const ExperimentResult b = run_cell(config_for(2));
   EXPECT_NE(a.skew.max_intra, b.skew.max_intra);
 }
 
@@ -94,9 +94,9 @@ TEST(Runner, InvalidConfigsRejected) {
 TEST(Runner, DelayModelsChangeOutcomes) {
   ExperimentConfig config = config_for(9);
   config.delay_spec = ComponentSpec::of("all-max");
-  const ExperimentResult all_max = run_experiment(config);
+  const ExperimentResult all_max = run_cell(config);
   config.delay_spec = ComponentSpec::of("uniform-random");
-  const ExperimentResult random = run_experiment(config);
+  const ExperimentResult random = run_cell(config);
   EXPECT_NE(all_max.skew.max_intra, random.skew.max_intra);
   // Identical delays mean the only noise sources are layer-0 jitter and
   // clock offsets: skew is very small.
@@ -107,7 +107,7 @@ TEST(Runner, JumpConditionFlagPropagates) {
   // With jump damping off and benign conditions, runs still complete.
   ExperimentConfig config = config_for(10);
   config.jump_condition = false;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_GT(result.counters.iterations, 0u);
 }
 

@@ -12,7 +12,6 @@
 #include "net/network.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
-#include "runner/perf.hpp"
 #include "scenario/registry.hpp"
 #include "sim/simulator.hpp"
 
@@ -107,20 +106,16 @@ TEST(Sharded, AllBuiltinScenariosIdenticalAcrossShardCounts) {
     const Scenario scenario = Scenario::from_json(thin_doc(builtin_scenario_doc(info.name)));
     for (const ScenarioCell& cell : scenario.cells()) {
       const ExperimentResult serial = run_cell(cell.config, cell.corrupt, EngineOptions{});
-      const std::string baseline = skew_digest(serial);
-      const std::uint64_t logical = serial.counters.events_executed -
-                                    serial.counters.delivery_events +
-                                    serial.counters.messages_delivered;
+      const std::string baseline = skew_to_json(serial.skew).dump();
+      const std::uint64_t logical = serial.counters.logical_events();
       for (const std::uint32_t shards : {2u, 4u, 8u}) {
         EngineOptions engine;
         engine.shards = shards;
         const ExperimentResult sharded = run_cell(cell.config, cell.corrupt, engine);
-        EXPECT_EQ(skew_digest(sharded), baseline)
+        EXPECT_EQ(skew_to_json(sharded.skew).dump(), baseline)
             << info.name << " cell " << cell.label << " diverged at " << shards
             << " shards";
-        EXPECT_EQ(sharded.counters.events_executed - sharded.counters.delivery_events +
-                      sharded.counters.messages_delivered,
-                  logical)
+        EXPECT_EQ(sharded.counters.logical_events(), logical)
             << info.name << " cell " << cell.label << " logical events diverged at "
             << shards << " shards";
         EXPECT_EQ(sharded.counters.messages_delivered, serial.counters.messages_delivered)
@@ -140,9 +135,9 @@ TEST(Sharded, RepeatedShardedRunsAreDeterministic) {
   const ExperimentConfig& config = cells.front().config;
   EngineOptions engine;
   engine.shards = 4;
-  const std::string first = skew_digest(run_cell(config, {}, engine));
+  const std::string first = skew_to_json(run_cell(config, {}, engine).skew).dump();
   for (int repeat = 0; repeat < 5; ++repeat) {
-    EXPECT_EQ(skew_digest(run_cell(config, {}, engine)), first)
+    EXPECT_EQ(skew_to_json(run_cell(config, {}, engine).skew).dump(), first)
         << "repeat " << repeat;
   }
 }

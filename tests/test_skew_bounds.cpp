@@ -9,7 +9,7 @@
 #include <ostream>
 
 #include "metrics/potentials.hpp"
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 
 namespace gtrix {
 namespace {
@@ -40,7 +40,7 @@ TEST_P(SkewBoundSweep, Theorem11AndGlobalBounds) {
   if (config.delay_spec.kind == "column-split") {
     config.delay_spec.params.set("split_column", setup.columns / 2);
   }
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   ASSERT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
   EXPECT_LE(result.skew.global_skew, result.global_bound);
@@ -108,7 +108,7 @@ TEST(SkewBounds, SkewDoesNotGrowAcrossLayers) {
   config.seed = 23;
   config.delay_spec = ComponentSpec::of("column-split");
   config.delay_spec.params.set("split_column", 6);
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_LE(result.skew.intra_by_layer.back(), result.thm11_bound);
 }
 
@@ -119,9 +119,9 @@ TEST(SkewBounds, TightensWithSmallerUncertainty) {
   config.pulses = 16;
   config.seed = 24;
   config.params = Params::with(1000.0, 20.0, 1.0005);
-  const ExperimentResult coarse = run_experiment(config);
+  const ExperimentResult coarse = run_cell(config);
   config.params = Params::with(1000.0, 2.0, 1.0005);
-  const ExperimentResult fine = run_experiment(config);
+  const ExperimentResult fine = run_cell(config);
   EXPECT_LT(fine.skew.max_intra, coarse.skew.max_intra);
 }
 
@@ -132,7 +132,7 @@ TEST(SkewBounds, InterLayerSkewBounded) {
   config.layers = 12;
   config.pulses = 18;
   config.seed = 25;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   // Bound with the same shape; inter-layer skew includes one hop of delay
   // uncertainty plus correction, well within 2x the intra bound.
   EXPECT_LE(result.skew.max_inter, 2.0 * result.thm11_bound);

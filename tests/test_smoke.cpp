@@ -3,7 +3,7 @@
 // Theorem 1.1 bound.
 #include <gtest/gtest.h>
 
-#include "runner/experiment.hpp"
+#include "runner/campaign.hpp"
 
 namespace gtrix {
 namespace {
@@ -14,7 +14,7 @@ TEST(Smoke, FaultFreeIdealInput) {
   config.layers = 8;
   config.pulses = 12;
   config.seed = 1;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
   EXPECT_GT(result.counters.iterations, 0u);
@@ -27,7 +27,7 @@ TEST(Smoke, FaultFreeLineInput) {
   config.pulses = 14;
   config.layer0 = Layer0Mode::kLinePropagation;
   config.seed = 2;
-  const ExperimentResult result = run_experiment(config);
+  const ExperimentResult result = run_cell(config);
   EXPECT_GT(result.skew.pairs_checked, 0u);
   EXPECT_LE(result.skew.max_intra, result.thm11_bound);
 }

@@ -95,71 +95,6 @@ TEST(Quantile, ClampsOutOfRangeQ) {
   EXPECT_DOUBLE_EQ(quantile(xs, 2.0), 2.0);
 }
 
-TEST(P2QuantileTest, EmptyIsNaN) {
-  P2Quantile q(0.5);
-  EXPECT_TRUE(std::isnan(q.value()));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(P2QuantileTest, ExactForFirstFiveObservations) {
-  P2Quantile q(0.5);
-  const double xs[] = {9.0, 1.0, 5.0, 3.0, 7.0};
-  std::vector<double> seen;
-  for (const double x : xs) {
-    q.add(x);
-    seen.push_back(x);
-    EXPECT_DOUBLE_EQ(q.value(), quantile(seen, 0.5)) << "after " << seen.size();
-  }
-  EXPECT_DOUBLE_EQ(q.value(), 5.0);
-}
-
-TEST(P2QuantileTest, TracksUniformStreamQuantiles) {
-  // Deterministic pseudo-uniform stream; P2 should land within ~1% of the
-  // exact quantile for smooth distributions.
-  for (const double target : {0.5, 0.9, 0.99}) {
-    P2Quantile q(target);
-    std::vector<double> all;
-    std::uint64_t state = 88172645463325252ULL;
-    for (int i = 0; i < 20000; ++i) {
-      state ^= state << 13;
-      state ^= state >> 7;
-      state ^= state << 17;
-      const double x = static_cast<double>(state % 1000000ULL) / 1000000.0;
-      q.add(x);
-      all.push_back(x);
-    }
-    EXPECT_NEAR(q.value(), quantile(all, target), 0.01) << "q=" << target;
-  }
-}
-
-TEST(P2QuantileTest, DeterministicForAGivenSequence) {
-  P2Quantile a(0.9);
-  P2Quantile b(0.9);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = std::sin(static_cast<double>(i)) * 10.0;
-    a.add(x);
-    b.add(x);
-  }
-  EXPECT_EQ(a.value(), b.value());
-  EXPECT_EQ(a.count(), 1000u);
-}
-
-TEST(P2QuantileTest, MonotoneAcrossTargets) {
-  P2Quantile p50(0.5);
-  P2Quantile p90(0.9);
-  P2Quantile p99(0.99);
-  std::uint64_t state = 11400714819323198485ULL;
-  for (int i = 0; i < 5000; ++i) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    const double x = static_cast<double>(state >> 40);
-    p50.add(x);
-    p90.add(x);
-    p99.add(x);
-  }
-  EXPECT_LE(p50.value(), p90.value());
-  EXPECT_LE(p90.value(), p99.value());
-}
-
 TEST(LogQuantileSketchTest, EmptyIsNaN) {
   LogQuantileSketch sketch;
   EXPECT_TRUE(std::isnan(sketch.quantile(0.5)));

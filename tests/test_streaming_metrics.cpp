@@ -340,8 +340,8 @@ TEST(StreamingMetrics, RecordingWindowIsSweepable) {
   EXPECT_EQ(resolve_recording(cells[0].config.recording_spec).window, 8);
   EXPECT_EQ(resolve_recording(cells[1].config.recording_spec).window, 16);
   // Both windows measure the same system: extrema must agree bit for bit.
-  const ExperimentResult a = run_experiment(cells[0].config);
-  const ExperimentResult b = run_experiment(cells[1].config);
+  const ExperimentResult a = run_cell(cells[0].config);
+  const ExperimentResult b = run_cell(cells[1].config);
   EXPECT_EQ(a.skew.max_intra, b.skew.max_intra);
   EXPECT_EQ(a.skew.global_skew, b.skew.global_skew);
 }

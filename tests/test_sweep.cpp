@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "runner/campaign.hpp"
+
 namespace gtrix {
 namespace {
 
@@ -70,47 +72,28 @@ TEST(ParallelForIndex, PropagatesWorkerExceptions) {
       std::runtime_error);
 }
 
-TEST(SweepRunner, ResolvesThreadCount) {
-  EXPECT_GE(SweepRunner().thread_count(), 1u);
-  EXPECT_EQ(SweepRunner(SweepOptions{3}).thread_count(), 3u);
+/// Runs the sweep's configs through run_cell on `threads` pool workers.
+std::vector<ExperimentResult> run_sweep(const std::vector<ExperimentConfig>& configs,
+                                        unsigned threads) {
+  std::vector<ExperimentResult> results(configs.size());
+  parallel_for_index(configs.size(), threads,
+                     [&](std::size_t i) { results[i] = run_cell(configs[i]); });
+  return results;
 }
 
-TEST(SweepRunner, ResultsComeBackInInputOrder) {
-  const auto configs = small_sweep();
-  const auto results = SweepRunner(SweepOptions{4}).run(configs);
-  ASSERT_EQ(results.size(), configs.size());
-  for (const ExperimentResult& result : results) {
-    EXPECT_GT(result.counters.iterations, 0u);
-    EXPECT_EQ(result.diameter, 5u);  // columns - 1, independent of order
-  }
-}
-
-TEST(SweepRunner, SingleAndMultiThreadRunsAreBitIdentical) {
+TEST(ParallelForIndex, SingleAndMultiThreadRunsAreBitIdentical) {
   // The determinism contract: per-config results must not depend on the
   // worker count or on how experiments interleave across threads.
   const auto configs = small_sweep();
-  const auto serial = SweepRunner(SweepOptions{1}).run(configs);
-  const auto parallel4 = SweepRunner(SweepOptions{4}).run(configs);
-  const auto parallel3 = SweepRunner(SweepOptions{3}).run(configs);
+  const auto serial = run_sweep(configs, 1);
+  const auto parallel4 = run_sweep(configs, 4);
+  const auto parallel3 = run_sweep(configs, 3);
   ASSERT_EQ(serial.size(), parallel4.size());
   ASSERT_EQ(serial.size(), parallel3.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], parallel4[i]);
     expect_identical(serial[i], parallel3[i]);
   }
-}
-
-TEST(SweepRunner, CustomBodyReceivesIndex) {
-  const auto configs = small_sweep();
-  std::vector<std::atomic<int>> seen(configs.size());
-  for (auto& s : seen) s.store(0);
-  const auto results = SweepRunner(SweepOptions{2}).run(
-      configs, [&](const ExperimentConfig& config, std::size_t index) {
-        seen[index].fetch_add(1);
-        return run_experiment(config);
-      });
-  ASSERT_EQ(results.size(), configs.size());
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
 }  // namespace

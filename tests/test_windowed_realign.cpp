@@ -123,10 +123,7 @@ void expect_same_measurement(const ExperimentResult& full, const ExperimentResul
   EXPECT_EQ(full.counters.watchdog_resets, other.counters.watchdog_resets);
   EXPECT_EQ(full.counters.messages_sent, other.counters.messages_sent);
   EXPECT_EQ(full.counters.messages_delivered, other.counters.messages_delivered);
-  EXPECT_EQ(full.counters.events_executed - full.counters.delivery_events +
-                full.counters.messages_delivered,
-            other.counters.events_executed - other.counters.delivery_events +
-                other.counters.messages_delivered);
+  EXPECT_EQ(full.counters.logical_events(), other.counters.logical_events());
   EXPECT_EQ(full.thm11_bound, other.thm11_bound);
   EXPECT_EQ(full.global_bound, other.global_bound);
   EXPECT_EQ(full.diameter, other.diameter);

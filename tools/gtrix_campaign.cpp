@@ -4,8 +4,8 @@
 //   gtrix_campaign scenarios/*.json --threads=4
 //   gtrix_campaign --list
 //
-// Each scenario expands into a config matrix, runs through the parallel
-// sweep runner, and produces <out>/<name>.jsonl (one deterministic JSON
+// Each scenario expands into a config matrix whose cells run in parallel
+// through run_cell, and produces <out>/<name>.jsonl (one deterministic JSON
 // object per cell) plus <out>/<name>.summary.json (aggregate percentiles,
 // counters, wall time).
 #include <algorithm>
