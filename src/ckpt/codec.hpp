@@ -39,7 +39,9 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // v2: recorder corruption-anchored retention state (pin box, early list,
 // lost ranges) and the streaming suppression counter.
 // v3: the header's engine fingerprint shrinks to {"shards": N}.
-inline constexpr std::uint32_t kCkptFormatVersion = 3;
+// v4: recorder node logs drop the iteration-record retention fields of the
+// deleted windowed recording mode.
+inline constexpr std::uint32_t kCkptFormatVersion = 4;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

@@ -321,8 +321,7 @@ void Network::checkpoint_restore(CkptCursor& cur) {
 
 void Recorder::checkpoint_save(CkptWriter& w) const {
   GTRIX_CKPT_SIZEOF(Recorder, 136);
-  GTRIX_CKPT_FIELDS(NodeLog, 14);
-  GTRIX_CKPT_FIELDS(LostIter, 2);
+  GTRIX_CKPT_FIELDS(NodeLog, 8);
   GTRIX_CKPT_FIELDS(IterationRecord, 14);
   w.i64(min_sigma_);
   w.i64(max_sigma_);
@@ -338,25 +337,14 @@ void Recorder::checkpoint_save(CkptWriter& w) const {
     for (SimTime t : log.times) w.f64(t);  // raw bits: NaN = missing survives
     w.u64(log.iterations.size());
     for (const IterationRecord& rec : log.iterations) ckpt::write_iteration(w, rec);
-    w.u64(log.iterations_dropped);
     // Corruption-anchored retention state (all empty under full recording).
     w.u64(log.early.size());
     for (Sigma s : log.early) w.i64(s);
     w.i64(log.pin_first);
     w.u64(log.pin_times.size());
     for (SimTime t : log.pin_times) w.f64(t);
-    w.u64(log.pin_iterations.size());
-    for (const IterationRecord& rec : log.pin_iterations) ckpt::write_iteration(w, rec);
-    for (std::uint64_t abs : log.pin_iter_abs) w.u64(abs);
     w.i64(log.lost_lo);
     w.i64(log.lost_hi);
-    w.u64(log.lost_iters.size());
-    for (const LostIter& li : log.lost_iters) {
-      w.u64(li.abs);
-      w.i64(li.sigma);
-    }
-    w.i64(log.iter_lost_lo);
-    w.i64(log.iter_lost_hi);
   }
 }
 
@@ -385,7 +373,6 @@ void Recorder::checkpoint_restore(CkptCursor& cur) {
     for (std::uint64_t i = 0; i < niters; ++i) {
       log.iterations.push_back(ckpt::read_iteration(cur));
     }
-    log.iterations_dropped = cur.u64();
     const std::uint64_t nearly = cur.count(8, "early wave");
     log.early.resize(nearly);
     for (Sigma& s : log.early) s = cur.i64();
@@ -393,26 +380,8 @@ void Recorder::checkpoint_restore(CkptCursor& cur) {
     const std::uint64_t npin_times = cur.count(8, "pinned pulse time");
     log.pin_times.resize(npin_times);
     for (SimTime& t : log.pin_times) t = cur.f64();
-    // Each pinned record is followed (after the run) by its u64 absolute index.
-    const std::uint64_t npin_iters =
-        cur.count(ckpt::kIterationBytes + 8, "pinned iteration record");
-    log.pin_iterations.clear();
-    log.pin_iterations.reserve(npin_iters);
-    for (std::uint64_t i = 0; i < npin_iters; ++i) {
-      log.pin_iterations.push_back(ckpt::read_iteration(cur));
-    }
-    log.pin_iter_abs.resize(npin_iters);
-    for (std::uint64_t& abs : log.pin_iter_abs) abs = cur.u64();
     log.lost_lo = cur.i64();
     log.lost_hi = cur.i64();
-    const std::uint64_t nlost = cur.count(8 + 8, "lost iteration");
-    log.lost_iters.resize(nlost);
-    for (LostIter& li : log.lost_iters) {
-      li.abs = cur.u64();
-      li.sigma = cur.i64();
-    }
-    log.iter_lost_lo = cur.i64();
-    log.iter_lost_hi = cur.i64();
   }
 }
 

@@ -4,7 +4,6 @@
 #include <limits>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 
 #include "support/check.hpp"
 
@@ -39,71 +38,31 @@ ConditionReport check_conditions(const GridTrace& trace, const Params& params,
   const double kappa = params.kappa();
   const double theta = params.theta;
 
+  // Only full recording keeps iteration records; a streaming recorder has
+  // none to check, so this is a hard error rather than an empty report.
+  GTRIX_CHECK_MSG(rec.mode() == RecordingMode::kFull,
+                  "conditions checks need iteration records; " +
+                      std::string(to_string(rec.mode())) + " mode keeps none (record full)");
+
   ConditionReport report;
-
-  // Memory-bounded recording: verify up front that the retained data (rolling
-  // window + corruption box) answers this window exactly as full recording
-  // would. Pulse slots are read at it.sigma in [lo, hi] for every
-  // predecessor, and iteration records past the warmup index inside [lo, hi]
-  // must all still exist -- anything lost is a hard error, never a silently
-  // smaller checked count.
-  const bool bounded = rec.mode() != RecordingMode::kFull;
-  const auto warmup_abs =
-      trace.node_warmup > 0 ? static_cast<std::uint64_t>(trace.node_warmup) : 0u;
-  if (bounded) {
-    for (GridNodeId g = 0; g < grid.node_count(); ++g) {
-      if (trace.is_faulty(g)) continue;
-      const RecNodeId r = trace.rec_id(g);
-      if (!rec.covers(r, lo, hi)) {
-        const auto [llo, lhi] = rec.lost_range(r);
-        throw std::runtime_error(
-            "conditions: node " + grid.label(g) + " lost pulse waves [" +
-            std::to_string(llo) + ", " + std::to_string(lhi) +
-            "] overlapping the requested window [" + std::to_string(lo) + ", " +
-            std::to_string(hi) + "] (recording mode " +
-            std::string(to_string(rec.mode())) + ", window " +
-            std::to_string(rec.options().window) +
-            "): raise recording.window or narrow the window");
-      }
-      if (grid.layer_of(g) != 0 && !rec.iterations_covered(r, lo, hi, warmup_abs)) {
-        throw std::runtime_error(
-            "conditions: node " + grid.label(g) +
-            " lost iteration records inside the requested window [" +
-            std::to_string(lo) + ", " + std::to_string(hi) + "] (recording mode " +
-            std::string(to_string(rec.mode())) + ", window " +
-            std::to_string(rec.options().window) +
-            "): raise recording.window or narrow the window");
-      }
-    }
-  }
-
   for (GridNodeId gv = 0; gv < grid.node_count(); ++gv) {
     const std::uint32_t layer = grid.layer_of(gv);
     if (layer == 0) continue;
     if (trace.is_faulty(gv)) continue;
     const auto preds = grid.predecessors(gv);
 
-    // Full recording skip-counts every record below the warmup index; lost
-    // pre-warmup records (evicted un-pinned) are added back here so the
-    // skipped count is identical across recording modes.
-    if (bounded) {
-      report.iterations_skipped +=
-          rec.iterations_lost_below(trace.rec_id(gv), warmup_abs);
-    }
-    // Pinned records (corruption box) first, then the rolling tail --
-    // absolute-index order, with the warmup filter keyed on the absolute
-    // index so it is identical across recording modes.
-    rec.for_each_iteration(trace.rec_id(gv), [&](const IterationRecord& it,
-                                                 std::uint64_t abs_idx) {
+    const std::vector<IterationRecord>& records = rec.iterations(trace.rec_id(gv));
+    for (std::size_t idx = 0; idx < records.size(); ++idx) {
+      const IterationRecord& it = records[idx];
       // Skip the node's startup transient (per-node, like the skew metrics).
-      if (static_cast<Sigma>(abs_idx) < trace.node_warmup) {
+      if (static_cast<Sigma>(idx) < trace.node_warmup) {
         ++report.iterations_skipped;
-        return;
+        continue;
       }
-      if (it.sigma < lo || it.sigma > hi) return;
+      if (it.sigma < lo || it.sigma > hi) continue;
       if (it.late) {
         ++report.iterations_skipped;
-        return;
+        continue;
       }
       const double t_v = it.pulse_time;
       const double c = it.correction;
@@ -138,7 +97,7 @@ ConditionReport check_conditions(const GridTrace& trace, const Params& params,
       }
       if (missing || faulty_preds >= 2) {
         ++report.iterations_skipped;
-        return;
+        continue;
       }
 
       if (faulty_preds == 1) {
@@ -154,14 +113,14 @@ ConditionReport check_conditions(const GridTrace& trace, const Params& params,
               << t_v << " outside [" << lo_bound << ", " << hi_bound << "]";
           note(report, msg.str());
         }
-        return;
+        continue;
       }
 
       // All predecessors correct from here on.
       GTRIX_CHECK(t_own.has_value());
       if (it.own_missing) {
         ++report.iterations_skipped;  // should not happen without faults
-        return;
+        continue;
       }
 
       // Lemma D.2: C <= Lambda - d.
@@ -233,7 +192,7 @@ ConditionReport check_conditions(const GridTrace& trace, const Params& params,
           note(report, msg.str());
         }
       }
-    });
+    }
   }
   return report;
 }

@@ -45,7 +45,9 @@ struct ConditionReport {
 /// Verifies all invariants over waves sigma in [lo, hi] for levels
 /// s in [0, s_max] (FC from s = 1). Nodes flagged faulty in the recorder are
 /// treated as the fault set F; iterations whose predecessor pulses are
-/// partially missing are skipped and counted.
+/// partially missing are skipped and counted. Needs a full-recording trace:
+/// any other recorder mode keeps no iteration records and is a logic_error
+/// naming the mode.
 ConditionReport check_conditions(const GridTrace& trace, const Params& params,
                                  std::uint32_t s_max, Sigma lo, Sigma hi);
 

@@ -11,7 +11,6 @@ namespace gtrix {
 std::string_view to_string(RecordingMode mode) {
   switch (mode) {
     case RecordingMode::kFull: return "full";
-    case RecordingMode::kWindowed: return "windowed";
     case RecordingMode::kStreaming: return "streaming";
   }
   return "?";
@@ -77,15 +76,6 @@ void Recorder::note_early(NodeLog& log, Sigma sigma) {
   }
 }
 
-void Recorder::note_lost(Sigma& lo, Sigma& hi, Sigma sigma) {
-  if (lo == kInvalidSigma) {
-    lo = hi = sigma;
-  } else {
-    lo = std::min(lo, sigma);
-    hi = std::max(hi, sigma);
-  }
-}
-
 void Recorder::pin_pulse(NodeLog& log, Sigma sigma, SimTime t) {
   if (log.pin_first == kInvalidSigma) {
     log.pin_first = box_lo_;
@@ -102,7 +92,7 @@ void Recorder::record_pulse(RecNodeId node, Sigma sigma, SimTime t) {
   if (!keeps_logs()) {
     // No per-wave storage: the streaming accumulators above are the whole
     // metrics path. Global counters still track the run's envelope. (With a
-    // corruption anchor, streaming mode takes the windowed times path below
+    // corruption anchor, streaming mode takes the rolling times path below
     // instead: realignment and the post-recovery skew window need the
     // retained waves.)
     ++pulses_recorded_;
@@ -136,60 +126,35 @@ void Recorder::record_pulse(RecNodeId node, Sigma sigma, SimTime t) {
 void Recorder::evict_window(NodeLog& log) {
   // Keep the last `window` wave slots per node. Eviction is from the front
   // (one slot per recorded pulse in steady state, so the erase is O(window)
-  // on a dense 8-byte array -- windowed mode trades this small constant for
-  // the bounded footprint). With a corruption anchor, slots leaving the
-  // rolling window land in the pinned box if their wave is inside it;
-  // everything else evicted is recorded as LOST per node, so later queries
-  // can refuse (covers() == false) instead of silently diverging from full
-  // recording.
+  // on a dense 8-byte array -- a small constant traded for the bounded
+  // footprint). Slots leaving the rolling window land in the pinned box if
+  // their wave is inside it; everything else evicted is recorded as LOST per
+  // node, so later queries can refuse (covers() == false) instead of
+  // silently diverging from full recording.
   const auto window = static_cast<std::size_t>(options_.window);
-  if (log.times.size() > window) {
-    const auto drop = log.times.size() - window;
-    for (std::size_t i = 0; i < drop; ++i) {
-      const double t = log.times[i];
-      if (std::isnan(t)) continue;  // never recorded: full mode has no value either
-      const Sigma s = log.first_sigma + static_cast<Sigma>(i);
-      if (anchor_ != kInvalidSigma && s >= box_lo_ && s <= box_hi_) {
-        pin_pulse(log, s, t);
-      } else {
-        note_lost(log.lost_lo, log.lost_hi, s);
-      }
+  if (log.times.size() <= window) return;
+  const auto drop = log.times.size() - window;
+  for (std::size_t i = 0; i < drop; ++i) {
+    const double t = log.times[i];
+    if (std::isnan(t)) continue;  // never recorded: full mode has no value either
+    const Sigma s = log.first_sigma + static_cast<Sigma>(i);
+    if (s >= box_lo_ && s <= box_hi_) {
+      pin_pulse(log, s, t);
+    } else if (log.lost_lo == kInvalidSigma) {
+      log.lost_lo = log.lost_hi = s;
+    } else {
+      log.lost_lo = std::min(log.lost_lo, s);
+      log.lost_hi = std::max(log.lost_hi, s);
     }
-    log.times.erase(log.times.begin(), log.times.begin() + static_cast<std::ptrdiff_t>(drop));
-    log.first_sigma += static_cast<Sigma>(drop);
   }
-  std::size_t drop_iters = 0;
-  while (drop_iters < log.iterations.size() &&
-         log.iterations[drop_iters].sigma < log.first_sigma) {
-    ++drop_iters;
-  }
-  if (drop_iters > 0) {
-    for (std::size_t i = 0; i < drop_iters; ++i) {
-      const IterationRecord& it = log.iterations[i];
-      const std::uint64_t abs = log.iterations_dropped + i;
-      if (anchor_ != kInvalidSigma && it.sigma >= box_lo_ && it.sigma <= box_hi_) {
-        log.pin_iterations.push_back(it);
-        log.pin_iter_abs.push_back(abs);
-      } else if (abs < kLostIterTrackCap) {
-        log.lost_iters.push_back(LostIter{abs, it.sigma});
-      } else {
-        note_lost(log.iter_lost_lo, log.iter_lost_hi, it.sigma);
-      }
-    }
-    log.iterations.erase(log.iterations.begin(),
-                         log.iterations.begin() + static_cast<std::ptrdiff_t>(drop_iters));
-    log.iterations_dropped += drop_iters;
-  }
+  log.times.erase(log.times.begin(), log.times.begin() + static_cast<std::ptrdiff_t>(drop));
+  log.first_sigma += static_cast<Sigma>(drop);
 }
 
 void Recorder::record_iteration(RecNodeId node, const IterationRecord& record) {
   GTRIX_CHECK_MSG(node < metas_.size(), "iteration from unregistered node");
   if (options_.mode == RecordingMode::kStreaming) return;
   logs_[node].iterations.push_back(record);
-}
-
-std::uint64_t Recorder::iterations_dropped(RecNodeId node) const {
-  return log_of(node).iterations_dropped;
 }
 
 std::optional<SimTime> Recorder::pulse_time(RecNodeId node, Sigma sigma) const {
@@ -247,17 +212,11 @@ void Recorder::shift_node_sigma(RecNodeId node, Sigma delta) {
   if (log.first_sigma == kInvalidSigma) return;
   log.first_sigma += delta;
   for (IterationRecord& it : log.iterations) it.sigma += delta;
-  for (IterationRecord& it : log.pin_iterations) it.sigma += delta;
   if (log.pin_first != kInvalidSigma) log.pin_first += delta;
   if (log.lost_lo != kInvalidSigma) {
     log.lost_lo += delta;
     log.lost_hi += delta;
   }
-  if (log.iter_lost_lo != kInvalidSigma) {
-    log.iter_lost_lo += delta;
-    log.iter_lost_hi += delta;
-  }
-  for (LostIter& li : log.lost_iters) li.sigma += delta;
   for (Sigma& s : log.early) s += delta;
   if (min_sigma_ != kInvalidSigma) {
     // Conservative widening of the global range.
@@ -293,34 +252,6 @@ bool Recorder::covers(RecNodeId node, Sigma lo, Sigma hi) const {
 std::pair<Sigma, Sigma> Recorder::lost_range(RecNodeId node) const {
   const NodeLog& log = log_of(node);
   return {log.lost_lo, log.lost_hi};
-}
-
-std::uint64_t Recorder::iterations_lost_below(RecNodeId node, std::uint64_t abs_limit) const {
-  GTRIX_CHECK_MSG(abs_limit <= kLostIterTrackCap,
-                  "warmup exceeds the recorder's lost-iteration tracking capacity");
-  const NodeLog& log = log_of(node);
-  std::uint64_t n = 0;
-  for (const LostIter& li : log.lost_iters) {
-    if (li.abs < abs_limit) ++n;
-  }
-  return n;
-}
-
-bool Recorder::iterations_covered(RecNodeId node, Sigma lo, Sigma hi,
-                                  std::uint64_t warmup) const {
-  GTRIX_CHECK_MSG(warmup <= kLostIterTrackCap,
-                  "warmup exceeds the recorder's lost-iteration tracking capacity");
-  const NodeLog& log = log_of(node);
-  for (const LostIter& li : log.lost_iters) {
-    // A lost record full recording would have CHECKED (past warmup, inside
-    // the requested window) makes the window unanswerable.
-    if (li.abs >= warmup && li.sigma >= lo && li.sigma <= hi) return false;
-  }
-  if (log.iter_lost_lo != kInvalidSigma &&
-      !(hi < log.iter_lost_lo || lo > log.iter_lost_hi)) {
-    return false;  // untracked lost records are always past warmup (abs >= cap)
-  }
-  return true;
 }
 
 }  // namespace gtrix

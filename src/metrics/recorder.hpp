@@ -30,27 +30,24 @@ class CkptCursor;
 ///
 ///  * kFull      -- every pulse time and IterationRecord, forever. O(nodes x
 ///                  waves) memory; required for post-hoc conditions checks
-///                  over the whole run and for label realignment (corrupt
-///                  scenarios). The historical behaviour and the default.
-///  * kWindowed  -- pulse times and IterationRecords of the last `window`
-///                  waves per node only; older entries are evicted as the
-///                  node progresses. O(nodes x window) memory. Conditions
-///                  can be checked over the retained window; skew comes from
-///                  the streaming accumulators.
+///                  and skew over arbitrary windows. The default.
 ///  * kStreaming -- no per-wave storage at all: every pulse is fed straight
 ///                  into the attached StreamingSkew accumulators. O(nodes)
 ///                  memory. Skew extrema/means are bit-identical to full
 ///                  recording; quantiles come from a log-binned sketch
-///                  with a guaranteed 1% relative error bound.
-enum class RecordingMode : std::uint8_t { kFull, kWindowed, kStreaming };
+///                  with a guaranteed 1% relative error bound. A corrupt
+///                  cell's anchor adds the rolling last-`window` pulse
+///                  tail plus a pinned box around the corruption wave
+///                  (set_corruption_anchor). No iteration records.
+enum class RecordingMode : std::uint8_t { kFull, kStreaming };
 
 std::string_view to_string(RecordingMode mode);
 
 struct RecordingOptions {
   RecordingMode mode = RecordingMode::kFull;
-  /// Waves retained per node (windowed) and the streaming accumulators'
-  /// wave-ring capacity (windowed + streaming). Rounded up to a power of
-  /// two internally. Ignored in full mode.
+  /// The streaming accumulators' wave-ring capacity (they round it up to a
+  /// power of two), and on corrupt cells the rolling pulse tail per node and
+  /// the pin box half-width (used as given). Ignored in full mode.
   std::int64_t window = 8;
 
   bool operator==(const RecordingOptions&) const = default;
@@ -91,7 +88,7 @@ class Recorder {
   virtual ~Recorder() = default;
 
   /// Selects the recording mode; must be called before any node records
-  /// (the trace would otherwise be part-full, part-windowed). Attaching a
+  /// (the trace would otherwise be part-full, part-streamed). Attaching a
   /// StreamingSkew sink forwards every pulse to it regardless of mode.
   void configure(const RecordingOptions& options);
   const RecordingOptions& options() const noexcept { return options_; }
@@ -115,12 +112,11 @@ class Recorder {
   virtual void record_pulse(RecNodeId node, Sigma sigma, SimTime t);
   virtual void record_iteration(RecNodeId node, const IterationRecord& record);
 
-  /// Corruption-anchored retention (windowed + streaming): pins every pulse
-  /// slot and iteration record whose wave falls inside
-  /// [wave - window, wave + window] instead of evicting it, and switches
-  /// streaming mode onto the per-wave times path so the retained box plus the
-  /// rolling last-`window` waves support post-run label realignment and
-  /// post-recovery skew windows without the full trace (docs/scaling.md,
+  /// Corruption-anchored retention (streaming): switches streaming mode onto
+  /// a per-wave pulse-times path that keeps the rolling last-`window` waves
+  /// per node and pins every evicted pulse slot whose wave falls inside
+  /// [wave - window, wave + window], so post-run label realignment and
+  /// post-recovery skew windows work without the full trace (docs/scaling.md,
   /// "Realignment at scale"). Must be called before the first pulse; a no-op
   /// in full mode (the whole trace is retained anyway).
   void set_corruption_anchor(Sigma wave);
@@ -129,48 +125,20 @@ class Recorder {
 
   /// True when no pulse slot of `node` in [lo, hi] was evicted un-pinned --
   /// i.e. every read in that range returns exactly what full recording
-  /// would. Callers that need the guarantee (realignment, windowed skew,
-  /// conditions) check this FIRST and fail with a mode-qualified error
-  /// rather than returning silently-wrong numbers.
+  /// would. Callers that need the guarantee (realignment, the post-recovery
+  /// skew window, the recovery scan) check this FIRST and fail with a
+  /// mode-qualified error rather than returning silently-wrong numbers.
   bool covers(RecNodeId node, Sigma lo, Sigma hi) const;
   /// The node's lost-pulse wave range (both kInvalidSigma if nothing lost);
   /// for error messages.
   std::pair<Sigma, Sigma> lost_range(RecNodeId node) const;
 
-  /// Visits every *retained* iteration record of `node` in absolute-index
-  /// order: pinned records (evicted from the rolling window into the
-  /// corruption box) first, then the rolling tail. f(record, absolute_index)
-  /// where absolute_index counts from the node's first record ever, so the
-  /// conditions checker's warmup filter keys on the same index in every
-  /// recording mode.
-  template <typename F>
-  void for_each_iteration(RecNodeId node, F&& f) const {
-    const NodeLog& log = log_of(node);
-    for (std::size_t i = 0; i < log.pin_iterations.size(); ++i) {
-      f(log.pin_iterations[i], log.pin_iter_abs[i]);
-    }
-    for (std::size_t i = 0; i < log.iterations.size(); ++i) {
-      f(log.iterations[i], log.iterations_dropped + i);
-    }
-  }
-
-  /// Number of iteration records of `node` lost (evicted un-pinned) whose
-  /// absolute index is < `abs_limit`. Full recording skip-counts every
-  /// record below the warmup index, so a windowed conditions check adds this
-  /// correction to report the identical iterations_skipped.
-  std::uint64_t iterations_lost_below(RecNodeId node, std::uint64_t abs_limit) const;
-
-  /// True when no iteration record of `node` that full recording WOULD have
-  /// checked (absolute index >= warmup, wave in [lo, hi]) was lost.
-  bool iterations_covered(RecNodeId node, Sigma lo, Sigma hi, std::uint64_t warmup) const;
-
   /// Pulses moved into corruption boxes across all nodes (telemetry).
   std::uint64_t pinned_pulse_count() const noexcept { return pinned_pulses_; }
 
-  /// Capacity limits of the bounded bookkeeping above; queries beyond them
-  /// are GTRIX_CHECK failures, not wrong answers.
-  static constexpr std::size_t kEarlyCap = 16;        ///< steady_from warmup
-  static constexpr std::uint64_t kLostIterTrackCap = 32;  ///< warmup skip correction
+  /// Capacity of the early-wave set behind steady_from under anchored
+  /// streaming; a larger warmup is a GTRIX_CHECK failure, not a wrong answer.
+  static constexpr std::size_t kEarlyCap = 16;
 
   /// Pulse time of `node` at wave `sigma`, if recorded.
   std::optional<SimTime> pulse_time(RecNodeId node, Sigma sigma) const;
@@ -189,13 +157,9 @@ class Recorder {
   /// leave a recovered region with a consistent off-by-k label.
   void shift_node_sigma(RecNodeId node, Sigma delta);
 
-  /// All *retained* iteration records of a node, in recording order. In
-  /// windowed mode this is the tail of the full sequence;
-  /// iterations_dropped() gives how many earlier records were evicted, so
-  /// `iterations_dropped(n) + i` is record i's absolute index (the warmup
-  /// filters in metrics/conditions key on the absolute index).
+  /// All iteration records of a node, in recording order (full mode only;
+  /// streaming keeps none).
   const std::vector<IterationRecord>& iterations(RecNodeId node) const;
-  std::uint64_t iterations_dropped(RecNodeId node) const;
 
   /// Smallest / largest sigma recorded for any node (kInvalidSigma if none).
   Sigma min_sigma() const noexcept { return min_sigma_; }
@@ -213,37 +177,25 @@ class Recorder {
   void checkpoint_restore(CkptCursor& r);
 
  private:
-  struct LostIter {
-    std::uint64_t abs = 0;  ///< absolute record index
-    Sigma sigma = 0;
-  };
-
   struct NodeLog {
     Sigma first_sigma = kInvalidSigma;
     std::vector<SimTime> times;  ///< indexed sigma - first_sigma; NaN = missing
-    std::vector<IterationRecord> iterations;
-    std::uint64_t iterations_dropped = 0;  ///< windowed-mode front evictions
+    std::vector<IterationRecord> iterations;  ///< full mode only
 
-    // Corruption-anchored retention state (empty in full mode and in
-    // un-anchored streaming mode):
+    // Corruption-anchored retention state (empty in full mode):
     std::vector<Sigma> early;  ///< smallest distinct recorded waves (<= kEarlyCap)
     Sigma pin_first = kInvalidSigma;   ///< box lower bound once pin_times allocated
     std::vector<SimTime> pin_times;    ///< pinned box slots, indexed sigma - pin_first
-    std::vector<IterationRecord> pin_iterations;  ///< ascending absolute index
-    std::vector<std::uint64_t> pin_iter_abs;      ///< parallel absolute indices
     Sigma lost_lo = kInvalidSigma;     ///< evicted un-pinned pulse wave range
     Sigma lost_hi = kInvalidSigma;
-    std::vector<LostIter> lost_iters;  ///< lost records with abs < kLostIterTrackCap
-    Sigma iter_lost_lo = kInvalidSigma;  ///< lost records with abs >= the cap
-    Sigma iter_lost_hi = kInvalidSigma;
   };
 
   /// Per-node logs exist only while per-wave data can be stored: in full
-  /// and windowed mode, and in streaming mode once a corruption anchor is
-  /// set. Un-anchored streaming keeps none -- the accumulators are its
-  /// whole metrics path -- and every query answers as for an empty log.
+  /// mode, and in streaming mode once a corruption anchor is set.
+  /// Un-anchored streaming keeps none -- the accumulators are its whole
+  /// metrics path -- and every query answers as for an empty log.
   bool keeps_logs() const noexcept {
-    return options_.mode != RecordingMode::kStreaming || anchor_ != kInvalidSigma;
+    return options_.mode == RecordingMode::kFull || anchor_ != kInvalidSigma;
   }
   /// Sizes logs_ to the registered nodes, or frees it when none are kept.
   void resize_logs();
@@ -254,7 +206,6 @@ class Recorder {
   void evict_window(NodeLog& log);
   void pin_pulse(NodeLog& log, Sigma sigma, SimTime t);
   void note_early(NodeLog& log, Sigma sigma);
-  static void note_lost(Sigma& lo, Sigma& hi, Sigma sigma);
 
   RecordingOptions options_;
   StreamingSkew* stream_ = nullptr;

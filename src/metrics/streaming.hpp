@@ -1,11 +1,11 @@
-// Online skew accumulation for memory-bounded recording modes.
+// Online skew accumulation for the memory-bounded (streaming) recording mode.
 //
 // Full-trace recording stores every pulse time and computes skew post-hoc
 // (metrics/skew.cpp). At mega-grid scale (512x512 and beyond) that log no
-// longer fits in RAM, so the streaming and windowed recording modes feed
-// each pulse straight into this accumulator instead and never materialize
-// the trace. The accumulator reproduces compute_skew's results exactly for
-// everything that is an extremum or a count:
+// longer fits in RAM, so the streaming recording mode feeds each pulse
+// straight into this accumulator instead and never materializes the trace.
+// The accumulator reproduces compute_skew's results exactly for everything
+// that is an extremum or a count:
 //
 //  * Per-node steady filtering is replicated online: a node's first
 //    `warmup` recorded pulses are skipped (compute_skew's steady_from), and

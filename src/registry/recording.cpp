@@ -29,21 +29,9 @@ void register_builtins(ComponentRegistry<RecordingProvider>& reg) {
           {}, [](const ComponentSpec&) {
             return std::make_shared<const FixedRecording>(RecordingOptions{});
           });
-  reg.add("windowed",
-          "last `window` waves of records per node; corrupt cells pin a +/-window "
-          "box around the corruption wave for realignment",
-          {{"window", ParamType::kInt, Json(16),
-            "waves retained per node (also the streaming wave-ring capacity and "
-            "the corruption look-back half-width)"}},
-          [](const ComponentSpec& spec) {
-            RecordingOptions options;
-            options.mode = RecordingMode::kWindowed;
-            options.window = checked_window(spec);
-            return std::make_shared<const FixedRecording>(options);
-          });
   reg.add("streaming",
           "no trace: online skew accumulators only; O(nodes) memory, sketch "
-          "quantiles; corrupt cells retain a windowed look-back for realignment",
+          "quantiles; corrupt cells retain a +/-window look-back for realignment",
           {{"window", ParamType::kInt, Json(8),
             "streaming wave-ring capacity and corruption look-back half-width "
             "(size it to cover the recovery tail on corrupt cells)"}},

@@ -2,11 +2,11 @@
 // execution trace the experiment retains (metrics/recorder.hpp).
 //
 // Unlike the other four dimensions this selects measurement infrastructure,
-// not system behaviour: every mode produces bit-identical skew extrema (the
+// not system behaviour: both modes produce bit-identical skew extrema (the
 // streaming differential suite proves it), so scenarios switch modes to
 // trade trace detail for memory, never to change results. It still lives in
 // the registry machinery so scenario JSON gets the same schema-driven
-// "recording": "streaming" / {"kind": "windowed", "window": 16} syntax,
+// "recording": "streaming" / {"kind": "streaming", "window": 16} syntax,
 // dotted sweep axes ("recording.window"), and --list/--describe
 // introspection as everything else.
 #pragma once
@@ -24,8 +24,7 @@ class RecordingProvider {
   virtual RecordingOptions options() const = 0;
 };
 
-/// Global registry; built-ins (full, windowed, streaming) register on first
-/// access.
+/// Global registry; built-ins (full, streaming) register on first access.
 ComponentRegistry<RecordingProvider>& recording_registry();
 
 /// Resolves a recording spec to the recorder's options (the factory's range

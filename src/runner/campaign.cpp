@@ -202,16 +202,21 @@ ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs,
     trace->add_complete(obs.trace_pid, 0, name, t0, trace->now_us() - t0);
   };
 
-  // Corrupt cells honor the configured recording mode. Under the
-  // memory-bounded modes the corruption anchor pins a look-back box of
-  // waves around the injection so realignment, the post-recovery skew
-  // window and the recovery-time scan stay answerable after eviction --
+  // Corrupt cells honor the configured recording mode. Under streaming
+  // recording the corruption anchor pins a look-back box of waves around
+  // the injection so realignment, the post-recovery skew window and the
+  // recovery-time scan stay answerable after eviction --
   // with insufficient look-back they fail loudly, never silently
   // (docs/scaling.md, "Realignment at scale"). Config-derived, so it is set
   // identically on fresh and resumed runs -- BEFORE restore, which replays
   // the pinned state the snapshotted run had accumulated.
   if (corrupt.enabled) world.set_corruption_anchor(corrupt.wave);
   world.set_trace(trace, obs.trace_pid);
+  // The shard driver names every shard's tid; on the serial engine nothing
+  // else names tid 0, so give it the label shard 0 would get.
+  if (trace != nullptr && world.shard_count() <= 1) {
+    trace->set_thread_name(obs.trace_pid, 0, "shard 0");
+  }
 
   const bool snapshots = !ckpt.dir.empty();
   const std::string ckpt_path = ckpt.dir + "/" + key + ".ckpt";

@@ -572,8 +572,7 @@ SkewReport World::skew_window(Sigma lo, Sigma hi) const {
   if (recording_.mode == RecordingMode::kStreaming) {
     GTRIX_CHECK_MSG(recorder_.corruption_anchored(),
                     "arbitrary-window skew needs a per-wave trace; streaming mode "
-                    "retains none outside a corruption box (use skew(), or record "
-                    "windowed/full)");
+                    "retains none outside a corruption box (use skew(), or record full)");
   }
   require_retained(lo, hi + 1, "skew");  // inter-layer pairs read wave s+1
   return compute_skew(trace(), lo, hi);
@@ -584,7 +583,7 @@ RealignStats World::realign_labels() {
     GTRIX_CHECK_MSG(recorder_.corruption_anchored(),
                     "wave-label realignment needs a per-wave trace; streaming mode "
                     "retains none without a corruption anchor (set_corruption_anchor "
-                    "before the run, or record windowed/full)");
+                    "before the run, or record full)");
   }
   const GridTrace t = trace();
   last_realign_ = realign_wave_labels(recorder_, t, config_.params.lambda);
@@ -593,15 +592,7 @@ RealignStats World::realign_labels() {
 
 ConditionReport World::conditions(std::uint32_t s_max) const {
   const auto [lo, hi] = default_window(recorder_, config_.warmup);
-  return conditions_window(s_max, lo, hi);
-}
-
-ConditionReport World::conditions_window(std::uint32_t s_max, Sigma lo, Sigma hi) const {
-  GTRIX_CHECK_MSG(recording_.mode != RecordingMode::kStreaming,
-                  "conditions checks need iteration records; streaming mode keeps none "
-                  "(use windowed recording to check the last K waves)");
-  const GridTrace t = trace();
-  return check_conditions(t, config_.params, s_max, lo, hi);
+  return check_conditions(trace(), config_.params, s_max, lo, hi);
 }
 
 ExperimentCounters World::counters() const {

@@ -76,8 +76,8 @@ struct ExperimentConfig {
   bool jump_condition = true;
   std::uint64_t seed = 1;
   Sigma warmup = 4;  ///< waves skipped at the start of the measurement window
-  /// Trace-retention mode (registry/recording.hpp). Streaming/windowed
-  /// bound the metrics memory for mega-grid scenarios -- skew extrema stay
+  /// Trace-retention mode (registry/recording.hpp). Streaming bounds the
+  /// metrics memory for mega-grid scenarios -- skew extrema stay
   /// bit-identical to full recording.
   ComponentSpec recording_spec = ComponentSpec::of("full");
 
@@ -166,17 +166,18 @@ class World {
 
   GridTrace trace() const;
 
-  /// The resolved trace-retention mode and, in streaming/windowed modes,
-  /// the online accumulator (null under full recording).
+  /// The resolved trace-retention mode and, in streaming mode, the online
+  /// accumulator (null under full recording).
   const RecordingOptions& recording() const noexcept { return recording_; }
   const StreamingSkew* streaming() const noexcept { return streaming_.get(); }
 
   /// Corruption anchor for memory-bounded recording of a transient-fault
   /// cell. Must be called before the first simulated event. `wave` is the
   /// corruption injection wave (CorruptPlan::wave):
-  ///  * the Recorder pins the last K waves around the anchor so realignment
-  ///    and the post-recovery measurement stay answerable after eviction
-  ///    (metrics/recorder.hpp, corruption-anchored retention), and
+  ///  * the Recorder keeps each node's last K waves and pins the K waves
+  ///    either side of the anchor, so realignment and the post-recovery
+  ///    measurement stay answerable after eviction (metrics/recorder.hpp,
+  ///    corruption-anchored retention), and
   ///  * the StreamingSkew accumulators suppress pulses from the injection
   ///    INSTANT (wave * lambda) on, freezing them on the clean epoch --
   ///    corrupted labels would otherwise poison the online extrema. The
@@ -185,16 +186,16 @@ class World {
   void set_corruption_anchor(double wave);
 
   /// Skew over the default measurement window (warmup from config). Under
-  /// streaming/windowed recording this reads the online accumulators --
-  /// extrema and counts are bit-identical to full recording.
+  /// streaming recording this reads the online accumulators -- extrema and
+  /// counts are bit-identical to full recording.
   SkewReport skew() const;
   /// Arbitrary-window skew from the retained trace. Full recording answers
-  /// any window; windowed and corruption-anchored streaming recording
-  /// answer windows their retained waves (rolling tail + corruption box)
-  /// cover, and throw a runtime_error naming the node, the lost waves and
-  /// the recording mode when look-back is insufficient -- never a silently
-  /// different result. Un-anchored streaming keeps no per-wave trace at all
-  /// (hard logic_error; use skew()).
+  /// any window; corruption-anchored streaming answers windows its retained
+  /// waves (rolling tail + corruption box) cover, and throws a runtime_error
+  /// naming the node, the lost waves and the recording mode when look-back
+  /// is insufficient -- never a silently different result. Un-anchored
+  /// streaming keeps no per-wave trace at all (hard logic_error; use
+  /// skew()).
   SkewReport skew_window(Sigma lo, Sigma hi) const;
 
   /// Verifies that the retained trace (rolling tail + corruption box) still
@@ -206,16 +207,15 @@ class World {
   /// (the recovery-time scan in runner/campaign.cpp).
   void require_retained(Sigma lo, Sigma hi, const std::string& what) const;
 
-  /// Condition checks over the default window. Full mode checks the whole
-  /// run; windowed mode checks what the retained waves cover (hard
-  /// runtime_error on any lost record inside the window); streaming mode
-  /// keeps no iteration records and reports a hard error.
+  /// Condition checks over the default window (metrics/conditions.hpp).
+  /// Full recording only: streaming keeps no iteration records, and
+  /// check_conditions rejects it with a logic_error naming the mode.
   ConditionReport conditions(std::uint32_t s_max) const;
 
   /// Post-run wave-label realignment (see metrics/realign.hpp); call after
   /// run_to_completion() in transient-fault experiments, before measuring.
-  /// Runs on the full trace or on the windowed/anchored-streaming retained
-  /// window (the realignment pass reads each node's rolling tail and is
+  /// Runs on the full trace or on anchored streaming's retained window (the
+  /// realignment pass reads each node's rolling tail and is
   /// coverage-checked -- insufficient look-back is a runtime_error, see
   /// docs/scaling.md "Realignment at scale"). Un-anchored streaming has no
   /// per-wave trace to realign (logic_error).
@@ -223,7 +223,6 @@ class World {
   /// Stats of the last realign_labels() call (zeroes before any call);
   /// exported as the engine-invariant realign_shifted_nodes counter.
   const RealignStats& last_realign() const noexcept { return last_realign_; }
-  ConditionReport conditions_window(std::uint32_t s_max, Sigma lo, Sigma hi) const;
 
   ExperimentCounters counters() const;
 
@@ -322,7 +321,7 @@ class World {
   Network net_;
   Recorder recorder_;
   RecordingOptions recording_;
-  /// Online skew accumulators (streaming/windowed modes only).
+  /// Online skew accumulators (streaming mode only).
   std::unique_ptr<StreamingSkew> streaming_;
   /// Struct-of-arrays hot state for every node this World wires; must
   /// outlive the node objects below, which hold indices into it. Shard 0's

@@ -14,7 +14,7 @@ namespace gtrix {
 namespace {
 
 constexpr const char* kResultFormat = "gtrix-cell-result";
-// v2: realign + recovery blocks (corruption-anchored windowed realignment).
+// v2: realign + recovery blocks (corruption-anchored realignment).
 constexpr std::int64_t kResultVersion = 2;
 
 Json doubles_to_json(const std::vector<double>& values) {

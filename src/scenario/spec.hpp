@@ -23,10 +23,10 @@
 //   "clock_model": {"kind": "drift-walk", "step": 0.25}
 //
 // The trace-retention mode uses the same syntax under the "recording" key
-// ("full" | "windowed" | "streaming"; see docs/scaling.md):
+// ("full" | "streaming"; see docs/scaling.md):
 //
 //   "recording": "streaming"
-//   "recording": {"kind": "windowed", "window": 16}
+//   "recording": {"kind": "streaming", "window": 16}
 //
 // Sweep axes reach component parameters through dotted paths
 // ("base_graph.rows", "clock_model.step", "recording.window"). A component

@@ -9,8 +9,9 @@ space of `ulimit -v 2000000`: an oversized sweep must be refused before it
 allocates, never grow until the host runs out of memory.
 
 A second table runs `gtrix_campaign` with malformed flags (a non-numeric
-or partly numeric value, a repeated flag, a bad boolean). Each must exit 2
-with a stderr line that names the flag.
+or partly numeric value, a repeated flag, a bad boolean, an unknown
+recording mode, an out-of-range window). Each must exit 2 with a stderr
+line that names the flag.
 
 Sanitizer builds skip the address-space limit: their shadow memory alone
 reserves far more than 2 GB of address space.
@@ -42,13 +43,16 @@ CASES = {
     # file is.
     "directory": (None, "cannot read file"),
     "empty-file": ("", "line 1, column 1: unexpected end of input"),
-    # The two spellings the scenario format no longer accepts.
+    # Spellings the scenario format no longer accepts.
     "cycle-reach": (
         scenario({"base_graph": "cycle", "cycle_reach": 2}),
         "$.config.cycle_reach: unknown key 'cycle_reach'"),
     "int-delay-split": (
         scenario({"delay_model": "column-split", "delay_split_column": 4}),
         "$.config.delay_split_column: expected \"center\""),
+    "recording-windowed": (
+        scenario({"recording": {"kind": "windowed", "window": 16}}),
+        "$.config.recording: unknown recording mode 'windowed' (valid: full, streaming)"),
     "unknown-key": (
         scenario({"colums": 8}),
         "$.config.colums: unknown key 'colums'"),
@@ -86,6 +90,12 @@ FLAG_CASES = {
     "recording-window-word": (
         ["quickstart-grid", "--recording=streaming", "--recording-window=abc", "--dry-run"],
         "--recording-window: 'abc'"),
+    "recording-windowed": (
+        ["quickstart-grid", "--recording=windowed", "--dry-run"],
+        "--recording: unknown recording mode 'windowed' (valid: full, streaming)"),
+    "recording-window-range": (
+        ["quickstart-grid", "--recording=streaming", "--recording-window=1", "--dry-run"],
+        "--recording-window:"),
     "duplicate-out": (["quickstart-grid", "--out=a", "--out=b", "--dry-run"],
                       "duplicate flag --out"),
     "quiet-maybe": (["quickstart-grid", "--quiet=maybe", "--dry-run"],

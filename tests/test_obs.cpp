@@ -292,7 +292,9 @@ TEST(Trace, CheckpointedCampaignEmitsPhaseSpans) {
   // Checkpointing must not cost observability: a traced campaign with a
   // checkpoint directory gives every corrupt cell the same phase
   // vocabulary as a plain traced campaign, with one run/recover span per
-  // snapshot chunk.
+  // snapshot chunk. The cells run on the serial engine, and every span's
+  // (pid, tid) still carries a thread_name, as tools/trace_summary.py
+  // requires.
   const Scenario scenario = Scenario::from_json(Json::parse(R"({
     "name": "stab-traced",
     "config": {"columns": 6, "layers": 5, "pulses": 30, "self_stabilizing": true},
@@ -315,11 +317,21 @@ TEST(Trace, CheckpointedCampaignEmitsPhaseSpans) {
 
     const Json doc = trace.to_json();
     std::map<std::int64_t, std::map<std::string, int>> phases;  // cell pid -> name -> count
+    std::set<std::pair<std::int64_t, std::int64_t>> named;      // (pid, tid) with a name
+    for (const Json& e : doc.at("traceEvents").as_array()) {
+      if (e.at("ph").as_string() == "M" && e.at("name").as_string() == "thread_name") {
+        named.emplace(e.at("pid").as_int(), e.at("tid").as_int());
+      }
+    }
+    const std::string mode = checkpointed ? "checkpointed" : "plain";
     for (const Json& e : doc.at("traceEvents").as_array()) {
       if (e.at("ph").as_string() != "X" || e.at("pid").as_int() == 1) continue;
       ++phases[e.at("pid").as_int()][e.at("name").as_string()];
+      EXPECT_TRUE(named.count({e.at("pid").as_int(), e.at("tid").as_int()}))
+          << mode << ": span '" << e.at("name").as_string() << "' on pid "
+          << e.at("pid").as_int() << " tid " << e.at("tid").as_int()
+          << " has no thread_name";
     }
-    const std::string mode = checkpointed ? "checkpointed" : "plain";
     ASSERT_EQ(phases.size(), 2u) << mode;
     for (auto& [pid, count] : phases) {
       SCOPED_TRACE(mode + " cell pid " + std::to_string(pid));

@@ -125,32 +125,64 @@ TEST(Recorder, UnregisteredNodeThrows) {
   EXPECT_THROW(rec.record_iteration(3, r), std::logic_error);
 }
 
-// --- memory-bounded recording modes ------------------------------------------
+// --- memory-bounded (streaming) recording ------------------------------------
 
-TEST(Recorder, WindowedModeEvictsBeyondTheWindow) {
+TEST(Recorder, AnchoredStreamingPinsTheBoxAndKeepsTheRollingTail) {
+  // Window 4, corruption anchor at wave 2: the pin box is waves [-2, 6] and
+  // the rolling tail is each node's last 4 wave slots.
   Recorder rec;
   RecordingOptions options;
-  options.mode = RecordingMode::kWindowed;
+  options.mode = RecordingMode::kStreaming;
   options.window = 4;
   rec.configure(options);
   rec.register_node(0, {});
-  for (Sigma s = 0; s < 10; ++s) {
-    rec.record_pulse(0, s, static_cast<double>(s) * 10.0);
+  rec.register_node(1, {});
+  rec.set_corruption_anchor(2);
+  EXPECT_TRUE(rec.corruption_anchored());
+  EXPECT_EQ(rec.corruption_anchor(), 2);
+  for (Sigma s = 0; s <= 12; ++s) {
     IterationRecord it;
     it.sigma = s;
+    rec.record_pulse(0, s, static_cast<double>(s) * 10.0);
     rec.record_iteration(0, it);
+    if (s == 3) continue;  // node 1 never pulses at wave 3
+    rec.record_pulse(1, s, static_cast<double>(s) * 10.0 + 1.0);
+    rec.record_iteration(1, it);
   }
-  // Waves 6..9 retained, 0..5 evicted.
-  EXPECT_FALSE(rec.pulse_time(0, 5).has_value());
-  EXPECT_EQ(rec.pulse_time(0, 6), std::optional<SimTime>(60.0));
-  EXPECT_EQ(rec.pulse_time(0, 9), std::optional<SimTime>(90.0));
-  ASSERT_EQ(rec.iterations(0).size(), 4u);
-  EXPECT_EQ(rec.iterations(0).front().sigma, 6);
-  EXPECT_EQ(rec.iterations_dropped(0), 6u);
-  // Global envelope still spans the whole run.
+  // Waves 0..6 left the rolling tail inside the box: pinned and readable.
+  for (Sigma s = 0; s <= 6; ++s) {
+    EXPECT_EQ(rec.pulse_time(0, s), std::optional<SimTime>(static_cast<double>(s) * 10.0)) << s;
+  }
+  // Waves 9..12 are the rolling tail.
+  for (Sigma s = 9; s <= 12; ++s) {
+    EXPECT_EQ(rec.pulse_time(0, s), std::optional<SimTime>(static_cast<double>(s) * 10.0)) << s;
+    EXPECT_EQ(rec.pulse_time(1, s), std::optional<SimTime>(static_cast<double>(s) * 10.0 + 1.0))
+        << s;
+  }
+  // Waves 7 and 8 were evicted outside the box: lost, and reported as such.
+  EXPECT_FALSE(rec.pulse_time(0, 7).has_value());
+  EXPECT_FALSE(rec.pulse_time(0, 8).has_value());
+  for (RecNodeId node : {0u, 1u}) {
+    EXPECT_EQ(rec.lost_range(node), std::make_pair(Sigma{7}, Sigma{8})) << node;
+    EXPECT_TRUE(rec.covers(node, 0, 6)) << node;
+    EXPECT_TRUE(rec.covers(node, 9, 12)) << node;
+    EXPECT_FALSE(rec.covers(node, 6, 7)) << node;
+    EXPECT_FALSE(rec.covers(node, 8, 9)) << node;
+  }
+  // A wave the node never pulsed is neither pinned nor lost.
+  EXPECT_FALSE(rec.pulse_time(1, 3).has_value());
+  EXPECT_EQ(rec.pinned_pulse_count(), 7u + 6u);
+  // The early-wave set answers steady_from after the run's start was evicted.
+  EXPECT_EQ(rec.steady_from(0, 0), 0);
+  EXPECT_EQ(rec.steady_from(1, 3), 4);
+  EXPECT_EQ(rec.last_recorded(1), 12);
+  // No iteration records in streaming mode, anchored or not.
+  EXPECT_TRUE(rec.iterations(0).empty());
+  EXPECT_TRUE(rec.iterations(1).empty());
+  // The run envelope spans every recorded pulse.
   EXPECT_EQ(rec.min_sigma(), 0);
-  EXPECT_EQ(rec.max_sigma(), 9);
-  EXPECT_EQ(rec.pulse_count(), 10u);
+  EXPECT_EQ(rec.max_sigma(), 12);
+  EXPECT_EQ(rec.pulse_count(), 13u + 12u);
 }
 
 TEST(Recorder, StreamingModeKeepsNoPerWaveState) {
@@ -189,7 +221,6 @@ TEST(Recorder, RegisterNodeIdOverflowThrows) {
 
 TEST(Recorder, RecordingModeNames) {
   EXPECT_EQ(to_string(RecordingMode::kFull), "full");
-  EXPECT_EQ(to_string(RecordingMode::kWindowed), "windowed");
   EXPECT_EQ(to_string(RecordingMode::kStreaming), "streaming");
 }
 

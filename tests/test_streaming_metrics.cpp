@@ -1,16 +1,17 @@
 // Streaming-vs-full differential suite: the correctness anchor of the
-// memory-bounded recording modes.
+// memory-bounded (streaming) recording mode.
 //
 // The contract (metrics/streaming.hpp, docs/scaling.md):
 //  * skew EXTREMA, per-layer vectors and pairs_checked are BIT-identical
-//    between streaming/windowed and full recording, on every builtin
-//    scenario -- the accumulators are a different evaluation order of the
-//    same arithmetic, not an approximation;
-//  * deviation quantiles are P-squared estimates within a documented
-//    tolerance of the exact (full-mode) order statistics; the deviation
-//    COUNT stays exact;
-//  * windowed mode's retained last-K-waves window supports conditions
-//    checks with results identical to full recording over the same window;
+//    between streaming and full recording, on every builtin scenario --
+//    the accumulators are a different evaluation order of the same
+//    arithmetic, not an approximation;
+//  * deviation quantiles are log-binned sketch estimates within a
+//    documented tolerance of the exact (full-mode) order statistics; the
+//    deviation COUNT stays exact;
+//  * queries that need a per-wave trace or iteration records (conditions,
+//    arbitrary skew windows, realignment) are hard errors under un-anchored
+//    streaming;
 //  * campaign output under streaming recording is byte-identical across
 //    thread counts.
 #include <gtest/gtest.h>
@@ -118,20 +119,6 @@ TEST(StreamingMetrics, BitIdenticalExtremaOnEveryBuiltinScenario) {
   }
 }
 
-TEST(StreamingMetrics, WindowedModeMatchesFullExtremaToo) {
-  for (const char* name : {"quickstart-grid", "torus-smoke"}) {
-    SCOPED_TRACE(name);
-    const Scenario scenario = builtin_scenario(name);
-    const CampaignResult full = run_with_recording(scenario, "");
-    const CampaignResult windowed = run_with_recording(scenario, "windowed");
-    ASSERT_EQ(full.cells.size(), windowed.cells.size());
-    for (std::size_t i = 0; i < full.cells.size(); ++i) {
-      expect_identical_extrema(full.cells[i].result.skew, windowed.cells[i].result.skew,
-                               std::string(name) + " cell " + full.cells[i].label);
-    }
-  }
-}
-
 ExperimentConfig small_config() {
   ExperimentConfig config;
   config.columns = 6;
@@ -153,83 +140,21 @@ TEST(StreamingMetrics, StreamingDiagnosticsAreCleanOnDirectRuns) {
   EXPECT_GT(world.skew().pairs_checked, 0u);
 }
 
-TEST(StreamingMetrics, WindowedConditionsMatchFullOnTheRetainedWindow) {
-  ExperimentConfig full_config = small_config();
-  World full_world(full_config);
-  full_world.run_to_completion();
-
-  ExperimentConfig windowed_config = small_config();
-  windowed_config.recording_spec = ComponentSpec::of("windowed");
-  recording_registry().set_param(windowed_config.recording_spec, "window", Json(10));
-  World windowed_world(windowed_config);
-  windowed_world.run_to_completion();
-
-  // The last few waves sit inside every node's retained window (K = 10,
-  // cross-layer stagger is one wave per layer edge).
-  const auto [lo, hi] = default_window(full_world.recorder(), full_config.warmup);
-  (void)lo;
-  const Sigma window_lo = hi - 3;
-  const ConditionReport full = full_world.conditions_window(2, window_lo, hi);
-  const ConditionReport windowed = windowed_world.conditions_window(2, window_lo, hi);
-  EXPECT_GT(full.sc_checked, 0u);
-  EXPECT_EQ(full.sc_checked, windowed.sc_checked);
-  EXPECT_EQ(full.fc_checked, windowed.fc_checked);
-  EXPECT_EQ(full.jc_checked, windowed.jc_checked);
-  EXPECT_EQ(full.lemma_d2_checked, windowed.lemma_d2_checked);
-  EXPECT_EQ(full.lemma_d3_checked, windowed.lemma_d3_checked);
-  EXPECT_EQ(full.sc_violations, windowed.sc_violations);
-  EXPECT_EQ(full.fc_violations, windowed.fc_violations);
-  EXPECT_EQ(full.jc_violations, windowed.jc_violations);
-  EXPECT_EQ(full.lemma_d2_violations, windowed.lemma_d2_violations);
-  EXPECT_EQ(full.lemma_d3_violations, windowed.lemma_d3_violations);
-  EXPECT_EQ(full.median_violations, windowed.median_violations);
-}
-
 TEST(StreamingMetrics, StreamingModeRejectsTraceOnlyQueries) {
   ExperimentConfig config = small_config();
   config.recording_spec = ComponentSpec::of("streaming");
   World world(config);
   world.run_to_completion();
   EXPECT_NO_THROW((void)world.skew());
-  EXPECT_THROW((void)world.conditions(2), std::logic_error);
+  try {
+    (void)world.conditions(2);
+    FAIL() << "conditions checks need full recording";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("streaming mode keeps none"), std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW((void)world.skew_window(0, 5), std::logic_error);
   EXPECT_THROW((void)world.realign_labels(), std::logic_error);
-}
-
-TEST(StreamingMetrics, WindowedSkewWindowsWorkWhenRetainedAndFailLoudlyWhenNot) {
-  // Windowed mode answers any window the retained look-back covers, with
-  // results bit-identical to full recording; a window that reaches into
-  // evicted waves is a hard, path-qualified error -- never silently wrong.
-  ExperimentConfig full_config = small_config();
-  World full_world(full_config);
-  full_world.run_to_completion();
-
-  ExperimentConfig config = small_config();
-  config.recording_spec = ComponentSpec::of("windowed");
-  World world(config);
-  world.run_to_completion();
-  EXPECT_NO_THROW((void)world.conditions(1));
-  // Default window (16) retains every wave of this 14-pulse run: the
-  // arbitrary window succeeds and matches full recording bit for bit.
-  const SkewReport full = full_world.skew_window(0, 5);
-  const SkewReport windowed = world.skew_window(0, 5);
-  EXPECT_EQ(full.max_intra, windowed.max_intra);
-  EXPECT_EQ(full.global_skew, windowed.global_skew);
-  EXPECT_EQ(full.pairs_checked, windowed.pairs_checked);
-
-  // A 2-wave window evicts the early waves; asking for them must throw a
-  // runtime_error that names the remedy, not return partial numbers.
-  ExperimentConfig tight_config = small_config();
-  tight_config.recording_spec = ComponentSpec::of("windowed");
-  recording_registry().set_param(tight_config.recording_spec, "window", Json(2));
-  World tight_world(tight_config);
-  tight_world.run_to_completion();
-  try {
-    (void)tight_world.skew_window(0, 5);
-    FAIL() << "under-sized look-back must be a hard error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("window"), std::string::npos) << e.what();
-  }
 }
 
 TEST(StreamingMetrics, CampaignBytesIdenticalAcrossThreadCountsUnderStreaming) {
@@ -293,7 +218,7 @@ TEST(StreamingMetrics, RecordingSpecRoundTripsThroughScenarioJson) {
   const Json doc = Json::parse(R"({
     "name": "rt",
     "config": {"columns": 4, "layers": 4, "pulses": 6,
-               "recording": {"kind": "windowed", "window": 12}}
+               "recording": {"kind": "streaming", "window": 12}}
   })");
   const Scenario scenario = Scenario::from_json(doc);
   const auto cells = scenario.cells();
@@ -301,9 +226,9 @@ TEST(StreamingMetrics, RecordingSpecRoundTripsThroughScenarioJson) {
   const Json serialized = to_json(cells[0].config);
   const ExperimentConfig back = config_from_json(serialized);
   EXPECT_EQ(back, cells[0].config);
-  EXPECT_EQ(serialized.at("recording").at("kind").as_string(), "windowed");
+  EXPECT_EQ(serialized.at("recording").at("kind").as_string(), "streaming");
   EXPECT_EQ(serialized.at("recording").at("window").as_int(), 12);
-  EXPECT_EQ(resolve_recording(back.recording_spec).mode, RecordingMode::kWindowed);
+  EXPECT_EQ(resolve_recording(back.recording_spec).mode, RecordingMode::kStreaming);
   EXPECT_EQ(resolve_recording(back.recording_spec).window, 12);
 }
 

@@ -1,20 +1,19 @@
-// Differential battery for corruption-anchored windowed realignment.
+// Differential battery for realignment under corruption-anchored streaming.
 //
-// The tentpole contract (docs/scaling.md, "Realignment at scale"): corrupt
-// cells no longer force full-trace recording. Realignment, the post-recovery
-// skew window, the recovery-time scan and windowed conditions all replay
-// from the corruption-anchored look-back (+/-window waves around the
-// corruption wave plus the rolling tail), and the results are BIT-identical
-// to full-trace recording whenever the look-back covers what is read.
-// An under-sized look-back is a hard, mode-qualified error -- never a
+// The contract (docs/scaling.md, "Realignment at scale"): corrupt cells do
+// not force full-trace recording. Realignment, the post-recovery skew
+// window and the recovery-time scan all replay from the
+// corruption-anchored look-back (+/-window waves around the corruption
+// wave plus the rolling tail), and the results are BIT-identical to
+// full-trace recording whenever the look-back covers what is read. An
+// under-sized look-back is a hard, mode-qualified error -- never a
 // silently different number.
 //
 // Coverage here:
 //  * every corrupt builtin variant (thm12, thm13, thm16, fig5 with the
-//    Theorem 1.6 corruption plan) x recording modes {windowed, streaming}
-//    x shards {1, 2, 4} x threads {1, 4}, against a full-trace baseline;
+//    Theorem 1.6 corruption plan) under streaming recording x shards
+//    {1, 2, 4} x threads {1, 4}, against a full-trace baseline;
 //  * JSONL byte-identity across every (shards, threads) combination;
-//  * windowed conditions on a corrupted-and-realigned world vs full trace;
 //  * a randomized (deterministically seeded) fuzz sweep over corruption
 //    wave/fraction/density and look-back K: either bit-equal to full or a
 //    loud coverage error, with both outcomes required to occur;
@@ -129,8 +128,8 @@ void expect_same_measurement(const ExperimentResult& full, const ExperimentResul
   EXPECT_EQ(full.diameter, other.diameter);
 }
 
-ComponentSpec bounded_spec(const std::string& mode, int window) {
-  ComponentSpec spec = ComponentSpec::of(mode);
+ComponentSpec streaming_spec(int window) {
+  ComponentSpec spec = ComponentSpec::of("streaming");
   recording_registry().set_param(spec, "window", Json(window));
   return spec;
 }
@@ -148,99 +147,46 @@ TEST(WindowedRealign, BitIdenticalToFullTraceOnEveryCorruptBuiltin) {
       ASSERT_TRUE(cell.corrupt.enabled);
       ASSERT_TRUE(cell.result.recovery.enabled) << cell.label;
     }
-    for (const std::string mode : {"windowed", "streaming"}) {
-      // 48 waves of look-back cover the corruption box and the recovery
-      // tail on every variant (max layers 16 -> recovered wave <= 32,
-      // scan/skew reads end well inside corrupt_wave + 48).
-      CampaignOptions options;
-      options.recording_override = bounded_spec(mode, 48);
-      std::string reference_jsonl;
-      for (const std::uint32_t shards : {1u, 2u, 4u}) {
-        for (const unsigned threads : {1u, 4u}) {
-          const std::string where =
-              std::string(name) + " " + mode + " shards=" + std::to_string(shards) +
-              " threads=" + std::to_string(threads);
-          options.shards = shards;
-          options.threads = threads;
-          const CampaignResult bounded = run_campaign(scenario, options);
-          ASSERT_EQ(baseline.cells.size(), bounded.cells.size());
-          for (std::size_t i = 0; i < baseline.cells.size(); ++i) {
-            expect_same_measurement(baseline.cells[i].result, bounded.cells[i].result,
-                                    where + " cell " + baseline.cells[i].label);
-          }
-          // Byte-identity of the emitted JSONL across every engine shape
-          // running the same mode.
-          const std::string jsonl = campaign_jsonl(bounded);
-          if (reference_jsonl.empty()) {
-            reference_jsonl = jsonl;
-            EXPECT_NE(jsonl.find("\"recovery\""), std::string::npos) << where;
-          } else {
-            EXPECT_EQ(reference_jsonl, jsonl) << where;
-          }
+    // 48 waves of look-back cover the corruption box and the recovery
+    // tail on every variant (max layers 16 -> recovered wave <= 32,
+    // scan/skew reads end well inside corrupt_wave + 48).
+    CampaignOptions options;
+    options.recording_override = streaming_spec(48);
+    std::string reference_jsonl;
+    for (const std::uint32_t shards : {1u, 2u, 4u}) {
+      for (const unsigned threads : {1u, 4u}) {
+        const std::string where =
+            std::string(name) + " shards=" + std::to_string(shards) +
+            " threads=" + std::to_string(threads);
+        options.shards = shards;
+        options.threads = threads;
+        const CampaignResult bounded = run_campaign(scenario, options);
+        ASSERT_EQ(baseline.cells.size(), bounded.cells.size());
+        for (std::size_t i = 0; i < baseline.cells.size(); ++i) {
+          expect_same_measurement(baseline.cells[i].result, bounded.cells[i].result,
+                                  where + " cell " + baseline.cells[i].label);
+        }
+        // Byte-identity of the emitted JSONL across every engine shape.
+        const std::string jsonl = campaign_jsonl(bounded);
+        if (reference_jsonl.empty()) {
+          reference_jsonl = jsonl;
+          EXPECT_NE(jsonl.find("\"recovery\""), std::string::npos) << where;
+        } else {
+          EXPECT_EQ(reference_jsonl, jsonl) << where;
         }
       }
     }
   }
 }
 
-TEST(WindowedRealign, ConditionsMatchFullTraceAfterCorruptionAndRealignment) {
-  // Direct world-level differential: corrupt, recover, realign, then check
-  // the paper's conditions over a post-recovery window -- windowed
-  // retention must reproduce the full-trace report field for field.
-  const Json config_doc = Json::parse(R"({
-    "columns": 8, "layers": 6, "pulses": 36, "seed": 17,
-    "self_stabilizing": true
-  })");
-  CorruptPlan corrupt;
-  corrupt.enabled = true;
-  corrupt.wave = 8.0;
-  corrupt.fraction = 1.0;
-
-  const auto run_world = [&](World& world) {
-    world.set_corruption_anchor(corrupt.wave);
-    Rng rng(world.config().seed ^ 0xFEED);
-    world.run_until(corrupt.wave * world.config().params.lambda);
-    world.corrupt_fraction(corrupt.fraction, rng);
-    world.run_to_completion();
-    (void)world.realign_labels();
-  };
-
-  ExperimentConfig full_config = config_from_json(config_doc);
-  World full_world(full_config);
-  run_world(full_world);
-
-  ExperimentConfig windowed_config = config_from_json(config_doc);
-  // 14 waves: tight enough that waves between the corruption box and the
-  // rolling tail exist only via the pin box -- the interesting regime.
-  windowed_config.recording_spec = bounded_spec("windowed", 14);
-  World windowed_world(windowed_config);
-  run_world(windowed_world);
-
-  const Sigma lo = 20;  // recovered wave: 8 + 6 layers + 6
-  const Sigma hi = 30;
-  const ConditionReport full = full_world.conditions_window(2, lo, hi);
-  const ConditionReport windowed = windowed_world.conditions_window(2, lo, hi);
-  EXPECT_GT(full.sc_checked, 0u);
-  EXPECT_EQ(full.sc_checked, windowed.sc_checked);
-  EXPECT_EQ(full.fc_checked, windowed.fc_checked);
-  EXPECT_EQ(full.jc_checked, windowed.jc_checked);
-  EXPECT_EQ(full.lemma_d2_checked, windowed.lemma_d2_checked);
-  EXPECT_EQ(full.lemma_d3_checked, windowed.lemma_d3_checked);
-  EXPECT_EQ(full.sc_violations, windowed.sc_violations);
-  EXPECT_EQ(full.fc_violations, windowed.fc_violations);
-  EXPECT_EQ(full.jc_violations, windowed.jc_violations);
-  EXPECT_EQ(full.lemma_d2_violations, windowed.lemma_d2_violations);
-  EXPECT_EQ(full.lemma_d3_violations, windowed.lemma_d3_violations);
-  EXPECT_EQ(full.median_violations, windowed.median_violations);
-}
-
 TEST(WindowedRealign, FuzzedLookBackEitherMatchesFullOrFailsLoudly) {
   // Deterministically seeded sweep over corruption wave, corrupted
-  // fraction, random-fault density, recording mode and look-back K. The
-  // invariant under test is the SAFETY property of the bounded look-back:
-  // whenever the bounded run returns numbers, they are bit-identical to
-  // full-trace recording; when K is too small it throws a coverage error
-  // naming the window -- it never silently diverges.
+  // fraction, random-fault density and look-back K, every trial under
+  // streaming recording. The invariant under test is the SAFETY property
+  // of the bounded look-back: whenever the bounded run returns numbers,
+  // they are bit-identical to full-trace recording; when K is too small it
+  // throws a coverage error naming the window -- it never silently
+  // diverges.
   Rng fuzz(0xC0FFEE);
   int matched = 0;
   int refused = 0;
@@ -249,12 +195,10 @@ TEST(WindowedRealign, FuzzedLookBackEitherMatchesFullOrFailsLoudly) {
     const double fraction = 0.25 + 0.25 * static_cast<double>(fuzz.uniform_int(0, 3));
     const double density = 0.02 * static_cast<double>(fuzz.uniform_int(0, 2));
     const int window = static_cast<int>(fuzz.uniform_int(6, 28));
-    const std::string mode = (trial % 2 == 0) ? "windowed" : "streaming";
     const std::string where = "trial " + std::to_string(trial) + ": wave " +
                               std::to_string(wave) + " fraction " +
                               std::to_string(fraction) + " density " +
-                              std::to_string(density) + " K " + std::to_string(window) +
-                              " mode " + mode;
+                              std::to_string(density) + " K " + std::to_string(window);
     SCOPED_TRACE(where);
 
     Json doc = Json::parse(R"({
@@ -277,7 +221,7 @@ TEST(WindowedRealign, FuzzedLookBackEitherMatchesFullOrFailsLoudly) {
     const ExperimentResult full = run_cell(full_config, corrupt);
 
     ExperimentConfig bounded_config = config_from_json(config_obj);
-    bounded_config.recording_spec = bounded_spec(mode, window);
+    bounded_config.recording_spec = streaming_spec(window);
     try {
       const ExperimentResult bounded = run_cell(bounded_config, corrupt);
       expect_same_measurement(full, bounded, where);

@@ -41,12 +41,12 @@ Usage make_usage(const std::string& program) {
              "default); budgeted so cells x shards stays within hardware "
              "concurrency -- results are bit-identical for every shard count");
   usage.flag("--recording=MODE",
-             "override every cell's trace retention: full, windowed or streaming "
+             "override every cell's trace retention: full or streaming "
              "(see docs/scaling.md; applies to corrupt cells too -- realignment "
              "replays from a corruption-anchored look-back window)");
   usage.flag("--recording-window=K",
-             "waves retained / ring capacity for the override mode; on corrupt "
-             "cells also the look-back half-width around the corruption wave -- "
+             "streaming wave-ring capacity; on corrupt cells also the rolling "
+             "tail and the look-back half-width around the corruption wave -- "
              "too small is a hard error, never silently wrong numbers");
   usage.flag("--telemetry",
              "harvest engine telemetry: per-cell engine_stats in the JSONL "
@@ -210,16 +210,24 @@ int run(int argc, char** argv) {
       std::fputs("error: --recording requires a mode (--recording=streaming)\n", stderr);
       return 2;
     }
-    options.recording_override = ComponentSpec::of(mode);
-    if (flags.has("recording-window")) {
-      recording_registry().set_param(options.recording_override, "window",
-                                     Json(flags.get_int("recording-window", 0)));
-    }
     // Validate eagerly so an unknown mode OR out-of-range window fails
-    // before any scenario runs (canonicalize checks names and types only;
-    // resolve_recording runs the factory's range checks).
-    options.recording_override = recording_registry().canonicalize(options.recording_override);
-    (void)resolve_recording(options.recording_override);
+    // before any scenario runs, naming the flag at fault (canonicalize
+    // checks names and types only; resolve_recording runs the factory's
+    // range checks).
+    try {
+      options.recording_override = recording_registry().canonicalize(ComponentSpec::of(mode));
+    } catch (const JsonError& e) {
+      throw JsonError(std::string("--recording: ") + e.what());
+    }
+    if (flags.has("recording-window")) {
+      const Json window(flags.get_int("recording-window", 0));
+      try {
+        recording_registry().set_param(options.recording_override, "window", window);
+        (void)resolve_recording(options.recording_override);
+      } catch (const JsonError& e) {
+        throw JsonError(std::string("--recording-window: ") + e.what());
+      }
+    }
   } else if (flags.has("recording-window")) {
     std::fputs("error: --recording-window needs --recording=MODE\n", stderr);
     return 2;
