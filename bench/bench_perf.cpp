@@ -57,7 +57,7 @@ int run(int argc, char** argv) {
              "snapshot interval for --checkpoint-gate (simulated time; "
              "default 4000 = two nominal waves)");
   usage.flag("--help", "show this help");
-  const Flags flags(argc, argv, {"--help"});
+  const Flags flags(argc, argv, {"help"});
   if (flags.get_bool("help", false)) {
     std::fputs(usage.str().c_str(), stdout);
     return 0;

@@ -45,10 +45,9 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   std::uint64_t pulses_forwarded() const noexcept { return forwarded_; }
   std::uint32_t effective_trim() const noexcept { return trim_; }
 
-  /// Checkpoint hooks (src/ckpt/nodes_ckpt.cpp): per-wave arena registers,
+  /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): per-wave arena registers,
   /// pending queue and forwarded counter.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   enum TimerKind : std::uint32_t { kFire = 1 };

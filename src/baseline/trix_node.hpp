@@ -34,10 +34,9 @@ class TrixNaiveNode final : public PulseSink, public TimerTarget {
 
   std::uint64_t pulses_forwarded() const noexcept { return forwarded_; }
 
-  /// Checkpoint hooks (src/ckpt/nodes_ckpt.cpp): per-wave arena registers,
+  /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): per-wave arena registers,
   /// pending queue and forwarded counter.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   enum TimerKind : std::uint32_t { kFire = 1 };

@@ -160,6 +160,31 @@ void CkptCursor::expect_done() const {
   }
 }
 
+// --- CkptIo ------------------------------------------------------------------
+
+namespace {
+
+[[noreturn]] void count_mismatch(const CkptCursor& cur, std::string_view what, std::uint64_t saved,
+                                 std::uint64_t now) {
+  throw CkptError("checkpoint section '" + cur.name() + "': " + std::string(what) + " count " +
+                  std::to_string(saved) + " does not match this configuration's " +
+                  std::to_string(now) + " (different configuration or corrupt file)");
+}
+
+}  // namespace
+
+void CkptIo::same_count(std::uint64_t n, std::string_view what) {
+  std::uint64_t saved = n;
+  u64(saved);
+  if (saved != n) count_mismatch(*cur_, what, saved, n);
+}
+
+void CkptIo::same_u32(std::uint32_t n, std::string_view what) {
+  std::uint32_t saved = n;
+  u32(saved);
+  if (saved != n) count_mismatch(*cur_, what, saved, n);
+}
+
 // --- CkptFile ----------------------------------------------------------------
 
 CkptFile CkptFile::parse(std::vector<std::uint8_t> bytes, const std::string& path) {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -106,6 +107,7 @@ class CkptCursor {
 
   bool done() const noexcept { return p_ == end_; }
   void expect_done() const;
+  const std::string& name() const noexcept { return name_; }
 
  private:
   void need(std::size_t n) const;
@@ -113,6 +115,61 @@ class CkptCursor {
   const std::uint8_t* p_;
   const std::uint8_t* end_;
   std::string name_;
+};
+
+/// One codec for both directions. A state holder's `checkpoint(CkptIo&)`
+/// names each serialized field once, in wire order: saving appends the
+/// field to a CkptWriter, restoring overwrites it from a CkptCursor. The
+/// primitives take references for that reason; a save only reads them.
+class CkptIo {
+ public:
+  explicit CkptIo(CkptWriter& w) noexcept : w_(&w) {}
+  explicit CkptIo(CkptCursor& cur) noexcept : cur_(&cur) {}
+
+  bool saving() const noexcept { return w_ != nullptr; }
+
+  void u8(std::uint8_t& v) { saving() ? w_->u8(v) : void(v = cur_->u8()); }
+  void u32(std::uint32_t& v) { saving() ? w_->u32(v) : void(v = cur_->u32()); }
+  void u64(std::uint64_t& v) { saving() ? w_->u64(v) : void(v = cur_->u64()); }
+  void i64(std::int64_t& v) { saving() ? w_->i64(v) : void(v = cur_->i64()); }
+  void f64(double& v) { saving() ? w_->f64(v) : void(v = cur_->f64()); }
+  /// One byte, 0 or 1; any nonzero byte restores as true.
+  void flag(bool& v) { saving() ? w_->u8(v ? 1 : 0) : void(v = cur_->u8() != 0); }
+
+  /// A count this configuration already fixes (nodes, bins, lane sizes,
+  /// shards): saving writes `n`; restoring reads the saved count and throws
+  /// a CkptError naming `what` and both counts unless it equals `n`.
+  /// same_count travels as a u64, same_u32 as a u32.
+  void same_count(std::uint64_t n, std::string_view what);
+  void same_u32(std::uint32_t n, std::string_view what);
+
+  /// A run whose length the configuration fixes: same_count(v.size()),
+  /// then `fn(io, element)` for each element.
+  template <class T, class Fn>
+  void each(std::vector<T>& v, std::string_view what, Fn fn) {
+    same_count(v.size(), what);
+    for (auto&& x : v) std::invoke(fn, *this, x);
+  }
+
+  /// A run whose length is state: the u64 length, then `fn(io, element)`
+  /// for each element. Restoring reads the length only through
+  /// CkptCursor::count (at least `min_bytes` per element) and resizes `v`
+  /// to it before decoding into the elements.
+  template <class T, class Fn>
+  void vec(std::vector<T>& v, std::size_t min_bytes, std::string_view what, Fn fn) {
+    if (saving()) {
+      w_->u64(v.size());
+    } else {
+      const std::uint64_t n = cur_->count(min_bytes, what);
+      v.clear();
+      v.resize(static_cast<std::size_t>(n));
+    }
+    for (auto&& x : v) std::invoke(fn, *this, x);
+  }
+
+ private:
+  CkptWriter* w_ = nullptr;
+  CkptCursor* cur_ = nullptr;
 };
 
 /// A parsed checkpoint file: validated container (magic, version, CRC,

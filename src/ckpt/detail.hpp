@@ -1,11 +1,13 @@
-// Shared serializers for small structs that appear in several checkpoint
+// Shared codecs for small structs that appear in several checkpoint
 // sections (timer handles in every node's arena lanes, iteration records in
-// both the recorder log and a gradient node's staged record), plus the
-// field-count guards every codec must carry.
+// both the recorder log and a gradient node's staged record, the pending
+// message queues of the three algorithm nodes), plus the field-count guards
+// every codec must carry.
 #pragma once
 
 #include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "ckpt/codec.hpp"
 #include "metrics/recorder.hpp"
@@ -67,63 +69,48 @@ constexpr std::size_t field_count() {
 
 namespace gtrix::ckpt {
 
-inline void write_timer(CkptWriter& w, const TimerHandle& h) {
+inline void timer(CkptIo& io, TimerHandle& h) {
   GTRIX_CKPT_FIELDS(TimerHandle, 2);
-  w.u32(h.slot);
-  w.u32(h.gen);
+  io.u32(h.slot);
+  io.u32(h.gen);
 }
 
-inline TimerHandle read_timer(CkptCursor& cur) {
-  TimerHandle h;
-  h.slot = cur.u32();
-  h.gen = cur.u32();
-  return h;
-}
-
-/// Encoded size of one write_iteration record: the count() element bound
-/// for decoders reading a run of them.
+/// Encoded size of one iteration record: the count() element bound for
+/// decoders reading a run of them.
 inline constexpr std::size_t kIterationBytes = 8 + 4 * 8 + 4 + 2 * 8 + 1 +
                                                IterationRecord::kMaxSlots * (8 + 1);
 
-inline void write_iteration(CkptWriter& w, const IterationRecord& rec) {
+inline void iteration(CkptIo& io, IterationRecord& rec) {
   GTRIX_CKPT_FIELDS(IterationRecord, 14);
   static_assert(IterationRecord::kMaxSlots == 5,
                 "IterationRecord slot arrays changed width: the wire format "
                 "below shifts; bump the checkpoint schema when touching this");
-  w.i64(rec.sigma);
-  w.f64(rec.correction);
-  w.f64(rec.h_own);
-  w.f64(rec.h_min);
-  w.f64(rec.h_max);
-  w.u8(rec.own_missing ? 1 : 0);
-  w.u8(rec.max_missing ? 1 : 0);
-  w.u8(rec.timeout_branch ? 1 : 0);
-  w.u8(rec.late ? 1 : 0);
-  w.f64(rec.pulse_time);
-  w.f64(rec.pulse_local);
-  w.u8(rec.slot_count);
-  for (std::size_t s = 0; s < IterationRecord::kMaxSlots; ++s) w.i64(rec.slot_sigma[s]);
-  for (std::size_t s = 0; s < IterationRecord::kMaxSlots; ++s)
-    w.u8(rec.slot_seen[s] ? 1 : 0);
+  io.i64(rec.sigma);
+  io.f64(rec.correction);
+  io.f64(rec.h_own);
+  io.f64(rec.h_min);
+  io.f64(rec.h_max);
+  io.flag(rec.own_missing);
+  io.flag(rec.max_missing);
+  io.flag(rec.timeout_branch);
+  io.flag(rec.late);
+  io.f64(rec.pulse_time);
+  io.f64(rec.pulse_local);
+  io.u8(rec.slot_count);
+  for (std::int64_t& s : rec.slot_sigma) io.i64(s);
+  for (bool& seen : rec.slot_seen) io.flag(seen);
 }
 
-inline IterationRecord read_iteration(CkptCursor& cur) {
-  IterationRecord rec;
-  rec.sigma = cur.i64();
-  rec.correction = cur.f64();
-  rec.h_own = cur.f64();
-  rec.h_min = cur.f64();
-  rec.h_max = cur.f64();
-  rec.own_missing = cur.u8() != 0;
-  rec.max_missing = cur.u8() != 0;
-  rec.timeout_branch = cur.u8() != 0;
-  rec.late = cur.u8() != 0;
-  rec.pulse_time = cur.f64();
-  rec.pulse_local = cur.f64();
-  rec.slot_count = cur.u8();
-  for (std::size_t s = 0; s < IterationRecord::kMaxSlots; ++s) rec.slot_sigma[s] = cur.i64();
-  for (std::size_t s = 0; s < IterationRecord::kMaxSlots; ++s) rec.slot_seen[s] = cur.u8() != 0;
-  return rec;
+/// A node's queue of messages that arrived before it could process them:
+/// sender, arrival local time, wave label.
+template <class Msg>
+void pending(CkptIo& io, std::vector<Msg>& queue) {
+  GTRIX_CKPT_FIELDS(Msg, 3);
+  io.vec(queue, 4 + 8 + 8, "pending message", [](CkptIo& io, Msg& m) {
+    io.u32(m.from);
+    io.f64(m.h_arrival);
+    io.i64(m.sigma);
+  });
 }
 
 }  // namespace gtrix::ckpt

@@ -1,9 +1,10 @@
 // World-level checkpoint assembly: enumerates every object that can appear
-// as an event target, frames the per-subsystem snapshots into sections and
-// validates the header fingerprint on restore. The target enumeration is
-// pure construction order -- network, layer-0 generators, then grid nodes
-// ascending -- so a fresh World built from the same config enumerates the
-// identical sequence and pointer ids round-trip as dense indices.
+// as an event target, walks the per-subsystem codecs section by section --
+// one walk for both directions -- and validates the header fingerprint on
+// restore. The target enumeration is pure construction order -- network,
+// layer-0 generators, then grid nodes ascending -- so a fresh World built
+// from the same config enumerates the identical sequence and pointer ids
+// round-trip as dense indices.
 #include <string>
 #include <string_view>
 
@@ -53,8 +54,10 @@ Json World::checkpoint_header(const std::string& meta_json) const {
   return j;
 }
 
-void World::checkpoint_targets(CkptTargetMap& targets) const {
-  targets.add(&const_cast<Network&>(net_));
+void World::checkpoint_sections(CkptWriter* save_to, const CkptFile* restore_from) {
+  // Every possible event target, in construction order.
+  CkptTargetMap targets;
+  targets.add(&net_);
   if (source_ != nullptr) targets.add(source_.get());
   for (const auto& emitter : emitters_) targets.add(emitter.get());
   for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
@@ -65,65 +68,86 @@ void World::checkpoint_targets(CkptTargetMap& targets) const {
     }
     if (auto* rogue = dynamic_cast<FixedPeriodRogue*>(sinks_[g].get())) targets.add(rogue);
   }
+
+  // Frames one section around its codec. Saving opens a writer section;
+  // restoring decodes the file's section to its last byte, and prefixes
+  // the file path to decoder errors (which name the section and, for
+  // counts, the element), so every restore failure is path-qualified.
+  const auto section = [&](std::string_view name, const auto& body) {
+    if (save_to != nullptr) {
+      save_to->begin_section(name);
+      CkptIo io(*save_to);
+      body(io);
+      save_to->end_section();
+      return;
+    }
+    CkptCursor cur = restore_from->section(name);
+    try {
+      CkptIo io(cur);
+      body(io);
+      cur.expect_done();
+    } catch (const CkptError& e) {
+      throw CkptError(restore_from->path() + ": " + e.what());
+    }
+  };
+
+  section("sims", [&](CkptIo& io) {
+    io.same_u32(shard_count_, "shard");
+    if (shard_count_ <= 1) {
+      sim_.checkpoint(io, targets);
+    } else {
+      for (Simulator* sim : shard_sims_) sim->checkpoint(io, targets);
+    }
+  });
+
+  section("net", [&](CkptIo& io) { net_.checkpoint(io); });
+
+  section("nodes", [&](CkptIo& io) {
+    for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
+      auto* rogue = dynamic_cast<FixedPeriodRogue*>(sinks_[g].get());
+      auto* crash = dynamic_cast<CrashSink*>(sinks_[g].get());
+      const std::uint8_t want = layer0_by_grid_[g] != nullptr ? kTagLayer0
+                                : models_[g] != nullptr       ? kTagAlgorithm
+                                : rogue != nullptr            ? kTagRogue
+                                : crash != nullptr            ? kTagCrash
+                                                              : kTagNone;
+      std::uint8_t tag = want;
+      io.u8(tag);
+      if (tag != want) {
+        throw CkptError("checkpoint node record kind " + std::to_string(tag) + " at grid node " +
+                        std::to_string(g) + " does not match this config's " +
+                        std::to_string(want) + " (corrupt file?)");
+      }
+      switch (tag) {
+        case kTagLayer0: layer0_by_grid_[g]->checkpoint(io); break;
+        case kTagAlgorithm: models_[g]->checkpoint(io); break;
+        case kTagRogue: rogue->checkpoint(io); break;
+        case kTagCrash: crash->checkpoint(io); break;
+        default: break;
+      }
+    }
+  });
+
+  section("faults", [&](CkptIo& io) {
+    io.same_count(fault_runtimes_.size(), "fault runtime");
+    for (const auto& rt : fault_runtimes_) {
+      rt->rng.checkpoint(io);
+      io.i64(rt->sent);
+    }
+  });
+
+  section("recorder", [&](CkptIo& io) { recorder_.checkpoint(io); });
+
+  if (streaming_ != nullptr) {
+    section("streaming", [&](CkptIo& io) { streaming_->checkpoint(io); });
+  }
 }
 
 std::vector<std::uint8_t> World::checkpoint_save(const std::string& meta_json) const {
-  CkptTargetMap targets;
-  checkpoint_targets(targets);
-
   CkptWriter w;
-
-  w.begin_section("sims");
-  w.u32(shard_count_);
-  if (shard_count_ <= 1) {
-    sim_.checkpoint_save(w, targets);
-  } else {
-    for (const Simulator* sim : shard_sims_) sim->checkpoint_save(w, targets);
-  }
-  w.end_section();
-
-  w.begin_section("net");
-  net_.checkpoint_save(w);
-  w.end_section();
-
-  w.begin_section("nodes");
-  for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
-    if (layer0_by_grid_[g] != nullptr) {
-      w.u8(kTagLayer0);
-      layer0_by_grid_[g]->checkpoint_save(w);
-    } else if (models_[g] != nullptr) {
-      w.u8(kTagAlgorithm);
-      models_[g]->checkpoint_save(w);
-    } else if (auto* rogue = dynamic_cast<const FixedPeriodRogue*>(sinks_[g].get())) {
-      w.u8(kTagRogue);
-      rogue->checkpoint_save(w);
-    } else if (auto* sink = dynamic_cast<const CrashSink*>(sinks_[g].get())) {
-      w.u8(kTagCrash);
-      sink->checkpoint_save(w);
-    } else {
-      w.u8(kTagNone);
-    }
-  }
-  w.end_section();
-
-  w.begin_section("faults");
-  w.u64(fault_runtimes_.size());
-  for (const auto& rt : fault_runtimes_) {
-    rt->rng.checkpoint_save(w);
-    w.i64(rt->sent);
-  }
-  w.end_section();
-
-  w.begin_section("recorder");
-  recorder_.checkpoint_save(w);
-  w.end_section();
-
-  if (streaming_ != nullptr) {
-    w.begin_section("streaming");
-    streaming_->checkpoint_save(w);
-    w.end_section();
-  }
-
+  // The section walk is shared with restore and hence non-const; in the
+  // saving direction every codec only reads the state it is handed.
+  const_cast<World&>(*this).checkpoint_sections(&w, nullptr);
   return w.finish(checkpoint_header(meta_json).dump());
 }
 
@@ -154,78 +178,8 @@ void World::checkpoint_restore(const CkptFile& file) {
     throw CkptError(file.path() + ": checkpoint header is malformed (" + e.what() + ")");
   }
 
-  CkptTargetMap targets;
-  checkpoint_targets(targets);
-
-  // Decodes one section to its last byte. Decoder errors name the section
-  // (and, for counts, the element); this prefixes the file path, so every
-  // restore failure is path-qualified.
-  const auto restore_section = [&file](std::string_view name, const auto& decode) {
-    CkptCursor cur = file.section(name);
-    try {
-      decode(cur);
-      cur.expect_done();
-    } catch (const CkptError& e) {
-      throw CkptError(file.path() + ": " + e.what());
-    }
-  };
-
-  restore_section("sims", [&](CkptCursor& cur) {
-    const std::uint32_t shards = cur.u32();
-    if (shards != shard_count_) {
-      throw CkptError("checkpoint was taken with " + std::to_string(shards) +
-                      " shard(s), this run has " + std::to_string(shard_count_));
-    }
-    if (shard_count_ <= 1) {
-      sim_.checkpoint_restore(cur, targets);
-    } else {
-      for (Simulator* sim : shard_sims_) sim->checkpoint_restore(cur, targets);
-    }
-  });
-
-  restore_section("net", [&](CkptCursor& cur) { net_.checkpoint_restore(cur); });
-
-  restore_section("nodes", [&](CkptCursor& cur) {
-    for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
-      const std::uint8_t tag = cur.u8();
-      std::uint8_t want = kTagNone;
-      if (layer0_by_grid_[g] != nullptr) want = kTagLayer0;
-      else if (models_[g] != nullptr) want = kTagAlgorithm;
-      else if (dynamic_cast<FixedPeriodRogue*>(sinks_[g].get()) != nullptr) want = kTagRogue;
-      else if (dynamic_cast<CrashSink*>(sinks_[g].get()) != nullptr) want = kTagCrash;
-      if (tag != want) {
-        throw CkptError("checkpoint node record kind " + std::to_string(tag) + " at grid node " +
-                        std::to_string(g) + " does not match this config's " +
-                        std::to_string(want) + " (corrupt file?)");
-      }
-      switch (tag) {
-        case kTagLayer0: layer0_by_grid_[g]->checkpoint_restore(cur); break;
-        case kTagAlgorithm: models_[g]->checkpoint_restore(cur); break;
-        case kTagRogue: dynamic_cast<FixedPeriodRogue*>(sinks_[g].get())->checkpoint_restore(cur); break;
-        case kTagCrash: dynamic_cast<CrashSink*>(sinks_[g].get())->checkpoint_restore(cur); break;
-        default: break;
-      }
-    }
-  });
-
-  restore_section("faults", [&](CkptCursor& cur) {
-    const std::uint64_t nfaults = cur.u64();
-    if (nfaults != fault_runtimes_.size()) {
-      throw CkptError("checkpoint has " + std::to_string(nfaults) +
-                      " fault runtime(s), this configuration has " +
-                      std::to_string(fault_runtimes_.size()));
-    }
-    for (const auto& rt : fault_runtimes_) {
-      rt->rng.checkpoint_restore(cur);
-      rt->sent = cur.i64();
-    }
-  });
-
-  restore_section("recorder", [&](CkptCursor& cur) { recorder_.checkpoint_restore(cur); });
-
-  if (streaming_ != nullptr) {
-    restore_section("streaming", [&](CkptCursor& cur) { streaming_->checkpoint_restore(cur); });
-  } else if (file.has_section("streaming")) {
+  checkpoint_sections(nullptr, &file);
+  if (streaming_ == nullptr && file.has_section("streaming")) {
     throw CkptError(file.path() +
                     ": checkpoint carries streaming accumulators but this run records in "
                     "full mode (corrupt file?)");

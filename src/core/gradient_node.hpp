@@ -123,12 +123,11 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   const HardwareClock& clock() const noexcept { return clock_; }
   NetNodeId id() const noexcept { return self_; }
 
-  /// Checkpoint hooks (src/ckpt/nodes_ckpt.cpp): the arena registers
+  /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): the arena registers
   /// (phase, reception times, slot lanes, timer handles -- handles stay
   /// valid because the queue snapshot preserves slot generations), the
   /// pending-message queue, the staged iteration record and the counters.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   enum class Phase { kCollect, kWaitBroadcast };

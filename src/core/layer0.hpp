@@ -69,12 +69,11 @@ class Layer0LineNode final : public PulseSink, public TimerTarget {
 
   std::uint64_t pulses_forwarded() const noexcept { return forwarded_; }
 
-  /// Checkpoint hooks (src/ckpt/nodes_ckpt.cpp): Algorithm 2's register,
+  /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): Algorithm 2's register,
   /// wave label, armed timer and the forwarded counter. ClockSource and
   /// IdealEmitter carry no mutable state (their pulse chain lives in the
-  /// event queue as payload), so only the line node has hooks.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  /// event queue as payload), so only the line node has a codec.
+  void checkpoint(CkptIo& io);
 
  private:
   enum TimerKind : std::uint32_t { kBroadcast = 1 };

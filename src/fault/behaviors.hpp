@@ -12,8 +12,7 @@
 
 namespace gtrix {
 
-class CkptWriter;
-class CkptCursor;
+class CkptIo;
 
 /// A node whose control logic is dead but whose oscillator still runs: it
 /// ignores every input and broadcasts at a fixed period. Its wave stamps
@@ -36,10 +35,9 @@ class FixedPeriodRogue final : public PulseSink, public TimerTarget {
 
   std::uint64_t pulses_emitted() const noexcept { return emitted_; }
 
-  /// Checkpoint hooks (src/ckpt/nodes_ckpt.cpp): wave label + emit counter
+  /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): wave label + emit counter
   /// (the pending tick event lives in the queue snapshot).
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   enum TimerKind : std::uint32_t { kTick = 1 };
@@ -68,9 +66,8 @@ class CrashSink final : public PulseSink {
 
   std::uint64_t absorbed() const noexcept { return absorbed_; }
 
-  /// Checkpoint hooks (src/ckpt/nodes_ckpt.cpp): the absorbed counter.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): the absorbed counter.
+  void checkpoint(CkptIo& io);
 
  private:
   std::uint64_t absorbed_ = 0;

@@ -23,8 +23,7 @@ using RecNodeId = std::uint32_t;
 using Sigma = std::int64_t;
 
 class StreamingSkew;
-class CkptWriter;
-class CkptCursor;
+class CkptIo;
 
 /// How much of the execution trace the Recorder retains (docs/scaling.md).
 ///
@@ -169,12 +168,11 @@ class Recorder {
 
   static constexpr Sigma kInvalidSigma = std::numeric_limits<Sigma>::min();
 
-  /// Checkpoint hooks (src/ckpt/state_ckpt.cpp): sigma extrema, the pulse
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): sigma extrema, the pulse
   /// counter and every retained node log (pulse times as raw IEEE-754 bits
   /// so NaN "missing" markers survive). Options and node metas are rebuilt
   /// by the restored World's construction and only size-validated here.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   struct NodeLog {

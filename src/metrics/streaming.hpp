@@ -98,12 +98,11 @@ class StreamingSkew {
   /// Approximate accumulator footprint, for bench_scale reporting.
   std::uint64_t memory_bytes() const noexcept;
 
-  /// Checkpoint hooks (src/ckpt/state_ckpt.cpp): every accumulator lane,
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): every accumulator lane,
   /// ring slot, per-layer extremum, counter and the deviation summary /
   /// sketch. Grid, fault set and ring geometry are construction state and
   /// only size-validated on restore.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   struct WaveExtrema {

@@ -200,13 +200,12 @@ class Network final : public TimerTarget {
   /// Typed-event dispatch (kDeliver message arrivals, kDeferredSend).
   void on_timer(const Event& event) override;
 
-  /// Checkpoint hooks (src/ckpt/state_ckpt.cpp): message counters plus, in
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): message counters plus, in
   /// sharded mode, every parked mailbox envelope (written and published).
   /// Topology, delays and shard wiring are construction state; delay
   /// modulations are not snapshotted (the campaign path never installs
   /// one). Must be called at a window barrier (no worker threads live).
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   /// Event kinds this target schedules. Payload conventions:

@@ -19,11 +19,7 @@ void NodeModel::corrupt_state(Rng&) {
   GTRIX_CHECK_MSG(false, "this algorithm does not support state corruption");
 }
 
-void NodeModel::checkpoint_save(CkptWriter&) const {
-  throw CkptError("this algorithm does not support checkpointing");
-}
-
-void NodeModel::checkpoint_restore(CkptCursor&) {
+void NodeModel::checkpoint(CkptIo&) {
   throw CkptError("this algorithm does not support checkpointing");
 }
 
@@ -64,8 +60,7 @@ class GradientNodeModel final : public NodeModel {
   GradientTrixNode* gradient() noexcept override { return &node_; }
 
   TimerTarget* timer_target() noexcept override { return &node_; }
-  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
+  void checkpoint(CkptIo& io) override { node_.checkpoint(io); }
 
  private:
   GradientTrixNode node_;
@@ -99,8 +94,7 @@ class TrixNaiveNodeModel final : public NodeModel {
   PulseSink& sink() override { return node_; }
 
   TimerTarget* timer_target() noexcept override { return &node_; }
-  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
+  void checkpoint(CkptIo& io) override { node_.checkpoint(io); }
 
  private:
   TrixNaiveNode node_;
@@ -130,8 +124,7 @@ class LynchWelchNodeModel final : public NodeModel {
   PulseSink& sink() override { return node_; }
 
   TimerTarget* timer_target() noexcept override { return &node_; }
-  void checkpoint_save(CkptWriter& w) const override { node_.checkpoint_save(w); }
-  void checkpoint_restore(CkptCursor& r) override { node_.checkpoint_restore(r); }
+  void checkpoint(CkptIo& io) override { node_.checkpoint(io); }
 
  private:
   LynchWelchGridNode node_;

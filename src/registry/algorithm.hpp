@@ -28,8 +28,7 @@ namespace gtrix {
 
 class GradientTrixNode;
 struct NodeArena;
-class CkptWriter;
-class CkptCursor;
+class CkptIo;
 
 /// Aggregated algorithm counters (summed over all nodes by World).
 struct ExperimentCounters {
@@ -117,13 +116,14 @@ class NodeModel {
 
   /// Checkpoint hooks (src/ckpt). timer_target() exposes the wrapped
   /// node's TimerTarget identity so pending events targeting it can
-  /// round-trip through the checkpoint target map; the save/load pair
-  /// serializes the node's mutable state. The defaults throw CkptError:
-  /// an external provider without these overrides fails a checkpoint
-  /// attempt loudly instead of silently snapshotting partial state.
+  /// round-trip through the checkpoint target map; checkpoint() is the
+  /// node's codec, listing its mutable state once for both directions
+  /// (CkptIo::saving() tells them apart; a save only reads). The default
+  /// throws CkptError: an external provider without an override fails a
+  /// checkpoint attempt loudly instead of silently snapshotting partial
+  /// state.
   virtual TimerTarget* timer_target() noexcept { return nullptr; }
-  virtual void checkpoint_save(CkptWriter& w) const;
-  virtual void checkpoint_restore(CkptCursor& r);
+  virtual void checkpoint(CkptIo& io);
 };
 
 class AlgorithmProvider {

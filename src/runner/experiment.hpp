@@ -45,7 +45,7 @@ namespace gtrix {
 
 class TraceCollector;
 class CkptFile;
-class CkptTargetMap;
+class CkptWriter;
 
 enum class Layer0Mode {
   kIdealJitter,       ///< direct synchronized input, L_0 <= jitter
@@ -281,9 +281,12 @@ class World {
     FaultRuntime() : rng(0) {}
   };
 
-  /// Enumerates every possible event target in construction order (the
-  /// identity scheme queue snapshots serialize pointers through).
-  void checkpoint_targets(CkptTargetMap& targets) const;
+  /// The one section walk behind checkpoint_save (`save_to` set) and
+  /// checkpoint_restore (`restore_from` set): every snapshot section and
+  /// its codecs, once, in wire order. Event targets travel as their index
+  /// in construction order -- network, layer-0 generators, then grid nodes
+  /// ascending -- which a fresh World from the same config reproduces.
+  void checkpoint_sections(CkptWriter* save_to, const CkptFile* restore_from);
   HardwareClock make_clock(Rng& rng, std::uint32_t column, std::uint32_t layer) const;
   double clock_horizon() const;
   void init_shards();

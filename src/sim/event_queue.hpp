@@ -33,8 +33,7 @@
 
 namespace gtrix {
 
-class CkptWriter;
-class CkptCursor;
+class CkptIo;
 class CkptTargetMap;
 
 inline constexpr std::uint32_t kInvalidEventSlot = 0xffffffffU;
@@ -146,15 +145,14 @@ class EventQueue {
   double calendar_width() const noexcept { return width_; }
   std::uint64_t calendar_rebuilds() const noexcept { return rebuilds_; }
 
-  /// Checkpoint hooks (src/ckpt/state_ckpt.cpp). The snapshot preserves the
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp). The snapshot preserves the
   /// exact slot table -- indices, generations, freelist order and the
   /// per-entry sequence numbers -- so outstanding TimerHandles stay valid
   /// across a restore and the (time, seq) total order continues
   /// unperturbed. The calendar itself is refit on restore (width and
   /// bucket layout are engine-shaped, not part of the simulated
   /// behaviour). Targets round-trip through `targets` ids.
-  void checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const;
-  void checkpoint_restore(CkptCursor& r, const CkptTargetMap& targets);
+  void checkpoint(CkptIo& io, const CkptTargetMap& targets);
 
  private:
   struct Slot {

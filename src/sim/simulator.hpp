@@ -79,10 +79,9 @@ class Simulator {
   /// / purged / rebuild counters); see obs/telemetry.hpp.
   const EventQueue& event_queue() const noexcept { return queue_; }
 
-  /// Checkpoint hooks (src/ckpt/state_ckpt.cpp): the clock cursor and the
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): the clock cursor and the
   /// full queue.
-  void checkpoint_save(CkptWriter& w, const CkptTargetMap& targets) const;
-  void checkpoint_restore(CkptCursor& r, const CkptTargetMap& targets);
+  void checkpoint(CkptIo& io, const CkptTargetMap& targets);
 
  private:
   EventQueue queue_;

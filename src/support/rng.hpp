@@ -12,8 +12,7 @@
 
 namespace gtrix {
 
-class CkptWriter;
-class CkptCursor;
+class CkptIo;
 
 /// SplitMix64: used to expand a 64-bit seed into generator state.
 /// Reference: Steele, Lea, Flood, "Fast Splittable Pseudorandom Number
@@ -66,11 +65,10 @@ class Rng {
   /// long-range streams with the same seed).
   void jump() noexcept;
 
-  /// Checkpoint hooks (src/ckpt): the full generator state -- the four
+  /// Checkpoint codec (src/ckpt): the full generator state -- the four
   /// xoshiro words plus the Box-Muller spare -- so a restored stream emits
   /// the exact continuation. Defined in src/ckpt/state_ckpt.cpp.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   std::array<std::uint64_t, 4> state_{};

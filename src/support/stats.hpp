@@ -8,8 +8,7 @@
 
 namespace gtrix {
 
-class CkptWriter;
-class CkptCursor;
+class CkptIo;
 
 /// Streaming summary accumulator (Welford's online algorithm for variance).
 class Summary {
@@ -19,9 +18,8 @@ class Summary {
   /// Merges another summary into this one (parallel Welford combine).
   void merge(const Summary& other) noexcept;
 
-  /// Checkpoint hooks (src/ckpt/state_ckpt.cpp): all six accumulator words.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): all six accumulator words.
+  void checkpoint(CkptIo& io);
 
   std::size_t count() const noexcept { return n_; }
   bool empty() const noexcept { return n_ == 0; }
@@ -33,7 +31,7 @@ class Summary {
   double sum() const noexcept { return sum_; }
 
  private:
-  std::size_t n_ = 0;
+  std::uint64_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double min_ = 0.0;
@@ -67,10 +65,9 @@ class LogQuantileSketch {
 
   std::uint64_t memory_bytes() const noexcept;
 
-  /// Checkpoint hooks (src/ckpt/state_ckpt.cpp): bin counts and totals; the
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): bin counts and totals; the
   /// binning parameters are construction state and must already match.
-  void checkpoint_save(CkptWriter& w) const;
-  void checkpoint_restore(CkptCursor& r);
+  void checkpoint(CkptIo& io);
 
  private:
   double gamma_;
@@ -79,7 +76,7 @@ class LogQuantileSketch {
   std::vector<std::uint64_t> counts_;  ///< bin i covers gamma^(i-1)..gamma^i
   std::uint64_t zero_ = 0;
   std::uint64_t overflow_high_ = 0;    ///< beyond the top bin (kept at top value)
-  std::size_t total_ = 0;
+  std::uint64_t total_ = 0;
 };
 
 /// Quantile of a sample using linear interpolation between order statistics

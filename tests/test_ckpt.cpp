@@ -1,12 +1,15 @@
 // Checkpoint subsystem harness (src/ckpt/, run_cell's checkpointing): a world
 // snapshotted mid-run and restored into a freshly constructed world must
-// continue bit-identically -- same skew digest, same counters -- at every
-// shard count, including mid-run corruption and streaming recording. Plus
-// the hard-failure contract: truncated, corrupt, version-bumped,
-// config-mismatched and count-inflated checkpoints throw CkptError with a
-// message naming the file, never a silent partial restore or an OOM.
+// re-save to the very same bytes and continue bit-identically -- same skew
+// digest, same counters -- at every shard count, for every node, fault and
+// recorder codec, including mid-run corruption and streaming recording.
+// Plus the hard-failure contract: truncated, corrupt, version-bumped,
+// config-mismatched and count-inflated checkpoints, and algorithms without
+// a codec, throw CkptError with a message naming the cause, never a silent
+// partial restore or an OOM.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "ckpt/codec.hpp"
+#include "registry/algorithm.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
 #include "runner/result_io.hpp"
@@ -70,8 +74,17 @@ std::string counters_digest(const ExperimentResult& r) {
          std::to_string(c.messages_delivered) + "/" + std::to_string(c.delivery_events);
 }
 
+// Offset of the first byte at which `a` and `b` differ; -1 when identical.
+std::ptrdiff_t first_difference(const std::vector<std::uint8_t>& a,
+                                const std::vector<std::uint8_t>& b) {
+  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  return ia == a.end() && ib == b.end() ? -1 : ia - a.begin();
+}
+
 // Runs the cell uninterrupted and via save-at-t -> restore-into-fresh-world
-// -> continue, and requires identical skew and counters.
+// -> continue, and requires identical skew and counters. Re-saving the
+// freshly restored world must reproduce the snapshot byte for byte: every
+// codec restores exactly the state it saved, engine counters included.
 void expect_roundtrip_identical(const ExperimentConfig& config, EngineOptions engine,
                                 double save_t, const std::string& what) {
   ExperimentResult baseline;
@@ -92,6 +105,8 @@ void expect_roundtrip_identical(const ExperimentConfig& config, EngineOptions en
     CkptFile file = CkptFile::parse(image, "mem.ckpt");
     resumed.checkpoint_restore(file);
   }
+  EXPECT_EQ(first_difference(resumed.checkpoint_save(""), image), -1)
+      << what << ": re-saving the restored world changed the snapshot";
   resumed.run_to_completion();
   const ExperimentResult result = measure_cell(resumed, config, {});
   EXPECT_EQ(skew_to_json(result.skew).dump(), skew_to_json(baseline.skew).dump()) << what;
@@ -116,6 +131,82 @@ TEST(Ckpt, RestoreContinuesBitIdenticallyUnderStreamingRecording) {
     engine.shards = shards;
     expect_roundtrip_identical(config, engine, mid,
                                "streaming/" + std::to_string(shards) + " shards");
+  }
+}
+
+// One config per codec the shard/streaming cases above never snapshot: the
+// two baseline algorithms, line-propagation layer 0, the fixed-period rogue
+// and crash sink, and the jitter / mute-after fault runtimes (mute-after
+// still counting when the snapshot is taken, silent after the resume).
+TEST(Ckpt, EveryNodeAndFaultCodecRoundTripsAcrossShards) {
+  const struct {
+    const char* what;
+    const char* json;
+  } cases[] = {
+      {"lynch-welch", R"({"algorithm": "lynch-welch"})"},
+      {"trix-naive", R"({"algorithm": "trix-naive"})"},
+      {"line-propagation", R"({"layer0_mode": "line-propagation"})"},
+      {"fixed-period", R"({"faults": [{"base": 2, "layer": 3, "kind": "fixed-period",
+                                       "period": 2300.0}]})"},
+      {"crash", R"({"faults": [{"base": 2, "layer": 3, "kind": "crash"}]})"},
+      {"jitter", R"({"faults": [{"base": 2, "layer": 3, "kind": "jitter", "alpha": 60.0}]})"},
+      {"mute-after", R"({"faults": [{"base": 3, "layer": 2, "kind": "mute-after",
+                                     "after": 6}]})"},
+  };
+  for (const auto& c : cases) {
+    Json j = Json::parse(c.json);
+    j.set("columns", 6);
+    j.set("layers", 6);
+    j.set("pulses", 10);
+    const ExperimentConfig config = config_from_json(j);
+    for (const std::uint32_t shards : {1u, 2u}) {
+      EngineOptions engine;
+      engine.shards = shards;
+      expect_roundtrip_identical(config, engine, 4.5 * config.params.lambda,
+                                 std::string(c.what) + "/" + std::to_string(shards) + " shards");
+    }
+  }
+}
+
+// An algorithm whose NodeModel keeps the default checkpoint hook.
+class SilentSink final : public PulseSink {
+ public:
+  void on_pulse(NetNodeId, EdgeId, const Pulse&, SimTime) override {}
+};
+
+class NoCodecModel final : public NodeModel {
+ public:
+  PulseSink& sink() override { return sink_; }
+
+ private:
+  SilentSink sink_;
+};
+
+class NoCodecProvider final : public AlgorithmProvider {
+ public:
+  AlgorithmCaps caps() const override { return AlgorithmCaps{.tolerates_silent_preds = true}; }
+  std::unique_ptr<NodeModel> make_node(NodeContext) const override {
+    return std::make_unique<NoCodecModel>();
+  }
+};
+
+TEST(Ckpt, AlgorithmWithoutACodecRefusesToSnapshot) {
+  if (!algorithm_registry().contains("test-no-codec")) {
+    algorithm_registry().add("test-no-codec", "no checkpoint codec (test-only)", {},
+                             [](const ComponentSpec&) {
+                               return std::make_shared<const NoCodecProvider>();
+                             });
+  }
+  const ExperimentConfig config = config_from_json(
+      Json::parse(R"({"columns": 6, "layers": 6, "pulses": 10, "algorithm": "test-no-codec"})"));
+  World world(config, {});
+  world.run_until(2.0 * config.params.lambda);
+  try {
+    (void)world.checkpoint_save("");
+    FAIL() << "expected CkptError from the default NodeModel checkpoint hook";
+  } catch (const CkptError& e) {
+    EXPECT_NE(std::string(e.what()).find("does not support checkpointing"), std::string::npos)
+        << e.what();
   }
 }
 

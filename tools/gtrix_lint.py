@@ -53,7 +53,11 @@ Rules (kebab-case ids, used in allow pragmas):
                          GTRIX_CKPT_FIELDS / GTRIX_CKPT_SIZEOF static
                          assert adjacent to its codec, so adding a field
                          without serializing it fails the BUILD, not a
-                         kill-and-resume diff three PRs later.
+                         kill-and-resume diff three PRs later.  Codecs are
+                         the X::checkpoint(CkptIo&) members and the free
+                         helpers taking a CkptIo& first; a struct counts
+                         as serialized when the codec names it through a
+                         reference, const or not.
   pragma                 allow pragmas must be well-formed and must carry a
                          reason; a pragma that suppresses nothing is a
                          finding too (stale escapes rot the budget).
@@ -104,11 +108,11 @@ CKPT_CODEC_FILES = (
     "src/ckpt/detail.hpp",
 )
 
-# Types the ckpt-field-guard const-ref scan ignores: codec plumbing and
+# Types the ckpt-field-guard reference scan ignores: codec plumbing and
 # standard library, not serialized payload records.
 CKPT_PLUMBING_TYPES = {
-    "CkptWriter", "CkptCursor", "CkptTargetMap", "CkptFile", "CkptError",
-    "Json", "Section",
+    "CkptIo", "CkptWriter", "CkptCursor", "CkptTargetMap", "CkptFile",
+    "CkptError", "Json", "Section",
 }
 
 TELEMETRY_HEADER = "src/obs/telemetry.hpp"
@@ -453,12 +457,17 @@ class CounterTagRule(Rule):
 
 
 GUARD_RE = re.compile(r"GTRIX_CKPT_(?:FIELDS|SIZEOF)\s*\(\s*([\w:]+)")
+# Member codecs: `void X::checkpoint(CkptIo& io[, ...]) {`.
 CODEC_DEF_RE = re.compile(
-    r"(?:void|^\s*\w[\w:<>]*)\s+(?:[\w:]+::)?(\w+)::checkpoint_save\s*\([^)]*\)\s*"
-    r"(?:const\s*)?\{", re.MULTILINE)
-WRITE_FN_RE = re.compile(
-    r"inline\s+void\s+(write_\w+)\s*\([^)]*\)\s*\{", re.MULTILINE)
-CONST_REF_RE = re.compile(r"\bconst\s+([A-Z]\w*)\s*&")
+    r"(?:void|^\s*\w[\w:<>]*)\s+(?:[\w:]+::)?(\w+)::checkpoint\s*"
+    r"\(\s*CkptIo\s*&[^)]*\)\s*\{", re.MULTILINE)
+# Shared helpers: a free function whose first parameter is the CkptIo.
+HELPER_FN_RE = re.compile(
+    r"\bvoid\s+(\w+)\s*\(\s*CkptIo\s*&[^)]*\)\s*\{", re.MULTILINE)
+# A struct reached through a reference, const or not (a read-write codec
+# binds its payload records as `X&`); `&&` is a forwarding reference or a
+# logical and, never a payload binding.
+REF_RE = re.compile(r"\b(?:const\s+)?([A-Z]\w*)\s*&(?!&)")
 
 
 class CkptFieldGuardRule(Rule):
@@ -478,18 +487,17 @@ class CkptFieldGuardRule(Rule):
                 body = extract_braced_block(code, dm.end() - 1)
                 line = src.line_of_offset(dm.start())
                 required = {dm.group(1)}
-                required |= {t for t in const_ref_types(body)
+                required |= {t for t in ref_types(body)
                              if t not in CKPT_PLUMBING_TYPES}
                 regions.append((dm.group(1), line, body, required))
-            for wm in WRITE_FN_RE.finditer(code):
-                body = extract_braced_block(code, wm.end() - 1)
-                line = src.line_of_offset(wm.start())
-                required = set()
-                # a write_* helper serializes the type of its const-ref param
-                sig = code[wm.start():wm.end()]
-                required |= {t for t in const_ref_types(sig + body)
-                             if t not in CKPT_PLUMBING_TYPES}
-                regions.append((wm.group(1), line, body, required))
+            for hm in HELPER_FN_RE.finditer(code):
+                body = extract_braced_block(code, hm.end() - 1)
+                line = src.line_of_offset(hm.start())
+                # a helper serializes the types of its reference params
+                sig = code[hm.start():hm.end()]
+                required = {t for t in ref_types(sig + body)
+                            if t not in CKPT_PLUMBING_TYPES}
+                regions.append((hm.group(1), line, body, required))
             for codec_name, line, body, required in regions:
                 guards = {g.split("::")[-1]
                           for g in GUARD_RE.findall(body)}
@@ -504,8 +512,8 @@ class CkptFieldGuardRule(Rule):
         return findings
 
 
-def const_ref_types(body: str) -> set[str]:
-    return {m.group(1) for m in CONST_REF_RE.finditer(body)}
+def ref_types(body: str) -> set[str]:
+    return {m.group(1) for m in REF_RE.finditer(body)}
 
 
 ALL_RULES: list[Rule] = [
@@ -607,7 +615,9 @@ def self_test(repo_root: str) -> int:
             failures += 1
             continue
         covered.add(rule_dir)
-        for direction in ("bad", "good"):
+        # bad-<case>/ roots pin further ways a rule must fire, one each.
+        extra_bad = sorted(d for d in os.listdir(rule_path) if d.startswith("bad-"))
+        for direction in ("bad", *extra_bad, "good"):
             droot = os.path.join(rule_path, direction)
             if not os.path.isdir(droot):
                 print(f"FAIL {rule_dir}/{direction}: fixture missing")
@@ -615,8 +625,8 @@ def self_test(repo_root: str) -> int:
                 continue
             findings = run_lint(droot, None, pragma_budget=10)
             hits = [f for f in findings if f.rule == rule_dir]
-            if direction == "bad" and not hits:
-                print(f"FAIL {rule_dir}/bad: expected >=1 {rule_dir} "
+            if direction.startswith("bad") and not hits:
+                print(f"FAIL {rule_dir}/{direction}: expected >=1 {rule_dir} "
                       "finding, got none")
                 failures += 1
             elif direction == "good" and findings:
@@ -626,7 +636,7 @@ def self_test(repo_root: str) -> int:
                 failures += 1
             else:
                 print(f"ok   {rule_dir}/{direction}"
-                      + (f" ({len(hits)} finding(s))" if direction == "bad" else ""))
+                      + (f" ({len(hits)} finding(s))" if direction != "good" else ""))
     missing = (RULE_NAMES | {"pragma"}) - covered
     for rule in sorted(missing):
         print(f"FAIL {rule}: no fixture directory exercises this rule")
