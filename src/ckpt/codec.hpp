@@ -42,7 +42,9 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // v3: the header's engine fingerprint shrinks to {"shards": N}.
 // v4: recorder node logs drop the iteration-record retention fields of the
 // deleted windowed recording mode.
-inline constexpr std::uint32_t kCkptFormatVersion = 4;
+// v5: the runner's meta carries the cell fingerprint (config and
+// corruption plan), which a resume compares.
+inline constexpr std::uint32_t kCkptFormatVersion = 5;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

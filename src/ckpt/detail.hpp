@@ -6,39 +6,12 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "ckpt/codec.hpp"
 #include "metrics/recorder.hpp"
 #include "sim/event_queue.hpp"
-
-namespace gtrix::ckpt::probe {
-
-// Compile-time field counter for aggregates: the largest N for which
-// T{AnyConv, ... N times ...} is well-formed. Each direct member counts
-// once (std::array members count as one -- AnyConv converts to the array
-// wholesale).
-struct AnyConv {
-  template <class T>
-  operator T() const;  // never defined: overload-resolution probe only
-};
-
-template <class T, std::size_t... I>
-constexpr bool constructible_with(std::index_sequence<I...>) {
-  return requires { T{((void)I, AnyConv{})...}; };
-}
-
-template <class T, std::size_t N = 0>
-constexpr std::size_t field_count() {
-  if constexpr (constructible_with<T>(std::make_index_sequence<N + 1>{})) {
-    return field_count<T, N + 1>();
-  } else {
-    return N;
-  }
-}
-
-}  // namespace gtrix::ckpt::probe
+#include "support/fields.hpp"
 
 // Codec drift guards (tools/gtrix_lint.py rule ckpt-field-guard): every
 // struct serialized by a checkpoint codec carries one of these static
@@ -46,17 +19,13 @@ constexpr std::size_t field_count() {
 // -- so adding a field without teaching the codec about it fails the BUILD
 // instead of a kill-and-resume differential three PRs later.
 //
-// GTRIX_CKPT_FIELDS pins an aggregate's field count exactly.
-// GTRIX_CKPT_SIZEOF pins a non-aggregate class's object size -- a weaker
-// proxy (a new field swallowed by padding stays invisible), hence the
-// preference for FIELDS wherever the type is an aggregate. The sizes are
-// the x86-64 libstdc++ layout the project targets; other ABIs degrade to a
-// presence-only check rather than guessing their padding.
+// GTRIX_CKPT_FIELDS (support/fields.hpp) pins an aggregate's field count
+// exactly. GTRIX_CKPT_SIZEOF pins a non-aggregate class's object size -- a
+// weaker proxy (a new field swallowed by padding stays invisible), hence
+// the preference for FIELDS wherever the type is an aggregate. The sizes
+// are the x86-64 libstdc++ layout the project targets; other ABIs degrade
+// to a presence-only check rather than guessing their padding.
 // NOLINTBEGIN(bugprone-macro-parentheses): T is a type name, not an expression
-#define GTRIX_CKPT_FIELDS(T, N)                                            \
-  static_assert(::gtrix::ckpt::probe::field_count<T>() == (N),             \
-                #T " changed shape: audit its checkpoint codec right "     \
-                   "here, then update this field count")
 #if defined(__x86_64__) && defined(__GLIBCXX__)
 #define GTRIX_CKPT_SIZEOF(T, N)                                            \
   static_assert(sizeof(T) == (N),                                         \

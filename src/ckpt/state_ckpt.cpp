@@ -5,6 +5,7 @@
 // binary serialization of the engine lives in src/ckpt and the state
 // classes only carry declarations. Each codec lists its fields once, in
 // wire order, for both directions (CkptIo).
+#include <string>
 #include <vector>
 
 #include "ckpt/codec.hpp"
@@ -136,10 +137,19 @@ void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
   }
   free_head_ = kInvalidEventSlot;
   std::uint32_t prev = kInvalidEventSlot;
+  // The count check above still holds when one index repeats and another
+  // is missing; linking the repeat would close a cycle, and two later
+  // events would share a slot.
+  std::vector<bool> chained(slots_.size(), false);
   for (const std::uint32_t idx : chain) {
     if (idx >= slots_.size() || slots_[idx].live) {
       throw CkptError("checkpoint event queue freelist corrupt");
     }
+    if (chained[idx]) {
+      throw CkptError("checkpoint event queue freelist names slot " + std::to_string(idx) +
+                      " twice (corrupt file)");
+    }
+    chained[idx] = true;
     if (prev == kInvalidEventSlot) {
       free_head_ = idx;
     } else {

@@ -148,9 +148,8 @@ void GradientTrixNode::update_until(SimTime now, LocalTime now_local) {
 void GradientTrixNode::arm_until_timer(LocalTime threshold) {
   // Always cancel + reschedule, even at an unchanged threshold: eliding the
   // re-arm would keep the original event's older sequence number, which can
-  // reorder float-exact same-instant ties relative to an engine that
-  // re-armed -- a ~3% saving is not worth weakening the bit-identity
-  // guarantee between engine configurations.
+  // reorder float-exact same-instant ties against other events and so move
+  // the committed BENCH_*.json results.
   sim_.cancel(until_timer());
   const SimTime fire_at = std::max(clock_.to_real(threshold), sim_.now());
   // The exact local threshold rides along in the payload so the fire path

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <string>
 
+#include "support/fields.hpp"
+
 namespace gtrix {
 
 struct Params {
@@ -59,5 +61,17 @@ struct Params {
 
   bool operator==(const Params&) const = default;
 };
+
+/// The "params" object. u < d and kappa >= 0 relate two fields each; the
+/// scenario layer checks them once the cell is resolved.
+constexpr auto fields_of(const Params*) {
+  return std::tuple{
+      Field<&Params::d>{"d"},
+      Field<&Params::u>{"u", {.min = 0}},
+      Field<&Params::theta>{"theta", {.min = 1}},  // the minimum clock rate is 1
+      Field<&Params::lambda>{"lambda", {.min = 0, .above = true}},
+  };
+}
+GTRIX_CKPT_FIELDS(Params, 4);
 
 }  // namespace gtrix

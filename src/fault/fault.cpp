@@ -11,39 +11,16 @@ namespace gtrix {
 
 namespace {
 
-struct FaultName {
-  FaultKind value;
-  std::string_view name;
-};
-
-constexpr FaultName kFaultNames[] = {
-    {FaultKind::kCrash, "crash"},
-    {FaultKind::kMuteAfter, "mute-after"},
-    {FaultKind::kStaticOffset, "static-offset"},
-    {FaultKind::kSplit, "split"},
-    {FaultKind::kJitter, "jitter"},
-    {FaultKind::kFixedPeriod, "fixed-period"},
-};
+// By enumerator value.
+constexpr std::string_view kFaultNames[] = {"crash",  "mute-after", "static-offset",
+                                            "split",  "jitter",     "fixed-period"};
 
 }  // namespace
 
-std::string_view to_string(FaultKind v) {
-  for (const FaultName& entry : kFaultNames) {
-    if (entry.value == v) return entry.name;
-  }
-  return "?";
-}
+std::string_view to_string(FaultKind v) { return kFaultNames[static_cast<std::size_t>(v)]; }
 
 FaultKind fault_kind_from_string(std::string_view s) {
-  for (const FaultName& entry : kFaultNames) {
-    if (entry.name == s) return entry.value;
-  }
-  std::string valid;
-  for (const FaultName& entry : kFaultNames) {
-    if (!valid.empty()) valid += ", ";
-    valid += entry.name;
-  }
-  throw JsonError("unknown fault kind '" + std::string(s) + "' (valid: " + valid + ")");
+  return enum_from_name<FaultKind>(kFaultNames, s, "fault kind");
 }
 
 FaultSpec FaultSpec::static_offset(double offset) {

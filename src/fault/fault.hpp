@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "graph/grid.hpp"
+#include "support/fields.hpp"
 #include "support/rng.hpp"
 
 namespace gtrix {
@@ -61,6 +62,32 @@ struct PlacedFault {
 
   bool operator==(const PlacedFault&) const = default;
 };
+
+/// The parameter entries of a FaultSpec member `spec` (a placement's or a
+/// generator's): only the one its kind reads is non-zero; zeros are not
+/// emitted.
+template <class T>
+constexpr auto fault_spec_fields() {
+  return std::tuple{
+      Field<&T::spec, &FaultSpec::offset>{"offset", {.omit_default = true}},
+      Field<&T::spec, &FaultSpec::alpha>{"alpha", {.omit_default = true}},
+      Field<&T::spec, &FaultSpec::period>{"period", {.omit_default = true}},
+      Field<&T::spec, &FaultSpec::after>{"after", {.omit_default = true}},
+  };
+}
+
+/// One "faults" entry.
+constexpr auto fields_of(const PlacedFault*) {
+  using F = PlacedFault;
+  return std::tuple_cat(std::tuple{
+                            Field<&F::base>{"base"},
+                            Field<&F::layer>{"layer"},
+                            Field<&F::spec, &FaultSpec::kind>{"kind", {.required = true}},
+                        },
+                        fault_spec_fields<F>());
+}
+GTRIX_CKPT_FIELDS(PlacedFault, 3);
+GTRIX_CKPT_FIELDS(FaultSpec, 5);
 
 /// Canonical kind names shared by the scenario parser, result emission and
 /// error messages.

@@ -37,8 +37,11 @@
 //
 // Deviation quantiles (p50/p90/p99 of all checked pair deviations) come
 // from a log-binned sketch (1% relative error for any distribution shape)
-// versus exact order statistics in full mode; the count and mean of the
-// deviation distribution remain exact.
+// versus exact order statistics in full mode. The deviation count is
+// exact; the mean agrees with full mode only to rounding (a running mean in
+// (time, node) order against a sum in (wave, node) order, so the last bits
+// differ on every quickstart-grid cell) until the deviation sum is made
+// order-free (ROADMAP item 2).
 #pragma once
 
 #include <cstdint>

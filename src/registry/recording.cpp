@@ -54,10 +54,6 @@ ComponentRegistry<RecordingProvider>& recording_registry() {
   return *registry;
 }
 
-ComponentSpec recording_spec_default() {
-  return recording_registry().canonicalize(ComponentSpec::of("full"));
-}
-
 RecordingOptions resolve_recording(const ComponentSpec& spec) {
   return recording_registry().create(spec)->options();
 }

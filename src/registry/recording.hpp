@@ -31,7 +31,4 @@ ComponentRegistry<RecordingProvider>& recording_registry();
 /// checks apply; unknown kinds throw JsonError).
 RecordingOptions resolve_recording(const ComponentSpec& spec);
 
-/// The canonical default spec ("full"), omitted from serialized configs.
-ComponentSpec recording_spec_default();
-
 }  // namespace gtrix

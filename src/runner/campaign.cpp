@@ -50,14 +50,33 @@ Json skew_to_json(const SkewReport& skew) {
 namespace {
 
 constexpr const char* kDoneFormat = "gtrix-cell-done";
-constexpr std::int64_t kDoneVersion = 1;
+constexpr std::int64_t kDoneVersion = 2;  // v2: the cell fingerprint
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Reloads a completed cell's done file (format and version checked).
-ExperimentResult read_done_file(const std::string& path) {
+/// What a cell's artifacts are produced under: its config and corruption
+/// plan. Done files and snapshot metas carry it, and a resume refuses an
+/// artifact whose fingerprint differs from the cell's.
+Json cell_fingerprint(const ExperimentConfig& config, const CorruptPlan& corrupt) {
+  Json j = Json::object();
+  j.set("config", to_json(config));
+  j.set("corrupt", corrupt.enabled ? to_json(corrupt) : Json());
+  return j;
+}
+
+void require_fingerprint(const Json& stored, const Json& expected, const std::string& path) {
+  if (!(stored == expected)) {
+    throw CkptError(path + ": written for a different config or corruption plan than this "
+                    "cell's (a resume never reuses results or state across edits; delete it "
+                    "or run without --resume)");
+  }
+}
+
+/// Reloads a completed cell's done file (format, version and fingerprint
+/// checked).
+ExperimentResult read_done_file(const std::string& path, const Json& fingerprint) {
   const std::vector<std::uint8_t> bytes = ckpt_read_file(path);
   Json doc;
   try {
@@ -71,6 +90,7 @@ ExperimentResult read_done_file(const std::string& path) {
                       " is not supported (this build reads version " +
                       std::to_string(kDoneVersion) + ")");
     }
+    require_fingerprint(doc.at("fingerprint"), fingerprint, path);
   } catch (const JsonError& e) {
     throw CkptError(path + ": malformed cell-done document (" + e.what() + ")");
   }
@@ -220,6 +240,7 @@ ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs,
 
   const bool snapshots = !ckpt.dir.empty();
   const std::string ckpt_path = ckpt.dir + "/" + key + ".ckpt";
+  const Json fingerprint = snapshots ? cell_fingerprint(config, corrupt) : Json();
   std::uint64_t written = 0, bytes_written = 0, restored = 0;
   double write_seconds = 0.0, restore_seconds = 0.0;
 
@@ -236,15 +257,16 @@ ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs,
   if (snapshots && ckpt.resume && std::filesystem::exists(ckpt_path)) {
     const auto t0 = std::chrono::steady_clock::now();
     CkptFile file = CkptFile::parse(ckpt_read_file(ckpt_path), ckpt_path);
-    world.checkpoint_restore(file);
     try {
       const Json meta = Json::parse(file.header_json()).at("meta");
+      require_fingerprint(meta.at("fingerprint"), fingerprint, ckpt_path);
       chunk = meta.at("chunk").as_u64();
       phase = static_cast<std::uint8_t>(meta.at("phase").as_u64());
     } catch (const JsonError& e) {
       throw CkptError(ckpt_path + ": checkpoint carries no usable runner metadata (" +
                       e.what() + ")");
     }
+    world.checkpoint_restore(file);
     restored = 1;
     restore_seconds += seconds_since(t0);
   }
@@ -256,6 +278,7 @@ ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs,
     meta.set("phase", phase);
     meta.set("chunk", static_cast<std::int64_t>(chunk));
     meta.set("cell", key);
+    meta.set("fingerprint", fingerprint);
     const auto t0 = std::chrono::steady_clock::now();
     const std::vector<std::uint8_t> image = world.checkpoint_save(meta.dump());
     ckpt_write_file_atomic(ckpt_path, image);
@@ -315,10 +338,11 @@ ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& cor
   }
   const std::string key = cell_key(index, label);
   const std::string done_path = ckpt.dir + "/" + key + ".done.json";
+  const Json fingerprint = cell_fingerprint(config, corrupt);
   // Completed cells are NEVER re-run on resume: reloading the done file
   // regenerates the identical JSONL line at zero simulation cost.
   if (ckpt.resume && std::filesystem::exists(done_path)) {
-    ExperimentResult result = read_done_file(done_path);
+    ExperimentResult result = read_done_file(done_path, fingerprint);
     result.engine_stats.cells_resumed_done += 1;
     return result;
   }
@@ -334,6 +358,7 @@ ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& cor
   doc.set("cell", key);
   doc.set("label", label);
   doc.set("index", static_cast<std::int64_t>(index));
+  doc.set("fingerprint", fingerprint);
   doc.set("result", result_to_json(result));
   const std::string text = doc.dump(2) + "\n";
   ckpt_write_file_atomic(done_path, std::vector<std::uint8_t>(text.begin(), text.end()));
@@ -424,12 +449,7 @@ std::string campaign_jsonl(const CampaignResult& result) {
     line.set("scenario", result.scenario);
     line.set("cell", cell.label);
     line.set("config", to_json(cell.config));
-    if (cell.corrupt.enabled) {
-      Json corrupt = Json::object();
-      corrupt.set("wave", cell.corrupt.wave);
-      corrupt.set("fraction", cell.corrupt.fraction);
-      line.set("corrupt", std::move(corrupt));
-    }
+    if (cell.corrupt.enabled) line.set("corrupt", to_json(cell.corrupt));
     Json res = Json::object();
     res.set("diameter", cell.result.diameter);
     res.set("skew", skew_to_json(cell.result.skew));

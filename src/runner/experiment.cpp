@@ -28,29 +28,6 @@ BaseGraph make_base_graph(const ExperimentConfig& config) {
   return topology_registry().create(config.topology_spec)->build(ctx);
 }
 
-bool ExperimentConfig::operator==(const ExperimentConfig& other) const {
-  // Cheap scalar fields first: the common unequal case never touches the
-  // registries.
-  if (!(columns == other.columns && trim == other.trim && layers == other.layers &&
-        params == other.params && layer0 == other.layer0 &&
-        layer0_jitter == other.layer0_jitter &&
-        layer0_offset_by_column == other.layer0_offset_by_column && faults == other.faults &&
-        pulses == other.pulses && self_stabilizing == other.self_stabilizing &&
-        jump_condition == other.jump_condition && seed == other.seed &&
-        warmup == other.warmup)) {
-    return false;
-  }
-  try {
-    return resolve_components(*this) == resolve_components(other);
-  } catch (const JsonError&) {
-    // Unresolvable (unregistered kind) on either side: equality must not
-    // throw, so fall back to comparing the raw specs.
-    return topology_spec == other.topology_spec && clock_spec == other.clock_spec &&
-           delay_spec == other.delay_spec && algorithm_spec == other.algorithm_spec &&
-           recording_spec == other.recording_spec;
-  }
-}
-
 World::World(ExperimentConfig config, EngineOptions engine)
     : config_(std::move(config)),
       engine_(engine),

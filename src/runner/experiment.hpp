@@ -39,6 +39,7 @@
 #include "registry/recording.hpp"
 #include "registry/topology.hpp"
 #include "sim/simulator.hpp"
+#include "support/fields.hpp"
 #include "support/rng.hpp"
 
 namespace gtrix {
@@ -81,11 +82,40 @@ struct ExperimentConfig {
   /// bit-identical to full recording.
   ComponentSpec recording_spec = ComponentSpec::of("full");
 
-  /// Semantic equality: the component specs compare by their canonical
-  /// forms, so a spec that spells out a default parameter equals one that
-  /// omits it.
+  /// Semantic equality over the field list below: the component specs
+  /// compare by their canonical forms, so a spec that spells out a default
+  /// parameter equals one that omits it. Defined with the list walkers in
+  /// scenario/spec.cpp.
   bool operator==(const ExperimentConfig& other) const;
 };
+
+/// The "config" object, in emission order (scenario/spec.hpp, to_json).
+/// "layers": "columns" stores 0 until the cell resolves it. Adding a field
+/// takes a member above, a line here and a bump of the count below.
+constexpr auto fields_of(const ExperimentConfig*) {
+  using C = ExperimentConfig;
+  return std::tuple{
+      ComponentField<&C::topology_spec, &topology_registry>{"base_graph"},
+      Field<&C::columns>{"columns", {.min = 2}},
+      Field<&C::trim>{"trim", {.omit_default = true}},
+      Field<&C::layers>{"layers", {.min = 2, .sentinel = "columns", .sentinel_value = 0}},
+      Field<&C::params>{"params"},
+      ComponentField<&C::algorithm_spec, &algorithm_registry>{"algorithm"},
+      Field<&C::layer0>{"layer0_mode"},
+      Field<&C::layer0_jitter>{"layer0_jitter"},
+      Field<&C::layer0_offset_by_column>{"layer0_offsets", {.omit_default = true}},
+      ComponentField<&C::delay_spec, &delay_registry>{"delay_model"},
+      ComponentField<&C::clock_spec, &clock_model_registry>{"clock_model"},
+      ComponentField<&C::recording_spec, &recording_registry>{"recording", {.omit_default = true}},
+      Field<&C::faults>{"faults", {.omit_default = true}},
+      Field<&C::pulses>{"pulses", {.min = 1}},
+      Field<&C::self_stabilizing>{"self_stabilizing"},
+      Field<&C::jump_condition>{"jump_condition"},
+      Field<&C::seed>{"seed"},
+      Field<&C::warmup>{"warmup", {.min = 0}},
+  };
+}
+GTRIX_CKPT_FIELDS(ExperimentConfig, 18);
 
 /// The component selections canonicalized against the registries (unknown
 /// kinds throw JsonError).

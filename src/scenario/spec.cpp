@@ -1,12 +1,18 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <optional>
+#include <ranges>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "graph/base_graph.hpp"
+#include "scenario/generators.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -18,42 +24,11 @@ namespace {
   throw JsonError(path + ": " + message);
 }
 
-// --- enum name tables -------------------------------------------------------
+// Layer0Mode is not a registry dimension; its names, by enum value.
+constexpr std::string_view kLayer0Names[] = {"ideal-jitter", "line-propagation"};
 
-template <typename E>
-struct Name {
-  E value;
-  std::string_view name;
-};
-
-template <typename E, std::size_t N>
-std::string_view name_of(const Name<E> (&table)[N], E value) {
-  for (const auto& entry : table) {
-    if (entry.value == value) return entry.name;
-  }
-  return "?";
-}
-
-template <typename E, std::size_t N>
-E value_of(const Name<E> (&table)[N], std::string_view name, const char* what) {
-  for (const auto& entry : table) {
-    if (entry.name == name) return entry.value;
-  }
-  std::string valid;
-  for (const auto& entry : table) {
-    if (!valid.empty()) valid += ", ";
-    valid += entry.name;
-  }
-  throw JsonError("unknown " + std::string(what) + " '" + std::string(name) +
-                  "' (valid: " + valid + ")");
-}
-
-// The four component dimensions are parsed schema-driven against the
-// registries; only Layer0Mode (not a registry dimension) keeps a table here.
-constexpr Name<Layer0Mode> kLayer0Names[] = {
-    {Layer0Mode::kIdealJitter, "ideal-jitter"},
-    {Layer0Mode::kLinePropagation, "line-propagation"},
-};
+void from_name(const std::string& name, Layer0Mode& v) { v = layer0_mode_from_string(name); }
+void from_name(const std::string& name, FaultKind& v) { v = fault_kind_from_string(name); }
 
 // --- path-qualified typed readers -------------------------------------------
 
@@ -66,482 +41,275 @@ auto at_path(const std::string& path, Fn&& fn) -> decltype(fn()) {
   }
 }
 
-double read_double(const Json& j, const std::string& path) {
-  return at_path(path, [&] { return j.as_double(); });
+/// `j` as a T (a number, a bool, a string or a named enum).
+template <class T>
+T read(const Json& j, const std::string& path) {
+  return at_path(path, [&] {
+    T v{};
+    if constexpr (std::is_same_v<T, bool>) {
+      v = j.as_bool();
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = j.as_double();
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      v = j.as_int();
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      v = j.as_u64();
+    } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+      const std::uint64_t wide = j.as_u64();
+      if (wide > 0xFFFFFFFFull) {
+        throw JsonError("value " + std::to_string(wide) + " exceeds uint32");
+      }
+      v = static_cast<std::uint32_t>(wide);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = j.as_string();
+    } else {
+      from_name(j.as_string(), v);
+    }
+    return v;
+  });
 }
 
-std::int64_t read_int(const Json& j, const std::string& path) {
-  return at_path(path, [&] { return j.as_int(); });
+const Json::Object& members(const Json& j, const std::string& path) {
+  return at_path(path, [&]() -> const Json::Object& { return j.as_object(); });
 }
-
-std::uint64_t read_u64(const Json& j, const std::string& path) {
-  return at_path(path, [&] { return j.as_u64(); });
-}
-
-std::uint32_t read_u32(const Json& j, const std::string& path) {
-  const std::uint64_t v = read_u64(j, path);
-  if (v > 0xFFFFFFFFull) fail(path, "value " + std::to_string(v) + " exceeds uint32");
-  return static_cast<std::uint32_t>(v);
-}
-
-bool read_bool(const Json& j, const std::string& path) {
-  return at_path(path, [&] { return j.as_bool(); });
-}
-
-const std::string& read_string(const Json& j, const std::string& path) {
-  return at_path(path, [&]() -> const std::string& { return j.as_string(); });
-}
-
-// --- generator specs --------------------------------------------------------
-
-struct ParamsDerive {
-  double u = 10.0;
-  double theta = 1.0005;
-  double safety = 1.2;
-};
-
-struct Layer0Pattern {
-  double amplitude = 0.0;  ///< alternating +/- amplitude/2 by column parity
-};
-
-struct RandomFaultGen {
-  double probability = 0.0;
-  bool exclude_layer0 = true;
-  bool enforce_one_local = true;
-  std::uint32_t max_attempts = 64;
-  std::vector<FaultKind> kinds = {FaultKind::kCrash};
-  double offset = 150.0;  ///< static-offset magnitude
-  double alpha = 100.0;   ///< split/jitter amplitude
-  double period = 0.0;    ///< fixed-period period (0 -> Lambda)
-  std::int64_t after = 0; ///< mute-after threshold
-};
-
-struct ClusteredFaultGen {
-  std::int64_t count = 0;
-  std::int64_t column = -1;       ///< -1 (or "center") -> columns / 2
-  std::int64_t start_layer = -1;  ///< -1 (or "third") -> max(1, layers / 3)
-  std::uint32_t stride = 1;
-  FaultKind kind = FaultKind::kCrash;
-  double offset = 0.0;
-  double alpha = 0.0;
-  double period = 0.0;
-  std::int64_t after = 0;
-};
 
 struct ConfigDraft {
   ExperimentConfig config;
-  bool layers_track_columns = false;
-  bool split_center = false;      ///< "delay_split_column": "center" given
-  bool saw_spec_split = false;    ///< 'split_column' set via object form / dotted axis
-  /// Dimensions that received a dotted component-parameter key; a later
-  /// whole-component key would silently discard those values, so it is
-  /// rejected instead (order the whole key first, e.g. axis declaration
-  /// order in a sweep).
-  bool dotted_topology = false;
-  bool dotted_clock = false;
-  bool dotted_delay = false;
-  bool dotted_algorithm = false;
-  bool dotted_recording = false;
-  bool params_explicit = false;  ///< an explicit d/u/theta/lambda was given
-  std::optional<ParamsDerive> derive;
-  std::optional<Layer0Pattern> layer0_pattern;
-  std::optional<RandomFaultGen> random_faults;
-  std::optional<ClusteredFaultGen> clustered_faults;
+  ConfigGenerators gen;
   CorruptPlan corrupt;
+  bool split_center = false;     ///< "delay_split_column": "center" given
+  bool saw_spec_split = false;   ///< 'split_column' set via object form / dotted axis
+  bool params_explicit = false;  ///< an explicit d/u/theta/lambda was given
+  /// Keys that received a dotted key below them ("base_graph.rows"); a
+  /// later whole-component key would silently discard those values, so it
+  /// is rejected instead (order the whole key first, e.g. axis declaration
+  /// order in a sweep).
+  std::set<std::string> dotted;
 };
 
-/// Builds a canonical spec for a generated fault: only the field the kind
-/// actually reads is kept, so resolved configs and emitted JSONL never show
-/// parameters that had no effect.
-FaultSpec make_fault_spec(FaultKind kind, double offset, double alpha, double period,
-                          std::int64_t after) {
+// --- field-list walkers -----------------------------------------------------
+// Apply one key, emit, and compare (ExperimentConfig::operator==, below). A
+// dotted key walks down the nested lists, so an object and its dotted keys
+// take one path.
+
+template <class T>
+bool apply_field(T& obj, const std::string& key, const Json& value, const std::string& path,
+                 bool known = true);
+template <class T>
+void apply_object(T& obj, const Json& value, const std::string& path);
+
+/// A whole leaf or list value, checked against its entry's rule.
+template <class M, class F>
+M parse_value(const F& f, const Json& value, const std::string& path) {
+  const FieldRule& rule = f.rule;
+  if constexpr (std::ranges::range<M>) {
+    const auto& items = at_path(path, [&]() -> const Json::Array& { return value.as_array(); });
+    if (items.size() < rule.min) fail(path, std::string(f.key) + " must not be empty");
+    M out(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const std::string at = path + "[" + std::to_string(i) + "]";
+      if constexpr (Listed<typename M::value_type>) {
+        apply_object(out[i], items[i], at);
+      } else {
+        out[i] = read<typename M::value_type>(items[i], at);
+      }
+    }
+    return out;
+  } else if constexpr (std::is_arithmetic_v<M>) {
+    if (rule.sentinel != nullptr && value.is_string()) {
+      if (value.as_string() != rule.sentinel) {
+        fail(path, std::string("expected an int or \"") + rule.sentinel + "\"");
+      }
+      return static_cast<M>(rule.sentinel_value);
+    }
+    const M v = read<M>(value, path);
+    const auto x = static_cast<double>(v);
+    if (x < rule.min || (rule.above && x == rule.min) || x > rule.max) {
+      const auto num = [](double b) { return std::to_string(static_cast<std::int64_t>(b)); };
+      fail(path, std::string(f.key) +
+                     (rule.max < std::numeric_limits<double>::infinity()
+                          ? " must be in [" + num(rule.min) + ", " + num(rule.max) + "]"
+                          : (rule.above ? " must be > " : " must be >= ") + num(rule.min)));
+    }
+    return v;
+  } else {
+    return read<M>(value, path);
+  }
+}
+
+/// Applies entry `f` to `member`: the whole value when `rest` is empty,
+/// else the dotted path `rest` below it.
+template <class F, class M>
+void apply_member(const F& f, M& member, const std::string& rest, const Json& value,
+                  const std::string& path) {
+  if constexpr (requires { f.registry(); }) {
+    if (rest.empty()) {
+      member = component_from_json(f.registry(), value, path);
+    } else {
+      at_path(path, [&] { f.registry().set_param(member, rest, value); });
+    }
+  } else if constexpr (requires { member.emplace(); }) {
+    if (rest.empty() || !member) member.emplace();  // a whole generator object replaces it
+    apply_member(f, *member, rest, value, path);
+  } else if constexpr (Listed<M>) {
+    if (rest.empty()) {
+      apply_object(member, value, path);
+    } else {
+      apply_field(member, rest, value, path);
+    }
+  } else {
+    if (!rest.empty()) fail(path, "unknown key '" + rest + "'");
+    member = parse_value<M>(f, value, path);
+  }
+}
+
+/// Applies `key` -- an entry of T's list or a dotted path below one -- to
+/// `obj`. An unknown key is an error, or, with `known` false, a false.
+template <class T>
+bool apply_field(T& obj, const std::string& key, const Json& value, const std::string& path,
+                 bool known) {
+  bool found = false;
+  for_each_field<T>([&](const auto& f) {
+    const std::size_t n = std::strlen(f.key);
+    if (found || key.compare(0, n, f.key) != 0 || (key.size() > n && key[n] != '.')) return;
+    found = true;
+    apply_member(f, f.get(obj), key.size() > n ? key.substr(n + 1) : "", value, path);
+  });
+  if (!found && known) fail(path, "unknown key '" + key + "'");
+  return found;
+}
+
+template <class T>
+void apply_object(T& obj, const Json& value, const std::string& path) {
+  for (const auto& [key, member] : members(value, path)) {
+    apply_field(obj, key, member, path + "." + key);
+  }
+  for_each_field<T>([&](const auto& f) {
+    if (f.rule.required && !value.contains(f.key)) {
+      fail(path, std::string("missing key '") + f.key + "'");
+    }
+  });
+}
+
+template <class T>
+Json emit_fields(const T& obj);
+
+template <class F, class M>
+Json emit_value(const F& f, const M& member) {
+  if constexpr (requires { f.registry(); }) {
+    // Canonical: a bare kind, or {"kind": ...} with the non-default params.
+    return component_to_json(f.registry(), f.registry().canonicalize(member));
+  } else if constexpr (Listed<M>) {
+    return emit_fields(member);
+  } else if constexpr (std::ranges::range<M>) {
+    Json items = Json::array();
+    for (const auto& item : member) items.push_back(emit_value(f, item));
+    return items;
+  } else if constexpr (std::is_enum_v<M>) {
+    return Json(to_string(member));
+  } else {
+    return Json(member);
+  }
+}
+
+template <class T>
+Json emit_fields(const T& obj) {
+  const T defaults{};
+  Json j = Json::object();
+  for_each_field<T>([&](const auto& f) {
+    Json value = emit_value(f, f.get(obj));
+    if (!f.rule.omit_default || !(value == emit_value(f, f.get(defaults)))) {
+      j.set(f.key, std::move(value));
+    }
+  });
+  return j;
+}
+
+// --- config drafts ----------------------------------------------------------
+
+/// The canonical spec of a generated fault of `kind`: only the field the
+/// kind actually reads is kept, so resolved configs and emitted JSONL never
+/// show parameters that had no effect.
+FaultSpec canonical_spec(FaultKind kind, const FaultSpec& s) {
   switch (kind) {
     case FaultKind::kCrash: return FaultSpec::crash();
-    case FaultKind::kMuteAfter: return FaultSpec::mute_after(after);
-    case FaultKind::kStaticOffset: return FaultSpec::static_offset(offset);
-    case FaultKind::kSplit: return FaultSpec::split(alpha);
-    case FaultKind::kJitter: return FaultSpec::jitter(alpha);
-    case FaultKind::kFixedPeriod: return FaultSpec::fixed_period(period);
+    case FaultKind::kMuteAfter: return FaultSpec::mute_after(s.after);
+    case FaultKind::kStaticOffset: return FaultSpec::static_offset(s.offset);
+    case FaultKind::kSplit: return FaultSpec::split(s.alpha);
+    case FaultKind::kJitter: return FaultSpec::jitter(s.alpha);
+    case FaultKind::kFixedPeriod: return FaultSpec::fixed_period(s.period);
   }
   throw JsonError("invalid fault kind");
 }
 
-PlacedFault fault_from_json(const Json& j, const std::string& path) {
-  PlacedFault fault;
-  bool saw_kind = false;
-  for (const auto& [key, value] : at_path(path, [&]() -> const Json::Object& {
-         return j.as_object();
-       })) {
-    const std::string sub = path + "." + key;
-    if (key == "base") {
-      fault.base = read_u32(value, sub);
-    } else if (key == "layer") {
-      fault.layer = read_u32(value, sub);
-    } else if (key == "kind") {
-      fault.spec.kind = at_path(sub, [&] {
-        return fault_kind_from_string(read_string(value, sub));
-      });
-      saw_kind = true;
-    } else if (key == "offset") {
-      fault.spec.offset = read_double(value, sub);
-    } else if (key == "alpha") {
-      fault.spec.alpha = read_double(value, sub);
-    } else if (key == "period") {
-      fault.spec.period = read_double(value, sub);
-    } else if (key == "after") {
-      fault.spec.after = read_int(value, sub);
-    } else {
-      fail(sub, "unknown key");
-    }
-  }
-  if (!saw_kind) fail(path, "missing key 'kind'");
-  return fault;
-}
-
-void apply_params_key(ConfigDraft& draft, const std::string& key, const Json& value,
-                      const std::string& path) {
-  // Derived and explicit parameters are mutually exclusive; mixing them
-  // would make the result depend on key order, so reject it outright.
-  if (key == "derive") {
-    if (draft.params_explicit) {
-      fail(path, "cannot mix 'derive' with explicit params values");
-    }
-    ParamsDerive derive;
-    for (const auto& [k, v] : at_path(path, [&]() -> const Json::Object& {
-           return value.as_object();
-         })) {
-      const std::string sub = path + "." + k;
-      if (k == "u") {
-        derive.u = read_double(v, sub);
-      } else if (k == "theta") {
-        derive.theta = read_double(v, sub);
-      } else if (k == "safety") {
-        derive.safety = read_double(v, sub);
-      } else {
-        fail(sub, "unknown key");
-      }
-    }
-    draft.derive = derive;
-    return;
-  }
-  if (draft.derive) {
-    fail(path, "cannot mix explicit params values with 'derive'");
-  }
-  draft.params_explicit = true;
-  if (key == "d") {
-    draft.config.params.d = read_double(value, path);
-  } else if (key == "u") {
-    draft.config.params.u = read_double(value, path);
-  } else if (key == "theta") {
-    draft.config.params.theta = read_double(value, path);
-  } else if (key == "lambda") {
-    draft.config.params.lambda = read_double(value, path);
-  } else {
-    fail(path, "unknown key");
-  }
-}
-
-void apply_random_faults_key(RandomFaultGen& gen, const std::string& key, const Json& value,
-                             const std::string& path) {
-  if (key == "probability") {
-    gen.probability = read_double(value, path);
-    if (gen.probability < 0.0 || gen.probability > 1.0) {
-      fail(path, "probability must be in [0, 1]");
-    }
-  } else if (key == "exclude_layer0") {
-    gen.exclude_layer0 = read_bool(value, path);
-  } else if (key == "enforce_one_local") {
-    gen.enforce_one_local = read_bool(value, path);
-  } else if (key == "max_attempts") {
-    gen.max_attempts = read_u32(value, path);
-  } else if (key == "kinds") {
-    const auto& items = at_path(path, [&]() -> const Json::Array& {
-      return value.as_array();
-    });
-    if (items.empty()) fail(path, "kinds must not be empty");
-    gen.kinds.clear();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const std::string sub = path + "[" + std::to_string(i) + "]";
-      gen.kinds.push_back(at_path(sub, [&] {
-        return fault_kind_from_string(read_string(items[i], sub));
-      }));
-    }
-  } else if (key == "offset") {
-    gen.offset = read_double(value, path);
-  } else if (key == "alpha") {
-    gen.alpha = read_double(value, path);
-  } else if (key == "period") {
-    gen.period = read_double(value, path);
-  } else if (key == "after") {
-    gen.after = read_int(value, path);
-  } else {
-    fail(path, "unknown key");
-  }
-}
-
-void apply_clustered_key(ClusteredFaultGen& gen, const std::string& key, const Json& value,
-                         const std::string& path) {
-  if (key == "count") {
-    gen.count = read_int(value, path);
-    if (gen.count < 0) fail(path, "count must be >= 0");
-  } else if (key == "column") {
-    if (value.is_string()) {
-      if (read_string(value, path) != "center") {
-        fail(path, "expected a non-negative int or \"center\"");
-      }
-      gen.column = -1;
-    } else {
-      gen.column = static_cast<std::int64_t>(read_u32(value, path));
-    }
-  } else if (key == "start_layer") {
-    if (value.is_string()) {
-      if (read_string(value, path) != "third") {
-        fail(path, "expected a non-negative int or \"third\"");
-      }
-      gen.start_layer = -1;
-    } else {
-      gen.start_layer = static_cast<std::int64_t>(read_u32(value, path));
-    }
-  } else if (key == "stride") {
-    gen.stride = read_u32(value, path);
-    if (gen.stride == 0) fail(path, "stride must be >= 1");
-  } else if (key == "kind") {
-    gen.kind = at_path(path, [&] {
-      return fault_kind_from_string(read_string(value, path));
-    });
-  } else if (key == "offset") {
-    gen.offset = read_double(value, path);
-  } else if (key == "alpha") {
-    gen.alpha = read_double(value, path);
-  } else if (key == "period") {
-    gen.period = read_double(value, path);
-  } else if (key == "after") {
-    gen.after = read_int(value, path);
-  } else {
-    fail(path, "unknown key");
-  }
-}
-
-void apply_corrupt_key(CorruptPlan& plan, const std::string& key, const Json& value,
-                       const std::string& path) {
-  plan.enabled = true;
-  if (key == "wave") {
-    plan.wave = read_double(value, path);
-    if (plan.wave < 0.0) fail(path, "wave must be >= 0");
-  } else if (key == "fraction") {
-    plan.fraction = read_double(value, path);
-    if (plan.fraction < 0.0 || plan.fraction > 1.0) {
-      fail(path, "fraction must be in [0, 1]");
-    }
-  } else {
-    fail(path, "unknown key");
-  }
-}
-
-/// Applies one config field (or a dotted sweep-axis path) to the draft.
+/// Applies one config key -- a whole field or a dotted sweep-axis path --
+/// to the draft: the generators' list first, then ExperimentConfig's.
 void apply_config_key(ConfigDraft& draft, const std::string& key, const Json& value,
                       const std::string& path) {
-  // Dotted paths route into the composite sub-objects.
-  if (const auto dot = key.find('.'); dot != std::string::npos) {
-    const std::string head = key.substr(0, dot);
-    const std::string rest = key.substr(dot + 1);
-    if (head == "params") {
-      if (rest.starts_with("derive.")) {
-        // params.derive.* adjusts the derive request in place.
-        if (draft.params_explicit) {
-          fail(path, "cannot mix 'derive' with explicit params values");
-        }
-        if (!draft.derive) draft.derive = ParamsDerive{};
-        const std::string leaf = rest.substr(7);
-        if (leaf == "u") {
-          draft.derive->u = read_double(value, path);
-        } else if (leaf == "theta") {
-          draft.derive->theta = read_double(value, path);
-        } else if (leaf == "safety") {
-          draft.derive->safety = read_double(value, path);
-        } else {
-          fail(path, "unknown key");
-        }
-        return;
-      }
-      apply_params_key(draft, rest, value, path);
-    } else if (head == "layer0_pattern") {
-      if (!draft.layer0_pattern) draft.layer0_pattern = Layer0Pattern{};
-      if (rest == "amplitude") {
-        draft.layer0_pattern->amplitude = read_double(value, path);
-      } else {
-        fail(path, "unknown key");
-      }
-    } else if (head == "random_faults") {
-      if (!draft.random_faults) draft.random_faults = RandomFaultGen{};
-      apply_random_faults_key(*draft.random_faults, rest, value, path);
-    } else if (head == "clustered_faults") {
-      if (!draft.clustered_faults) draft.clustered_faults = ClusteredFaultGen{};
-      apply_clustered_key(*draft.clustered_faults, rest, value, path);
-    } else if (head == "corrupt") {
-      apply_corrupt_key(draft.corrupt, rest, value, path);
-    } else if (head == "base_graph") {
-      at_path(path, [&] { topology_registry().set_param(draft.config.topology_spec, rest, value); });
-      draft.dotted_topology = true;
-    } else if (head == "clock_model") {
-      at_path(path, [&] { clock_model_registry().set_param(draft.config.clock_spec, rest, value); });
-      draft.dotted_clock = true;
-    } else if (head == "delay_model") {
-      at_path(path, [&] { delay_registry().set_param(draft.config.delay_spec, rest, value); });
-      if (rest == "split_column") draft.saw_spec_split = true;
-      draft.dotted_delay = true;
-    } else if (head == "algorithm") {
-      at_path(path, [&] { algorithm_registry().set_param(draft.config.algorithm_spec, rest, value); });
-      draft.dotted_algorithm = true;
-    } else if (head == "recording") {
-      at_path(path, [&] { recording_registry().set_param(draft.config.recording_spec, rest, value); });
-      draft.dotted_recording = true;
-    } else {
-      fail(path, "unknown key '" + key + "'");
+  if (key == "params") {  // its dotted keys, so the derive rule below sees each one
+    for (const auto& [k, v] : members(value, path)) {
+      apply_config_key(draft, "params." + k, v, path + "." + k);
     }
     return;
   }
-
-  ExperimentConfig& c = draft.config;
-  // A whole-component key replaces the spec wholesale; if dotted parameter
-  // keys for this dimension were applied first, their values would be
-  // silently discarded -- reject and ask for the other order.
-  const auto check_not_after_dotted = [&](bool dotted) {
-    if (dotted) {
-      fail(path, "'" + key + "' would overwrite parameters set via dotted '" + key +
-                     ".<param>' keys; apply the whole-component key first (e.g. declare its "
-                     "sweep axis before the parameter axes)");
-    }
-  };
-  if (key == "base_graph") {
-    check_not_after_dotted(draft.dotted_topology);
-    c.topology_spec = component_from_json(topology_registry(), value, path);
-  } else if (key == "columns") {
-    c.columns = read_u32(value, path);
-    if (c.columns < 2) fail(path, "need at least 2 columns");
-  } else if (key == "trim") {
-    c.trim = read_u32(value, path);
-  } else if (key == "layers") {
-    if (value.is_string()) {
-      if (read_string(value, path) != "columns") {
-        fail(path, "expected an int or \"columns\"");
-      }
-      draft.layers_track_columns = true;
-    } else {
-      c.layers = read_u32(value, path);
-      draft.layers_track_columns = false;
-    }
-  } else if (key == "params") {
-    for (const auto& [k, v] : at_path(path, [&]() -> const Json::Object& {
-           return value.as_object();
-         })) {
-      apply_params_key(draft, k, v, path + "." + k);
-    }
-  } else if (key == "algorithm") {
-    check_not_after_dotted(draft.dotted_algorithm);
-    c.algorithm_spec = component_from_json(algorithm_registry(), value, path);
-  } else if (key == "layer0_mode") {
-    c.layer0 = at_path(path, [&] {
-      return value_of(kLayer0Names, read_string(value, path), "layer-0 mode");
-    });
-  } else if (key == "layer0_jitter") {
-    c.layer0_jitter = read_double(value, path);
-  } else if (key == "layer0_offsets") {
-    const auto& items = at_path(path, [&]() -> const Json::Array& {
-      return value.as_array();
-    });
-    c.layer0_offset_by_column.clear();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      c.layer0_offset_by_column.push_back(
-          read_double(items[i], path + "[" + std::to_string(i) + "]"));
-    }
-  } else if (key == "layer0_pattern") {
-    Layer0Pattern pattern;
-    for (const auto& [k, v] : at_path(path, [&]() -> const Json::Object& {
-           return value.as_object();
-         })) {
-      const std::string sub = path + "." + k;
-      if (k == "amplitude") {
-        pattern.amplitude = read_double(v, sub);
-      } else {
-        fail(sub, "unknown key");
-      }
-    }
-    draft.layer0_pattern = pattern;
-  } else if (key == "delay_model") {
-    check_not_after_dotted(draft.dotted_delay);
-    c.delay_spec = component_from_json(delay_registry(), value, path);
-    draft.saw_spec_split = value.is_object() && value.contains("split_column");
-  } else if (key == "delay_split_column") {
+  if (key.starts_with("corrupt.")) {  // sweep axes; the plan itself is top-level
+    draft.corrupt.enabled = true;
+    apply_field(draft.corrupt, key.substr(8), value, path);
+    return;
+  }
+  if (key == "delay_split_column") {
     // Column-relative generator only; a fixed column is the column-split
     // spec's own parameter.
-    if (!value.is_string() || read_string(value, path) != "center") {
-      fail(path, "expected \"center\" (a fixed split column is "
-                 "'delay_model.split_column')");
+    if (!value.is_string() || value.as_string() != "center") {
+      fail(path, "expected \"center\" (a fixed split column is 'delay_model.split_column')");
     }
     draft.split_center = true;
-  } else if (key == "clock_model") {
-    check_not_after_dotted(draft.dotted_clock);
-    c.clock_spec = component_from_json(clock_model_registry(), value, path);
-  } else if (key == "faults") {
-    const auto& items = at_path(path, [&]() -> const Json::Array& {
-      return value.as_array();
-    });
-    c.faults.clear();
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      c.faults.push_back(fault_from_json(items[i], path + "[" + std::to_string(i) + "]"));
-    }
-  } else if (key == "random_faults") {
-    RandomFaultGen gen;
-    for (const auto& [k, v] : at_path(path, [&]() -> const Json::Object& {
-           return value.as_object();
-         })) {
-      apply_random_faults_key(gen, k, v, path + "." + k);
-    }
-    draft.random_faults = gen;
-  } else if (key == "clustered_faults") {
-    ClusteredFaultGen gen;
-    for (const auto& [k, v] : at_path(path, [&]() -> const Json::Object& {
-           return value.as_object();
-         })) {
-      apply_clustered_key(gen, k, v, path + "." + k);
-    }
-    draft.clustered_faults = gen;
-  } else if (key == "recording") {
-    check_not_after_dotted(draft.dotted_recording);
-    c.recording_spec = component_from_json(recording_registry(), value, path);
-  } else if (key == "pulses") {
-    c.pulses = read_int(value, path);
-    if (c.pulses < 1) fail(path, "need at least one pulse");
-  } else if (key == "self_stabilizing") {
-    c.self_stabilizing = read_bool(value, path);
-  } else if (key == "jump_condition") {
-    c.jump_condition = read_bool(value, path);
-  } else if (key == "seed") {
-    c.seed = read_u64(value, path);
-  } else if (key == "warmup") {
-    c.warmup = read_int(value, path);
-    if (c.warmup < 0) fail(path, "warmup must be >= 0");
-  } else {
-    fail(path, "unknown key '" + key + "'");
+    return;
   }
+  // Derived and explicit parameters are mutually exclusive; mixing them
+  // would make the result depend on key order, so reject it outright.
+  const bool params_key = key.starts_with("params.");
+  if (apply_field(draft.gen, key, value, path, false)) {
+    if (params_key && draft.params_explicit) {
+      fail(path, "cannot mix 'derive' with explicit params values");
+    }
+    return;
+  }
+  if (params_key && draft.gen.derive) {
+    fail(path, "cannot mix explicit params values with 'derive'");
+  }
+  draft.params_explicit = draft.params_explicit || params_key;
+  // A whole-component key replaces the spec wholesale; if dotted parameter
+  // keys for it were applied first, their values would be silently
+  // discarded -- reject and ask for the other order.
+  if (const auto dot = key.find('.'); dot != std::string::npos) {
+    draft.dotted.insert(key.substr(0, dot));
+  } else if (draft.dotted.contains(key)) {
+    fail(path, "'" + key + "' would overwrite parameters set via dotted '" + key +
+                   ".<param>' keys; apply the whole-component key first (e.g. declare its "
+                   "sweep axis before the parameter axes)");
+  }
+  if (key == "delay_model.split_column") draft.saw_spec_split = true;
+  if (key == "delay_model") {
+    draft.saw_spec_split = value.is_object() && value.contains("split_column");
+  }
+  apply_field(draft.config, key, value, path);
 }
 
 ConfigDraft draft_from_json(const Json& j, const std::string& path) {
   ConfigDraft draft;
-  for (const auto& [key, value] : at_path(path, [&]() -> const Json::Object& {
-         return j.as_object();
-       })) {
+  for (const auto& [key, value] : members(j, path)) {
     apply_config_key(draft, key, value, path + "." + key);
   }
   return draft;
 }
 
-/// Resolves all generators against the final cell shape. `context` prefixes
-/// error messages ("$.config", "cell 'columns=8,seed=2'").
+/// Resolves all generators against the final cell shape and checks the
+/// constraints that relate several fields. `context` prefixes error
+/// messages ("$.config", "cell 'columns=8,seed=2'").
 ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
   ExperimentConfig& c = draft.config;
-  if (draft.layers_track_columns) c.layers = c.columns;
+  if (c.layers == 0) c.layers = c.columns;  // "layers": "columns"
 
   // The "center" generator splits at columns / 2 of this cell. It must not
   // silently do nothing (wrong delay kind) or silently overwrite an
@@ -559,22 +327,31 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
                                Json(static_cast<std::int64_t>(c.columns / 2)));
   }
 
-  if (draft.derive) {
+  if (draft.gen.derive) {
     const BaseGraph base = make_base_graph(c);
-    c.params = Params::derive_for(base.diameter(), draft.derive->u, draft.derive->theta,
-                                  draft.derive->safety);
+    c.params = Params::derive_for(base.diameter(), draft.gen.derive->u, draft.gen.derive->theta,
+                                  draft.gen.derive->safety);
+  }
+  // The model's constraints across fields; the lists bound each field alone.
+  if (!(c.params.u < c.params.d)) {
+    throw JsonError(context + ": params.u " + Json(c.params.u).dump() + " must be < params.d " +
+                    Json(c.params.d).dump() + " (delays lie in [d - u, d])");
+  }
+  if (!(c.params.kappa() >= 0.0)) {
+    throw JsonError(context + ": params give kappa " + Json(c.params.kappa()).dump() +
+                    " < 0 (Eq. (1): kappa = 2 (u + (1 - 1/theta) (lambda - d)))");
   }
 
-  if (draft.layer0_pattern && draft.layer0_pattern->amplitude != 0.0) {
-    const double half = draft.layer0_pattern->amplitude / 2.0;
+  if (draft.gen.layer0_pattern && draft.gen.layer0_pattern->amplitude != 0.0) {
+    const double half = draft.gen.layer0_pattern->amplitude / 2.0;
     c.layer0_offset_by_column.resize(c.columns);
     for (std::uint32_t col = 0; col < c.columns; ++col) {
       c.layer0_offset_by_column[col] = (col % 2 == 0) ? half : -half;
     }
   }
 
-  if (draft.clustered_faults && draft.clustered_faults->count > 0) {
-    const ClusteredFaultGen& gen = *draft.clustered_faults;
+  if (draft.gen.clustered_faults && draft.gen.clustered_faults->count > 0) {
+    const ClusteredFaultGen& gen = *draft.gen.clustered_faults;
     const Grid grid(make_base_graph(c), c.layers);
     const std::int64_t column = gen.column >= 0 ? gen.column : c.columns / 2;
     const std::int64_t start =
@@ -584,8 +361,7 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
       throw JsonError(context + ": clustered_faults.column " + std::to_string(column) +
                       " out of range (columns " + std::to_string(c.columns) + ")");
     }
-    const FaultSpec spec =
-        make_fault_spec(gen.kind, gen.offset, gen.alpha, gen.period, gen.after);
+    const FaultSpec spec = canonical_spec(gen.spec.kind, gen.spec);
     try {
       const auto placed =
           clustered_faults(grid, static_cast<std::uint32_t>(gen.count),
@@ -597,8 +373,8 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
     }
   }
 
-  if (draft.random_faults && draft.random_faults->probability > 0.0) {
-    const RandomFaultGen& gen = *draft.random_faults;
+  if (draft.gen.random_faults && draft.gen.random_faults->probability > 0.0) {
+    const RandomFaultGen& gen = *draft.gen.random_faults;
     const Grid grid(make_base_graph(c), c.layers);
     // Seeded from the cell seed alone. The committed
     // BENCH_thm13-random-faults.json depends on this stream, so the
@@ -612,9 +388,7 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
     try {
       auto placed = sample_iid_faults(grid, options, FaultSpec::crash(), rng);
       for (std::size_t i = 0; i < placed.size(); ++i) {
-        const FaultKind kind = gen.kinds[i % gen.kinds.size()];
-        placed[i].spec =
-            make_fault_spec(kind, gen.offset, gen.alpha, gen.period, gen.after);
+        placed[i].spec = canonical_spec(gen.kinds[i % gen.kinds.size()], gen.spec);
       }
       c.faults.insert(c.faults.end(), placed.begin(), placed.end());
     } catch (const std::exception& e) {
@@ -678,6 +452,7 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
                     ", the minimum neighbour count of topology '" + components.topology.kind +
                     "' (algorithm '" + components.algorithm.kind + "')");
   }
+  std::map<std::pair<BaseNodeId, std::uint32_t>, std::size_t> placed;
   for (std::size_t i = 0; i < c.faults.size(); ++i) {
     const PlacedFault& fault = c.faults[i];
     const auto fault_error = [&](const std::string& reason) {
@@ -686,6 +461,15 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
                        std::to_string(fault.base) + ", layer=" +
                        std::to_string(fault.layer) + "): " + reason);
     };
+    if (fault.base >= info.nodes || fault.layer >= c.layers) {
+      throw fault_error("outside the grid (" + std::to_string(info.nodes) + " base nodes x " +
+                        std::to_string(c.layers) + " layers)");
+    }
+    // The grid keeps one behaviour per node: a second placement would
+    // silently replace the first.
+    if (const auto [at, fresh] = placed.emplace(std::pair(fault.base, fault.layer), i); !fresh) {
+      throw fault_error("fault " + std::to_string(at->second) + " is on the same node");
+    }
     // Layer-0 nodes are sources, not algorithm nodes: the layer-0 machinery
     // can realize a silent node (crash) and, in ideal mode, a static shift;
     // other kinds would be silent no-ops, so reject them outright.
@@ -733,67 +517,35 @@ std::string axis_value_label(const Json& value) {
 
 // --- enum <-> string --------------------------------------------------------
 
-std::string_view to_string(Layer0Mode v) { return name_of(kLayer0Names, v); }
+std::string_view to_string(Layer0Mode v) { return kLayer0Names[static_cast<std::size_t>(v)]; }
 
 Layer0Mode layer0_mode_from_string(std::string_view s) {
-  return value_of(kLayer0Names, s, "layer-0 mode");
+  return enum_from_name<Layer0Mode>(kLayer0Names, s, "layer-0 mode");
 }
 
-// --- serialization ----------------------------------------------------------
+// --- field lists -------------------------------------------------------------
 
-Json to_json(const PlacedFault& fault) {
-  Json j = Json::object();
-  j.set("base", fault.base);
-  j.set("layer", fault.layer);
-  j.set("kind", to_string(fault.spec.kind));
-  if (fault.spec.offset != 0.0) j.set("offset", fault.spec.offset);
-  if (fault.spec.alpha != 0.0) j.set("alpha", fault.spec.alpha);
-  if (fault.spec.period != 0.0) j.set("period", fault.spec.period);
-  if (fault.spec.after != 0) j.set("after", fault.spec.after);
-  return j;
-}
+Json to_json(const ExperimentConfig& config) { return emit_fields(config); }
+Json to_json(const CorruptPlan& corrupt) { return emit_fields(corrupt); }
 
-Json to_json(const ExperimentConfig& c) {
-  // The component dimensions serialize in canonical form: a bare kind
-  // string, or {"kind": ...} with the non-default parameters.
-  const ResolvedComponents components = resolve_components(c);
-  Json j = Json::object();
-  j.set("base_graph", component_to_json(topology_registry(), components.topology));
-  j.set("columns", c.columns);
-  if (c.trim != 0) j.set("trim", c.trim);
-  j.set("layers", c.layers);
-  Json params = Json::object();
-  params.set("d", c.params.d);
-  params.set("u", c.params.u);
-  params.set("theta", c.params.theta);
-  params.set("lambda", c.params.lambda);
-  j.set("params", std::move(params));
-  j.set("algorithm", component_to_json(algorithm_registry(), components.algorithm));
-  j.set("layer0_mode", to_string(c.layer0));
-  j.set("layer0_jitter", c.layer0_jitter);
-  if (!c.layer0_offset_by_column.empty()) {
-    Json offsets = Json::array();
-    for (const double v : c.layer0_offset_by_column) offsets.push_back(v);
-    j.set("layer0_offsets", std::move(offsets));
-  }
-  j.set("delay_model", component_to_json(delay_registry(), components.delay));
-  j.set("clock_model", component_to_json(clock_model_registry(), components.clock));
-  // Full recording is the default and is omitted, keeping every historical
-  // config byte-identical through a serialize/parse round trip.
-  if (components.recording != recording_spec_default()) {
-    j.set("recording", component_to_json(recording_registry(), components.recording));
-  }
-  if (!c.faults.empty()) {
-    Json faults = Json::array();
-    for (const PlacedFault& fault : c.faults) faults.push_back(to_json(fault));
-    j.set("faults", std::move(faults));
-  }
-  j.set("pulses", c.pulses);
-  j.set("self_stabilizing", c.self_stabilizing);
-  j.set("jump_condition", c.jump_condition);
-  j.set("seed", c.seed);
-  j.set("warmup", c.warmup);
-  return j;
+bool ExperimentConfig::operator==(const ExperimentConfig& other) const {
+  bool same = true;
+  for_each_field<ExperimentConfig>([&](const auto& f) {
+    const auto& a = f.get(*this);
+    const auto& b = f.get(other);
+    if constexpr (requires { f.registry(); }) {
+      try {
+        same = same && f.registry().canonicalize(a) == f.registry().canonicalize(b);
+      } catch (const JsonError&) {
+        // Unresolvable (unregistered kind) on either side: equality must
+        // not throw, so fall back to comparing the raw specs.
+        same = same && a == b;
+      }
+    } else {
+      same = same && a == b;
+    }
+  });
+  return same;
 }
 
 ExperimentConfig config_from_json(const Json& j, const std::string& path) {
@@ -807,31 +559,23 @@ Scenario Scenario::from_json(const Json& doc) {
   scenario.doc_ = doc;
   scenario.base_config_ = Json::object();
   const Json* sweep = nullptr;
-  for (const auto& [key, value] : at_path("$", [&]() -> const Json::Object& {
-         return doc.as_object();
-       })) {
+  for (const auto& [key, value] : members(doc, "$")) {
     if (key == "name") {
-      scenario.name_ = read_string(value, "$.name");
+      scenario.name_ = read<std::string>(value, "$.name");
     } else if (key == "description") {
-      scenario.description_ = read_string(value, "$.description");
+      scenario.description_ = read<std::string>(value, "$.description");
     } else if (key == "config") {
       scenario.base_config_ = value;
     } else if (key == "corrupt") {
-      for (const auto& [k, v] : at_path("$.corrupt", [&]() -> const Json::Object& {
-             return value.as_object();
-           })) {
-        apply_corrupt_key(scenario.corrupt_, k, v, "$.corrupt." + k);
-      }
+      apply_object(scenario.corrupt_, value, "$.corrupt");
       scenario.corrupt_.enabled = true;
     } else if (key == "engine") {
       // Engine defaults (performance only, never behaviour): currently just
       // the shard count. See Scenario::engine_shards().
-      for (const auto& [k, v] : at_path("$.engine", [&]() -> const Json::Object& {
-             return value.as_object();
-           })) {
+      for (const auto& [k, v] : members(value, "$.engine")) {
         const std::string path = "$.engine." + k;
         if (k == "shards") {
-          scenario.engine_shards_ = read_u32(v, path);
+          scenario.engine_shards_ = read<std::uint32_t>(v, path);
           if (scenario.engine_shards_ < 1 || scenario.engine_shards_ > 4096) {
             fail(path, "shards must be in [1, 4096]");
           }
@@ -864,9 +608,7 @@ Scenario Scenario::from_json(const Json& doc) {
       }
       cells *= static_cast<std::size_t>(length);
     };
-    for (const auto& [key, value] : at_path("$.sweep", [&]() -> const Json::Object& {
-           return sweep->as_object();
-         })) {
+    for (const auto& [key, value] : members(*sweep, "$.sweep")) {
       const std::string path = "$.sweep." + key;
       SweepAxis axis;
       axis.key = key;
@@ -880,11 +622,11 @@ Scenario Scenario::from_json(const Json& doc) {
         for (const auto& [k, v] : value.as_object()) {
           const std::string sub = path + "." + k;
           if (k == "from") {
-            from = read_int(v, sub);
+            from = read<std::int64_t>(v, sub);
           } else if (k == "count") {
-            count = read_int(v, sub);
+            count = read<std::int64_t>(v, sub);
           } else if (k == "step") {
-            step = read_int(v, sub);
+            step = read<std::int64_t>(v, sub);
           } else {
             fail(sub, "unknown key");
           }

@@ -1,57 +1,21 @@
-// Declarative scenario specifications.
+// Declarative scenario specifications (docs/scenarios.md). A scenario is a
+// JSON document: a "name", a "description", a base "config", an optional
+// top-level "corrupt" plan (Thm 1.6) and optional "sweep" axes. Each axis
+// is a dotted config path with an array or a {"from", "count"[, "step"]}
+// range; the cartesian product expands in key order with the last axis
+// fastest, so cell order is deterministic, and is capped at
+// kMaxScenarioCells before any axis's values are stored.
 //
-// A scenario is a JSON document describing one family of experiments:
+// "config" takes the keys of the field lists: ExperimentConfig's
+// (runner/experiment.hpp, with Params and PlacedFault nested) and the
+// generators' (scenario/generators.hpp), which resolve per cell against
+// its grid shape and seed, plus "layers": "columns" and
+// "delay_split_column": "center". Component keys take a bare kind or
+// {"kind": ..., <params>}, checked against the registries. A dotted key
+// ("clock_model.step", "random_faults.probability", "corrupt.wave") walks
+// down the same lists as the object form.
 //
-//   {
-//     "name": "thm13-random-faults",
-//     "description": "Theorem 1.3: i.i.d. faults at p in o(n^-1/2)",
-//     "config": { ... ExperimentConfig fields and generators ... },
-//     "corrupt": {"wave": 10, "fraction": 1.0},          // optional (Thm 1.6)
-//     "sweep": {                                          // optional axes
-//       "columns": [16, 32, 64],
-//       "seed": {"from": 1, "count": 100}
-//     }
-//   }
-//
-// The four component dimensions (base_graph, clock_model, delay_model,
-// algorithm) accept either a bare kind string or the self-describing
-// component object syntax, validated against the registered provider's
-// parameter schema (see registry/*.hpp):
-//
-//   "base_graph": "cycle"                          // defaults
-//   "base_graph": {"kind": "cycle", "reach": 2}    // explicit parameters
-//   "clock_model": {"kind": "drift-walk", "step": 0.25}
-//
-// The trace-retention mode uses the same syntax under the "recording" key
-// ("full" | "streaming"; see docs/scaling.md):
-//
-//   "recording": "streaming"
-//   "recording": {"kind": "streaming", "window": 16}
-//
-// Sweep axes reach component parameters through dotted paths
-// ("base_graph.rows", "clock_model.step", "recording.window"). A component
-// key left out of "config" selects the paper's default kind.
-//
-// "config" holds the base ExperimentConfig plus *generators* -- fields that
-// cannot be resolved until the concrete cell is known (grid-dependent fault
-// placements, derived parameter sets, column-relative positions):
-//
-//   "layers": "columns"                   layers track the columns axis
-//   "params": {"derive": {...}}           Params::derive_for per cell
-//   "layer0_pattern": {"amplitude": A}    alternating +/- A/2 layer-0 offsets
-//   "delay_split_column": "center"        column-split at columns / 2
-//   "random_faults": {...}                i.i.d. placement (Theorem 1.3)
-//   "clustered_faults": {...}             stacked column faults (Theorem 1.2)
-//
-// "sweep" turns the document into a config matrix: each key is a dotted
-// field path ("columns", "random_faults.probability"), each value either an
-// explicit array or {"from", "count"[, "step"]} for integer ranges. The
-// cartesian product expands in key order with the last axis fastest, so
-// cell order -- and therefore result emission order -- is deterministic.
-// The product is capped at kMaxScenarioCells, checked at load time before
-// any axis's values are stored.
-//
-// Parsing is strict: unknown keys, wrong types and malformed values are
+// Parsing is strict: unknown keys, wrong types and out-of-range values are
 // rejected with path-qualified messages ("$.config.columns: expected int,
 // got string").
 #pragma once
@@ -79,17 +43,6 @@ inline constexpr std::size_t kMaxScenarioCells = 1'000'000;
 std::string_view to_string(Layer0Mode v);
 Layer0Mode layer0_mode_from_string(std::string_view s);
 
-/// Serializes a fully resolved config. Generators never appear in the
-/// output; fault plans are emitted as explicit placements. Default-valued
-/// optional blocks (no faults, no layer-0 offsets) are omitted.
-Json to_json(const ExperimentConfig& config);
-Json to_json(const PlacedFault& fault);
-
-/// Parses a config object; the inverse of to_json. Accepts generator keys
-/// as well (they are resolved immediately against the parsed grid shape).
-/// `path` prefixes error messages, e.g. "$.config".
-ExperimentConfig config_from_json(const Json& j, const std::string& path = "$");
-
 /// Mid-run corruption plan (Theorem 1.6 workloads): at simulated time
 /// wave * lambda, scramble the state of `fraction` of all algorithm nodes,
 /// then realign wave labels before measuring.
@@ -100,6 +53,28 @@ struct CorruptPlan {
 
   bool operator==(const CorruptPlan&) const = default;
 };
+
+/// The top-level "corrupt" object (and the "corrupt.<key>" sweep axes);
+/// giving it enables the plan.
+constexpr auto fields_of(const CorruptPlan*) {
+  return std::tuple{
+      Field<&CorruptPlan::wave>{"wave", {.min = 0}},
+      Field<&CorruptPlan::fraction>{"fraction", {.min = 0, .max = 1}},
+  };
+}
+GTRIX_CKPT_FIELDS(CorruptPlan, 3);
+
+/// Serialize through the field lists. A config's generators never appear
+/// in the output; fault plans are emitted as explicit placements, and
+/// default-valued optional fields (trim 0, full recording, no faults, no
+/// layer-0 offsets) are omitted.
+Json to_json(const ExperimentConfig& config);
+Json to_json(const CorruptPlan& corrupt);
+
+/// Parses a config object; the inverse of to_json. Accepts generator keys
+/// as well (they are resolved immediately against the parsed grid shape).
+/// `path` prefixes error messages, e.g. "$.config".
+ExperimentConfig config_from_json(const Json& j, const std::string& path = "$");
 
 /// One fully resolved point of the scenario matrix.
 struct ScenarioCell {

@@ -15,6 +15,7 @@
 //    expected type; parse errors carry line:column positions.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -28,6 +29,19 @@ class JsonError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The enumerator of E that `names` (indexed by enumerator value) spells
+/// `name`; throws JsonError naming `what` and listing the valid names.
+template <class E, std::size_t N>
+E enum_from_name(const std::string_view (&names)[N], std::string_view name, const char* what) {
+  std::string valid;
+  for (std::size_t i = 0; i < N; ++i) {
+    if (names[i] == name) return static_cast<E>(i);
+    valid += (i == 0 ? "" : ", ") + std::string(names[i]);
+  }
+  throw JsonError("unknown " + std::string(what) + " '" + std::string(name) + "' (valid: " +
+                  valid + ")");
+}
 
 class Json {
  public:

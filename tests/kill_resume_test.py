@@ -14,7 +14,9 @@ For each scenario (plain, mid-run corruption, streaming recording) and each
 
 Then damaged snapshots -- a flipped bit, and a CRC-valid file with an
 inflated element count -- must fail the resume with exit 2 and a
-path-qualified message.
+path-qualified message. So must a resume after the scenario file was
+edited: a done file or a snapshot written under another config or
+corruption plan is never reused.
 
 A kill that lands after the campaign already finished still exercises the
 done-file reload path; the randomized delay is printed so a failing timing
@@ -67,6 +69,8 @@ SCENARIOS = {
 }
 
 CKPT_MAGIC = b"GTRXCKPT"
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 COMBOS = [(1, 1), (1, 2), (1, 4), (4, 1), (4, 2), (4, 4)]
 
@@ -220,8 +224,44 @@ def main(argv):
                          zlib.crc32(bytes(inflated[:-4])))
         expect_resume_fails(inflated, "event slot count", "inflated slot count")
 
+        check_edited_scenarios_are_refused(binary, tmp)
+
     print("kill_resume_test: OK")
     return 0
+
+
+def check_edited_scenarios_are_refused(binary, tmp):
+    """Resuming after an edit of the scenario file must refuse the stale
+    artifact (exit 2, its path in the message) instead of reporting the old
+    results under the new config."""
+    def edited_resume(builtin, edit, every, drop_done, needle):
+        work = tmp / f"edited-{builtin}"
+        doc = json.loads((SCENARIO_DIR / f"{builtin}.json").read_text())
+        scenario_file = work / f"{builtin}.json"
+        work.mkdir()
+        scenario_file.write_text(json.dumps(doc))
+        flags = [f"--checkpoint-dir={work / 'ckpt'}", f"--checkpoint-every={every}"]
+        run_campaign(binary, scenario_file, work / "out", 2, 1, extra=flags)
+        if drop_done:
+            for done in (work / "ckpt").rglob("*.done.json"):
+                done.unlink()
+        edit(doc)
+        scenario_file.write_text(json.dumps(doc))
+        cmd = [binary, str(scenario_file), "--threads=2", "--shards=1",
+               f"--out={work / 'out'}", "--quiet", *flags, "--resume"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+        if proc.returncode != 2 or needle not in proc.stderr or \
+                "different config or corruption plan" not in proc.stderr:
+            fail(f"{builtin}: resuming the edited file must exit 2 naming the "
+                 f"stale {needle}, got exit {proc.returncode}: {proc.stderr!r}")
+        print(f"kill_resume_test: edited {builtin}: stale {needle} refused, exit 2")
+
+    # Done files: 10 -> 14 pulses used to reload the 10-pulse results.
+    edited_resume("quickstart-grid", lambda d: d["config"].update(pulses=14),
+                  4000, False, ".done.json")
+    # Snapshots: the corruption wave is not part of the config block.
+    edited_resume("thm16-stabilization", lambda d: d["corrupt"].update(wave=14.0),
+                  20000, True, ".ckpt")
 
 
 if __name__ == "__main__":

@@ -76,6 +76,34 @@ CASES = {
     "trim-over-degree": (
         scenario({"trim": 1}),
         "cell 'base': trim 1 needs 2 * trim < 2, the minimum neighbour count"),
+    # The model's own constraints: each passed --dry-run and then aborted
+    # the campaign with an unqualified check failure. Per-field bounds fail
+    # at load, cross-field ones when the cell resolves.
+    "layers-0": (scenario({"layers": 0}), "$.config.layers: layers must be >= 2"),
+    "layers-1": (scenario({"layers": 1}), "$.config.layers: layers must be >= 2"),
+    "u-over-d": (
+        scenario({"params": {"u": 2000}}),
+        "cell 'base': params.u 2000.0 must be < params.d 1000.0"),
+    "u-negative": (scenario({"params": {"u": -1}}), "$.config.params.u: u must be >= 0"),
+    "d-zero": (
+        scenario({"params": {"d": 0}}), "cell 'base': params.u 10.0 must be < params.d 0.0"),
+    "lambda-negative": (
+        scenario({"params": {"lambda": -5}}), "$.config.params.lambda: lambda must be > 0"),
+    "theta-below-1": (
+        scenario({"params": {"theta": 0.5}}), "$.config.params.theta: theta must be >= 1"),
+    "kappa-negative": (
+        scenario({"params": {"theta": 1.5, "lambda": 1}}), "cell 'base': params give kappa -"),
+    "fault-base-outside": (
+        scenario({"faults": [{"base": 100, "layer": 2, "kind": "crash"}]}),
+        "(kind 'crash' at base=100, layer=2): outside the grid"),
+    "fault-layer-outside": (
+        scenario({"faults": [{"base": 2, "layer": 100, "kind": "crash"}]}),
+        "(kind 'crash' at base=2, layer=100): outside the grid"),
+    # The grid keeps one behaviour per node; the crash used to be dropped.
+    "two-faults-one-node": (
+        scenario({"faults": [{"base": 2, "layer": 3, "kind": "crash"},
+                             {"base": 2, "layer": 3, "kind": "static-offset"}]}),
+        "fault 1 (kind 'static-offset' at base=2, layer=3): fault 0 is on the same node"),
 }
 
 

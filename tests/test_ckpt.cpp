@@ -442,6 +442,49 @@ TEST(Ckpt, InflatedCountInACrcValidSnapshotIsAPathQualifiedError) {
   }
 }
 
+TEST(Ckpt, RepeatedFreelistSlotInACrcValidSnapshotIsAPathQualifiedError) {
+  // On the serial engine the "sims" section ends with the event queue's
+  // freelist: a u64 length n, then n u32 slot indices. Naming the first
+  // free slot twice keeps every index in range and free and the count
+  // consistent, yet linking it would close a cycle.
+  const ExperimentConfig config = builtin_scenario("quickstart-grid").cells().front().config;
+  std::vector<std::uint8_t> image;
+  {
+    World world(config, {});
+    world.run_until(3.0 * config.params.lambda);
+    image = world.checkpoint_save("");
+  }
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = (v << 8) | image[at + static_cast<std::size_t>(i)];
+    return v;
+  };
+  // The next section's record (u32 name length, "net", u64 body length)
+  // starts where the sims body ends.
+  const std::size_t sims_end = section_body_offset(image, "net") - (4 + 3 + 8);
+  const std::uint64_t slots = u64_at(section_body_offset(image, "sims") + 60);
+  std::uint64_t free_slots = 0;
+  while (free_slots <= slots && u64_at(sims_end - 4 * free_slots - 8) != free_slots) ++free_slots;
+  ASSERT_LE(free_slots, slots);
+  ASSERT_GE(free_slots, 2u);
+  std::vector<std::uint8_t> patched = image;
+  std::copy_n(image.begin() + static_cast<std::ptrdiff_t>(sims_end - 4 * free_slots), 4,
+              patched.begin() + static_cast<std::ptrdiff_t>(sims_end - 4));
+  const std::uint32_t crc = ckpt_crc32(patched.data(), patched.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    patched[patched.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  World target(config, {});
+  try {
+    target.checkpoint_restore(CkptFile::parse(patched, "x.ckpt"));
+    FAIL() << "expected CkptError for a repeated freelist slot";
+  } catch (const CkptError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("x.ckpt: ", 0), 0u) << what;
+    EXPECT_NE(what.find("freelist names slot"), std::string::npos) << what;
+  }
+}
+
 TEST(Ckpt, ResultJsonRoundTripIsBitExact) {
   EngineOptions engine;
   engine.telemetry = true;

@@ -7,7 +7,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "scenario/generators.hpp"
 #include "scenario/registry.hpp"
 
 namespace gtrix {
@@ -546,7 +550,52 @@ TEST(Registry, DocsSurviveTextRoundTrip) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].config, b[i].config);
       EXPECT_EQ(a[i].label, b[i].label);
+      // Every resolved cell survives its own serialization, and to_json is
+      // a fixed point: the re-parsed config dumps to the same text.
+      const Json emitted = to_json(a[i].config);
+      const ExperimentConfig back = config_from_json(emitted);
+      EXPECT_EQ(back, a[i].config) << a[i].label;
+      EXPECT_EQ(to_json(back).dump(), emitted.dump()) << a[i].label;
     }
+  }
+}
+
+// Every key of T's field list, nested lists' keys after a dot.
+template <class T>
+void collect_keys(const std::string& prefix, std::vector<std::string>& keys) {
+  for_each_field<T>([&](const auto& f) {
+    using M = std::remove_cvref_t<decltype(f.get(std::declval<T&>()))>;
+    keys.push_back(prefix + f.key);
+    if constexpr (Listed<M>) {
+      collect_keys<M>(keys.back() + ".", keys);
+    } else if constexpr (requires { typename M::value_type; }) {  // optional, vector
+      if constexpr (Listed<typename M::value_type>) {
+        collect_keys<typename M::value_type>(keys.back() + ".", keys);
+      }
+    }
+  });
+}
+
+TEST(Registry, EveryConfigKeyIsDocumented) {
+  // The "config" section of docs/scenarios.md must name every key of the
+  // ExperimentConfig and generator field lists, quoted or in backticks.
+  std::ifstream in(GTRIX_DOCS_DIR "/scenarios.md");
+  ASSERT_TRUE(in) << GTRIX_DOCS_DIR "/scenarios.md";
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string doc = text.str();
+  const std::size_t begin = doc.find("## `config` fields");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string section = doc.substr(begin, doc.find("\n## ", begin + 1) - begin);
+  std::vector<std::string> keys;
+  collect_keys<ExperimentConfig>("", keys);
+  collect_keys<ConfigGenerators>("", keys);
+  EXPECT_GT(keys.size(), 40u);
+  for (const std::string& key : keys) {
+    const std::string leaf = key.substr(key.rfind('.') + 1);
+    EXPECT_TRUE(section.find("`" + leaf + "`") != std::string::npos ||
+                section.find("\"" + leaf + "\"") != std::string::npos)
+        << key;
   }
 }
 

@@ -10,7 +10,7 @@ decoder, never just round-tripped through the code that wrote it:
   | u32 CRC-32 (zlib polynomial, over every preceding byte)
 
 All integers little-endian. Checks performed per file:
-  * magic, supported version (4), CRC over the full image;
+  * magic, supported version (5), CRC over the full image;
   * the JSON header parses and carries format/version/config/engine/meta;
   * the section table frames exactly the bytes between header and CRC;
   * the mandatory sections (sims, net, nodes, faults, recorder) are present.
@@ -30,7 +30,7 @@ import sys
 import zlib
 
 MAGIC = b"GTRXCKPT"
-SUPPORTED_VERSION = 4
+SUPPORTED_VERSION = 5
 MANDATORY_SECTIONS = ("sims", "net", "nodes", "faults", "recorder")
 
 
