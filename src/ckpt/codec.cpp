@@ -83,11 +83,6 @@ void CkptWriter::u64(std::uint64_t v) { put_u64(body_, v); }
 void CkptWriter::i64(std::int64_t v) { put_u64(body_, static_cast<std::uint64_t>(v)); }
 void CkptWriter::f64(double v) { put_u64(body_, std::bit_cast<std::uint64_t>(v)); }
 
-void CkptWriter::str(std::string_view s) {
-  put_u64(body_, s.size());
-  body_.insert(body_.end(), s.begin(), s.end());
-}
-
 std::vector<std::uint8_t> CkptWriter::finish(std::string_view header_json) const {
   GTRIX_CHECK_MSG(!section_open_, "finish with an open checkpoint section");
   std::vector<std::uint8_t> out;
@@ -131,15 +126,6 @@ std::uint64_t CkptCursor::u64() {
 std::int64_t CkptCursor::i64() { return static_cast<std::int64_t>(u64()); }
 
 double CkptCursor::f64() { return std::bit_cast<double>(u64()); }
-
-std::string CkptCursor::str() {
-  const std::uint64_t n = u64();
-  need(n);
-  // gtrix-lint: allow(reinterpret-cast) -- uint8_t* to char* for string construction: char may alias any object, and p_ points at live buffer bytes
-  std::string s(reinterpret_cast<const char*>(p_), n);
-  p_ += n;
-  return s;
-}
 
 std::uint64_t CkptCursor::count(std::size_t min_bytes, std::string_view what) {
   GTRIX_CHECK_MSG(min_bytes > 0, "checkpoint element size must be positive");

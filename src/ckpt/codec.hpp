@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -59,24 +60,27 @@ class CkptError : public std::runtime_error {
 std::uint32_t ckpt_crc32(const std::uint8_t* data, std::size_t n);
 
 /// Serializer for the section region. Primitives append little-endian;
-/// begin_section/end_section frame named sections, finish() assembles the
-/// whole file image (magic, version, header, sections, CRC).
+/// write_section frames a named section around its codec, finish()
+/// assembles the whole file image (magic, version, header, sections, CRC).
 class CkptWriter {
  public:
-  void begin_section(std::string_view name);
-  void end_section();
+  /// Appends section `name`, its body written by `body(CkptIo&)`.
+  template <class Body>
+  void write_section(std::string_view name, const Body& body);
 
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
   void i64(std::int64_t v);
   void f64(double v);  ///< IEEE-754 bit pattern; NaN payloads preserved
-  void str(std::string_view s);
 
   /// Assembles the complete file image. `header_json` is stored verbatim.
   std::vector<std::uint8_t> finish(std::string_view header_json) const;
 
  private:
+  void begin_section(std::string_view name);
+  void end_section();
+
   std::vector<std::uint8_t> body_;
   std::size_t open_len_at_ = 0;  ///< offset of the open section's length field
   bool section_open_ = false;
@@ -98,7 +102,6 @@ class CkptCursor {
   std::uint64_t u64();
   std::int64_t i64();
   double f64();
-  std::string str();
 
   /// Reads a u64 element count ahead of decoding that many elements of at
   /// least `min_bytes` encoded bytes each. Throws a section-qualified
@@ -145,12 +148,13 @@ class CkptIo {
   void same_count(std::uint64_t n, std::string_view what);
   void same_u32(std::uint32_t n, std::string_view what);
 
-  /// A run whose length the configuration fixes: same_count(v.size()),
-  /// then `fn(io, element)` for each element.
-  template <class T, class Fn>
-  void each(std::vector<T>& v, std::string_view what, Fn fn) {
-    same_count(v.size(), what);
-    for (auto&& x : v) std::invoke(fn, *this, x);
+  /// A run whose length the configuration or the type fixes (a vector or
+  /// a std::array): same_count(size), then `fn(io, element)` for each
+  /// element.
+  template <class Run, class Fn>
+  void each(Run& run, std::string_view what, Fn fn) {
+    same_count(std::size(run), what);
+    for (auto&& x : run) std::invoke(fn, *this, x);
   }
 
   /// A run whose length is state: the u64 length, then `fn(io, element)`
@@ -174,6 +178,14 @@ class CkptIo {
   CkptCursor* cur_ = nullptr;
 };
 
+template <class Body>
+void CkptWriter::write_section(std::string_view name, const Body& body) {
+  begin_section(name);
+  CkptIo io(*this);
+  body(io);
+  end_section();
+}
+
 /// A parsed checkpoint file: validated container (magic, version, CRC,
 /// section framing) with random access to the header and named sections.
 class CkptFile {
@@ -188,10 +200,27 @@ class CkptFile {
   std::uint32_t version() const noexcept { return version_; }
 
   bool has_section(std::string_view name) const;
+
+  /// Decodes section `name` with `body(CkptIo&)` to its last byte. Throws
+  /// CkptError when the section is absent, and prefixes this file's path
+  /// to every decoder error (which names the section and, for counts, the
+  /// element).
+  template <class Body>
+  void read_section(std::string_view name, const Body& body) const {
+    CkptCursor cur = section(name);
+    try {
+      CkptIo io(cur);
+      body(io);
+      cur.expect_done();
+    } catch (const CkptError& e) {
+      throw CkptError(path_ + ": " + e.what());
+    }
+  }
+
+ private:
   /// Cursor over the named section's body; throws CkptError when absent.
   CkptCursor section(std::string_view name) const;
 
- private:
   struct Section {
     std::string name;
     std::size_t offset = 0;

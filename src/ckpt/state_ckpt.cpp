@@ -1,10 +1,12 @@
 // Checkpoint codecs for the engine-layer state holders: RNG streams,
 // statistics accumulators, the event queue / simulator, the network
 // (mailboxes included) and the metrics recorder / streaming skew
-// accumulators. Defined here -- not in each class's own TU -- so the whole
-// binary serialization of the engine lives in src/ckpt and the state
-// classes only carry declarations. Each codec lists its fields once, in
-// wire order, for both directions (CkptIo).
+// accumulators, plus the finished cell result a done file holds. Defined
+// here -- not in each class's own TU -- so the whole binary serialization
+// of the engine lives in src/ckpt and the state classes only carry
+// declarations. Each codec lists its fields once, in wire order, for both
+// directions (CkptIo).
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,8 @@
 #include "metrics/recorder.hpp"
 #include "metrics/streaming.hpp"
 #include "net/network.hpp"
+#include "obs/telemetry.hpp"
+#include "runner/experiment.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "support/check.hpp"
@@ -283,6 +287,115 @@ void StreamingSkew::checkpoint(CkptIo& io) {
   io.u64(suppressed_);  // the anchor itself is config-derived, not state
   deviation_summary_.checkpoint(io);
   deviation_sketch_.checkpoint(io);
+}
+
+// --- ExperimentResult --------------------------------------------------------
+//
+// A finished cell's done file: the whole result, engine-shaped and
+// wall-clock telemetry included, so a resumed campaign re-emits the cell's
+// JSONL line and summary share bit for bit without re-running it.
+
+namespace {
+
+// A result's doubles are finite but for the recovery series' NaN marker
+// ("no readable pair", printed as null): the JSONL and summary print them,
+// and JSON has no other numbers. A restored non-finite value is a corrupt
+// file, refused here rather than by an emitter later without the path.
+[[noreturn]] void non_finite() {
+  throw CkptError("non-finite number in a cell result (corrupt file)");
+}
+
+void finite(CkptIo& io, double& v) {
+  io.f64(v);
+  if (!io.saving() && !std::isfinite(v)) non_finite();
+}
+
+}  // namespace
+
+void ObsHistogram::checkpoint(CkptIo& io) {
+  GTRIX_CKPT_SIZEOF(ObsHistogram, 128);
+  io.each(counts_, "window histogram bin", &CkptIo::u64);
+}
+
+void ExperimentResult::checkpoint(CkptIo& io) {
+  GTRIX_CKPT_FIELDS(ExperimentResult, 8);
+  SkewReport& s = skew;
+  GTRIX_CKPT_FIELDS(SkewReport, 12);
+  io.vec(s.intra_by_layer, 8, "intra_by_layer", finite);
+  io.vec(s.inter_by_layer, 8, "inter_by_layer", finite);
+  io.vec(s.spread_by_layer, 8, "spread_by_layer", finite);
+  finite(io, s.max_intra);
+  finite(io, s.max_inter);
+  finite(io, s.local_skew);
+  finite(io, s.global_skew);
+  io.i64(s.sigma_lo);
+  io.i64(s.sigma_hi);
+  io.u64(s.pairs_checked);
+  io.u64(s.pairs_skipped);
+  DeviationStats& dev = s.deviations;
+  GTRIX_CKPT_FIELDS(DeviationStats, 6);
+  io.u64(dev.count);
+  finite(io, dev.mean);
+  finite(io, dev.p50);
+  finite(io, dev.p90);
+  finite(io, dev.p99);
+  io.flag(dev.exact);
+
+  ExperimentCounters& c = counters;
+  GTRIX_CKPT_FIELDS(ExperimentCounters, 10);
+  io.u64(c.iterations);
+  io.u64(c.late_broadcasts);
+  io.u64(c.guard_aborts);
+  io.u64(c.watchdog_resets);
+  io.u64(c.timeout_branches);
+  io.u64(c.duplicate_drops);
+  io.u64(c.events_executed);
+  io.u64(c.messages_sent);
+  io.u64(c.messages_delivered);
+  io.u64(c.delivery_events);
+
+  finite(io, thm11_bound);
+  finite(io, global_bound);
+  io.u32(diameter);
+
+  RealignStats& r = realign;
+  GTRIX_CKPT_FIELDS(RealignStats, 2);
+  io.u32(r.nodes_shifted);
+  io.i64(r.max_abs_shift);
+
+  RecoveryReport& rec = recovery;
+  GTRIX_CKPT_FIELDS(RecoveryReport, 7);
+  io.flag(rec.enabled);
+  io.i64(rec.corrupt_wave);
+  io.i64(rec.scan_hi);
+  finite(io, rec.threshold);
+  io.flag(rec.recovered);
+  io.i64(rec.recovered_wave);
+  io.vec(rec.local_by_wave, 8, "local_by_wave", [](CkptIo& io, double& v) {
+    io.f64(v);  // raw bits: the NaN marker survives
+    if (!io.saving() && std::isinf(v)) non_finite();
+  });
+
+  EngineStats& e = engine_stats;
+  GTRIX_CKPT_FIELDS(EngineStats, 12);
+  io.flag(e.enabled);
+  io.each(e.counters, "telemetry counter", &CkptIo::u64);
+  e.window_events.checkpoint(io);
+  io.vec(e.shards, 4 * 8, "shard row", [](CkptIo& io, EngineShardStats& row) {
+    GTRIX_CKPT_FIELDS(EngineShardStats, 4);
+    io.u64(row.windows);
+    io.u64(row.envelopes_drained);
+    finite(io, row.busy_seconds);
+    finite(io, row.barrier_wait_seconds);
+  });
+  finite(io, e.run_wall_seconds);
+  finite(io, e.peak_rss_mb);
+  io.u64(e.checkpoints_written);
+  io.u64(e.checkpoint_bytes);
+  io.u64(e.checkpoints_restored);
+  io.u64(e.cells_resumed_done);
+  finite(io, e.checkpoint_write_seconds);
+  finite(io, e.checkpoint_restore_seconds);
 }
 
 }  // namespace gtrix

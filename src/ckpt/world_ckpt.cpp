@@ -69,25 +69,13 @@ void World::checkpoint_sections(CkptWriter* save_to, const CkptFile* restore_fro
     if (auto* rogue = dynamic_cast<FixedPeriodRogue*>(sinks_[g].get())) targets.add(rogue);
   }
 
-  // Frames one section around its codec. Saving opens a writer section;
-  // restoring decodes the file's section to its last byte, and prefixes
-  // the file path to decoder errors (which name the section and, for
-  // counts, the element), so every restore failure is path-qualified.
+  // Frames one section around its codec: saving writes it, restoring
+  // decodes the file's section with path-qualified errors.
   const auto section = [&](std::string_view name, const auto& body) {
     if (save_to != nullptr) {
-      save_to->begin_section(name);
-      CkptIo io(*save_to);
-      body(io);
-      save_to->end_section();
-      return;
-    }
-    CkptCursor cur = restore_from->section(name);
-    try {
-      CkptIo io(cur);
-      body(io);
-      cur.expect_done();
-    } catch (const CkptError& e) {
-      throw CkptError(restore_from->path() + ": " + e.what());
+      save_to->write_section(name, body);
+    } else {
+      restore_from->read_section(name, body);
     }
   };
 

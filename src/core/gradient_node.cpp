@@ -94,7 +94,11 @@ void GradientTrixNode::process_message(std::size_t slot, LocalTime h, Sigma sigm
       const std::size_t trim = config_.trim;
       if (seen_before == trim) {
         h_min() = h;
-        if (config_.self_stabilizing || config_.startup_watchdog) arm_watchdog();
+        // Every mode arms Algorithm 4's watchdog. It has no effect after
+        // stabilization (Observation C.4), but without it a cold start of
+        // deep layers under Appendix-A line input groups pulses of
+        // different waves into one iteration.
+        arm_watchdog();
       }
       r(slot) = 1;
       seen(slot) = 1;

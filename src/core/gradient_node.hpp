@@ -7,8 +7,9 @@
 //    predecessor via the timeout condition
 //        H_min < inf  and  H(t) >= min{ H_max + kappa/2 + theta kappa,
 //                                       2 H_own - H_min + 2 kappa },
-//  * Algorithm 4 (self-stabilizing; Appendix C) -- adds the watchdog that
-//    clears half-filled state and guards on every waiting statement.
+//  * Algorithm 4 (self-stabilizing; Appendix C) -- adds guards on every
+//    waiting statement. Its watchdog, which clears half-filled state, runs
+//    in every mode.
 //
 // In each iteration the node timestamps its predecessors' pulses with its
 // hardware clock, computes the correction C_{v,l} (see core/correction.hpp)
@@ -41,15 +42,6 @@ struct GradientNodeConfig {
 
   /// Algorithm 4 wait-statement guards (Appendix C).
   bool self_stabilizing = false;
-
-  /// Appendix C watchdog: once the first neighbour pulse of an iteration is
-  /// stored, the own-copy or last-neighbour pulse must follow within
-  /// theta (2 L + u) local time or the stored state is stale and cleared.
-  /// Has no effect after stabilization (Observation C.4) but is required to
-  /// recover from arbitrary initial conditions -- including cold start of
-  /// deep layers under Appendix-A line input, where early iterations would
-  /// otherwise group pulses of different waves. On by default.
-  bool startup_watchdog = true;
 
   /// Jump condition (Definition 4.5). Disabling reproduces Figure 5.
   bool jump_condition = true;

@@ -38,6 +38,8 @@
 
 namespace gtrix {
 
+class CkptIo;
+
 #ifdef GTRIX_OBS
 inline constexpr bool kObsCompiled = true;
 #else
@@ -100,10 +102,11 @@ class ObsHistogram {
     for (std::size_t i = 0; i < kBins; ++i) counts_[i] += other.counts_[i];
   }
   std::uint64_t count(std::size_t bin) const { return counts_.at(bin); }
-  /// Direct bin write (bounds-checked) -- used when deserializing a
-  /// previously exported histogram (runner/result_io.cpp).
-  void set_count(std::size_t bin, std::uint64_t v) { counts_.at(bin) = v; }
   std::uint64_t total() const;
+
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): the bins, for a cell's
+  /// done file.
+  void checkpoint(CkptIo& io);
 
   /// {"bin_floors": [...], "counts": [...]} -- floors emitted so consumers
   /// never have to hard-code the layout.

@@ -14,7 +14,6 @@
 #include "ckpt/codec.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
-#include "runner/result_io.hpp"
 #include "runner/sweep.hpp"
 #include "support/stats.hpp"
 
@@ -49,9 +48,6 @@ Json skew_to_json(const SkewReport& skew) {
 
 namespace {
 
-constexpr const char* kDoneFormat = "gtrix-cell-done";
-constexpr std::int64_t kDoneVersion = 2;  // v2: the cell fingerprint
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -66,35 +62,33 @@ Json cell_fingerprint(const ExperimentConfig& config, const CorruptPlan& corrupt
   return j;
 }
 
-void require_fingerprint(const Json& stored, const Json& expected, const std::string& path) {
-  if (!(stored == expected)) {
-    throw CkptError(path + ": written for a different config or corruption plan than this "
-                    "cell's (a resume never reuses results or state across edits; delete it "
-                    "or run without --resume)");
-  }
-}
+struct Artifact {
+  CkptFile file;
+  Json meta;  ///< the header's runner metadata
+};
 
-/// Reloads a completed cell's done file (format, version and fingerprint
-/// checked).
-ExperimentResult read_done_file(const std::string& path, const Json& fingerprint) {
-  const std::vector<std::uint8_t> bytes = ckpt_read_file(path);
-  Json doc;
+/// Opens a resume artifact -- a snapshot or a done file, both checkpoint
+/// containers -- and checks its header's format and the cell fingerprint
+/// in its meta.
+Artifact open_artifact(const std::string& path, const char* format, const Json& fingerprint) {
+  CkptFile file = CkptFile::parse(ckpt_read_file(path), path);
+  Json meta;
   try {
-    doc = Json::parse(std::string(bytes.begin(), bytes.end()));
-    if (!(doc.at("format") == Json(kDoneFormat))) {
-      throw CkptError(path + ": not a gtrix cell-done document (format is " +
-                      doc.at("format").dump() + ")");
+    const Json header = Json::parse(file.header_json());
+    if (!(header.at("format") == Json(format))) {
+      throw CkptError(path + ": not a " + format + " file (format is " +
+                      header.at("format").dump() + ")");
     }
-    if (doc.at("version").as_int() != kDoneVersion) {
-      throw CkptError(path + ": cell-done format version " + doc.at("version").dump() +
-                      " is not supported (this build reads version " +
-                      std::to_string(kDoneVersion) + ")");
+    meta = header.at("meta");
+    if (!(meta.at("fingerprint") == fingerprint)) {
+      throw CkptError(path + ": written for a different config or corruption plan than this "
+                      "cell's (a resume never reuses results or state across edits; delete it "
+                      "or run without --resume)");
     }
-    require_fingerprint(doc.at("fingerprint"), fingerprint, path);
   } catch (const JsonError& e) {
-    throw CkptError(path + ": malformed cell-done document (" + e.what() + ")");
+    throw CkptError(path + ": header carries no usable runner metadata (" + e.what() + ")");
   }
-  return result_from_json(doc.at("result"), path);
+  return {std::move(file), std::move(meta)};
 }
 
 Json counters_to_json(const ExperimentCounters& counters) {
@@ -256,17 +250,15 @@ ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs,
 
   if (snapshots && ckpt.resume && std::filesystem::exists(ckpt_path)) {
     const auto t0 = std::chrono::steady_clock::now();
-    CkptFile file = CkptFile::parse(ckpt_read_file(ckpt_path), ckpt_path);
+    const Artifact snapshot = open_artifact(ckpt_path, "gtrix-checkpoint", fingerprint);
     try {
-      const Json meta = Json::parse(file.header_json()).at("meta");
-      require_fingerprint(meta.at("fingerprint"), fingerprint, ckpt_path);
-      chunk = meta.at("chunk").as_u64();
-      phase = static_cast<std::uint8_t>(meta.at("phase").as_u64());
+      chunk = snapshot.meta.at("chunk").as_u64();
+      phase = static_cast<std::uint8_t>(snapshot.meta.at("phase").as_u64());
     } catch (const JsonError& e) {
-      throw CkptError(ckpt_path + ": checkpoint carries no usable runner metadata (" +
-                      e.what() + ")");
+      throw CkptError(ckpt_path + ": header carries no usable runner metadata (" + e.what() +
+                      ")");
     }
-    world.checkpoint_restore(file);
+    world.checkpoint_restore(snapshot.file);
     restored = 1;
     restore_seconds += seconds_since(t0);
   }
@@ -337,31 +329,35 @@ ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& cor
     return run_cell(world, corrupt, obs);
   }
   const std::string key = cell_key(index, label);
-  const std::string done_path = ckpt.dir + "/" + key + ".done.json";
+  const std::string done_path = ckpt.dir + "/" + key + ".done";
   const Json fingerprint = cell_fingerprint(config, corrupt);
   // Completed cells are NEVER re-run on resume: reloading the done file
   // regenerates the identical JSONL line at zero simulation cost.
   if (ckpt.resume && std::filesystem::exists(done_path)) {
-    ExperimentResult result = read_done_file(done_path, fingerprint);
+    const Artifact done = open_artifact(done_path, "gtrix-cell-done", fingerprint);
+    ExperimentResult result;
+    done.file.read_section("result", [&](CkptIo& io) { result.checkpoint(io); });
     result.engine_stats.cells_resumed_done += 1;
     return result;
   }
   World world(config, engine);
-  const ExperimentResult result = run_cell(world, corrupt, obs, ckpt, key);
+  ExperimentResult result = run_cell(world, corrupt, obs, ckpt, key);
   // The done file is the completion marker: written atomically AFTER the
   // result exists, so a kill at any earlier instant leaves either no file
   // or a complete one -- never a torn marker that would wrongly skip a
   // half-run cell on resume.
-  Json doc = Json::object();
-  doc.set("format", kDoneFormat);
-  doc.set("version", kDoneVersion);
-  doc.set("cell", key);
-  doc.set("label", label);
-  doc.set("index", static_cast<std::int64_t>(index));
-  doc.set("fingerprint", fingerprint);
-  doc.set("result", result_to_json(result));
-  const std::string text = doc.dump(2) + "\n";
-  ckpt_write_file_atomic(done_path, std::vector<std::uint8_t>(text.begin(), text.end()));
+  Json meta = Json::object();
+  meta.set("cell", key);
+  meta.set("label", label);
+  meta.set("index", static_cast<std::int64_t>(index));
+  meta.set("fingerprint", fingerprint);
+  Json header = Json::object();
+  header.set("format", "gtrix-cell-done");
+  header.set("version", kCkptFormatVersion);
+  header.set("meta", std::move(meta));
+  CkptWriter w;
+  w.write_section("result", [&](CkptIo& io) { result.checkpoint(io); });
+  ckpt_write_file_atomic(done_path, w.finish(header.dump()));
   return result;
 }
 

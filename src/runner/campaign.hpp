@@ -30,7 +30,8 @@ class TraceCollector;
 /// Per-cell checkpointing for crash-safe campaigns (docs/checkpointing.md).
 /// An empty `dir` disables the subsystem entirely; with a directory set,
 /// run_cell snapshots at sim-time boundaries and records finished cells as
-/// done files. Resumed runs reproduce byte-identical JSONL output.
+/// done files, both in the CRC-checked checkpoint container. Resumed runs
+/// reproduce byte-identical JSONL output.
 struct CheckpointOptions {
   std::string dir;     ///< checkpoint/done-file directory; empty = off
   /// Simulated time between snapshots (--checkpoint-every). <= 0 means no
@@ -115,14 +116,15 @@ std::string cell_key(std::size_t index, const std::string& label);
 ///
 /// With `ckpt.dir` set the cell is crash-safe. Its artifacts live in
 /// `ckpt.dir` under cell_key(index, label): <key>.ckpt (newest snapshot;
-/// kept after completion for inspection) and <key>.done.json (completion
-/// marker + full result, written atomically after the result exists). A
-/// campaign killed at ANY point and rerun with resume=true reproduces the
-/// exact bytes of an uninterrupted run: completed cells reload their done
-/// file (the result_io round trip is bit-exact, so the cell never runs
-/// twice), incomplete ones restore the newest snapshot and continue
-/// (tests/kill_resume_test.py SIGKILLs real campaigns to prove it). Throws
-/// CkptError on corrupt or mismatched artifacts when resuming.
+/// kept after completion for inspection) and <key>.done (completion marker
+/// + full result, written atomically after the result exists). Both are
+/// checkpoint containers whose header meta carries the cell fingerprint.
+/// A campaign killed at ANY point and rerun with resume=true reproduces
+/// the exact bytes of an uninterrupted run: completed cells reload their
+/// done file (ExperimentResult::checkpoint stores raw bits, so the cell
+/// never runs twice), incomplete ones restore the newest snapshot and
+/// continue (tests/kill_resume_test.py SIGKILLs real campaigns to prove
+/// it). Throws CkptError on corrupt or mismatched artifacts when resuming.
 ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& corrupt = {},
                           EngineOptions engine = {}, CellObs obs = {},
                           const CheckpointOptions& ckpt = {}, std::size_t index = 0,

@@ -46,6 +46,7 @@ namespace gtrix {
 
 class TraceCollector;
 class CkptFile;
+class CkptIo;
 class CkptWriter;
 
 enum class Layer0Mode {
@@ -421,6 +422,10 @@ struct ExperimentResult {
   RecoveryReport recovery;
   /// enabled == false unless EngineOptions::telemetry was set.
   EngineStats engine_stats;
+
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): the whole result, the
+  /// one section of a finished cell's done file (runner/campaign.cpp).
+  void checkpoint(CkptIo& io);
 };
 
 }  // namespace gtrix

@@ -185,10 +185,7 @@ CheckpointOverheadReport run_checkpoint_overhead(const Scenario& scenario, int r
   CheckpointOptions resume = ckpt;
   resume.resume = true;
   for (const auto& entry : fs::directory_iterator(scratch_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 10 && name.substr(name.size() - 10) == ".done.json") {
-      fs::remove(entry.path());
-    }
+    if (entry.path().extension() == ".done") fs::remove(entry.path());
   }
   std::vector<std::string> resumed_digests;
   resumed_digests.reserve(cells.size());

@@ -12,9 +12,11 @@ For each scenario (plain, mid-run corruption, streaming recording) and each
      summary skew block (wall-clock and engine-shaped telemetry excluded --
      they are documented as non-portable).
 
-Then damaged snapshots -- a flipped bit, and a CRC-valid file with an
-inflated element count -- must fail the resume with exit 2 and a
-path-qualified message. So must a resume after the scenario file was
+Then damaged artifacts must fail the resume with exit 2 and a
+path-qualified message: a snapshot with a flipped bit, a CRC-valid
+snapshot with an inflated element count, a done file with a flipped bit in
+its result section, and a JSON done document of the earlier format in
+place of a done file. So must a resume after the scenario file was
 edited: a done file or a snapshot written under another config or
 corruption plan is never reused.
 
@@ -98,6 +100,22 @@ def run_campaign(binary, scenario_file, out_dir, threads, shards, extra=()):
 def summary_subset(path):
     doc = json.loads(path.read_text())
     return {k: doc.get(k) for k in COMPARED_SUMMARY_KEYS}
+
+
+def section_body(image, name):
+    """(offset, length) of section `name`'s body in a checkpoint image."""
+    at = len(CKPT_MAGIC) + 4
+    (header_len,) = struct.unpack_from("<I", image, at)
+    at += 4 + header_len
+    while at + 4 < len(image):
+        (name_len,) = struct.unpack_from("<I", image, at)
+        section = bytes(image[at + 4:at + 4 + name_len])
+        (body_len,) = struct.unpack_from("<Q", image, at + 4 + name_len)
+        at += 4 + name_len + 8
+        if section == name.encode():
+            return at, body_len
+        at += body_len
+    fail(f"checkpoint image has no {name!r} section")
 
 
 def kill_after_first_snapshot(proc, ckpt_dir, delay, timeout=120.0):
@@ -187,42 +205,55 @@ def main(argv):
         victim = victims[0]
         original = victim.read_bytes()
         # Remove the done marker so the resume actually opens the snapshot.
-        done = victim.parent / (victim.name[:-len(".ckpt")] + ".done.json")
+        done = victim.parent / (victim.name[:-len(".ckpt")] + ".done")
         if done.exists():
             done.unlink()
         cmd = [binary, str(scenario_file), "--threads=1", "--shards=1",
                f"--out={out_dir}", "--quiet", f"--checkpoint-dir={ckpt_dir}",
                "--checkpoint-every=4000", "--resume"]
 
-        def expect_resume_fails(blob, needle, what):
-            victim.write_bytes(blob)
+        def expect_resume_fails(path, blob, needle, what):
+            path.write_bytes(blob)
             proc = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
             if proc.returncode != 2:
                 fail(f"{what}: expected exit 2, got {proc.returncode} "
                      f"(stderr: {proc.stderr!r})")
-            if needle not in proc.stderr or victim.name not in proc.stderr:
+            if needle not in proc.stderr or path.name not in proc.stderr:
                 fail(f"{what}: stderr lacks a path-qualified {needle!r} "
                      f"message: {proc.stderr!r}")
             print(f"kill_resume_test: {what} fails hard with exit 2")
 
         flipped = bytearray(original)
         flipped[len(flipped) // 2] ^= 0x01
-        expect_resume_fails(flipped, "CRC mismatch", "corrupt snapshot")
+        expect_resume_fails(victim, flipped, "CRC mismatch", "corrupt snapshot")
 
         # CRC-valid but inflated: the event-queue slot count (offset 60 of
         # the "sims" body) set to 2^40 must be bounded before allocation.
         inflated = bytearray(original)
-        at = len(CKPT_MAGIC) + 4
-        (header_len,) = struct.unpack_from("<I", inflated, at)
-        at += 4 + header_len
-        (name_len,) = struct.unpack_from("<I", inflated, at)
-        if inflated[at + 4:at + 4 + name_len] != b"sims":
-            fail("snapshot does not start with the 'sims' section")
-        body = at + 4 + name_len + 8
+        body, _ = section_body(inflated, "sims")
         struct.pack_into("<Q", inflated, body + 60, 1 << 40)
         struct.pack_into("<I", inflated, len(inflated) - 4,
                          zlib.crc32(bytes(inflated[:-4])))
-        expect_resume_fails(inflated, "event slot count", "inflated slot count")
+        expect_resume_fails(victim, inflated, "event slot count",
+                            "inflated slot count")
+        victim.write_bytes(original)
+
+        # A done file is a checkpoint container too: one flipped bit inside
+        # its result section is a CRC mismatch, not a silently wrong result.
+        done = sorted(ckpt_dir.rglob("*.done"))[0]
+        image = bytearray(done.read_bytes())
+        body, body_len = section_body(image, "result")
+        image[body + body_len // 2] ^= 0x08
+        expect_resume_fails(done, image, "CRC mismatch", "bit-flipped done file")
+
+        # The earlier JSON done document under the new name is not read as
+        # a result.
+        legacy = {"format": "gtrix-cell-done", "version": 2,
+                  "cell": done.name[:-len(".done")], "label": "seed=1",
+                  "index": 0, "fingerprint": {},
+                  "result": {"format": "gtrix-cell-result", "version": 2}}
+        expect_resume_fails(done, (json.dumps(legacy, indent=2) + "\n").encode(),
+                            "bad magic", "JSON done document")
 
         check_edited_scenarios_are_refused(binary, tmp)
 
@@ -243,7 +274,7 @@ def check_edited_scenarios_are_refused(binary, tmp):
         flags = [f"--checkpoint-dir={work / 'ckpt'}", f"--checkpoint-every={every}"]
         run_campaign(binary, scenario_file, work / "out", 2, 1, extra=flags)
         if drop_done:
-            for done in (work / "ckpt").rglob("*.done.json"):
+            for done in (work / "ckpt").rglob("*.done"):
                 done.unlink()
         edit(doc)
         scenario_file.write_text(json.dumps(doc))
@@ -258,7 +289,7 @@ def check_edited_scenarios_are_refused(binary, tmp):
 
     # Done files: 10 -> 14 pulses used to reload the 10-pulse results.
     edited_resume("quickstart-grid", lambda d: d["config"].update(pulses=14),
-                  4000, False, ".done.json")
+                  4000, False, ".done")
     # Snapshots: the corruption wave is not part of the config block.
     edited_resume("thm16-stabilization", lambda d: d["corrupt"].update(wave=14.0),
                   20000, True, ".ckpt")

@@ -3,16 +3,20 @@
 // re-save to the very same bytes and continue bit-identically -- same skew
 // digest, same counters -- at every shard count, for every node, fault and
 // recorder codec, including mid-run corruption and streaming recording.
+// A finished cell's result must come back from its done file bit for bit.
 // Plus the hard-failure contract: truncated, corrupt, version-bumped,
-// config-mismatched and count-inflated checkpoints, and algorithms without
-// a codec, throw CkptError with a message naming the cause, never a silent
-// partial restore or an OOM.
+// config-mismatched and count-inflated snapshots and done files, and
+// algorithms without a codec, throw CkptError with a message naming the
+// cause, never a silent partial restore or an OOM.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,7 +24,6 @@
 #include "registry/algorithm.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
-#include "runner/result_io.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 
@@ -233,11 +236,11 @@ TEST(Ckpt, RestoreAtEveryBoundaryMatchesUninterruptedRun) {
     EXPECT_GT(chunked.engine_stats.checkpoints_written, 0u);
     EXPECT_GT(chunked.engine_stats.checkpoint_bytes, 0u);
     ASSERT_TRUE(std::filesystem::exists(dir / "cell-00000-base.ckpt"));
-    ASSERT_TRUE(std::filesystem::exists(dir / "cell-00000-base.done.json"));
+    ASSERT_TRUE(std::filesystem::exists(dir / "cell-00000-base.done"));
 
     // Kill-after-last-snapshot: drop the done marker, keep the snapshot;
     // resume must restore (not restart) and land on the same bytes.
-    std::filesystem::remove(dir / "cell-00000-base.done.json");
+    std::filesystem::remove(dir / "cell-00000-base.done");
     opts.resume = true;
     const ExperimentResult resumed = run_cell(config, {}, engine, {}, opts, 0, "base");
     EXPECT_EQ(skew_to_json(resumed.skew).dump(), baseline) << shards << " shards resumed";
@@ -267,7 +270,7 @@ TEST(Ckpt, CorruptCellResumesIdenticallyAcrossThePhaseBoundary) {
     const ExperimentResult chunked = run_cell(config, plan, {}, {}, opts, 3, "c");
     EXPECT_EQ(skew_to_json(chunked.skew).dump(), baseline) << "every=" << every;
 
-    std::filesystem::remove(dir / "cell-00003-c.done.json");
+    std::filesystem::remove(dir / "cell-00003-c.done");
     opts.resume = true;
     const ExperimentResult resumed = run_cell(config, plan, {}, {}, opts, 3, "c");
     EXPECT_EQ(skew_to_json(resumed.skew).dump(), baseline) << "every=" << every << " resumed";
@@ -303,7 +306,7 @@ TEST(Ckpt, CorruptStreamingCellResumesIdenticallyMidCorruptionAndMidRecovery) {
       const ExperimentResult chunked = run_cell(config, plan, engine, {}, opts, 7, "cs");
       EXPECT_EQ(skew_to_json(chunked.skew).dump(), baseline) << tag;
 
-      std::filesystem::remove(dir / "cell-00007-cs.done.json");
+      std::filesystem::remove(dir / "cell-00007-cs.done");
       opts.resume = true;
       const ExperimentResult resumed = run_cell(config, plan, engine, {}, opts, 7, "cs");
       EXPECT_EQ(skew_to_json(resumed.skew).dump(), baseline) << tag << " resumed";
@@ -485,37 +488,128 @@ TEST(Ckpt, RepeatedFreelistSlotInACrcValidSnapshotIsAPathQualifiedError) {
   }
 }
 
-TEST(Ckpt, ResultJsonRoundTripIsBitExact) {
+// Writes tiny_config's done file into a fresh directory, overwrites the
+// u64 at `offset` of its "result" section with `value` (CRC resealed) and
+// returns what resuming from it throws, which must start with the path.
+std::string resume_with_patched_done(std::size_t offset, std::uint64_t value) {
+  const ExperimentConfig config = tiny_config();
+  const auto dir = scratch_dir("done_patched");
+  CheckpointOptions opts;
+  opts.dir = dir.string();
+  (void)run_cell(config, {}, {}, {}, opts, 0, "base");
+  const std::string done = (dir / "cell-00000-base.done").string();
+  const std::vector<std::uint8_t> image = ckpt_read_file(done);
+  ckpt_write_file_atomic(
+      done, with_u64_patched(image, section_body_offset(image, "result") + offset, value));
+  opts.resume = true;
+  std::string what = "(the resume threw no CkptError)";
+  try {
+    (void)run_cell(config, {}, {}, {}, opts, 0, "base");
+  } catch (const CkptError& e) {
+    what = e.what();
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(what.rfind(done + ": ", 0), 0u) << what;
+  return what;
+}
+
+TEST(Ckpt, InflatedCountInACrcValidDoneFileIsAPathQualifiedError) {
+  // The "result" section opens with intra_by_layer's length, its first
+  // state-sized count. At 2^40 it must fail in the count bound, before the
+  // decoder allocates anything.
+  const std::string what = resume_with_patched_done(0, std::uint64_t{1} << 40);
+  EXPECT_NE(what.find("intra_by_layer count 1099511627776"), std::string::npos) << what;
+}
+
+TEST(Ckpt, NonFiniteNumberInACrcValidDoneFileIsAPathQualifiedError) {
+  // intra_by_layer's first entry follows its length. The JSONL prints it
+  // and JSON has no infinity, so the resume refuses the file instead of
+  // the emitter failing later without a path.
+  const std::string what = resume_with_patched_done(
+      8, std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity()));
+  EXPECT_NE(what.find("non-finite number"), std::string::npos) << what;
+}
+
+// A result as a done file holds it: one "result" section.
+std::vector<std::uint8_t> result_image(ExperimentResult& result) {
+  CkptWriter w;
+  w.write_section("result", [&](CkptIo& io) { result.checkpoint(io); });
+  return w.finish("{}");
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+TEST(Ckpt, ResultCodecRoundTripIsBitExact) {
+  // A checkpointed corrupt cell on 2 shards with telemetry on: shard rows,
+  // window-histogram bins, the checkpoint block and the recovery series
+  // are all populated.
   EngineOptions engine;
   engine.telemetry = true;
   engine.shards = 2;
-  const ExperimentResult result = run_cell(corrupt_config(), corrupt_plan(), engine);
-  // Through TEXT, not just Json values: the done file lives on disk, so the
-  // dump/parse leg is part of the contract (shortest-round-trip doubles).
-  const Json reparsed = Json::parse(result_to_json(result).dump());
-  const ExperimentResult back = result_from_json(reparsed, "done.json");
-  EXPECT_EQ(skew_to_json(back.skew).dump(), skew_to_json(result.skew).dump());
-  EXPECT_EQ(counters_digest(back), counters_digest(result));
-  EXPECT_EQ(back.thm11_bound, result.thm11_bound);
-  EXPECT_EQ(back.global_bound, result.global_bound);
-  EXPECT_EQ(back.diameter, result.diameter);
-  EXPECT_EQ(back.skew.inter_by_layer, result.skew.inter_by_layer);
-  EXPECT_EQ(back.skew.spread_by_layer, result.skew.spread_by_layer);
+  const auto dir = scratch_dir("result_codec");
+  CheckpointOptions opts;
+  opts.dir = dir.string();
+  opts.every = 3.0 * corrupt_config().params.lambda;
+  ExperimentResult result = run_cell(corrupt_config(), corrupt_plan(), engine, {}, opts, 0, "r");
+  // Layer 0 is never corrupted, so every scanned wave has a readable pair.
+  // Plant the "no readable pair" marker: a quiet NaN, and one with a
+  // payload that only raw bits keep.
+  std::vector<double>& series = result.recovery.local_by_wave;
+  ASSERT_GE(series.size(), 2u);
+  series.front() = std::numeric_limits<double>::quiet_NaN();
+  series.back() = std::bit_cast<double>(std::uint64_t{0x7ff80000deadbeef});
   if (kObsCompiled) {
-    EXPECT_EQ(back.engine_stats.enabled, result.engine_stats.enabled);
-    EXPECT_EQ(back.engine_stats.get(ObsCounter::kEventsExecuted),
-              result.engine_stats.get(ObsCounter::kEventsExecuted));
-    EXPECT_EQ(back.engine_stats.shards.size(), result.engine_stats.shards.size());
-    EXPECT_EQ(back.engine_stats.window_events.total(),
-              result.engine_stats.window_events.total());
+    ASSERT_EQ(result.engine_stats.shards.size(), 2u);
+    ASSERT_GT(result.engine_stats.window_events.total(), 0u);
+    ASSERT_GT(result.engine_stats.checkpoints_written, 0u);
   }
 
+  const std::vector<std::uint8_t> image = result_image(result);
+  ExperimentResult back;
+  CkptFile::parse(image, "mem.done").read_section("result", [&](CkptIo& io) {
+    back.checkpoint(io);
+  });
+  // Every field, bit for bit: the JSONL and summary views cover the
+  // scalars, counters and telemetry; runs compare by bit pattern.
+  EXPECT_EQ(skew_to_json(back.skew).dump(), skew_to_json(result.skew).dump());
+  EXPECT_EQ(bits(back.skew.intra_by_layer), bits(result.skew.intra_by_layer));
+  EXPECT_EQ(bits(back.skew.inter_by_layer), bits(result.skew.inter_by_layer));
+  EXPECT_EQ(bits(back.skew.spread_by_layer), bits(result.skew.spread_by_layer));
+  EXPECT_EQ(counters_digest(back), counters_digest(result));
+  EXPECT_EQ(bits({back.thm11_bound, back.global_bound, back.recovery.threshold}),
+            bits({result.thm11_bound, result.global_bound, result.recovery.threshold}));
+  EXPECT_EQ(back.diameter, result.diameter);
+  EXPECT_EQ(back.realign.nodes_shifted, result.realign.nodes_shifted);
+  EXPECT_EQ(back.realign.max_abs_shift, result.realign.max_abs_shift);
+  EXPECT_EQ(back.recovery.enabled, result.recovery.enabled);
+  EXPECT_EQ(back.recovery.corrupt_wave, result.recovery.corrupt_wave);
+  EXPECT_EQ(back.recovery.scan_hi, result.recovery.scan_hi);
+  EXPECT_EQ(back.recovery.recovered, result.recovery.recovered);
+  EXPECT_EQ(back.recovery.recovered_wave, result.recovery.recovered_wave);
+  EXPECT_EQ(bits(back.recovery.local_by_wave), bits(series));
+  EXPECT_EQ(back.engine_stats.enabled, result.engine_stats.enabled);
+  EXPECT_EQ(back.engine_stats.summary_json().dump(), result.engine_stats.summary_json().dump());
+  // Re-saving the restored result reproduces the section bytes.
+  EXPECT_EQ(first_difference(result_image(back), image), -1);
+
+  // A snapshot where the done file belongs is a foreign document.
+  const auto done = dir / "cell-00000-r.done";
+  std::filesystem::copy_file(dir / "cell-00000-r.ckpt", done,
+                             std::filesystem::copy_options::overwrite_existing);
+  opts.resume = true;
   try {
-    result_from_json(Json::parse(R"({"format": "nope"})"), "bad.json");
-    FAIL() << "expected CkptError on foreign document";
+    (void)run_cell(corrupt_config(), corrupt_plan(), engine, {}, opts, 0, "r");
+    FAIL() << "expected CkptError on a snapshot in place of a done file";
   } catch (const CkptError& e) {
-    EXPECT_NE(std::string(e.what()).find("bad.json"), std::string::npos) << e.what();
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind(done.string() + ": ", 0), 0u) << what;
+    EXPECT_NE(what.find("not a gtrix-cell-done file"), std::string::npos) << what;
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Ckpt, CampaignWithCheckpointDirMatchesPlainCampaign) {

@@ -279,7 +279,6 @@ TEST(NodeUnit, WatchdogClearsStaleFirstNeighbour) {
   // A lone neighbour message with nothing following within theta(2L+u)
   // local time is spurious and must be forgotten (Appendix C).
   GradientNodeConfig config;
-  config.startup_watchdog = true;
   NodeHarness h(config);
   const double window =
       h.params.theta * (2.0 * h.params.thm11_bound(15) + h.params.u);
@@ -294,20 +293,6 @@ TEST(NodeUnit, WatchdogClearsStaleFirstNeighbour) {
   ASSERT_EQ(its.size(), 1u);
   EXPECT_DOUBLE_EQ(its[0].h_min, t2);  // the stale 1000.0 was cleared
   EXPECT_EQ(its[0].sigma, 2);
-}
-
-TEST(NodeUnit, WatchdogDisabledKeepsStaleMessage) {
-  GradientNodeConfig config;
-  config.startup_watchdog = false;
-  NodeHarness h(config);
-  h.arrive(h.nbr_a, 1000.0, 1);
-  const double t2 = 4000.0;
-  h.arrive(h.own_pred, t2, 2);
-  h.arrive(h.nbr_b, t2 + 4.0, 2);
-  const auto& its = h.run();
-  EXPECT_EQ(h.node->counters().watchdog_resets, 0u);
-  ASSERT_GE(its.size(), 1u);
-  EXPECT_DOUBLE_EQ(its[0].h_min, 1000.0);  // stale message retained
 }
 
 TEST(NodeUnit, SimplifiedModeWaitsForAllThree) {

@@ -2,26 +2,30 @@
 """Validates and summarizes gtrix checkpoint files (docs/checkpointing.md).
 
 Independently re-implements the container framing in src/ckpt/codec.cpp --
-so a checkpoint written by the C++ side is cross-checked by a second
-decoder, never just round-tripped through the code that wrote it:
+so a file written by the C++ side is cross-checked by a second decoder,
+never just round-tripped through the code that wrote it:
 
   "GTRXCKPT" | u32 version | u32 header_len | header JSON
   | sections: { u32 name_len | name | u64 body_len | body }*
   | u32 CRC-32 (zlib polynomial, over every preceding byte)
 
-All integers little-endian. Checks performed per file:
+Snapshots (`*.ckpt`, header format "gtrix-checkpoint") and done files
+(`*.done`, "gtrix-cell-done") share it. All integers little-endian. Checks
+performed per file:
   * magic, supported version (5), CRC over the full image;
-  * the JSON header parses and carries format/version/config/engine/meta;
+  * the JSON header parses, and its version matches the container's;
   * the section table frames exactly the bytes between header and CRC;
-  * the mandatory sections (sims, net, nodes, faults, recorder) are present.
+  * the header keys, meta keys and sections FORMATS lists for the header's
+    format.
 
-Then prints the engine fingerprint (the shard count), runner metadata (sim time, phase, chunk
-index) and a per-section size table. Exits 2 on any validation failure, in
-line with the CLI tools' corrupt-checkpoint contract.
+Then prints the runner metadata and a per-section size table. Exits 2 on
+any validation failure, in line with the CLI tools' corrupt-checkpoint
+contract.
 
-Stdlib only; CI runs it against checkpoints generated by the campaign smoke.
+Stdlib only; CI runs it against the artifacts a checkpointed campaign
+leaves behind.
 
-Usage: tools/ckpt_inspect.py CKPT_OR_DIR [...] [--quiet]
+Usage: tools/ckpt_inspect.py CKPT_DONE_OR_DIR [...] [--quiet]
 """
 import json
 import pathlib
@@ -31,7 +35,14 @@ import zlib
 
 MAGIC = b"GTRXCKPT"
 SUPPORTED_VERSION = 5
-MANDATORY_SECTIONS = ("sims", "net", "nodes", "faults", "recorder")
+# Header format -> (required header keys, required meta keys, mandatory
+# sections).
+FORMATS = {
+    "gtrix-checkpoint": (("config", "engine", "meta"), (),
+                         ("sims", "net", "nodes", "faults", "recorder")),
+    "gtrix-cell-done": (("meta",), ("cell", "label", "index", "fingerprint"),
+                        ("result",)),
+}
 
 
 def fail(path, msg):
@@ -84,19 +95,24 @@ def parse(path):
         sections.append((name, body_len))
         at += body_len
 
-    for key in ("format", "version", "config", "engine", "meta"):
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt not in FORMATS:
+        fail(path, f"header format is {fmt!r}, expected one of {sorted(FORMATS)}")
+    keys, meta_keys, mandatory = FORMATS[fmt]
+    for key in ("version", *keys):
         if key not in header:
             fail(path, f"header is missing {key!r}")
-    if header["format"] != "gtrix-checkpoint":
-        fail(path, f"header format is {header['format']!r}, "
-                   "expected 'gtrix-checkpoint'")
     if header["version"] != version:
         fail(path, f"header version {header['version']} disagrees with "
                    f"container version {version}")
+    meta = header.get("meta")
+    for key in meta_keys:
+        if not isinstance(meta, dict) or key not in meta:
+            fail(path, f"header meta is missing {key!r}")
     names = [name for name, _ in sections]
     if len(set(names)) != len(names):
         fail(path, f"duplicate section names: {names}")
-    for name in MANDATORY_SECTIONS:
+    for name in mandatory:
         if name not in names:
             fail(path, f"missing mandatory section {name!r}")
     return len(data), header, sections
@@ -105,17 +121,21 @@ def parse(path):
 def describe(path, size, header, sections, quiet):
     if quiet:
         return
-    engine = header.get("engine", {})
     meta = header.get("meta")
-    config = header.get("config", {})
-    print(f"{path}: {size} bytes, format version {header['version']}, CRC ok")
-    print(f"  engine: shards={engine.get('shards')}")
-    shape = {k: config.get(k) for k in ("columns", "layers", "pulses", "seed")
-             if k in config}
-    print(f"  config: {shape}")
-    if isinstance(meta, dict):
-        print(f"  runner: t={meta.get('t')} phase={meta.get('phase')} "
-              f"chunk={meta.get('chunk')} cell={meta.get('cell')}")
+    print(f"{path}: {size} bytes, {header['format']} version "
+          f"{header['version']}, CRC ok")
+    if header["format"] == "gtrix-cell-done":
+        print(f"  cell: {meta['cell']} label={meta['label']} "
+              f"index={meta['index']}")
+    else:
+        config = header["config"]
+        print(f"  engine: shards={header['engine'].get('shards')}")
+        shape = {k: config.get(k) for k in ("columns", "layers", "pulses",
+                                            "seed") if k in config}
+        print(f"  config: {shape}")
+        if isinstance(meta, dict):
+            print(f"  runner: t={meta.get('t')} phase={meta.get('phase')} "
+                  f"chunk={meta.get('chunk')} cell={meta.get('cell')}")
     for name, body_len in sections:
         print(f"  section {name:<10} {body_len:>12} bytes")
 
@@ -131,9 +151,9 @@ def main(argv):
     for arg in args:
         p = pathlib.Path(arg)
         if p.is_dir():
-            found = sorted(p.rglob("*.ckpt"))
+            found = sorted([*p.rglob("*.ckpt"), *p.rglob("*.done")])
             if not found:
-                fail(p, "directory contains no .ckpt files")
+                fail(p, "directory contains no .ckpt or .done files")
             files.extend(found)
         elif p.is_file():
             files.append(p)
@@ -144,7 +164,7 @@ def main(argv):
         size, header, sections = parse(path)
         describe(path, size, header, sections, quiet)
     if not quiet:
-        print(f"ckpt_inspect: {len(files)} checkpoint(s) ok")
+        print(f"ckpt_inspect: {len(files)} file(s) ok")
     return 0
 
 
