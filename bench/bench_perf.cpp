@@ -73,11 +73,6 @@ int run(int argc, char** argv) {
   const int repeats = static_cast<int>(flags.get_int("repeats", 5));
 
   if (flags.has("telemetry-gate")) {
-    if (!kObsCompiled) {
-      // Nothing to gate: the disabled build has no telemetry code at all.
-      std::fprintf(stderr, "telemetry gate skipped: built with GTRIX_OBS=OFF\n");
-      return 0;
-    }
     const double tolerance = flags.get_double("telemetry-gate", 0.05);
     const std::string name = flags.get_string("scenario", kGateScenario);
     std::fprintf(stderr, "telemetry overhead on %s (%d repeats, on vs off)...\n",

@@ -1,5 +1,6 @@
 #include "ckpt/codec.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cerrno>
@@ -87,11 +88,15 @@ std::vector<std::uint8_t> CkptWriter::finish(std::string_view header_json) const
   GTRIX_CHECK_MSG(!section_open_, "finish with an open checkpoint section");
   std::vector<std::uint8_t> out;
   out.reserve(kCkptMagic.size() + 8 + header_json.size() + body_.size() + 4);
-  out.insert(out.end(), kCkptMagic.begin(), kCkptMagic.end());
+  for (const char c : kCkptMagic) out.push_back(static_cast<std::uint8_t>(c));
   put_u32(out, kCkptFormatVersion);
   put_u32(out, static_cast<std::uint32_t>(header_json.size()));
-  out.insert(out.end(), header_json.begin(), header_json.end());
-  out.insert(out.end(), body_.begin(), body_.end());
+  // Size once, then copy into place: GCC 12 misreads a range insert after
+  // push_backs as a write past the end (-Wstringop-overflow).
+  const std::size_t header_at = out.size();
+  out.resize(header_at + header_json.size() + body_.size());
+  std::copy(header_json.begin(), header_json.end(), out.begin() + header_at);
+  std::copy(body_.begin(), body_.end(), out.begin() + header_at + header_json.size());
   put_u32(out, ckpt_crc32(out.data(), out.size()));
   return out;
 }
@@ -184,10 +189,10 @@ CkptFile CkptFile::parse(std::vector<std::uint8_t> bytes, const std::string& pat
     throw CkptError(path + ": not a gtrix checkpoint (bad magic)");
   }
   std::size_t at = kCkptMagic.size();
-  file.version_ = get_u32(b.data() + at);
+  const std::uint32_t version = get_u32(b.data() + at);
   at += 4;
-  if (file.version_ != kCkptFormatVersion) {
-    throw CkptError(path + ": checkpoint format version " + std::to_string(file.version_) +
+  if (version != kCkptFormatVersion) {
+    throw CkptError(path + ": checkpoint format version " + std::to_string(version) +
                     " is not supported (this build reads version " +
                     std::to_string(kCkptFormatVersion) + ")");
   }

@@ -45,7 +45,9 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // deleted windowed recording mode.
 // v5: the runner's meta carries the cell fingerprint (config and
 // corruption plan), which a resume compares.
-inline constexpr std::uint32_t kCkptFormatVersion = 5;
+// v6: the "net" section drops the serial engine's own message counters and
+// always carries the per-shard counter cells (one on the serial engine).
+inline constexpr std::uint32_t kCkptFormatVersion = 6;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by
@@ -197,7 +199,6 @@ class CkptFile {
 
   const std::string& path() const noexcept { return path_; }
   const std::string& header_json() const noexcept { return header_; }
-  std::uint32_t version() const noexcept { return version_; }
 
   bool has_section(std::string_view name) const;
 
@@ -230,7 +231,6 @@ class CkptFile {
   std::vector<std::uint8_t> bytes_;
   std::string path_;
   std::string header_;
-  std::uint32_t version_ = 0;
   std::vector<Section> sections_;
 };
 

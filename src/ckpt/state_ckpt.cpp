@@ -187,7 +187,7 @@ void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
 // --- Simulator ---------------------------------------------------------------
 
 void Simulator::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
-  GTRIX_CKPT_SIZEOF(Simulator, 216);
+  GTRIX_CKPT_SIZEOF(Simulator, 256);
   io.f64(now_);
   queue_.checkpoint(io, targets);
 }
@@ -195,7 +195,7 @@ void Simulator::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
 // --- Network -----------------------------------------------------------------
 
 void Network::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(Network, 440);
+  GTRIX_CKPT_SIZEOF(Network, 336);
   GTRIX_CKPT_FIELDS(DeferCell, 3);
   GTRIX_CKPT_FIELDS(ShardCounters, 4);
   GTRIX_CKPT_FIELDS(ShardEnvelope, 5);
@@ -205,9 +205,6 @@ void Network::checkpoint(CkptIo& io) {
     GTRIX_CHECK_MSG(!cell.active && cell.buf.empty(),
                     "checkpoint taken mid-instant: deferred arrivals pending");
   }
-  io.u64(sent_);
-  io.u64(delivered_);
-  io.u64(delivery_events_);
   io.u64(envelopes_published_);
   io.same_u32(shard_count_, "network shard");
   io.each(shard_counters_, "shard counter", [](CkptIo& io, ShardCounters& c) {

@@ -32,9 +32,8 @@ enum NodeTag : std::uint8_t {
 }  // namespace
 
 bool World::idle() const {
-  if (!sim_.idle()) return false;
-  for (const auto& sim : extra_sims_) {
-    if (!sim->idle()) return false;
+  for (const Simulator& sim : sims_) {
+    if (!sim.idle()) return false;
   }
   return net_.earliest_mailbox_time() == kTimeInfinity;
 }
@@ -81,11 +80,7 @@ void World::checkpoint_sections(CkptWriter* save_to, const CkptFile* restore_fro
 
   section("sims", [&](CkptIo& io) {
     io.same_u32(shard_count_, "shard");
-    if (shard_count_ <= 1) {
-      sim_.checkpoint(io, targets);
-    } else {
-      for (Simulator* sim : shard_sims_) sim->checkpoint(io, targets);
-    }
+    for (Simulator& sim : sims_) sim.checkpoint(io, targets);
   });
 
   section("net", [&](CkptIo& io) { net_.checkpoint(io); });

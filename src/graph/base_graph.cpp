@@ -201,7 +201,8 @@ std::span<const BaseNodeId> BaseGraph::nodes_in_column(std::uint32_t c) const {
 }
 
 std::string BaseGraph::label(BaseNodeId v) const {
-  std::string s = "v" + std::to_string(columns_.at(v));
+  std::string s = "v";  // not `"v" + std::to_string(...)`: GCC 12 -Wrestrict
+  s += std::to_string(columns_.at(v));
   if (is_replica_.at(v)) s += "'";
   return s;
 }

@@ -63,7 +63,13 @@ std::span<const GridNodeId> Grid::successors(GridNodeId id) const {
 }
 
 std::string Grid::label(GridNodeId id) const {
-  return "(" + base_.label(base_of(id)) + ", " + std::to_string(layer_of(id)) + ")";
+  // Appended piecewise: GCC 12 flags `"(" + std::string&&` (-Wrestrict).
+  std::string s = "(";
+  s += base_.label(base_of(id));
+  s += ", ";
+  s += std::to_string(layer_of(id));
+  s += ')';
+  return s;
 }
 
 std::uint64_t Grid::edge_count() const noexcept { return succ_ids_.size(); }

@@ -51,7 +51,7 @@ ConditionReport check_conditions(const GridTrace& trace, const Params& params,
     if (trace.is_faulty(gv)) continue;
     const auto preds = grid.predecessors(gv);
 
-    const std::vector<IterationRecord>& records = rec.iterations(trace.rec_id(gv));
+    const std::vector<IterationRecord>& records = rec.iterations(gv);
     for (std::size_t idx = 0; idx < records.size(); ++idx) {
       const IterationRecord& it = records[idx];
       // Skip the node's startup transient (per-node, like the skew metrics).
@@ -81,7 +81,7 @@ ConditionReport check_conditions(const GridTrace& trace, const Params& params,
           ++faulty_preds;
           continue;
         }
-        const auto t = rec.pulse_time(trace.rec_id(gp), it.sigma);
+        const auto t = rec.pulse_time(gp, it.sigma);
         if (!t) {
           missing = true;
           break;

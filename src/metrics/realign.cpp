@@ -61,7 +61,7 @@ RealignStats realign_wave_labels(Recorder& recorder, const GridTrace& trace,
   for (BaseNodeId v = 0; v < grid.base().node_count(); ++v) {
     const GridNodeId g = grid.id(v, 0);
     if (trace.is_faulty(g)) continue;
-    const double i = tail_intercept(recorder, trace.rec_id(g), lambda, tail_pulses);
+    const double i = tail_intercept(recorder, g, lambda, tail_pulses);
     if (!std::isnan(i)) layer0.push_back(i);
   }
   if (layer0.size() < 1) return stats;  // nothing to anchor against
@@ -70,13 +70,13 @@ RealignStats realign_wave_labels(Recorder& recorder, const GridTrace& trace,
   for (GridNodeId g = 0; g < grid.node_count(); ++g) {
     const std::uint32_t layer = grid.layer_of(g);
     if (layer == 0) continue;
-    const double intercept = tail_intercept(recorder, trace.rec_id(g), lambda, tail_pulses);
+    const double intercept = tail_intercept(recorder, g, lambda, tail_pulses);
     if (std::isnan(intercept)) continue;
     const double expected = anchor + static_cast<double>(layer) * lambda;
     const auto delta = static_cast<Sigma>(std::llround((intercept - expected) / lambda));
     if (delta != 0) {
       // Raising every label by delta lowers the intercept by delta * Lambda.
-      recorder.shift_node_sigma(trace.rec_id(g), delta);
+      recorder.shift_node_sigma(g, delta);
       ++stats.nodes_shifted;
       stats.max_abs_shift = std::max<std::int64_t>(stats.max_abs_shift, std::llabs(delta));
     }

@@ -21,9 +21,8 @@ class SteadyWindows {
     from_.resize(n);
     to_.resize(n);
     for (GridNodeId g = 0; g < n; ++g) {
-      const RecNodeId id = trace.rec_id(g);
-      from_[g] = trace.recorder->steady_from(id, trace.node_warmup);
-      const Sigma last = trace.recorder->last_recorded(id);
+      from_[g] = trace.recorder->steady_from(g, trace.node_warmup);
+      const Sigma last = trace.recorder->last_recorded(g);
       to_[g] = last == Recorder::kInvalidSigma ? Recorder::kInvalidSigma
                                                : last - trace.node_tail;
     }
@@ -33,7 +32,7 @@ class SteadyWindows {
   std::optional<SimTime> pulse(GridNodeId g, Sigma s) const {
     if (from_[g] == Recorder::kInvalidSigma || s < from_[g]) return std::nullopt;
     if (to_[g] == Recorder::kInvalidSigma || s > to_[g]) return std::nullopt;
-    return trace_.recorder->pulse_time(trace_.rec_id(g), s);
+    return trace_.recorder->pulse_time(g, s);
   }
 
  private:
@@ -45,12 +44,11 @@ class SteadyWindows {
 }  // namespace
 
 std::optional<SimTime> GridTrace::steady_pulse(GridNodeId g, Sigma s) const {
-  const RecNodeId id = rec_id(g);
-  const Sigma from = recorder->steady_from(id, node_warmup);
+  const Sigma from = recorder->steady_from(g, node_warmup);
   if (from == Recorder::kInvalidSigma || s < from) return std::nullopt;
-  const Sigma last = recorder->last_recorded(id);
+  const Sigma last = recorder->last_recorded(g);
   if (last == Recorder::kInvalidSigma || s > last - node_tail) return std::nullopt;
-  return recorder->pulse_time(id, s);
+  return recorder->pulse_time(g, s);
 }
 
 SkewReport compute_skew(const GridTrace& trace, Sigma lo, Sigma hi) {

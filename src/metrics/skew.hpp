@@ -14,12 +14,11 @@
 
 namespace gtrix {
 
-/// Joins the grid structure with the recorded trace. `node_ids[g]` is the
-/// recorder id of grid node g (identity in the standard runner wiring).
+/// Joins the grid structure with the recorded trace. Grid node g is
+/// recorder node g: every wiring registers grid nodes under their grid ids.
 struct GridTrace {
   const Grid* grid = nullptr;
   const Recorder* recorder = nullptr;
-  std::vector<RecNodeId> node_ids;
 
   /// Per-node steady-state filter: a node's first `node_warmup` pulses and
   /// last `node_tail` pulses are excluded from measurements. Startup
@@ -28,8 +27,7 @@ struct GridTrace {
   Sigma node_warmup = 3;
   Sigma node_tail = 1;
 
-  RecNodeId rec_id(GridNodeId g) const { return node_ids.at(g); }
-  bool is_faulty(GridNodeId g) const { return recorder->meta(rec_id(g)).faulty; }
+  bool is_faulty(GridNodeId g) const { return recorder->meta(g).faulty; }
 
   /// Pulse time of grid node g at wave s, but only within the node's steady
   /// window; nullopt otherwise.

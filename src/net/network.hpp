@@ -10,24 +10,25 @@
 // times (§2: edge faults are mapped to node faults), so send() is per-edge;
 // broadcast() is the well-behaved path used by correct nodes.
 //
-// Sharded mode (configure_shards; docs/performance.md, "Sharded execution"):
-// nodes are partitioned across several Simulators, one per worker thread.
-// Sends between same-shard nodes stay ordinary queue events; sends that
-// cross shards become ShardEnvelopes parked in single-writer mailboxes and
-// are drained into the receiving shard's queue at the next window barrier,
-// sorted by the deterministic (arrival time, sender, edge) key so the merge
-// order is engine-invariant. shard_count() == 1 leaves every code path of
-// the serial engine untouched.
+// Shards (configure_shards; docs/performance.md, "Sharded execution"):
+// nodes are partitioned across one Simulator per shard. A Network starts as
+// the one-shard case -- shard 0 is the Simulator it was constructed with
+// and owns every node -- and there is one send, broadcast, inject and
+// delivery path at every shard count. Sends between same-shard nodes are
+// ordinary queue events; sends that cross shards become ShardEnvelopes
+// parked in single-writer mailboxes and are drained into the receiving
+// shard's queue at the next window barrier, sorted by the deterministic
+// (arrival time, sender, edge) key so the merge order is engine-invariant.
 //
 // Simultaneous arrivals (zero-jitter scenarios, post-corruption chaos) get
-// the same canonical order in EVERY engine: when more than one event shares
-// a delivery's instant, the sink calls are deferred and flushed in
+// the same canonical order at EVERY shard count: when more than one event
+// shares a delivery's instant, the sink calls are deferred and flushed in
 // (receiver, sender, edge) order once the instant's queue events have all
-// executed. Without this, the serial engine would process tied arrivals in
+// executed. Without this, one queue would process tied arrivals in
 // queue-insertion order while a shard mixes directly-queued local sends
 // with barrier-drained envelopes -- two different orders, and an
 // order-sensitive receiver (e.g. a wave-label vote over differing stamps
-// after state corruption) would diverge between engines.
+// after state corruption) would diverge between shard counts.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +62,8 @@ class PulseSink {
 
 class Network final : public TimerTarget {
  public:
-  explicit Network(Simulator& sim) : sim_(sim) {}
+  /// The one-shard network: `sim` is shard 0's queue.
+  explicit Network(Simulator& sim);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -74,25 +76,20 @@ class Network final : public TimerTarget {
   /// Adds a directed edge with fixed delay (must be positive).
   EdgeId add_edge(NetNodeId from, NetNodeId to, double delay);
 
-  std::uint32_t node_count() const noexcept { return static_cast<std::uint32_t>(sinks_.size()); }
+  std::uint32_t node_count() const noexcept { return static_cast<std::uint32_t>(nodes_.size()); }
   std::uint32_t edge_count() const noexcept { return static_cast<std::uint32_t>(edges_.size()); }
 
   NetNodeId edge_from(EdgeId e) const { return edges_.at(e).from; }
   NetNodeId edge_to(EdgeId e) const { return edges_.at(e).to; }
   double edge_delay(EdgeId e) const { return edges_.at(e).delay; }
-  void set_edge_delay(EdgeId e, double delay);
 
-  /// A node's out- (in-) edges in ascending edge id: the order broadcast()
-  /// sends in and kBatchDeliver fans out in, so it fixes sequence numbers.
+  /// A node's out-edges in ascending edge id: the order broadcast() sends
+  /// in and kBatchDeliver fans out in, so it fixes sequence numbers.
   std::span<const EdgeId> out_edges(NetNodeId node) const {
-    return adjacency_slice(out_off_, out_ids_, node);
+    if (adjacency_stale_) rebuild_adjacency();
+    GTRIX_CHECK(node < nodes_.size());
+    return {out_ids_.data() + out_off_[node], out_off_[node + 1] - out_off_[node]};
   }
-  std::span<const EdgeId> in_edges(NetNodeId node) const {
-    return adjacency_slice(in_off_, in_ids_, node);
-  }
-
-  /// Finds the edge from -> to; returns true and sets `out` on success.
-  bool find_edge(NetNodeId from, NetNodeId to, EdgeId& out) const;
 
   /// Sends a pulse on one edge; delivery after the edge's (possibly
   /// modulated) delay.
@@ -106,37 +103,43 @@ class Network final : public TimerTarget {
   /// Sends on every out-edge of `from`. Batched delivery: when every
   /// out-edge of the sender carries the same delay and no modulation is
   /// installed, the broadcast schedules ONE queue event that fans out to all
-  /// sinks at fire time, instead of one event per edge. Per-edge events
-  /// would occupy consecutive sequence numbers anyway (the send loop is
-  /// atomic), so the collapse preserves the global event order; only the
-  /// events_executed / delivery_events counters see it. Modulated,
-  /// non-uniform and single-out-edge broadcasts take the per-edge path.
+  /// same-shard sinks at fire time, instead of one event per edge, and
+  /// parks an envelope per cross-shard edge. Per-edge events would occupy
+  /// consecutive sequence numbers anyway (the send loop is atomic), so the
+  /// collapse preserves the global event order; only the events_executed /
+  /// delivery_events counters see it. Modulated, non-uniform and
+  /// single-out-edge broadcasts take the per-edge path.
   void broadcast(NetNodeId from, const Pulse& pulse);
 
   /// Delivers a pulse directly to `to` at absolute time `t` with a synthetic
-  /// source. Used to model spurious in-flight messages for self-stabilization
-  /// experiments and ideal layer-0 input.
+  /// source, scheduled straight into the receiving shard's queue. The test
+  /// harnesses deliver hand-crafted arrivals (and spurious in-flight
+  /// messages) through it; legal only while no worker threads run.
   void inject(NetNodeId from, NetNodeId to, const Pulse& pulse, SimTime t);
 
   /// Optional slow delay modulation: extra(e, send_time) is added to the
   /// static delay. The installer is responsible for keeping the total within
   /// the model bounds. Installing a modulation disables batched broadcast
-  /// delivery (delays become per-edge again). Unavailable in sharded mode:
-  /// the conservative lookahead is the minimum STATIC cross-shard delay, and
-  /// a modulation could shrink a delay below it mid-run.
+  /// delivery (delays become per-edge again). Unavailable on more than one
+  /// shard: the conservative lookahead is the minimum STATIC cross-shard
+  /// delay, and a modulation could shrink a delay below it mid-run.
   using DelayModulation = std::function<double(EdgeId, SimTime)>;
   void set_delay_modulation(DelayModulation fn);
 
-  // Counter accessors sum the per-shard cells (empty in serial mode); call
-  // them only outside a sharded run, i.e. with no worker threads live.
-  std::uint64_t messages_sent() const noexcept;
-  std::uint64_t messages_delivered() const noexcept;
+  // Counter accessors sum the per-shard cells; call them only outside a
+  // sharded run, i.e. with no worker threads live.
+  std::uint64_t messages_sent() const noexcept { return sum_counters(&ShardCounters::sent); }
+  std::uint64_t messages_delivered() const noexcept {
+    return sum_counters(&ShardCounters::delivered);
+  }
 
-  /// Cross-shard mailbox traffic (telemetry summary; both 0 in serial
-  /// mode). Published counts accumulate in the serial barrier completion;
+  /// Cross-shard mailbox traffic (telemetry summary; both 0 on one
+  /// shard). Published counts accumulate in the serial barrier completion;
   /// drained counts live in the per-shard counter cells.
   std::uint64_t envelopes_published() const noexcept { return envelopes_published_; }
-  std::uint64_t envelopes_drained() const noexcept;
+  std::uint64_t envelopes_drained() const noexcept {
+    return sum_counters(&ShardCounters::envelopes_drained);
+  }
   std::uint64_t shard_envelopes_drained(std::uint32_t shard) const {
     return shard_counters_.at(shard).envelopes_drained;
   }
@@ -144,11 +147,11 @@ class Network final : public TimerTarget {
   /// Queue events spent performing deliveries (one per per-edge message,
   /// one per batched broadcast); ExperimentCounters::logical_events
   /// subtracts them out.
-  std::uint64_t delivery_events() const noexcept;
+  std::uint64_t delivery_events() const noexcept {
+    return sum_counters(&ShardCounters::delivery_events);
+  }
 
-  Simulator& simulator() noexcept { return sim_; }
-
-  // --- sharded mode (runner/shard_driver.cpp is the only driver) ------------
+  // --- shards (runner/shard_driver.cpp drives more than one) -----------------
 
   /// A cross-shard message parked in a mailbox until the receiving shard's
   /// next window. (arrival, from, edge) is the deterministic merge key.
@@ -160,16 +163,16 @@ class Network final : public TimerTarget {
     std::int64_t stamp;
   };
 
-  /// Enters sharded mode: `sims[s]` is shard s's event queue and
+  /// Partitions the nodes: `sims[s]` is shard s's event queue and
   /// `node_shard[n]` the shard owning node n. sims[0] must be the Simulator
   /// this Network was constructed with. Must be called after the topology is
-  /// final (add_node/add_edge refuse afterwards) and before any traffic.
-  /// Passing a single simulator keeps the serial engine byte-for-byte.
+  /// final (with more than one shard, add_node/add_edge refuse afterwards)
+  /// and before any traffic. A single simulator keeps the one-shard wiring.
   void configure_shards(std::vector<Simulator*> sims,
-                        std::vector<std::uint32_t> node_shard);
+                        const std::vector<std::uint32_t>& node_shard);
 
   std::uint32_t shard_count() const noexcept { return shard_count_; }
-  std::uint32_t shard_of(NetNodeId node) const { return shard_count_ <= 1 ? 0 : node_shard_.at(node); }
+  std::uint32_t shard_of(NetNodeId node) const { return nodes_.at(node).shard; }
 
   /// Minimum static delay over edges whose endpoints live in different
   /// shards -- the conservative lookahead L: a message sent at time t
@@ -200,8 +203,8 @@ class Network final : public TimerTarget {
   /// Typed-event dispatch (kDeliver message arrivals, kDeferredSend).
   void on_timer(const Event& event) override;
 
-  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): message counters plus, in
-  /// sharded mode, every parked mailbox envelope (written and published).
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): the per-shard message
+  /// counters plus every parked mailbox envelope (written and published).
   /// Topology, delays and shard wiring are construction state; delay
   /// modulations are not snapshotted (the campaign path never installs
   /// one). Must be called at a window barrier (no worker threads live).
@@ -238,6 +241,8 @@ class Network final : public TimerTarget {
     std::uint64_t envelopes_drained = 0;
   };
 
+  std::uint64_t sum_counters(std::uint64_t ShardCounters::*counter) const noexcept;
+
   /// A sink call captured while other events still share its instant;
   /// flushed by kFlushArrivals in (to, from, edge, stamp) order.
   struct DeferredArrival {
@@ -247,72 +252,63 @@ class Network final : public TimerTarget {
     std::int64_t stamp;
   };
 
-  /// Per-shard canonical-arrival cell (single-writer: the owning worker;
-  /// [0] doubles as the serial engine's cell). `active` means a
-  /// kFlushArrivals event for `time` is pending in the shard's queue; such
-  /// an event never survives past its instant, so none is ever pending at a
-  /// window barrier or checkpoint.
+  /// Per-shard canonical-arrival cell (single-writer: the owning worker).
+  /// `active` means a kFlushArrivals event for `time` is pending in the
+  /// shard's queue; such an event never survives past its instant, so none
+  /// is ever pending at a window barrier or checkpoint.
   struct alignas(64) DeferCell {
     bool active = false;
     SimTime time = 0.0;
     std::vector<DeferredArrival> buf;
   };
 
-  void deliver(NetNodeId from, EdgeId edge, NetNodeId to, const Pulse& pulse, SimTime at);
   /// Calls the receiver's sink (and counts the delivery) immediately when
   /// this delivery is alone at its instant, else defers it into the shard's
   /// DeferCell for the canonical flush.
   void sink_or_defer(Simulator& sim, std::uint32_t cell, NetNodeId from, EdgeId edge,
                      NetNodeId to, std::int64_t stamp, SimTime t);
-  void sink_pulse(NetNodeId from, EdgeId edge, NetNodeId to, std::int64_t stamp, SimTime t);
-  void send_sharded(EdgeId e, const Pulse& pulse);
-  void broadcast_sharded(NetNodeId from, const Pulse& pulse, std::span<const EdgeId> outs);
+  /// Counts the delivery in shard `cell` (the receiver's) and calls its sink.
+  void sink_pulse(std::uint32_t cell, NetNodeId from, EdgeId edge, NetNodeId to,
+                  std::int64_t stamp, SimTime t);
   void recompute_lookahead();
-  /// The node's entries in one CSR direction, rebuilding the arrays first
-  /// when the topology changed since the last query.
-  std::span<const EdgeId> adjacency_slice(const std::vector<std::uint32_t>& off,
-                                          const std::vector<EdgeId>& ids,
-                                          NetNodeId node) const {
-    if (adjacency_stale_) rebuild_adjacency();
-    GTRIX_CHECK(node < sinks_.size());
-    return {ids.data() + off[node], off[node + 1] - off[node]};
-  }
+  /// Rebuilds the out-edge CSR arrays and the per-sender uniform delays.
   void rebuild_adjacency() const;
-  /// The shared delay of `outs`, or NaN once any two differ (or none exist).
-  double uniform_delay(std::span<const EdgeId> outs) const;
-  Simulator& sim_of(NetNodeId node) {
-    return shard_count_ <= 1 ? sim_ : *shard_sims_[node_shard_[node]];
+  /// Sizes every per-shard cell for `shards` shards.
+  void size_shard_cells(std::uint32_t shards);
+  Simulator& sim_of(NetNodeId node) { return *shard_sims_[nodes_[node].shard]; }
+  std::vector<ShardEnvelope>& mailbox(std::uint32_t src, std::uint32_t dst) {
+    return mail_[static_cast<std::size_t>(src) * shard_count_ + dst];
   }
 
-  Simulator& sim_;
-  std::vector<PulseSink*> sinks_;  // non-owning
+  /// Per node: its sink (non-owning) and the shard that owns it, 0 until
+  /// configure_shards. One slot, so a delivery finds both on one line.
+  struct NodeSlot {
+    PulseSink* sink;
+    std::uint32_t shard;
+  };
+  std::vector<NodeSlot> nodes_;
   std::vector<Edge> edges_;
-  /// Adjacency in CSR form, derived from edges_: node n's out-edges are
-  /// out_ids_[out_off_[n] .. out_off_[n + 1]) in ascending edge id, and
-  /// likewise for in-edges. add_node / add_edge only mark the arrays stale;
-  /// the next adjacency query rebuilds them with one counting sort, which is
-  /// why they are mutable. configure_shards rebuilds them before any worker
-  /// thread runs, and the topology is frozen from then on.
+  /// Out-adjacency in CSR form, derived from edges_: node n's out-edges are
+  /// out_ids_[out_off_[n] .. out_off_[n + 1]) in ascending edge id.
+  /// add_node / add_edge only mark the arrays stale; the next adjacency
+  /// query rebuilds them with one counting sort, which is why they are
+  /// mutable. configure_shards rebuilds them before any worker thread runs,
+  /// and the topology is frozen from then on.
   mutable std::vector<std::uint32_t> out_off_;
   mutable std::vector<EdgeId> out_ids_;
-  mutable std::vector<std::uint32_t> in_off_;
-  mutable std::vector<EdgeId> in_ids_;
   /// Per node: the shared delay of all its out-edges, or NaN once any two
-  /// out-edge delays differ. Rebuilt with the CSR arrays and kept current by
-  /// set_edge_delay; the broadcast fast path keys off it.
+  /// out-edge delays differ (or it has none). Rebuilt with the CSR arrays;
+  /// the batched broadcast keys off it.
   mutable std::vector<double> uniform_out_delay_;
   mutable bool adjacency_stale_ = false;
   DelayModulation modulation_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t delivery_events_ = 0;
   /// Written only inside publish_mailboxes (serial barrier completion).
   std::uint64_t envelopes_published_ = 0;
 
-  // Sharded-mode state; all empty / trivial while shard_count_ == 1.
+  // Shard wiring: one entry per shard, sized for one shard at construction
+  // and for every shard by configure_shards.
   std::uint32_t shard_count_ = 1;
-  std::vector<Simulator*> shard_sims_;        // non-owning, [0] == &sim_
-  std::vector<std::uint32_t> node_shard_;
+  std::vector<Simulator*> shard_sims_;  // non-owning; [0] is the constructor's
   SimTime lookahead_ = kTimeInfinity;
   /// Mailbox matrix, cell [src * shard_count_ + dst]: written only by shard
   /// src's worker during windows. The barrier completion moves full cells
@@ -324,8 +320,7 @@ class Network final : public TimerTarget {
   std::vector<std::vector<ShardEnvelope>> pending_;        // published at barriers
   std::vector<std::vector<ShardEnvelope>> drain_scratch_;  // per-dst reuse
   std::vector<ShardCounters> shard_counters_;
-  /// One canonical-arrival cell per shard; size 1 in serial mode.
-  std::vector<DeferCell> defer_ = std::vector<DeferCell>(1);
+  std::vector<DeferCell> defer_;
 };
 
 }  // namespace gtrix

@@ -22,11 +22,6 @@
 // push-style instrumentation is per-WINDOW in the shard driver, which
 // writes into one Telemetry lane per shard (own cache line, own writer) --
 // merged here in fixed lane order, so the merge is deterministic.
-//
-// Compile-time kill switch: configuring with -DGTRIX_OBS=OFF removes the
-// GTRIX_OBS macro, kObsCompiled turns false, and World never allocates
-// telemetry state nor hands the shard driver an observer -- the disabled
-// path is the pre-telemetry binary.
 #pragma once
 
 #include <array>
@@ -40,11 +35,10 @@ namespace gtrix {
 
 class CkptIo;
 
-#ifdef GTRIX_OBS
+/// Always true: telemetry is always compiled in, and the runtime flag
+/// EngineOptions::telemetry keeps the untimed loop. Kept only because the
+/// build fingerprint in hostbench/ reads it.
 inline constexpr bool kObsCompiled = true;
-#else
-inline constexpr bool kObsCompiled = false;
-#endif
 
 /// Every telemetry counter. Order is the (stable) export order.
 enum class ObsCounter : std::uint32_t {
@@ -127,7 +121,7 @@ struct EngineShardStats {
 
 /// One run's harvested telemetry. Default-constructed == telemetry disabled
 /// (enabled == false, everything zero) -- what World::engine_stats() returns
-/// when the gate is off or the subsystem is compiled out.
+/// when the gate is off.
 struct EngineStats {
   bool enabled = false;
   std::array<std::uint64_t, kObsCounterCount> counters{};

@@ -205,7 +205,7 @@ ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs,
   const ExperimentConfig& config = world.config();
   // Phase spans land on (cell pid, tid 0); sharded window spans nest inside
   // them on the per-shard tids. Null trace -> zero added work.
-  TraceCollector* trace = kObsCompiled && world.engine().telemetry ? obs.trace : nullptr;
+  TraceCollector* trace = world.engine().telemetry ? obs.trace : nullptr;
   const auto phase_span = [&](const char* name, auto&& body) {
     if (trace == nullptr) {
       body();
@@ -397,7 +397,7 @@ CampaignResult run_campaign(const Scenario& scenario, const CampaignOptions& opt
       1, std::min<std::uint32_t>(requested_shards, hardware / campaign.threads_used));
   EngineOptions engine;
   engine.shards = campaign.shards_used;
-  engine.telemetry = kObsCompiled && (options.telemetry || options.trace != nullptr);
+  engine.telemetry = options.telemetry || options.trace != nullptr;
 
   TraceCollector* trace = engine.telemetry ? options.trace : nullptr;
   if (trace != nullptr) {

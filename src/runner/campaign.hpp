@@ -64,7 +64,7 @@ struct CampaignOptions {
   /// Engine telemetry per cell (--telemetry; docs/observability.md): cells
   /// harvest EngineStats, the JSONL gains the engine-invariant
   /// `engine_stats` block and the summary the merged engine-shaped one.
-  /// Implied by a non-null `trace`. No-op when GTRIX_OBS is compiled out.
+  /// Implied by a non-null `trace`.
   bool telemetry = false;
   /// Optional Chrome-trace collector (--trace-out; non-owning). Cell i's
   /// run is traced under pid `trace_pid_base + i`; the campaign itself
@@ -98,7 +98,7 @@ struct CampaignResult {
 
 /// Per-cell observers (campaign internals; defaulted so direct run_cell
 /// callers -- tests, benches -- are untouched). Only honored when the
-/// World's EngineOptions::telemetry is set and GTRIX_OBS is compiled in.
+/// World's EngineOptions::telemetry is set.
 struct CellObs {
   TraceCollector* trace = nullptr;  ///< non-owning
   std::uint32_t trace_pid = 0;      ///< trace process id for this cell

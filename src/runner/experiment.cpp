@@ -37,8 +37,11 @@ World::World(ExperimentConfig config, EngineOptions engine)
       algorithm_provider_(algorithm_registry().create(components_.algorithm)),
       algorithm_caps_(algorithm_provider_->caps()),
       grid_(make_base_graph(config_), config_.layers),
-      net_(sim_),
-      arena_(std::make_unique<NodeArena>()) {
+      shard_count_(std::min(std::max<std::uint32_t>(1, engine_.shards),
+                            grid_.base().column_count())),
+      sims_(shard_count_),
+      net_(sims_[0]),
+      arenas_(shard_count_) {
   GTRIX_CHECK_MSG(config_.layers >= 2, "need at least layer 0 and one algorithm layer");
   GTRIX_CHECK_MSG(config_.pulses >= 1, "need at least one pulse");
   GTRIX_CHECK_MSG(config_.params.u >= 0.0 && config_.params.u < config_.params.d,
@@ -81,49 +84,38 @@ World::World(ExperimentConfig config, EngineOptions engine)
   models_.resize(grid_.node_count());
   layer0_by_grid_.assign(grid_.node_count(), nullptr);
 
-  init_shards();
-  // Telemetry lanes exist only for sharded runs (the serial engine has no
-  // windows to time); counters are harvested from always-on sources either
-  // way. kObsCompiled is constexpr, so with GTRIX_OBS=OFF this folds away.
-  if (kObsCompiled && engine_.telemetry && shard_count_ > 1) {
-    telemetry_ = std::make_unique<Telemetry>(shard_count_);
-  }
   build_network(delay_rng);
-  if (shard_count_ > 1) net_.configure_shards(shard_sims_, node_shard_);
+  init_shards();
   build_layer0(clock_rng, layer0_rng);
   build_algorithm_nodes(clock_rng, fault_rng);
 }
 
 void World::init_shards() {
-  const std::uint32_t columns = grid_.base().column_count();
-  const std::uint32_t requested = std::max<std::uint32_t>(1, engine_.shards);
-  shard_count_ = std::min(requested, columns);
-  if (shard_count_ <= 1) return;  // serial engine: no sharded state at all
+  for (Simulator& sim : sims_) shard_sims_.push_back(&sim);
+  // The serial engine is the Network's one-shard wiring as constructed, and
+  // runs its one queue directly: no cut, no trace buffers to merge and no
+  // windows to time (counters are harvested from always-on sources either
+  // way).
+  if (shard_count_ <= 1) return;
 
   // Contiguous column ranges: shard boundaries are the only edges that
   // cross shards, so the conservative lookahead is an ordinary link delay
   // regardless of topology (line-replicated, torus, and future registry
-  // topologies all expose columns).
-  const bool line_mode = config_.layer0 == Layer0Mode::kLinePropagation;
-  node_shard_.assign(grid_.node_count() + (line_mode ? 1 : 0), 0);
+  // topologies all expose columns). Line mode's clock source (net id ==
+  // grid node count) feeds column 0, so it stays in shard 0.
+  const std::uint32_t columns = grid_.base().column_count();
+  std::vector<std::uint32_t> node_shard(net_.node_count(), 0);
   for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
     const std::uint32_t col = grid_.base().column(grid_.base_of(g));
-    node_shard_[g] = static_cast<std::uint32_t>(
+    node_shard[g] = static_cast<std::uint32_t>(
         static_cast<std::uint64_t>(col) * shard_count_ / columns);
   }
-  // Line mode: the clock source (net id == grid node count) feeds column 0,
-  // so it lives in shard 0 -- node_shard_ already says so.
-
-  for (std::uint32_t s = 1; s < shard_count_; ++s) {
-    extra_sims_.push_back(std::make_unique<Simulator>());
-    extra_arenas_.push_back(std::make_unique<NodeArena>());
-  }
-  shard_sims_.push_back(&sim_);
-  for (const auto& sim : extra_sims_) shard_sims_.push_back(sim.get());
-  for (std::uint32_t s = 0; s < shard_count_; ++s) {
-    shard_recorders_.push_back(std::make_unique<ShardRecorder>(shard_sims_[s]));
+  net_.configure_shards(shard_sims_, node_shard);
+  for (Simulator* sim : shard_sims_) {
+    shard_recorders_.push_back(std::make_unique<ShardRecorder>(sim));
     shard_recorder_ptrs_.push_back(shard_recorders_.back().get());
   }
+  if (engine_.telemetry) telemetry_ = std::make_unique<Telemetry>(shard_count_);
 }
 
 World::~World() = default;
@@ -397,10 +389,10 @@ void World::install_fault(GridNodeId g, const FaultSpec& spec, NodeModel& model,
 
 void World::run_to_completion() {
   using Clock = std::chrono::steady_clock;
-  const bool timed = kObsCompiled && engine_.telemetry;
+  const bool timed = engine_.telemetry;
   const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
   if (shard_count_ <= 1) {
-    sim_.run_all();
+    sims_[0].run_all();
   } else {
     ShardDriver(shard_sims_, net_, recorder_, shard_recorder_ptrs_,
                 ShardDriverObs{telemetry_.get(), trace_, trace_pid_})
@@ -411,10 +403,10 @@ void World::run_to_completion() {
 
 void World::run_until(SimTime t) {
   using Clock = std::chrono::steady_clock;
-  const bool timed = kObsCompiled && engine_.telemetry;
+  const bool timed = engine_.telemetry;
   const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
   if (shard_count_ <= 1) {
-    sim_.run_until(t);
+    sims_[0].run_until(t);
   } else {
     ShardDriver(shard_sims_, net_, recorder_, shard_recorder_ptrs_,
                 ShardDriverObs{telemetry_.get(), trace_, trace_pid_})
@@ -424,14 +416,14 @@ void World::run_until(SimTime t) {
 }
 
 void World::set_trace(TraceCollector* trace, std::uint32_t pid) {
-  if (!kObsCompiled || !engine_.telemetry) return;
+  if (!engine_.telemetry) return;
   trace_ = trace;
   trace_pid_ = pid;
 }
 
 EngineStats World::engine_stats() const {
   EngineStats stats;
-  if (!kObsCompiled || !engine_.telemetry) return stats;
+  if (!engine_.telemetry) return stats;
   stats.enabled = true;
 
   // Engine-invariant block (JSONL-safe; see obs/telemetry.hpp).
@@ -455,8 +447,7 @@ EngineStats World::engine_stats() const {
     purged += q.purged_count();
     rebuilds += q.calendar_rebuilds();
   };
-  harvest_queue(sim_);
-  for (const auto& sim : extra_sims_) harvest_queue(*sim);
+  for (const Simulator& sim : sims_) harvest_queue(sim);
   stats.set(ObsCounter::kTimerCancels, cancels);
   stats.set(ObsCounter::kEventsExecuted, c.events_executed);
   stats.set(ObsCounter::kEventsScheduled, scheduled);
@@ -494,8 +485,6 @@ GridTrace World::trace() const {
   GridTrace t;
   t.grid = &grid_;
   t.recorder = &recorder_;
-  t.node_ids.resize(grid_.node_count());
-  for (GridNodeId g = 0; g < grid_.node_count(); ++g) t.node_ids[g] = g;
   t.node_warmup = config_.warmup;
   t.node_tail = 1;
   return t;
@@ -526,15 +515,14 @@ void World::require_retained(Sigma lo, Sigma hi, const std::string& what) const 
   const GridTrace t = trace();
   for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
     if (t.is_faulty(g)) continue;
-    const RecNodeId id = t.rec_id(g);
-    const Sigma from = recorder_.steady_from(id, t.node_warmup);
+    const Sigma from = recorder_.steady_from(g, t.node_warmup);
     if (from == Recorder::kInvalidSigma) continue;
-    const Sigma last = recorder_.last_recorded(id);
+    const Sigma last = recorder_.last_recorded(g);
     if (last == Recorder::kInvalidSigma) continue;
     const Sigma lo_n = std::max(lo, from);
     const Sigma hi_n = std::min(hi, last - t.node_tail);
-    if (lo_n > hi_n || recorder_.covers(id, lo_n, hi_n)) continue;
-    const auto [llo, lhi] = recorder_.lost_range(id);
+    if (lo_n > hi_n || recorder_.covers(g, lo_n, hi_n)) continue;
+    const auto [llo, lhi] = recorder_.lost_range(g);
     throw std::runtime_error(
         what + ": node " + grid_.label(g) + " lost pulse waves [" + std::to_string(llo) +
         ", " + std::to_string(lhi) + "] overlapping the measurement window [" +
@@ -577,8 +565,7 @@ ExperimentCounters World::counters() const {
   for (const auto& model : models_) {
     if (model != nullptr) model->add_counters(total);
   }
-  total.events_executed = sim_.executed_events();
-  for (const auto& sim : extra_sims_) total.events_executed += sim->executed_events();
+  for (const Simulator& sim : sims_) total.events_executed += sim.executed_events();
   total.messages_sent = net_.messages_sent();
   total.messages_delivered = net_.messages_delivered();
   total.delivery_events = net_.delivery_events();

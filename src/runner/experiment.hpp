@@ -145,14 +145,15 @@ struct EngineOptions {
   /// "Sharded execution"): the base graph is cut into contiguous column
   /// ranges, each with its own event queue, NodeArena and worker thread,
   /// synchronized at the minimum cross-shard link delay. Clamped to the
-  /// column count; 0 and 1 both select the serial engine, whose code paths
-  /// then run completely untouched.
+  /// column count; 0 and 1 both select the serial engine, the one-shard
+  /// case of the same wiring that runs its single queue without worker
+  /// threads or trace buffers.
   std::uint32_t shards = 1;
   /// Engine telemetry (docs/observability.md): World::engine_stats()
   /// harvests counters, window timings and peak RSS after a run. Purely
   /// observational -- simulations are bit-identical with it on or off, and
   /// the engine-invariant counter block is byte-identical across every
-  /// shard count. Off by default; no-op when compiled out (GTRIX_OBS=OFF).
+  /// shard count. Off by default.
   bool telemetry = false;
 };
 
@@ -176,9 +177,7 @@ class World {
   /// Shards actually used (engine request clamped to the column count).
   std::uint32_t shard_count() const noexcept { return shard_count_; }
   /// Shard owning grid/net node `id` (always 0 on the serial engine).
-  std::uint32_t shard_of(NetNodeId id) const {
-    return shard_count_ <= 1 ? 0 : node_shard_.at(id);
-  }
+  std::uint32_t shard_of(NetNodeId id) const { return net_.shard_of(id); }
 
   /// Randomly corrupts the state of (roughly) `fraction` of all algorithm
   /// nodes -- a system-wide transient fault (Theorem 1.6). Hard error when
@@ -190,7 +189,8 @@ class World {
   const EngineOptions& engine() const noexcept { return engine_; }
   const ResolvedComponents& components() const noexcept { return components_; }
   const Grid& grid() const noexcept { return grid_; }
-  Simulator& simulator() noexcept { return sim_; }
+  /// Shard 0's event queue (the only one on the serial engine).
+  Simulator& simulator() noexcept { return sims_[0]; }
   Network& network() noexcept { return net_; }
   Recorder& recorder() noexcept { return recorder_; }
   const Recorder& recorder() const noexcept { return recorder_; }
@@ -260,15 +260,14 @@ class World {
   /// Attaches an optional Chrome-trace collector (obs/trace.hpp) for
   /// sharded window/barrier spans; non-owning, must outlive the runs.
   /// `pid` identifies this World in the trace. No-op when
-  /// EngineOptions::telemetry is off or GTRIX_OBS is compiled out.
+  /// EngineOptions::telemetry is off.
   void set_trace(TraceCollector* trace, std::uint32_t pid);
 
   /// Post-run telemetry harvest (EngineOptions::telemetry). Returns
-  /// enabled == false with zeroed counters when telemetry is off or
-  /// compiled out; callable repeatedly (counters are cumulative totals,
-  /// not deltas). The invariant_json() block is byte-identical across
-  /// every shard count; summary_json() is engine-shaped and wall-clock
-  /// data.
+  /// enabled == false with zeroed counters when telemetry is off; callable
+  /// repeatedly (counters are cumulative totals, not deltas). The
+  /// invariant_json() block is byte-identical across every shard count;
+  /// summary_json() is engine-shaped and wall-clock data.
   EngineStats engine_stats() const;
 
   /// The gradient node simulating grid node g; null for layer 0, faulty
@@ -320,25 +319,20 @@ class World {
   void checkpoint_sections(CkptWriter* save_to, const CkptFile* restore_from);
   HardwareClock make_clock(Rng& rng, std::uint32_t column, std::uint32_t layer) const;
   double clock_horizon() const;
-  void init_shards();
   void build_network(Rng& delay_rng);
+  void init_shards();
   void build_layer0(Rng& clock_rng, Rng& layer0_rng);
   void build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng);
   void install_fault(GridNodeId g, const FaultSpec& spec, NodeModel& model, Rng& fault_rng);
 
-  /// Per-node wiring lookups; on the serial engine they resolve to the
-  /// single sim_/arena_/recorder_ so shards=1 constructs the identical
-  /// object graph the pre-sharding engine did.
-  Simulator& sim_for(NetNodeId id) {
-    return shard_count_ <= 1 ? sim_ : *shard_sims_[node_shard_[id]];
-  }
-  NodeArena& arena_for(NetNodeId id) {
-    const std::uint32_t s = shard_count_ <= 1 ? 0 : node_shard_[id];
-    return s == 0 ? *arena_ : *extra_arenas_[s - 1];
-  }
+  /// Per-node wiring lookups: the owning shard's queue, arena and
+  /// recorder. The serial engine records straight into recorder_; more
+  /// shards record into per-shard buffers the ShardDriver merges.
+  Simulator& sim_for(NetNodeId id) { return sims_[shard_of(id)]; }
+  NodeArena& arena_for(NetNodeId id) { return arenas_[shard_of(id)]; }
   Recorder* recorder_for(NetNodeId id) {
     if (shard_count_ <= 1) return &recorder_;
-    return shard_recorders_[node_shard_[id]].get();
+    return shard_recorders_[shard_of(id)].get();
   }
 
   ExperimentConfig config_;
@@ -351,29 +345,29 @@ class World {
   /// Declared before every node: algorithm nodes view their predecessor
   /// lists in it (Grid::predecessors), so it must outlive them.
   Grid grid_;
-  Simulator sim_;
+  /// Shards actually used: the engine request clamped to the column count.
+  std::uint32_t shard_count_;
+  /// One event queue per shard, and the view of them that the Network and
+  /// the ShardDriver take. sims_[0] is the Network's own queue.
+  std::vector<Simulator> sims_;
+  std::vector<Simulator*> shard_sims_;
+  /// Owns the node -> shard table (see init_shards).
   Network net_;
   Recorder recorder_;
   RecordingOptions recording_;
   /// Online skew accumulators (streaming mode only).
   std::unique_ptr<StreamingSkew> streaming_;
-  /// Struct-of-arrays hot state for every node this World wires; must
-  /// outlive the node objects below, which hold indices into it. Shard 0's
-  /// arena (and the only one on the serial engine).
-  std::unique_ptr<NodeArena> arena_;
-
-  // Sharded engine state (empty while shard_count_ == 1); see init_shards.
-  std::uint32_t shard_count_ = 1;
-  std::vector<std::uint32_t> node_shard_;              ///< net node -> shard
-  std::vector<std::unique_ptr<Simulator>> extra_sims_;   ///< shards 1..S-1
-  std::vector<std::unique_ptr<NodeArena>> extra_arenas_; ///< shards 1..S-1
-  std::vector<Simulator*> shard_sims_;                 ///< [0] == &sim_
+  /// Struct-of-arrays hot state, one arena per shard, for every node this
+  /// World wires; must outlive the node objects below, which hold indices
+  /// into it.
+  std::vector<NodeArena> arenas_;
+  /// Per-shard trace buffers (empty on the serial engine).
   std::vector<std::unique_ptr<ShardRecorder>> shard_recorders_;
   std::vector<ShardRecorder*> shard_recorder_ptrs_;
 
-  // Telemetry (EngineOptions::telemetry; null/zero when off or compiled
-  // out). telemetry_ holds the per-shard window lanes the ShardDriver
-  // workers write; run_wall_seconds_ accumulates across run_* calls.
+  // Telemetry (EngineOptions::telemetry; null/zero when off). telemetry_
+  // holds the per-shard window lanes the ShardDriver workers write;
+  // run_wall_seconds_ accumulates across run_* calls.
   std::unique_ptr<Telemetry> telemetry_;
   TraceCollector* trace_ = nullptr;  // non-owning
   std::uint32_t trace_pid_ = 0;

@@ -14,7 +14,10 @@
 
 namespace gtrix {
 
-class Simulator {
+/// Cache-line aligned: a World keeps its shards' Simulators side by side,
+/// and each one's clock and queue counters are written by its own worker
+/// thread on every event.
+class alignas(64) Simulator {
  public:
   Simulator() = default;
 

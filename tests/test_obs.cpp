@@ -110,7 +110,6 @@ TEST(EngineStats, DisabledTelemetryYieldsEmptyStats) {
 }
 
 TEST(EngineStats, InvariantBlockIsByteIdenticalAcrossEngines) {
-  if (!kObsCompiled) GTEST_SKIP() << "built with GTRIX_OBS=OFF";
   const ExperimentConfig config = tiny_config();
 
   EngineOptions fast;
@@ -140,7 +139,6 @@ TEST(EngineStats, InvariantBlockIsByteIdenticalAcrossEngines) {
 }
 
 TEST(EngineStats, ShardedRunFillsWindowLanesAndEnvelopeCounters) {
-  if (!kObsCompiled) GTEST_SKIP() << "built with GTRIX_OBS=OFF";
   EngineOptions engine;
   engine.telemetry = true;
   engine.shards = 2;
@@ -195,7 +193,6 @@ TEST(EngineStats, MergeSumsCountersAndMaxesRss) {
 }
 
 TEST(CampaignTelemetry, JsonlIsByteIdenticalAcrossThreadsAndShards) {
-  if (!kObsCompiled) GTEST_SKIP() << "built with GTRIX_OBS=OFF";
   // The tentpole determinism contract: with telemetry ON, the per-cell
   // JSONL (including its engine_stats block) must not depend on the sweep
   // thread count or the shard count. Shard requests above the host budget
@@ -223,7 +220,6 @@ TEST(CampaignTelemetry, JsonlIsByteIdenticalAcrossThreadsAndShards) {
 }
 
 TEST(CampaignTelemetry, SummaryCarriesMergedEngineShapedBlock) {
-  if (!kObsCompiled) GTEST_SKIP() << "built with GTRIX_OBS=OFF";
   CampaignOptions options;
   options.threads = 1;
   options.shards = 2;
@@ -246,7 +242,6 @@ TEST(CampaignTelemetry, SummaryCarriesMergedEngineShapedBlock) {
 }
 
 TEST(Trace, ShardedRunEmitsNamedWindowAndBarrierSpans) {
-  if (!kObsCompiled) GTEST_SKIP() << "built with GTRIX_OBS=OFF";
   EngineOptions engine;
   engine.telemetry = true;
   engine.shards = 2;
@@ -288,7 +283,6 @@ TEST(Trace, ShardedRunEmitsNamedWindowAndBarrierSpans) {
 }
 
 TEST(Trace, CheckpointedCampaignEmitsPhaseSpans) {
-  if (!kObsCompiled) GTEST_SKIP() << "built with GTRIX_OBS=OFF";
   // Checkpointing must not cost observability: a traced campaign with a
   // checkpoint directory gives every corrupt cell the same phase
   // vocabulary as a plain traced campaign, with one run/recover span per

@@ -28,7 +28,6 @@ struct SyntheticTrace {
     }
     trace.grid = &grid;
     trace.recorder = &recorder;
-    for (GridNodeId g = 0; g < grid.node_count(); ++g) trace.node_ids.push_back(g);
     trace.node_warmup = 0;
     trace.node_tail = 0;
   }

@@ -30,7 +30,6 @@ struct SyntheticWorld {
     }
     trace.grid = &grid;
     trace.recorder = &recorder;
-    for (GridNodeId g = 0; g < grid.node_count(); ++g) trace.node_ids.push_back(g);
     trace.node_warmup = 0;
     trace.node_tail = 0;
   }
@@ -110,10 +109,7 @@ TEST(Realign, NodesWithFewPulsesSkipped) {
   GridTrace trace;
   trace.grid = &small;
   trace.recorder = &sparse_rec;
-  for (GridNodeId g = 0; g < small.node_count(); ++g) {
-    sparse_rec.register_node(g, {});
-    trace.node_ids.push_back(g);
-  }
+  for (GridNodeId g = 0; g < small.node_count(); ++g) sparse_rec.register_node(g, {});
   trace.node_warmup = 0;
   trace.node_tail = 0;
   // Layer 0 has 3 pulses; the layer-1 node only 2 (insufficient).

@@ -34,9 +34,9 @@ TEST(Runner, DifferentSeedsDiffer) {
 TEST(Runner, TraceMapsGridIdsToRecorderIds) {
   World world(config_for(3));
   const GridTrace trace = world.trace();
-  EXPECT_EQ(trace.node_ids.size(), world.grid().node_count());
+  EXPECT_EQ(trace.grid, &world.grid());
+  EXPECT_EQ(trace.recorder, &world.recorder());
   for (GridNodeId g = 0; g < world.grid().node_count(); ++g) {
-    EXPECT_EQ(trace.rec_id(g), g);
     EXPECT_EQ(world.recorder().meta(g).layer, world.grid().layer_of(g));
     EXPECT_EQ(world.recorder().meta(g).base, world.grid().base_of(g));
   }

@@ -244,7 +244,7 @@ TEST(Sharded, ConfiguringASingleShardKeepsTheSerialEngine) {
   net.add_edge(n0, n1, 1.0);
   net.configure_shards({&sim}, {0, 0});
   EXPECT_EQ(net.shard_count(), 1u);
-  // Serial mode is untouched: topology edits stay legal.
+  // One shard keeps the one-shard wiring: topology edits stay legal.
   net.add_edge(n1, n0, 1.0);
   EXPECT_EQ(net.edge_count(), 2u);
 }

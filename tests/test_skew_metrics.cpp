@@ -25,7 +25,6 @@ struct SkewFixture {
     }
     trace.grid = &grid;
     trace.recorder = &recorder;
-    for (GridNodeId g = 0; g < grid.node_count(); ++g) trace.node_ids.push_back(g);
     trace.node_warmup = 0;
     trace.node_tail = 0;
   }

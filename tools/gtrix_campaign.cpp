@@ -271,12 +271,6 @@ int run(int argc, char** argv) {
     std::fputs("error: --resume needs --checkpoint-dir=DIR\n", stderr);
     return 2;
   }
-  if (!kObsCompiled && (options.telemetry || !trace_out.empty())) {
-    std::fputs("error: this binary was built with GTRIX_OBS=OFF; rebuild with "
-               "telemetry compiled in to use --telemetry/--trace-out\n",
-               stderr);
-    return 2;
-  }
   const std::string out_dir = flags.get_string("out", "campaign-out");
   const bool dry_run = flags.get_bool("dry-run", false);
   const bool quiet = flags.get_bool("quiet", false);
