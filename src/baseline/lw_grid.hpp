@@ -43,7 +43,6 @@ class LynchWelchGridNode final : public PulseSink, public TimerTarget {
   void on_timer(const Event& event) override;
 
   std::uint64_t pulses_forwarded() const noexcept { return forwarded_; }
-  std::uint32_t effective_trim() const noexcept { return trim_; }
 
   /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): per-wave arena registers,
   /// pending queue and forwarded counter.

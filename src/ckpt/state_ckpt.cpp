@@ -195,19 +195,20 @@ void Simulator::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
 // --- Network -----------------------------------------------------------------
 
 void Network::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(Network, 336);
-  GTRIX_CKPT_FIELDS(DeferCell, 3);
-  GTRIX_CKPT_FIELDS(ShardCounters, 4);
+  GTRIX_CKPT_SIZEOF(Network, 240);
+  GTRIX_CKPT_FIELDS(ShardCell, 9);
   GTRIX_CKPT_FIELDS(ShardEnvelope, 5);
   // A kFlushArrivals event never outlives its instant, so no arrival can be
-  // deferred at a snapshot barrier; the cells carry no persistent state.
-  for (const DeferCell& cell : defer_) {
-    GTRIX_CHECK_MSG(!cell.active && cell.buf.empty(),
+  // deferred at a snapshot barrier, and every drain refills the drain
+  // scratch from scratch: of a cell, only the counters persist (the queue
+  // pointer is construction state).
+  for (const ShardCell& cell : shards_) {
+    GTRIX_CHECK_MSG(!cell.defer_active && cell.deferred.empty(),
                     "checkpoint taken mid-instant: deferred arrivals pending");
   }
   io.u64(envelopes_published_);
-  io.same_u32(shard_count_, "network shard");
-  io.each(shard_counters_, "shard counter", [](CkptIo& io, ShardCounters& c) {
+  io.same_u32(shard_count(), "network shard");
+  io.each(shards_, "shard counter", [](CkptIo& io, ShardCell& c) {
     io.u64(c.sent);
     io.u64(c.delivered);
     io.u64(c.delivery_events);

@@ -33,8 +33,6 @@ class FixedPeriodRogue final : public PulseSink, public TimerTarget {
 
   void on_timer(const Event& event) override;
 
-  std::uint64_t pulses_emitted() const noexcept { return emitted_; }
-
   /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): wave label + emit counter
   /// (the pending tick event lives in the queue snapshot).
   void checkpoint(CkptIo& io);

@@ -3,15 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 
 #include "support/check.hpp"
 
 namespace gtrix {
 
-Network::Network(Simulator& sim) : shard_sims_{&sim} { size_shard_cells(1); }
+Network::Network(Simulator& sim, DelayDrift drift)
+    : drift_(drift), shards_(1), mail_(1), pending_(1) {
+  shards_[0].sim = &sim;
+}
 
 NetNodeId Network::add_node(PulseSink* sink) {
-  GTRIX_CHECK_MSG(shard_count_ <= 1, "cannot add nodes after configure_shards");
+  GTRIX_CHECK_MSG(shards_.size() == 1, "cannot add nodes after configure_shards");
   const NetNodeId id = static_cast<NetNodeId>(nodes_.size());
   nodes_.push_back(NodeSlot{sink, 0});
   adjacency_stale_ = true;
@@ -22,7 +26,7 @@ void Network::set_sink(NetNodeId node, PulseSink* sink) { nodes_.at(node).sink =
 
 EdgeId Network::add_edge(NetNodeId from, NetNodeId to, double delay) {
   GTRIX_CHECK_MSG(delay > 0.0, "edge delay must be positive");
-  GTRIX_CHECK_MSG(shard_count_ <= 1, "cannot add edges after configure_shards");
+  GTRIX_CHECK_MSG(shards_.size() == 1, "cannot add edges after configure_shards");
   GTRIX_CHECK(from < nodes_.size() && to < nodes_.size());
   const EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{from, to, delay});
@@ -45,6 +49,7 @@ void Network::rebuild_adjacency() const {
   out_off_[0] = 0;
   adjacency_stale_ = false;
   uniform_out_delay_.assign(n, std::numeric_limits<double>::quiet_NaN());
+  if (drift_.amplitude > 0.0) return;  // a drifting delay is per edge and send time
   for (NetNodeId v = 0; v < n; ++v) {
     const std::span<const EdgeId> outs = out_edges(v);
     if (outs.empty()) continue;
@@ -55,35 +60,20 @@ void Network::rebuild_adjacency() const {
   }
 }
 
-void Network::set_delay_modulation(DelayModulation fn) {
-  GTRIX_CHECK_MSG(shard_count_ <= 1 || !fn,
-                  "delay modulation is unavailable on the sharded engine");
-  modulation_ = std::move(fn);
-}
-
-void Network::size_shard_cells(std::uint32_t shards) {
-  shard_count_ = shards;
-  mail_.resize(static_cast<std::size_t>(shards) * shards);
-  pending_.resize(mail_.size());
-  drain_scratch_.resize(shards);
-  shard_counters_.resize(shards);
-  defer_.resize(shards);
-}
-
 void Network::configure_shards(std::vector<Simulator*> sims,
                                const std::vector<std::uint32_t>& node_shard) {
-  GTRIX_CHECK_MSG(!sims.empty() && sims[0] == shard_sims_[0],
+  GTRIX_CHECK_MSG(!sims.empty() && sims[0] == shards_[0].sim,
                   "shard 0 must be the network's own simulator");
-  GTRIX_CHECK_MSG(sims.size() == 1 || !modulation_,
-                  "delay modulation is unavailable on the sharded engine");
-  GTRIX_CHECK_MSG(shard_count_ == 1, "shards already configured");
+  GTRIX_CHECK_MSG(shards_.size() == 1, "shards already configured");
   GTRIX_CHECK_MSG(node_shard.size() == nodes_.size(), "node_shard must cover every node");
   for (std::uint32_t s : node_shard) GTRIX_CHECK(s < sims.size());
   // Workers read the adjacency concurrently; it must never rebuild on them.
   if (adjacency_stale_) rebuild_adjacency();
-  shard_sims_ = std::move(sims);
   for (NetNodeId n = 0; n < nodes_.size(); ++n) nodes_[n].shard = node_shard[n];
-  size_shard_cells(static_cast<std::uint32_t>(shard_sims_.size()));
+  shards_.resize(sims.size());
+  for (std::size_t s = 0; s < sims.size(); ++s) shards_[s].sim = sims[s];
+  mail_.resize(sims.size() * sims.size());
+  pending_.resize(mail_.size());
   recompute_lookahead();
 }
 
@@ -94,6 +84,8 @@ void Network::recompute_lookahead() {
       lookahead_ = std::min(lookahead_, edge.delay);
     }
   }
+  // The drift shortens a delay by at most A/2 (infinity stays infinite).
+  lookahead_ -= 0.5 * drift_.amplitude;
 }
 
 SimTime Network::earliest_mailbox_time() const {
@@ -123,13 +115,13 @@ void Network::publish_mailboxes() {
 }
 
 void Network::drain_mailbox(std::uint32_t dst) {
-  std::vector<ShardEnvelope>& batch = drain_scratch_[dst];
+  ShardCell& cell = shards_[dst];
+  std::vector<ShardEnvelope>& batch = cell.drain_scratch;
   batch.clear();
-  for (std::uint32_t src = 0; src < shard_count_; ++src) {
-    std::vector<ShardEnvelope>& cell =
-        pending_[static_cast<std::size_t>(src) * shard_count_ + dst];
-    batch.insert(batch.end(), cell.begin(), cell.end());
-    cell.clear();
+  for (std::size_t src = 0; src < shards_.size(); ++src) {
+    std::vector<ShardEnvelope>& published = pending_[src * shards_.size() + dst];
+    batch.insert(batch.end(), published.begin(), published.end());
+    published.clear();
   }
   // (arrival, from, edge) is a total order over envelopes: a sender emits at
   // most one message per edge per instant. Scheduling in that order assigns
@@ -141,36 +133,44 @@ void Network::drain_mailbox(std::uint32_t dst) {
               if (a.from != b.from) return a.from < b.from;
               return a.edge < b.edge;
             });
-  Simulator& sim = *shard_sims_[dst];
-  shard_counters_[dst].envelopes_drained += batch.size();
+  cell.envelopes_drained += batch.size();
   for (const ShardEnvelope& env : batch) {
-    sim.at(env.arrival, this, kDeliver,
-           EventPayload{.a = env.from, .b = env.edge, .c = env.to, .i = env.stamp, .f = 0.0});
+    cell.sim->at(
+        env.arrival, this, kDeliver,
+        EventPayload{.a = env.from, .b = env.edge, .c = env.to, .i = env.stamp, .f = 0.0});
   }
 }
 
-std::uint64_t Network::sum_counters(std::uint64_t ShardCounters::*counter) const noexcept {
+std::uint64_t Network::sum_counters(std::uint64_t ShardCell::*counter) const noexcept {
   std::uint64_t total = 0;
-  for (const ShardCounters& c : shard_counters_) total += c.*counter;
+  for (const ShardCell& c : shards_) total += c.*counter;
   return total;
 }
 
-void Network::send(EdgeId e, const Pulse& pulse) {
-  const Edge& edge = edges_.at(e);
+inline void Network::route(EdgeId e, std::int64_t stamp) {
+  const Edge& edge = edges_[e];
   const std::uint32_t src = nodes_[edge.from].shard;
   const std::uint32_t dst = nodes_[edge.to].shard;
-  Simulator& sim = *shard_sims_[src];
+  ShardCell& cell = shards_[src];
+  Simulator& sim = *cell.sim;
   double delay = edge.delay;
-  if (modulation_) delay += modulation_(e, sim.now());  // one shard only
-  GTRIX_CHECK_MSG(delay > 0.0, "modulated delay must stay positive");
-  ++shard_counters_[src].sent;
+  if (drift_.amplitude > 0.0) {
+    delay += 0.5 * drift_.amplitude *
+             std::sin(2.0 * std::numbers::pi * sim.now() / drift_.period + 0.7 * e);
+  }
+  ++cell.sent;
   const SimTime arrival = sim.now() + delay;
   if (dst == src) {
     sim.at(arrival, this, kDeliver,
-           EventPayload{.a = edge.from, .b = e, .c = edge.to, .i = pulse.stamp, .f = 0.0});
+           EventPayload{.a = edge.from, .b = e, .c = edge.to, .i = stamp, .f = 0.0});
   } else {
-    mailbox(src, dst).push_back(ShardEnvelope{arrival, edge.from, e, edge.to, pulse.stamp});
+    mailbox(src, dst).push_back(ShardEnvelope{arrival, edge.from, e, edge.to, stamp});
   }
+}
+
+void Network::send(EdgeId e, const Pulse& pulse) {
+  GTRIX_CHECK(e < edges_.size());
+  route(e, pulse.stamp);
 }
 
 void Network::send_after(EdgeId e, const Pulse& pulse, double extra) {
@@ -178,16 +178,16 @@ void Network::send_after(EdgeId e, const Pulse& pulse, double extra) {
   GTRIX_CHECK(e < edges_.size());
   // The deferred-send timer fires on the SENDING node's shard; the eventual
   // send() then routes the message itself.
-  sim_of(edges_[e].from)
-      .after(extra, this, kDeferredSend,
-             EventPayload{.a = 0, .b = e, .c = 0, .i = pulse.stamp, .f = 0.0});
+  shards_[nodes_[edges_[e].from].shard].sim->after(
+      extra, this, kDeferredSend,
+      EventPayload{.a = 0, .b = e, .c = 0, .i = pulse.stamp, .f = 0.0});
 }
 
 void Network::broadcast(NetNodeId from, const Pulse& pulse) {
   const std::span<const EdgeId> outs = out_edges(from);
   const double uniform = uniform_out_delay_[from];
-  if (modulation_ || outs.size() <= 1 || std::isnan(uniform)) {
-    for (EdgeId e : outs) send(e, pulse);
+  if (outs.size() <= 1 || std::isnan(uniform)) {
+    for (EdgeId e : outs) route(e, pulse.stamp);
     return;
   }
   // All out-edges share one delay: same-shard receivers share a single
@@ -198,8 +198,9 @@ void Network::broadcast(NetNodeId from, const Pulse& pulse) {
   // do, which is why the campaign reports logical events). Order-equivalent
   // to the per-edge path (see the header).
   const std::uint32_t src = nodes_[from].shard;
-  Simulator& sim = *shard_sims_[src];
-  shard_counters_[src].sent += outs.size();
+  ShardCell& cell = shards_[src];
+  Simulator& sim = *cell.sim;
+  cell.sent += outs.size();
   const SimTime arrival = sim.now() + uniform;
   bool any_local = false;
   for (EdgeId e : outs) {
@@ -217,40 +218,39 @@ void Network::broadcast(NetNodeId from, const Pulse& pulse) {
 }
 
 void Network::inject(NetNodeId from, NetNodeId to, const Pulse& pulse, SimTime t) {
-  const std::uint32_t dst = nodes_.at(to).shard;
-  Simulator& sim = *shard_sims_[dst];
+  ShardCell& cell = shards_[nodes_.at(to).shard];
+  Simulator& sim = *cell.sim;
   GTRIX_CHECK_MSG(t >= sim.now(), "cannot inject into the past");
-  ++shard_counters_[dst].sent;
+  ++cell.sent;
   sim.at(t, this, kDeliver,
          EventPayload{.a = from, .b = static_cast<EdgeId>(-1), .c = to, .i = pulse.stamp, .f = 0.0});
 }
 
-void Network::sink_pulse(std::uint32_t cell, NetNodeId from, EdgeId edge, NetNodeId to,
+void Network::sink_pulse(ShardCell& cell, NetNodeId from, EdgeId edge, NetNodeId to,
                          std::int64_t stamp, SimTime t) {
-  ++shard_counters_[cell].delivered;
+  ++cell.delivered;
   PulseSink* sink = nodes_[to].sink;
   if (sink != nullptr) sink->on_pulse(from, edge, Pulse{stamp}, t);
 }
-void Network::sink_or_defer(Simulator& sim, std::uint32_t cell_index, NetNodeId from,
-                            EdgeId edge, NetNodeId to, std::int64_t stamp, SimTime t) {
-  DeferCell& cell = defer_[cell_index];
-  if (cell.active && cell.time == t) {
-    cell.buf.push_back(DeferredArrival{to, from, edge, stamp});
+void Network::sink_or_defer(ShardCell& cell, std::uint32_t shard, NetNodeId from, EdgeId edge,
+                            NetNodeId to, std::int64_t stamp, SimTime t) {
+  if (cell.defer_active && cell.defer_time == t) {
+    cell.deferred.push_back(DeferredArrival{to, from, edge, stamp});
     return;
   }
-  if (sim.next_event_time() == t) {
+  if (cell.sim->next_event_time() == t) {
     // At least one more event shares this instant (every arrival at t for a
     // node of this shard is already queued here: delays are positive, so
     // nothing new can be scheduled AT t once t executes). Capture sink
     // calls until the instant's events have run, then flush canonically.
-    cell.active = true;
-    cell.time = t;
-    cell.buf.push_back(DeferredArrival{to, from, edge, stamp});
-    sim.at(t, this, kFlushArrivals,
-           EventPayload{.a = cell_index, .b = 0, .c = 0, .i = 0, .f = 0.0});
+    cell.defer_active = true;
+    cell.defer_time = t;
+    cell.deferred.push_back(DeferredArrival{to, from, edge, stamp});
+    cell.sim->at(t, this, kFlushArrivals,
+                 EventPayload{.a = shard, .b = 0, .c = 0, .i = 0, .f = 0.0});
     return;
   }
-  sink_pulse(cell_index, from, edge, to, stamp, t);
+  sink_pulse(cell, from, edge, to, stamp, t);
 }
 
 void Network::on_timer(const Event& event) {
@@ -258,8 +258,9 @@ void Network::on_timer(const Event& event) {
   switch (event.kind) {
     case kDeliver: {
       const std::uint32_t dst = nodes_[p.c].shard;
-      ++shard_counters_[dst].delivery_events;
-      sink_or_defer(*shard_sims_[dst], dst, p.a, p.b, p.c, p.i, event.time);
+      ShardCell& cell = shards_[dst];
+      ++cell.delivery_events;
+      sink_or_defer(cell, dst, p.a, p.b, p.c, p.i, event.time);
       return;
     }
     case kBatchDeliver: {
@@ -268,23 +269,23 @@ void Network::on_timer(const Event& event) {
       // runs on the sender's shard and fans out only to its same-shard
       // receivers; cross-shard receivers got envelopes instead.
       const std::uint32_t src = nodes_[p.a].shard;
-      ++shard_counters_[src].delivery_events;
-      Simulator& sim = *shard_sims_[src];
+      ShardCell& cell = shards_[src];
+      ++cell.delivery_events;
       for (EdgeId e : out_edges(p.a)) {
         const Edge& edge = edges_[e];
         if (nodes_[edge.to].shard != src) continue;
-        sink_or_defer(sim, src, edge.from, e, edge.to, p.i, event.time);
+        sink_or_defer(cell, src, edge.from, e, edge.to, p.i, event.time);
       }
       return;
     }
     case kFlushArrivals: {
-      DeferCell& cell = defer_[p.a];
-      ++shard_counters_[p.a].delivery_events;
+      ShardCell& cell = shards_[p.a];
+      ++cell.delivery_events;
       // Swap out before delivering: the sinks may schedule (strictly later)
       // events but can never re-enter this instant's buffer.
       std::vector<DeferredArrival> batch;
-      batch.swap(cell.buf);
-      cell.active = false;
+      batch.swap(cell.deferred);
+      cell.defer_active = false;
       std::sort(batch.begin(), batch.end(),
                 [](const DeferredArrival& a, const DeferredArrival& b) {
                   if (a.to != b.to) return a.to < b.to;
@@ -293,11 +294,11 @@ void Network::on_timer(const Event& event) {
                   return a.stamp < b.stamp;
                 });
       for (const DeferredArrival& d : batch) {
-        sink_pulse(p.a, d.from, d.edge, d.to, d.stamp, event.time);
+        sink_pulse(cell, d.from, d.edge, d.to, d.stamp, event.time);
       }
       // Hand the capacity back so later instants reuse it.
       batch.clear();
-      if (cell.buf.empty()) cell.buf.swap(batch);
+      if (cell.deferred.empty()) cell.deferred.swap(batch);
       return;
     }
     case kDeferredSend:

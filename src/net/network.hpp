@@ -1,10 +1,10 @@
 // Message transport between nodes (paper §2, "Communication").
 //
 // Each directed edge e has an unknown but fixed delay delta_e in [d-u, d];
-// every pulse sent over e is delivered delta_e later. An optional global
-// modulation hook lets experiments vary delays slowly over time
-// (Corollary 1.5); the modulated delay is clamped to [d-u, d] by the caller
-// that installs the hook.
+// every pulse sent over e is delivered delta_e later. A slow delay drift
+// (Corollary 1.5; DelayDrift below), fixed at construction from the delay
+// model, adds A/2 * sin(2 pi t / period + 0.7 e) to a send at time t, so
+// drifting delays lie in [d-u-A/2, d+A/2].
 //
 // Faulty nodes may send point-to-point on individual out-edges at arbitrary
 // times (§2: edge faults are mapped to node faults), so send() is per-edge;
@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -60,10 +59,17 @@ class PulseSink {
   virtual void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) = 0;
 };
 
+/// Corollary 1.5's slow delay drift (registry/delay.hpp): amplitude A and
+/// period. A = 0, the default, means static delays.
+struct DelayDrift {
+  double amplitude = 0.0;
+  double period = 0.0;
+};
+
 class Network final : public TimerTarget {
  public:
   /// The one-shard network: `sim` is shard 0's queue.
-  explicit Network(Simulator& sim);
+  explicit Network(Simulator& sim, DelayDrift drift = {});
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -91,24 +97,24 @@ class Network final : public TimerTarget {
     return {out_ids_.data() + out_off_[node], out_off_[node + 1] - out_off_[node]};
   }
 
-  /// Sends a pulse on one edge; delivery after the edge's (possibly
-  /// modulated) delay.
+  /// Sends a pulse on one edge; delivery after the edge's delay plus the
+  /// drift term at the send time.
   void send(EdgeId e, const Pulse& pulse);
 
-  /// Performs send(e, pulse) `extra >= 0` time from now (the edge delay and
-  /// modulation are sampled at that later send time). Used by fault
-  /// behaviours that delay or jitter individual out-edges.
+  /// Performs send(e, pulse) `extra >= 0` time from now (the drift is
+  /// sampled at that later send time). Used by fault behaviours that delay
+  /// or jitter individual out-edges.
   void send_after(EdgeId e, const Pulse& pulse, double extra);
 
   /// Sends on every out-edge of `from`. Batched delivery: when every
-  /// out-edge of the sender carries the same delay and no modulation is
-  /// installed, the broadcast schedules ONE queue event that fans out to all
-  /// same-shard sinks at fire time, instead of one event per edge, and
-  /// parks an envelope per cross-shard edge. Per-edge events would occupy
-  /// consecutive sequence numbers anyway (the send loop is atomic), so the
-  /// collapse preserves the global event order; only the events_executed /
-  /// delivery_events counters see it. Modulated, non-uniform and
-  /// single-out-edge broadcasts take the per-edge path.
+  /// out-edge of the sender carries the same delay, the broadcast schedules
+  /// ONE queue event that fans out to all same-shard sinks at fire time,
+  /// instead of one event per edge, and parks an envelope per cross-shard
+  /// edge. Per-edge events would occupy consecutive sequence numbers anyway
+  /// (the send loop is atomic), so the collapse preserves the global event
+  /// order; only the events_executed / delivery_events counters see it.
+  /// Non-uniform and single-out-edge broadcasts take the per-edge path, and
+  /// so does every broadcast under drift (no two edges drift alike).
   void broadcast(NetNodeId from, const Pulse& pulse);
 
   /// Delivers a pulse directly to `to` at absolute time `t` with a synthetic
@@ -117,20 +123,11 @@ class Network final : public TimerTarget {
   /// messages) through it; legal only while no worker threads run.
   void inject(NetNodeId from, NetNodeId to, const Pulse& pulse, SimTime t);
 
-  /// Optional slow delay modulation: extra(e, send_time) is added to the
-  /// static delay. The installer is responsible for keeping the total within
-  /// the model bounds. Installing a modulation disables batched broadcast
-  /// delivery (delays become per-edge again). Unavailable on more than one
-  /// shard: the conservative lookahead is the minimum STATIC cross-shard
-  /// delay, and a modulation could shrink a delay below it mid-run.
-  using DelayModulation = std::function<double(EdgeId, SimTime)>;
-  void set_delay_modulation(DelayModulation fn);
-
   // Counter accessors sum the per-shard cells; call them only outside a
   // sharded run, i.e. with no worker threads live.
-  std::uint64_t messages_sent() const noexcept { return sum_counters(&ShardCounters::sent); }
+  std::uint64_t messages_sent() const noexcept { return sum_counters(&ShardCell::sent); }
   std::uint64_t messages_delivered() const noexcept {
-    return sum_counters(&ShardCounters::delivered);
+    return sum_counters(&ShardCell::delivered);
   }
 
   /// Cross-shard mailbox traffic (telemetry summary; both 0 on one
@@ -138,17 +135,17 @@ class Network final : public TimerTarget {
   /// drained counts live in the per-shard counter cells.
   std::uint64_t envelopes_published() const noexcept { return envelopes_published_; }
   std::uint64_t envelopes_drained() const noexcept {
-    return sum_counters(&ShardCounters::envelopes_drained);
+    return sum_counters(&ShardCell::envelopes_drained);
   }
   std::uint64_t shard_envelopes_drained(std::uint32_t shard) const {
-    return shard_counters_.at(shard).envelopes_drained;
+    return shards_.at(shard).envelopes_drained;
   }
 
   /// Queue events spent performing deliveries (one per per-edge message,
   /// one per batched broadcast); ExperimentCounters::logical_events
   /// subtracts them out.
   std::uint64_t delivery_events() const noexcept {
-    return sum_counters(&ShardCounters::delivery_events);
+    return sum_counters(&ShardCell::delivery_events);
   }
 
   // --- shards (runner/shard_driver.cpp drives more than one) -----------------
@@ -171,13 +168,14 @@ class Network final : public TimerTarget {
   void configure_shards(std::vector<Simulator*> sims,
                         const std::vector<std::uint32_t>& node_shard);
 
-  std::uint32_t shard_count() const noexcept { return shard_count_; }
+  std::uint32_t shard_count() const noexcept { return static_cast<std::uint32_t>(shards_.size()); }
   std::uint32_t shard_of(NetNodeId node) const { return nodes_.at(node).shard; }
 
   /// Minimum static delay over edges whose endpoints live in different
-  /// shards -- the conservative lookahead L: a message sent at time t
-  /// cannot arrive in another shard before t + L. kTimeInfinity when no
-  /// edge crosses a shard boundary (shards are then fully independent).
+  /// shards, less the drift's A/2 -- the conservative lookahead L: a message
+  /// sent at time t cannot arrive in another shard before t + L.
+  /// kTimeInfinity when no edge crosses a shard boundary (shards are then
+  /// fully independent).
   SimTime cross_shard_lookahead() const noexcept { return lookahead_; }
 
   /// Earliest arrival time over every parked envelope (published or not),
@@ -205,9 +203,8 @@ class Network final : public TimerTarget {
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp): the per-shard message
   /// counters plus every parked mailbox envelope (written and published).
-  /// Topology, delays and shard wiring are construction state; delay
-  /// modulations are not snapshotted (the campaign path never installs
-  /// one). Must be called at a window barrier (no worker threads live).
+  /// Topology, delays, drift and shard wiring are construction state. Must
+  /// be called at a window barrier (no worker threads live).
   void checkpoint(CkptIo& io);
 
  private:
@@ -215,7 +212,7 @@ class Network final : public TimerTarget {
   ///   kDeliver:        a=from, b=edge, c=to, i=pulse stamp
   ///   kDeferredSend:   b=edge, i=pulse stamp
   ///   kBatchDeliver:   a=from, i=pulse stamp (fans out over out_edges(from))
-  ///   kFlushArrivals:  a=defer cell index (the executing shard)
+  ///   kFlushArrivals:  a=the executing shard
   enum TimerKind : std::uint32_t {
     kDeliver = 1,
     kDeferredSend = 2,
@@ -229,20 +226,6 @@ class Network final : public TimerTarget {
     double delay;
   };
 
-  /// Per-shard message counters on private cache lines: each cell is only
-  /// ever written by its own worker thread (sent by the sending shard,
-  /// delivered/delivery_events by the receiving one) and summed serially.
-  struct alignas(64) ShardCounters {
-    std::uint64_t sent = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t delivery_events = 0;
-    /// Envelopes this shard drained into its queue (written only by the
-    /// owning worker in drain_mailbox); telemetry summary data.
-    std::uint64_t envelopes_drained = 0;
-  };
-
-  std::uint64_t sum_counters(std::uint64_t ShardCounters::*counter) const noexcept;
-
   /// A sink call captured while other events still share its instant;
   /// flushed by kFlushArrivals in (to, from, edge, stamp) order.
   struct DeferredArrival {
@@ -252,32 +235,45 @@ class Network final : public TimerTarget {
     std::int64_t stamp;
   };
 
-  /// Per-shard canonical-arrival cell (single-writer: the owning worker).
-  /// `active` means a kFlushArrivals event for `time` is pending in the
-  /// shard's queue; such an event never survives past its instant, so none
-  /// is ever pending at a window barrier or checkpoint.
-  struct alignas(64) DeferCell {
-    bool active = false;
-    SimTime time = 0.0;
-    std::vector<DeferredArrival> buf;
+  /// Everything a delivery touches of one shard, on private cache lines:
+  /// its queue, its message counters, its canonical-arrival state and its
+  /// mailbox-drain scratch. Only the owning worker writes a cell (`sent`
+  /// counts on the sending shard, the deliveries on the receiving one);
+  /// the counters are summed serially.
+  struct alignas(64) ShardCell {
+    Simulator* sim = nullptr;  // non-owning; shard 0's is the constructor's
+    std::uint64_t sent = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t delivery_events = 0;
+    /// Envelopes this shard drained into its queue; telemetry summary data.
+    std::uint64_t envelopes_drained = 0;
+    /// A kFlushArrivals event for `defer_time` is pending in the shard's
+    /// queue. It never survives past its instant, so none is ever pending
+    /// at a window barrier or checkpoint.
+    bool defer_active = false;
+    SimTime defer_time = 0.0;
+    std::vector<DeferredArrival> deferred;
+    std::vector<ShardEnvelope> drain_scratch;
   };
 
+  std::uint64_t sum_counters(std::uint64_t ShardCell::*counter) const noexcept;
+
   /// Calls the receiver's sink (and counts the delivery) immediately when
-  /// this delivery is alone at its instant, else defers it into the shard's
-  /// DeferCell for the canonical flush.
-  void sink_or_defer(Simulator& sim, std::uint32_t cell, NetNodeId from, EdgeId edge,
+  /// this delivery is alone at its instant, else defers it into the
+  /// shard's cell for the canonical flush.
+  void sink_or_defer(ShardCell& cell, std::uint32_t shard, NetNodeId from, EdgeId edge,
                      NetNodeId to, std::int64_t stamp, SimTime t);
-  /// Counts the delivery in shard `cell` (the receiver's) and calls its sink.
-  void sink_pulse(std::uint32_t cell, NetNodeId from, EdgeId edge, NetNodeId to,
+  /// Counts the delivery in `cell` (the receiver's shard) and calls its sink.
+  void sink_pulse(ShardCell& cell, NetNodeId from, EdgeId edge, NetNodeId to,
                   std::int64_t stamp, SimTime t);
+  /// send() for a known-valid edge id. Declared inline so that
+  /// broadcast()'s per-edge loop pays no call per edge.
+  inline void route(EdgeId e, std::int64_t stamp);
   void recompute_lookahead();
   /// Rebuilds the out-edge CSR arrays and the per-sender uniform delays.
   void rebuild_adjacency() const;
-  /// Sizes every per-shard cell for `shards` shards.
-  void size_shard_cells(std::uint32_t shards);
-  Simulator& sim_of(NetNodeId node) { return *shard_sims_[nodes_[node].shard]; }
   std::vector<ShardEnvelope>& mailbox(std::uint32_t src, std::uint32_t dst) {
-    return mail_[static_cast<std::size_t>(src) * shard_count_ + dst];
+    return mail_[static_cast<std::size_t>(src) * shards_.size() + dst];
   }
 
   /// Per node: its sink (non-owning) and the shard that owns it, 0 until
@@ -297,30 +293,26 @@ class Network final : public TimerTarget {
   mutable std::vector<std::uint32_t> out_off_;
   mutable std::vector<EdgeId> out_ids_;
   /// Per node: the shared delay of all its out-edges, or NaN once any two
-  /// out-edge delays differ (or it has none). Rebuilt with the CSR arrays;
-  /// the batched broadcast keys off it.
+  /// out-edge delays differ (or it has none, or the delays drift). Rebuilt
+  /// with the CSR arrays; the batched broadcast keys off it.
   mutable std::vector<double> uniform_out_delay_;
   mutable bool adjacency_stale_ = false;
-  DelayModulation modulation_;
+  DelayDrift drift_;
   /// Written only inside publish_mailboxes (serial barrier completion).
   std::uint64_t envelopes_published_ = 0;
 
-  // Shard wiring: one entry per shard, sized for one shard at construction
-  // and for every shard by configure_shards.
-  std::uint32_t shard_count_ = 1;
-  std::vector<Simulator*> shard_sims_;  // non-owning; [0] is the constructor's
+  /// Shard wiring, one shard at construction and every shard after
+  /// configure_shards.
+  std::vector<ShardCell> shards_;
   SimTime lookahead_ = kTimeInfinity;
-  /// Mailbox matrix, cell [src * shard_count_ + dst]: written only by shard
+  /// Mailbox matrix, cell [src * shard_count() + dst]: written only by shard
   /// src's worker during windows. The barrier completion moves full cells
   /// into pending_ (publish_mailboxes), and shard dst's worker drains the
   /// pending_ cells addressed to it at the next window start -- so senders
   /// and receivers never touch the same vector concurrently, no locks
   /// needed.
   std::vector<std::vector<ShardEnvelope>> mail_;
-  std::vector<std::vector<ShardEnvelope>> pending_;        // published at barriers
-  std::vector<std::vector<ShardEnvelope>> drain_scratch_;  // per-dst reuse
-  std::vector<ShardCounters> shard_counters_;
-  std::vector<DeferCell> defer_;
+  std::vector<std::vector<ShardEnvelope>> pending_;  // published at barriers
 };
 
 }  // namespace gtrix

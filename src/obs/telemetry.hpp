@@ -182,7 +182,6 @@ class Telemetry {
   };
 
   Lane& lane(std::uint32_t i) { return lanes_[i]; }
-  std::uint32_t lane_count() const { return static_cast<std::uint32_t>(lanes_.size()); }
 
   /// Adds lane data into `out` (kShardWindows, window_events, per-shard
   /// busy/barrier seconds). `out.shards` is resized to cover every lane.

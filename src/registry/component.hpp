@@ -14,6 +14,7 @@
 // enumerate what exists without touching C++.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -54,6 +55,9 @@ struct ParamInfo {
   ParamType type = ParamType::kDouble;
   Json default_value;
   std::string description;
+  /// Smallest accepted value of a numeric parameter, checked wherever a
+  /// value is parsed, so an out-of-range one fails at load with its path.
+  double min = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace gtrix

@@ -6,9 +6,14 @@ namespace {
 
 class UniformRandomDelay final : public DelayProvider {
  public:
+  explicit UniformRandomDelay(double drift_amplitude) : drift_amplitude_(drift_amplitude) {}
   double sample(const DelayContext& ctx, Rng& rng) const override {
     return rng.uniform(ctx.d - ctx.u, ctx.d);
   }
+  double drift_amplitude() const override { return drift_amplitude_; }
+
+ private:
+  double drift_amplitude_;
 };
 
 class AllMaxDelay final : public DelayProvider {
@@ -47,8 +52,15 @@ class OwnSlowCrossFastDelay final : public DelayProvider {
 };
 
 void register_builtins(ComponentRegistry<DelayProvider>& reg) {
-  reg.add("uniform-random", "i.i.d. uniform in [d-u, d] (default realistic model)", {},
-          [](const ComponentSpec&) { return std::make_shared<const UniformRandomDelay>(); });
+  reg.add("uniform-random", "i.i.d. uniform in [d-u, d] (default realistic model)",
+          {{"drift_amplitude", ParamType::kDouble, Json(0.0),
+            "Corollary 1.5 delay drift A: each send adds A/2 * sin(2 pi t / (30 Lambda) + "
+            "0.7 e); needs A/2 < d - u",
+            0.0}},
+          [](const ComponentSpec& spec) {
+            return std::make_shared<const UniformRandomDelay>(
+                spec.params.at("drift_amplitude").as_double());
+          });
   reg.add("all-max", "every edge at d", {},
           [](const ComponentSpec&) { return std::make_shared<const AllMaxDelay>(); });
   reg.add("all-min", "every edge at d-u", {},
@@ -56,11 +68,10 @@ void register_builtins(ComponentRegistry<DelayProvider>& reg) {
   reg.add("column-split",
           "edges leaving columns < split_column get d-u, others d (Fig. 1 adversary)",
           {{"split_column", ParamType::kInt, Json(0),
-            "first column whose outgoing edges run at the maximum delay"}},
+            "first column whose outgoing edges run at the maximum delay", 0}},
           [](const ComponentSpec& spec) {
-            const std::int64_t split = spec.params.at("split_column").as_int();
-            if (split < 0) throw JsonError("column-split: split_column must be >= 0");
-            return std::make_shared<const ColumnSplitDelay>(static_cast<std::uint32_t>(split));
+            return std::make_shared<const ColumnSplitDelay>(
+                static_cast<std::uint32_t>(spec.params.at("split_column").as_int()));
           });
   reg.add("alternating", "d / d-u alternating by destination-column parity", {},
           [](const ComponentSpec&) { return std::make_shared<const AlternatingDelay>(); });

@@ -60,6 +60,12 @@ Json checked_param(const ParamInfo& info, const Json& value, const std::string& 
     throw JsonError("parameter '" + info.name + "' of " + dimension + " '" + kind +
                     "': expected " + param_type_name(info.type) + ", got " + value.type_name());
   }
+  if (value.is_number() && value.as_double() < info.min) {
+    const Json min = info.type == ParamType::kInt ? Json(static_cast<std::int64_t>(info.min))
+                                                  : Json(info.min);
+    throw JsonError("parameter '" + info.name + "' of " + dimension + " '" + kind +
+                    "' must be >= " + min.dump() + ", got " + value.dump());
+  }
   // Normalize numbers to the declared type so the canonical form -- and the
   // JSONL bytes derived from it -- do not depend on how a value was spelled.
   switch (info.type) {

@@ -47,21 +47,22 @@ void register_builtins(ComponentRegistry<TopologyProvider>& reg) {
   reg.add("cycle", "cycle over `columns` nodes; `reach` widens adjacency to 2*reach",
           {{"reach", ParamType::kInt, Json(1),
             "hop distance considered adjacent (degree 2*reach); reach f tolerates f local "
-            "faults with the trimmed extension"}},
+            "faults with the trimmed extension",
+            1}},
           [](const ComponentSpec& spec) {
-            const std::int64_t reach = spec.params.at("reach").as_int();
-            if (reach < 1) throw JsonError("cycle: reach must be >= 1");
-            return std::make_shared<const CycleTopology>(static_cast<std::uint32_t>(reach));
+            return std::make_shared<const CycleTopology>(
+                static_cast<std::uint32_t>(spec.params.at("reach").as_int()));
           });
   reg.add("path", "bare path (min degree 1; layer-0-style tests only)", {},
           [](const ComponentSpec&) { return std::make_shared<const PathTopology>(); });
   reg.add("torus", "2D wraparound grid: `rows` rings of `columns` nodes (min degree 4)",
           {{"rows", ParamType::kInt, Json(3),
-            "ring count in the second dimension; every column holds `rows` nodes"}},
+            "ring count in the second dimension (>= 3 for the wraparound); every column "
+            "holds `rows` nodes",
+            3}},
           [](const ComponentSpec& spec) {
-            const std::int64_t rows = spec.params.at("rows").as_int();
-            if (rows < 3) throw JsonError("torus: rows must be >= 3 (wraparound)");
-            return std::make_shared<const TorusTopology>(static_cast<std::uint32_t>(rows));
+            return std::make_shared<const TorusTopology>(
+                static_cast<std::uint32_t>(spec.params.at("rows").as_int()));
           });
 }
 

@@ -40,12 +40,16 @@ World::World(ExperimentConfig config, EngineOptions engine)
       shard_count_(std::min(std::max<std::uint32_t>(1, engine_.shards),
                             grid_.base().column_count())),
       sims_(shard_count_),
-      net_(sims_[0]),
+      net_(sims_[0], DelayDrift{delay_provider_->drift_amplitude(),
+                                kDriftPeriodWaves * config_.params.lambda}),
       arenas_(shard_count_) {
   GTRIX_CHECK_MSG(config_.layers >= 2, "need at least layer 0 and one algorithm layer");
   GTRIX_CHECK_MSG(config_.pulses >= 1, "need at least one pulse");
   GTRIX_CHECK_MSG(config_.params.u >= 0.0 && config_.params.u < config_.params.d,
                   "require 0 <= u < d");
+  // Backstop for the scenario layer's check: drifting delays stay positive.
+  GTRIX_CHECK_MSG(delay_provider_->drift_amplitude() / 2.0 < config_.params.d - config_.params.u,
+                  "require drift_amplitude / 2 < d - u");
   // Node-count overflow is checked in the Grid constructor (before any
   // allocation) and, with path context, in the scenario layer.
 

@@ -251,9 +251,6 @@ class World {
   /// docs/scaling.md "Realignment at scale"). Un-anchored streaming has no
   /// per-wave trace to realign (logic_error).
   RealignStats realign_labels();
-  /// Stats of the last realign_labels() call (zeroes before any call);
-  /// exported as the engine-invariant realign_shifted_nodes counter.
-  const RealignStats& last_realign() const noexcept { return last_realign_; }
 
   ExperimentCounters counters() const;
 
@@ -372,6 +369,8 @@ class World {
   TraceCollector* trace_ = nullptr;  // non-owning
   std::uint32_t trace_pid_ = 0;
   double run_wall_seconds_ = 0.0;
+  /// The last realign_labels() call's stats (zeroes before any call),
+  /// exported as the engine-invariant realign_shifted_nodes counter.
   RealignStats last_realign_;
 
   NetNodeId source_id_ = 0;  // line mode only

@@ -3,7 +3,8 @@
 //
 // The synchronization scheme is the classic conservative-lookahead argument
 // (PALS / TRIX, PAPERS.md): let L = Network::cross_shard_lookahead(), the
-// minimum static delay over shard-crossing edges. A message sent at time t
+// minimum static delay over shard-crossing edges less the delay drift's
+// A/2 (the most a drift can shorten a delay). A message sent at time t
 // reaches another shard no earlier than t + L, so if gmin is the global
 // minimum pending timestamp (queues AND parked mailbox envelopes), every
 // shard may execute all its events in the window [gmin, gmin + L) without

@@ -435,7 +435,16 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
     throw JsonError(context + ": " + e.what());
   }
   at_path(context, [&] { clock_model_registry().create(components.clock); });
-  at_path(context, [&] { delay_registry().create(components.delay); });
+  const double drift =
+      at_path(context, [&] { return delay_registry().create(components.delay); })
+          ->drift_amplitude();
+  // Keeps every drifting delay, and the sharded lookahead, above 0.
+  if (!(drift / 2.0 < c.params.d - c.params.u)) {
+    throw JsonError(context + ": delay_model.drift_amplitude " + Json(drift).dump() +
+                    " must be < 2 (params.d - params.u) = " +
+                    Json(2.0 * (c.params.d - c.params.u)).dump() +
+                    " (drifting delays lie in [d - u - A/2, d + A/2])");
+  }
   at_path(context, [&] { (void)resolve_recording(components.recording); });
   const auto algorithm = at_path(context, [&] {
     return algorithm_registry().create(components.algorithm);

@@ -75,7 +75,6 @@ class alignas(64) Simulator {
   }
 
   std::uint64_t executed_events() const noexcept { return queue_.executed_count(); }
-  std::size_t pending_events() const noexcept { return queue_.pending_count(); }
   bool idle() const noexcept { return queue_.empty(); }
 
   /// Read-only queue access for telemetry harvesting (scheduled / cancelled

@@ -28,8 +28,6 @@ class Table {
   /// Renders as comma-separated values (no alignment), for machine use.
   std::string render_csv() const;
 
-  std::size_t row_count() const noexcept { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -27,6 +27,7 @@ SCENARIOS = (
     "thm13-random-faults",
     "thm16-stabilization",
     "fig5-jump-ablation",
+    "cor15-slow-dynamics",
 )
 
 # Host layout and wall clock: documented as non-portable, never compared.

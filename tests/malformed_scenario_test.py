@@ -99,6 +99,16 @@ CASES = {
     "fault-layer-outside": (
         scenario({"faults": [{"base": 2, "layer": 100, "kind": "crash"}]}),
         "(kind 'crash' at base=2, layer=100): outside the grid"),
+    # A negative drift breaks a component parameter's minimum (load); a
+    # drift whose half-amplitude reaches the delay floor d - u would make
+    # delays, and the sharded lookahead, non-positive (expansion).
+    "drift-negative": (
+        scenario({"delay_model": {"kind": "uniform-random", "drift_amplitude": -1}}),
+        "$.config.delay_model: parameter 'drift_amplitude' of delay model "
+        "'uniform-random' must be >= 0.0, got -1"),
+    "drift-over-delay-floor": (
+        scenario({"delay_model": {"kind": "uniform-random", "drift_amplitude": 1980}}),
+        "cell 'base': delay_model.drift_amplitude 1980.0 must be < 2 (params.d - params.u)"),
     # The grid keeps one behaviour per node; the crash used to be dropped.
     "two-faults-one-node": (
         scenario({"faults": [{"base": 2, "layer": 3, "kind": "crash"},

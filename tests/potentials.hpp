@@ -1,16 +1,28 @@
-#include "metrics/potentials.hpp"
+// The analysis potentials of Definition 4.1, a test oracle:
+//
+//   psi^s_{v,w}(l) = t_{v,l} - t_{w,l} - 4 s kappa d(v,w),   Psi^s(l) = max_{v,w} psi
+//   xi^s_{v,w}(l)  = t_{v,l} - t_{w,l} - (4s-2) kappa d(v,w), Xi^s(l) = max_{v,w} xi
+//
+// Observation 4.2 converts Psi^s bounds into local skew bounds:
+// Psi^s(l) <= P  implies  L_l <= P + 4 s kappa.
+#pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
+
+#include "core/params.hpp"
+#include "metrics/skew.hpp"
 
 namespace gtrix {
 
-namespace {
+namespace potentials_detail {
 
 /// Shared max over ordered pairs of t_v - t_w - weight * d(v, w).
-double pair_potential(const GridTrace& trace, std::uint32_t layer, Sigma sigma,
-                      double weight) {
+inline double pair_potential(const GridTrace& trace, std::uint32_t layer, Sigma sigma,
+                             double weight) {
   const Grid& grid = *trace.grid;
   const BaseGraph& base = grid.base();
 
@@ -40,20 +52,24 @@ double pair_potential(const GridTrace& trace, std::uint32_t layer, Sigma sigma,
   return best;
 }
 
-}  // namespace
+}  // namespace potentials_detail
 
-double psi_s(const GridTrace& trace, const Params& params, std::uint32_t layer,
-             Sigma sigma, std::uint32_t s) {
-  return pair_potential(trace, layer, sigma, 4.0 * s * params.kappa());
+/// Psi^s(l) for wave sigma; NaN if fewer than two correct pulses exist.
+inline double psi_s(const GridTrace& trace, const Params& params, std::uint32_t layer,
+                    Sigma sigma, std::uint32_t s) {
+  return potentials_detail::pair_potential(trace, layer, sigma, 4.0 * s * params.kappa());
 }
 
-double xi_s(const GridTrace& trace, const Params& params, std::uint32_t layer,
-            Sigma sigma, std::uint32_t s) {
-  return pair_potential(trace, layer, sigma, (4.0 * s - 2.0) * params.kappa());
+/// Xi^s(l) for wave sigma.
+inline double xi_s(const GridTrace& trace, const Params& params, std::uint32_t layer,
+                   Sigma sigma, std::uint32_t s) {
+  return potentials_detail::pair_potential(trace, layer, sigma,
+                                           (4.0 * s - 2.0) * params.kappa());
 }
 
-std::vector<double> psi_profile(const GridTrace& trace, const Params& params,
-                                std::uint32_t s, Sigma lo, Sigma hi) {
+/// Max over sigma in [lo, hi] of Psi^s per layer.
+inline std::vector<double> psi_profile(const GridTrace& trace, const Params& params,
+                                       std::uint32_t s, Sigma lo, Sigma hi) {
   std::vector<double> out(trace.grid->layers(), std::numeric_limits<double>::quiet_NaN());
   for (std::uint32_t layer = 0; layer < trace.grid->layers(); ++layer) {
     double worst = std::numeric_limits<double>::quiet_NaN();

@@ -141,6 +141,8 @@ TEST(Ckpt, RestoreContinuesBitIdenticallyUnderStreamingRecording) {
 // two baseline algorithms, line-propagation layer 0, the fixed-period rogue
 // and crash sink, and the jitter / mute-after fault runtimes (mute-after
 // still counting when the snapshot is taken, silent after the resume).
+// Plus delay drift, which is config, not state: a restored World must
+// rebuild it from the config alone.
 TEST(Ckpt, EveryNodeAndFaultCodecRoundTripsAcrossShards) {
   const struct {
     const char* what;
@@ -155,6 +157,7 @@ TEST(Ckpt, EveryNodeAndFaultCodecRoundTripsAcrossShards) {
       {"jitter", R"({"faults": [{"base": 2, "layer": 3, "kind": "jitter", "alpha": 60.0}]})"},
       {"mute-after", R"({"faults": [{"base": 3, "layer": 2, "kind": "mute-after",
                                      "after": 6}]})"},
+      {"delay-drift", R"({"delay_model": {"kind": "uniform-random", "drift_amplitude": 10.0}})"},
   };
   for (const auto& c : cases) {
     Json j = Json::parse(c.json);

@@ -84,19 +84,15 @@ TEST(InterLayer, JitterFaultBreaksExactRepetition) {
 
 TEST(InterLayer, SlowDelayDriftAddsProportionalSkew) {
   // Corollary 1.5 (ii): drifting link delays by delta shifts skews by at
-  // most ~delta. Modulate delays sinusoidally with a tiny amplitude.
+  // most ~delta. Drift delays sinusoidally with a tiny amplitude.
   ExperimentConfig config;
   config.columns = 8;
   config.layers = 10;
   config.pulses = 24;
   config.seed = 4;
-  World world(config);
   const double amplitude = 2.0;  // absolute delay drift (<< u)
-  const double period = 40.0 * config.params.lambda;
-  world.network().set_delay_modulation([amplitude, period](EdgeId e, SimTime t) {
-    const double phase = 2.0 * 3.14159265358979 * (t / period);
-    return amplitude * 0.5 * (1.0 + std::sin(phase + 0.1 * e)) - amplitude * 0.5;
-  });
+  config.delay_spec.params.set("drift_amplitude", amplitude);
+  World world(config);
   world.run_to_completion();
   const auto report = world.skew();
   ASSERT_GT(report.pairs_checked, 0u);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <deque>
+#include <numbers>
 #include <ostream>
 #include <vector>
 
@@ -136,21 +138,40 @@ TEST(Network, EdgeAccessors) {
   EXPECT_TRUE(net.out_edges(b).empty());
 }
 
-TEST(Network, DelayModulationApplies) {
+TEST(Network, DelayDriftApplies) {
+  // A = 4, period 200: a send on edge e at time t takes the static delay
+  // plus 2 sin(2 pi t / 200 + 0.7 e).
+  const DelayDrift drift{.amplitude = 4.0, .period = 200.0};
+  const auto drifted = [&](double delay, SimTime t, EdgeId e) {
+    return t + delay + 0.5 * drift.amplitude *
+                           std::sin(2.0 * std::numbers::pi * t / drift.period + 0.7 * e);
+  };
   Simulator sim;
-  Network net(sim);
-  RecordingSink sink;
+  Network net(sim, drift);
+  RecordingSink sink, s1, s2, s3;
   const NetNodeId a = net.add_node(nullptr);
   const NetNodeId b = net.add_node(&sink);
   const EdgeId e = net.add_edge(a, b, 10.0);
-  net.set_delay_modulation([](EdgeId, SimTime t) { return t >= 50.0 ? 5.0 : 0.0; });
+  const NetNodeId src = net.add_node(nullptr);
+  const EdgeId first = net.add_edge(src, net.add_node(&s1), 20.0);
+  net.add_edge(src, net.add_node(&s2), 20.0);
+  net.add_edge(src, net.add_node(&s3), 20.0);
   SendAt sender(net);
-  sender.send(sim, 0.0, e, 1);
-  sender.send(sim, 100.0, e, 2);
+  sender.send(sim, 30.0, e, 1);   // sin(0.3 pi) > 0: later than static
+  sender.send(sim, 110.0, e, 2);  // sin(1.1 pi) < 0: earlier than static
+  sender.broadcast(sim, 50.0, src, 3);
   sim.run_all();
   ASSERT_EQ(sink.received.size(), 2u);
-  EXPECT_DOUBLE_EQ(sink.received[0].at, 10.0);
-  EXPECT_DOUBLE_EQ(sink.received[1].at, 115.0);
+  EXPECT_DOUBLE_EQ(sink.received[0].at, drifted(10.0, 30.0, e));
+  EXPECT_DOUBLE_EQ(sink.received[1].at, drifted(10.0, 110.0, e));
+  EXPECT_GT(sink.received[0].at, 40.0);
+  EXPECT_LT(sink.received[1].at, 120.0);
+  // Equal static delays, yet each edge drifts on its own: the broadcast
+  // takes the per-edge path, one delivery event per out-edge.
+  ASSERT_EQ(s3.received.size(), 1u);
+  EXPECT_DOUBLE_EQ(s1.received.at(0).at, drifted(20.0, 50.0, first));
+  EXPECT_DOUBLE_EQ(s3.received[0].at, drifted(20.0, 50.0, first + 2));
+  EXPECT_EQ(net.delivery_events(), 2u + 3u);
 }
 
 TEST(Network, SendAfterDefersTheSend) {

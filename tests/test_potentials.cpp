@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "metrics/potentials.hpp"
+#include "potentials.hpp"
 #include "runner/experiment.hpp"
 
 namespace gtrix {

@@ -5,6 +5,7 @@
 // campaign JSONL must not depend on the (threads, shards) combination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,6 +126,31 @@ TEST(Sharded, AllBuiltinScenariosIdenticalAcrossShardCounts) {
       }
     }
   }
+}
+
+TEST(Sharded, DriftShortensTheLookaheadByHalfItsAmplitude) {
+  ExperimentConfig config;
+  config.columns = 8;
+  config.layers = 6;
+  config.pulses = 8;
+  config.delay_spec.params.set("drift_amplitude", 10.0);
+  EngineOptions engine;
+  engine.shards = 2;
+  World world(config, engine);
+  const Network& net = world.network();
+  SimTime min_cross = kTimeInfinity;
+  for (EdgeId e = 0; e < net.edge_count(); ++e) {
+    if (world.shard_of(net.edge_from(e)) != world.shard_of(net.edge_to(e))) {
+      min_cross = std::min(min_cross, net.edge_delay(e));
+    }
+  }
+  ASSERT_LT(min_cross, kTimeInfinity);
+  EXPECT_EQ(net.cross_shard_lookahead(), min_cross - 5.0);
+  // The shortened windows keep the run identical to the serial engine's.
+  world.run_to_completion();
+  World serial(config);
+  serial.run_to_completion();
+  EXPECT_EQ(skew_to_json(world.skew()).dump(), skew_to_json(serial.skew()).dump());
 }
 
 TEST(Sharded, RepeatedShardedRunsAreDeterministic) {

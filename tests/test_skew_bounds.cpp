@@ -8,7 +8,7 @@
 #include <cmath>
 #include <ostream>
 
-#include "metrics/potentials.hpp"
+#include "potentials.hpp"
 #include "runner/campaign.hpp"
 
 namespace gtrix {
