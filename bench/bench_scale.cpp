@@ -67,11 +67,11 @@ namespace gtrix {
 namespace {
 
 /// Committed streaming-mode peak-RSS budgets, asserted by default at full
-/// scale, about 1.25x the measured peaks (docs/scaling.md): ~250 MB for
-/// scale-grid, ~830 MB for scale-torus and ~1.2 GB for
-/// scale-stabilization, whose corruption-anchored look-back box is the
-/// dominant retained state. Full-trace recording measures ~0.95 GB on
-/// scale-grid and ~2.5 GB on scale-stabilization, far over budget.
+/// scale (docs/scaling.md): 320 MB for scale-grid (~250 MB measured),
+/// 1040 MB for scale-torus (~830 MB) and 1520 MB for scale-stabilization
+/// (~1.1 GB: its corrupt cells keep their pulse trace, but no iteration
+/// records). Full-trace recording measures ~0.95 GB on scale-grid and
+/// ~2.5 GB on scale-stabilization, far over budget.
 long default_budget_mb(const std::string& scenario) {
   if (scenario == "scale-grid") return 320;
   if (scenario == "scale-torus") return 1040;
@@ -87,14 +87,7 @@ long default_budget_mb(const std::string& scenario) {
 Json run_mode(const ExperimentConfig& base_config, const CorruptPlan& corrupt,
               const std::string& mode, std::uint32_t shards) {
   ExperimentConfig config = base_config;
-  // Keep a scenario-declared window when overriding the mode kind: the
-  // corruption look-back is sized by the scenario, not by mode defaults.
-  ComponentSpec spec = ComponentSpec::of(mode);
-  if (mode != "full" && base_config.recording_spec.params.contains("window")) {
-    recording_registry().set_param(spec, "window",
-                                   base_config.recording_spec.params.at("window"));
-  }
-  config.recording_spec = recording_registry().canonicalize(spec);
+  config.recording_spec = recording_registry().canonicalize(ComponentSpec::of(mode));
 
   EngineOptions engine;
   engine.shards = shards;
@@ -388,16 +381,9 @@ int run(int argc, char** argv) {
   std::printf("%s", table.render().c_str());
 
   int failures = 0;
+  // A wave-ring overflow needs no gate here: the streaming report itself
+  // refuses to answer after one, which fails the run.
   if (streaming_result != nullptr) {
-    const std::uint64_t overflows = streaming_result->contains("window_overflows")
-                                        ? streaming_result->at("window_overflows").as_u64()
-                                        : 0;
-    if (overflows != 0) {
-      std::fprintf(stderr, "FAIL: streaming wave ring overflowed %llu times (extrema may "
-                           "under-report; raise recording.window)\n",
-                   static_cast<unsigned long long>(overflows));
-      ++failures;
-    }
     if (budget_mb > 0 && streaming_result->at("peak_rss_mb").as_double() >
                              static_cast<double>(budget_mb)) {
       std::fprintf(stderr, "FAIL: streaming peak RSS %.1f MB exceeds the %ld MB budget\n",
@@ -418,9 +404,9 @@ int run(int argc, char** argv) {
       }
     }
     if (corrupt.enabled) {
-      // Corrupt cells materialize exact quantiles from the retained window
-      // in every mode, and realignment + the recovery scan must replay
-      // identically from the corruption-anchored look-back.
+      // Corrupt cells materialize exact quantiles from the pulse trace in
+      // every mode, and realignment + the recovery scan must replay
+      // identically from it.
       for (const char* key : {"dev_mean", "dev_p99"}) {
         if (streaming_result->at("skew").at(key).dump() !=
             full_result->at("skew").at(key).dump()) {
@@ -448,13 +434,13 @@ int run(int argc, char** argv) {
     // Relative gate, meaningful on any hardware and under sanitizers (both
     // modes inflate together): if streaming's footprint creeps toward
     // full's, it has started retaining per-wave state it must not. Corrupt
-    // cells are exempt: the corruption-anchored look-back legitimately
-    // retains pulse times (the absolute streaming budget still gates), and
-    // full recording's margin there is the iteration log, which shrinks to
-    // noise on the --quick shape.
+    // cells are exempt: under streaming they keep their pulse trace (the
+    // absolute streaming budget still gates), and full recording's margin
+    // there is the iteration log, which shrinks to noise on the --quick
+    // shape.
     if (corrupt.enabled) {
-      std::printf("rss ratio: corrupt cell retains the anchored look-back under "
-                  "streaming; relative gate skipped (absolute budget still applies)\n");
+      std::printf("rss ratio: corrupt cell keeps its pulse trace under streaming; "
+                  "relative gate skipped (absolute budget still applies)\n");
     } else if (stream_rss > 0.9 * full_rss) {
       std::fprintf(stderr,
                    "FAIL: streaming peak RSS %.1f MB is not materially below full-trace "

@@ -47,7 +47,10 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // corruption plan), which a resume compares.
 // v6: the "net" section drops the serial engine's own message counters and
 // always carries the per-shard counter cells (one on the serial engine).
-inline constexpr std::uint32_t kCkptFormatVersion = 6;
+// v7: recorder node logs drop the v2 retention state (a corrupt streaming
+// cell keeps its whole pulse trace), the recorder its pinned-pulse counter,
+// and the "streaming" section its suppression counter.
+inline constexpr std::uint32_t kCkptFormatVersion = 7;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

@@ -230,12 +230,11 @@ void Network::checkpoint(CkptIo& io) {
 // --- Recorder ----------------------------------------------------------------
 
 void Recorder::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(Recorder, 136);
-  GTRIX_CKPT_FIELDS(NodeLog, 8);
+  GTRIX_CKPT_SIZEOF(Recorder, 96);
+  GTRIX_CKPT_FIELDS(NodeLog, 3);
   io.i64(min_sigma_);
   io.i64(max_sigma_);
-  io.u64(pulses_recorded_);
-  io.u64(pinned_pulses_);  // anchor/box bounds are config-derived, not state
+  io.u64(pulses_recorded_);  // mode and anchor are config-derived, not state
   io.same_count(metas_.size(), "recorder node");
   // Every registered node gets a log record. Without kept logs (un-anchored
   // streaming) each is an empty one, exactly as if the logs existed: saving
@@ -246,21 +245,15 @@ void Recorder::checkpoint(CkptIo& io) {
     io.i64(log.first_sigma);
     io.vec(log.times, 8, "pulse time", &CkptIo::f64);  // raw bits: NaN = missing survives
     io.vec(log.iterations, ckpt::kIterationBytes, "iteration record", ckpt::iteration);
-    // Corruption-anchored retention state (all empty under full recording).
-    io.vec(log.early, 8, "early wave", &CkptIo::i64);
-    io.i64(log.pin_first);
-    io.vec(log.pin_times, 8, "pinned pulse time", &CkptIo::f64);
-    io.i64(log.lost_lo);
-    io.i64(log.lost_hi);
   }
 }
 
 // --- StreamingSkew -----------------------------------------------------------
 
 void StreamingSkew::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(StreamingSkew, 496);
+  GTRIX_CKPT_SIZEOF(StreamingSkew, 472);
   GTRIX_CKPT_FIELDS(WaveExtrema, 3);
-  // Lane and ring sizes follow from the grid and ring configuration.
+  // Lane and ring sizes follow from the grid and the constant ring.
   io.each(held_sigma_, "held_sigma", &CkptIo::i64);
   io.each(held_time_, "held_time", &CkptIo::f64);
   io.each(recorded_, "recorded", &CkptIo::i64);
@@ -281,8 +274,7 @@ void StreamingSkew::checkpoint(CkptIo& io) {
   });
   io.u64(pairs_checked_);
   io.u64(window_overflows_);
-  io.u64(out_of_order_);
-  io.u64(suppressed_);  // the anchor itself is config-derived, not state
+  io.u64(out_of_order_);  // the anchor is config-derived, not state
   deviation_summary_.checkpoint(io);
   deviation_sketch_.checkpoint(io);
 }

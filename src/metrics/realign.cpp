@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "support/check.hpp"
@@ -14,14 +12,7 @@ namespace gtrix {
 namespace {
 
 /// Median of (t - sigma * lambda) over the node's last `tail` pulses;
-/// NaN with fewer than 3 pulses.
-///
-/// Memory-bounded recording: a wave the walk needs that was evicted
-/// UN-pinned (outside both the rolling window and the corruption box) is a
-/// hard error -- the walk would otherwise silently collect a different pulse
-/// set than full recording and realign to a different offset. A wave that
-/// was simply never recorded reads as missing in every mode and is skipped
-/// identically.
+/// NaN with fewer than 3 pulses. A wave the node never recorded is skipped.
 double tail_intercept(const Recorder& rec, RecNodeId node, double lambda,
                       std::size_t tail) {
   const Sigma last = rec.last_recorded(node);
@@ -29,18 +20,7 @@ double tail_intercept(const Recorder& rec, RecNodeId node, double lambda,
   std::vector<double> intercepts;
   for (Sigma s = last; intercepts.size() < tail; --s) {
     const auto t = rec.pulse_time(node, s);
-    if (t) {
-      intercepts.push_back(*t - static_cast<double>(s) * lambda);
-    } else if (!rec.covers(node, s, s)) {
-      const auto [llo, lhi] = rec.lost_range(node);
-      throw std::runtime_error(
-          "realign: node " + std::to_string(node) + " wave " + std::to_string(s) +
-          " was evicted outside the corruption box (recording mode " +
-          std::string(to_string(rec.mode())) + ", window " +
-          std::to_string(rec.options().window) + ", lost waves [" +
-          std::to_string(llo) + ", " + std::to_string(lhi) +
-          "]): raise recording.window so the look-back covers the recovery tail");
-    }
+    if (t) intercepts.push_back(*t - static_cast<double>(s) * lambda);
     if (s == rec.steady_from(node, 0)) break;  // reached the first pulse
   }
   if (intercepts.size() < 3) return std::numeric_limits<double>::quiet_NaN();

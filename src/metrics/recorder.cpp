@@ -16,11 +16,10 @@ std::string_view to_string(RecordingMode mode) {
   return "?";
 }
 
-void Recorder::configure(const RecordingOptions& options) {
+void Recorder::configure(RecordingMode mode) {
   GTRIX_CHECK_MSG(pulses_recorded_ == 0,
                   "recording mode must be configured before the first pulse");
-  GTRIX_CHECK_MSG(options.window >= 2, "recording window must be >= 2 waves");
-  options_ = options;
+  mode_ = mode;
   resize_logs();
 }
 
@@ -51,39 +50,21 @@ void Recorder::register_node(RecNodeId node, NodeMeta meta) {
   metas_[node] = meta;
 }
 
-void Recorder::set_corruption_anchor(Sigma wave) {
+void Recorder::set_corruption_anchor() {
   GTRIX_CHECK_MSG(pulses_recorded_ == 0,
                   "the corruption anchor must be set before the first pulse");
-  if (options_.mode == RecordingMode::kFull) return;  // whole trace retained anyway
-  anchor_ = wave;
-  box_lo_ = wave - options_.window;
-  box_hi_ = wave + options_.window;
+  if (mode_ == RecordingMode::kFull) return;  // whole trace retained anyway
+  anchored_ = true;
   resize_logs();  // anchored streaming keeps per-wave times
 }
 
-void Recorder::note_early(NodeLog& log, Sigma sigma) {
-  // Sorted set of the node's smallest distinct recorded waves, capped at
-  // kEarlyCap: a complete answer for steady_from(warmup) at any warmup the
-  // harness uses, kept O(1) per node while the rolling window forgets the
-  // run's beginning.
-  auto it = std::lower_bound(log.early.begin(), log.early.end(), sigma);
-  if (it != log.early.end() && *it == sigma) return;
-  if (log.early.size() < kEarlyCap) {
-    log.early.insert(it, sigma);
-  } else if (sigma < log.early.back()) {
-    log.early.pop_back();
-    log.early.insert(it, sigma);
+std::uint64_t Recorder::anchored_pulse_count() const {
+  if (!anchored_) return 0;
+  std::uint64_t retained = 0;
+  for (const NodeLog& log : logs_) {
+    for (const SimTime t : log.times) retained += std::isnan(t) ? 0 : 1;
   }
-}
-
-void Recorder::pin_pulse(NodeLog& log, Sigma sigma, SimTime t) {
-  if (log.pin_first == kInvalidSigma) {
-    log.pin_first = box_lo_;
-    log.pin_times.assign(static_cast<std::size_t>(box_hi_ - box_lo_ + 1),
-                         std::numeric_limits<double>::quiet_NaN());
-  }
-  log.pin_times[static_cast<std::size_t>(sigma - log.pin_first)] = t;
-  ++pinned_pulses_;
+  return retained;
 }
 
 void Recorder::record_pulse(RecNodeId node, Sigma sigma, SimTime t) {
@@ -92,16 +73,14 @@ void Recorder::record_pulse(RecNodeId node, Sigma sigma, SimTime t) {
   if (!keeps_logs()) {
     // No per-wave storage: the streaming accumulators above are the whole
     // metrics path. Global counters still track the run's envelope. (With a
-    // corruption anchor, streaming mode takes the rolling times path below
-    // instead: realignment and the post-recovery skew window need the
-    // retained waves.)
+    // corruption anchor, streaming mode takes the times path below instead:
+    // realignment and the post-recovery skew window read the pulse trace.)
     ++pulses_recorded_;
     if (min_sigma_ == kInvalidSigma || sigma < min_sigma_) min_sigma_ = sigma;
     if (max_sigma_ == kInvalidSigma || sigma > max_sigma_) max_sigma_ = sigma;
     return;
   }
   NodeLog& log = logs_[node];
-  if (options_.mode != RecordingMode::kFull) note_early(log, sigma);
   if (log.first_sigma == kInvalidSigma) {
     log.first_sigma = sigma;
   }
@@ -120,40 +99,11 @@ void Recorder::record_pulse(RecNodeId node, Sigma sigma, SimTime t) {
   ++pulses_recorded_;
   if (min_sigma_ == kInvalidSigma || sigma < min_sigma_) min_sigma_ = sigma;
   if (max_sigma_ == kInvalidSigma || sigma > max_sigma_) max_sigma_ = sigma;
-  if (options_.mode != RecordingMode::kFull) evict_window(log);
-}
-
-void Recorder::evict_window(NodeLog& log) {
-  // Keep the last `window` wave slots per node. Eviction is from the front
-  // (one slot per recorded pulse in steady state, so the erase is O(window)
-  // on a dense 8-byte array -- a small constant traded for the bounded
-  // footprint). Slots leaving the rolling window land in the pinned box if
-  // their wave is inside it; everything else evicted is recorded as LOST per
-  // node, so later queries can refuse (covers() == false) instead of
-  // silently diverging from full recording.
-  const auto window = static_cast<std::size_t>(options_.window);
-  if (log.times.size() <= window) return;
-  const auto drop = log.times.size() - window;
-  for (std::size_t i = 0; i < drop; ++i) {
-    const double t = log.times[i];
-    if (std::isnan(t)) continue;  // never recorded: full mode has no value either
-    const Sigma s = log.first_sigma + static_cast<Sigma>(i);
-    if (s >= box_lo_ && s <= box_hi_) {
-      pin_pulse(log, s, t);
-    } else if (log.lost_lo == kInvalidSigma) {
-      log.lost_lo = log.lost_hi = s;
-    } else {
-      log.lost_lo = std::min(log.lost_lo, s);
-      log.lost_hi = std::max(log.lost_hi, s);
-    }
-  }
-  log.times.erase(log.times.begin(), log.times.begin() + static_cast<std::ptrdiff_t>(drop));
-  log.first_sigma += static_cast<Sigma>(drop);
 }
 
 void Recorder::record_iteration(RecNodeId node, const IterationRecord& record) {
   GTRIX_CHECK_MSG(node < metas_.size(), "iteration from unregistered node");
-  if (options_.mode == RecordingMode::kStreaming) return;
+  if (mode_ == RecordingMode::kStreaming) return;
   logs_[node].iterations.push_back(record);
 }
 
@@ -163,15 +113,6 @@ std::optional<SimTime> Recorder::pulse_time(RecNodeId node, Sigma sigma) const {
   if (log.first_sigma != kInvalidSigma && sigma >= log.first_sigma) {
     const auto idx = static_cast<std::size_t>(sigma - log.first_sigma);
     if (idx < log.times.size() && !std::isnan(log.times[idx])) return log.times[idx];
-  }
-  // Pinned corruption box: slots the rolling window evicted but the anchor
-  // retained. The rolling value wins when both exist (it is the newer write,
-  // mirroring full recording's in-place overwrite).
-  if (log.pin_first != kInvalidSigma && sigma >= log.pin_first) {
-    const auto idx = static_cast<std::size_t>(sigma - log.pin_first);
-    if (idx < log.pin_times.size() && !std::isnan(log.pin_times[idx])) {
-      return log.pin_times[idx];
-    }
   }
   return std::nullopt;
 }
@@ -183,19 +124,6 @@ const std::vector<IterationRecord>& Recorder::iterations(RecNodeId node) const {
 Sigma Recorder::steady_from(RecNodeId node, Sigma warmup_pulses) const {
   if (node >= metas_.size()) return kInvalidSigma;
   const NodeLog& log = log_of(node);
-  if (options_.mode != RecordingMode::kFull) {
-    // The rolling window forgets the run's beginning, so the answer comes
-    // from the capped early-wave set, which is complete for any warmup the
-    // harness uses (GTRIX_CHECK below, never a wrong wave).
-    GTRIX_CHECK_MSG(warmup_pulses >= 0, "warmup must be non-negative");
-    if (static_cast<std::size_t>(warmup_pulses) < log.early.size()) {
-      return log.early[static_cast<std::size_t>(warmup_pulses)];
-    }
-    GTRIX_CHECK_MSG(log.early.size() < kEarlyCap,
-                    "steady_from warmup exceeds the recorder's early-wave capacity "
-                    "in a memory-bounded recording mode");
-    return kInvalidSigma;
-  }
   if (log.first_sigma == kInvalidSigma) return kInvalidSigma;
   Sigma skipped = 0;
   for (std::size_t i = 0; i < log.times.size(); ++i) {
@@ -212,16 +140,9 @@ void Recorder::shift_node_sigma(RecNodeId node, Sigma delta) {
   if (log.first_sigma == kInvalidSigma) return;
   log.first_sigma += delta;
   for (IterationRecord& it : log.iterations) it.sigma += delta;
-  if (log.pin_first != kInvalidSigma) log.pin_first += delta;
-  if (log.lost_lo != kInvalidSigma) {
-    log.lost_lo += delta;
-    log.lost_hi += delta;
-  }
-  for (Sigma& s : log.early) s += delta;
   if (min_sigma_ != kInvalidSigma) {
     // Conservative widening of the global range.
     min_sigma_ = std::min(min_sigma_, log.first_sigma);
-    if (log.pin_first != kInvalidSigma) min_sigma_ = std::min(min_sigma_, log.pin_first);
     max_sigma_ = std::max(max_sigma_, log.first_sigma +
                                           static_cast<Sigma>(log.times.size()) - 1);
   }
@@ -234,24 +155,7 @@ Sigma Recorder::last_recorded(RecNodeId node) const {
   for (std::size_t i = log.times.size(); i-- > 0;) {
     if (!std::isnan(log.times[i])) return log.first_sigma + static_cast<Sigma>(i);
   }
-  // Rolling window empty of data (possible only right after a backward
-  // prepend evicted everything): fall back to the pinned box.
-  for (std::size_t i = log.pin_times.size(); i-- > 0;) {
-    if (!std::isnan(log.pin_times[i])) return log.pin_first + static_cast<Sigma>(i);
-  }
   return kInvalidSigma;
-}
-
-bool Recorder::covers(RecNodeId node, Sigma lo, Sigma hi) const {
-  if (node >= logs_.size()) return true;
-  const NodeLog& log = logs_[node];
-  if (log.lost_lo == kInvalidSigma) return true;
-  return hi < log.lost_lo || lo > log.lost_hi;
-}
-
-std::pair<Sigma, Sigma> Recorder::lost_range(RecNodeId node) const {
-  const NodeLog& log = log_of(node);
-  return {log.lost_lo, log.lost_hi};
 }
 
 }  // namespace gtrix

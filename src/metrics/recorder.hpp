@@ -35,22 +35,11 @@ class CkptIo;
 ///                  memory. Skew extrema/means are bit-identical to full
 ///                  recording; quantiles come from a log-binned sketch
 ///                  with a guaranteed 1% relative error bound. A corrupt
-///                  cell's anchor adds the rolling last-`window` pulse
-///                  tail plus a pinned box around the corruption wave
-///                  (set_corruption_anchor). No iteration records.
+///                  cell (set_corruption_anchor) keeps every pulse time, as
+///                  full recording does, but no iteration records.
 enum class RecordingMode : std::uint8_t { kFull, kStreaming };
 
 std::string_view to_string(RecordingMode mode);
-
-struct RecordingOptions {
-  RecordingMode mode = RecordingMode::kFull;
-  /// The streaming accumulators' wave-ring capacity (they round it up to a
-  /// power of two), and on corrupt cells the rolling pulse tail per node and
-  /// the pin box half-width (used as given). Ignored in full mode.
-  std::int64_t window = 8;
-
-  bool operator==(const RecordingOptions&) const = default;
-};
 
 struct IterationRecord {
   Sigma sigma = 0;
@@ -89,9 +78,8 @@ class Recorder {
   /// Selects the recording mode; must be called before any node records
   /// (the trace would otherwise be part-full, part-streamed). Attaching a
   /// StreamingSkew sink forwards every pulse to it regardless of mode.
-  void configure(const RecordingOptions& options);
-  const RecordingOptions& options() const noexcept { return options_; }
-  RecordingMode mode() const noexcept { return options_.mode; }
+  void configure(RecordingMode mode);
+  RecordingMode mode() const noexcept { return mode_; }
   void set_stream(StreamingSkew* stream) noexcept { stream_ = stream; }
 
   /// Pre-sizes the node tables (avoids repeated growth when a World
@@ -111,33 +99,19 @@ class Recorder {
   virtual void record_pulse(RecNodeId node, Sigma sigma, SimTime t);
   virtual void record_iteration(RecNodeId node, const IterationRecord& record);
 
-  /// Corruption-anchored retention (streaming): switches streaming mode onto
-  /// a per-wave pulse-times path that keeps the rolling last-`window` waves
-  /// per node and pins every evicted pulse slot whose wave falls inside
-  /// [wave - window, wave + window], so post-run label realignment and
-  /// post-recovery skew windows work without the full trace (docs/scaling.md,
-  /// "Realignment at scale"). Must be called before the first pulse; a no-op
-  /// in full mode (the whole trace is retained anyway).
-  void set_corruption_anchor(Sigma wave);
-  bool corruption_anchored() const noexcept { return anchor_ != kInvalidSigma; }
-  Sigma corruption_anchor() const noexcept { return anchor_; }
+  /// Corruption anchor (streaming): switches streaming mode onto the full
+  /// pulse-times path, so post-run label realignment, the post-recovery
+  /// skew window and the recovery scan read the same pulse trace full
+  /// recording would (docs/scaling.md, "Realignment at scale"). Iteration
+  /// records stay unkept. Must be called before the first pulse; a no-op in
+  /// full mode (the whole trace is retained anyway).
+  void set_corruption_anchor();
+  bool corruption_anchored() const noexcept { return anchored_; }
 
-  /// True when no pulse slot of `node` in [lo, hi] was evicted un-pinned --
-  /// i.e. every read in that range returns exactly what full recording
-  /// would. Callers that need the guarantee (realignment, the post-recovery
-  /// skew window, the recovery scan) check this FIRST and fail with a
-  /// mode-qualified error rather than returning silently-wrong numbers.
-  bool covers(RecNodeId node, Sigma lo, Sigma hi) const;
-  /// The node's lost-pulse wave range (both kInvalidSigma if nothing lost);
-  /// for error messages.
-  std::pair<Sigma, Sigma> lost_range(RecNodeId node) const;
-
-  /// Pulses moved into corruption boxes across all nodes (telemetry).
-  std::uint64_t pinned_pulse_count() const noexcept { return pinned_pulses_; }
-
-  /// Capacity of the early-wave set behind steady_from under anchored
-  /// streaming; a larger warmup is a GTRIX_CHECK failure, not a wrong answer.
-  static constexpr std::size_t kEarlyCap = 16;
+  /// Pulses a corrupt streaming cell retains: the recorded slots of every
+  /// node log (telemetry; 0 under full recording and un-anchored
+  /// streaming). Counted from the logs on each call.
+  std::uint64_t anchored_pulse_count() const;
 
   /// Pulse time of `node` at wave `sigma`, if recorded.
   std::optional<SimTime> pulse_time(RecNodeId node, Sigma sigma) const;
@@ -179,42 +153,27 @@ class Recorder {
     Sigma first_sigma = kInvalidSigma;
     std::vector<SimTime> times;  ///< indexed sigma - first_sigma; NaN = missing
     std::vector<IterationRecord> iterations;  ///< full mode only
-
-    // Corruption-anchored retention state (empty in full mode):
-    std::vector<Sigma> early;  ///< smallest distinct recorded waves (<= kEarlyCap)
-    Sigma pin_first = kInvalidSigma;   ///< box lower bound once pin_times allocated
-    std::vector<SimTime> pin_times;    ///< pinned box slots, indexed sigma - pin_first
-    Sigma lost_lo = kInvalidSigma;     ///< evicted un-pinned pulse wave range
-    Sigma lost_hi = kInvalidSigma;
   };
 
   /// Per-node logs exist only while per-wave data can be stored: in full
   /// mode, and in streaming mode once a corruption anchor is set.
   /// Un-anchored streaming keeps none -- the accumulators are its whole
   /// metrics path -- and every query answers as for an empty log.
-  bool keeps_logs() const noexcept {
-    return options_.mode == RecordingMode::kFull || anchor_ != kInvalidSigma;
-  }
+  bool keeps_logs() const noexcept { return mode_ == RecordingMode::kFull || anchored_; }
   /// Sizes logs_ to the registered nodes, or frees it when none are kept.
   void resize_logs();
   /// The node's log, or an empty one when no logs are kept; throws
   /// std::out_of_range for an unregistered node.
   const NodeLog& log_of(RecNodeId node) const;
 
-  void evict_window(NodeLog& log);
-  void pin_pulse(NodeLog& log, Sigma sigma, SimTime t);
-  void note_early(NodeLog& log, Sigma sigma);
-
-  RecordingOptions options_;
+  RecordingMode mode_ = RecordingMode::kFull;
+  bool anchored_ = false;  ///< streaming keeps the pulse trace (corrupt cell)
   StreamingSkew* stream_ = nullptr;
   std::vector<NodeMeta> metas_;
   std::vector<NodeLog> logs_;
   Sigma min_sigma_ = kInvalidSigma;
   Sigma max_sigma_ = kInvalidSigma;
   std::uint64_t pulses_recorded_ = 0;
-  Sigma anchor_ = kInvalidSigma;  ///< corruption wave; kInvalidSigma = none
-  Sigma box_lo_ = 0, box_hi_ = 0;  ///< pin box [anchor - window, anchor + window]
-  std::uint64_t pinned_pulses_ = 0;
 };
 
 }  // namespace gtrix

@@ -1,8 +1,9 @@
 #include "metrics/streaming.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "support/check.hpp"
 
@@ -14,30 +15,24 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
-StreamingSkew::StreamingSkew(const Grid& grid, std::vector<bool> faulty, Config config)
-    : grid_(grid),
-      faulty_(std::move(faulty)),
-      warmup_(config.warmup),
-      deviation_sketch_(0.01) {
-  GTRIX_CHECK_MSG(config.ring_waves >= 2, "streaming wave ring must hold >= 2 waves");
+StreamingSkew::StreamingSkew(const Grid& grid, std::vector<bool> faulty, Sigma warmup)
+    : grid_(grid), faulty_(std::move(faulty)), warmup_(warmup), deviation_sketch_(0.01) {
   GTRIX_CHECK_MSG(faulty_.size() == grid_.node_count(),
                   "fault map size must match the grid");
-  ring_ = std::bit_ceil(static_cast<std::size_t>(config.ring_waves));
-  ring_mask_ = ring_ - 1;
 
   const std::size_t n = grid_.node_count();
   held_sigma_.assign(n, kNoSigma);
   held_time_.assign(n, 0.0);
   recorded_.assign(n, 0);
   held_steady_.assign(n, false);
-  ring_sigma_.assign(n * ring_, kNoSigma);
-  ring_time_.assign(n * ring_, 0.0);
+  ring_sigma_.assign(n * kRingWaves, kNoSigma);
+  ring_time_.assign(n * kRingWaves, 0.0);
 
   const std::uint32_t layers = grid_.layers();
   intra_by_layer_.assign(layers, 0.0);
   inter_by_layer_.assign(layers > 0 ? layers - 1 : 0, 0.0);
   spread_by_layer_.assign(layers, 0.0);
-  layer_ring_.assign(static_cast<std::size_t>(layers) * ring_, WaveExtrema{});
+  layer_ring_.assign(static_cast<std::size_t>(layers) * kRingWaves, WaveExtrema{});
 }
 
 void StreamingSkew::on_pulse(RecNodeId node, Sigma sigma, SimTime t) {
@@ -46,7 +41,6 @@ void StreamingSkew::on_pulse(RecNodeId node, Sigma sigma, SimTime t) {
   if (anchor_set_ && t >= anchor_time_) {
     // Corrupt cell: everything from the injection instant on is suspect;
     // the accumulators stay the clean pre-corruption epoch.
-    ++suppressed_;
     return;
   }
   const std::int64_t arrival = ++recorded_[node];
@@ -73,8 +67,8 @@ void StreamingSkew::on_pulse(RecNodeId node, Sigma sigma, SimTime t) {
 }
 
 double StreamingSkew::lookup(RecNodeId g, Sigma sigma) {
-  const std::size_t slot = static_cast<std::size_t>(g) * ring_ +
-                           (static_cast<std::size_t>(sigma) & ring_mask_);
+  const std::size_t slot = static_cast<std::size_t>(g) * kRingWaves +
+                           (static_cast<std::size_t>(sigma) & kRingMask);
   const Sigma have = ring_sigma_[slot];
   if (have == sigma) return ring_time_[slot];
   if (have != kNoSigma && have > sigma) {
@@ -94,9 +88,9 @@ void StreamingSkew::score(double deviation) {
 }
 
 void StreamingSkew::commit(RecNodeId g, Sigma sigma, SimTime t) {
-  const std::size_t wave_slot = static_cast<std::size_t>(sigma) & ring_mask_;
-  ring_sigma_[static_cast<std::size_t>(g) * ring_ + wave_slot] = sigma;
-  ring_time_[static_cast<std::size_t>(g) * ring_ + wave_slot] = t;
+  const std::size_t wave_slot = static_cast<std::size_t>(sigma) & kRingMask;
+  ring_sigma_[static_cast<std::size_t>(g) * kRingWaves + wave_slot] = sigma;
+  ring_time_[static_cast<std::size_t>(g) * kRingWaves + wave_slot] = t;
 
   const std::uint32_t bn = grid_.base().node_count();
   const std::uint32_t layer = g / bn;
@@ -105,7 +99,7 @@ void StreamingSkew::commit(RecNodeId g, Sigma sigma, SimTime t) {
   // Layer spread (global skew): running min/max per (layer, wave). Partial
   // spreads are always <= the wave's final spread, so the running max over
   // commits equals the post-hoc max over complete waves.
-  WaveExtrema& we = layer_ring_[static_cast<std::size_t>(layer) * ring_ + wave_slot];
+  WaveExtrema& we = layer_ring_[static_cast<std::size_t>(layer) * kRingWaves + wave_slot];
   bool spread_ok = true;
   if (we.sigma == sigma) {
     we.min = std::min(we.min, t);
@@ -163,6 +157,13 @@ void StreamingSkew::commit(RecNodeId g, Sigma sigma, SimTime t) {
 }
 
 SkewReport StreamingSkew::report(Sigma lo, Sigma hi) const {
+  if (window_overflows_ != 0) {
+    throw std::runtime_error(
+        "streaming skew: " + std::to_string(window_overflows_) +
+        " wave-ring lookups found their wave already overwritten (the ring holds " +
+        std::to_string(kRingWaves) + " waves per node), so extrema would under-report; "
+        "record this scenario with full recording");
+  }
   SkewReport r;
   r.sigma_lo = lo;
   r.sigma_hi = hi;
@@ -174,10 +175,9 @@ SkewReport StreamingSkew::report(Sigma lo, Sigma hi) const {
   for (const double x : spread_by_layer_) r.global_skew = std::max(r.global_skew, x);
   r.local_skew = std::max(r.max_intra, r.max_inter);
   r.pairs_checked = pairs_checked_;
-  // Not comparable with full recording's pairs_skipped (which counts every
-  // faulty/missing pair per wave of the sweep window): here it counts only
-  // genuine data loss, i.e. ring overflows -- zero on every builtin.
-  r.pairs_skipped = window_overflows_;
+  // pairs_skipped stays 0. Full recording counts every pair with a faulty
+  // or missing endpoint there, per wave of the window; the one data loss
+  // streaming could count, a ring overflow, is the error above.
   r.deviations.count = deviation_summary_.count();
   if (!deviation_summary_.empty()) {
     r.deviations.mean = deviation_summary_.mean();

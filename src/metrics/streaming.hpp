@@ -25,15 +25,16 @@
 //    the partial spreads observed along the way are always <= the final
 //    one, so the running max converges to the post-hoc value exactly.
 //
-// Memory is O(nodes x ring + layers x ring): each node keeps a small ring
-// of its most recent committed waves (default 8) for the neighbour
+// Memory is O(nodes x ring + layers x ring): each node keeps a ring of its
+// most recent committed waves (a constant kRingWaves = 8) for the neighbour
 // lookups. The ring only needs to cover how far two ADJACENT nodes' wave
 // counters can drift apart, which is bounded by the local skew (<< one
-// wave) -- not the run length and not the cross-grid spread. If a lookup
-// ever misses because its wave was already overwritten, window_overflows()
-// counts it (the differential suite asserts zero on every builtin; a
-// line-propagation layer 0 with a very deep column span is the one known
-// way to need a larger ring -- see docs/scaling.md).
+// wave) -- not the run length and not the cross-grid spread. A
+// line-propagation layer 0, whose columns start one link delay apart,
+// overflowed it at none of 16 to 512 columns and 4 to 48 layers. A lookup
+// that misses because its wave was already overwritten is counted
+// (window_overflows()), and report() turns any such miss into a hard error
+// instead of an under-reported extremum.
 //
 // Deviation quantiles (p50/p90/p99 of all checked pair deviations) come
 // from a log-binned sketch (1% relative error for any distribution shape)
@@ -44,6 +45,7 @@
 // order-free (ROADMAP item 2).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,15 +57,14 @@ namespace gtrix {
 
 class StreamingSkew {
  public:
-  struct Config {
-    Sigma warmup = 3;           ///< per-node pulses skipped at the start
-    std::int64_t ring_waves = 8;  ///< per-node wave-ring capacity (rounded to power of 2)
-  };
+  /// Per-node wave-ring capacity (a power of two).
+  static constexpr std::size_t kRingWaves = 8;
 
   /// `faulty[g]` marks grid node g as part of the fault set F; its pulses
   /// are ignored, exactly as compute_skew skips pairs with a faulty
-  /// endpoint. The grid must outlive the accumulator.
-  StreamingSkew(const Grid& grid, std::vector<bool> faulty, Config config);
+  /// endpoint. A node's first `warmup` pulses are skipped. The grid must
+  /// outlive the accumulator.
+  StreamingSkew(const Grid& grid, std::vector<bool> faulty, Sigma warmup);
 
   /// Feed one recorded pulse. Ids beyond the grid (the line-mode clock
   /// source) are ignored. Pulses of one node must arrive in nondecreasing
@@ -73,7 +74,8 @@ class StreamingSkew {
 
   /// Assembles the SkewReport. `lo`/`hi` label the report's measurement
   /// window (the recorder's global sigma envelope); the accumulated values
-  /// already cover exactly the steady pulses inside it.
+  /// already cover exactly the steady pulses inside it. Throws a
+  /// runtime_error naming the count when any ring lookup overflowed.
   SkewReport report(Sigma lo, Sigma hi) const;
 
   /// Corruption anchor: pulses at or after `t_corrupt` (the injection
@@ -81,20 +83,18 @@ class StreamingSkew {
   /// accumulators on the clean pre-corruption epoch. Corrupted registers
   /// emit arbitrary wave labels that would otherwise poison the rings and
   /// trip the out-of-order/overflow diagnostics; the post-recovery skew of a
-  /// corrupt cell is instead measured exactly from the recorder's retained
-  /// waves (World::skew_window after realignment -- docs/scaling.md,
+  /// corrupt cell is instead measured exactly from the recorder's pulse
+  /// trace (World::skew_window after realignment -- docs/scaling.md,
   /// "Realignment at scale"). Suppression keys on the pulse TIME, which is
   /// label-corruption-proof and identical across engines and shard counts.
   void set_corruption_anchor(SimTime t_corrupt) {
     anchor_set_ = true;
     anchor_time_ = t_corrupt;
   }
-  /// Pulses suppressed by the corruption anchor.
-  std::uint64_t suppressed() const noexcept { return suppressed_; }
 
   /// Lookups that missed because the partner's wave slot had already been
   /// overwritten -- nonzero means the ring is too small for this scenario's
-  /// wave stagger and extrema may under-report. Asserted zero in tests.
+  /// wave stagger, and report() refuses to answer.
   std::uint64_t window_overflows() const noexcept { return window_overflows_; }
   /// Pulses dropped for arriving with a non-increasing sigma.
   std::uint64_t out_of_order() const noexcept { return out_of_order_; }
@@ -103,7 +103,7 @@ class StreamingSkew {
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp): every accumulator lane,
   /// ring slot, per-layer extremum, counter and the deviation summary /
-  /// sketch. Grid, fault set and ring geometry are construction state and
+  /// sketch. Grid and fault set are construction state and the lanes are
   /// only size-validated on restore.
   void checkpoint(CkptIo& io);
 
@@ -122,11 +122,12 @@ class StreamingSkew {
   double lookup(RecNodeId g, Sigma sigma);
   void score(double deviation);
 
+  static constexpr std::size_t kRingMask = kRingWaves - 1;
+  static_assert((kRingWaves & kRingMask) == 0, "the wave ring is indexed by a mask");
+
   const Grid& grid_;
   std::vector<bool> faulty_;
   Sigma warmup_;
-  std::size_t ring_;       ///< power-of-two capacity
-  std::size_t ring_mask_;
 
   // Per-node state, structure-of-arrays. held_* is the one-pulse commit
   // delay realizing the node_tail=1 filter; recorded_ counts arrivals for
@@ -136,7 +137,7 @@ class StreamingSkew {
   std::vector<std::int64_t> recorded_;
   std::vector<bool> held_steady_;
 
-  // Wave rings: node-major [node * ring_ + (sigma & ring_mask_)].
+  // Wave rings: node-major [node * kRingWaves + (sigma & kRingMask)].
   std::vector<Sigma> ring_sigma_;
   std::vector<SimTime> ring_time_;
 
@@ -144,14 +145,13 @@ class StreamingSkew {
   std::vector<double> intra_by_layer_;
   std::vector<double> inter_by_layer_;
   std::vector<double> spread_by_layer_;
-  std::vector<WaveExtrema> layer_ring_;  ///< layer-major [layer * ring_ + slot]
+  std::vector<WaveExtrema> layer_ring_;  ///< layer-major [layer * kRingWaves + slot]
 
   std::uint64_t pairs_checked_ = 0;
   std::uint64_t window_overflows_ = 0;
   std::uint64_t out_of_order_ = 0;
   bool anchor_set_ = false;
   SimTime anchor_time_ = 0.0;
-  std::uint64_t suppressed_ = 0;
 
   Summary deviation_summary_;
   /// Log-binned sketch: every reported percentile is within 1% of a true

@@ -27,8 +27,8 @@ constexpr ObsCounterInfo kCatalog[] = {
      "nodes whose wave labels post-run realignment shifted (corrupt cells; "
      "0 elsewhere)"},
     {ObsCounter::kCorruptPinnedPulses, "corrupt_pinned_pulses", true,
-     "pulses retained by the corruption-anchored pin box of the streaming "
-     "recorder (0 under full recording)"},
+     "pulse times a corrupt streaming cell retains (0 under full recording "
+     "and on clean cells)"},
     {ObsCounter::kEventsExecuted, "events_executed", false,
      "raw queue events popped; depends on broadcast batching and the shard "
      "plan's cross-shard fan-out splitting"},

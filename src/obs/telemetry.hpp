@@ -50,7 +50,7 @@ enum class ObsCounter : std::uint32_t {
   kTimerCancels,      ///< successful timer cancellations issued by node code
   kPulsesRecorded,    ///< pulses recorded by the metrics recorder
   kRealignShiftedNodes, ///< nodes whose wave labels realignment shifted
-  kCorruptPinnedPulses, ///< pulses pinned by the corruption-anchored retention box
+  kCorruptPinnedPulses, ///< pulse times a corrupt streaming cell retains
   // --- engine-shaped: summary JSON only -----------------------------------
   kEventsExecuted,    ///< raw queue events popped (batching/shard dependent)
   kEventsScheduled,   ///< raw queue events scheduled

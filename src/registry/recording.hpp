@@ -4,11 +4,10 @@
 // Unlike the other four dimensions this selects measurement infrastructure,
 // not system behaviour: both modes produce bit-identical skew extrema (the
 // streaming differential suite proves it), so scenarios switch modes to
-// trade trace detail for memory, never to change results. It still lives in
-// the registry machinery so scenario JSON gets the same schema-driven
-// "recording": "streaming" / {"kind": "streaming", "window": 16} syntax,
-// dotted sweep axes ("recording.window"), and --list/--describe
-// introspection as everything else.
+// trade trace detail for memory, never to change results. Neither mode
+// takes a parameter. It still lives in the registry machinery so scenario
+// JSON gets the same schema-driven "recording": "streaming" syntax, and
+// --list/--describe introspection, as everything else.
 #pragma once
 
 #include <string_view>
@@ -21,14 +20,14 @@ namespace gtrix {
 class RecordingProvider {
  public:
   virtual ~RecordingProvider() = default;
-  virtual RecordingOptions options() const = 0;
+  virtual RecordingMode mode() const = 0;
 };
 
 /// Global registry; built-ins (full, streaming) register on first access.
 ComponentRegistry<RecordingProvider>& recording_registry();
 
-/// Resolves a recording spec to the recorder's options (the factory's range
-/// checks apply; unknown kinds throw JsonError).
-RecordingOptions resolve_recording(const ComponentSpec& spec);
+/// Resolves a recording spec to the recorder's mode (unknown kinds throw
+/// JsonError).
+RecordingMode resolve_recording(const ComponentSpec& spec);
 
 }  // namespace gtrix

@@ -164,7 +164,6 @@ ExperimentResult measure_cell(World& world, const ExperimentConfig& config,
     // are already covered by the post-recovery skew window above.
     const Sigma scan_lo = static_cast<Sigma>(corrupt.wave);
     const Sigma scan_hi = std::min(hi, recovered + 2);
-    world.require_retained(scan_lo, scan_hi + 1, "recovery");
     RecoveryReport& rec = result.recovery;
     rec.enabled = true;
     rec.corrupt_wave = scan_lo;
@@ -217,13 +216,12 @@ ExperimentResult run_cell(World& world, const CorruptPlan& corrupt, CellObs obs,
   };
 
   // Corrupt cells honor the configured recording mode. Under streaming
-  // recording the corruption anchor pins a look-back box of waves around
-  // the injection so realignment, the post-recovery skew window and the
-  // recovery-time scan stay answerable after eviction --
-  // with insufficient look-back they fail loudly, never silently
-  // (docs/scaling.md, "Realignment at scale"). Config-derived, so it is set
-  // identically on fresh and resumed runs -- BEFORE restore, which replays
-  // the pinned state the snapshotted run had accumulated.
+  // recording the corruption anchor keeps every pulse time, so
+  // realignment, the post-recovery skew window and the recovery-time scan
+  // read what full recording would (docs/scaling.md, "Realignment at
+  // scale"). Config-derived, so it is set identically on fresh and resumed
+  // runs -- BEFORE restore, which replays the pulse trace the snapshotted
+  // run had recorded.
   if (corrupt.enabled) world.set_corruption_anchor(corrupt.wave);
   world.set_trace(trace, obs.trace_pid);
   // The shard driver names every shard's tid; on the serial engine nothing
@@ -374,10 +372,9 @@ CampaignResult run_campaign(const Scenario& scenario, const CampaignOptions& opt
           : recording_registry().canonicalize(options.recording_override);
   campaign.cells.reserve(cells.size());
   for (ScenarioCell& cell : cells) {
-    // Every cell -- corrupt or not -- runs the mode its config says (the
-    // historical silent rewrite of corrupt cells to full recording is gone;
-    // corruption-anchored retention answers realignment from the bounded
-    // trace). The JSONL therefore always describes the mode that ran.
+    // Every cell -- corrupt or not -- runs the mode its config says (a
+    // corrupt streaming cell keeps its pulse trace for realignment). The
+    // JSONL therefore always describes the mode that ran.
     if (!canonical_override.empty()) cell.config.recording_spec = canonical_override;
     campaign.cells.push_back(
         CampaignCell{std::move(cell.label), std::move(cell.config), cell.corrupt, {}});

@@ -55,11 +55,9 @@ struct CampaignOptions {
   std::uint32_t shards = 0;
   /// When non-empty, overrides every cell's trace-retention mode (the
   /// gtrix_campaign --recording flag). Validated against the recording
-  /// registry. Applies to corrupt cells too: corruption-anchored retention
-  /// lets the memory-bounded modes answer realignment and the
-  /// post-recovery measurement from a bounded look-back box (insufficient
-  /// look-back fails loudly). The emitted JSONL configs always describe
-  /// the mode that actually ran.
+  /// registry. Applies to corrupt cells too: under streaming they keep
+  /// their pulse trace for realignment and the post-recovery measurement.
+  /// The emitted JSONL configs always describe the mode that actually ran.
   ComponentSpec recording_override{};
   /// Engine telemetry per cell (--telemetry; docs/observability.md): cells
   /// harvest EngineStats, the JSONL gains the engine-invariant
@@ -134,12 +132,11 @@ ExperimentResult run_cell(const ExperimentConfig& config, const CorruptPlan& cor
 /// through the cell and measures it. Honors an optional mid-run corruption
 /// plan (the Theorem 1.6 workload: run to wave * lambda, scramble
 /// `fraction` of all nodes, run out, realign labels, then measure -- in the
-/// configured recording mode; memory-bounded modes pin a
-/// corruption-anchored look-back box). With `ckpt.dir` set the run advances
-/// in sim-time chunks of `ckpt.every` and snapshots the world to
-/// <ckpt.dir>/<key>.ckpt at each chunk boundary and at the corruption
-/// boundary (resume=true first restores that snapshot); without it the
-/// chunk loop reduces to run_until -> corrupt_fraction ->
+/// configured recording mode; streaming keeps the pulse trace). With
+/// `ckpt.dir` set the run advances in sim-time chunks of `ckpt.every` and
+/// snapshots the world to <ckpt.dir>/<key>.ckpt at each chunk boundary and
+/// at the corruption boundary (resume=true first restores that snapshot);
+/// without it the chunk loop reduces to run_until -> corrupt_fraction ->
 /// run_to_completion. Each step is a phase span ("run", "corrupt",
 /// "recover", "realign") when `obs.trace` is set. Callers that need the
 /// World afterwards (bench_scale's streaming diagnostics) use this half.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <stdexcept>
 #include <string>
 
 #include "obs/rss.hpp"
@@ -64,17 +62,13 @@ World::World(ExperimentConfig config, EngineOptions engine)
     }
   }
 
-  // Trace retention: resolve the mode and, for the memory-bounded modes,
-  // stand up the online skew accumulators before any node can record.
-  recording_ = resolve_recording(components_.recording);
-  recorder_.configure(recording_);
-  if (recording_.mode != RecordingMode::kFull) {
+  // Trace retention: resolve the mode and, under streaming, stand up the
+  // online skew accumulators before any node can record.
+  recorder_.configure(resolve_recording(components_.recording));
+  if (recorder_.mode() == RecordingMode::kStreaming) {
     std::vector<bool> faulty(grid_.node_count(), false);
     for (const auto& [g, spec] : fault_map_) faulty[g] = true;
-    StreamingSkew::Config stream_config;
-    stream_config.warmup = config_.warmup;
-    stream_config.ring_waves = recording_.window;
-    streaming_ = std::make_unique<StreamingSkew>(grid_, std::move(faulty), stream_config);
+    streaming_ = std::make_unique<StreamingSkew>(grid_, std::move(faulty), config_.warmup);
     recorder_.set_stream(streaming_.get());
   }
 
@@ -438,7 +432,7 @@ EngineStats World::engine_stats() const {
   stats.set(ObsCounter::kNodeIterations, c.iterations);
   stats.set(ObsCounter::kPulsesRecorded, recorder_.pulse_count());
   stats.set(ObsCounter::kRealignShiftedNodes, last_realign_.nodes_shifted);
-  stats.set(ObsCounter::kCorruptPinnedPulses, recorder_.pinned_pulse_count());
+  stats.set(ObsCounter::kCorruptPinnedPulses, recorder_.anchored_pulse_count());
 
   // Queue counters, summed over shard queues. Cancels are algorithm-issued
   // and engine-invariant; scheduled/executed/purged/rebuilds are
@@ -496,7 +490,7 @@ GridTrace World::trace() const {
 
 SkewReport World::skew() const {
   const auto [lo, hi] = default_window(recorder_, config_.warmup);
-  if (recording_.mode != RecordingMode::kFull) {
+  if (streaming_ != nullptr) {
     // The accumulators cover exactly the steady pulses of the whole run,
     // which is what the default window measures post-hoc.
     return streaming_->report(lo, hi);
@@ -505,50 +499,22 @@ SkewReport World::skew() const {
 }
 
 void World::set_corruption_anchor(double wave) {
-  if (recording_.mode == RecordingMode::kFull) return;  // full keeps everything
-  recorder_.set_corruption_anchor(static_cast<Sigma>(std::llround(wave)));
-  if (streaming_) streaming_->set_corruption_anchor(wave * config_.params.lambda);
-}
-
-void World::require_retained(Sigma lo, Sigma hi, const std::string& what) const {
-  if (recording_.mode == RecordingMode::kFull) return;  // nothing ever evicted
-  // Every (node, wave) a measurement would read inside the node's steady
-  // window must still be retained (rolling tail or corruption box).
-  // Insufficient look-back is a hard error, never a silently different
-  // extremum.
-  const GridTrace t = trace();
-  for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
-    if (t.is_faulty(g)) continue;
-    const Sigma from = recorder_.steady_from(g, t.node_warmup);
-    if (from == Recorder::kInvalidSigma) continue;
-    const Sigma last = recorder_.last_recorded(g);
-    if (last == Recorder::kInvalidSigma) continue;
-    const Sigma lo_n = std::max(lo, from);
-    const Sigma hi_n = std::min(hi, last - t.node_tail);
-    if (lo_n > hi_n || recorder_.covers(g, lo_n, hi_n)) continue;
-    const auto [llo, lhi] = recorder_.lost_range(g);
-    throw std::runtime_error(
-        what + ": node " + grid_.label(g) + " lost pulse waves [" + std::to_string(llo) +
-        ", " + std::to_string(lhi) + "] overlapping the measurement window [" +
-        std::to_string(lo) + ", " + std::to_string(hi) + "] (recording mode " +
-        std::string(to_string(recording_.mode)) + ", window " +
-        std::to_string(recording_.window) +
-        "): raise recording.window so the look-back covers the recovery tail");
-  }
+  if (streaming_ == nullptr) return;  // full recording keeps everything
+  recorder_.set_corruption_anchor();
+  streaming_->set_corruption_anchor(wave * config_.params.lambda);
 }
 
 SkewReport World::skew_window(Sigma lo, Sigma hi) const {
-  if (recording_.mode == RecordingMode::kStreaming) {
+  if (streaming_ != nullptr) {
     GTRIX_CHECK_MSG(recorder_.corruption_anchored(),
                     "arbitrary-window skew needs a per-wave trace; streaming mode "
-                    "retains none outside a corruption box (use skew(), or record full)");
+                    "keeps none outside a corrupt cell (use skew(), or record full)");
   }
-  require_retained(lo, hi + 1, "skew");  // inter-layer pairs read wave s+1
   return compute_skew(trace(), lo, hi);
 }
 
 RealignStats World::realign_labels() {
-  if (recording_.mode == RecordingMode::kStreaming) {
+  if (streaming_ != nullptr) {
     GTRIX_CHECK_MSG(recorder_.corruption_anchored(),
                     "wave-label realignment needs a per-wave trace; streaming mode "
                     "retains none without a corruption anchor (set_corruption_anchor "

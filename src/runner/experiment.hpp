@@ -197,18 +197,17 @@ class World {
 
   GridTrace trace() const;
 
-  /// The resolved trace-retention mode and, in streaming mode, the online
-  /// accumulator (null under full recording).
-  const RecordingOptions& recording() const noexcept { return recording_; }
+  /// The online skew accumulator of streaming recording (null under full
+  /// recording; the recorder holds the resolved mode).
   const StreamingSkew* streaming() const noexcept { return streaming_.get(); }
 
-  /// Corruption anchor for memory-bounded recording of a transient-fault
-  /// cell. Must be called before the first simulated event. `wave` is the
+  /// Corruption anchor for streaming recording of a transient-fault cell.
+  /// Must be called before the first simulated event. `wave` is the
   /// corruption injection wave (CorruptPlan::wave):
-  ///  * the Recorder keeps each node's last K waves and pins the K waves
-  ///    either side of the anchor, so realignment and the post-recovery
-  ///    measurement stay answerable after eviction (metrics/recorder.hpp,
-  ///    corruption-anchored retention), and
+  ///  * the Recorder keeps every pulse time of every node, as full
+  ///    recording does (no iteration records), so realignment, the
+  ///    post-recovery measurement and the recovery scan read exactly what
+  ///    full recording would, and
   ///  * the StreamingSkew accumulators suppress pulses from the injection
   ///    INSTANT (wave * lambda) on, freezing them on the clean epoch --
   ///    corrupted labels would otherwise poison the online extrema. The
@@ -220,23 +219,10 @@ class World {
   /// streaming recording this reads the online accumulators -- extrema and
   /// counts are bit-identical to full recording.
   SkewReport skew() const;
-  /// Arbitrary-window skew from the retained trace. Full recording answers
-  /// any window; corruption-anchored streaming answers windows its retained
-  /// waves (rolling tail + corruption box) cover, and throws a runtime_error
-  /// naming the node, the lost waves and the recording mode when look-back
-  /// is insufficient -- never a silently different result. Un-anchored
-  /// streaming keeps no per-wave trace at all (hard logic_error; use
-  /// skew()).
+  /// Arbitrary-window skew from the pulse trace: full recording and
+  /// corruption-anchored streaming answer any window. Un-anchored streaming
+  /// keeps no per-wave trace at all (hard logic_error; use skew()).
   SkewReport skew_window(Sigma lo, Sigma hi) const;
-
-  /// Verifies that the retained trace (rolling tail + corruption box) still
-  /// holds every pulse wave in [lo, hi] that falls inside a non-faulty
-  /// node's steady window; throws a runtime_error naming the node, the lost
-  /// waves and the recording mode otherwise. No-op under full recording.
-  /// `what` prefixes the error ("skew", "recovery", ...). skew_window calls
-  /// this itself; exposed for measurements that read pulse times directly
-  /// (the recovery-time scan in runner/campaign.cpp).
-  void require_retained(Sigma lo, Sigma hi, const std::string& what) const;
 
   /// Condition checks over the default window (metrics/conditions.hpp).
   /// Full recording only: streaming keeps no iteration records, and
@@ -245,11 +231,9 @@ class World {
 
   /// Post-run wave-label realignment (see metrics/realign.hpp); call after
   /// run_to_completion() in transient-fault experiments, before measuring.
-  /// Runs on the full trace or on anchored streaming's retained window (the
-  /// realignment pass reads each node's rolling tail and is
-  /// coverage-checked -- insufficient look-back is a runtime_error, see
-  /// docs/scaling.md "Realignment at scale"). Un-anchored streaming has no
-  /// per-wave trace to realign (logic_error).
+  /// Runs on the pulse trace of full or corruption-anchored streaming
+  /// recording; un-anchored streaming has no per-wave trace to realign
+  /// (logic_error).
   RealignStats realign_labels();
 
   ExperimentCounters counters() const;
@@ -351,7 +335,6 @@ class World {
   /// Owns the node -> shard table (see init_shards).
   Network net_;
   Recorder recorder_;
-  RecordingOptions recording_;
   /// Online skew accumulators (streaming mode only).
   std::unique_ptr<StreamingSkew> streaming_;
   /// Struct-of-arrays hot state, one arena per shard, for every node this

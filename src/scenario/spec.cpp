@@ -445,7 +445,6 @@ ExperimentConfig resolve_draft(ConfigDraft draft, const std::string& context) {
                     Json(2.0 * (c.params.d - c.params.u)).dump() +
                     " (drifting delays lie in [d - u - A/2, d + A/2])");
   }
-  at_path(context, [&] { (void)resolve_recording(components.recording); });
   const auto algorithm = at_path(context, [&] {
     return algorithm_registry().create(components.algorithm);
   });

@@ -59,12 +59,12 @@ SCENARIOS = {
     },
     # Corruption + streaming recording together: snapshots can land
     # mid-corruption or mid-recovery, and the resume must rebuild the
-    # retained realignment window bit-exactly.
+    # pulse trace that realignment reads bit-exactly.
     "kr-corrupt-stream": {
         "name": "kr-corrupt-stream",
         "config": {"columns": 8, "layers": 8, "pulses": 40,
                    "self_stabilizing": True,
-                   "recording": {"kind": "streaming", "window": 16}},
+                   "recording": "streaming"},
         "corrupt": {"wave": 10.0, "fraction": 1.0},
         "sweep": {"seed": [1, 2]},
     },

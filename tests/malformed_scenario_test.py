@@ -10,8 +10,8 @@ allocates, never grow until the host runs out of memory.
 
 A second table runs `gtrix_campaign` with malformed flags (a non-numeric
 or partly numeric value, a repeated flag, a bad boolean, an unknown
-recording mode, an out-of-range window). Each must exit 2 with a stderr
-line that names the flag.
+recording mode, the removed `--recording-window`). Each must exit 2 with a
+stderr line that names the flag.
 
 Sanitizer builds skip the address-space limit: their shadow memory alone
 reserves far more than 2 GB of address space.
@@ -56,6 +56,14 @@ CASES = {
     "unknown-key": (
         scenario({"colums": 8}),
         "$.config.colums: unknown key 'colums'"),
+    # The streaming recording window is gone, as a parameter and as an axis.
+    "recording-window-param": (
+        scenario({"recording": {"kind": "streaming", "window": 16}}),
+        "$.config.recording: unknown parameter 'window' for recording mode 'streaming'"),
+    "recording-window-axis": (
+        scenario({"recording": "streaming"}, sweep={"recording.window": [8, 16]}),
+        "$.sweep.recording.window[0]: unknown parameter 'window' for recording mode "
+        "'streaming'"),
     # Sweeps that would expand past the cell cap or overflow.
     "huge-range": (
         scenario(sweep={"seed": {"from": 1, "count": 4_000_000_000_000}}),
@@ -125,15 +133,12 @@ FLAG_CASES = {
                        "--threads: '4x'"),
     "progress-word": (["quickstart-grid", "--progress=abc", "--dry-run"],
                       "--progress: 'abc'"),
-    "recording-window-word": (
-        ["quickstart-grid", "--recording=streaming", "--recording-window=abc", "--dry-run"],
-        "--recording-window: 'abc'"),
     "recording-windowed": (
         ["quickstart-grid", "--recording=windowed", "--dry-run"],
         "--recording: unknown recording mode 'windowed' (valid: full, streaming)"),
-    "recording-window-range": (
-        ["quickstart-grid", "--recording=streaming", "--recording-window=1", "--dry-run"],
-        "--recording-window:"),
+    "recording-window": (
+        ["quickstart-grid", "--recording=streaming", "--recording-window=48", "--dry-run"],
+        "unknown flag --recording-window"),
     "duplicate-out": (["quickstart-grid", "--out=a", "--out=b", "--dry-run"],
                       "duplicate flag --out"),
     "quiet-maybe": (["quickstart-grid", "--quiet=maybe", "--dry-run"],

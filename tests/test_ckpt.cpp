@@ -26,6 +26,7 @@
 #include "runner/experiment.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
+#include "scratch_dir.hpp"
 
 namespace gtrix {
 namespace {
@@ -47,7 +48,7 @@ ExperimentConfig corrupt_config() {
 ExperimentConfig corrupt_streaming_config() {
   return config_from_json(
       Json::parse(R"({"columns": 6, "layers": 6, "pulses": 40, "self_stabilizing": true,
-                      "recording": {"kind": "streaming", "window": 16}})"));
+                      "recording": "streaming"})"));
 }
 
 CorruptPlan corrupt_plan() {
@@ -56,16 +57,6 @@ CorruptPlan corrupt_plan() {
   plan.wave = 10.0;
   plan.fraction = 1.0;
   return plan;
-}
-
-// A fresh scratch directory per call, under the system temp dir.
-std::filesystem::path scratch_dir(const std::string& tag) {
-  static int counter = 0;
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("gtrix_ckpt_test_" + tag + "_" + std::to_string(++counter));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 std::string counters_digest(const ExperimentResult& r) {
@@ -283,11 +274,11 @@ TEST(Ckpt, CorruptCellResumesIdenticallyAcrossThePhaseBoundary) {
 }
 
 TEST(Ckpt, CorruptStreamingCellResumesIdenticallyMidCorruptionAndMidRecovery) {
-  // Corruption-anchored retention must survive a snapshot/restore: kills
-  // landing mid-corruption (look-back box partially filled) and
-  // mid-recovery (realignment tail still accumulating) have to resume to
-  // the same realigned skew bytes as the uninterrupted streaming run --
-  // which itself must match full recording on the same cell.
+  // A corrupt streaming cell's pulse trace must survive a snapshot/restore:
+  // kills landing mid-corruption and mid-recovery (realignment tail still
+  // accumulating) have to resume to the same realigned skew bytes as the
+  // uninterrupted streaming run -- which itself must match full recording
+  // on the same cell.
   const ExperimentConfig config = corrupt_streaming_config();
   const CorruptPlan plan = corrupt_plan();
   const std::string baseline = skew_to_json(run_cell(config, plan).skew).dump();
@@ -295,7 +286,7 @@ TEST(Ckpt, CorruptStreamingCellResumesIdenticallyMidCorruptionAndMidRecovery) {
       << "streaming corrupt cell diverged from full recording";
 
   // every=3 lambda: the newest snapshot before the kill sits at wave 12 --
-  // inside the corruption box, labels not yet realigned. every=11 lambda:
+  // two waves after the corruption, labels not yet realigned. every=11 lambda:
   // the newest snapshot sits at wave 11, one wave into recovery.
   for (const double every : {3.0 * config.params.lambda, 11.0 * config.params.lambda}) {
     for (const std::uint32_t shards : {1u, 2u}) {

@@ -18,6 +18,7 @@
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
 #include "scenario/registry.hpp"
+#include "scratch_dir.hpp"
 
 namespace gtrix {
 namespace {
@@ -296,8 +297,7 @@ TEST(Trace, CheckpointedCampaignEmitsPhaseSpans) {
     "sweep": {"seed": [1, 2]}
   })"));
   const double lambda = scenario.cells().at(0).config.params.lambda;
-  const auto dir = std::filesystem::temp_directory_path() / "gtrix_obs_ckpt_phase_spans";
-  std::filesystem::remove_all(dir);
+  const auto dir = scratch_dir("phase_spans");
   for (const bool checkpointed : {false, true}) {
     TraceCollector trace;
     CampaignOptions options;

@@ -127,69 +127,66 @@ TEST(Recorder, UnregisteredNodeThrows) {
 
 // --- memory-bounded (streaming) recording ------------------------------------
 
-TEST(Recorder, AnchoredStreamingPinsTheBoxAndKeepsTheRollingTail) {
-  // Window 4, corruption anchor at wave 2: the pin box is waves [-2, 6] and
-  // the rolling tail is each node's last 4 wave slots.
-  Recorder rec;
-  RecordingOptions options;
-  options.mode = RecordingMode::kStreaming;
-  options.window = 4;
-  rec.configure(options);
-  rec.register_node(0, {});
-  rec.register_node(1, {});
-  rec.set_corruption_anchor(2);
-  EXPECT_TRUE(rec.corruption_anchored());
-  EXPECT_EQ(rec.corruption_anchor(), 2);
-  for (Sigma s = 0; s <= 12; ++s) {
+TEST(Recorder, AnchoredStreamingKeepsTheFullPulseTrace) {
+  // A corrupt streaming cell reads the same pulse trace full recording
+  // keeps: feed both recorders the same pulses -- a gap, a backwards
+  // prepend, an overwrite and a label shift -- and every read must agree.
+  Recorder full;
+  Recorder streaming;
+  streaming.configure(RecordingMode::kStreaming);
+  for (Recorder* rec : {&full, &streaming}) {
+    rec->register_node(0, {});
+    rec->register_node(1, {});
+  }
+  streaming.set_corruption_anchor();
+  EXPECT_TRUE(streaming.corruption_anchored());
+  const auto feed = [&](RecNodeId node, Sigma sigma, SimTime t) {
     IterationRecord it;
-    it.sigma = s;
-    rec.record_pulse(0, s, static_cast<double>(s) * 10.0);
-    rec.record_iteration(0, it);
-    if (s == 3) continue;  // node 1 never pulses at wave 3
-    rec.record_pulse(1, s, static_cast<double>(s) * 10.0 + 1.0);
-    rec.record_iteration(1, it);
+    it.sigma = sigma;
+    for (Recorder* rec : {&full, &streaming}) {
+      rec->record_pulse(node, sigma, t);
+      rec->record_iteration(node, it);
+    }
+  };
+  for (Sigma s = 5; s <= 40; ++s) {
+    feed(0, s, static_cast<double>(s) * 10.0);
+    if (s == 9) continue;  // node 1 never pulses at wave 9
+    feed(1, s, static_cast<double>(s) * 10.0 + 1.0);
   }
-  // Waves 0..6 left the rolling tail inside the box: pinned and readable.
-  for (Sigma s = 0; s <= 6; ++s) {
-    EXPECT_EQ(rec.pulse_time(0, s), std::optional<SimTime>(static_cast<double>(s) * 10.0)) << s;
-  }
-  // Waves 9..12 are the rolling tail.
-  for (Sigma s = 9; s <= 12; ++s) {
-    EXPECT_EQ(rec.pulse_time(0, s), std::optional<SimTime>(static_cast<double>(s) * 10.0)) << s;
-    EXPECT_EQ(rec.pulse_time(1, s), std::optional<SimTime>(static_cast<double>(s) * 10.0 + 1.0))
-        << s;
-  }
-  // Waves 7 and 8 were evicted outside the box: lost, and reported as such.
-  EXPECT_FALSE(rec.pulse_time(0, 7).has_value());
-  EXPECT_FALSE(rec.pulse_time(0, 8).has_value());
+  feed(1, 2, 21.0);    // backwards prepend
+  feed(1, 12, 121.5);  // overwrite keeps the latest
+  for (Recorder* rec : {&full, &streaming}) rec->shift_node_sigma(0, 3);
+
   for (RecNodeId node : {0u, 1u}) {
-    EXPECT_EQ(rec.lost_range(node), std::make_pair(Sigma{7}, Sigma{8})) << node;
-    EXPECT_TRUE(rec.covers(node, 0, 6)) << node;
-    EXPECT_TRUE(rec.covers(node, 9, 12)) << node;
-    EXPECT_FALSE(rec.covers(node, 6, 7)) << node;
-    EXPECT_FALSE(rec.covers(node, 8, 9)) << node;
+    SCOPED_TRACE(node);
+    for (Sigma s = -1; s <= 45; ++s) {
+      EXPECT_EQ(full.pulse_time(node, s), streaming.pulse_time(node, s)) << s;
+    }
+    for (Sigma warmup : {0, 1, 3, 20}) {
+      EXPECT_EQ(full.steady_from(node, warmup), streaming.steady_from(node, warmup)) << warmup;
+    }
+    EXPECT_EQ(full.last_recorded(node), streaming.last_recorded(node));
   }
-  // A wave the node never pulsed is neither pinned nor lost.
-  EXPECT_FALSE(rec.pulse_time(1, 3).has_value());
-  EXPECT_EQ(rec.pinned_pulse_count(), 7u + 6u);
-  // The early-wave set answers steady_from after the run's start was evicted.
-  EXPECT_EQ(rec.steady_from(0, 0), 0);
-  EXPECT_EQ(rec.steady_from(1, 3), 4);
-  EXPECT_EQ(rec.last_recorded(1), 12);
-  // No iteration records in streaming mode, anchored or not.
-  EXPECT_TRUE(rec.iterations(0).empty());
-  EXPECT_TRUE(rec.iterations(1).empty());
-  // The run envelope spans every recorded pulse.
-  EXPECT_EQ(rec.min_sigma(), 0);
-  EXPECT_EQ(rec.max_sigma(), 12);
-  EXPECT_EQ(rec.pulse_count(), 13u + 12u);
+  EXPECT_FALSE(streaming.pulse_time(1, 9).has_value());
+  EXPECT_EQ(streaming.pulse_time(1, 12), std::optional<SimTime>(121.5));
+  EXPECT_EQ(streaming.steady_from(1, 0), 2);
+  EXPECT_EQ(streaming.last_recorded(0), 43);
+  EXPECT_EQ(full.min_sigma(), streaming.min_sigma());
+  EXPECT_EQ(full.max_sigma(), streaming.max_sigma());
+  EXPECT_EQ(full.pulse_count(), streaming.pulse_count());
+  // Iteration records stay a full-recording feature.
+  EXPECT_EQ(full.iterations(0).size(), 36u);
+  EXPECT_TRUE(streaming.iterations(0).empty());
+  EXPECT_TRUE(streaming.iterations(1).empty());
+  // Node 0: 36 pulses; node 1: 35 in [5, 40], the prepended wave 2, and
+  // the overwrite, which keeps one slot.
+  EXPECT_EQ(streaming.anchored_pulse_count(), 36u + 36u);
+  EXPECT_EQ(full.anchored_pulse_count(), 0u);
 }
 
 TEST(Recorder, StreamingModeKeepsNoPerWaveState) {
   Recorder rec;
-  RecordingOptions options;
-  options.mode = RecordingMode::kStreaming;
-  rec.configure(options);
+  rec.configure(RecordingMode::kStreaming);
   rec.register_node(0, {});
   rec.record_pulse(0, 3, 30.0);
   IterationRecord it;
@@ -207,9 +204,7 @@ TEST(Recorder, ConfigureAfterRecordingThrows) {
   Recorder rec;
   rec.register_node(0, {});
   rec.record_pulse(0, 0, 0.0);
-  RecordingOptions options;
-  options.mode = RecordingMode::kStreaming;
-  EXPECT_THROW(rec.configure(options), std::logic_error);
+  EXPECT_THROW(rec.configure(RecordingMode::kStreaming), std::logic_error);
 }
 
 TEST(Recorder, RegisterNodeIdOverflowThrows) {

@@ -11,7 +11,7 @@
 //    deviation COUNT stays exact;
 //  * queries that need a per-wave trace or iteration records (conditions,
 //    arbitrary skew windows, realignment) are hard errors under un-anchored
-//    streaming;
+//    streaming, and so is a wave-ring overflow;
 //  * campaign output under streaming recording is byte-identical across
 //    thread counts.
 #include <gtest/gtest.h>
@@ -35,16 +35,10 @@ const char* const kDifferentialScenarios[] = {
     "thm16-stabilization", "torus-smoke",
 };
 
-CampaignResult run_with_recording(const Scenario& scenario, const std::string& mode,
-                                  int window = 0) {
+CampaignResult run_with_recording(const Scenario& scenario, const std::string& mode) {
   CampaignOptions options;
   options.threads = 2;
-  if (!mode.empty()) {
-    options.recording_override = ComponentSpec::of(mode);
-    if (window > 0) {
-      recording_registry().set_param(options.recording_override, "window", Json(window));
-    }
-  }
+  if (!mode.empty()) options.recording_override = ComponentSpec::of(mode);
   return run_campaign(scenario, options);
 }
 
@@ -91,16 +85,10 @@ TEST(StreamingMetrics, BitIdenticalExtremaOnEveryBuiltinScenario) {
   for (const char* name : kDifferentialScenarios) {
     SCOPED_TRACE(name);
     const Scenario scenario = builtin_scenario(name);
-    // Corrupt cells replay realignment and the recovery scan from the
-    // corruption-anchored window, so the look-back must span from the
-    // corruption wave through the post-recovery tail (thm16: waves 10..49,
-    // window 32 covers it via the pin box plus the rolling tail). Default
-    // windows are deliberately too small for that -- campaigns are expected
-    // to size recording.window to their corrupt plan.
-    const bool corrupt = scenario.cells().front().corrupt.enabled;
-    const int window = corrupt ? 32 : 0;
+    // Corrupt cells replay realignment and the recovery scan from the pulse
+    // trace the corruption anchor keeps.
     const CampaignResult full = run_with_recording(scenario, "");
-    const CampaignResult streaming = run_with_recording(scenario, "streaming", window);
+    const CampaignResult streaming = run_with_recording(scenario, "streaming");
     ASSERT_EQ(full.cells.size(), streaming.cells.size());
     for (std::size_t i = 0; i < full.cells.size(); ++i) {
       const std::string where = std::string(name) + " cell " + full.cells[i].label;
@@ -110,7 +98,7 @@ TEST(StreamingMetrics, BitIdenticalExtremaOnEveryBuiltinScenario) {
                                         streaming.cells[i].result.skew.deviations, where);
       // Full recording reports exact quantiles; streaming estimates --
       // except corrupt cells, whose skew is materialized exactly from the
-      // retained window in every mode (streaming.hpp contract).
+      // pulse trace in every mode (streaming.hpp contract).
       EXPECT_TRUE(full.cells[i].result.skew.deviations.exact);
       if (!full.cells[i].corrupt.enabled) {
         EXPECT_FALSE(streaming.cells[i].result.skew.deviations.exact) << where;
@@ -175,13 +163,12 @@ TEST(StreamingMetrics, CampaignBytesIdenticalAcrossThreadCountsUnderStreaming) {
 
 TEST(StreamingMetrics, CorruptCellsHonorConfiguredRecording) {
   // thm16 cells have a corrupt plan; run_cell runs them in the configured
-  // mode -- realignment and the recovery scan replay from the
-  // corruption-anchored window -- and still produces exact quantiles.
+  // mode -- realignment and the recovery scan replay from the pulse trace
+  // the corruption anchor keeps -- and still produces exact quantiles.
   const Scenario scenario = builtin_scenario("thm16-stabilization");
   CampaignOptions options;
   options.threads = 2;
   options.recording_override = ComponentSpec::of("streaming");
-  recording_registry().set_param(options.recording_override, "window", Json(32));
   const CampaignResult result = run_campaign(scenario, options);
   for (const CampaignCell& cell : result.cells) {
     ASSERT_TRUE(cell.corrupt.enabled);
@@ -191,7 +178,7 @@ TEST(StreamingMetrics, CorruptCellsHonorConfiguredRecording) {
   // The override IS stamped into corrupt cells' configs -- streaming is
   // what actually ran, and the emitted JSONL says so.
   const std::string jsonl = campaign_jsonl(result);
-  EXPECT_NE(jsonl.find("\"kind\":\"streaming\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"recording\":\"streaming\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"recovery\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"realign\""), std::string::npos);
 
@@ -200,7 +187,7 @@ TEST(StreamingMetrics, CorruptCellsHonorConfiguredRecording) {
   const Scenario declared = Scenario::from_json(Json::parse(R"({
     "name": "corrupt-streaming",
     "config": {"columns": 5, "layers": 5, "pulses": 40, "self_stabilizing": true,
-               "recording": {"kind": "streaming", "window": 32}},
+               "recording": {"kind": "streaming"}},
     "corrupt": {"wave": 8.0, "fraction": 1.0}
   })"));
   CampaignOptions plain;
@@ -208,9 +195,9 @@ TEST(StreamingMetrics, CorruptCellsHonorConfiguredRecording) {
   const CampaignResult declared_result = run_campaign(declared, plain);
   ASSERT_EQ(declared_result.cells.size(), 1u);
   EXPECT_TRUE(declared_result.cells[0].result.skew.deviations.exact);
-  EXPECT_EQ(resolve_recording(declared_result.cells[0].config.recording_spec).mode,
+  EXPECT_EQ(resolve_recording(declared_result.cells[0].config.recording_spec),
             RecordingMode::kStreaming);
-  EXPECT_NE(campaign_jsonl(declared_result).find("\"kind\":\"streaming\""),
+  EXPECT_NE(campaign_jsonl(declared_result).find("\"recording\":\"streaming\""),
             std::string::npos);
 }
 
@@ -218,7 +205,7 @@ TEST(StreamingMetrics, RecordingSpecRoundTripsThroughScenarioJson) {
   const Json doc = Json::parse(R"({
     "name": "rt",
     "config": {"columns": 4, "layers": 4, "pulses": 6,
-               "recording": {"kind": "streaming", "window": 12}}
+               "recording": {"kind": "streaming"}}
   })");
   const Scenario scenario = Scenario::from_json(doc);
   const auto cells = scenario.cells();
@@ -226,10 +213,8 @@ TEST(StreamingMetrics, RecordingSpecRoundTripsThroughScenarioJson) {
   const Json serialized = to_json(cells[0].config);
   const ExperimentConfig back = config_from_json(serialized);
   EXPECT_EQ(back, cells[0].config);
-  EXPECT_EQ(serialized.at("recording").at("kind").as_string(), "streaming");
-  EXPECT_EQ(serialized.at("recording").at("window").as_int(), 12);
-  EXPECT_EQ(resolve_recording(back.recording_spec).mode, RecordingMode::kStreaming);
-  EXPECT_EQ(resolve_recording(back.recording_spec).window, 12);
+  EXPECT_EQ(serialized.at("recording").as_string(), "streaming");
+  EXPECT_EQ(resolve_recording(back.recording_spec), RecordingMode::kStreaming);
 }
 
 TEST(StreamingMetrics, DefaultFullRecordingStaysOutOfSerializedConfigs) {
@@ -244,31 +229,29 @@ TEST(StreamingMetrics, RecordingErrorsArePathQualified) {
   EXPECT_THROW(config_from_json(Json::parse(
                    R"({"columns": 4, "recording": "nope"})")),
                JsonError);
-  try {
-    (void)config_from_json(Json::parse(
-        R"({"columns": 4, "recording": {"kind": "streaming", "window": 1}})"));
-    FAIL() << "window=1 must be rejected";
-  } catch (const JsonError& e) {
-    EXPECT_NE(std::string(e.what()).find("window"), std::string::npos);
-  }
 }
 
-TEST(StreamingMetrics, RecordingWindowIsSweepable) {
-  const Json doc = Json::parse(R"({
-    "name": "sweep-window",
-    "config": {"columns": 4, "layers": 4, "pulses": 8, "recording": "streaming"},
-    "sweep": {"recording.window": [8, 16]}
-  })");
-  const Scenario scenario = Scenario::from_json(doc);
-  const auto cells = scenario.cells();
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(resolve_recording(cells[0].config.recording_spec).window, 8);
-  EXPECT_EQ(resolve_recording(cells[1].config.recording_spec).window, 16);
-  // Both windows measure the same system: extrema must agree bit for bit.
-  const ExperimentResult a = run_cell(cells[0].config);
-  const ExperimentResult b = run_cell(cells[1].config);
-  EXPECT_EQ(a.skew.max_intra, b.skew.max_intra);
-  EXPECT_EQ(a.skew.global_skew, b.skew.global_skew);
+TEST(StreamingMetrics, RingOverflowIsAHardErrorNamingTheCount) {
+  // Two adjacent layer-0 nodes: node 0 commits waves 0..10, so its
+  // 8-wave ring holds waves 3..10 when node 1 commits wave 1 -- a partner
+  // pulse more than 8 waves stale, whose slot was already overwritten.
+  const Grid grid(BaseGraph::path(2), 2);
+  StreamingSkew stream(grid, std::vector<bool>(grid.node_count(), false), 0);
+  for (Sigma s = 0; s <= 11; ++s) stream.on_pulse(0, s, 1000.0 * static_cast<double>(s));
+  EXPECT_NO_THROW((void)stream.report(0, 11));
+  stream.on_pulse(1, 1, 1000.0);
+  stream.on_pulse(1, 2, 2000.0);  // commits node 1's wave 1
+  ASSERT_GT(stream.window_overflows(), 0u);
+  try {
+    (void)stream.report(0, 11);
+    FAIL() << "a ring overflow must not report under-counted extrema";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(stream.window_overflows()) + " wave-ring lookups"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("8 waves"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

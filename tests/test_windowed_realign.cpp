@@ -1,13 +1,10 @@
 // Differential battery for realignment under corruption-anchored streaming.
 //
 // The contract (docs/scaling.md, "Realignment at scale"): corrupt cells do
-// not force full-trace recording. Realignment, the post-recovery skew
-// window and the recovery-time scan all replay from the
-// corruption-anchored look-back (+/-window waves around the corruption
-// wave plus the rolling tail), and the results are BIT-identical to
-// full-trace recording whenever the look-back covers what is read. An
-// under-sized look-back is a hard, mode-qualified error -- never a
-// silently different number.
+// not force full-trace recording. Under streaming recording a corrupt cell
+// keeps every pulse time (but no iteration records), so realignment, the
+// post-recovery skew window and the recovery-time scan read exactly what
+// full-trace recording reads, and the results are BIT-identical to it.
 //
 // Coverage here:
 //  * every corrupt builtin variant (thm12, thm13, thm16, fig5 with the
@@ -15,9 +12,7 @@
 //    {1, 2, 4} x threads {1, 4}, against a full-trace baseline;
 //  * JSONL byte-identity across every (shards, threads) combination;
 //  * a randomized (deterministically seeded) fuzz sweep over corruption
-//    wave/fraction/density and look-back K: either bit-equal to full or a
-//    loud coverage error, with both outcomes required to occur;
-//  * the campaign-level under-sized-window hard error.
+//    wave, fraction and fault density: bit-equal to full on every draw.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -128,12 +123,6 @@ void expect_same_measurement(const ExperimentResult& full, const ExperimentResul
   EXPECT_EQ(full.diameter, other.diameter);
 }
 
-ComponentSpec streaming_spec(int window) {
-  ComponentSpec spec = ComponentSpec::of("streaming");
-  recording_registry().set_param(spec, "window", Json(window));
-  return spec;
-}
-
 TEST(WindowedRealign, BitIdenticalToFullTraceOnEveryCorruptBuiltin) {
   const char* const kScenarios[] = {"thm12-worstcase-faults", "thm13-random-faults",
                                     "fig5-jump-ablation", "thm16-stabilization"};
@@ -147,11 +136,8 @@ TEST(WindowedRealign, BitIdenticalToFullTraceOnEveryCorruptBuiltin) {
       ASSERT_TRUE(cell.corrupt.enabled);
       ASSERT_TRUE(cell.result.recovery.enabled) << cell.label;
     }
-    // 48 waves of look-back cover the corruption box and the recovery
-    // tail on every variant (max layers 16 -> recovered wave <= 32,
-    // scan/skew reads end well inside corrupt_wave + 48).
     CampaignOptions options;
-    options.recording_override = streaming_spec(48);
+    options.recording_override = ComponentSpec::of("streaming");
     std::string reference_jsonl;
     for (const std::uint32_t shards : {1u, 2u, 4u}) {
       for (const unsigned threads : {1u, 4u}) {
@@ -181,32 +167,24 @@ TEST(WindowedRealign, BitIdenticalToFullTraceOnEveryCorruptBuiltin) {
 
 TEST(WindowedRealign, FuzzedLookBackEitherMatchesFullOrFailsLoudly) {
   // Deterministically seeded sweep over corruption wave, corrupted
-  // fraction, random-fault density and look-back K, every trial under
-  // streaming recording. The invariant under test is the SAFETY property
-  // of the bounded look-back: whenever the bounded run returns numbers,
-  // they are bit-identical to full-trace recording; when K is too small it
-  // throws a coverage error naming the window -- it never silently
-  // diverges.
+  // fraction and random-fault density, every trial under streaming
+  // recording. Each trial must be bit-identical to full-trace recording.
   Rng fuzz(0xC0FFEE);
-  int matched = 0;
-  int refused = 0;
   for (int trial = 0; trial < 12; ++trial) {
     const std::int64_t wave = fuzz.uniform_int(5, 12);
     const double fraction = 0.25 + 0.25 * static_cast<double>(fuzz.uniform_int(0, 3));
     const double density = 0.02 * static_cast<double>(fuzz.uniform_int(0, 2));
-    const int window = static_cast<int>(fuzz.uniform_int(6, 28));
     const std::string where = "trial " + std::to_string(trial) + ": wave " +
                               std::to_string(wave) + " fraction " +
                               std::to_string(fraction) + " density " +
-                              std::to_string(density) + " K " + std::to_string(window);
+                              std::to_string(density);
     SCOPED_TRACE(where);
 
-    Json doc = Json::parse(R"({
+    Json config_obj = Json::parse(R"({
       "columns": 8, "layers": 6, "pulses": 36,
       "self_stabilizing": true,
       "random_faults": {"probability": 0.0, "kinds": ["crash"]}
     })");
-    Json config_obj = doc;
     config_obj.set("seed", 40 + trial);
     Json faults = config_obj.at("random_faults");
     faults.set("probability", density);
@@ -218,41 +196,10 @@ TEST(WindowedRealign, FuzzedLookBackEitherMatchesFullOrFailsLoudly) {
     corrupt.fraction = fraction;
 
     const ExperimentConfig full_config = config_from_json(config_obj);
-    const ExperimentResult full = run_cell(full_config, corrupt);
-
-    ExperimentConfig bounded_config = config_from_json(config_obj);
-    bounded_config.recording_spec = streaming_spec(window);
-    try {
-      const ExperimentResult bounded = run_cell(bounded_config, corrupt);
-      expect_same_measurement(full, bounded, where);
-      ++matched;
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("window"), std::string::npos) << e.what();
-      ++refused;
-    }
-  }
-  // The trial set must exercise both sides of the coverage boundary, or
-  // the sweep proves nothing.
-  EXPECT_GT(matched, 0);
-  EXPECT_GT(refused, 0);
-}
-
-TEST(WindowedRealign, UnderSizedLookBackIsAHardModeQualifiedError) {
-  const Scenario scenario = Scenario::from_json(Json::parse(R"({
-    "name": "under-k",
-    "config": {"columns": 6, "layers": 6, "pulses": 40, "self_stabilizing": true,
-               "recording": {"kind": "streaming", "window": 8}},
-    "corrupt": {"wave": 10.0, "fraction": 1.0}
-  })"));
-  CampaignOptions options;
-  options.threads = 1;
-  try {
-    (void)run_campaign(scenario, options);
-    FAIL() << "window 8 cannot cover the recovery tail of a 40-pulse corrupt cell";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("window"), std::string::npos) << what;
-    EXPECT_NE(what.find("streaming"), std::string::npos) << what;
+    ExperimentConfig streaming_config = full_config;
+    streaming_config.recording_spec = ComponentSpec::of("streaming");
+    expect_same_measurement(run_cell(full_config, corrupt), run_cell(streaming_config, corrupt),
+                            where);
   }
 }
 

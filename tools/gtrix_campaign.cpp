@@ -42,12 +42,9 @@ Usage make_usage(const std::string& program) {
              "concurrency -- results are bit-identical for every shard count");
   usage.flag("--recording=MODE",
              "override every cell's trace retention: full or streaming "
-             "(see docs/scaling.md; applies to corrupt cells too -- realignment "
-             "replays from a corruption-anchored look-back window)");
-  usage.flag("--recording-window=K",
-             "streaming wave-ring capacity; on corrupt cells also the rolling "
-             "tail and the look-back half-width around the corruption wave -- "
-             "too small is a hard error, never silently wrong numbers");
+             "(see docs/scaling.md; applies to corrupt cells too -- under "
+             "streaming they keep their pulse times for realignment, but no "
+             "iteration records)");
   usage.flag("--telemetry",
              "harvest engine telemetry: per-cell engine_stats in the JSONL "
              "(engine-invariant counters) and a merged block in the summary "
@@ -107,11 +104,10 @@ int list_builtins() {
               "or {\"kind\": ..., <params>}):\n%s",
               components.render().c_str());
   std::printf(
-      "\ncorrupt cells honor the configured recording mode: realignment and the\n"
-      "recovery scan replay from a corruption-anchored look-back window (+/-window\n"
-      "waves around the corruption wave). An under-sized window is a hard error\n"
-      "naming the lost waves -- there is no silent fallback to full recording.\n"
-      "See docs/scaling.md, 'Realignment at scale'.\n");
+      "\ncorrupt cells honor the configured recording mode: under streaming they keep\n"
+      "every pulse time (no iteration records), so realignment and the recovery\n"
+      "scan read what full recording would. See docs/scaling.md, 'Realignment at\n"
+      "scale'.\n");
   return 0;
 }
 
@@ -210,27 +206,13 @@ int run(int argc, char** argv) {
       std::fputs("error: --recording requires a mode (--recording=streaming)\n", stderr);
       return 2;
     }
-    // Validate eagerly so an unknown mode OR out-of-range window fails
-    // before any scenario runs, naming the flag at fault (canonicalize
-    // checks names and types only; resolve_recording runs the factory's
-    // range checks).
+    // Validate eagerly so an unknown mode fails before any scenario runs,
+    // naming the flag at fault.
     try {
       options.recording_override = recording_registry().canonicalize(ComponentSpec::of(mode));
     } catch (const JsonError& e) {
       throw JsonError(std::string("--recording: ") + e.what());
     }
-    if (flags.has("recording-window")) {
-      const Json window(flags.get_int("recording-window", 0));
-      try {
-        recording_registry().set_param(options.recording_override, "window", window);
-        (void)resolve_recording(options.recording_override);
-      } catch (const JsonError& e) {
-        throw JsonError(std::string("--recording-window: ") + e.what());
-      }
-    }
-  } else if (flags.has("recording-window")) {
-    std::fputs("error: --recording-window needs --recording=MODE\n", stderr);
-    return 2;
   }
   options.telemetry = flags.get_bool("telemetry", false);
   const std::string trace_out = flags.get_string("trace-out", "");
