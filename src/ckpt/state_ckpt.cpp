@@ -65,10 +65,12 @@ void LogQuantileSketch::checkpoint(CkptIo& io) {
 // next event scheduled after a restore gets the same slot, generation and
 // sequence number it would have gotten in the uninterrupted run. Only the
 // calendar's bucket geometry is rebuilt rather than copied: it is
-// engine-shaped state with no influence on the event order.
+// engine-shaped state with no influence on the event order. The same goes
+// for the insert-occupancy counter and the crowding-refit window, which
+// are not saved.
 
 void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
-  GTRIX_CKPT_SIZEOF(EventQueue, 208);
+  GTRIX_CKPT_SIZEOF(EventQueue, 240);
   GTRIX_CKPT_FIELDS(Slot, 7);
   GTRIX_CKPT_FIELDS(QueueEntry, 5);
   GTRIX_CKPT_FIELDS(EventPayload, 5);
@@ -102,6 +104,10 @@ void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
     io.flag(slot.live);
     if (!slot.live) return;
     io.f64(slot.time);
+    // The calendar refill sorts and buckets these times.
+    if (!io.saving() && !std::isfinite(slot.time)) {
+      throw CkptError("checkpoint event time is not finite (corrupt file)");
+    }
     io.u32(slot.kind);
     io.u32(slot.payload.a);
     io.u32(slot.payload.b);
@@ -162,26 +168,20 @@ void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
     prev = idx;
   }
 
-  // Reset the calendar and refill it from the exact (time, seq) pairs,
-  // refit to the restored population (same policy as any purge rebuild);
-  // bucket geometry is engine-shaped state, so the refill's own rebuilds
-  // do not count toward the restored rebuild counter.
-  const std::uint64_t rebuilds = rebuilds_;
+  // Refill the calendar from the exact (time, seq) pairs, fitted to the
+  // restored population as any rebuild is. Bucket geometry is
+  // engine-shaped state, so the refill is not counted as a rebuild, and
+  // the insert occupancy counts from here.
+  insert_occupancy_ = 0;
   buckets_.clear();
-  buckets_.resize(8);  // kMinBuckets; the rebuild below refits the size
-  bucket_mask_ = buckets_.size() - 1;
-  width_ = 1.0;
-  inv_width_ = 1.0;
-  entry_count_ = 0;
+  buckets_.resize(kMinBuckets);
   dead_ = 0;
-  cur_epoch_ = 0;
-  peek_ = PeekRef{};
+  rebuild_scratch_.clear();
   for (const LiveRef& ref : lives) {
-    calendar_insert(
+    rebuild_scratch_.push_back(
         QueueEntry{slots_[ref.slot].time, ref.seq, 0, ref.slot, slots_[ref.slot].gen});
   }
-  calendar_rebuild(8);
-  rebuilds_ = rebuilds;
+  calendar_fit(kMinBuckets);
 }
 
 // --- Simulator ---------------------------------------------------------------

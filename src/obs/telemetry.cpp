@@ -38,7 +38,10 @@ constexpr ObsCounterInfo kCatalog[] = {
      "lazy-cancelled entries physically removed by scan skims and purge "
      "rebuilds"},
     {ObsCounter::kCalendarRebuilds, "calendar_rebuilds", false,
-     "calendar-queue resize/purge rebuilds"},
+     "calendar-queue resize/purge/crowding rebuilds"},
+    {ObsCounter::kCalendarInsertOccupancy, "calendar_insert_occupancy", false,
+     "entries already in the target calendar bucket, summed over inserts; "
+     "divided by events_scheduled, the mean bucket size an insert meets"},
     {ObsCounter::kShardWindows, "shard_windows", false,
      "conservative windows executed, summed over shards (0 on serial runs)"},
     {ObsCounter::kEnvelopesPublished, "envelopes_published", false,

@@ -55,7 +55,8 @@ enum class ObsCounter : std::uint32_t {
   kEventsExecuted,    ///< raw queue events popped (batching/shard dependent)
   kEventsScheduled,   ///< raw queue events scheduled
   kEventsPurged,      ///< lazy-cancelled entries physically removed by skims/rebuilds
-  kCalendarRebuilds,  ///< calendar-queue resize/purge rebuilds
+  kCalendarRebuilds,  ///< calendar-queue resize/purge/crowding rebuilds
+  kCalendarInsertOccupancy, ///< entries already in the target bucket, summed over inserts
   kShardWindows,      ///< conservative windows executed, summed over shards
   kEnvelopesPublished,///< cross-shard envelopes handed over at barriers
   kEnvelopesDrained,  ///< cross-shard envelopes drained into receiver queues

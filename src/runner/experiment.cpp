@@ -110,7 +110,7 @@ void World::init_shards() {
   }
   net_.configure_shards(shard_sims_, node_shard);
   for (Simulator* sim : shard_sims_) {
-    shard_recorders_.push_back(std::make_unique<ShardRecorder>(sim));
+    shard_recorders_.push_back(std::make_unique<ShardRecorder>(sim, recorder_.mode()));
     shard_recorder_ptrs_.push_back(shard_recorders_.back().get());
   }
   if (engine_.telemetry) telemetry_ = std::make_unique<Telemetry>(shard_count_);
@@ -435,15 +435,16 @@ EngineStats World::engine_stats() const {
   stats.set(ObsCounter::kCorruptPinnedPulses, recorder_.anchored_pulse_count());
 
   // Queue counters, summed over shard queues. Cancels are algorithm-issued
-  // and engine-invariant; scheduled/executed/purged/rebuilds are
+  // and engine-invariant; scheduled/executed/purged/rebuilds/occupancy are
   // engine-shaped (summary only).
-  std::uint64_t cancels = 0, scheduled = 0, purged = 0, rebuilds = 0;
+  std::uint64_t cancels = 0, scheduled = 0, purged = 0, rebuilds = 0, occupancy = 0;
   const auto harvest_queue = [&](const Simulator& sim) {
     const EventQueue& q = sim.event_queue();
     cancels += q.cancelled_count();
     scheduled += q.scheduled_count();
     purged += q.purged_count();
     rebuilds += q.calendar_rebuilds();
+    occupancy += q.insert_occupancy();
   };
   for (const Simulator& sim : sims_) harvest_queue(sim);
   stats.set(ObsCounter::kTimerCancels, cancels);
@@ -451,6 +452,7 @@ EngineStats World::engine_stats() const {
   stats.set(ObsCounter::kEventsScheduled, scheduled);
   stats.set(ObsCounter::kEventsPurged, purged);
   stats.set(ObsCounter::kCalendarRebuilds, rebuilds);
+  stats.set(ObsCounter::kCalendarInsertOccupancy, occupancy);
 
   // Sharded-run extras: window lanes and mailbox traffic.
   if (telemetry_) telemetry_->harvest_into(stats);

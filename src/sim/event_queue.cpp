@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 
 #include "support/check.hpp"
 
@@ -11,12 +10,106 @@ namespace gtrix {
 
 namespace {
 
-constexpr std::size_t kMinBuckets = 8;
 constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+/// Crowding refit: after every kCrowdWindow inserts, refit when those
+/// inserts met more than kCrowded entries per bucket on average, and more
+/// than twice what the current fit predicted (equal times crowd a bucket
+/// at any width, so refitting cannot help them).
+constexpr std::uint32_t kCrowdWindow = 4096;
+constexpr double kCrowded = 8.0;
+
+/// A pop's step to the next bucket costs about twice an entry an insert
+/// scans past: the step reads another bucket's vector, the scan stays in
+/// one (docs/performance.md has the measurement).
+constexpr double kStepCost = 2.0;
+
+/// What a width costs a population, per entry, if it were popped in order.
+struct WidthCost {
+  /// Mean number of entries sharing an entry's epoch, itself included: the
+  /// bucket size an insert drawn from the population meets. (Epochs a
+  /// whole calendar year apart share a bucket too; the estimate ignores
+  /// that.)
+  double occupancy = 1.0;
+  /// Mean number of epochs the cursor steps from one entry to the next;
+  /// a gap longer than the year costs one lap.
+  double walk = 0.0;
+  double total() const noexcept { return occupancy + kStepCost * walk; }
+};
+
+/// WidthCost of `width` for a population sorted DESCENDING by time, on a
+/// calendar of `buckets` buckets.
+template <class Entry>
+WidthCost width_cost(const std::vector<Entry>& sorted, double width, std::size_t buckets) {
+  const double inv_width = 1.0 / width;
+  const auto lap = static_cast<long long>(buckets);
+  double sum_sq = 0.0;
+  double run = 0.0;
+  long long steps = 0;
+  long long prev = 0;
+  for (const Entry& entry : sorted) {
+    const auto epoch = static_cast<long long>(std::floor(entry.time * inv_width));
+    if (run > 0.0 && epoch == prev) {
+      run += 1.0;
+      continue;
+    }
+    if (run > 0.0) steps += std::min(prev - epoch, lap);
+    sum_sq += run * run;
+    run = 1.0;
+    prev = epoch;
+  }
+  sum_sq += run * run;
+  const auto n = static_cast<double>(sorted.size());
+  return {sum_sq / n, static_cast<double>(steps) / n};
+}
+
+struct WidthFit {
+  double width = 1.0;
+  WidthCost cost;
+};
+
+/// The bucket width for a population sorted DESCENDING by time. It starts
+/// from twice the mean gap over the whole span, which suits a population
+/// spread evenly over its span. But one early or far-future event
+/// stretches the span, and a population that clusters in dense waves
+/// leaves most of it empty; either way the span width crowds the clusters
+/// into a few buckets. So the fit takes, among the span width and its
+/// halvings, the one with the lowest predicted cost: entries an insert
+/// scans plus the buckets a pop steps through. Outliers on either side only
+/// add a few long steps, which cost about the same at any width, so the
+/// fit follows the dense part; and it stays as wide as that part allows,
+/// since narrower buckets lengthen every step. Equal times share a bucket
+/// at any width, so they never pull the width down.
+template <class Entry>
+WidthFit fit_width(const std::vector<Entry>& sorted, std::size_t buckets) {
+  const std::size_t n = sorted.size();
+  if (n < 2) return {};
+  const double min_t = sorted.back().time;
+  const double max_t = sorted.front().time;
+  if (!(max_t > min_t)) return {1.0, {static_cast<double>(n), 0.0}};
+  // Keep floor(t / width) well inside the integer range even for large
+  // absolute times with tightly clustered events.
+  const double min_width = (std::abs(max_t) + 1.0) * 1e-12;
+  WidthFit fit;
+  fit.width = std::max(2.0 * (max_t - min_t) / static_cast<double>(n), min_width);
+  fit.cost = width_cost(sorted, fit.width, buckets);
+  for (double width = fit.width * 0.5; width >= min_width; width *= 0.5) {
+    const WidthCost cost = width_cost(sorted, width, buckets);
+    if (cost.total() < fit.cost.total()) {
+      fit = {width, cost};
+    } else if (kStepCost * cost.walk >= fit.cost.total()) {
+      break;  // the walk only grows as the width shrinks
+    }
+  }
+  return fit;
+}
 
 }  // namespace
 
-EventQueue::EventQueue() : buckets_(kMinBuckets), bucket_mask_(kMinBuckets - 1) {}
+EventQueue::EventQueue()
+    : buckets_(kMinBuckets),
+      bucket_mask_(kMinBuckets - 1),
+      crowd_limit_(static_cast<std::uint64_t>(kCrowdWindow * kCrowded)) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kInvalidEventSlot) {
@@ -145,16 +238,27 @@ std::size_t EventQueue::bucket_of_epoch(long long epoch) const noexcept {
 void EventQueue::calendar_insert(const QueueEntry& entry_in) {
   if (calendar_live() > buckets_.size() * 2) {
     calendar_rebuild(buckets_.size() * 2);
+  } else if (crowd_inserts_ == kCrowdWindow) {
+    if (crowd_occupancy_ > crowd_limit_) {
+      calendar_rebuild(kMinBuckets);
+    } else {
+      crowd_inserts_ = 0;
+      crowd_occupancy_ = 0;
+    }
   }
   QueueEntry entry = entry_in;
   entry.epoch = epoch_of(entry.time);  // rebuild above may have changed width
   const long long epoch = entry.epoch;
   const std::size_t b = bucket_of_epoch(epoch);
   std::vector<QueueEntry>& bucket = buckets_[b];
+  insert_occupancy_ += bucket.size();
+  crowd_occupancy_ += bucket.size();
+  ++crowd_inserts_;
   // Keep the bucket sorted descending by (time, seq): first index whose
-  // entry fires before the new one is the insertion point. Buckets hold
-  // ~2 entries on average (the rebuild policy pins occupancy), so a linear
-  // scan beats binary search here.
+  // entry fires before the new one is the insertion point. The width fit
+  // (fit_width) keeps buckets at a few entries, and the crowding refit
+  // catches a population that drifted from its fit, so a linear scan
+  // beats binary search here.
   std::size_t pos = 0;
   while (pos < bucket.size() && !fires_before(bucket[pos], entry)) ++pos;
   bucket.insert(bucket.begin() + static_cast<std::ptrdiff_t>(pos), entry);
@@ -183,51 +287,36 @@ void EventQueue::calendar_insert(const QueueEntry& entry_in) {
 bool EventQueue::calendar_find_min() const {
   if (peek_.valid) return true;
   if (live_ == 0) return false;
+  // Walk one calendar year from the cursor. Once its stale tail is
+  // skimmed, a bucket's back is its earliest live entry, so the first back
+  // in the scanned epoch is the minimum. Backs in later years are
+  // remembered: when the whole year is empty (the population is sparse
+  // relative to the year), the lap has met every bucket's earliest entry,
+  // and the earliest of those is the minimum.
+  std::size_t later = kNoIndex;
   for (std::size_t lap = 0; lap < buckets_.size(); ++lap) {
     const long long epoch = cur_epoch_ + static_cast<long long>(lap);
-    std::vector<QueueEntry>& bucket = buckets_[bucket_of_epoch(epoch)];
-    // Skim the stale tail; what remains at the back is the bucket's
-    // earliest live entry (sorted descending).
+    const std::size_t b = bucket_of_epoch(epoch);
+    std::vector<QueueEntry>& bucket = buckets_[b];
     while (!bucket.empty() && stale(bucket.back())) {
       bucket.pop_back();
       --entry_count_;
       --dead_;
       ++purged_;
     }
-    if (!bucket.empty() && bucket.back().epoch == epoch) {
-      GTRIX_DEBUG_CHECK_MSG(bucket.back().epoch == epoch_of(bucket.back().time),
-                            "calendar entry epoch stamped under a stale width");
+    if (bucket.empty()) continue;
+    GTRIX_DEBUG_CHECK_MSG(bucket.back().epoch == epoch_of(bucket.back().time),
+                          "calendar entry epoch stamped under a stale width");
+    if (bucket.back().epoch == epoch) {
       cur_epoch_ = epoch;
-      peek_ = PeekRef{bucket_of_epoch(epoch), bucket.size() - 1, true};
+      peek_ = PeekRef{b, bucket.size() - 1, true};
       return true;
     }
+    if (later == kNoIndex || fires_before(bucket.back(), buckets_[later].back())) later = b;
   }
-  // A full lap found nothing inside its year window: the population is
-  // sparse relative to the calendar span. Fall back to a direct global
-  // minimum scan and re-anchor the cursor there.
-  return calendar_global_min();
-}
-
-bool EventQueue::calendar_global_min() const {
-  std::size_t best_bucket = kNoIndex;
-  std::size_t best_index = kNoIndex;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    std::vector<QueueEntry>& bucket = buckets_[b];
-    // Back-most live entry is the bucket's earliest; stale entries deeper
-    // in are left for the purge rebuild.
-    for (std::size_t i = bucket.size(); i-- > 0;) {
-      if (stale(bucket[i])) continue;
-      if (best_bucket == kNoIndex ||
-          fires_before(bucket[i], buckets_[best_bucket][best_index])) {
-        best_bucket = b;
-        best_index = i;
-      }
-      break;
-    }
-  }
-  if (best_bucket == kNoIndex) return false;
-  cur_epoch_ = buckets_[best_bucket][best_index].epoch;
-  peek_ = PeekRef{best_bucket, best_index, true};
+  if (later == kNoIndex) return false;
+  cur_epoch_ = buckets_[later].back().epoch;
+  peek_ = PeekRef{later, buckets_[later].size() - 1, true};
   return true;
 }
 
@@ -246,11 +335,9 @@ void EventQueue::calendar_pop_peeked() {
 }
 
 void EventQueue::calendar_rebuild(std::size_t min_buckets) {
-  // Collect the live population and fit the calendar to it: bucket count ~
-  // the next power of two above the population (about one entry per bucket)
-  // and width ~ twice the mean gap between pending event times, so one
-  // year spans the whole pending window. Bucket vectors are reused (only
-  // cleared), so a purge rebuild performs no per-bucket reallocation.
+  // Collect the live population and refit the calendar to it. Bucket
+  // vectors are reused (only cleared), so a purge rebuild performs no
+  // per-bucket reallocation.
   ++rebuilds_;
   std::vector<QueueEntry>& entries = rebuild_scratch_;
   entries.clear();
@@ -263,38 +350,35 @@ void EventQueue::calendar_rebuild(std::size_t min_buckets) {
   }
   purged_ += dead_;  // the stale entries just dropped with their buckets
   dead_ = 0;
+  calendar_fit(min_buckets);
+}
+
+void EventQueue::calendar_fit(std::size_t min_buckets) {
+  // Bucket count: the next power of two above the population (about one
+  // entry per bucket). Width: fit_width, from the population sorted in
+  // globally descending (time, seq) order -- distributing in that order
+  // leaves every bucket sorted descending.
+  std::vector<QueueEntry>& entries = rebuild_scratch_;
   entry_count_ = entries.size();
   const std::size_t target = std::max(min_buckets, std::bit_ceil(entries.size()));
   if (target != buckets_.size()) buckets_.resize(target);
-
-  double min_t = std::numeric_limits<double>::infinity();
-  double max_t = -std::numeric_limits<double>::infinity();
-  for (const QueueEntry& entry : entries) {
-    min_t = std::min(min_t, entry.time);
-    max_t = std::max(max_t, entry.time);
-  }
-  double width = 1.0;
-  if (entries.size() >= 2 && max_t > min_t) {
-    width = 2.0 * (max_t - min_t) / static_cast<double>(entries.size());
-    // Keep floor(t / width) well inside the integer range even for large
-    // absolute times with tightly clustered events.
-    width = std::max(width, (std::abs(max_t) + 1.0) * 1e-12);
-  }
-  width_ = width;
-  inv_width_ = 1.0 / width_;
   bucket_mask_ = buckets_.size() - 1;
-
-  // Distributing in globally descending (time, seq) order leaves every
-  // bucket sorted descending.
   std::sort(entries.begin(), entries.end(),
             [](const QueueEntry& a, const QueueEntry& b) { return fires_before(b, a); });
+  const WidthFit fit = fit_width(entries, buckets_.size());
+  width_ = fit.width;
+  inv_width_ = 1.0 / width_;
+  crowd_limit_ = static_cast<std::uint64_t>(static_cast<double>(kCrowdWindow) *
+                                            std::max(kCrowded, 2.0 * fit.cost.occupancy));
+  crowd_inserts_ = 0;
+  crowd_occupancy_ = 0;
   for (QueueEntry& entry : entries) {
     entry.epoch = epoch_of(entry.time);
     buckets_[bucket_of_epoch(entry.epoch)].push_back(entry);
   }
   // Re-anchor the cursor at the earliest entry (or at zero when empty).
   peek_.valid = false;
-  cur_epoch_ = entries.empty() ? 0 : epoch_of(min_t);
+  cur_epoch_ = entries.empty() ? 0 : entries.back().epoch;
 #ifdef GTRIX_DEBUG_CHECKS
   calendar_verify_epochs();
 #endif

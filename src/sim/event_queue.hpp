@@ -17,13 +17,14 @@
 //    fire in scheduling order. Entire simulations are bit-reproducible.
 //
 // The priority structure is a calendar queue (Brown 1988): an array of time
-// buckets of width ~ the mean gap between pending events. The simulation's
-// bounded-delay event horizon (every event is scheduled at most ~Lambda + d
-// past the cursor) keeps the calendar a single "year" wide in steady state,
-// so schedule and pop are O(1) bucket operations instead of O(log n) heap
-// sifts on pointer-cold array levels. tests/binary_heap_queue.hpp keeps a
-// binary-heap queue with the same (time, seq) order as the differential
-// oracle for tests/test_calendar_queue.cpp.
+// buckets whose width is fitted so that each holds a few pending events --
+// about twice the mean gap between them where they are spread evenly,
+// narrower where they cluster (calendar_fit). So schedule and pop are O(1)
+// bucket operations instead of O(log n) heap sifts on pointer-cold array
+// levels.
+// tests/binary_heap_queue.hpp keeps a binary-heap queue with the same
+// (time, seq) order as the differential oracle for
+// tests/test_calendar_queue.cpp.
 #pragma once
 
 #include <cstdint>
@@ -144,6 +145,12 @@ class EventQueue {
   std::size_t calendar_buckets() const noexcept { return buckets_.size(); }
   double calendar_width() const noexcept { return width_; }
   std::uint64_t calendar_rebuilds() const noexcept { return rebuilds_; }
+  /// Entries already in the target bucket, summed over every insert
+  /// (stale ones included: an insert scans past them too). Divided by
+  /// scheduled_count() it is the mean bucket size an insert meets.
+  /// Engine-shaped, and not part of a snapshot: a restored queue counts
+  /// from its restore.
+  std::uint64_t insert_occupancy() const noexcept { return insert_occupancy_; }
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp). The snapshot preserves the
   /// exact slot table -- indices, generations, freelist order and the
@@ -198,12 +205,12 @@ class EventQueue {
   ///
   /// EPOCH FRESHNESS INVARIANT: a QueueEntry's cached epoch is only
   /// meaningful under the width_ in force when it was bucketed, so
-  ///  (a) calendar_insert stamps entry.epoch AFTER its possible
-  ///      grow-rebuild, never before (a rebuild refits width_, and an epoch
-  ///      computed under the old width would bucket the entry into a year
-  ///      the scan never visits or visits too early), and
-  ///  (b) calendar_rebuild re-stamps every surviving entry's epoch under
-  ///      the new width as it redistributes them.
+  ///  (a) calendar_insert stamps entry.epoch AFTER its possible grow or
+  ///      crowding rebuild, never before (a rebuild refits width_, and an
+  ///      epoch computed under the old width would bucket the entry into a
+  ///      year the scan never visits or visits too early), and
+  ///  (b) calendar_fit re-stamps every surviving entry's epoch under the
+  ///      new width as it redistributes them.
   /// Together with the cursor rule -- an insert with epoch < cur_epoch_
   /// pulls the cursor back to it -- this keeps behind-cursor inserts
   /// immediately after a lazy-cancel purge rebuild correct: the insert is
@@ -218,18 +225,22 @@ class EventQueue {
   /// Locates the (time, seq)-minimum live entry, caching it in peek_.
   /// Returns false when no live entry exists.
   bool calendar_find_min() const;
-  /// Full scan fallback for sparse calendars: min over every bucket.
-  bool calendar_global_min() const;
   void calendar_pop_peeked();
   /// Rebuilds the calendar with a bucket count / width fitted to the
   /// current live population. Also drops all stale entries.
   void calendar_rebuild(std::size_t min_buckets);
+  /// Fits the bucket count and width to the population in
+  /// rebuild_scratch_ and distributes it into the (empty) buckets. The
+  /// rebuild and the checkpoint refill share it.
+  void calendar_fit(std::size_t min_buckets);
   std::size_t calendar_live() const noexcept { return entry_count_ - dead_; }
   /// GTRIX_DEBUG_CHECKS walk of the EPOCH FRESHNESS INVARIANT above: every
   /// live entry's cached epoch matches epoch_of(time) under the current
   /// width, sits in the bucket its epoch maps to, and none is behind the
   /// cursor. O(pending), so only the debug-assertion builds call it.
   void calendar_verify_epochs() const;
+
+  static constexpr std::size_t kMinBuckets = 8;
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kInvalidEventSlot;
@@ -261,6 +272,12 @@ class EventQueue {
   };
   mutable PeekRef peek_;
   std::uint64_t rebuilds_ = 0;
+  std::uint64_t insert_occupancy_ = 0;
+  /// Crowding refit (calendar_insert): inserts and their summed occupancy
+  /// since the last fit or check, and the sum that triggers a refit.
+  std::uint32_t crowd_inserts_ = 0;
+  std::uint64_t crowd_occupancy_ = 0;
+  std::uint64_t crowd_limit_ = 0;
   std::vector<QueueEntry> rebuild_scratch_;  ///< reused across rebuilds
 };
 

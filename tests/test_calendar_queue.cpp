@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "binary_heap_queue.hpp"
@@ -395,6 +396,124 @@ TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
       ASSERT_EQ(cal_log.events[i].payload.i, heap_log.events[i].payload.i) << "at " << i;
     }
   }
+}
+
+/// Mean number of entries an insert met in its bucket.
+double mean_insert_occupancy(const EventQueue& q) {
+  return static_cast<double>(q.insert_occupancy()) / static_cast<double>(q.scheduled_count());
+}
+
+/// The population that crowded the calendar when its width was fitted to
+/// the whole span of pending times: a dense wave of events a link delay
+/// d +- u after the last, node timers about Lambda ahead (re-armed on
+/// every pulse, so the older one is cancelled), a straggler between the
+/// waves and a few far-future watchdogs. The span width put each wave
+/// into one or two buckets; the fit must keep the bucket size an insert
+/// meets at a few entries, and dispatch in the oracle's order.
+TEST(CalendarQueue, WaveShapedChurnKeepsBucketsSparse) {
+  constexpr std::uint32_t kNodes = 512;
+  constexpr double kD = 1000.0;
+  constexpr double kU = 10.0;
+  constexpr double kLambda = 3.0 * kD;
+  enum Kind : std::uint32_t { kPulse, kTimer, kStraggler, kWatchdog };
+
+  const auto drive = [](auto& q, EventLog& log) {
+    Rng rng(17);
+    std::int64_t tag = 0;
+    std::vector<TimerHandle> timers(kNodes);
+    const auto pulse = [&](std::uint32_t node, double wave) {
+      q.schedule(wave + kD + rng.uniform(-kU, kU), &log, kPulse,
+                 EventPayload{.a = node, .i = tag++});
+      q.cancel(timers[node]);
+      timers[node] = q.schedule(wave + kLambda + rng.uniform(-kU, kU), &log, kTimer,
+                                EventPayload{.a = node, .i = tag++});
+    };
+    for (std::uint32_t node = 0; node < kNodes; ++node) pulse(node, 0.0);
+    q.schedule(kD / 2, &log, kStraggler, EventPayload{.i = tag++});
+    for (int i = 1; i <= 4; ++i) {
+      q.schedule(i * kLambda, &log, kWatchdog, EventPayload{.i = tag++});
+    }
+    while (log.events.size() < 100000) {
+      ASSERT_TRUE(q.run_next());
+      const Event e = log.events.back();
+      const double wave = std::round(e.time / kD) * kD;
+      if (e.kind == kPulse) pulse(e.payload.a, wave);
+      if (e.kind == kStraggler) {
+        q.schedule(wave + kD / 2, &log, kStraggler, EventPayload{.i = tag++});
+      }
+      if (e.kind == kWatchdog) {
+        q.schedule(e.time + 4 * kLambda, &log, kWatchdog, EventPayload{.i = tag++});
+      }
+    }
+  };
+
+  EventQueue cal;
+  BinaryHeapQueue heap;
+  EventLog cal_log;
+  EventLog heap_log;
+  drive(cal, cal_log);
+  drive(heap, heap_log);
+  ASSERT_EQ(cal_log.events.size(), heap_log.events.size());
+  for (std::size_t i = 0; i < cal_log.events.size(); ++i) {
+    ASSERT_EQ(cal_log.events[i].time, heap_log.events[i].time) << "at " << i;
+    ASSERT_EQ(cal_log.events[i].payload.i, heap_log.events[i].payload.i) << "at " << i;
+  }
+  EXPECT_LE(mean_insert_occupancy(cal), 4.0);
+}
+
+/// The crowding refit: a calendar fitted to a population spread evenly
+/// over a wide window, then fed a steady conveyor of inserts 0.01 apart
+/// far past it. Once the spread population has been popped, every entry
+/// sits in one or two of the wide buckets, and the population stays
+/// constant without cancellations, so no population trigger refits the
+/// calendar. The crowded inserts must: after that, an insert meets only a
+/// few entries.
+TEST(CalendarQueue, CrowdedInsertsRefitTheCalendar) {
+  EventQueue cal;
+  BinaryHeapQueue heap;
+  EventLog cal_log;
+  EventLog heap_log;
+  constexpr int kChurn = 30000;
+  constexpr int kSettled = 10000;  ///< churn inserts before the refit has settled
+  std::uint64_t rebuilds_before = 0;
+  std::uint64_t rebuilds_after = 0;
+  std::uint64_t occupancy_settled = 0;
+  std::uint64_t scheduled_settled = 0;
+  const auto drive = [&](auto& q, EventLog& log) {
+    constexpr bool kCalendar = std::is_same_v<std::decay_t<decltype(q)>, EventQueue>;
+    Rng rng(23);
+    std::int64_t tag = 0;
+    for (int i = 0; i < 2000; ++i) {
+      q.schedule(rng.uniform(0.0, 1e6), &log, 0, EventPayload{.i = tag++});
+    }
+    if constexpr (kCalendar) rebuilds_before = q.calendar_rebuilds();
+    for (int i = 0; i < kChurn; ++i) {
+      if constexpr (kCalendar) {
+        if (i == kSettled) {
+          occupancy_settled = q.insert_occupancy();
+          scheduled_settled = q.scheduled_count();
+        }
+      }
+      ASSERT_TRUE(q.run_next());
+      q.schedule(2e6 + 0.01 * i, &log, 0, EventPayload{.i = tag++});
+    }
+    if constexpr (kCalendar) rebuilds_after = q.calendar_rebuilds();
+    while (q.run_next()) {
+    }
+  };
+
+  drive(cal, cal_log);
+  drive(heap, heap_log);
+  ASSERT_EQ(cal_log.events.size(), heap_log.events.size());
+  for (std::size_t i = 0; i < cal_log.events.size(); ++i) {
+    ASSERT_EQ(cal_log.events[i].time, heap_log.events[i].time) << "at " << i;
+    ASSERT_EQ(cal_log.events[i].payload.i, heap_log.events[i].payload.i) << "at " << i;
+  }
+  EXPECT_GT(rebuilds_after, rebuilds_before);
+  const double settled =
+      static_cast<double>(cal.insert_occupancy() - occupancy_settled) /
+      static_cast<double>(cal.scheduled_count() - scheduled_settled);
+  EXPECT_LE(settled, 4.0);
 }
 
 /// run_next_due respects the deadline and reports fire times (the single-

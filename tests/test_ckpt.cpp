@@ -439,6 +439,36 @@ TEST(Ckpt, InflatedCountInACrcValidSnapshotIsAPathQualifiedError) {
   }
 }
 
+TEST(Ckpt, NonFiniteEventTimeInACrcValidSnapshotIsAPathQualifiedError) {
+  // The first live event slot's time patched to NaN or infinity. The slot
+  // table follows the slot count (offset 60 of the "sims" body); a slot is
+  // a u32 generation and a live flag byte, then, when live, its time.
+  const ExperimentConfig config = builtin_scenario("quickstart-grid").cells().front().config;
+  std::vector<std::uint8_t> image;
+  {
+    World world(config, {});
+    world.run_until(3.0 * config.params.lambda);
+    image = world.checkpoint_save("");
+  }
+  std::size_t at = section_body_offset(image, "sims") + 68;
+  while (image[at + 4] == 0) at += 5;
+  at += 5;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const CkptFile file =
+        CkptFile::parse(with_u64_patched(image, at, std::bit_cast<std::uint64_t>(bad)), "x.ckpt");
+    World target(config, {});
+    try {
+      target.checkpoint_restore(file);
+      FAIL() << "expected CkptError for event time " << bad;
+    } catch (const CkptError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("x.ckpt: ", 0), 0u) << what;
+      EXPECT_NE(what.find("event time is not finite"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(Ckpt, RepeatedFreelistSlotInACrcValidSnapshotIsAPathQualifiedError) {
   // On the serial engine the "sims" section ends with the event queue's
   // freelist: a u64 length n, then n u32 slot indices. Naming the first

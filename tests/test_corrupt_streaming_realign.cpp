@@ -123,7 +123,7 @@ void expect_same_measurement(const ExperimentResult& full, const ExperimentResul
   EXPECT_EQ(full.diameter, other.diameter);
 }
 
-TEST(WindowedRealign, BitIdenticalToFullTraceOnEveryCorruptBuiltin) {
+TEST(CorruptStreamingRealign, BitIdenticalToFullTraceOnEveryCorruptBuiltin) {
   const char* const kScenarios[] = {"thm12-worstcase-faults", "thm13-random-faults",
                                     "fig5-jump-ablation", "thm16-stabilization"};
   for (const char* name : kScenarios) {
@@ -165,7 +165,7 @@ TEST(WindowedRealign, BitIdenticalToFullTraceOnEveryCorruptBuiltin) {
   }
 }
 
-TEST(WindowedRealign, FuzzedLookBackEitherMatchesFullOrFailsLoudly) {
+TEST(CorruptStreamingRealign, FuzzedCorruptionMatchesFull) {
   // Deterministically seeded sweep over corruption wave, corrupted
   // fraction and random-fault density, every trial under streaming
   // recording. Each trial must be bit-identical to full-trace recording.

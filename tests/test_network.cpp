@@ -248,7 +248,9 @@ CaseRun run_send_cases(std::uint32_t shards) {
     Recorder recorder;
     std::deque<ShardRecorder> buffers;
     std::vector<ShardRecorder*> buffer_ptrs;
-    for (Simulator& sim : sims) buffer_ptrs.push_back(&buffers.emplace_back(&sim));
+    for (Simulator& sim : sims) {
+      buffer_ptrs.push_back(&buffers.emplace_back(&sim, recorder.mode()));
+    }
     ShardDriver(shard_sims, net, recorder, buffer_ptrs).run(kTimeInfinity);
   } else {
     sims[0].run_all();
