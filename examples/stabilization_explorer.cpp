@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "runner/experiment.hpp"
 #include "support/flags.hpp"
@@ -42,23 +43,19 @@ int main(int argc, char** argv) {
   const auto after = world.counters();
 
   const double bound = config.params.thm11_bound(world.grid().base().diameter());
-  const auto trace = world.trace();
-  const auto [lo, hi] = default_window(world.recorder(), config.warmup);
+  const auto [lo, hi] = default_window(world.recorder());
+  const Sigma table_lo = std::max<Sigma>(lo, corrupt_wave - 4);
+  // The per-wave lane of one replay of the realigned trace: the worst
+  // deviation of any correct intra-layer pair at the wave or inter-layer
+  // pair attributed to it -- the series the Theorem 1.6 recovery scan reads.
+  const std::vector<double> worst_by_wave =
+      replay_skew(world.trace(), table_lo, hi, table_lo, hi).local_by_wave;
 
-  Table table({"wave", "worst intra skew", "vs bound", "state"});
+  Table table({"wave", "worst local skew", "vs bound", "state"});
   Sigma recovered_at = -1;
-  for (Sigma s = std::max<Sigma>(lo, corrupt_wave - 4); s <= hi; ++s) {
-    double worst = 0.0;
-    bool any = false;
-    for (std::uint32_t layer = 0; layer < config.layers; ++layer) {
-      for (const auto& [a, b] : world.grid().base().edges()) {
-        const auto ta = trace.steady_pulse(world.grid().id(a, layer), s);
-        const auto tb = trace.steady_pulse(world.grid().id(b, layer), s);
-        if (!ta || !tb) continue;
-        any = true;
-        worst = std::max(worst, std::abs(*ta - *tb));
-      }
-    }
+  for (std::size_t i = 0; i < worst_by_wave.size(); ++i) {
+    const Sigma s = table_lo + static_cast<Sigma>(i);
+    const double worst = worst_by_wave[i];
     const char* state = "steady";
     if (s >= corrupt_wave && worst > bound) state = "DISTURBED";
     if (s >= corrupt_wave && worst <= bound) {
@@ -66,12 +63,12 @@ int main(int argc, char** argv) {
       if (recovered_at < 0) recovered_at = s;
     }
     if (s < corrupt_wave) state = "pre-fault";
-    if (!any) state = "(no complete pairs)";
-    table.row()
-        .add(static_cast<std::int64_t>(s))
-        .add(worst, 1)
-        .add(worst / bound, 3)
-        .add(state);
+    Table& row = table.row().add(static_cast<std::int64_t>(s));
+    if (std::isnan(worst)) {
+      row.add("-").add("-").add("(no complete pairs)");
+    } else {
+      row.add(worst, 1).add(worst / bound, 3).add(state);
+    }
   }
   std::printf("%s\n", table.render().c_str());
 

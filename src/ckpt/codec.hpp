@@ -50,7 +50,10 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // v7: recorder node logs drop the v2 retention state (a corrupt streaming
 // cell keeps its whole pulse trace), the recorder its pinned-pulse counter,
 // and the "streaming" section its suppression counter.
-inline constexpr std::uint32_t kCkptFormatVersion = 7;
+// v8: a done file's skew deviations drop the `exact` flag (one quantile
+// method), and a corrupt streaming snapshot carries no "streaming" section
+// (a corrupt cell keeps no live accumulator).
+inline constexpr std::uint32_t kCkptFormatVersion = 8;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

@@ -251,7 +251,7 @@ void Recorder::checkpoint(CkptIo& io) {
 // --- StreamingSkew -----------------------------------------------------------
 
 void StreamingSkew::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(StreamingSkew, 472);
+  GTRIX_CKPT_SIZEOF(StreamingSkew, 504);
   GTRIX_CKPT_FIELDS(WaveExtrema, 3);
   // Lane and ring sizes follow from the grid and the constant ring.
   io.each(held_sigma_, "held_sigma", &CkptIo::i64);
@@ -274,7 +274,7 @@ void StreamingSkew::checkpoint(CkptIo& io) {
   });
   io.u64(pairs_checked_);
   io.u64(window_overflows_);
-  io.u64(out_of_order_);  // the anchor is config-derived, not state
+  io.u64(out_of_order_);  // the replay windows are never saved
   deviation_summary_.checkpoint(io);
   deviation_sketch_.checkpoint(io);
 }
@@ -323,13 +323,12 @@ void ExperimentResult::checkpoint(CkptIo& io) {
   io.u64(s.pairs_checked);
   io.u64(s.pairs_skipped);
   DeviationStats& dev = s.deviations;
-  GTRIX_CKPT_FIELDS(DeviationStats, 6);
+  GTRIX_CKPT_FIELDS(DeviationStats, 5);
   io.u64(dev.count);
   finite(io, dev.mean);
   finite(io, dev.p50);
   finite(io, dev.p90);
   finite(io, dev.p99);
-  io.flag(dev.exact);
 
   ExperimentCounters& c = counters;
   GTRIX_CKPT_FIELDS(ExperimentCounters, 10);

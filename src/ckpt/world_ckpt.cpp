@@ -164,8 +164,8 @@ void World::checkpoint_restore(const CkptFile& file) {
   checkpoint_sections(nullptr, &file);
   if (streaming_ == nullptr && file.has_section("streaming")) {
     throw CkptError(file.path() +
-                    ": checkpoint carries streaming accumulators but this run records in "
-                    "full mode (corrupt file?)");
+                    ": checkpoint carries streaming accumulators but this run keeps no "
+                    "live accumulator (full recording or a corrupt cell; corrupt file?)");
   }
 }
 

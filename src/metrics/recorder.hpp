@@ -29,14 +29,15 @@ class CkptIo;
 ///
 ///  * kFull      -- every pulse time and IterationRecord, forever. O(nodes x
 ///                  waves) memory; required for post-hoc conditions checks
-///                  and skew over arbitrary windows. The default.
+///                  and skew over arbitrary windows, which replay the kept
+///                  trace through StreamingSkew. The default.
 ///  * kStreaming -- no per-wave storage at all: every pulse is fed straight
-///                  into the attached StreamingSkew accumulators. O(nodes)
-///                  memory. Skew extrema/means are bit-identical to full
-///                  recording; quantiles come from a log-binned sketch
-///                  with a guaranteed 1% relative error bound. A corrupt
-///                  cell (set_corruption_anchor) keeps every pulse time, as
-///                  full recording does, but no iteration records.
+///                  into the attached StreamingSkew, the same evaluator a
+///                  replay uses, so skew extrema, counts and quantiles are
+///                  bit-identical to full recording. O(nodes) memory. A
+///                  corrupt cell (set_corruption_anchor) keeps every pulse
+///                  time instead, as full recording does, but no iteration
+///                  records.
 enum class RecordingMode : std::uint8_t { kFull, kStreaming };
 
 std::string_view to_string(RecordingMode mode);
@@ -100,11 +101,12 @@ class Recorder {
   virtual void record_iteration(RecNodeId node, const IterationRecord& record);
 
   /// Corruption anchor (streaming): switches streaming mode onto the full
-  /// pulse-times path, so post-run label realignment, the post-recovery
-  /// skew window and the recovery scan read the same pulse trace full
-  /// recording would (docs/scaling.md, "Realignment at scale"). Iteration
-  /// records stay unkept. Must be called before the first pulse; a no-op in
-  /// full mode (the whole trace is retained anyway).
+  /// pulse-times path, so post-run label realignment and the replay behind
+  /// the post-recovery skew window and the recovery scan read the same
+  /// pulse trace full recording would (docs/scaling.md, "Realignment at
+  /// scale"). Iteration records stay unkept. Must be called before the
+  /// first pulse; a no-op in full mode (the whole trace is retained
+  /// anyway).
   void set_corruption_anchor();
   bool corruption_anchored() const noexcept { return anchored_; }
 

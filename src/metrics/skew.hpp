@@ -3,10 +3,14 @@
 // All comparisons are between same-sigma pulses (intra-layer) or sigma+1 at
 // layer l versus sigma at layer l+1 (inter-layer), which is exactly the
 // paper's L_l and L_{l,l+1} after the index shift discussed in DESIGN.md.
+// This header holds the report types and the trace view; the one evaluator
+// that fills a SkewReport, live or by replaying a kept trace, is
+// StreamingSkew (metrics/streaming.hpp).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/grid.hpp"
@@ -35,18 +39,15 @@ struct GridTrace {
 };
 
 /// Distribution summary of the per-pair deviations |t_a - t_b| behind the
-/// extrema above. Full-trace recording computes the quantiles exactly from
-/// the complete sample set (`exact` = true); streaming recording estimates
-/// them with a log-binned sketch in O(1) memory (`exact` = false, 1%
-/// relative error bound -- docs/scaling.md). Counts and the mean are exact
-/// in both modes.
+/// extrema above. The count is exact; the quantiles come from a log-binned
+/// sketch in O(1) memory (1% relative error bound -- docs/scaling.md); the
+/// mean is a running mean in the evaluator's feed order.
 struct DeviationStats {
   std::uint64_t count = 0;
   double mean = 0.0;
   double p50 = 0.0;
   double p90 = 0.0;
   double p99 = 0.0;
-  bool exact = true;
 };
 
 struct SkewReport {
@@ -60,28 +61,15 @@ struct SkewReport {
   Sigma sigma_lo = 0;
   Sigma sigma_hi = 0;
   std::uint64_t pairs_checked = 0;
-  std::uint64_t pairs_skipped = 0;     ///< missing pulse or faulty endpoint
+  /// Pairs of the window with a missing pulse or a faulty endpoint, counted
+  /// by a replay of a kept trace; 0 from the live accumulator.
+  std::uint64_t pairs_skipped = 0;
   DeviationStats deviations;           ///< distribution of the checked pair deviations
 };
 
-/// Computes all skew measures over waves sigma in [lo, hi].
-SkewReport compute_skew(const GridTrace& trace, Sigma lo, Sigma hi);
-
-/// Intra-layer skew of one layer per wave (series over sigma); NaN where no
-/// adjacent correct pair had both pulses recorded.
-std::vector<double> intra_skew_by_sigma(const GridTrace& trace, std::uint32_t layer,
-                                        Sigma lo, Sigma hi);
-
-/// Worst local deviation per wave across ALL layers: intra-layer pairs at
-/// wave s plus inter-layer pairs (s+1 at layer l vs s at layer l+1,
-/// attributed to s). NaN where no correct pair had both pulses recorded.
-/// This is the recovery-time scan of a corrupt cell: the first wave from
-/// which the series stays under the Theorem 1.1 bound is the measured
-/// recovery wave (src/runner/campaign.cpp).
-std::vector<double> local_skew_by_sigma(const GridTrace& trace, Sigma lo, Sigma hi);
-
-/// Default measurement window for a run: skips `warmup` waves at the start
-/// and 2 at the end (the last waves are perturbed by the source stopping).
-std::pair<Sigma, Sigma> default_window(const Recorder& recorder, Sigma warmup);
+/// Default measurement window for a run: every wave the recorder saw. The
+/// per-node steady filter (GridTrace) handles the transients; the window
+/// just bounds the sigma sweep. Empty (lo > hi) when nothing was recorded.
+std::pair<Sigma, Sigma> default_window(const Recorder& recorder);
 
 }  // namespace gtrix

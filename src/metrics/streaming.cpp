@@ -38,11 +38,6 @@ StreamingSkew::StreamingSkew(const Grid& grid, std::vector<bool> faulty, Sigma w
 void StreamingSkew::on_pulse(RecNodeId node, Sigma sigma, SimTime t) {
   if (node >= grid_.node_count()) return;  // line-mode clock source
   if (faulty_[node]) return;               // faulty endpoints never form pairs
-  if (anchor_set_ && t >= anchor_time_) {
-    // Corrupt cell: everything from the injection instant on is suspect;
-    // the accumulators stay the clean pre-corruption epoch.
-    return;
-  }
   const std::int64_t arrival = ++recorded_[node];
   if (held_sigma_[node] != kNoSigma) {
     if (sigma < held_sigma_[node]) {
@@ -82,9 +77,17 @@ double StreamingSkew::lookup(RecNodeId g, Sigma sigma) {
   return kNaN;
 }
 
-void StreamingSkew::score(double deviation) {
-  deviation_summary_.add(deviation);
-  deviation_sketch_.add(deviation);
+void StreamingSkew::score(double& layer_max, Sigma wave, double deviation) {
+  if (wave >= lo_ && wave <= hi_) {
+    layer_max = std::max(layer_max, deviation);
+    ++pairs_checked_;
+    deviation_summary_.add(deviation);
+    deviation_sketch_.add(deviation);
+  }
+  if (wave >= lane_lo_ && wave - lane_lo_ < static_cast<Sigma>(lane_.size())) {
+    double& worst = lane_[static_cast<std::size_t>(wave - lane_lo_)];
+    if (std::isnan(worst) || deviation > worst) worst = deviation;
+  }
 }
 
 void StreamingSkew::commit(RecNodeId g, Sigma sigma, SimTime t) {
@@ -98,7 +101,7 @@ void StreamingSkew::commit(RecNodeId g, Sigma sigma, SimTime t) {
 
   // Layer spread (global skew): running min/max per (layer, wave). Partial
   // spreads are always <= the wave's final spread, so the running max over
-  // commits equals the post-hoc max over complete waves.
+  // commits equals the max over complete waves.
   WaveExtrema& we = layer_ring_[static_cast<std::size_t>(layer) * kRingWaves + wave_slot];
   bool spread_ok = true;
   if (we.sigma == sigma) {
@@ -112,7 +115,7 @@ void StreamingSkew::commit(RecNodeId g, Sigma sigma, SimTime t) {
     ++window_overflows_;  // straggler for a wave whose slot moved on
     spread_ok = false;
   }
-  if (spread_ok) {
+  if (spread_ok && sigma >= lo_ && sigma <= hi_) {
     spread_by_layer_[layer] = std::max(spread_by_layer_[layer], we.max - we.min);
   }
 
@@ -123,24 +126,19 @@ void StreamingSkew::commit(RecNodeId g, Sigma sigma, SimTime t) {
     if (faulty_[gn]) continue;
     const double tn = lookup(gn, sigma);
     if (std::isnan(tn)) continue;
-    const double dev = std::abs(t - tn);
-    intra_by_layer_[layer] = std::max(intra_by_layer_[layer], dev);
-    ++pairs_checked_;
-    score(dev);
+    score(intra_by_layer_[layer], sigma, std::abs(t - tn));
   }
 
-  // Inter-layer pairs |t^{sigma+1}_{v,l} - t^sigma_{w,l+1}|, again scored by
-  // whichever endpoint commits later: as the lower node (pair my wave s with
-  // successors' s-1) and as the upper node (pair predecessors' s+1 with my s).
+  // Inter-layer pairs |t^{sigma+1}_{v,l} - t^sigma_{w,l+1}|, attributed to
+  // the lower wave and again scored by whichever endpoint commits later: as
+  // the lower node (pair my wave s with successors' s-1) and as the upper
+  // node (pair predecessors' s+1 with my s).
   if (layer + 1 < grid_.layers()) {
     for (const GridNodeId gw : grid_.successors(g)) {
       if (faulty_[gw]) continue;
       const double tw = lookup(gw, sigma - 1);
       if (std::isnan(tw)) continue;
-      const double dev = std::abs(t - tw);
-      inter_by_layer_[layer] = std::max(inter_by_layer_[layer], dev);
-      ++pairs_checked_;
-      score(dev);
+      score(inter_by_layer_[layer], sigma - 1, std::abs(t - tw));
     }
   }
   if (layer >= 1) {
@@ -148,10 +146,7 @@ void StreamingSkew::commit(RecNodeId g, Sigma sigma, SimTime t) {
       if (faulty_[gv]) continue;
       const double tv = lookup(gv, sigma + 1);
       if (std::isnan(tv)) continue;
-      const double dev = std::abs(tv - t);
-      inter_by_layer_[layer - 1] = std::max(inter_by_layer_[layer - 1], dev);
-      ++pairs_checked_;
-      score(dev);
+      score(inter_by_layer_[layer - 1], sigma, std::abs(tv - t));
     }
   }
 }
@@ -175,9 +170,6 @@ SkewReport StreamingSkew::report(Sigma lo, Sigma hi) const {
   for (const double x : spread_by_layer_) r.global_skew = std::max(r.global_skew, x);
   r.local_skew = std::max(r.max_intra, r.max_inter);
   r.pairs_checked = pairs_checked_;
-  // pairs_skipped stays 0. Full recording counts every pair with a faulty
-  // or missing endpoint there, per wave of the window; the one data loss
-  // streaming could count, a ring overflow, is the error above.
   r.deviations.count = deviation_summary_.count();
   if (!deviation_summary_.empty()) {
     r.deviations.mean = deviation_summary_.mean();
@@ -185,8 +177,63 @@ SkewReport StreamingSkew::report(Sigma lo, Sigma hi) const {
     r.deviations.p90 = deviation_sketch_.quantile(0.90);
     r.deviations.p99 = deviation_sketch_.quantile(0.99);
   }
-  r.deviations.exact = false;
   return r;
+}
+
+SkewReplay replay_skew(const GridTrace& trace, Sigma lo, Sigma hi, Sigma lane_lo,
+                       Sigma lane_hi) {
+  GTRIX_CHECK(trace.grid != nullptr && trace.recorder != nullptr);
+  const Grid& grid = *trace.grid;
+  const Recorder& recorder = *trace.recorder;
+  const std::uint32_t n = grid.node_count();
+  std::vector<bool> faulty(n);
+  for (GridNodeId g = 0; g < n; ++g) faulty[g] = trace.is_faulty(g);
+
+  StreamingSkew acc(grid, faulty, 0);
+  acc.lo_ = lo;
+  acc.hi_ = hi;
+  Sigma first = lo;
+  Sigma last = hi;
+  if (lane_hi >= lane_lo) {
+    acc.lane_lo_ = lane_lo;
+    acc.lane_.assign(static_cast<std::size_t>(lane_hi - lane_lo + 1), kNaN);
+    first = std::min(lo, lane_lo);
+    last = std::max(hi, lane_hi);
+  }
+
+  // Each correct node's steady window (GridTrace::steady_pulse), computed
+  // once per node and clipped to the committed waves: the pairs of wave
+  // `last` need the inter-layer partners of wave last + 1.
+  std::vector<Sigma> from(n, 0);
+  std::vector<Sigma> to(n, -1);
+  for (GridNodeId g = 0; g < n; ++g) {
+    if (faulty[g]) continue;
+    const Sigma steady = recorder.steady_from(g, trace.node_warmup);
+    const Sigma final_wave = recorder.last_recorded(g);
+    if (steady == Recorder::kInvalidSigma || final_wave == Recorder::kInvalidSigma) continue;
+    from[g] = std::max(first, steady);
+    to[g] = std::min(last + 1, final_wave - trace.node_tail);
+  }
+  for (Sigma s = first; s <= last + 1; ++s) {
+    for (GridNodeId g = 0; g < n; ++g) {
+      if (s < from[g] || s > to[g]) continue;
+      if (const auto t = recorder.pulse_time(g, s)) acc.commit(g, s, *t);
+    }
+  }
+
+  SkewReplay out{acc.report(lo, hi), std::move(acc.lane_)};
+  if (hi >= lo) {
+    std::uint64_t inter_pairs = 0;
+    for (GridNodeId g = 0; g < n; ++g) {
+      if (faulty[g] || grid.layer_of(g) + 1 >= grid.layers()) continue;
+      for (const GridNodeId w : grid.successors(g)) inter_pairs += faulty[w] ? 0 : 1;
+    }
+    const std::uint64_t per_wave =
+        static_cast<std::uint64_t>(grid.layers()) * grid.base().edges().size() + inter_pairs;
+    out.skew.pairs_skipped =
+        static_cast<std::uint64_t>(hi - lo + 1) * per_wave - out.skew.pairs_checked;
+  }
+  return out;
 }
 
 std::uint64_t StreamingSkew::memory_bytes() const noexcept {

@@ -41,7 +41,6 @@ Json skew_to_json(const SkewReport& skew) {
   dev.set("p50", has ? Json(skew.deviations.p50) : Json());
   dev.set("p90", has ? Json(skew.deviations.p90) : Json());
   dev.set("p99", has ? Json(skew.deviations.p99) : Json());
-  dev.set("exact", skew.deviations.exact);
   j.set("deviations", std::move(dev));
   return j;
 }
@@ -145,7 +144,7 @@ ExperimentResult measure_cell(World& world, const ExperimentConfig& config,
     // Measure after the recovery budget (one layer per wave plus slack), not
     // over the corruption transient itself -- the scenario's claim is about
     // the post-stabilization skew.
-    const auto [lo, hi] = default_window(world.recorder(), config.warmup);
+    const auto [lo, hi] = default_window(world.recorder());
     const Sigma recovered =
         static_cast<Sigma>(corrupt.wave) + static_cast<Sigma>(config.layers) + 6;
     if (recovered > hi) {
@@ -155,21 +154,23 @@ ExperimentResult measure_cell(World& world, const ExperimentConfig& config,
           " but the run's window ends at wave " + std::to_string(hi) +
           " -- increase 'pulses' (need roughly corrupt.wave + layers + warmup + 10)");
     }
-    result.skew = world.skew_window(std::max(lo, recovered), hi);
 
     // Recovery-time scan (Theorems 1.2/1.3): worst local deviation per wave
     // from the injection on, against the steady-state bound. Scanning stops
     // two waves past the recovery budget -- the scan's answer is "when did
     // the series re-enter the bound for good", and waves beyond the budget
-    // are already covered by the post-recovery skew window above.
+    // are already covered by the post-recovery skew window. One replay of
+    // the realigned trace measures both.
     const Sigma scan_lo = static_cast<Sigma>(corrupt.wave);
     const Sigma scan_hi = std::min(hi, recovered + 2);
+    SkewReplay replay = replay_skew(world.trace(), std::max(lo, recovered), hi, scan_lo, scan_hi);
+    result.skew = std::move(replay.skew);
     RecoveryReport& rec = result.recovery;
     rec.enabled = true;
     rec.corrupt_wave = scan_lo;
     rec.scan_hi = scan_hi;
     rec.threshold = result.thm11_bound;
-    rec.local_by_wave = local_skew_by_sigma(world.trace(), scan_lo, scan_hi);
+    rec.local_by_wave = std::move(replay.local_by_wave);
     Sigma last_violation = scan_lo - 1;
     for (std::size_t i = 0; i < rec.local_by_wave.size(); ++i) {
       const double v = rec.local_by_wave[i];

@@ -491,44 +491,39 @@ GridTrace World::trace() const {
 }
 
 SkewReport World::skew() const {
-  const auto [lo, hi] = default_window(recorder_, config_.warmup);
-  if (streaming_ != nullptr) {
-    // The accumulators cover exactly the steady pulses of the whole run,
-    // which is what the default window measures post-hoc.
-    return streaming_->report(lo, hi);
-  }
+  const auto [lo, hi] = default_window(recorder_);
+  // The live accumulator covers exactly the steady pulses of the whole run,
+  // which is what a replay of the default window would score.
+  if (streaming_ != nullptr) return streaming_->report(lo, hi);
   return skew_window(lo, hi);
 }
 
-void World::set_corruption_anchor(double wave) {
+void World::set_corruption_anchor(double /*wave*/) {
   if (streaming_ == nullptr) return;  // full recording keeps everything
   recorder_.set_corruption_anchor();
-  streaming_->set_corruption_anchor(wave * config_.params.lambda);
+  recorder_.set_stream(nullptr);
+  streaming_.reset();
 }
 
 SkewReport World::skew_window(Sigma lo, Sigma hi) const {
-  if (streaming_ != nullptr) {
-    GTRIX_CHECK_MSG(recorder_.corruption_anchored(),
-                    "arbitrary-window skew needs a per-wave trace; streaming mode "
-                    "keeps none outside a corrupt cell (use skew(), or record full)");
-  }
-  return compute_skew(trace(), lo, hi);
+  GTRIX_CHECK_MSG(streaming_ == nullptr,
+                  "arbitrary-window skew needs a per-wave trace; streaming mode "
+                  "keeps none outside a corrupt cell (use skew(), or record full)");
+  return replay_skew(trace(), lo, hi).skew;
 }
 
 RealignStats World::realign_labels() {
-  if (streaming_ != nullptr) {
-    GTRIX_CHECK_MSG(recorder_.corruption_anchored(),
-                    "wave-label realignment needs a per-wave trace; streaming mode "
-                    "retains none without a corruption anchor (set_corruption_anchor "
-                    "before the run, or record full)");
-  }
+  GTRIX_CHECK_MSG(streaming_ == nullptr,
+                  "wave-label realignment needs a per-wave trace; streaming mode "
+                  "retains none without a corruption anchor (set_corruption_anchor "
+                  "before the run, or record full)");
   const GridTrace t = trace();
   last_realign_ = realign_wave_labels(recorder_, t, config_.params.lambda);
   return last_realign_;
 }
 
 ConditionReport World::conditions(std::uint32_t s_max) const {
-  const auto [lo, hi] = default_window(recorder_, config_.warmup);
+  const auto [lo, hi] = default_window(recorder_);
   return check_conditions(trace(), config_.params, s_max, lo, hi);
 }
 

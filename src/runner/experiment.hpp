@@ -79,8 +79,8 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
   Sigma warmup = 4;  ///< waves skipped at the start of the measurement window
   /// Trace-retention mode (registry/recording.hpp). Streaming bounds the
-  /// metrics memory for mega-grid scenarios -- skew extrema stay
-  /// bit-identical to full recording.
+  /// metrics memory for mega-grid scenarios -- both modes measure skew with
+  /// the one evaluator, so extrema stay bit-identical to full recording.
   ComponentSpec recording_spec = ComponentSpec::of("full");
 
   /// Semantic equality over the field list below: the component specs
@@ -197,31 +197,29 @@ class World {
 
   GridTrace trace() const;
 
-  /// The online skew accumulator of streaming recording (null under full
-  /// recording; the recorder holds the resolved mode).
+  /// The live skew accumulator of a clean streaming cell; null under full
+  /// recording and on a corrupt cell, whose kept pulse trace is replayed
+  /// instead (metrics/streaming.hpp).
   const StreamingSkew* streaming() const noexcept { return streaming_.get(); }
 
   /// Corruption anchor for streaming recording of a transient-fault cell.
-  /// Must be called before the first simulated event. `wave` is the
-  /// corruption injection wave (CorruptPlan::wave):
-  ///  * the Recorder keeps every pulse time of every node, as full
-  ///    recording does (no iteration records), so realignment, the
-  ///    post-recovery measurement and the recovery scan read exactly what
-  ///    full recording would, and
-  ///  * the StreamingSkew accumulators suppress pulses from the injection
-  ///    INSTANT (wave * lambda) on, freezing them on the clean epoch --
-  ///    corrupted labels would otherwise poison the online extrema. The
-  ///    post-recovery skew is measured exactly via skew_window instead.
-  /// No-op under full recording.
+  /// Must be called before the first simulated event. The Recorder keeps
+  /// every pulse time of every node, as full recording does (no iteration
+  /// records), and the live accumulator is dropped: realignment, the
+  /// post-recovery measurement and the recovery scan replay that trace,
+  /// exactly as under full recording. `wave` is unused: the anchor does not
+  /// depend on the injection instant. No-op under full recording.
   void set_corruption_anchor(double wave);
 
-  /// Skew over the default measurement window (warmup from config). Under
-  /// streaming recording this reads the online accumulators -- extrema and
-  /// counts are bit-identical to full recording.
+  /// Skew over the default measurement window. A clean streaming cell reads
+  /// its live accumulator; every cell that keeps its pulse trace replays it
+  /// (skew_window). Both feed the same evaluator, so extrema and counts
+  /// agree bit for bit.
   SkewReport skew() const;
-  /// Arbitrary-window skew from the pulse trace: full recording and
-  /// corruption-anchored streaming answer any window. Un-anchored streaming
-  /// keeps no per-wave trace at all (hard logic_error; use skew()).
+  /// Skew over waves [lo, hi] by a replay of the kept pulse trace: full
+  /// recording and corrupt streaming cells answer any window. A clean
+  /// streaming cell keeps no per-wave trace at all (hard logic_error; use
+  /// skew()).
   SkewReport skew_window(Sigma lo, Sigma hi) const;
 
   /// Condition checks over the default window (metrics/conditions.hpp).
@@ -232,7 +230,7 @@ class World {
   /// Post-run wave-label realignment (see metrics/realign.hpp); call after
   /// run_to_completion() in transient-fault experiments, before measuring.
   /// Runs on the pulse trace of full or corruption-anchored streaming
-  /// recording; un-anchored streaming has no per-wave trace to realign
+  /// recording; a clean streaming cell has no per-wave trace to realign
   /// (logic_error).
   RealignStats realign_labels();
 
@@ -335,7 +333,7 @@ class World {
   /// Owns the node -> shard table (see init_shards).
   Network net_;
   Recorder recorder_;
-  /// Online skew accumulators (streaming mode only).
+  /// The live skew accumulator (clean streaming cells only).
   std::unique_ptr<StreamingSkew> streaming_;
   /// Struct-of-arrays hot state, one arena per shard, for every node this
   /// World wires; must outlive the node objects below, which hold indices
@@ -382,7 +380,8 @@ struct RecoveryReport {
   bool recovered = false;
   Sigma recovered_wave = 0; ///< first compliant-onward wave (corrupt_wave if never out)
   /// local_by_wave[i] = worst local deviation at wave corrupt_wave + i
-  /// (metrics local_skew_by_sigma); NaN where no pair was readable.
+  /// (the per-wave lane of the cell's replay, SkewReplay::local_by_wave);
+  /// NaN where no pair was readable.
   std::vector<double> local_by_wave;
 };
 

@@ -92,7 +92,7 @@ TEST(Potentials, ProfileOnRealRunIsBoundedAndShrinks) {
   World world(config);
   world.run_to_completion();
   const auto trace = world.trace();
-  const auto [lo, hi] = default_window(world.recorder(), config.warmup);
+  const auto [lo, hi] = default_window(world.recorder());
   const auto p0 = psi_profile(trace, config.params, 0, lo, hi);
   const auto p2 = psi_profile(trace, config.params, 2, lo, hi);
   for (std::uint32_t layer = 0; layer < 10; ++layer) {

@@ -41,7 +41,7 @@ StabOutcome run_with_corruption(std::uint64_t seed, double fraction) {
   outcome.counters = world.counters();
   // Recovery budget: layers + slack waves after the corruption point.
   const Sigma recovery_end = 12 + static_cast<Sigma>(config.layers) + 6;
-  const auto [lo, hi] = default_window(world.recorder(), config.warmup);
+  const auto [lo, hi] = default_window(world.recorder());
   (void)lo;
   const SkewReport tail = world.skew_window(recovery_end, hi);
   outcome.tail_skew = tail.max_intra;
@@ -118,7 +118,7 @@ TEST(SelfStabilization, RecoveryTimeScalesWithLayers) {
     world.run_to_completion();
     world.realign_labels();
     const Sigma recovered = 10 + static_cast<Sigma>(layers) + 6;
-    const auto [lo, hi] = default_window(world.recorder(), config.warmup);
+    const auto [lo, hi] = default_window(world.recorder());
     (void)lo;
     const SkewReport tail = world.skew_window(recovered, hi);
     ASSERT_GT(tail.pairs_checked, 0u) << "layers=" << layers;
@@ -140,7 +140,7 @@ TEST(SelfStabilization, WithoutGuardsRecoveryStillHappensViaWatchdog) {
   world.run_to_completion();
   world.realign_labels();
   const Sigma recovered = 12 + static_cast<Sigma>(config.layers) + 8;
-  const auto [lo, hi] = default_window(world.recorder(), config.warmup);
+  const auto [lo, hi] = default_window(world.recorder());
   (void)lo;
   const SkewReport tail = world.skew_window(recovered, hi);
   ASSERT_GT(tail.pairs_checked, 0u);

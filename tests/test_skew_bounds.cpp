@@ -65,7 +65,7 @@ TEST(SkewBounds, Psi1WithinCorollary423) {
   World world(config);
   world.run_to_completion();
   const auto trace = world.trace();
-  const auto [lo, hi] = default_window(world.recorder(), config.warmup);
+  const auto [lo, hi] = default_window(world.recorder());
   const auto profile = psi_profile(trace, config.params, 1, lo, hi);
   const double bound = config.params.psi1_bound(world.grid().base().diameter());
   for (std::uint32_t layer = 1; layer < profile.size(); ++layer) {
@@ -84,7 +84,7 @@ TEST(SkewBounds, Observation42LinksPotentialsToSkew) {
   world.run_to_completion();
   const auto trace = world.trace();
   const auto report = world.skew();
-  const auto [lo, hi] = default_window(world.recorder(), config.warmup);
+  const auto [lo, hi] = default_window(world.recorder());
   const double kappa = config.params.kappa();
   for (std::uint32_t s : {0u, 1u, 2u, 3u}) {
     const auto profile = psi_profile(trace, config.params, s, lo, hi);

@@ -1,17 +1,17 @@
-// Streaming-vs-full differential suite: the correctness anchor of the
-// memory-bounded (streaming) recording mode.
+// Live-vs-replay differential suite: the correctness anchor of the one skew
+// evaluator's two feeds (metrics/streaming.hpp, docs/scaling.md).
 //
-// The contract (metrics/streaming.hpp, docs/scaling.md):
-//  * skew EXTREMA, per-layer vectors and pairs_checked are BIT-identical
-//    between streaming and full recording, on every builtin scenario --
-//    the accumulators are a different evaluation order of the same
-//    arithmetic, not an approximation;
-//  * deviation quantiles are log-binned sketch estimates within a
-//    documented tolerance of the exact (full-mode) order statistics; the
-//    deviation COUNT stays exact;
+// Full recording replays its kept trace through StreamingSkew; a clean
+// streaming cell feeds the same accumulator live. The contract:
+//  * skew EXTREMA, per-layer vectors, pairs_checked and the deviation count
+//    are BIT-identical between the two feeds on every small builtin
+//    scenario -- the same arithmetic in a different commit order;
+//  * so are the sketch quantiles, whose bins do not depend on the feed
+//    order; only the running mean differs, in its last bits, until the
+//    deviation sum is order-free (ROADMAP item 2);
 //  * queries that need a per-wave trace or iteration records (conditions,
-//    arbitrary skew windows, realignment) are hard errors under un-anchored
-//    streaming, and so is a wave-ring overflow;
+//    arbitrary skew windows, realignment) are hard errors on a clean
+//    streaming cell, and so is a wave-ring overflow;
 //  * campaign output under streaming recording is byte-identical across
 //    thread counts.
 #include <gtest/gtest.h>
@@ -32,7 +32,7 @@ namespace {
 const char* const kDifferentialScenarios[] = {
     "quickstart-grid",     "table1-comparison", "thm11-logd",
     "thm12-worstcase-faults", "thm13-random-faults", "fig5-jump-ablation",
-    "thm16-stabilization", "torus-smoke",
+    "thm16-stabilization", "torus-smoke",       "cor15-slow-dynamics",
 };
 
 CampaignResult run_with_recording(const Scenario& scenario, const std::string& mode) {
@@ -56,37 +56,27 @@ void expect_identical_extrema(const SkewReport& full, const SkewReport& other,
   EXPECT_EQ(full.sigma_lo, other.sigma_lo);
   EXPECT_EQ(full.sigma_hi, other.sigma_hi);
   EXPECT_EQ(full.pairs_checked, other.pairs_checked);
-  EXPECT_EQ(full.deviations.count, other.deviations.count);
 }
 
-/// Documented quantile-estimator tolerance (docs/scaling.md): the
-/// log-binned sketch guarantees each reported percentile is within 1% of a
-/// true order statistic at that rank, for ANY distribution shape. The
-/// assertion allows 3% relative plus a small absolute floor for the rank
-/// interpolation the exact (type-7) quantile performs between adjacent
-/// order statistics.
-void expect_quantiles_within_tolerance(const DeviationStats& exact,
-                                       const DeviationStats& estimate,
-                                       const std::string& where) {
+/// The deviation summary: both feeds fill the same log-binned sketch, so
+/// the count and every quantile are equal; the running mean sees the pairs
+/// in a different order and differs only by float associativity.
+void expect_same_deviations(const DeviationStats& full, const DeviationStats& other,
+                            const std::string& where) {
   SCOPED_TRACE(where);
-  ASSERT_TRUE(exact.exact);
-  if (exact.count == 0) return;
-  const auto tolerance = [](double reference) { return 0.03 * std::abs(reference) + 0.05; };
-  EXPECT_NEAR(estimate.p50, exact.p50, tolerance(exact.p50));
-  EXPECT_NEAR(estimate.p90, exact.p90, tolerance(exact.p90));
-  EXPECT_NEAR(estimate.p99, exact.p99, tolerance(exact.p99));
-  // The mean is exact arithmetic in a different accumulation order
-  // (Welford vs sorted sum); only float associativity separates them.
-  EXPECT_NEAR(estimate.mean, exact.mean,
-              1e-9 * std::max(1.0, std::abs(exact.mean)));
+  EXPECT_EQ(full.count, other.count);
+  EXPECT_EQ(full.p50, other.p50);
+  EXPECT_EQ(full.p90, other.p90);
+  EXPECT_EQ(full.p99, other.p99);
+  EXPECT_NEAR(other.mean, full.mean, 1e-9 * std::max(1.0, std::abs(full.mean)));
 }
 
 TEST(StreamingMetrics, BitIdenticalExtremaOnEveryBuiltinScenario) {
   for (const char* name : kDifferentialScenarios) {
     SCOPED_TRACE(name);
     const Scenario scenario = builtin_scenario(name);
-    // Corrupt cells replay realignment and the recovery scan from the pulse
-    // trace the corruption anchor keeps.
+    // Corrupt cells replay their kept pulse trace in both modes; clean
+    // streaming cells feed the accumulator live.
     const CampaignResult full = run_with_recording(scenario, "");
     const CampaignResult streaming = run_with_recording(scenario, "streaming");
     ASSERT_EQ(full.cells.size(), streaming.cells.size());
@@ -94,15 +84,8 @@ TEST(StreamingMetrics, BitIdenticalExtremaOnEveryBuiltinScenario) {
       const std::string where = std::string(name) + " cell " + full.cells[i].label;
       expect_identical_extrema(full.cells[i].result.skew, streaming.cells[i].result.skew,
                                where);
-      expect_quantiles_within_tolerance(full.cells[i].result.skew.deviations,
-                                        streaming.cells[i].result.skew.deviations, where);
-      // Full recording reports exact quantiles; streaming estimates --
-      // except corrupt cells, whose skew is materialized exactly from the
-      // pulse trace in every mode (streaming.hpp contract).
-      EXPECT_TRUE(full.cells[i].result.skew.deviations.exact);
-      if (!full.cells[i].corrupt.enabled) {
-        EXPECT_FALSE(streaming.cells[i].result.skew.deviations.exact) << where;
-      }
+      expect_same_deviations(full.cells[i].result.skew.deviations,
+                             streaming.cells[i].result.skew.deviations, where);
     }
   }
 }
@@ -126,6 +109,23 @@ TEST(StreamingMetrics, StreamingDiagnosticsAreCleanOnDirectRuns) {
   EXPECT_EQ(world.streaming()->out_of_order(), 0u);
   EXPECT_GT(world.streaming()->memory_bytes(), 0u);
   EXPECT_GT(world.skew().pairs_checked, 0u);
+}
+
+TEST(StreamingMetrics, CorruptionAnchorReplacesTheLiveAccumulatorWithTheTrace) {
+  ExperimentConfig config = small_config();
+  config.recording_spec = ComponentSpec::of("streaming");
+  World anchored(config);
+  ASSERT_NE(anchored.streaming(), nullptr);
+  anchored.set_corruption_anchor(4.0);
+  EXPECT_EQ(anchored.streaming(), nullptr);
+  anchored.run_to_completion();
+  World full(small_config());
+  full.run_to_completion();
+  // Both replay the same kept trace: every window answers byte for byte as
+  // under full recording.
+  EXPECT_EQ(skew_to_json(anchored.skew()).dump(), skew_to_json(full.skew()).dump());
+  EXPECT_EQ(skew_to_json(anchored.skew_window(5, 9)).dump(),
+            skew_to_json(full.skew_window(5, 9)).dump());
 }
 
 TEST(StreamingMetrics, StreamingModeRejectsTraceOnlyQueries) {
@@ -163,8 +163,8 @@ TEST(StreamingMetrics, CampaignBytesIdenticalAcrossThreadCountsUnderStreaming) {
 
 TEST(StreamingMetrics, CorruptCellsHonorConfiguredRecording) {
   // thm16 cells have a corrupt plan; run_cell runs them in the configured
-  // mode -- realignment and the recovery scan replay from the pulse trace
-  // the corruption anchor keeps -- and still produces exact quantiles.
+  // mode -- realignment, the post-recovery skew and the recovery scan
+  // replay the pulse trace the corruption anchor keeps.
   const Scenario scenario = builtin_scenario("thm16-stabilization");
   CampaignOptions options;
   options.threads = 2;
@@ -172,7 +172,6 @@ TEST(StreamingMetrics, CorruptCellsHonorConfiguredRecording) {
   const CampaignResult result = run_campaign(scenario, options);
   for (const CampaignCell& cell : result.cells) {
     ASSERT_TRUE(cell.corrupt.enabled);
-    EXPECT_TRUE(cell.result.skew.deviations.exact) << cell.label;
     EXPECT_TRUE(cell.result.recovery.enabled) << cell.label;
   }
   // The override IS stamped into corrupt cells' configs -- streaming is
@@ -194,7 +193,6 @@ TEST(StreamingMetrics, CorruptCellsHonorConfiguredRecording) {
   plain.threads = 1;
   const CampaignResult declared_result = run_campaign(declared, plain);
   ASSERT_EQ(declared_result.cells.size(), 1u);
-  EXPECT_TRUE(declared_result.cells[0].result.skew.deviations.exact);
   EXPECT_EQ(resolve_recording(declared_result.cells[0].config.recording_spec),
             RecordingMode::kStreaming);
   EXPECT_NE(campaign_jsonl(declared_result).find("\"recording\":\"streaming\""),
