@@ -3,12 +3,16 @@
 // Runs a grid to steady state, scrambles the state of every node (a
 // system-wide transient fault: radiation event / voltage droop, §C), and
 // prints the per-wave local skew before, during, and after the event,
-// along with the recovery machinery's counters.
+// along with the recovery machinery's counters. The fault is an instant,
+// and a layer-l node emits wave s near (s + l) Lambda, so a wave below the
+// corruption wave can straddle it; the table labels each wave by its
+// recorded pulse times.
 //
 //   ./stabilization_explorer [--columns 10] [--layers 12] [--fraction 1.0]
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "runner/experiment.hpp"
@@ -51,18 +55,40 @@ int main(int argc, char** argv) {
   const std::vector<double> worst_by_wave =
       replay_skew(world.trace(), table_lo, hi, table_lo, hi).local_by_wave;
 
+  // Recovered at the first wave after which the series stays within the
+  // bound, from the corruption wave on: the campaign's recovery scan rule.
+  Sigma last_violation = corrupt_wave - 1;
+  for (std::size_t i = 0; i < worst_by_wave.size(); ++i) {
+    const Sigma s = table_lo + static_cast<Sigma>(i);
+    if (s >= corrupt_wave && worst_by_wave[i] > bound) last_violation = s;
+  }
+  const bool recovered = last_violation < hi;
+  const Sigma recovered_at = last_violation + 1;
+
+  // Events at the instant itself ran before the corruption.
+  const double fault_time = static_cast<double>(corrupt_wave) * config.params.lambda;
+  const Recorder& recorder = world.recorder();
   Table table({"wave", "worst local skew", "vs bound", "state"});
-  Sigma recovered_at = -1;
   for (std::size_t i = 0; i < worst_by_wave.size(); ++i) {
     const Sigma s = table_lo + static_cast<Sigma>(i);
     const double worst = worst_by_wave[i];
-    const char* state = "steady";
-    if (s >= corrupt_wave && worst > bound) state = "DISTURBED";
-    if (s >= corrupt_wave && worst <= bound) {
-      state = "recovered";
-      if (recovered_at < 0) recovered_at = s;
+    bool before = false;
+    bool after = false;
+    for (RecNodeId node = 0; node < recorder.node_count(); ++node) {
+      if (const std::optional<SimTime> t = recorder.pulse_time(node, s)) {
+        (*t <= fault_time ? before : after) = true;
+      }
     }
-    if (s < corrupt_wave) state = "pre-fault";
+    const char* state = "in bound";
+    if (before && !after) {
+      state = "pre-fault";
+    } else if (before && after) {
+      state = "straddles fault";
+    } else if (worst > bound) {
+      state = "DISTURBED";
+    } else if (recovered && s >= recovered_at) {
+      state = "recovered";
+    }
     Table& row = table.row().add(static_cast<std::int64_t>(s));
     if (std::isnan(worst)) {
       row.add("-").add("-").add("(no complete pairs)");
@@ -81,7 +107,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(after.late_broadcasts - before.late_broadcasts));
   std::printf("  label shifts    : %u nodes (max |shift| %lld)\n", realign.nodes_shifted,
               static_cast<long long>(realign.max_abs_shift));
-  if (recovered_at >= 0) {
+  if (recovered) {
     std::printf("\nrecovered at wave %lld, %lld waves after the fault "
                 "(Theorem 1.6 budget: O(#layers) = %u)\n",
                 static_cast<long long>(recovered_at),
@@ -89,5 +115,5 @@ int main(int argc, char** argv) {
   } else {
     std::printf("\nWARNING: no recovery observed within the run\n");
   }
-  return recovered_at >= 0 ? 0 : 1;
+  return recovered ? 0 : 1;
 }

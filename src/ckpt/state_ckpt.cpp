@@ -64,41 +64,27 @@ void LogQuantileSketch::checkpoint(CkptIo& io) {
 // a TimerHandle (arena lanes) and to the (time, seq) total order -- the
 // next event scheduled after a restore gets the same slot, generation and
 // sequence number it would have gotten in the uninterrupted run. Only the
-// calendar's bucket geometry is rebuilt rather than copied: it is
-// engine-shaped state with no influence on the event order. The same goes
-// for the insert-occupancy counter and the crowding-refit window, which
-// are not saved.
+// calendar's bucket chains are rebuilt from the slot table rather than
+// copied: their geometry is engine-shaped state with no influence on the
+// event order. The same goes for the insert-occupancy and pop-visit
+// counters and the crowding-refit window, which are not saved.
 
 void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
-  GTRIX_CKPT_SIZEOF(EventQueue, 240);
-  GTRIX_CKPT_FIELDS(Slot, 7);
-  GTRIX_CKPT_FIELDS(QueueEntry, 5);
+  GTRIX_CKPT_SIZEOF(EventQueue, 208);
+  GTRIX_CKPT_FIELDS(Slot, 8);
   GTRIX_CKPT_FIELDS(EventPayload, 5);
   io.u64(next_seq_);
   io.u64(scheduled_);
   io.u64(executed_);
   io.u64(cancelled_);
-  io.u64(purged_);
+  // The wire field for cancelled entries removed from the calendar: every
+  // cancel unlinks its entry, so it holds the cancel count, and a restore
+  // reads and drops it.
+  std::uint64_t unlinked = cancelled_;
+  io.u64(unlinked);
   io.u64(rebuilds_);
 
-  // A slot does not store its sequence number. Saving harvests each live
-  // slot's from the calendar; restoring collects them for the refill below.
-  constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
-  std::vector<std::uint64_t> seq_of;
-  if (io.saving()) {
-    seq_of.assign(slots_.size(), kNoSeq);
-    for (const std::vector<QueueEntry>& bucket : buckets_) {
-      for (const QueueEntry& entry : bucket) {
-        if (!stale(entry)) seq_of[entry.slot] = entry.seq;
-      }
-    }
-  }
-  struct LiveRef {
-    std::uint32_t slot;
-    std::uint64_t seq;
-  };
-  GTRIX_CKPT_FIELDS(LiveRef, 2);
-  std::vector<LiveRef> lives;
+  std::size_t lives = 0;
   io.vec(slots_, 4 + 1, "event slot", [&](CkptIo& io, Slot& slot) {
     io.u32(slot.gen);
     io.flag(slot.live);
@@ -114,33 +100,26 @@ void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
     io.u32(slot.payload.c);
     io.i64(slot.payload.i);
     io.f64(slot.payload.f);
-    const auto index = static_cast<std::uint32_t>(&slot - slots_.data());
-    std::uint32_t target = 0;
-    std::uint64_t seq = 0;
-    if (io.saving()) {
-      target = targets.id_of(slot.target);
-      seq = seq_of[index];
-      GTRIX_CHECK_MSG(seq != kNoSeq, "live event slot missing from the priority structure");
-    }
+    std::uint32_t target = io.saving() ? targets.id_of(slot.target) : 0;
     io.u32(target);
-    io.u64(seq);
+    io.u64(slot.seq);
     if (!io.saving()) slot.target = targets.target_of(target);
-    lives.push_back({index, seq});
+    ++lives;
   });
 
   // The freelist in chain order.
   std::vector<std::uint32_t> chain;
   if (io.saving()) {
-    GTRIX_CHECK_MSG(lives.size() == live_, "event queue live count out of sync");
+    GTRIX_CHECK_MSG(lives == live_, "event queue live count out of sync");
     chain.reserve(slots_.size() - live_);
-    for (std::uint32_t i = free_head_; i != kInvalidEventSlot; i = slots_[i].next_free) {
+    for (std::uint32_t i = free_head_; i != kInvalidEventSlot; i = slots_[i].next) {
       chain.push_back(i);
     }
   }
   io.vec(chain, 4, "event freelist entry", &CkptIo::u32);
   if (io.saving()) return;
 
-  live_ = lives.size();
+  live_ = lives;
 
   if (chain.size() + live_ != slots_.size()) {
     throw CkptError("checkpoint event queue freelist inconsistent (corrupt file)");
@@ -163,24 +142,17 @@ void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
     if (prev == kInvalidEventSlot) {
       free_head_ = idx;
     } else {
-      slots_[prev].next_free = idx;
+      slots_[prev].next = idx;
     }
     prev = idx;
   }
 
-  // Refill the calendar from the exact (time, seq) pairs, fitted to the
-  // restored population as any rebuild is. Bucket geometry is
-  // engine-shaped state, so the refill is not counted as a rebuild, and
-  // the insert occupancy counts from here.
+  // Refill the calendar from the restored slot table, fitted to the
+  // population as any rebuild is. Bucket geometry is engine-shaped state,
+  // so the refill is not counted as a rebuild, and the insert occupancy
+  // and pop visits count from here.
   insert_occupancy_ = 0;
-  buckets_.clear();
-  buckets_.resize(kMinBuckets);
-  dead_ = 0;
-  rebuild_scratch_.clear();
-  for (const LiveRef& ref : lives) {
-    rebuild_scratch_.push_back(
-        QueueEntry{slots_[ref.slot].time, ref.seq, 0, ref.slot, slots_[ref.slot].gen});
-  }
+  pop_visits_ = 0;
   calendar_fit(kMinBuckets);
 }
 

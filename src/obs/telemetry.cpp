@@ -35,13 +35,16 @@ constexpr ObsCounterInfo kCatalog[] = {
     {ObsCounter::kEventsScheduled, "events_scheduled", false,
      "raw queue events scheduled (includes later-cancelled ones)"},
     {ObsCounter::kEventsPurged, "events_purged", false,
-     "lazy-cancelled entries physically removed by scan skims and purge "
-     "rebuilds"},
+     "cancelled entries cancel() unlinked from the calendar queue (each "
+     "cancel unlinks its entry at once)"},
     {ObsCounter::kCalendarRebuilds, "calendar_rebuilds", false,
-     "calendar-queue resize/purge/crowding rebuilds"},
+     "calendar-queue resize/crowding rebuilds"},
     {ObsCounter::kCalendarInsertOccupancy, "calendar_insert_occupancy", false,
      "entries already in the target calendar bucket, summed over inserts; "
      "divided by events_scheduled, the mean bucket size an insert meets"},
+    {ObsCounter::kCalendarPopVisits, "calendar_pop_visits", false,
+     "calendar buckets the scan cursor visited to locate each next event, "
+     "summed; divided by events_executed, the buckets a pop visits"},
     {ObsCounter::kShardWindows, "shard_windows", false,
      "conservative windows executed, summed over shards (0 on serial runs)"},
     {ObsCounter::kEnvelopesPublished, "envelopes_published", false,

@@ -10,7 +10,7 @@
 //    per-cell `engine_stats` JSONL block, so the CI byte-identity diffs
 //    across (threads, shards) keep holding with telemetry on; or
 //  * engine-shaped: deterministic for a FIXED engine config but dependent
-//    on it (raw executed events, lazy-cancel purges, window counts, mailbox
+//    on it (raw executed events, calendar geometry, window counts, mailbox
 //    envelopes). These live only in the summary JSON, next to the equally
 //    non-portable wall_seconds.
 // Wall-clock data (per-shard busy / barrier-wait seconds, peak RSS) is not
@@ -54,9 +54,10 @@ enum class ObsCounter : std::uint32_t {
   // --- engine-shaped: summary JSON only -----------------------------------
   kEventsExecuted,    ///< raw queue events popped (batching/shard dependent)
   kEventsScheduled,   ///< raw queue events scheduled
-  kEventsPurged,      ///< lazy-cancelled entries physically removed by skims/rebuilds
-  kCalendarRebuilds,  ///< calendar-queue resize/purge/crowding rebuilds
+  kEventsPurged,      ///< cancelled entries cancel() unlinked from the calendar
+  kCalendarRebuilds,  ///< calendar-queue resize/crowding rebuilds
   kCalendarInsertOccupancy, ///< entries already in the target bucket, summed over inserts
+  kCalendarPopVisits, ///< buckets the cursor visited per located minimum, summed
   kShardWindows,      ///< conservative windows executed, summed over shards
   kEnvelopesPublished,///< cross-shard envelopes handed over at barriers
   kEnvelopesDrained,  ///< cross-shard envelopes drained into receiver queues

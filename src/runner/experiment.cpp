@@ -435,24 +435,26 @@ EngineStats World::engine_stats() const {
   stats.set(ObsCounter::kCorruptPinnedPulses, recorder_.anchored_pulse_count());
 
   // Queue counters, summed over shard queues. Cancels are algorithm-issued
-  // and engine-invariant; scheduled/executed/purged/rebuilds/occupancy are
-  // engine-shaped (summary only).
-  std::uint64_t cancels = 0, scheduled = 0, purged = 0, rebuilds = 0, occupancy = 0;
+  // and engine-invariant; scheduled/executed/rebuilds/occupancy/visits are
+  // engine-shaped (summary only). Each cancel unlinks its calendar entry
+  // at once, so the unlinked entries are the cancels.
+  std::uint64_t cancels = 0, scheduled = 0, rebuilds = 0, occupancy = 0, visits = 0;
   const auto harvest_queue = [&](const Simulator& sim) {
     const EventQueue& q = sim.event_queue();
     cancels += q.cancelled_count();
     scheduled += q.scheduled_count();
-    purged += q.purged_count();
     rebuilds += q.calendar_rebuilds();
     occupancy += q.insert_occupancy();
+    visits += q.pop_visits();
   };
   for (const Simulator& sim : sims_) harvest_queue(sim);
   stats.set(ObsCounter::kTimerCancels, cancels);
   stats.set(ObsCounter::kEventsExecuted, c.events_executed);
   stats.set(ObsCounter::kEventsScheduled, scheduled);
-  stats.set(ObsCounter::kEventsPurged, purged);
+  stats.set(ObsCounter::kEventsPurged, cancels);
   stats.set(ObsCounter::kCalendarRebuilds, rebuilds);
   stats.set(ObsCounter::kCalendarInsertOccupancy, occupancy);
+  stats.set(ObsCounter::kCalendarPopVisits, visits);
 
   // Sharded-run extras: window lanes and mailbox traffic.
   if (telemetry_) telemetry_->harvest_into(stats);

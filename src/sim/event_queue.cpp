@@ -10,8 +10,6 @@ namespace gtrix {
 
 namespace {
 
-constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-
 /// Crowding refit: after every kCrowdWindow inserts, refit when those
 /// inserts met more than kCrowded entries per bucket on average, and more
 /// than twice what the current fit predicted (equal times crowd a bucket
@@ -20,8 +18,8 @@ constexpr std::uint32_t kCrowdWindow = 4096;
 constexpr double kCrowded = 8.0;
 
 /// A pop's step to the next bucket costs about twice an entry an insert
-/// scans past: the step reads another bucket's vector, the scan stays in
-/// one (docs/performance.md has the measurement).
+/// scans past (measured when each bucket was a vector of its own; kept
+/// for the chains, docs/performance.md).
 constexpr double kStepCost = 2.0;
 
 /// What a width costs a population, per entry, if it were popped in order.
@@ -114,7 +112,7 @@ EventQueue::EventQueue()
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kInvalidEventSlot) {
     const std::uint32_t index = free_head_;
-    free_head_ = slots_[index].next_free;
+    free_head_ = slots_[index].next;
     return index;
   }
   GTRIX_CHECK_MSG(slots_.size() < kInvalidEventSlot, "event slot table overflow");
@@ -126,42 +124,36 @@ void EventQueue::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.live = false;
   slot.target = nullptr;
-  ++slot.gen;  // invalidates every outstanding handle and queue entry
-  slot.next_free = free_head_;
+  ++slot.gen;  // invalidates every outstanding handle
+  slot.next = free_head_;
   free_head_ = index;
 }
 
 TimerHandle EventQueue::schedule(SimTime t, TimerTarget* target, std::uint32_t kind,
                                  EventPayload payload) {
   GTRIX_CHECK_MSG(target != nullptr, "event target must not be null");
+  // Before the new slot goes live: a rebuild collects the live slots.
+  calendar_refit_if_due();
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.payload = payload;
   slot.target = target;
   slot.time = t;
+  slot.seq = next_seq_++;
   slot.kind = kind;
   slot.live = true;
-  calendar_insert(QueueEntry{t, next_seq_++, 0, index, slot.gen});
   ++scheduled_;
   ++live_;
+  calendar_insert(index);
   return TimerHandle{index, slot.gen};
 }
 
 bool EventQueue::cancel(TimerHandle handle) {
   if (!pending(handle)) return false;
-  // The bucket entry stays until a scan meets it; account it as dead so the
-  // purge policy keeps the calendar free of cancelled bulk.
-  ++dead_;
-  if (peek_.valid) {
-    const QueueEntry& cached = buckets_[peek_.bucket][peek_.index];
-    if (cached.slot == handle.slot && cached.gen == handle.gen) peek_.valid = false;
-  }
+  calendar_unlink(handle.slot);
   release_slot(handle.slot);
   --live_;
   ++cancelled_;
-  if (dead_ > 64 && dead_ * 2 > entry_count_) {
-    calendar_rebuild(kMinBuckets);
-  }
   return true;
 }
 
@@ -174,7 +166,7 @@ bool EventQueue::pending(TimerHandle handle) const noexcept {
 SimTime EventQueue::next_time() const {
   GTRIX_CHECK_MSG(live_ > 0, "next_time on empty queue");
   GTRIX_CHECK(calendar_find_min());
-  return buckets_[peek_.bucket][peek_.index].time;
+  return slots_[peek_].time;
 }
 
 bool EventQueue::run_next() {
@@ -193,18 +185,25 @@ bool EventQueue::run_next_strictly_before(SimTime horizon, SimTime& fired) {
 bool EventQueue::run_next_below(SimTime bound, bool inclusive, SimTime& fired) {
   if (live_ == 0) return false;
   GTRIX_CHECK(calendar_find_min());
-  const QueueEntry& top = buckets_[peek_.bucket][peek_.index];
-  if (top.time > bound || (!inclusive && top.time == bound)) return false;
-  const std::uint32_t slot_index = top.slot;
-  calendar_pop_peeked();
-  Slot& slot = slots_[slot_index];
+  const std::uint32_t index = peek_;
+  Slot& slot = slots_[index];
+  if (slot.time > bound || (!inclusive && slot.time == bound)) return false;
+  // The minimum heads the cursor's bucket.
+  Bucket& bucket = buckets_[bucket_of_epoch(cur_epoch_)];
+  GTRIX_DEBUG_CHECK_MSG(bucket.head == index, "the peeked minimum does not head its bucket");
+  bucket.head = slot.next;
+  --bucket.size;
+  peek_ = kInvalidEventSlot;
   const Event event{slot.time, slot.kind, slot.payload};
   TimerTarget* target = slot.target;
   // Recycle before dispatch: the handler may reschedule into this very slot,
   // and the fired handle is stale from the handler's point of view.
-  release_slot(slot_index);
+  release_slot(index);
   --live_;
   ++executed_;
+  if (buckets_.size() > kMinBuckets && live_ * 8 < buckets_.size()) {
+    calendar_rebuild(kMinBuckets);
+  }
   fired = event.time;
   target->on_timer(event);
   return true;
@@ -213,14 +212,15 @@ bool EventQueue::run_next_below(SimTime bound, bool inclusive, SimTime& fired) {
 // --- calendar ----------------------------------------------------------------
 //
 // Invariants:
-//  * an entry with time t lives in bucket epoch_of(t) mod nbuckets;
-//  * every bucket is sorted DESCENDING by (time, seq), so the bucket's
-//    earliest entry sits at the back and a pop is an O(1) pop_back;
-//  * no live entry has an epoch below cur_epoch_ (inserts behind the cursor
+//  * a live slot with time t is linked into the chain of bucket
+//    epoch_of(t) mod nbuckets, exactly once, and no free slot is;
+//  * every chain ascends by (time, seq), so a bucket's earliest entry is
+//    its head and a pop unlinks the head;
+//  * no live slot has an epoch below cur_epoch_ (inserts behind the cursor
 //    pull it back), so the year scan starting at cur_epoch_ always meets
 //    the global (time, seq) minimum first;
 //  * equal times map to equal buckets, so FIFO among ties falls out of the
-//    (time, seq) sort order.
+//    (time, seq) order of the chain.
 
 long long EventQueue::epoch_of(SimTime t) const noexcept {
   // Multiply by the precomputed inverse: cheaper than dividing, and any
@@ -235,8 +235,8 @@ std::size_t EventQueue::bucket_of_epoch(long long epoch) const noexcept {
   return static_cast<std::size_t>(static_cast<unsigned long long>(epoch) & bucket_mask_);
 }
 
-void EventQueue::calendar_insert(const QueueEntry& entry_in) {
-  if (calendar_live() > buckets_.size() * 2) {
+void EventQueue::calendar_refit_if_due() {
+  if (live_ > buckets_.size() * 2) {
     calendar_rebuild(buckets_.size() * 2);
   } else if (crowd_inserts_ == kCrowdWindow) {
     if (crowd_occupancy_ > crowd_limit_) {
@@ -246,158 +246,154 @@ void EventQueue::calendar_insert(const QueueEntry& entry_in) {
       crowd_occupancy_ = 0;
     }
   }
-  QueueEntry entry = entry_in;
-  entry.epoch = epoch_of(entry.time);  // rebuild above may have changed width
-  const long long epoch = entry.epoch;
-  const std::size_t b = bucket_of_epoch(epoch);
-  std::vector<QueueEntry>& bucket = buckets_[b];
-  insert_occupancy_ += bucket.size();
-  crowd_occupancy_ += bucket.size();
+}
+
+void EventQueue::calendar_insert(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  const long long epoch = epoch_of(slot.time);
+  Bucket& bucket = buckets_[bucket_of_epoch(epoch)];
+  insert_occupancy_ += bucket.size;
+  crowd_occupancy_ += bucket.size;
   ++crowd_inserts_;
-  // Keep the bucket sorted descending by (time, seq): first index whose
-  // entry fires before the new one is the insertion point. The width fit
-  // (fit_width) keeps buckets at a few entries, and the crowding refit
-  // catches a population that drifted from its fit, so a linear scan
-  // beats binary search here.
-  std::size_t pos = 0;
-  while (pos < bucket.size() && !fires_before(bucket[pos], entry)) ++pos;
-  bucket.insert(bucket.begin() + static_cast<std::ptrdiff_t>(pos), entry);
-  ++entry_count_;
-  if (peek_.valid && peek_.bucket == b && pos <= peek_.index) ++peek_.index;
+  // Link in behind every entry that fires before the new one. The width
+  // fit (fit_width) keeps chains at a few entries, and the crowding refit
+  // catches a population that drifted from its fit.
+  std::uint32_t* link = &bucket.head;
+  while (*link != kInvalidEventSlot && fires_before(slots_[*link], slot)) {
+    link = &slots_[*link].next;
+  }
+  slot.next = *link;
+  *link = index;
+  ++bucket.size;
   if (epoch < cur_epoch_) {
     // Scheduled behind the scan cursor (a queue used directly before any
     // pop, or after the cursor chased a sparse far-future tail). Pull the
-    // cursor back; by the cursor invariant no other live entry sits at an
+    // cursor back; by the cursor invariant no other live slot sits at an
     // epoch this low, so the new entry is the minimum.
     cur_epoch_ = epoch;
-    peek_ = PeekRef{b, pos, true};
+    peek_ = index;
 #ifdef GTRIX_DEBUG_CHECKS
-    // The behind-cursor insert is exactly the spot the EPOCH FRESHNESS
-    // INVARIANT (header) protects: after a purge rebuild refit width_, a
-    // pre-rebuild epoch would bucket this entry into a year the scan never
-    // meets. Walk the whole calendar while the debug build has the chance.
-    calendar_verify_epochs();
+    calendar_verify();
 #endif
-  } else if (peek_.valid &&
-             fires_before(entry, buckets_[peek_.bucket][peek_.index])) {
-    peek_ = PeekRef{b, pos, true};
+  } else if (peek_ != kInvalidEventSlot && fires_before(slot, slots_[peek_])) {
+    peek_ = index;
   }
+}
+
+void EventQueue::calendar_unlink(std::uint32_t index) {
+  const Slot& slot = slots_[index];
+  Bucket& bucket = bucket_of(slot);
+  std::uint32_t* link = &bucket.head;
+  while (*link != index) {
+    GTRIX_DEBUG_CHECK_MSG(*link != kInvalidEventSlot, "a live slot is missing from its bucket");
+    link = &slots_[*link].next;
+  }
+  *link = slot.next;
+  --bucket.size;
+  if (peek_ == index) peek_ = kInvalidEventSlot;
 }
 
 bool EventQueue::calendar_find_min() const {
-  if (peek_.valid) return true;
+  if (peek_ != kInvalidEventSlot) return true;
   if (live_ == 0) return false;
-  // Walk one calendar year from the cursor. Once its stale tail is
-  // skimmed, a bucket's back is its earliest live entry, so the first back
-  // in the scanned epoch is the minimum. Backs in later years are
-  // remembered: when the whole year is empty (the population is sparse
-  // relative to the year), the lap has met every bucket's earliest entry,
-  // and the earliest of those is the minimum.
-  std::size_t later = kNoIndex;
+  // Walk one calendar year from the cursor. A bucket's head is its earliest
+  // entry, so the first head in the scanned epoch is the minimum. Heads in
+  // later years are remembered: when the whole year is empty (the
+  // population is sparse relative to the year), the lap has met every
+  // bucket's earliest entry, and the earliest of those is the minimum.
+  std::uint32_t later = kInvalidEventSlot;
   for (std::size_t lap = 0; lap < buckets_.size(); ++lap) {
     const long long epoch = cur_epoch_ + static_cast<long long>(lap);
-    const std::size_t b = bucket_of_epoch(epoch);
-    std::vector<QueueEntry>& bucket = buckets_[b];
-    while (!bucket.empty() && stale(bucket.back())) {
-      bucket.pop_back();
-      --entry_count_;
-      --dead_;
-      ++purged_;
-    }
-    if (bucket.empty()) continue;
-    GTRIX_DEBUG_CHECK_MSG(bucket.back().epoch == epoch_of(bucket.back().time),
-                          "calendar entry epoch stamped under a stale width");
-    if (bucket.back().epoch == epoch) {
+    const std::uint32_t head = buckets_[bucket_of_epoch(epoch)].head;
+    if (head == kInvalidEventSlot) continue;
+    if (epoch_of(slots_[head].time) == epoch) {
+      pop_visits_ += lap + 1;
       cur_epoch_ = epoch;
-      peek_ = PeekRef{b, bucket.size() - 1, true};
+      peek_ = head;
       return true;
     }
-    if (later == kNoIndex || fires_before(bucket.back(), buckets_[later].back())) later = b;
+    if (later == kInvalidEventSlot || fires_before(slots_[head], slots_[later])) later = head;
   }
-  if (later == kNoIndex) return false;
-  cur_epoch_ = buckets_[later].back().epoch;
-  peek_ = PeekRef{later, buckets_[later].size() - 1, true};
+  if (later == kInvalidEventSlot) return false;
+  pop_visits_ += buckets_.size();
+  cur_epoch_ = epoch_of(slots_[later].time);
+  peek_ = later;
   return true;
 }
 
-void EventQueue::calendar_pop_peeked() {
-  std::vector<QueueEntry>& bucket = buckets_[peek_.bucket];
-  GTRIX_DEBUG_CHECK_MSG(
-      bucket[peek_.index].epoch == epoch_of(bucket[peek_.index].time),
-      "popping a calendar entry whose epoch predates the current width");
-  // Order-preserving removal; the peeked entry is at or near the back.
-  bucket.erase(bucket.begin() + static_cast<std::ptrdiff_t>(peek_.index));
-  --entry_count_;
-  peek_.valid = false;
-  if (buckets_.size() > kMinBuckets && calendar_live() * 8 < buckets_.size()) {
-    calendar_rebuild(kMinBuckets);
-  }
-}
-
 void EventQueue::calendar_rebuild(std::size_t min_buckets) {
-  // Collect the live population and refit the calendar to it. Bucket
-  // vectors are reused (only cleared), so a purge rebuild performs no
-  // per-bucket reallocation.
   ++rebuilds_;
-  std::vector<QueueEntry>& entries = rebuild_scratch_;
-  entries.clear();
-  entries.reserve(calendar_live());
-  for (std::vector<QueueEntry>& bucket : buckets_) {
-    for (const QueueEntry& entry : bucket) {
-      if (!stale(entry)) entries.push_back(entry);
-    }
-    bucket.clear();
-  }
-  purged_ += dead_;  // the stale entries just dropped with their buckets
-  dead_ = 0;
   calendar_fit(min_buckets);
 }
 
 void EventQueue::calendar_fit(std::size_t min_buckets) {
   // Bucket count: the next power of two above the population (about one
   // entry per bucket). Width: fit_width, from the population sorted in
-  // globally descending (time, seq) order -- distributing in that order
-  // leaves every bucket sorted descending.
-  std::vector<QueueEntry>& entries = rebuild_scratch_;
-  entry_count_ = entries.size();
-  const std::size_t target = std::max(min_buckets, std::bit_ceil(entries.size()));
-  if (target != buckets_.size()) buckets_.resize(target);
+  // descending (time, seq) order -- linking each entry in at the head of
+  // its bucket in that order leaves every chain ascending.
+  std::vector<RebuildKey>& keys = rebuild_scratch_;
+  keys.clear();
+  keys.reserve(live_);
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].live) keys.push_back({slots_[i].time, slots_[i].seq, i});
+  }
+  const std::size_t target = std::max(min_buckets, std::bit_ceil(keys.size()));
+  buckets_.assign(target, Bucket{});
   bucket_mask_ = buckets_.size() - 1;
-  std::sort(entries.begin(), entries.end(),
-            [](const QueueEntry& a, const QueueEntry& b) { return fires_before(b, a); });
-  const WidthFit fit = fit_width(entries, buckets_.size());
+  std::sort(keys.begin(), keys.end(),
+            [](const RebuildKey& a, const RebuildKey& b) { return fires_before(b, a); });
+  const WidthFit fit = fit_width(keys, buckets_.size());
   width_ = fit.width;
   inv_width_ = 1.0 / width_;
   crowd_limit_ = static_cast<std::uint64_t>(static_cast<double>(kCrowdWindow) *
                                             std::max(kCrowded, 2.0 * fit.cost.occupancy));
   crowd_inserts_ = 0;
   crowd_occupancy_ = 0;
-  for (QueueEntry& entry : entries) {
-    entry.epoch = epoch_of(entry.time);
-    buckets_[bucket_of_epoch(entry.epoch)].push_back(entry);
+  for (const RebuildKey& key : keys) {
+    Slot& slot = slots_[key.slot];
+    Bucket& bucket = bucket_of(slot);
+    slot.next = bucket.head;
+    bucket.head = key.slot;
+    ++bucket.size;
   }
   // Re-anchor the cursor at the earliest entry (or at zero when empty).
-  peek_.valid = false;
-  cur_epoch_ = entries.empty() ? 0 : entries.back().epoch;
+  peek_ = kInvalidEventSlot;
+  cur_epoch_ = keys.empty() ? 0 : epoch_of(keys.back().time);
 #ifdef GTRIX_DEBUG_CHECKS
-  calendar_verify_epochs();
+  calendar_verify();
 #endif
 }
 
-void EventQueue::calendar_verify_epochs() const {
+std::size_t EventQueue::calendar_verify() const {
+  std::vector<bool> linked(slots_.size(), false);
+  std::size_t walked = 0;
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const std::vector<QueueEntry>& bucket = buckets_[b];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const QueueEntry& entry = bucket[i];
-      if (stale(entry)) continue;
-      GTRIX_CHECK_MSG(entry.epoch == epoch_of(entry.time),
-                      "live calendar entry carries an epoch from an older width");
-      GTRIX_CHECK_MSG(bucket_of_epoch(entry.epoch) == b,
-                      "live calendar entry sits in a bucket its epoch does not map to");
-      GTRIX_CHECK_MSG(entry.epoch >= cur_epoch_,
-                      "live calendar entry hides behind the scan cursor");
+    std::uint32_t chain = 0;
+    const Slot* prev = nullptr;
+    for (std::uint32_t i = buckets_[b].head; i != kInvalidEventSlot; i = slots_[i].next) {
+      GTRIX_CHECK_MSG(i < slots_.size(), "calendar chain links past the slot table");
+      GTRIX_CHECK_MSG(!linked[i], "calendar slot linked twice (or a chain cycles)");
+      linked[i] = true;
+      const Slot& slot = slots_[i];
+      GTRIX_CHECK_MSG(slot.live, "calendar chain holds a free slot");
+      const long long epoch = epoch_of(slot.time);
+      GTRIX_CHECK_MSG(bucket_of_epoch(epoch) == b,
+                      "calendar slot sits in a bucket its time does not map to");
+      GTRIX_CHECK_MSG(epoch >= cur_epoch_, "calendar slot hides behind the scan cursor");
+      GTRIX_CHECK_MSG(prev == nullptr || fires_before(*prev, slot),
+                      "calendar chain does not ascend by (time, seq)");
+      prev = &slot;
+      ++chain;
     }
+    GTRIX_CHECK_MSG(chain == buckets_[b].size, "calendar bucket size out of sync with its chain");
+    walked += chain;
   }
+  GTRIX_CHECK_MSG(walked == live_, "calendar holds a different count than pending_count()");
+  const auto live_slots =
+      std::count_if(slots_.begin(), slots_.end(), [](const Slot& slot) { return slot.live; });
+  GTRIX_CHECK_MSG(static_cast<std::size_t>(live_slots) == live_,
+                  "a live slot is missing from the calendar");
+  return walked;
 }
 
 }  // namespace gtrix

@@ -6,8 +6,8 @@
 //    interface: the engine calls target->on_timer(event) at fire time.
 //  * Event state lives in recycled slots. A freelist returns a slot the
 //    moment its event fires or is cancelled, so memory is O(pending events),
-//    not O(events ever executed). Cancellation is lazy (a cancelled entry is
-//    skimmed when a scan meets it), which keeps cancel() O(1).
+//    not O(events ever executed). cancel() unlinks the event from the
+//    calendar at once, so the calendar holds exactly the pending events.
 //  * Every slot carries a generation counter, bumped whenever the slot is
 //    freed. A TimerHandle is {slot, generation}; a handle whose generation
 //    no longer matches is stale, so cancelling an already-fired, already-
@@ -19,9 +19,12 @@
 // The priority structure is a calendar queue (Brown 1988): an array of time
 // buckets whose width is fitted so that each holds a few pending events --
 // about twice the mean gap between them where they are spread evenly,
-// narrower where they cluster (calendar_fit). So schedule and pop are O(1)
-// bucket operations instead of O(log n) heap sifts on pointer-cold array
-// levels.
+// narrower where they cluster (calendar_fit). The buckets are intrusive
+// lists threaded through the slot table: a bucket is a head index and a
+// size, and each slot links to the next one in its bucket. So schedule,
+// cancel and pop are O(1) bucket operations instead of O(log n) heap sifts
+// on pointer-cold array levels, and the run loop allocates nothing per
+// bucket.
 // tests/binary_heap_queue.hpp keeps a binary-heap queue with the same
 // (time, seq) order as the differential oracle for
 // tests/test_calendar_queue.cpp.
@@ -103,7 +106,7 @@ class EventQueue {
 
   bool empty() const noexcept { return live_ == 0; }
 
-  /// Time of the next (non-cancelled) event; undefined if empty().
+  /// Time of the next event; undefined if empty().
   SimTime next_time() const;
 
   /// Pops and dispatches the next event; returns false if the queue was
@@ -130,10 +133,6 @@ class EventQueue {
   /// by node code, which behaves identically under every shard layout
   /// (telemetry's JSONL block relies on this).
   std::uint64_t cancelled_count() const noexcept { return cancelled_; }
-  /// Lazily-cancelled entries physically removed by scan skims and purge
-  /// rebuilds. Engine-SHAPED (calendar- and traffic-pattern dependent):
-  /// summary telemetry only.
-  std::uint64_t purged_count() const noexcept { return purged_; }
   std::size_t pending_count() const noexcept { return live_; }
 
   /// High-water mark of simultaneously pending events: the slot table never
@@ -145,50 +144,69 @@ class EventQueue {
   std::size_t calendar_buckets() const noexcept { return buckets_.size(); }
   double calendar_width() const noexcept { return width_; }
   std::uint64_t calendar_rebuilds() const noexcept { return rebuilds_; }
-  /// Entries already in the target bucket, summed over every insert
-  /// (stale ones included: an insert scans past them too). Divided by
-  /// scheduled_count() it is the mean bucket size an insert meets.
-  /// Engine-shaped, and not part of a snapshot: a restored queue counts
-  /// from its restore.
+  /// Entries already in the target bucket, summed over every insert.
+  /// Divided by scheduled_count() it is the mean bucket size an insert
+  /// meets. Engine-shaped, and not part of a snapshot: a restored queue
+  /// counts from its restore.
   std::uint64_t insert_occupancy() const noexcept { return insert_occupancy_; }
+  /// Buckets the cursor visited to locate a minimum, summed over every
+  /// located minimum (a lap that finds no due entry counts the whole year).
+  /// Divided by executed_count() it is the buckets a pop visits. Engine-
+  /// shaped, and not part of a snapshot, like insert_occupancy().
+  std::uint64_t pop_visits() const noexcept { return pop_visits_; }
+
+  /// Walks the whole calendar and checks its invariants: each live slot
+  /// sits exactly once in the chain of the bucket its time maps to, chains
+  /// ascend by (time, seq), bucket sizes sum to pending_count(), and no
+  /// live slot is behind the cursor. Returns the entries it walked.
+  /// O(slot table + buckets), so the queue itself calls it only in
+  /// GTRIX_DEBUG_CHECKS builds (after every fit and behind-cursor insert);
+  /// tests call it directly.
+  std::size_t calendar_verify() const;
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp). The snapshot preserves the
   /// exact slot table -- indices, generations, freelist order and the
-  /// per-entry sequence numbers -- so outstanding TimerHandles stay valid
+  /// per-slot sequence numbers -- so outstanding TimerHandles stay valid
   /// across a restore and the (time, seq) total order continues
-  /// unperturbed. The calendar itself is refit on restore (width and
-  /// bucket layout are engine-shaped, not part of the simulated
-  /// behaviour). Targets round-trip through `targets` ids.
+  /// unperturbed. The calendar itself is refilled from the restored slot
+  /// table and refit (width and bucket layout are engine-shaped, not part
+  /// of the simulated behaviour). Targets round-trip through `targets` ids.
   void checkpoint(CkptIo& io, const CkptTargetMap& targets);
 
  private:
+  /// One event, key and payload together. `next` threads the slot through
+  /// its bucket's chain while live and through the freelist while free.
   struct Slot {
     EventPayload payload{};
     TimerTarget* target = nullptr;
     SimTime time = 0.0;
+    std::uint64_t seq = 0;  ///< schedule order; breaks same-time ties FIFO
     std::uint32_t kind = 0;
     std::uint32_t gen = 0;  ///< bumped on every free; stale handles mismatch
-    std::uint32_t next_free = kInvalidEventSlot;
+    std::uint32_t next = kInvalidEventSlot;
     bool live = false;
   };
 
-  struct QueueEntry {
+  /// A calendar bucket: the head of its chain, which ascends by (time, seq),
+  /// and the chain's length.
+  struct Bucket {
+    std::uint32_t head = kInvalidEventSlot;
+    std::uint32_t size = 0;
+  };
+
+  /// A live slot's sort key: a rebuild copies these out of the slot table
+  /// and sorts them as one contiguous array.
+  struct RebuildKey {
     SimTime time;
-    std::uint64_t seq;  ///< schedule order; breaks same-time ties FIFO
-    long long epoch;    ///< epoch_of(time), cached at insert
+    std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t gen;
   };
 
   /// Lexicographic (time, seq) order -- the one total event order.
-  static bool fires_before(const QueueEntry& a, const QueueEntry& b) noexcept {
+  template <class A, class B>
+  static bool fires_before(const A& a, const B& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
-  }
-
-  bool stale(const QueueEntry& entry) const noexcept {
-    const Slot& s = slots_[entry.slot];
-    return !s.live || s.gen != entry.gen;
   }
 
   std::uint32_t acquire_slot();
@@ -199,46 +217,33 @@ class EventQueue {
   bool run_next_below(SimTime bound, bool inclusive, SimTime& fired);
 
   /// Epoch = which width_-sized time window a timestamp falls in. Exact
-  /// integer bookkeeping (no accumulated float boundaries): an entry lives
-  /// in bucket epoch mod nbuckets and belongs to the cursor's window iff
-  /// its epoch equals the scan epoch.
-  ///
-  /// EPOCH FRESHNESS INVARIANT: a QueueEntry's cached epoch is only
-  /// meaningful under the width_ in force when it was bucketed, so
-  ///  (a) calendar_insert stamps entry.epoch AFTER its possible grow or
-  ///      crowding rebuild, never before (a rebuild refits width_, and an
-  ///      epoch computed under the old width would bucket the entry into a
-  ///      year the scan never visits or visits too early), and
-  ///  (b) calendar_fit re-stamps every surviving entry's epoch under the
-  ///      new width as it redistributes them.
-  /// Together with the cursor rule -- an insert with epoch < cur_epoch_
-  /// pulls the cursor back to it -- this keeps behind-cursor inserts
-  /// immediately after a lazy-cancel purge rebuild correct: the insert is
-  /// bucketed and cursored under the post-purge width, so the year scan
-  /// meets it first. tests/test_calendar_queue.cpp pins this with a
-  /// directed purge -> behind-cursor-insert regression and a purge/resize
-  /// differential fuzz against the binary-heap oracle at the >= 64k-pending
-  /// scale-grid population.
+  /// integer bookkeeping (no accumulated float boundaries): a slot lives in
+  /// bucket epoch mod nbuckets and belongs to the cursor's window iff its
+  /// epoch equals the scan epoch. Epochs are computed from the time under
+  /// the current width whenever they are needed, never cached, so a
+  /// rebuild that refits the width cannot leave one stale.
   long long epoch_of(SimTime t) const noexcept;
   std::size_t bucket_of_epoch(long long epoch) const noexcept;
-  void calendar_insert(const QueueEntry& entry);
-  /// Locates the (time, seq)-minimum live entry, caching it in peek_.
-  /// Returns false when no live entry exists.
+  Bucket& bucket_of(const Slot& slot) noexcept {
+    return buckets_[bucket_of_epoch(epoch_of(slot.time))];
+  }
+  /// The insert-side rebuild triggers (growth and crowding), checked
+  /// before each insert while the new slot is not yet live.
+  void calendar_refit_if_due();
+  /// Links a freshly scheduled slot into its bucket's chain.
+  void calendar_insert(std::uint32_t index);
+  /// Removes a live slot from its bucket's chain.
+  void calendar_unlink(std::uint32_t index);
+  /// Locates the (time, seq)-minimum live slot, caching it in peek_.
+  /// Returns false when the queue is empty.
   bool calendar_find_min() const;
-  void calendar_pop_peeked();
   /// Rebuilds the calendar with a bucket count / width fitted to the
-  /// current live population. Also drops all stale entries.
+  /// current live population.
   void calendar_rebuild(std::size_t min_buckets);
-  /// Fits the bucket count and width to the population in
-  /// rebuild_scratch_ and distributes it into the (empty) buckets. The
-  /// rebuild and the checkpoint refill share it.
+  /// Collects the live slots from the slot table, fits the bucket count
+  /// and width to them and links them into the buckets. The rebuild and
+  /// the checkpoint refill share it.
   void calendar_fit(std::size_t min_buckets);
-  std::size_t calendar_live() const noexcept { return entry_count_ - dead_; }
-  /// GTRIX_DEBUG_CHECKS walk of the EPOCH FRESHNESS INVARIANT above: every
-  /// live entry's cached epoch matches epoch_of(time) under the current
-  /// width, sits in the bucket its epoch maps to, and none is behind the
-  /// cursor. O(pending), so only the debug-assertion builds call it.
-  void calendar_verify_epochs() const;
 
   static constexpr std::size_t kMinBuckets = 8;
 
@@ -248,37 +253,31 @@ class EventQueue {
   std::uint64_t scheduled_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
-  /// mutable: the skims that remove stale entries run inside const peeks
-  /// (same reason the calendar state below is mutable).
-  mutable std::uint64_t purged_ = 0;
   std::size_t live_ = 0;
 
-  // Calendar state. mutable: locating the minimum from const peeks
-  // (next_time) skims stale entries and advances the cursor.
-  mutable std::vector<std::vector<QueueEntry>> buckets_;
+  // Calendar state.
+  std::vector<Bucket> buckets_;
   double width_ = 1.0;
   double inv_width_ = 1.0;        ///< 1 / width_; epochs use the multiply form
   std::size_t bucket_mask_ = 0;   ///< buckets_.size() - 1 (power of two)
-  mutable std::size_t entry_count_ = 0;  ///< bucket entries incl. stale
-  mutable std::size_t dead_ = 0;         ///< stale entries not yet skimmed
-  /// Scan cursor: no live entry has an epoch below this (inserts behind the
+  /// Scan cursor: no live slot has an epoch below this (inserts behind the
   /// cursor pull it back), so the year scan meets the global minimum first.
+  /// mutable, as are the peek cache and the visit counter: next_time()
+  /// locates the minimum from a const peek.
   mutable long long cur_epoch_ = 0;
-
-  struct PeekRef {
-    std::size_t bucket = 0;
-    std::size_t index = 0;
-    bool valid = false;
-  };
-  mutable PeekRef peek_;
+  /// The located minimum, the head of the cursor's bucket; or
+  /// kInvalidEventSlot when it must be located again.
+  mutable std::uint32_t peek_ = kInvalidEventSlot;
+  mutable std::uint64_t pop_visits_ = 0;
   std::uint64_t rebuilds_ = 0;
   std::uint64_t insert_occupancy_ = 0;
-  /// Crowding refit (calendar_insert): inserts and their summed occupancy
-  /// since the last fit or check, and the sum that triggers a refit.
+  /// Crowding refit (calendar_refit_if_due): inserts and their summed
+  /// occupancy since the last fit or check, and the sum that triggers a
+  /// refit.
   std::uint32_t crowd_inserts_ = 0;
   std::uint64_t crowd_occupancy_ = 0;
   std::uint64_t crowd_limit_ = 0;
-  std::vector<QueueEntry> rebuild_scratch_;  ///< reused across rebuilds
+  std::vector<RebuildKey> rebuild_scratch_;  ///< reused across rebuilds
 };
 
 }  // namespace gtrix

@@ -78,7 +78,7 @@ class alignas(64) Simulator {
   bool idle() const noexcept { return queue_.empty(); }
 
   /// Read-only queue access for telemetry harvesting (scheduled / cancelled
-  /// / purged / rebuild counters); see obs/telemetry.hpp.
+  /// / rebuild / occupancy / pop-visit counters); see obs/telemetry.hpp.
   const EventQueue& event_queue() const noexcept { return queue_; }
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp): the clock cursor and the

@@ -3,7 +3,7 @@
 // Deliberately independent of sim/event_queue.cpp -- a std::priority_queue
 // over (time, seq) with lazy cancellation keyed by schedule index, no slot
 // recycling, no buckets -- so tests/test_calendar_queue.cpp checks the
-// calendar's bucket geometry, scan cursor and purge rebuilds against the
+// calendar's bucket geometry, scan cursor, unlinks and rebuilds against the
 // plain definition of the order they must realize: ascending time, ties in
 // scheduling order. Exposes the subset of the EventQueue interface the
 // differential drivers use.

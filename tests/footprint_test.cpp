@@ -1,10 +1,12 @@
-// Construction footprint regression test: building a streaming gradient-full
-// World may cost at most three heap allocations per node. One is the node
-// model, which holds its node and clock inline; the rest is amortized growth
-// of shared arrays (arena lanes, CSR adjacency, recorder tables). A
-// per-node container -- a pending-message deque, a copied predecessor list,
-// a clock segment vector, per-node adjacency vectors -- adds at least one
-// allocation per node and fails the bound.
+// Footprint regression tests. Building a streaming gradient-full World may
+// cost at most three heap allocations per node. One is the node model,
+// which holds its node and clock inline; the rest is amortized growth of
+// shared arrays (arena lanes, CSR adjacency, recorder tables). A per-node
+// container -- a pending-message deque, a copied predecessor list, a clock
+// segment vector, per-node adjacency vectors -- adds at least one
+// allocation per node and fails the bound. Running that World allocates
+// only as the event queue's slot table and calendar grow: a per-bucket or
+// per-event container fails the run bound.
 //
 // This is its own binary because the replacement operator new below counts
 // every allocation in the process; linked into gtrix_tests it would count
@@ -47,7 +49,8 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::fre
 namespace gtrix {
 namespace {
 
-TEST(Footprint, StreamingGradientWorldAllocatesAtMostThreePerNode) {
+/// The 64x64 streaming gradient-full cell both cases build.
+ExperimentConfig streaming_grid() {
   ExperimentConfig config;
   config.columns = 64;
   config.layers = 64;
@@ -57,7 +60,11 @@ TEST(Footprint, StreamingGradientWorldAllocatesAtMostThreePerNode) {
   // The component registries build their tables on first use; do that
   // outside the counted window.
   (void)resolve_components(config);
+  return config;
+}
 
+TEST(Footprint, StreamingGradientWorldAllocatesAtMostThreePerNode) {
+  const ExperimentConfig config = streaming_grid();
   const std::uint64_t before = g_allocations.load();
   const auto world = std::make_unique<World>(config);
   const std::uint64_t allocations = g_allocations.load() - before;
@@ -67,6 +74,18 @@ TEST(Footprint, StreamingGradientWorldAllocatesAtMostThreePerNode) {
   const double per_node = static_cast<double>(allocations) / nodes;
   EXPECT_LE(per_node, 3.0) << allocations << " heap allocations while building " << nodes
                            << " nodes";
+}
+
+TEST(Footprint, StreamingRunAllocatesOnlyAsTheQueueGrows) {
+  const auto world = std::make_unique<World>(streaming_grid());
+  const std::uint64_t before = g_allocations.load();
+  world->run_to_completion();
+  const std::uint64_t allocations = g_allocations.load() - before;
+  // Growth of the slot table, the bucket array and the rebuild scratch: a
+  // dozen or so (12 at this shape), where one allocation per bucket or per
+  // event would be thousands.
+  EXPECT_LE(allocations, 64u) << allocations << " heap allocations while running "
+                              << world->grid().node_count() << " nodes";
 }
 
 }  // namespace

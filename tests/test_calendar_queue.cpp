@@ -1,8 +1,8 @@
 // Calendar-queue scheduler tests: the calendar's own semantics (churn, FIFO
-// tie-breaks, handle generations), its resize/rebuild behaviour, and
-// randomized differential checks that it executes the identical event
-// sequence as the binary-heap oracle (binary_heap_queue.hpp) under heavy
-// schedule/cancel churn.
+// tie-breaks, handle generations, unlinking cancelled entries from the
+// bucket chains), its resize/rebuild behaviour, and randomized differential
+// checks that it executes the identical event sequence as the binary-heap
+// oracle (binary_heap_queue.hpp) under heavy schedule/cancel churn.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -137,15 +137,101 @@ TEST(CalendarQueue, SlotTableStaysFlatUnderScheduleCancelChurn) {
     EXPECT_EQ(q.pending_count(), static_cast<std::size_t>(kLive));
   }
   EXPECT_EQ(q.slot_capacity(), baseline_capacity);
-  // The cancelled bulk must be purged, not accumulated: a rebuild pass
-  // keeps the calendar O(pending), and the bucket count tracks the tiny
-  // live population instead of the 10008 events ever scheduled.
-  EXPECT_GT(q.calendar_rebuilds(), 0u);
+  // Each cancel unlinks its entry at once, so the calendar holds only the
+  // live population: the bucket count tracks the 8 pending events instead
+  // of the 10008 ever scheduled, and a walk finds exactly those 8.
   EXPECT_LE(q.calendar_buckets(), 64u);
+  EXPECT_EQ(q.calendar_verify(), q.pending_count());
   while (q.run_next()) {
   }
   EXPECT_EQ(q.scheduled_count(), static_cast<std::uint64_t>(kLive + 10000));
   EXPECT_EQ(q.executed_count(), static_cast<std::uint64_t>(kLive));  // rest were cancelled
+}
+
+/// Cancelling the located minimum must drop the peek cache with it: the
+/// next peek locates the survivor, not the freed slot.
+TEST(CalendarQueue, CancellingThePeekedMinimumExposesTheNext) {
+  EventQueue q;
+  EventLog log;
+  const TimerHandle first = q.schedule(1.0, &log, 0, EventPayload{.i = 1});
+  q.schedule(2.0, &log, 0, EventPayload{.i = 2});
+  q.schedule(3.0, &log, 0, EventPayload{.i = 3});
+  EXPECT_EQ(q.next_time(), 1.0);  // caches the minimum
+  EXPECT_TRUE(q.cancel(first));
+  EXPECT_EQ(q.next_time(), 2.0);
+  EXPECT_EQ(q.calendar_verify(), 2u);
+  // The freed slot is reused at once; the new event must not inherit the
+  // cancelled one's place.
+  q.schedule(2.5, &log, 0, EventPayload{.i = 25});
+  EXPECT_EQ(q.next_time(), 2.0);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{2, 25, 3}));
+}
+
+/// Equal times share one bucket chain. Unlinking its head, a middle entry
+/// and its tail must leave the survivors linked in scheduling order.
+TEST(CalendarQueue, CancelsAnywhereInAnEqualTimeChainKeepFifo) {
+  EventQueue q;
+  EventLog log;
+  std::vector<TimerHandle> handles;
+  for (int i = 0; i < 7; ++i) {
+    handles.push_back(q.schedule(5.0, &log, 0, EventPayload{.i = i}));
+  }
+  q.schedule(4.0, &log, 0, EventPayload{.i = 40});  // an earlier bucket
+  EXPECT_EQ(q.next_time(), 4.0);
+  for (const int doomed : {0, 3, 6}) {  // head, middle, tail
+    EXPECT_TRUE(q.cancel(handles[static_cast<std::size_t>(doomed)]));
+    EXPECT_EQ(q.calendar_verify(), q.pending_count());
+  }
+  EXPECT_FALSE(q.cancel(handles[3]));  // already unlinked
+  q.schedule(5.0, &log, 0, EventPayload{.i = 7});  // joins behind the survivors
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{40, 1, 2, 4, 5, 7}));
+}
+
+/// A cancel followed by an insert behind the cursor: the cursor moved on
+/// past the popped events, the cancel unlinks an entry ahead of it, and the
+/// insert must pull the cursor back to fire first.
+TEST(CalendarQueue, CancelThenInsertBehindTheCursor) {
+  EventQueue q;
+  EventLog log;
+  q.schedule(10.0, &log, 0, EventPayload{.i = 10});
+  const TimerHandle doomed = q.schedule(20.0, &log, 0, EventPayload{.i = 20});
+  q.schedule(30.0, &log, 0, EventPayload{.i = 30});
+  ASSERT_TRUE(q.run_next());  // t = 10; the cursor sits at t = 10's epoch
+  EXPECT_EQ(q.next_time(), 20.0);
+  EXPECT_TRUE(q.cancel(doomed));
+  q.schedule(3.0, &log, 0, EventPayload{.i = 3});
+  EXPECT_EQ(q.calendar_verify(), 2u);
+  EXPECT_EQ(q.next_time(), 3.0);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{10, 3, 30}));
+}
+
+/// Cancels that empty a bucket: the scan must step over it, and a later
+/// insert into it starts a fresh chain.
+TEST(CalendarQueue, CancelsEmptyABucket) {
+  EventQueue q;
+  EventLog log;
+  std::vector<TimerHandle> middle;
+  q.schedule(1.0, &log, 0, EventPayload{.i = 1});
+  for (int i = 0; i < 3; ++i) {
+    middle.push_back(q.schedule(2.5, &log, 0, EventPayload{.i = 20 + i}));
+  }
+  q.schedule(4.0, &log, 0, EventPayload{.i = 4});
+  ASSERT_TRUE(q.run_next());  // t = 1
+  for (const TimerHandle h : middle) EXPECT_TRUE(q.cancel(h));
+  EXPECT_EQ(q.calendar_verify(), 1u);
+  EXPECT_EQ(q.next_time(), 4.0);
+  q.schedule(2.25, &log, 0, EventPayload{.i = 2});
+  EXPECT_EQ(q.next_time(), 2.25);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{1, 2, 4}));
+  EXPECT_EQ(q.calendar_verify(), 0u);
 }
 
 TEST(CalendarQueue, ResizeGrowsAndShrinksWithThePendingPopulation) {
@@ -208,16 +294,123 @@ TEST(CalendarQueue, MatchesBinaryHeapOnRandomChurn) {
   }
 }
 
-/// Directed regression for the behind-cursor-after-purge interaction at the
-/// scale-grid population regime: a lazy-cancel purge rebuild refits the
-/// bucket width and re-anchors the scan cursor, and an insert landing
-/// BEHIND the re-anchored cursor must (a) recompute its epoch under the new
-/// width -- calendar_insert stamps entry.epoch after any rebuild, never
-/// before -- and (b) pull the cursor back so it fires first. A stale cached
-/// epoch would either bury the event in a wrong-year bucket (skipped by the
-/// year scan) or fire it out of order; both would break the differential
-/// identity below.
-TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
+/// Differential fuzz with equal-time clusters and more cancels than pops,
+/// across every rebuild trigger: a ramp that grows the calendar, a conveyor
+/// at constant population whose inserts crowd the fitted buckets (so only
+/// the crowding refit can rebuild there), and a mass cancel plus drain that
+/// shrinks it. Cancels always hit a pending event, and the calendar walk
+/// runs between batches, so a wrong unlink fails where it happens.
+TEST(CalendarQueue, MatchesBinaryHeapOnClusteredCancelChurnAcrossRebuilds) {
+  for (const std::uint64_t seed : {3ULL, 77ULL}) {
+    std::size_t ramp_buckets = 0;
+    std::uint64_t conveyor_rebuilds = 0;
+    const auto drive = [&](auto& q, EventLog& log) {
+      constexpr bool kCalendar = std::is_same_v<std::decay_t<decltype(q)>, EventQueue>;
+      Rng rng(seed);
+      std::vector<TimerHandle> handles;   // by tag
+      std::vector<std::int64_t> pending;  // tags still queued
+      std::vector<std::size_t> where;     // tag -> index in `pending`
+      const auto forget = [&](std::int64_t tag) {
+        const std::size_t at = where[static_cast<std::size_t>(tag)];
+        pending[at] = pending.back();
+        where[static_cast<std::size_t>(pending[at])] = at;
+        pending.pop_back();
+      };
+      // Half the events land on a `grain` grid, so equal times cluster.
+      const auto schedule = [&](double t, double grain) {
+        if (rng.bernoulli(0.5)) t = std::floor(t / grain) * grain;
+        const auto tag = static_cast<std::int64_t>(handles.size());
+        handles.push_back(q.schedule(t, &log, 0, EventPayload{.i = tag}));
+        where.push_back(pending.size());
+        pending.push_back(tag);
+      };
+      const auto cancel_one = [&] {
+        const std::int64_t tag = pending[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1))];
+        ASSERT_TRUE(q.cancel(handles[static_cast<std::size_t>(tag)]));
+        forget(tag);
+      };
+      double now = 0.0;
+      const auto pop = [&] {
+        SimTime fired = 0.0;
+        ASSERT_TRUE(q.run_next_due(kTimeInfinity, fired));
+        now = fired;
+        forget(log.events.back().payload.i);
+      };
+      const auto verify = [&] {
+        if constexpr (kCalendar) {
+          ASSERT_EQ(q.calendar_verify(), q.pending_count());
+        }
+      };
+
+      // Ramp: grows to ~18k pending; 11 cancels for every 20 inserts.
+      for (int i = 0; i < 40000; ++i) {
+        schedule(now + rng.uniform(0.0, 4000.0), 4.0);
+        if (rng.bernoulli(0.55)) cancel_one();
+        if (i % 64 == 0) pop();
+        if (i % 4000 == 0) verify();
+      }
+      verify();
+      if constexpr (kCalendar) {
+        ramp_buckets = q.calendar_buckets();
+        // Neither population trigger can fire at a constant population.
+        ASSERT_GT(q.pending_count() * 8, q.calendar_buckets() + 8);
+        ASSERT_LT(q.pending_count() + 2, q.calendar_buckets() * 2);
+        conveyor_rebuilds = q.calendar_rebuilds();
+      }
+      // Conveyor: one pop and one insert per step, plus an insert and a
+      // cancel on most steps, all far past the fitted year.
+      for (int i = 0; i < 30000; ++i) {
+        pop();
+        schedule(1e5 + 0.01 * i, 0.02);
+        if (rng.bernoulli(0.8)) {
+          schedule(1e5 + 0.01 * i + rng.uniform(0.0, 50.0), 0.02);
+          cancel_one();
+        }
+        if (i % 3000 == 0) verify();
+      }
+      if constexpr (kCalendar) conveyor_rebuilds = q.calendar_rebuilds() - conveyor_rebuilds;
+      // Mass cancel, then a drain that keeps cancelling and sometimes
+      // schedules clustered events at and just past the cursor.
+      while (pending.size() * 4 > handles.size() / 8) cancel_one();
+      verify();
+      while (!pending.empty()) {
+        pop();
+        if (!pending.empty() && rng.bernoulli(0.5)) cancel_one();
+        if (rng.bernoulli(0.1)) schedule(now + rng.uniform(0.0, 2.0), 0.5);
+        if (pending.size() % 512 == 0) verify();
+      }
+      EXPECT_FALSE(q.run_next());
+    };
+
+    EventQueue cal;
+    BinaryHeapQueue heap;
+    EventLog cal_log;
+    EventLog heap_log;
+    drive(cal, cal_log);
+    drive(heap, heap_log);
+    EXPECT_GE(ramp_buckets, 4096u);                   // grown
+    EXPECT_GT(conveyor_rebuilds, 0u);                 // crowding refit
+    EXPECT_LT(cal.calendar_buckets(), ramp_buckets);  // shrunk
+    EXPECT_GE(cal.cancelled_count() * 2, cal.scheduled_count());
+    ASSERT_EQ(cal_log.events.size(), heap_log.events.size());
+    for (std::size_t i = 0; i < cal_log.events.size(); ++i) {
+      ASSERT_EQ(cal_log.events[i].time, heap_log.events[i].time) << "at " << i;
+      ASSERT_EQ(cal_log.events[i].payload.i, heap_log.events[i].payload.i) << "at " << i;
+    }
+  }
+}
+
+/// Directed regression for behind-cursor inserts after mass cancellation at
+/// the scale-grid population regime: grow rebuilds refit the bucket width
+/// and re-anchor the scan cursor, the cursor advances into the fitted year,
+/// most of the population is then unlinked by cancels, and an insert landing
+/// BEHIND the cursor must be bucketed under the current width and pull the
+/// cursor back so it fires first. An epoch computed under an older width
+/// would bury the event in a bucket the year scan meets late or fire it out
+/// of order; a wrong unlink would lose or repeat an event. Either breaks the
+/// differential identity below.
+TEST(CalendarQueue, BehindCursorInsertAfterMassCancelAt64k) {
   for (const std::uint64_t seed : {7ULL, 99ULL}) {
     EventQueue cal;
     BinaryHeapQueue heap;
@@ -241,16 +434,14 @@ TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
         now = q.next_time();
         q.run_next();
       }
-      // Phase 3: cancel ~70% of what's pending -- crosses the dead > live
-      // purge threshold repeatedly, so at least one lazy-cancel purge
-      // rebuild refits width and cursor while the population is large.
+      // Phase 3: cancel ~70% of what's pending, unlinking entries all over
+      // the calendar while the population is large.
       for (std::size_t i = 0; i < handles.size(); ++i) {
         if (rng.bernoulli(0.7)) q.cancel(handles[i]);
       }
       // Phase 4: immediately insert behind the cursor (before `now`), at
       // the cursor's own time (tie with pending events), and far ahead
-      // (next year), interleaved with pops and further purge-triggering
-      // cancels, then drain.
+      // (next year), interleaved with pops and further cancels, then drain.
       std::vector<TimerHandle> extra;
       for (int round = 0; round < 200; ++round) {
         extra.push_back(q.schedule(now * rng.uniform(0.0, 0.99), &log, 0,
@@ -282,9 +473,9 @@ TEST(CalendarQueue, BehindCursorInsertAfterPurgeRebuildAt64k) {
 }
 
 /// The randomized differential above at the mega-grid population: ramp to
-/// >= 64k pending, then churn schedule / cancel-bulk / pop so purge and
-/// fit-to-population rebuilds interleave with behind-cursor scheduling.
-TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
+/// >= 64k pending, then churn schedule / cancel-bulk / pop so bulk unlinks
+/// and fit-to-population rebuilds interleave with behind-cursor scheduling.
+TEST(CalendarQueue, MatchesBinaryHeapUnderCancelResizeChurnAt64k) {
   for (const std::uint64_t seed : {5ULL, 2024ULL}) {
     EventQueue cal;
     BinaryHeapQueue heap;
@@ -309,8 +500,8 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
           if (rng.bernoulli(0.3)) t = std::floor(t);
           handles.push_back(q.schedule(t, &log, 0, EventPayload{.i = tag++}));
         } else if (dice < 0.40 && !handles.empty()) {
-          // Bulk cancel: 512 at a time drives dead_ across the purge
-          // threshold mid-churn instead of one-at-a-time nibbling.
+          // Bulk cancel: 512 at a time empties whole stretches of the
+          // calendar mid-churn instead of one-at-a-time nibbling.
           for (int k = 0; k < 512; ++k) {
             q.cancel(handles[static_cast<std::size_t>(
                 rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1))]);
@@ -338,15 +529,14 @@ TEST(CalendarQueue, MatchesBinaryHeapUnderPurgeResizeChurnAt64k) {
   }
 }
 
-/// Windowed pops under purge/resize churn: the sharded driver pops each
+/// Windowed pops under cancel/resize churn: the sharded driver pops each
 /// shard's queue in [gmin, horizon) windows via run_next_strictly_before, so
 /// the calendar engine must agree with the heap when window boundaries
-/// interleave with behind-cursor inserts and purge rebuilds. In a
-/// -DGTRIX_DEBUG_CHECKS build (the sanitizer CI jobs), every insert, pop and
-/// rebuild in this churn additionally runs the epoch-freshness assertions in
-/// event_queue.cpp -- entry.epoch must match epoch_of(entry.time) under the
-/// CURRENT bucket width -- turning a silently-buried event into a hard
-/// failure at the exact operation that staled it.
+/// interleave with behind-cursor inserts, bulk cancels and rebuilds. In a
+/// -DGTRIX_DEBUG_CHECKS build (the sanitizer CI jobs), every rebuild and
+/// behind-cursor insert in this churn additionally walks the whole calendar
+/// (EventQueue::calendar_verify), turning a mislinked or buried event into
+/// a hard failure at the operation that caused it.
 TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
   for (const std::uint64_t seed : {11ULL, 4242ULL}) {
     EventQueue cal;
@@ -371,7 +561,7 @@ TEST(CalendarQueue, WindowedPopsMatchBinaryHeapUnderChurn) {
           ASSERT_LT(fired, horizon);
         }
         // Cross-window churn: new events behind and ahead of the horizon
-        // plus bulk cancels that trip purge rebuilds mid-sequence.
+        // plus bulk cancels mid-sequence.
         for (int i = 0; i < 40; ++i) {
           handles.push_back(q.schedule(horizon + rng.uniform(0.0, 2000.0), &log, 0,
                                        EventPayload{.i = tag++}));
