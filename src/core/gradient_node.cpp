@@ -334,6 +334,7 @@ void GradientTrixNode::reset_iteration_state() {
   }
   sim_.cancel(until_timer());
   sim_.cancel(watchdog_timer());
+  sim_.cancel(broadcast_timer());
 }
 
 void GradientTrixNode::drain_pending(SimTime now) {

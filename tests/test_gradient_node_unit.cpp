@@ -13,6 +13,7 @@
 #include "metrics/recorder.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
+#include "support/rng.hpp"
 
 namespace gtrix {
 namespace {
@@ -293,6 +294,30 @@ TEST(NodeUnit, WatchdogClearsStaleFirstNeighbour) {
   ASSERT_EQ(its.size(), 1u);
   EXPECT_DOUBLE_EQ(its[0].h_min, t2);  // the stale 1000.0 was cleared
   EXPECT_EQ(its[0].sigma, 2);
+}
+
+TEST(NodeUnit, CorruptionIntoCollectDropsTheArmedBroadcast) {
+  // Scrambled while it waits to broadcast, into corrupt_state's collect
+  // branch (which arms nothing): the broadcast armed before the fault must
+  // go with the rest of the iteration's timers, not fire later as a no-op.
+  // The seed is the first whose branch draw picks the collect branch;
+  // corrupt_state draws the bogus wave label first.
+  std::uint64_t seed = 1;
+  for (;; ++seed) {
+    Rng probe(seed);
+    probe.uniform_int(-4, 4);
+    if (probe.bernoulli(0.5)) break;
+  }
+  NodeHarness h;
+  h.arrive(h.nbr_a, 1000.0);
+  h.arrive(h.own_pred, 1002.0);
+  h.arrive(h.nbr_b, 1004.0);
+  h.sim.run_until(1500.0);  // collected; the broadcast is armed for ~2002
+  ASSERT_EQ(h.sim.event_queue().pending_count(), 1u);
+  Rng rng(seed);
+  h.node->corrupt_state(rng);
+  EXPECT_EQ(h.sim.event_queue().pending_count(), 0u);
+  EXPECT_TRUE(h.run().empty());
 }
 
 TEST(NodeUnit, SimplifiedModeWaitsForAllThree) {
