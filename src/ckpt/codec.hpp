@@ -53,7 +53,7 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // v8: a done file's skew deviations drop the `exact` flag (one quantile
 // method), and a corrupt streaming snapshot carries no "streaming" section
 // (a corrupt cell keeps no live accumulator).
-inline constexpr std::uint32_t kCkptFormatVersion = 8;
+inline constexpr std::uint32_t kCkptFormatVersion = 9;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

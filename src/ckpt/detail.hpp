@@ -1,10 +1,11 @@
 // Shared codecs for small structs that appear in several checkpoint
-// sections (timer handles in every node's arena lanes, iteration records in
+// sections (timer handles and deadline keys of the nodes, iteration records in
 // both the recorder log and a gradient node's staged record, the pending
 // message queues of the three algorithm nodes), plus the field-count guards
 // every codec must carry.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -42,6 +43,17 @@ inline void timer(CkptIo& io, TimerHandle& h) {
   GTRIX_CKPT_FIELDS(TimerHandle, 2);
   io.u32(h.slot);
   io.u32(h.gen);
+}
+
+/// A timer deadline's event key. Disarmed is the default key, at +inf; any
+/// other non-finite time is refused, since the key may be scheduled.
+inline void key(CkptIo& io, EventKey& k) {
+  GTRIX_CKPT_FIELDS(EventKey, 2);
+  io.f64(k.time);
+  io.u64(k.seq);
+  if (!io.saving() && !std::isfinite(k.time) && k.time != kTimeInfinity) {
+    throw CkptError("checkpoint deadline time is not finite (corrupt file)");
+  }
 }
 
 /// Encoded size of one iteration record: the count() element bound for

@@ -4,7 +4,8 @@
 // them once for both directions (CkptIo). Timer handles are stored
 // verbatim: the event-queue snapshot preserves slot indices and
 // generations, so a restored handle refers to exactly the event it did at
-// save time.
+// save time. A gradient node's deadlines travel as their event keys, and
+// its entry's handle must carry the earliest of them on restore.
 #include "baseline/lw_grid.hpp"
 #include "baseline/trix_node.hpp"
 #include "ckpt/codec.hpp"
@@ -19,16 +20,24 @@ namespace gtrix {
 // --- GradientTrixNode --------------------------------------------------------
 
 void GradientTrixNode::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(GradientTrixNode, 408);
+  GTRIX_CKPT_SIZEOF(GradientTrixNode, 400);
   GTRIX_CKPT_FIELDS(Counters, 8);
+  GTRIX_CHECK_MSG(!entry_stale_, "checkpoint of a gradient node between its entry syncs");
   io.u8(soa_->phase[i_]);
   io.f64(h_own());
   io.f64(h_min());
   io.f64(h_max());
   io.i64(last_sigma());
-  ckpt::timer(io, until_timer());
-  ckpt::timer(io, broadcast_timer());
-  ckpt::timer(io, watchdog_timer());
+  ckpt::key(io, phase_deadline_);
+  io.f64(phase_threshold_);
+  ckpt::key(io, watchdog_deadline_);
+  ckpt::timer(io, entry_);
+  // The sims section is restored first, so the entry can be checked
+  // against the queue.
+  if (!io.saving() && !entry_in_sync()) {
+    throw CkptError("gradient node timer entry does not carry its earliest deadline "
+                    "(corrupt file)");
+  }
   io.same_count(preds_.size(), "gradient node predecessor slot");
   for (std::size_t s = 0; s < preds_.size(); ++s) {
     io.u8(r(s));

@@ -77,11 +77,6 @@ void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
   io.u64(scheduled_);
   io.u64(executed_);
   io.u64(cancelled_);
-  // The wire field for cancelled entries removed from the calendar: every
-  // cancel unlinks its entry, so it holds the cancel count, and a restore
-  // reads and drops it.
-  std::uint64_t unlinked = cancelled_;
-  io.u64(unlinked);
   io.u64(rebuilds_);
 
   std::size_t lives = 0;
@@ -161,6 +156,7 @@ void EventQueue::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
 void Simulator::checkpoint(CkptIo& io, const CkptTargetMap& targets) {
   GTRIX_CKPT_SIZEOF(Simulator, 256);
   io.f64(now_);
+  io.u64(timer_cancels_);
   queue_.checkpoint(io, targets);
 }
 

@@ -13,23 +13,23 @@ constexpr double kGuardSlack = 1e-9;  // float-noise tolerance in guard checks
 
 GradientTrixNode::GradientTrixNode(Simulator& sim, Network& net, NetNodeId self,
                                    HardwareClock clock, std::span<const NetNodeId> preds,
-                                   GradientNodeConfig config, Recorder* recorder,
-                                   GradientSoa& soa)
+                                   const GradientNodeConfig& config, double broadcast_offset,
+                                   Recorder* recorder, GradientSoa& soa)
     : sim_(sim),
       net_(net),
       self_(self),
       clock_(std::move(clock)),
       preds_(preds),
-      config_(config),
+      broadcast_offset_(broadcast_offset),
       recorder_(recorder),
       soa_(&soa) {
   GTRIX_CHECK_MSG(preds_.size() >= 2, "node needs its own copy plus >= 1 neighbour");
   GTRIX_CHECK_MSG(preds_.size() <= kMaxSlots, "too many predecessors");
   // Backstop for the scenario layer's cell-expansion check: the trimmed
   // window must keep H_min at or before H_max.
-  GTRIX_CHECK_MSG(2 * static_cast<std::size_t>(config_.trim) < preds_.size() - 1,
+  GTRIX_CHECK_MSG(2 * static_cast<std::size_t>(config.trim) < preds_.size() - 1,
                   "trim too large for degree");
-  i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()));
+  i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()), config);
   slot_base_ = soa_->slot_base[i_];
 }
 
@@ -68,6 +68,7 @@ void GradientTrixNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pu
     return;
   }
   process_message(slot, h, pulse.stamp, now);
+  sync_entry();
 }
 
 void GradientTrixNode::process_message(std::size_t slot, LocalTime h, Sigma sigma,
@@ -91,7 +92,7 @@ void GradientTrixNode::process_message(std::size_t slot, LocalTime h, Sigma sigm
       std::size_t seen_before = 0;
       for (std::size_t i = 1; i < preds_.size(); ++i) seen_before += r(i) ? 1U : 0U;
       const std::size_t degree = preds_.size() - 1;
-      const std::size_t trim = config_.trim;
+      const std::size_t trim = config().trim;
       if (seen_before == trim) {
         h_min() = h;
         // Every mode arms Algorithm 4's watchdog. It has no effect after
@@ -120,9 +121,9 @@ std::pair<LocalTime, LocalTime> GradientTrixNode::thresholds() const {
   // would not be equivalent to Algorithm 1, contradicting Lemma B.2).
   // thr2 (2 H_own - H_min + 2 kappa) is the symmetric wait for the last
   // neighbour once the own copy is known.
-  const double kappa = config_.params.kappa();
+  const double kappa = config().params.kappa();
   const LocalTime thr1 = (!std::isfinite(h_own()) && std::isfinite(h_max()))
-                             ? h_max() + kappa / 2.0 + config_.params.theta * kappa
+                             ? h_max() + kappa / 2.0 + config().params.theta * kappa
                              : kLocalInfinity;
   const LocalTime thr2 = (std::isfinite(h_own()) && std::isfinite(h_min()))
                              ? 2.0 * h_own() - h_min() + 2.0 * kappa
@@ -131,7 +132,7 @@ std::pair<LocalTime, LocalTime> GradientTrixNode::thresholds() const {
 }
 
 void GradientTrixNode::update_until(SimTime now, LocalTime now_local) {
-  if (config_.simplified) {
+  if (config().simplified) {
     // Algorithm 1: wait until H_own, H_min, H_max are all known.
     if (std::isfinite(h_own()) && std::isfinite(h_min()) && std::isfinite(h_max())) {
       exit_collect(now, now_local);
@@ -150,15 +151,16 @@ void GradientTrixNode::update_until(SimTime now, LocalTime now_local) {
 }
 
 void GradientTrixNode::arm_until_timer(LocalTime threshold) {
-  // Always cancel + reschedule, even at an unchanged threshold: eliding the
-  // re-arm would keep the original event's older sequence number, which can
+  // Every re-arm takes a fresh key, even at an unchanged threshold, as a
+  // cancel-and-reschedule would: keeping the older sequence number could
   // reorder float-exact same-instant ties against other events and so move
-  // the committed BENCH_*.json results.
-  sim_.cancel(until_timer());
-  const SimTime fire_at = std::max(clock_.to_real(threshold), sim_.now());
+  // the committed BENCH_*.json results. The queue entry follows in place
+  // (EventQueue::rekey's fast path) unless such a tie sits behind it.
+  disarm(phase_deadline_);
+  arm(phase_deadline_, std::max(clock_.to_real(threshold), sim_.now()));
   // The exact local threshold rides along in the payload so the fire path
   // compares the same floating-point value that defined the deadline.
-  until_timer() = sim_.at(fire_at, this, kUntilTimer, EventPayload{.f = threshold});
+  phase_threshold_ = threshold;
 }
 
 void GradientTrixNode::arm_watchdog() {
@@ -166,28 +168,72 @@ void GradientTrixNode::arm_watchdog() {
   // all remaining correct pulses must follow within theta (2 L + u) local
   // time; if neither the own-copy nor the last neighbour pulse shows up, the
   // stored partial state stems from a spurious message and is cleared.
-  sim_.cancel(watchdog_timer());
-  const double interval =
-      config_.params.theta * (2.0 * config_.skew_bound_hint + config_.params.u);
+  disarm(watchdog_deadline_);
+  const Params& p = config().params;
+  const double interval = p.theta * (2.0 * config().skew_bound_hint + p.u);
   const LocalTime fire_local = clock_.to_local(sim_.now()) + interval;
-  watchdog_timer() = sim_.at(clock_.to_real(fire_local), this, kWatchdogTimer);
+  arm(watchdog_deadline_, clock_.to_real(fire_local));
+}
+
+void GradientTrixNode::arm(EventKey& deadline, SimTime t) {
+  deadline = sim_.reserve(t);
+  entry_stale_ = true;
+}
+
+void GradientTrixNode::disarm(EventKey& deadline) {
+  if (deadline == EventKey{}) return;
+  deadline = EventKey{};
+  sim_.count_timer_cancel();
+  entry_stale_ = true;
+}
+
+void GradientTrixNode::sync_entry() {
+  if (entry_stale_) {
+    entry_stale_ = false;
+    const bool watchdog_first = watchdog_deadline_ < phase_deadline_;
+    const EventKey& next = watchdog_first ? watchdog_deadline_ : phase_deadline_;
+    if (next == EventKey{}) {
+      sim_.unschedule(entry_);  // nothing armed; a no-op when the entry fired
+    } else {
+      const std::uint32_t kind = watchdog_first               ? kWatchdogTimer
+                                 : phase() == Phase::kCollect ? kUntilTimer
+                                                              : kBroadcastTimer;
+      const EventPayload payload =
+          watchdog_first ? EventPayload{} : EventPayload{.f = phase_threshold_};
+      if (entry_) {
+        sim_.rekey(entry_, next, kind, payload);
+      } else {
+        entry_ = sim_.at_key(next, this, kind, payload);
+      }
+    }
+  }
+  GTRIX_DEBUG_CHECK_MSG(entry_in_sync(),
+                        "a gradient node's queue entry does not carry its earliest deadline");
+}
+
+bool GradientTrixNode::entry_in_sync() const {
+  const EventKey earliest = std::min(phase_deadline_, watchdog_deadline_);
+  return entry_ ? sim_.pending(entry_) && sim_.event_queue().key_of(entry_) == earliest
+                : earliest == EventKey{};
 }
 
 void GradientTrixNode::on_timer(const Event& event) {
+  entry_.reset();  // fired; the handle is stale
+  entry_stale_ = true;
   switch (event.kind) {
     case kUntilTimer:
-      until_timer().reset();  // fired; the handle is stale
-      if (phase() != Phase::kCollect) return;
+      GTRIX_DEBUG_CHECK(phase() == Phase::kCollect);
+      phase_deadline_ = EventKey{};
       exit_collect(event.time, event.payload.f);
-      return;
+      break;
     case kBroadcastTimer:
-      broadcast_timer().reset();
-      if (phase() != Phase::kWaitBroadcast) return;
+      GTRIX_DEBUG_CHECK(phase() == Phase::kWaitBroadcast);
+      phase_deadline_ = EventKey{};
       do_broadcast(event.time, event.payload.f);
-      return;
+      break;
     case kWatchdogTimer:
-      watchdog_timer().reset();
-      if (phase() != Phase::kCollect) return;
+      GTRIX_DEBUG_CHECK(phase() == Phase::kCollect);
+      watchdog_deadline_ = EventKey{};
       if (std::isfinite(h_min()) && !std::isfinite(h_own()) && !std::isfinite(h_max())) {
         h_min() = kLocalInfinity;
         for (std::size_t i = 1; i < preds_.size(); ++i) {
@@ -196,17 +242,18 @@ void GradientTrixNode::on_timer(const Event& event) {
           slot_sigma(i) = 0;
         }
         ++counters_.watchdog_resets;
-        sim_.cancel(until_timer());  // any armed until-timer is now meaningless
+        disarm(phase_deadline_);  // any armed until-timer is now meaningless
       }
-      return;
+      break;
   }
+  sync_entry();
 }
 
 void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
-  sim_.cancel(until_timer());
-  sim_.cancel(watchdog_timer());
+  disarm(phase_deadline_);
+  disarm(watchdog_deadline_);
 
-  const Params& p = config_.params;
+  const Params& p = config().params;
   const double kappa = p.kappa();
 
   IterationRecord rec;
@@ -222,7 +269,7 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     rec.slot_seen[i] = seen(i) != 0;
   }
 
-  const bool branch1 = !config_.simplified && !std::isfinite(h_own());
+  const bool branch1 = !config().simplified && !std::isfinite(h_own());
 
   if (branch1) {
     // Algorithm 3 first branch: the own-copy pulse never showed up before
@@ -230,14 +277,14 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     // neighbour reception instead: H_max + 3 kappa/2 + Lambda - d.
     rec.timeout_branch = true;
     ++counters_.timeout_branches;
-    if (config_.self_stabilizing && h_max() > now_local + kGuardSlack) {
+    if (config().self_stabilizing && h_max() > now_local + kGuardSlack) {
       ++counters_.guard_aborts;  // corrupted state: reception in the future
       finish_iteration_without_pulse(now);
       return;
     }
     const LocalTime target = h_max() + 1.5 * kappa + p.lambda - p.d;
     rec.correction = 0.0;  // no own reference; no correction defined
-    schedule_broadcast(now, target + config_.broadcast_offset, rec);
+    schedule_broadcast(now, target + broadcast_offset_, rec);
     return;
   }
 
@@ -259,12 +306,12 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     // h_max < h_min can only result from corrupted state (receptions are
     // processed in arrival order); clamp so the computation stays defined.
     const double h_max_eff = std::max(h_max(), h_min());
-    c = compute_correction(h_own(), h_min(), h_max_eff, p, config_.jump_condition);
+    c = compute_correction(h_own(), h_min(), h_max_eff, p, config().jump_condition);
   }
   rec.correction = c.value;
   const LocalTime target = h_own() + p.lambda - p.d - c.value;
 
-  if (config_.self_stabilizing) {
+  if (config().self_stabilizing) {
     const bool future_own = h_own() > now_local + kGuardSlack;
     const bool future_min = c.value < 0.0 && h_min() > now_local + kGuardSlack;
     const bool absurd_wait = target > now_local + (p.lambda - p.d) + kGuardSlack;
@@ -274,7 +321,7 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
       return;
     }
   }
-  schedule_broadcast(now, target + config_.broadcast_offset, rec);
+  schedule_broadcast(now, target + broadcast_offset_, rec);
 }
 
 void GradientTrixNode::finish_iteration_without_pulse(SimTime now) {
@@ -287,7 +334,7 @@ void GradientTrixNode::schedule_broadcast(SimTime now, LocalTime target,
                                           IterationRecord record) {
   staged_record_ = record;
   set_phase(Phase::kWaitBroadcast);
-  sim_.cancel(broadcast_timer());  // supersede any stale armed broadcast
+  disarm(phase_deadline_);  // supersede any stale armed broadcast
   const LocalTime now_local = clock_.to_local(now);
   if (target <= now_local) {
     // "wait until H(t) = X" with X already reached: act immediately. This
@@ -298,12 +345,14 @@ void GradientTrixNode::schedule_broadcast(SimTime now, LocalTime target,
     do_broadcast(now, now_local);
     return;
   }
-  broadcast_timer() =
-      sim_.at(clock_.to_real(target), this, kBroadcastTimer, EventPayload{.f = target});
+  arm(phase_deadline_, clock_.to_real(target));
+  phase_threshold_ = target;
 }
 
 void GradientTrixNode::do_broadcast(SimTime now, LocalTime fire_local) {
-  sim_.cancel(broadcast_timer());  // no-op when called from the timer itself
+  // Reached from the broadcast's own entry, or at once from
+  // schedule_broadcast: either way nothing is armed.
+  GTRIX_DEBUG_CHECK(phase_deadline_ == EventKey{});
   staged_record_.pulse_time = now;
   staged_record_.pulse_local = fire_local;
   last_sigma() = staged_record_.sigma;
@@ -332,9 +381,8 @@ void GradientTrixNode::reset_iteration_state() {
     seen(i) = 0;
     slot_sigma(i) = 0;
   }
-  sim_.cancel(until_timer());
-  sim_.cancel(watchdog_timer());
-  sim_.cancel(broadcast_timer());
+  disarm(phase_deadline_);  // the until-timer or the broadcast
+  disarm(watchdog_deadline_);
 }
 
 void GradientTrixNode::drain_pending(SimTime now) {
@@ -383,7 +431,7 @@ void GradientTrixNode::corrupt_state(Rng& rng) {
   reset_iteration_state();
   pending_.clear();
   const LocalTime now_local = clock_.to_local(sim_.now());
-  const double lambda = config_.params.lambda;
+  const double lambda = config().params.lambda;
   const Sigma bogus_sigma = rng.uniform_int(-4, 4);
 
   if (rng.bernoulli(0.5)) {
@@ -420,6 +468,7 @@ void GradientTrixNode::corrupt_state(Rng& rng) {
     // Do not count this garbage emission as a normal late broadcast.
     schedule_broadcast(sim_.now(), target, rec);
   }
+  sync_entry();
 }
 
 }  // namespace gtrix

@@ -14,6 +14,13 @@
 // In each iteration the node timestamps its predecessors' pulses with its
 // hardware clock, computes the correction C_{v,l} (see core/correction.hpp)
 // and broadcasts at local time H_own + Lambda - d - C_{v,l}.
+//
+// Its three timers (the until-loop's deadline, the broadcast and the
+// watchdog) are deadlines, not queue events: each holds the (time, seq) key
+// its event would have had (Simulator::reserve), and one queue entry per
+// node carries the earliest armed one. Re-arming the until-timer on every
+// reception moves that entry in place, and disarming a deadline touches the
+// queue only when it held the entry and nothing else is armed.
 #pragma once
 
 #include <array>
@@ -34,58 +41,28 @@
 
 namespace gtrix {
 
-struct GradientNodeConfig {
-  Params params;
-
-  /// Algorithm 1 instead of Algorithm 3. Requires fault-free predecessors.
-  bool simplified = false;
-
-  /// Algorithm 4 wait-statement guards (Appendix C).
-  bool self_stabilizing = false;
-
-  /// Jump condition (Definition 4.5). Disabling reproduces Figure 5.
-  bool jump_condition = true;
-
-  /// Estimate \bar{L} of the steady-state local skew, used by the
-  /// self-stabilization watchdog interval theta (2 \bar{L} + u). Callers
-  /// typically pass params.thm11_bound(D).
-  double skew_bound_hint = 0.0;
-
-  /// Static shift applied to the broadcast time (local units). Zero for
-  /// correct nodes; fault wrappers use it to model static delay faults.
-  double broadcast_offset = 0.0;
-
-  /// EXTENSION (paper "Bigger Picture" item 3): trimmed aggregation.
-  /// H_min is the (trim+1)-th earliest neighbour reception and H_max the
-  /// (deg - trim)-th, so `trim` outliers on each side cannot influence the
-  /// correction at all. trim = 0 is the paper's algorithm. With trim = 1 on
-  /// an in-degree-5 grid (cycle_wide reach 2), a node withstands a faulty
-  /// own copy plus one arbitrary neighbour, or two neighbours pulling in
-  /// opposite directions. Requires 2 * trim < neighbour count.
-  std::uint32_t trim = 0;
-};
-
 class GradientTrixNode final : public PulseSink, public TimerTarget {
  public:
   /// `preds` lists the network ids of the predecessors, own copy first --
   /// exactly Grid::predecessors mapped to network ids. The node keeps a
   /// view, so the list (in World: the Grid) must outlive the node, as must
   /// `soa` (the World-owned NodeArena's gradient lanes, see
-  /// core/node_state.hpp), where the hot per-iteration state lives. The
-  /// clock is owned. Requires 2 * config.trim < the neighbour count.
+  /// core/node_state.hpp), where the hot per-iteration state and the
+  /// shared config live. `broadcast_offset` is a static shift of the
+  /// broadcast time (local units): zero for correct nodes, set by fault
+  /// wrappers to model static delay faults. The clock is owned. Requires
+  /// 2 * config.trim < the neighbour count.
   GradientTrixNode(Simulator& sim, Network& net, NetNodeId self, HardwareClock clock,
-                   std::span<const NetNodeId> preds, GradientNodeConfig config,
-                   Recorder* recorder, GradientSoa& soa);
+                   std::span<const NetNodeId> preds, const GradientNodeConfig& config,
+                   double broadcast_offset, Recorder* recorder, GradientSoa& soa);
 
   GradientTrixNode(const GradientTrixNode&) = delete;
   GradientTrixNode& operator=(const GradientTrixNode&) = delete;
 
   void on_pulse(NetNodeId from, EdgeId edge, const Pulse& pulse, SimTime now) override;
 
-  /// Typed-event dispatch for the node's three timers (until / broadcast /
-  /// watchdog). Each is tracked by a cancellable TimerHandle; firing or
-  /// cancelling invalidates the handle, so no generation bookkeeping is
-  /// needed at this level.
+  /// Typed-event dispatch for the node's one queue entry, whose kind names
+  /// the deadline it carried (until / broadcast / watchdog).
   void on_timer(const Event& event) override;
 
   /// Replaces the default broadcast with a custom emitter (fault wrappers).
@@ -116,17 +93,19 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   NetNodeId id() const noexcept { return self_; }
 
   /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): the arena registers
-  /// (phase, reception times, slot lanes, timer handles -- handles stay
-  /// valid because the queue snapshot preserves slot generations), the
-  /// pending-message queue, the staged iteration record and the counters.
+  /// (phase, reception times, slot lanes), the deadlines and the entry's
+  /// handle (it stays valid because the queue snapshot preserves slot
+  /// generations), the pending-message queue, the staged iteration record
+  /// and the counters.
   void checkpoint(CkptIo& io);
 
  private:
   enum class Phase { kCollect, kWaitBroadcast };
 
-  /// Timer kinds. kUntilTimer / kBroadcastTimer carry the local-time
-  /// threshold in payload.f so the fire path compares the exact floating-
-  /// point value that defined the deadline.
+  /// Entry kinds: the deadline the entry carries. kUntilTimer /
+  /// kBroadcastTimer carry the local-time threshold in payload.f so the
+  /// fire path compares the exact floating-point value that defined the
+  /// deadline.
   enum TimerKind : std::uint32_t { kUntilTimer = 1, kBroadcastTimer = 2, kWatchdogTimer = 3 };
 
   static constexpr std::size_t kMaxSlots = IterationRecord::kMaxSlots;
@@ -143,6 +122,19 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   void update_until(SimTime now, LocalTime now_local);
   void arm_until_timer(LocalTime threshold);
   void arm_watchdog();
+  /// Arms `deadline` at real time t with the key at() would give an event
+  /// now.
+  void arm(EventKey& deadline, SimTime t);
+  /// Disarms `deadline`, counting a timer cancellation when it was armed.
+  void disarm(EventKey& deadline);
+  /// Makes the queue entry carry the earliest armed deadline, or drops it
+  /// when none is armed. A no-op unless a deadline changed since the last
+  /// sync; every entry point (on_pulse, on_timer, corrupt_state) ends with
+  /// it, so the queue is in sync whenever another target runs.
+  void sync_entry();
+  /// True when the entry carries the earliest armed deadline, or there is
+  /// no entry and nothing is armed: what sync_entry establishes.
+  bool entry_in_sync() const;
   void exit_collect(SimTime now, LocalTime now_local);
   void finish_iteration_without_pulse(SimTime now);
   void schedule_broadcast(SimTime now, LocalTime target, IterationRecord record);
@@ -164,9 +156,7 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   LocalTime h_max() const { return soa_->h_max[i_]; }
   Sigma& last_sigma() { return soa_->last_sigma[i_]; }
   Sigma last_sigma() const { return soa_->last_sigma[i_]; }
-  TimerHandle& until_timer() { return soa_->until_timer[i_]; }
-  TimerHandle& broadcast_timer() { return soa_->broadcast_timer[i_]; }
-  TimerHandle& watchdog_timer() { return soa_->watchdog_timer[i_]; }
+  const GradientNodeConfig& config() const { return soa_->config; }
   std::uint8_t& r(std::size_t slot) { return soa_->slot_r[slot_base_ + slot]; }
   std::uint8_t r(std::size_t slot) const { return soa_->slot_r[slot_base_ + slot]; }
   std::uint8_t& seen(std::size_t slot) { return soa_->slot_seen[slot_base_ + slot]; }
@@ -177,18 +167,27 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   Simulator& sim_;
   Network& net_;
   NetNodeId self_;
+  bool entry_stale_ = false;  // a deadline changed since the last sync_entry
   HardwareClock clock_;
   std::span<const NetNodeId> preds_;  // slot order; [0] is the own copy
-  GradientNodeConfig config_;
+  double broadcast_offset_;
   Recorder* recorder_;  // non-owning; may be null
   std::unique_ptr<SendOverride> send_override_;  // null unless fault-wrapped
 
-  // SoA residency: the arena's gradient lanes. Timer handles live there
-  // too; they go stale automatically when a timer fires, so a reset is
-  // always safe.
+  // SoA residency: the arena's gradient lanes and shared config.
   GradientSoa* soa_;
   std::uint32_t i_;          // arena index
   std::uint32_t slot_base_;  // first entry of this node's slot lanes
+
+  // The timers, as deadlines keyed like their events (disarmed: the
+  // default EventKey). The phase deadline is the until-timer while the
+  // node collects and the broadcast while it waits; the two are never
+  // armed together. `entry_` is the one queue entry, pending exactly while
+  // a deadline is armed (between syncs).
+  EventKey phase_deadline_;
+  LocalTime phase_threshold_ = 0.0;  // the phase deadline's local time (payload.f)
+  EventKey watchdog_deadline_;
+  TimerHandle entry_;
 
   // Cold per-node state: touched once per iteration (or less), kept out of
   // the hot lanes on purpose. The pending queue is empty in steady state;

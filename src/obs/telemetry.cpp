@@ -20,7 +20,8 @@ constexpr ObsCounterInfo kCatalog[] = {
     {ObsCounter::kNodeIterations, "node_iterations", true,
      "algorithm node iterations"},
     {ObsCounter::kTimerCancels, "timer_cancels", true,
-     "successful timer cancellations issued by node code"},
+     "timer cancellations issued by node code, counted by the Simulator "
+     "(a gradient node's disarmed deadlines included)"},
     {ObsCounter::kPulsesRecorded, "pulses_recorded", true,
      "pulses recorded by the metrics recorder"},
     {ObsCounter::kRealignShiftedNodes, "realign_shifted_nodes", true,
@@ -35,8 +36,8 @@ constexpr ObsCounterInfo kCatalog[] = {
     {ObsCounter::kEventsScheduled, "events_scheduled", false,
      "raw queue events scheduled (includes later-cancelled ones)"},
     {ObsCounter::kEventsPurged, "events_purged", false,
-     "cancelled entries cancel() unlinked from the calendar queue (each "
-     "cancel unlinks its entry at once)"},
+     "entries the calendar queue unlinked before they fired: queued timer "
+     "cancels, and gradient-node entries left with no armed deadline"},
     {ObsCounter::kCalendarRebuilds, "calendar_rebuilds", false,
      "calendar-queue resize/crowding rebuilds"},
     {ObsCounter::kCalendarInsertOccupancy, "calendar_insert_occupancy", false,

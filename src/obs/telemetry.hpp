@@ -54,7 +54,7 @@ enum class ObsCounter : std::uint32_t {
   // --- engine-shaped: summary JSON only -----------------------------------
   kEventsExecuted,    ///< raw queue events popped (batching/shard dependent)
   kEventsScheduled,   ///< raw queue events scheduled
-  kEventsPurged,      ///< cancelled entries cancel() unlinked from the calendar
+  kEventsPurged,      ///< entries the calendar unlinked before they fired
   kCalendarRebuilds,  ///< calendar-queue resize/crowding rebuilds
   kCalendarInsertOccupancy, ///< entries already in the target bucket, summed over inserts
   kCalendarPopVisits, ///< buckets the cursor visited per located minimum, summed

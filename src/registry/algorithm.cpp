@@ -33,7 +33,6 @@ GradientNodeConfig gradient_config(const NodeContext& ctx, bool simplified) {
   config.jump_condition = ctx.jump_condition;
   config.trim = ctx.trim;
   config.skew_bound_hint = ctx.params.thm11_bound(ctx.diameter);
-  config.broadcast_offset = ctx.broadcast_offset;
   return config;
 }
 
@@ -41,7 +40,8 @@ class GradientNodeModel final : public NodeModel {
  public:
   GradientNodeModel(NodeContext ctx, bool simplified)
       : node_(ctx.sim, ctx.net, ctx.self, std::move(ctx.clock), ctx.preds,
-              gradient_config(ctx, simplified), ctx.recorder, ctx.arena.gradient) {}
+              gradient_config(ctx, simplified), ctx.broadcast_offset, ctx.recorder,
+              ctx.arena.gradient) {}
 
   PulseSink& sink() override { return node_; }
   void set_send_override(SendOverride fn) override { node_.set_send_override(std::move(fn)); }

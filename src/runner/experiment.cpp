@@ -434,14 +434,16 @@ EngineStats World::engine_stats() const {
   stats.set(ObsCounter::kRealignShiftedNodes, last_realign_.nodes_shifted);
   stats.set(ObsCounter::kCorruptPinnedPulses, recorder_.anchored_pulse_count());
 
-  // Queue counters, summed over shard queues. Cancels are algorithm-issued
-  // and engine-invariant; scheduled/executed/rebuilds/occupancy/visits are
-  // engine-shaped (summary only). Each cancel unlinks its calendar entry
-  // at once, so the unlinked entries are the cancels.
-  std::uint64_t cancels = 0, scheduled = 0, rebuilds = 0, occupancy = 0, visits = 0;
+  // Queue counters, summed over shards. Timer cancels are node-issued and
+  // engine-invariant, counted by each Simulator; the queue's own counters
+  // (scheduled, unlinked, rebuilds, occupancy, visits) are engine-shaped
+  // (summary only).
+  std::uint64_t cancels = 0, unlinked = 0, scheduled = 0, rebuilds = 0, occupancy = 0,
+                visits = 0;
   const auto harvest_queue = [&](const Simulator& sim) {
     const EventQueue& q = sim.event_queue();
-    cancels += q.cancelled_count();
+    cancels += sim.timer_cancels();
+    unlinked += q.cancelled_count();
     scheduled += q.scheduled_count();
     rebuilds += q.calendar_rebuilds();
     occupancy += q.insert_occupancy();
@@ -451,7 +453,7 @@ EngineStats World::engine_stats() const {
   stats.set(ObsCounter::kTimerCancels, cancels);
   stats.set(ObsCounter::kEventsExecuted, c.events_executed);
   stats.set(ObsCounter::kEventsScheduled, scheduled);
-  stats.set(ObsCounter::kEventsPurged, cancels);
+  stats.set(ObsCounter::kEventsPurged, unlinked);
   stats.set(ObsCounter::kCalendarRebuilds, rebuilds);
   stats.set(ObsCounter::kCalendarInsertOccupancy, occupancy);
   stats.set(ObsCounter::kCalendarPopVisits, visits);

@@ -10,6 +10,16 @@ namespace gtrix {
 
 namespace {
 
+/// floor(x) as an integer, without a libm call: x86-64 below SSE4.1 cannot
+/// inline std::floor, and the calendar takes one on every insert, unlink
+/// and bucket visit. The cast truncates toward zero, one too high for a
+/// negative non-integer. Exact wherever the cast is defined: a double of
+/// magnitude 2^52 or more is already an integer.
+long long floor_to_int(double x) noexcept {
+  const auto truncated = static_cast<long long>(x);
+  return truncated - (static_cast<double>(truncated) > x ? 1 : 0);
+}
+
 /// Crowding refit: after every kCrowdWindow inserts, refit when those
 /// inserts met more than kCrowded entries per bucket on average, and more
 /// than twice what the current fit predicted (equal times crowd a bucket
@@ -46,7 +56,7 @@ WidthCost width_cost(const std::vector<Entry>& sorted, double width, std::size_t
   long long steps = 0;
   long long prev = 0;
   for (const Entry& entry : sorted) {
-    const auto epoch = static_cast<long long>(std::floor(entry.time * inv_width));
+    const long long epoch = floor_to_int(entry.time * inv_width);
     if (run > 0.0 && epoch == prev) {
       run += 1.0;
       continue;
@@ -131,21 +141,61 @@ void EventQueue::release_slot(std::uint32_t index) {
 
 TimerHandle EventQueue::schedule(SimTime t, TimerTarget* target, std::uint32_t kind,
                                  EventPayload payload) {
+  return schedule_at_key(EventKey{t, next_seq_++}, target, kind, payload);
+}
+
+TimerHandle EventQueue::schedule_at_key(EventKey key, TimerTarget* target, std::uint32_t kind,
+                                        EventPayload payload) {
   GTRIX_CHECK_MSG(target != nullptr, "event target must not be null");
+  GTRIX_DEBUG_CHECK_MSG(key.seq < next_seq_, "scheduled at a sequence number never taken");
   // Before the new slot goes live: a rebuild collects the live slots.
   calendar_refit_if_due();
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.payload = payload;
   slot.target = target;
-  slot.time = t;
-  slot.seq = next_seq_++;
+  slot.time = key.time;
+  slot.seq = key.seq;
   slot.kind = kind;
   slot.live = true;
   ++scheduled_;
   ++live_;
   calendar_insert(index);
   return TimerHandle{index, slot.gen};
+}
+
+void EventQueue::rekey(TimerHandle handle, EventKey key, std::uint32_t kind,
+                       EventPayload payload) {
+  GTRIX_CHECK_MSG(pending(handle), "rekey of an event that is not pending");
+  GTRIX_DEBUG_CHECK_MSG(key.seq < next_seq_, "rekeyed to a sequence number never taken");
+  Slot& slot = slots_[handle.slot];
+  slot.kind = kind;
+  slot.payload = payload;
+  if (key.time == slot.time && key.seq >= slot.seq &&
+      (slot.next == kInvalidEventSlot || fires_before(key, slots_[slot.next]))) {
+    // The entry keeps its bucket and its place in the chain: everything
+    // ahead of it fired before its old key, and its successor fires after
+    // the new one. A peeked minimum stays the minimum, since every other
+    // entry of its epoch is in this chain.
+    slot.seq = key.seq;
+    return;
+  }
+  // While the slot still sits at its old key: a rebuild relinks the live
+  // slots.
+  calendar_refit_if_due();
+#ifdef GTRIX_DEBUG_CHECKS
+  const std::size_t from = bucket_of_epoch(epoch_of(slot.time));
+#endif
+  calendar_unlink(handle.slot);
+  slot.time = key.time;
+  slot.seq = key.seq;
+  calendar_insert(handle.slot);
+#ifdef GTRIX_DEBUG_CHECKS
+  // The two chains the move touched. A whole-calendar walk here would
+  // cost O(pending) on nearly every node iteration.
+  calendar_verify_chain(from, nullptr);
+  calendar_verify_chain(bucket_of_epoch(epoch_of(slot.time)), nullptr);
+#endif
 }
 
 bool EventQueue::cancel(TimerHandle handle) {
@@ -226,7 +276,7 @@ long long EventQueue::epoch_of(SimTime t) const noexcept {
   // Multiply by the precomputed inverse: cheaper than dividing, and any
   // rounding difference vs t / width_ is harmless -- the mapping only has
   // to be one deterministic monotone function used consistently.
-  return static_cast<long long>(std::floor(t * inv_width_));
+  return floor_to_int(t * inv_width_);
 }
 
 std::size_t EventQueue::bucket_of_epoch(long long epoch) const noexcept {
@@ -367,33 +417,38 @@ void EventQueue::calendar_fit(std::size_t min_buckets) {
 std::size_t EventQueue::calendar_verify() const {
   std::vector<bool> linked(slots_.size(), false);
   std::size_t walked = 0;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    std::uint32_t chain = 0;
-    const Slot* prev = nullptr;
-    for (std::uint32_t i = buckets_[b].head; i != kInvalidEventSlot; i = slots_[i].next) {
-      GTRIX_CHECK_MSG(i < slots_.size(), "calendar chain links past the slot table");
-      GTRIX_CHECK_MSG(!linked[i], "calendar slot linked twice (or a chain cycles)");
-      linked[i] = true;
-      const Slot& slot = slots_[i];
-      GTRIX_CHECK_MSG(slot.live, "calendar chain holds a free slot");
-      const long long epoch = epoch_of(slot.time);
-      GTRIX_CHECK_MSG(bucket_of_epoch(epoch) == b,
-                      "calendar slot sits in a bucket its time does not map to");
-      GTRIX_CHECK_MSG(epoch >= cur_epoch_, "calendar slot hides behind the scan cursor");
-      GTRIX_CHECK_MSG(prev == nullptr || fires_before(*prev, slot),
-                      "calendar chain does not ascend by (time, seq)");
-      prev = &slot;
-      ++chain;
-    }
-    GTRIX_CHECK_MSG(chain == buckets_[b].size, "calendar bucket size out of sync with its chain");
-    walked += chain;
-  }
+  for (std::size_t b = 0; b < buckets_.size(); ++b) walked += calendar_verify_chain(b, &linked);
   GTRIX_CHECK_MSG(walked == live_, "calendar holds a different count than pending_count()");
   const auto live_slots =
       std::count_if(slots_.begin(), slots_.end(), [](const Slot& slot) { return slot.live; });
   GTRIX_CHECK_MSG(static_cast<std::size_t>(live_slots) == live_,
                   "a live slot is missing from the calendar");
   return walked;
+}
+
+std::size_t EventQueue::calendar_verify_chain(std::size_t b, std::vector<bool>* linked) const {
+  std::uint32_t chain = 0;
+  const Slot* prev = nullptr;
+  for (std::uint32_t i = buckets_[b].head; i != kInvalidEventSlot; i = slots_[i].next) {
+    GTRIX_CHECK_MSG(i < slots_.size(), "calendar chain links past the slot table");
+    GTRIX_CHECK_MSG(chain < slots_.size(), "calendar chain cycles");
+    if (linked != nullptr) {
+      GTRIX_CHECK_MSG(!(*linked)[i], "calendar slot linked twice (or a chain cycles)");
+      (*linked)[i] = true;
+    }
+    const Slot& slot = slots_[i];
+    GTRIX_CHECK_MSG(slot.live, "calendar chain holds a free slot");
+    const long long epoch = epoch_of(slot.time);
+    GTRIX_CHECK_MSG(bucket_of_epoch(epoch) == b,
+                    "calendar slot sits in a bucket its time does not map to");
+    GTRIX_CHECK_MSG(epoch >= cur_epoch_, "calendar slot hides behind the scan cursor");
+    GTRIX_CHECK_MSG(prev == nullptr || fires_before(*prev, slot),
+                    "calendar chain does not ascend by (time, seq)");
+    prev = &slot;
+    ++chain;
+  }
+  GTRIX_CHECK_MSG(chain == buckets_[b].size, "calendar bucket size out of sync with its chain");
+  return chain;
 }
 
 }  // namespace gtrix

@@ -15,6 +15,11 @@
 //  * Events are ordered by (time, sequence number); the sequence number is
 //    assigned at schedule time, so two events scheduled for the same instant
 //    fire in scheduling order. Entire simulations are bit-reproducible.
+//  * A caller may take a sequence number now and schedule at that key
+//    later (take_seq, schedule_at_key), or move a pending event to another
+//    key (rekey). An event at a reserved key fires exactly where one
+//    scheduled when the number was taken would have, which lets a node
+//    keep one entry for several timers (core/gradient_node.hpp).
 //
 // The priority structure is a calendar queue (Brown 1988): an array of time
 // buckets whose width is fitted so that each holds a few pending events --
@@ -30,6 +35,7 @@
 // tests/test_calendar_queue.cpp.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -74,6 +80,16 @@ class TimerTarget {
   ~TimerTarget() = default;
 };
 
+/// An event's place in the one total order: time first, then the sequence
+/// number. The default key is no event: it sorts after every finite time.
+struct EventKey {
+  SimTime time = kTimeInfinity;
+  std::uint64_t seq = 0;
+
+  bool operator==(const EventKey&) const = default;
+  auto operator<=>(const EventKey&) const = default;
+};
+
 /// First-class cancellable reference to a scheduled event. Default-
 /// constructed handles are invalid; handles become stale (cancel() and
 /// pending() return false) once the event fires or is cancelled.
@@ -97,12 +113,36 @@ class EventQueue {
   TimerHandle schedule(SimTime t, TimerTarget* target, std::uint32_t kind,
                        EventPayload payload = {});
 
+  /// Takes the sequence number the next schedule() would take, for an event
+  /// scheduled at that key later: schedule_at_key(), or rekey() of a
+  /// pending event.
+  std::uint64_t take_seq() noexcept { return next_seq_++; }
+
+  /// schedule() at a key whose sequence number take_seq() reserved. It
+  /// takes no number itself, so the event fires where one scheduled when
+  /// the number was taken would have fired.
+  TimerHandle schedule_at_key(EventKey key, TimerTarget* target, std::uint32_t kind,
+                              EventPayload payload = {});
+
+  /// Moves a pending event to another key (a reserved one, or its own) and
+  /// replaces its kind and payload; the handle stays valid. In place, O(1),
+  /// when the time is unchanged, the sequence number does not fall and the
+  /// next entry of its bucket fires strictly later: the steady re-arm of a
+  /// timer. Otherwise an unlink and an insert.
+  void rekey(TimerHandle handle, EventKey key, std::uint32_t kind, EventPayload payload = {});
+
   /// Cancels a previously scheduled event and frees its slot immediately.
   /// Stale handles (already fired / cancelled / recycled) return false.
   bool cancel(TimerHandle handle);
 
   /// True while the referenced event is scheduled and not yet fired.
   bool pending(TimerHandle handle) const noexcept;
+
+  /// The key of a pending event.
+  EventKey key_of(TimerHandle handle) const noexcept {
+    const Slot& slot = slots_[handle.slot];
+    return {slot.time, slot.seq};
+  }
 
   bool empty() const noexcept { return live_ == 0; }
 
@@ -129,9 +169,10 @@ class EventQueue {
 
   std::uint64_t executed_count() const noexcept { return executed_; }
   std::uint64_t scheduled_count() const noexcept { return scheduled_; }
-  /// Successful cancel() calls. Engine-invariant: cancellations are issued
-  /// by node code, which behaves identically under every shard layout
-  /// (telemetry's JSONL block relies on this).
+  /// Successful cancel() calls: the entries the queue unlinked before they
+  /// fired. Node-issued timer cancellations are counted by the Simulator
+  /// (Simulator::timer_cancels), since a node may resolve one without the
+  /// queue.
   std::uint64_t cancelled_count() const noexcept { return cancelled_; }
   std::size_t pending_count() const noexcept { return live_; }
 
@@ -144,10 +185,11 @@ class EventQueue {
   std::size_t calendar_buckets() const noexcept { return buckets_.size(); }
   double calendar_width() const noexcept { return width_; }
   std::uint64_t calendar_rebuilds() const noexcept { return rebuilds_; }
-  /// Entries already in the target bucket, summed over every insert.
-  /// Divided by scheduled_count() it is the mean bucket size an insert
-  /// meets. Engine-shaped, and not part of a snapshot: a restored queue
-  /// counts from its restore.
+  /// Entries already in the target bucket, summed over every insert (a
+  /// schedule, or a rekey that moves its entry). Divided by
+  /// scheduled_count() it is about the bucket size an insert meets.
+  /// Engine-shaped, and not part of a snapshot: a restored queue counts
+  /// from its restore.
   std::uint64_t insert_occupancy() const noexcept { return insert_occupancy_; }
   /// Buckets the cursor visited to locate a minimum, summed over every
   /// located minimum (a lap that finds no due entry counts the whole year).
@@ -160,8 +202,9 @@ class EventQueue {
   /// ascend by (time, seq), bucket sizes sum to pending_count(), and no
   /// live slot is behind the cursor. Returns the entries it walked.
   /// O(slot table + buckets), so the queue itself calls it only in
-  /// GTRIX_DEBUG_CHECKS builds (after every fit and behind-cursor insert);
-  /// tests call it directly.
+  /// GTRIX_DEBUG_CHECKS builds (after every fit and behind-cursor insert;
+  /// a moving rekey checks the two chains it touched); tests call it
+  /// directly.
   std::size_t calendar_verify() const;
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp). The snapshot preserves the
@@ -240,6 +283,10 @@ class EventQueue {
   /// Rebuilds the calendar with a bucket count / width fitted to the
   /// current live population.
   void calendar_rebuild(std::size_t min_buckets);
+  /// calendar_verify's check of bucket b's chain, which it returns the
+  /// length of; `linked`, when given, marks each slot to catch one linked
+  /// twice.
+  std::size_t calendar_verify_chain(std::size_t b, std::vector<bool>* linked) const;
   /// Collects the live slots from the slot table, fits the bucket count
   /// and width to them and links them into the buckets. The rebuild and
   /// the checkpoint refill share it.

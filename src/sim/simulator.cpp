@@ -10,6 +10,11 @@ TimerHandle Simulator::at(SimTime t, TimerTarget* target, std::uint32_t kind,
   return queue_.schedule(t, target, kind, payload);
 }
 
+EventKey Simulator::reserve(SimTime t) {
+  GTRIX_CHECK_MSG(t >= now_, "scheduling into the past");
+  return EventKey{t, queue_.take_seq()};
+}
+
 TimerHandle Simulator::after(SimTime delay, TimerTarget* target, std::uint32_t kind,
                              EventPayload payload) {
   GTRIX_CHECK_MSG(delay >= 0.0, "negative delay");

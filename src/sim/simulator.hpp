@@ -35,14 +35,51 @@ class alignas(64) Simulator {
                     EventPayload payload = {});
 
   /// Cancels the referenced event (no-op on stale handles) and resets the
-  /// handle so it cannot be cancelled twice by accident.
+  /// handle so it cannot be cancelled twice by accident. A successful
+  /// cancel counts as a timer cancellation (timer_cancels()).
   bool cancel(TimerHandle& handle) {
     const bool cancelled = queue_.cancel(handle);
     handle.reset();
+    timer_cancels_ += cancelled ? 1 : 0;
     return cancelled;
   }
 
   bool pending(TimerHandle handle) const noexcept { return queue_.pending(handle); }
+
+  /// Reserves the key at(t, ...) would give its event now, without
+  /// scheduling one: an event scheduled at the key later (at_key) or moved
+  /// onto it (rekey) fires exactly where at() would have put it. `t` must
+  /// not precede now(), as for at().
+  EventKey reserve(SimTime t);
+
+  /// Schedules an event at a key reserve() returned.
+  TimerHandle at_key(EventKey key, TimerTarget* target, std::uint32_t kind,
+                     EventPayload payload = {}) {
+    return queue_.schedule_at_key(key, target, kind, payload);
+  }
+
+  /// Moves a pending event to a reserved key (EventQueue::rekey).
+  void rekey(TimerHandle handle, EventKey key, std::uint32_t kind, EventPayload payload = {}) {
+    queue_.rekey(handle, key, kind, payload);
+  }
+
+  /// Cancels a pending event without counting a timer cancellation: the
+  /// entry of a node whose timers were all disarmed, each disarm counted
+  /// already (count_timer_cancel).
+  void unschedule(TimerHandle& handle) {
+    queue_.cancel(handle);
+    handle.reset();
+  }
+
+  /// Counts a timer cancellation that node code resolved without the
+  /// queue: a deadline it disarmed before its entry fired.
+  void count_timer_cancel() noexcept { ++timer_cancels_; }
+
+  /// Timer cancellations issued by node code: successful cancel() calls
+  /// plus count_timer_cancel(). Engine-invariant: node code behaves
+  /// identically under every shard layout (telemetry's JSONL block relies
+  /// on this).
+  std::uint64_t timer_cancels() const noexcept { return timer_cancels_; }
 
   /// Runs until the queue is empty or the next event is strictly after
   /// `deadline`. Events exactly at `deadline` are executed. Returns the
@@ -81,13 +118,14 @@ class alignas(64) Simulator {
   /// / rebuild / occupancy / pop-visit counters); see obs/telemetry.hpp.
   const EventQueue& event_queue() const noexcept { return queue_; }
 
-  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): the clock cursor and the
-  /// full queue.
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): the clock cursor, the
+  /// timer-cancel count and the full queue.
   void checkpoint(CkptIo& io, const CkptTargetMap& targets);
 
  private:
   EventQueue queue_;
   SimTime now_ = 0.0;
+  std::uint64_t timer_cancels_ = 0;
 };
 
 }  // namespace gtrix

@@ -8,6 +8,9 @@
 // only as the event queue's slot table and calendar grow: a per-bucket or
 // per-event container fails the run bound.
 //
+// The gradient node's own bytes are bounded too: its object size, and the
+// bytes its arena lanes hold per node, measured as live heap bytes.
+//
 // This is its own binary because the replacement operator new below counts
 // every allocation in the process; linked into gtrix_tests it would count
 // theirs too.
@@ -16,23 +19,49 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 
+#include "core/gradient_node.hpp"
+#include "core/node_state.hpp"
 #include "runner/experiment.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+/// Each block carries its size in a header just below the pointer handed
+/// out: kHeader bytes, or `align` for over-aligned blocks, which start that
+/// far into their allocation.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void* counted_alloc(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(size), std::memory_order_relaxed);
   const std::size_t bytes = size == 0 ? 1 : size;
-  void* p = align <= alignof(std::max_align_t)
-                ? std::malloc(bytes)
-                : std::aligned_alloc(align, (bytes + align - 1) / align * align);
-  if (p == nullptr) throw std::bad_alloc();
+  const std::size_t offset = align <= kHeader ? kHeader : align;
+  void* base = align <= kHeader
+                   ? std::malloc(offset + bytes)
+                   : std::aligned_alloc(align, (offset + bytes + align - 1) / align * align);
+  if (base == nullptr) throw std::bad_alloc();
+  auto* p = static_cast<unsigned char*>(base) + offset;
+  std::memcpy(p - sizeof(std::size_t), &size, sizeof(std::size_t));
   return p;
+}
+
+void counted_free(void* p, std::size_t offset) noexcept {
+  if (p == nullptr) return;
+  auto* bytes = static_cast<unsigned char*>(p);
+  std::size_t size = 0;
+  std::memcpy(&size, bytes - sizeof(std::size_t), sizeof(std::size_t));
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(size), std::memory_order_relaxed);
+  std::free(bytes - offset);
+}
+
+std::size_t aligned_offset(std::align_val_t align) noexcept {
+  return static_cast<std::size_t>(align) <= kHeader ? kHeader : static_cast<std::size_t>(align);
 }
 
 }  // namespace
@@ -41,10 +70,14 @@ void* operator new(std::size_t size) { return counted_alloc(size, 0); }
 void* operator new(std::size_t size, std::align_val_t align) {
   return counted_alloc(size, static_cast<std::size_t>(align));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p, kHeader); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p, kHeader); }
+void operator delete(void* p, std::align_val_t align) noexcept {
+  counted_free(p, aligned_offset(align));
+}
+void operator delete(void* p, std::size_t, std::align_val_t align) noexcept {
+  counted_free(p, aligned_offset(align));
+}
 
 namespace gtrix {
 namespace {
@@ -86,6 +119,28 @@ TEST(Footprint, StreamingRunAllocatesOnlyAsTheQueueGrows) {
   // event would be thousands.
   EXPECT_LE(allocations, 64u) << allocations << " heap allocations while running "
                               << world->grid().node_count() << " nodes";
+}
+
+/// The node object holds its clock, pending queue, staged record and
+/// counters, the deadlines of its timers and one queue-entry handle; the
+/// config lives once in the arena. The arena lanes hold, per node, the
+/// phase (1 B), H_own, H_min, H_max and the last wave (4 x 8 B), the slot
+/// base (4 B), and per predecessor slot its flags and wave (10 B): no
+/// timer handles.
+TEST(Footprint, GradientNodeObjectAndArenaLanesStayWithinTheirBytes) {
+  EXPECT_LE(sizeof(GradientTrixNode), 408u);
+  // Powers of two, so every lane's capacity equals its size.
+  constexpr std::uint32_t kNodes = 1024;
+  constexpr std::uint32_t kSlots = 4;
+  const std::int64_t before = g_live_bytes.load();
+  {
+    GradientSoa soa;
+    for (std::uint32_t n = 0; n < kNodes; ++n) soa.add_node(kSlots, GradientNodeConfig{});
+    const std::int64_t bytes = g_live_bytes.load() - before;
+    EXPECT_EQ(bytes, static_cast<std::int64_t>(kNodes) * (1 + 4 * 8 + 4 + kSlots * 10))
+        << static_cast<double>(bytes) / kNodes << " B per node";
+  }
+  EXPECT_EQ(g_live_bytes.load(), before);
 }
 
 }  // namespace

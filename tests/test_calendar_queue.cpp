@@ -234,6 +234,92 @@ TEST(CalendarQueue, CancelsEmptyABucket) {
   EXPECT_EQ(q.calendar_verify(), 0u);
 }
 
+/// A rekey to the same time at a later sequence number, the steady re-arm
+/// of a timer, must move behind an equal-time entry scheduled in between
+/// instead of keeping its place.
+TEST(CalendarQueue, SameTimeRekeyMovesBehindAnEqualTimeEntry) {
+  EventQueue q;
+  EventLog log;
+  const TimerHandle rearmed = q.schedule(5.0, &log, 0, EventPayload{.i = 1});
+  q.schedule(5.0, &log, 0, EventPayload{.i = 2});
+  q.schedule(6.0, &log, 0, EventPayload{.i = 3});
+  EXPECT_EQ(q.next_time(), 5.0);
+  q.rekey(rearmed, EventKey{5.0, q.take_seq()}, 0, EventPayload{.i = 1});
+  EXPECT_EQ(q.key_of(rearmed).seq, 3u);
+  EXPECT_EQ(q.calendar_verify(), 3u);
+  // Once it is the last entry at its time, a re-arm keeps its place.
+  q.rekey(rearmed, EventKey{5.0, q.take_seq()}, 0, EventPayload{.i = 1});
+  EXPECT_EQ(q.calendar_verify(), 3u);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{2, 1, 3}));
+  EXPECT_EQ(q.scheduled_count(), 3u);
+  EXPECT_EQ(q.cancelled_count(), 0u);
+}
+
+/// Rekeying the located minimum to a later time must drop the peek cache:
+/// the next peek locates the entry that is now earliest.
+TEST(CalendarQueue, RekeyingThePeekedMinimumLaterExposesTheNext) {
+  EventQueue q;
+  EventLog log;
+  const TimerHandle first = q.schedule(1.0, &log, 0, EventPayload{.i = 1});
+  q.schedule(2.0, &log, 0, EventPayload{.i = 2});
+  q.schedule(3.0, &log, 0, EventPayload{.i = 3});
+  EXPECT_EQ(q.next_time(), 1.0);  // caches the minimum
+  q.rekey(first, EventKey{2.5, q.take_seq()}, 0, EventPayload{.i = 25});
+  EXPECT_TRUE(q.pending(first));
+  EXPECT_EQ(q.next_time(), 2.0);
+  EXPECT_EQ(q.calendar_verify(), 3u);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{2, 25, 3}));
+}
+
+/// A rekey to a time behind the scan cursor: like an insert there, it must
+/// pull the cursor back and fire first.
+TEST(CalendarQueue, RekeyBehindTheCursorFiresFirst) {
+  EventQueue q;
+  EventLog log;
+  q.schedule(10.0, &log, 0, EventPayload{.i = 10});
+  q.schedule(20.0, &log, 0, EventPayload{.i = 20});
+  const TimerHandle moved = q.schedule(30.0, &log, 0, EventPayload{.i = 30});
+  ASSERT_TRUE(q.run_next());  // t = 10; the cursor sits at t = 10's epoch
+  EXPECT_EQ(q.next_time(), 20.0);
+  q.rekey(moved, EventKey{3.0, q.take_seq()}, 0, EventPayload{.i = 3});
+  EXPECT_EQ(q.calendar_verify(), 2u);
+  EXPECT_EQ(q.next_time(), 3.0);
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{10, 3, 20}));
+}
+
+/// An event scheduled at a sequence number reserved before a live entry at
+/// the same time was scheduled fires first, as if it had been scheduled
+/// when the number was taken -- also when that entry is the peeked minimum.
+/// So does an entry rekeyed at its own time to an older reserved number.
+TEST(CalendarQueue, ReservedSeqOlderThanALiveSameTimeEntryFiresFirst) {
+  EventQueue q;
+  EventLog log;
+  const std::uint64_t first = q.take_seq();
+  const std::uint64_t second = q.take_seq();
+  q.schedule(5.0, &log, 0, EventPayload{.i = 3});
+  const TimerHandle moved = q.schedule(5.0, &log, 0, EventPayload{.i = 2});
+  q.schedule(7.0, &log, 0, EventPayload{.i = 4});
+  EXPECT_EQ(q.next_time(), 5.0);  // caches the later-numbered entry
+  const TimerHandle early =
+      q.schedule_at_key(EventKey{5.0, first}, &log, 0, EventPayload{.i = 1});
+  EXPECT_EQ(q.key_of(early).seq, first);
+  q.rekey(moved, EventKey{5.0, second}, 0, EventPayload{.i = 2});
+  EXPECT_EQ(q.calendar_verify(), 4u);
+  SimTime fired = 0.0;
+  ASSERT_TRUE(q.run_next_due(kTimeInfinity, fired));
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{1}));
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(log.tags(), (std::vector<std::int64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(q.scheduled_count(), 4u);
+}
+
 TEST(CalendarQueue, ResizeGrowsAndShrinksWithThePendingPopulation) {
   EventQueue q;
   EventLog log;
@@ -299,7 +385,10 @@ TEST(CalendarQueue, MatchesBinaryHeapOnRandomChurn) {
 /// at constant population whose inserts crowd the fitted buckets (so only
 /// the crowding refit can rebuild there), and a mass cancel plus drain that
 /// shrinks it. Cancels always hit a pending event, and the calendar walk
-/// runs between batches, so a wrong unlink fails where it happens.
+/// runs between batches, so a wrong unlink fails where it happens. Some
+/// events are scheduled at sequence numbers reserved earlier, and pending
+/// events are rekeyed -- re-armed at their own time, moved to another, or
+/// moved to a reserved number -- against the oracle's cancel-and-schedule.
 TEST(CalendarQueue, MatchesBinaryHeapOnClusteredCancelChurnAcrossRebuilds) {
   for (const std::uint64_t seed : {3ULL, 77ULL}) {
     std::size_t ramp_buckets = 0;
@@ -308,29 +397,63 @@ TEST(CalendarQueue, MatchesBinaryHeapOnClusteredCancelChurnAcrossRebuilds) {
       constexpr bool kCalendar = std::is_same_v<std::decay_t<decltype(q)>, EventQueue>;
       Rng rng(seed);
       std::vector<TimerHandle> handles;   // by tag
+      std::vector<double> times;          // by tag: the time it is queued at
       std::vector<std::int64_t> pending;  // tags still queued
       std::vector<std::size_t> where;     // tag -> index in `pending`
+      std::vector<std::uint64_t> reserved;  // taken sequence numbers not yet used
       const auto forget = [&](std::int64_t tag) {
         const std::size_t at = where[static_cast<std::size_t>(tag)];
         pending[at] = pending.back();
         where[static_cast<std::size_t>(pending[at])] = at;
         pending.pop_back();
       };
+      const auto random_pending = [&] {
+        return pending[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1))];
+      };
+      // A sequence number: now and then one reserved earlier (older than
+      // everything scheduled since), otherwise a fresh one. Sometimes a
+      // fresh one is put aside for later.
+      const auto seq_for = [&] {
+        if (rng.bernoulli(0.2)) reserved.push_back(q.take_seq());
+        if (!reserved.empty() && rng.bernoulli(0.25)) {
+          const auto at = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(reserved.size()) - 1));
+          const std::uint64_t seq = reserved[at];
+          reserved[at] = reserved.back();
+          reserved.pop_back();
+          return seq;
+        }
+        return q.take_seq();
+      };
       // Half the events land on a `grain` grid, so equal times cluster.
       const auto schedule = [&](double t, double grain) {
         if (rng.bernoulli(0.5)) t = std::floor(t / grain) * grain;
         const auto tag = static_cast<std::int64_t>(handles.size());
-        handles.push_back(q.schedule(t, &log, 0, EventPayload{.i = tag}));
+        const EventPayload payload{.i = tag};
+        handles.push_back(rng.bernoulli(0.5) ? q.schedule(t, &log, 0, payload)
+                                             : q.schedule_at_key({t, seq_for()}, &log, 0, payload));
+        times.push_back(t);
         where.push_back(pending.size());
         pending.push_back(tag);
       };
       const auto cancel_one = [&] {
-        const std::int64_t tag = pending[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(pending.size()) - 1))];
+        const std::int64_t tag = random_pending();
         ASSERT_TRUE(q.cancel(handles[static_cast<std::size_t>(tag)]));
         forget(tag);
       };
       double now = 0.0;
+      // Half the rekeys re-arm an event at its own time with a later
+      // number (in place unless an equal time sits behind it); the rest
+      // move it up to 200 past the last pop, a little behind it at times.
+      const auto rekey_one = [&](double grain) {
+        const std::int64_t tag = random_pending();
+        double& t = times[static_cast<std::size_t>(tag)];
+        if (rng.bernoulli(0.5)) {
+          t = std::floor((now + rng.uniform(-1.0, 200.0)) / grain) * grain;
+        }
+        q.rekey(handles[static_cast<std::size_t>(tag)], {t, seq_for()}, 0, EventPayload{.i = tag});
+      };
       const auto pop = [&] {
         SimTime fired = 0.0;
         ASSERT_TRUE(q.run_next_due(kTimeInfinity, fired));
@@ -343,11 +466,13 @@ TEST(CalendarQueue, MatchesBinaryHeapOnClusteredCancelChurnAcrossRebuilds) {
         }
       };
 
-      // Ramp: grows to ~18k pending; 11 cancels for every 20 inserts.
+      // Ramp: grows to ~18k pending; 11 cancels and 6 rekeys for every 20
+      // inserts.
       for (int i = 0; i < 40000; ++i) {
         schedule(now + rng.uniform(0.0, 4000.0), 4.0);
         if (rng.bernoulli(0.55)) cancel_one();
-        if (i % 64 == 0) pop();
+        if (!pending.empty() && rng.bernoulli(0.3)) rekey_one(4.0);
+        if (i % 64 == 0 && !pending.empty()) pop();
         if (i % 4000 == 0) verify();
       }
       verify();
@@ -367,6 +492,7 @@ TEST(CalendarQueue, MatchesBinaryHeapOnClusteredCancelChurnAcrossRebuilds) {
           schedule(1e5 + 0.01 * i + rng.uniform(0.0, 50.0), 0.02);
           cancel_one();
         }
+        if (!pending.empty() && rng.bernoulli(0.2)) rekey_one(0.02);
         if (i % 3000 == 0) verify();
       }
       if constexpr (kCalendar) conveyor_rebuilds = q.calendar_rebuilds() - conveyor_rebuilds;
@@ -377,6 +503,7 @@ TEST(CalendarQueue, MatchesBinaryHeapOnClusteredCancelChurnAcrossRebuilds) {
       while (!pending.empty()) {
         pop();
         if (!pending.empty() && rng.bernoulli(0.5)) cancel_one();
+        if (!pending.empty() && rng.bernoulli(0.2)) rekey_one(0.5);
         if (rng.bernoulli(0.1)) schedule(now + rng.uniform(0.0, 2.0), 0.5);
         if (pending.size() % 512 == 0) verify();
       }

@@ -21,6 +21,9 @@
 #include <vector>
 
 #include "ckpt/codec.hpp"
+#include "core/gradient_node.hpp"
+#include "core/node_state.hpp"
+#include "net/network.hpp"
 #include "registry/algorithm.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
@@ -411,7 +414,7 @@ std::vector<std::uint8_t> with_u64_patched(std::vector<std::uint8_t> image, std:
 TEST(Ckpt, InflatedCountInACrcValidSnapshotIsAPathQualifiedError) {
   // A real quickstart-grid snapshot with the event-queue slot count patched:
   // the count sits at offset 60 of the "sims" body (u32 shard count, f64
-  // clock cursor, six u64 queue counters). The two values cover both ways
+  // clock cursor, the u64 timer-cancel count, five u64 queue counters). The two values cover both ways
   // an unbounded count fails in the allocator: 2^40 slots as
   // std::bad_alloc, 2^62 as std::length_error.
   const ExperimentConfig config = builtin_scenario("quickstart-grid").cells().front().config;
@@ -466,6 +469,66 @@ TEST(Ckpt, NonFiniteEventTimeInACrcValidSnapshotIsAPathQualifiedError) {
       EXPECT_EQ(what.rfind("x.ckpt: ", 0), 0u) << what;
       EXPECT_NE(what.find("event time is not finite"), std::string::npos) << what;
     }
+  }
+}
+
+TEST(Ckpt, GradientDeadlinesOutOfStepWithTheQueueAreAPathQualifiedError) {
+  // One gradient node whose watchdog and until-timer are armed, so its
+  // queue entry is pending. Its record opens with the phase (1 B), four
+  // registers (32 B), the phase deadline's key and threshold (24 B) and the
+  // watchdog's key (16 B), then the entry handle (u32 slot, u32 generation).
+  Simulator sim;
+  Network net{sim};
+  Recorder recorder;
+  GradientSoa soa;
+  const NetNodeId own = net.add_node(nullptr);
+  const NetNodeId nbr = net.add_node(nullptr);
+  const NetNodeId other = net.add_node(nullptr);
+  const NetNodeId self = net.add_node(nullptr);
+  recorder.register_node(self, {});
+  const std::vector<NetNodeId> preds = {own, nbr, other};
+  GradientNodeConfig config;
+  config.params = Params::with(1000.0, 10.0, 1.0005);
+  config.skew_bound_hint = config.params.thm11_bound(15);
+  GradientTrixNode node(sim, net, self, HardwareClock(1.0, 0.0), preds, config, 0.0, &recorder,
+                        soa);
+  net.set_sink(self, &node);
+  net.inject(nbr, self, Pulse{1}, 1000.0);
+  net.inject(own, self, Pulse{1}, 1002.0);
+  sim.run_until(1003.0);
+  ASSERT_EQ(sim.event_queue().pending_count(), 1u);
+
+  CkptWriter w;
+  w.write_section("node", [&](CkptIo& io) { node.checkpoint(io); });
+  const std::vector<std::uint8_t> image = w.finish("{}");
+  const auto restore = [&](std::vector<std::uint8_t> bytes) {
+    CkptFile::parse(std::move(bytes), "n.ckpt").read_section("node", [&](CkptIo& io) {
+      node.checkpoint(io);
+    });
+  };
+  restore(image);  // in step with the queue: loads
+  const std::size_t phase_time_at = section_body_offset(image, "node") + 1 + 32;
+  const std::size_t entry_at = phase_time_at + 24 + 16;
+  std::uint64_t entry = 0;
+  for (std::size_t i = 0; i < 8; ++i) entry |= std::uint64_t{image[entry_at + i]} << (8 * i);
+  const auto refused = [&](std::vector<std::uint8_t> bytes, const std::string& cause) {
+    try {
+      restore(std::move(bytes));
+      ADD_FAILURE() << "expected CkptError: " << cause;
+    } catch (const CkptError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("n.ckpt: ", 0), 0u) << what;
+      EXPECT_NE(what.find(cause), std::string::npos) << what;
+    }
+  };
+  // A stale generation: the handle no longer names a pending event.
+  refused(with_u64_patched(image, entry_at, entry + (std::uint64_t{1} << 32)),
+          "does not carry its earliest deadline");
+  // A deadline that would be scheduled at a time the calendar cannot hold.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::infinity()}) {
+    refused(with_u64_patched(image, phase_time_at, std::bit_cast<std::uint64_t>(bad)),
+            "deadline time is not finite");
   }
 }
 

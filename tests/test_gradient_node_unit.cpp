@@ -5,8 +5,10 @@
 // watchdog, and duplicate handling -- independent of the full grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
+#include <vector>
 
 #include "core/gradient_node.hpp"
 #include "core/node_state.hpp"
@@ -31,7 +33,7 @@ struct NodeHarness {
   std::optional<GradientTrixNode> node;
   Params params = Params::with(1000.0, 10.0, 1.0005);
 
-  explicit NodeHarness(GradientNodeConfig config = {}) {
+  explicit NodeHarness(GradientNodeConfig config = {}, double broadcast_offset = 0.0) {
     own_pred = net.add_node(nullptr);
     nbr_a = net.add_node(nullptr);
     nbr_b = net.add_node(nullptr);
@@ -40,7 +42,8 @@ struct NodeHarness {
     config.params = params;
     if (config.skew_bound_hint == 0.0) config.skew_bound_hint = params.thm11_bound(15);
     preds = {own_pred, nbr_a, nbr_b};
-    node.emplace(sim, net, self, HardwareClock(1.0, 0.0), preds, config, &recorder, soa);
+    node.emplace(sim, net, self, HardwareClock(1.0, 0.0), preds, config, broadcast_offset,
+                 &recorder, soa);
     net.set_sink(self, &*node);
   }
 
@@ -320,6 +323,32 @@ TEST(NodeUnit, CorruptionIntoCollectDropsTheArmedBroadcast) {
   EXPECT_TRUE(h.run().empty());
 }
 
+TEST(NodeUnit, SteadyIterationKeepsOneQueueEntryAndCancelsNothingQueued) {
+  // A steady iteration arms the watchdog, arms the until-timer and re-arms
+  // it, then fires it and the broadcast. Its timers are deadlines carried
+  // by one queue entry: it is scheduled once per firing, moved in place
+  // by the re-arms and never cancelled in the queue. The node still counts
+  // the two cancellations the timers stand for: the superseded until-timer
+  // and the watchdog at the end of the collect phase.
+  NodeHarness h;
+  const std::vector<double> arrivals = {1000.0, 1002.0, 1004.0};
+  h.arrive(h.nbr_a, arrivals[0]);
+  h.arrive(h.own_pred, arrivals[1]);
+  h.arrive(h.nbr_b, arrivals[2]);
+  const EventQueue& q = h.sim.event_queue();
+  while (!h.sim.idle()) {
+    h.sim.run_until(h.sim.next_event_time());
+    const auto undelivered = static_cast<std::size_t>(std::count_if(
+        arrivals.begin(), arrivals.end(), [&](double t) { return t > h.sim.now(); }));
+    EXPECT_LE(q.pending_count(), undelivered + 1) << "at t = " << h.sim.now();
+  }
+  ASSERT_EQ(h.recorder.iterations(h.self).size(), 1u);
+  EXPECT_EQ(q.cancelled_count(), 0u);
+  EXPECT_EQ(q.scheduled_count(), q.executed_count());
+  EXPECT_EQ(q.executed_count(), 5u);  // three deliveries, the until-timer, the broadcast
+  EXPECT_EQ(h.sim.timer_cancels(), 2u);
+}
+
 TEST(NodeUnit, SimplifiedModeWaitsForAllThree) {
   GradientNodeConfig config;
   config.simplified = true;
@@ -335,9 +364,7 @@ TEST(NodeUnit, SimplifiedModeWaitsForAllThree) {
 }
 
 TEST(NodeUnit, BroadcastOffsetShiftsPulse) {
-  GradientNodeConfig config;
-  config.broadcast_offset = 123.0;
-  NodeHarness h(config);
+  NodeHarness h({}, 123.0);
   h.arrive(h.nbr_a, 1000.0);
   h.arrive(h.own_pred, 1002.0);
   h.arrive(h.nbr_b, 1004.0);
@@ -405,7 +432,7 @@ TEST(NodeUnit, DriftingClockStretchesWait) {
                    c.skew_bound_hint = h.params.thm11_bound(15);
                    return c;
                  }(),
-                 &h.recorder, h.soa);
+                 0.0, &h.recorder, h.soa);
   h.net.set_sink(h.self, &*h.node);
   h.arrive(h.nbr_a, 1000.0);
   h.arrive(h.own_pred, 1002.0);
