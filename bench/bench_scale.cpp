@@ -6,7 +6,7 @@
 // the first mode's peak to every later one). Reports peak RSS, wall time
 // and events/sec per mode, asserts the streaming run stays under a
 // committed RSS budget, and -- when both streaming and full run -- asserts
-// the two modes' skew extrema and deviation p99 are BIT-identical (full
+// the two modes' skew extrema, deviation mean and p99 are BIT-identical (full
 // recording replays its trace through the accumulator that streaming feeds
 // live; see docs/scaling.md).
 //
@@ -20,14 +20,14 @@
 // Every run builds its own World and drives it through run_cell, the
 // campaign's cell runner. Corrupt scenarios (scale-stabilization) therefore
 // run the campaign's corruption sequence per cell; the identity gate then
-// also covers the realigned post-recovery skew, the deviation mean and the
-// recovery report, and every cell of the fault-density sweep must recover.
+// also covers the realigned post-recovery skew and the recovery report, and
+// every cell of the fault-density sweep must recover.
 //
 // --shards=LIST adds a second sweep axis: the first recording mode re-runs
 // once per engine shard count (same fork-per-run isolation), reporting wall
 // time, peak RSS and logical events/sec per count plus the speedup over the
-// serial engine, and asserting the skew extrema are bit-identical across
-// every count.
+// serial engine, and asserting the skew extrema, deviation mean and p99 are
+// bit-identical across every count.
 //
 // The wall-clock gates are hardware-honest: before gating a shard count k,
 // the bench forks k INDEPENDENT serial runs concurrently and measures how
@@ -392,11 +392,11 @@ int run(int argc, char** argv) {
   }
   bool identical = true;
   if (streaming_result != nullptr && full_result != nullptr) {
-    // Bit-identity of the extrema and of the sketch's p99, whose bins do not
-    // depend on the feed order: dump() is shortest-round-trip, so equal
-    // strings mean equal doubles.
-    for (const char* key :
-         {"max_intra", "max_inter", "local", "global", "pairs_checked", "dev_p99"}) {
+    // Bit-identity of the extrema, the sketch's p99 and the mean of the
+    // exact deviation sum, none of which depends on the feed order: dump()
+    // is shortest-round-trip, so equal strings mean equal doubles.
+    for (const char* key : {"max_intra", "max_inter", "local", "global", "pairs_checked",
+                            "dev_mean", "dev_p99"}) {
       if (streaming_result->at("skew").at(key).dump() != full_result->at("skew").at(key).dump()) {
         std::fprintf(stderr, "FAIL: skew '%s' differs between streaming and full recording\n",
                      key);
@@ -405,17 +405,8 @@ int run(int argc, char** argv) {
       }
     }
     if (corrupt.enabled) {
-      // Corrupt cells replay their kept pulse trace in both modes, so the
-      // mean (a running mean in feed order) matches too, and realignment +
-      // the recovery scan must replay identically from it.
-      if (streaming_result->at("skew").at("dev_mean").dump() !=
-          full_result->at("skew").at("dev_mean").dump()) {
-        std::fputs("FAIL: 'dev_mean' differs between streaming and full recording on a "
-                   "corrupt cell (both replay the same trace)\n",
-                   stderr);
-        identical = false;
-        ++failures;
-      }
+      // Corrupt cells replay their kept pulse trace in both modes, so
+      // realignment + the recovery scan must replay identically from it.
       if (streaming_result->at("recovery").dump() != full_result->at("recovery").dump()) {
         std::fputs("FAIL: recovery report differs between streaming and full recording\n",
                    stderr);
@@ -536,7 +527,8 @@ int run(int argc, char** argv) {
     // a sharding bug that changes results must fail the bench run.
     bool shards_identical = true;
     for (std::size_t i = 1; i < shard_results.size(); ++i) {
-      for (const char* key : {"max_intra", "max_inter", "local", "global", "pairs_checked"}) {
+      for (const char* key : {"max_intra", "max_inter", "local", "global", "pairs_checked",
+                              "dev_mean", "dev_p99"}) {
         if (shard_results[i].at("skew").at(key).dump() !=
             shard_results[0].at("skew").at(key).dump()) {
           std::fprintf(stderr, "FAIL: skew '%s' differs between %u and %u shards\n", key,

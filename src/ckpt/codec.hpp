@@ -53,7 +53,13 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // v8: a done file's skew deviations drop the `exact` flag (one quantile
 // method), and a corrupt streaming snapshot carries no "streaming" section
 // (a corrupt cell keeps no live accumulator).
-inline constexpr std::uint32_t kCkptFormatVersion = 9;
+// v9: a gradient node's three timer handles become its two deadlines and
+// the handle of its one queue entry; the timer-cancel count moves to the
+// Simulator.
+// v10: the "streaming" section saves the deviation sum as an exact 34-word
+// integer in place of the running mean's six-word summary, and a saved RNG
+// stream drops the Box-Muller spare (the "faults" section).
+inline constexpr std::uint32_t kCkptFormatVersion = 10;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

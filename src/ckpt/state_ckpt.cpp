@@ -28,22 +28,15 @@ namespace gtrix {
 // --- Rng ---------------------------------------------------------------------
 
 void Rng::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(Rng, 48);
+  GTRIX_CKPT_SIZEOF(Rng, 32);
   for (std::uint64_t& word : state_) io.u64(word);
-  io.flag(have_cached_normal_);
-  io.f64(cached_normal_);
 }
 
-// --- Summary -----------------------------------------------------------------
+// --- ExactSum ----------------------------------------------------------------
 
-void Summary::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(Summary, 48);
-  io.u64(n_);
-  io.f64(mean_);
-  io.f64(m2_);
-  io.f64(min_);
-  io.f64(max_);
-  io.f64(sum_);
+void ExactSum::checkpoint(CkptIo& io) {
+  GTRIX_CKPT_SIZEOF(ExactSum, 272);
+  for (std::uint64_t& word : words_) io.u64(word);
 }
 
 // --- LogQuantileSketch -------------------------------------------------------
@@ -219,7 +212,7 @@ void Recorder::checkpoint(CkptIo& io) {
 // --- StreamingSkew -----------------------------------------------------------
 
 void StreamingSkew::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(StreamingSkew, 504);
+  GTRIX_CKPT_SIZEOF(StreamingSkew, 728);
   GTRIX_CKPT_FIELDS(WaveExtrema, 3);
   // Lane and ring sizes follow from the grid and the constant ring.
   io.each(held_sigma_, "held_sigma", &CkptIo::i64);
@@ -243,7 +236,7 @@ void StreamingSkew::checkpoint(CkptIo& io) {
   io.u64(pairs_checked_);
   io.u64(window_overflows_);
   io.u64(out_of_order_);  // the replay windows are never saved
-  deviation_summary_.checkpoint(io);
+  deviation_sum_.checkpoint(io);
   deviation_sketch_.checkpoint(io);
 }
 

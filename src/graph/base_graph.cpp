@@ -141,10 +141,12 @@ BaseGraph BaseGraph::path(std::uint32_t n) {
 void BaseGraph::finalize() {
   for (auto& nbrs : adjacency_) std::sort(nbrs.begin(), nbrs.end());
   const std::uint32_t n = node_count();
-  dist_.assign(n, std::vector<std::uint32_t>(n, kUnreached));
+  // One BFS per source, into one reused distance row: the diameter and the
+  // connectivity check need no all-pairs table.
+  std::vector<std::uint32_t> d(n);
   diameter_ = 0;
   for (std::uint32_t src = 0; src < n; ++src) {
-    auto& d = dist_[src];
+    std::fill(d.begin(), d.end(), kUnreached);
     d[src] = 0;
     std::queue<BaseNodeId> frontier;
     frontier.push(src);
@@ -190,10 +192,6 @@ std::uint32_t BaseGraph::max_degree() const {
   std::uint32_t m = 0;
   for (const auto& nbrs : adjacency_) m = std::max(m, static_cast<std::uint32_t>(nbrs.size()));
   return m;
-}
-
-std::uint32_t BaseGraph::distance(BaseNodeId a, BaseNodeId b) const {
-  return dist_.at(a).at(b);
 }
 
 std::span<const BaseNodeId> BaseGraph::nodes_in_column(std::uint32_t c) const {

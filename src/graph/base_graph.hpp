@@ -54,9 +54,6 @@ class BaseGraph {
   std::uint32_t min_degree() const;
   std::uint32_t max_degree() const;
 
-  /// Hop distance in H (precomputed all-pairs BFS).
-  std::uint32_t distance(BaseNodeId a, BaseNodeId b) const;
-
   /// Graph diameter D.
   std::uint32_t diameter() const noexcept { return diameter_; }
 
@@ -77,13 +74,12 @@ class BaseGraph {
 
  private:
   BaseGraph() = default;
-  void finalize();  // sorts adjacency, computes distances/diameter
+  void finalize();  // sorts adjacency, checks connectivity, computes the diameter
 
   std::vector<std::vector<BaseNodeId>> adjacency_;
   std::vector<std::uint32_t> columns_;
   std::vector<std::vector<BaseNodeId>> column_nodes_;
   std::uint32_t column_count_ = 0;
-  std::vector<std::vector<std::uint32_t>> dist_;  // all-pairs hop distance
   std::uint32_t diameter_ = 0;
   std::vector<bool> is_replica_;
 };

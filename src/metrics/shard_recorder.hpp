@@ -2,102 +2,70 @@
 //
 // Nodes record pulses and iterations through the Recorder interface, but the
 // real Recorder is single-threaded mutable state (global sigma extrema, the
-// streaming accumulators' floating-point sums). In a sharded run each node
-// therefore records into its shard's ShardRecorder -- plain append-only
-// lanes, touched only by that shard's worker thread: one for pulses, one
-// for iteration records that only full recording fills -- and the window
-// barrier's serial completion merges all buffers into the true Recorder in
-// (time, node) order via merge_shard_records().
+// streaming accumulators). In a sharded run each node therefore records
+// into its shard's ShardRecorder -- plain append-only lanes, touched only by
+// that shard's worker thread: one for pulses, one for iteration records that
+// only full recording fills -- and the window barrier's serial completion
+// replays the buffers into the true Recorder via merge_shard_records().
 //
-// Why that order reproduces the serial engine byte-for-byte: every node
-// lives in exactly one shard, so a stable sort by (time, node) preserves
-// each node's own generation order, and two different nodes never record at
-// the same timestamp in practice (pulse times carry per-node layer-0 jitter
-// and clock-rate noise). The differential tests in tests/test_sharded.cpp
-// are the referee for that claim on every builtin scenario.
+// Why replaying each buffer as it stands, shard after shard, reproduces the
+// serial engine byte for byte: the Recorder's state and StreamingSkew's
+// state depend only on each node's own record sequence (per-node logs and
+// rings, order-free extrema, counts and sketch bins, and an exact deviation
+// sum), and a node's shard buffer keeps that sequence, since the node
+// records only on its own shard's thread. The interleaving ACROSS nodes
+// differs from the serial engine's, but only inside one window: a pulse
+// moves by less than one window (at most the lookahead, a link delay, so at
+// most d < Lambda), and the accumulator's 8-wave rings absorb that. The
+// differential tests in tests/test_sharded.cpp and
+// tests/test_streaming_metrics.cpp hold every builtin scenario to it.
 #pragma once
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
 #include "metrics/recorder.hpp"
-#include "sim/simulator.hpp"
 
 namespace gtrix {
 
 class ShardRecorder final : public Recorder {
  public:
-  /// `sim` is the owning shard's simulator; entries are stamped with its
-  /// now() at record time, which is the event time being executed. `mode`
-  /// is the sink's recording mode: streaming keeps no iteration records,
-  /// so a streaming shard does not buffer them either.
-  ShardRecorder(const Simulator* sim, RecordingMode mode)
-      : sim_(sim), keep_iterations_(mode == RecordingMode::kFull) {}
+  /// `mode` is the sink's recording mode: streaming keeps no iteration
+  /// records, so a streaming shard does not buffer them either.
+  explicit ShardRecorder(RecordingMode mode) : keep_iterations_(mode == RecordingMode::kFull) {}
 
   struct PulseEntry {
-    SimTime when = 0.0;  ///< shard-local now() at record time: the merge key
     RecNodeId node = 0;
     Sigma sigma = 0;
     SimTime t = 0.0;
   };
 
   struct IterationEntry {
-    SimTime when = 0.0;
     RecNodeId node = 0;
     IterationRecord iteration;
   };
 
   void record_pulse(RecNodeId node, Sigma sigma, SimTime t) override {
-    pulses_.push_back(PulseEntry{sim_->now(), node, sigma, t});
+    pulses_.push_back(PulseEntry{node, sigma, t});
   }
 
   void record_iteration(RecNodeId node, const IterationRecord& record) override {
-    if (keep_iterations_) iterations_.push_back(IterationEntry{sim_->now(), node, record});
+    if (keep_iterations_) iterations_.push_back(IterationEntry{node, record});
   }
 
   std::vector<PulseEntry>& pulses() noexcept { return pulses_; }
   std::vector<IterationEntry>& iterations() noexcept { return iterations_; }
 
-  /// Puts both lanes into (when, node) order, stably (each node's own
-  /// generation order survives). Called by the OWNING WORKER at the end of
-  /// its window so the sort cost runs in parallel across shards; the serial
-  /// barrier completion then only has to merge already-sorted runs. Events
-  /// execute in time order, so each lane is globally sorted by `when`
-  /// already; only maximal equal-`when` segments (batched deliveries) can
-  /// be out of node order, and those are short, so this is one linear scan
-  /// plus tiny per-segment sorts.
-  void sort_window() {
-    sort_by_node(pulses_);
-    sort_by_node(iterations_);
-  }
-
  private:
-  template <class Entry>
-  static void sort_by_node(std::vector<Entry>& lane) {
-    auto node_less = [](const Entry& a, const Entry& b) { return a.node < b.node; };
-    auto it = lane.begin();
-    while (it != lane.end()) {
-      auto end = it + 1;
-      while (end != lane.end() && end->when == it->when) ++end;
-      if (!std::is_sorted(it, end, node_less)) std::stable_sort(it, end, node_less);
-      it = end;
-    }
-  }
-
-  const Simulator* sim_;
   bool keep_iterations_;
   std::vector<PulseEntry> pulses_;
   std::vector<IterationEntry> iterations_;  ///< full recording only
 };
 
-/// Replays every shard buffer into `sink` in global (time, node) order and
+/// Replays every shard buffer into `sink` -- shard 0's pulse lane, then
+/// shard 1's, and so on, then the iteration lanes the same way -- and
 /// clears the buffers. Serial: the shard driver calls this from the window
-/// barrier's completion step. Requires each buffer to already be in
-/// (when, node) order (sort_window()); the merge itself is a copy-free
-/// k-way pick so the serial section stays as thin as possible. Pulses and
-/// iteration records are merged lane by lane: the Recorder keeps them in
-/// separate logs, so only the order within each lane reaches its state.
+/// barrier's completion step.
 void merge_shard_records(Recorder& sink, std::span<ShardRecorder* const> shards);
 
 }  // namespace gtrix

@@ -81,7 +81,7 @@ void StreamingSkew::score(double& layer_max, Sigma wave, double deviation) {
   if (wave >= lo_ && wave <= hi_) {
     layer_max = std::max(layer_max, deviation);
     ++pairs_checked_;
-    deviation_summary_.add(deviation);
+    deviation_sum_.add(deviation);
     deviation_sketch_.add(deviation);
   }
   if (wave >= lane_lo_ && wave - lane_lo_ < static_cast<Sigma>(lane_.size())) {
@@ -170,9 +170,9 @@ SkewReport StreamingSkew::report(Sigma lo, Sigma hi) const {
   for (const double x : spread_by_layer_) r.global_skew = std::max(r.global_skew, x);
   r.local_skew = std::max(r.max_intra, r.max_inter);
   r.pairs_checked = pairs_checked_;
-  r.deviations.count = deviation_summary_.count();
-  if (!deviation_summary_.empty()) {
-    r.deviations.mean = deviation_summary_.mean();
+  r.deviations.count = pairs_checked_;
+  if (pairs_checked_ != 0) {
+    r.deviations.mean = deviation_sum_.value() / static_cast<double>(pairs_checked_);
     r.deviations.p50 = deviation_sketch_.quantile(0.50);
     r.deviations.p90 = deviation_sketch_.quantile(0.90);
     r.deviations.p99 = deviation_sketch_.quantile(0.99);

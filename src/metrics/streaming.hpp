@@ -43,9 +43,12 @@
 //
 // Deviation quantiles (p50/p90/p99 of all checked pair deviations) come
 // from a log-binned sketch (1% relative error for any distribution shape)
-// whose bins do not depend on the feed order either. The mean is a running
-// mean in feed order, so live and replay agree on it only to rounding until
-// the deviation sum is made order-free (ROADMAP item 2).
+// whose bins do not depend on the feed order either, and the mean is an
+// exact sum (ExactSum, rounded once) over pairs_checked. So every field of
+// the report, and every saved accumulator word, is a function of the
+// multiset of scored pairs: live and replay agree bit for bit on all of
+// them, and so do feeds that interleave the nodes differently, as long as
+// each node's own pulses keep their order.
 #pragma once
 
 #include <cstddef>
@@ -111,7 +114,7 @@ class StreamingSkew {
   std::uint64_t memory_bytes() const noexcept;
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp): every accumulator lane,
-  /// ring slot, per-layer extremum, counter and the deviation summary /
+  /// ring slot, per-layer extremum, counter and the deviation sum and
   /// sketch. Grid and fault set are construction state and the lanes are
   /// only size-validated on restore. Only the live accumulator is ever
   /// saved, so the replay's windows are not part of it.
@@ -133,7 +136,7 @@ class StreamingSkew {
   /// (overwritten slots bump window_overflows_).
   double lookup(RecNodeId g, Sigma sigma);
   /// Scores one pair attributed to `wave` into `layer_max` and the
-  /// deviation summary when the wave lies in the report window, and into
+  /// deviation sum and sketch when the wave lies in the report window, and into
   /// the per-wave lane when it lies there.
   void score(double& layer_max, Sigma wave, double deviation);
 
@@ -174,7 +177,7 @@ class StreamingSkew {
   Sigma lane_lo_ = 0;
   std::vector<double> lane_;
 
-  Summary deviation_summary_;
+  ExactSum deviation_sum_;
   /// Log-binned sketch: every reported percentile is within 1% of a true
   /// order statistic, regardless of the deviation distribution's shape
   /// (P-squared markers were evaluated and rejected -- multimodal

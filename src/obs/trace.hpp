@@ -9,7 +9,7 @@
 //  * pid 1 = the campaign itself; one tid per sweep worker thread, one span
 //    per cell (name = cell label, args.events = logical events).
 //  * pid 2+i = cell i; tid = shard index inside the cell. Sharded runs emit
-//    a "window"/"drain" span per conservative window per shard and a
+//    a "window"/"window-final" span per conservative window per shard and a
 //    "barrier" span for the time parked at the window barrier; serial runs
 //    emit the run_cell phase spans ("run", "corrupt", "realign", ...) on
 //    tid 0.

@@ -109,8 +109,8 @@ void World::init_shards() {
         static_cast<std::uint64_t>(col) * shard_count_ / columns);
   }
   net_.configure_shards(shard_sims_, node_shard);
-  for (Simulator* sim : shard_sims_) {
-    shard_recorders_.push_back(std::make_unique<ShardRecorder>(sim, recorder_.mode()));
+  for (std::uint32_t shard = 0; shard < shard_count_; ++shard) {
+    shard_recorders_.push_back(std::make_unique<ShardRecorder>(recorder_.mode()));
     shard_recorder_ptrs_.push_back(shard_recorders_.back().get());
   }
   if (engine_.telemetry) telemetry_ = std::make_unique<Telemetry>(shard_count_);

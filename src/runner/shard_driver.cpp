@@ -23,7 +23,6 @@ namespace {
 enum class WindowKind : std::uint8_t {
   kRunBefore,  ///< run events strictly below `horizon`
   kRunUntil,   ///< final window: run events <= `horizon` (the deadline)
-  kDrain,      ///< no cross-shard edges: run each shard to completion
   kStop,
 };
 
@@ -36,7 +35,6 @@ const char* window_span_name(WindowKind kind) {
   switch (kind) {
     case WindowKind::kRunBefore: return "window";
     case WindowKind::kRunUntil: return "window-final";
-    case WindowKind::kDrain: return "drain";
     case WindowKind::kStop: break;
   }
   return "stop";
@@ -49,6 +47,7 @@ void ShardDriver::run(SimTime deadline) {
   GTRIX_CHECK_MSG(shards >= 2, "ShardDriver requires at least two shards");
   const SimTime lookahead = net_.cross_shard_lookahead();
   GTRIX_CHECK_MSG(lookahead > 0.0, "cross-shard lookahead must be positive");
+  GTRIX_CHECK_MSG(lookahead < kTimeInfinity, "no edge crosses the shard cut");
 
   WindowPlan plan;
   std::atomic<bool> failed{false};
@@ -75,10 +74,8 @@ void ShardDriver::run(SimTime deadline) {
         plan = WindowPlan{WindowKind::kStop, 0.0};
         return;
       }
-      const SimTime horizon = gmin + lookahead;  // infinite if no cross edges
-      if (horizon == kTimeInfinity && deadline == kTimeInfinity) {
-        plan = WindowPlan{WindowKind::kDrain, 0.0};
-      } else if (horizon > deadline) {
+      const SimTime horizon = gmin + lookahead;
+      if (horizon > deadline) {
         // Final window, inclusive: anything sent in it arrives after the
         // deadline (gmin + L > deadline) and stays parked.
         plan = WindowPlan{WindowKind::kRunUntil, deadline};
@@ -129,15 +126,9 @@ void ShardDriver::run(SimTime deadline) {
           case WindowKind::kRunUntil:
             sim.run_until(plan.horizon);
             break;
-          case WindowKind::kDrain:
-            sim.run_all();
-            break;
           case WindowKind::kStop:
             break;
         }
-        // Sort this shard's trace buffer here, in parallel, so the serial
-        // completion only merges pre-sorted runs.
-        shard_recorders_[shard]->sort_window();
       } catch (...) {
         // Keep arriving at the barrier so the other workers don't deadlock;
         // the completion sees `failed` and stops everyone.

@@ -10,16 +10,18 @@
 // shard may execute all its events in the window [gmin, gmin + L) without
 // ever receiving a message that should have landed inside it. The loop:
 //
-//   barrier (serial completion):  merge per-shard trace buffers into the
-//       true Recorder; gmin = min over shard queues + mailboxes; stop when
-//       gmin > deadline, else horizon = gmin + L (clamped to the inclusive
-//       deadline for the final window);
+//   barrier (serial completion):  replay the per-shard trace buffers, shard
+//       by shard, into the true Recorder; gmin = min over shard queues +
+//       mailboxes; stop when gmin > deadline, else horizon = gmin + L
+//       (clamped to the inclusive deadline for the final window);
 //   workers (parallel):           drain own mailbox in deterministic
 //       (arrival, from, edge) order, then run events strictly below the
 //       horizon (or <= deadline in the final window).
 //
 // Progress: L > 0 (edge delays are positive), so the gmin event itself is
-// always inside its window -- every window executes at least one event.
+// always inside its window -- every window executes at least one event. L
+// is also finite: a World's base graph is connected and has at least two
+// layers, so some edge crosses any column cut (run() checks both).
 // Safety of the final inclusive window: it only happens when gmin + L >
 // deadline, so messages sent in it arrive strictly after the deadline and
 // stay parked for the next run_until call.

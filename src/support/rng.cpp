@@ -1,8 +1,5 @@
 #include "support/rng.hpp"
 
-#include <cmath>
-#include <numbers>
-
 namespace gtrix {
 
 namespace {
@@ -79,43 +76,8 @@ bool Rng::bernoulli(double p) noexcept {
   return next_double() < p;
 }
 
-double Rng::normal() noexcept {
-  if (have_cached_normal_) {
-    have_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 1.0 - next_double();
-  double u2 = next_double();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = r * std::sin(theta);
-  have_cached_normal_ = true;
-  return r * std::cos(theta);
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  return mean + stddev * normal();
-}
-
 Rng Rng::split(std::string_view label) noexcept {
   return Rng(next_u64() ^ fnv1a64(label));
-}
-
-void Rng::jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if (word & (std::uint64_t{1} << bit)) {
-        for (int i = 0; i < 4; ++i) acc[static_cast<std::size_t>(i)] ^= state_[static_cast<std::size_t>(i)];
-      }
-      (void)next_u64();
-    }
-  }
-  state_ = acc;
 }
 
 std::uint64_t fnv1a64(std::string_view s) noexcept {

@@ -53,27 +53,16 @@ class Rng {
   /// True with probability p (clamped to [0, 1]).
   bool bernoulli(double p) noexcept;
 
-  /// Standard normal via Box-Muller (portable; no std::normal_distribution).
-  double normal() noexcept;
-  double normal(double mean, double stddev) noexcept;
-
   /// Derives an independent child generator; `label` decorrelates children
   /// derived from the same parent seed for different purposes.
   Rng split(std::string_view label) noexcept;
 
-  /// Jump function: advances the state by 2^128 steps (for independent
-  /// long-range streams with the same seed).
-  void jump() noexcept;
-
-  /// Checkpoint codec (src/ckpt): the full generator state -- the four
-  /// xoshiro words plus the Box-Muller spare -- so a restored stream emits
-  /// the exact continuation. Defined in src/ckpt/state_ckpt.cpp.
+  /// Checkpoint codec (src/ckpt): the four xoshiro words, so a restored
+  /// stream emits the exact continuation. Defined in src/ckpt/state_ckpt.cpp.
   void checkpoint(CkptIo& io);
 
  private:
   std::array<std::uint64_t, 4> state_{};
-  bool have_cached_normal_ = false;
-  double cached_normal_ = 0.0;
 };
 
 /// Stable 64-bit FNV-1a hash of a string; used for seed derivation.

@@ -1,57 +1,72 @@
 #include "support/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
+#include "support/check.hpp"
+
 namespace gtrix {
 
-void Summary::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
+void ExactSum::add(double x) {
+  GTRIX_CHECK_MSG(x >= 0.0 && x <= std::numeric_limits<double>::max(),
+                  "exact sum takes finite values >= 0");
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const auto exponent = static_cast<unsigned>(bits >> 52) & 0x7ffU;  // -0.0 adds 0
+  const unsigned normal = exponent != 0 ? 1 : 0;
+  const std::uint64_t mantissa =
+      (bits & ((std::uint64_t{1} << 52) - 1)) | (std::uint64_t{normal} << 52);
+  // x = mantissa * 2^(shift - 1074); a subnormal shares exponent 1's scale.
+  const unsigned shift = exponent - normal;
+  const std::size_t word = shift / 64;
+  const unsigned offset = shift % 64;
+  // The significand spans words `word` and `word + 1` (at most 31 and 32).
+  // Both are written on every add, so no branch depends on the magnitude,
+  // which varies from one scored pair to the next.
+  const std::uint64_t lo = mantissa << offset;
+  const std::uint64_t hi = (mantissa >> 1) >> (63 - offset);  // 0 when offset == 0
+  words_[word] += lo;
+  const std::uint64_t carry = hi + (words_[word] < lo ? 1 : 0);  // < 2^53: cannot wrap
+  words_[word + 1] += carry;
+  if (words_[word + 1] < carry) {
+    for (std::size_t w = word + 2;; ++w) {
+      GTRIX_CHECK_MSG(w < kWords, "exact sum overflowed its carry room");
+      if (++words_[w] != 0) break;
+    }
   }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
 
-void Summary::merge(const Summary& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double combined = n1 + n2;
-  mean_ += delta * n2 / combined;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / combined;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  n_ += other.n_;
-}
-
-double Summary::mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
-
-double Summary::variance() const noexcept {
-  return n_ == 0 ? 0.0 : m2_ / static_cast<double>(n_);
-}
-
-double Summary::stddev() const noexcept { return std::sqrt(variance()); }
-
-double Summary::min() const noexcept {
-  return n_ == 0 ? std::numeric_limits<double>::quiet_NaN() : min_;
-}
-
-double Summary::max() const noexcept {
-  return n_ == 0 ? std::numeric_limits<double>::quiet_NaN() : max_;
+double ExactSum::value() const noexcept {
+  std::size_t top = kWords;
+  while (top > 0 && words_[top - 1] == 0) --top;
+  if (top == 0) return 0.0;
+  const auto top_bit = static_cast<unsigned>(std::bit_width(words_[top - 1]) - 1);
+  const std::uint64_t msb = (top - 1) * 64 + top_bit;
+  // Below 2^53 units the integer is the double's bit pattern: a subnormal
+  // below 2^52, exponent field 1 from there.
+  if (msb <= 52) return std::bit_cast<double>(words_[0]);
+  // Bits [msb - 52, msb] are the significand; the rest round it.
+  const std::uint64_t low = msb - 52;
+  const auto bits_at = [this](std::uint64_t pos) {  // 64 bits from bit `pos`
+    const std::size_t word = pos / 64;
+    const auto offset = static_cast<unsigned>(pos % 64);
+    std::uint64_t v = words_[word] >> offset;
+    if (offset != 0 && word + 1 < kWords) v |= words_[word + 1] << (64 - offset);
+    return v;
+  };
+  std::uint64_t mantissa = bits_at(low) & ((std::uint64_t{1} << 53) - 1);
+  const std::uint64_t round = low - 1;
+  const bool half = ((words_[round / 64] >> (round % 64)) & 1) != 0;
+  bool sticky = (words_[round / 64] & ((std::uint64_t{1} << (round % 64)) - 1)) != 0;
+  for (std::size_t w = 0; !sticky && w < round / 64; ++w) sticky = words_[w] != 0;
+  if (half && (sticky || (mantissa & 1) != 0)) ++mantissa;
+  // Exponent field = low + 1; a rounding carry into bit 53 bumps it through
+  // the addition.
+  const std::uint64_t result = (low << 52) + mantissa;
+  const std::uint64_t infinity = std::bit_cast<std::uint64_t>(
+      std::numeric_limits<double>::infinity());
+  return std::bit_cast<double>(std::min(result, infinity));
 }
 
 LogQuantileSketch::LogQuantileSketch(double relative_error) {

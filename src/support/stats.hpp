@@ -1,6 +1,7 @@
 // Small statistics helpers used by the metrics and campaign layers.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -10,33 +11,26 @@ namespace gtrix {
 
 class CkptIo;
 
-/// Streaming summary accumulator (Welford's online algorithm for variance).
-class Summary {
+/// Exact sum of non-negative finite doubles: a fixed-point integer in units
+/// of 2^-1074 (the smallest subnormal) wide enough for any finite double,
+/// 2^1024, plus 64 bits of carry room, i.e. 2^64 additions. Integer
+/// addition is associative, so the state -- and the once-rounded value() --
+/// depend only on the multiset of values added, never on their order, and
+/// floating-point contraction cannot reach them.
+class ExactSum {
  public:
-  void add(double x) noexcept;
+  /// Adds x exactly. x must be finite and >= 0 (GTRIX_CHECK).
+  void add(double x);
 
-  /// Merges another summary into this one (parallel Welford combine).
-  void merge(const Summary& other) noexcept;
+  /// The sum rounded once, to nearest-even (+inf past the double range).
+  double value() const noexcept;
 
-  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): all six accumulator words.
+  /// Checkpoint codec (src/ckpt/state_ckpt.cpp): every word.
   void checkpoint(CkptIo& io);
 
-  std::size_t count() const noexcept { return n_; }
-  bool empty() const noexcept { return n_ == 0; }
-  double mean() const noexcept;
-  double variance() const noexcept;  ///< population variance
-  double stddev() const noexcept;
-  double min() const noexcept;
-  double max() const noexcept;
-  double sum() const noexcept { return sum_; }
-
  private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
+  static constexpr std::size_t kWords = 34;    ///< 2098 value bits + 64 carry bits
+  std::array<std::uint64_t, kWords> words_{};  ///< little-endian: words_[0] is 2^-1074
 };
 
 /// Streaming quantile sketch over non-negative values with a GUARANTEED

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/params.hpp"
+#include "hop_distance.hpp"
 #include "metrics/skew.hpp"
 
 namespace gtrix {
@@ -40,12 +41,13 @@ inline double pair_potential(const GridTrace& trace, std::uint32_t layer, Sigma 
   }
   if (have < 2) return std::numeric_limits<double>::quiet_NaN();
 
+  const auto dist = hop_distances(base);
   double best = -std::numeric_limits<double>::infinity();
   for (BaseNodeId v = 0; v < base.node_count(); ++v) {
     if (std::isnan(t[v])) continue;
     for (BaseNodeId w = 0; w < base.node_count(); ++w) {
       if (v == w || std::isnan(t[w])) continue;
-      const double value = t[v] - t[w] - weight * base.distance(v, w);
+      const double value = t[v] - t[w] - weight * dist[v][w];
       best = std::max(best, value);
     }
   }

@@ -4,6 +4,7 @@
 // one fault per neighbourhood with in-degree 2f+1.
 #include <gtest/gtest.h>
 
+#include "hop_distance.hpp"
 #include "runner/campaign.hpp"
 
 namespace gtrix {
@@ -27,8 +28,9 @@ TEST(CycleWide, GraphShape) {
   EXPECT_EQ(g.min_degree(), 4u);
   EXPECT_EQ(g.max_degree(), 4u);
   EXPECT_EQ(g.edge_count(), 20u);
-  EXPECT_EQ(g.distance(0, 4), 2u);  // two reach-2 hops
-  EXPECT_EQ(g.distance(0, 5), 3u);
+  const auto dist = hop_distances(g);
+  EXPECT_EQ(dist[0][4], 2u);  // two reach-2 hops
+  EXPECT_EQ(dist[0][5], 3u);
   EXPECT_EQ(g.diameter(), 3u);
 }
 

@@ -248,8 +248,8 @@ CaseRun run_send_cases(std::uint32_t shards) {
     Recorder recorder;
     std::deque<ShardRecorder> buffers;
     std::vector<ShardRecorder*> buffer_ptrs;
-    for (Simulator& sim : sims) {
-      buffer_ptrs.push_back(&buffers.emplace_back(&sim, recorder.mode()));
+    for (std::size_t s = 0; s < sims.size(); ++s) {
+      buffer_ptrs.push_back(&buffers.emplace_back(recorder.mode()));
     }
     ShardDriver(shard_sims, net, recorder, buffer_ptrs).run(kTimeInfinity);
   } else {

@@ -269,7 +269,7 @@ TEST(Trace, ShardedRunEmitsNamedWindowAndBarrierSpans) {
     EXPECT_GE(e.at("ts").as_double(), 0.0);
     EXPECT_GE(e.at("dur").as_double(), 0.0);
     if (name == "barrier") ++barriers;
-    if (name == "window" || name == "window-final" || name == "drain") {
+    if (name == "window" || name == "window-final") {
       ++windows;
       EXPECT_GE(e.at("args").at("events").as_int(), 0);
     }

@@ -108,27 +108,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, NormalMoments) {
-  Rng rng(11);
-  double sum = 0, sum2 = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.normal();
-    sum += x;
-    sum2 += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sum2 / n, 1.0, 0.03);
-}
-
-TEST(Rng, NormalWithParams) {
-  Rng rng(12);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.normal(5.0, 2.0);
-  EXPECT_NEAR(sum / n, 5.0, 0.05);
-}
-
 TEST(Rng, SplitDecorrelates) {
   Rng parent(13);
   Rng a = parent.split("alpha");
@@ -144,15 +123,6 @@ TEST(Rng, SplitSameLabelDifferentDraws) {
   Rng a = parent.split("x");
   Rng b = parent.split("x");
   EXPECT_NE(a.next_u64(), b.next_u64());
-}
-
-TEST(Rng, JumpChangesStream) {
-  Rng a(15);
-  Rng b(15);
-  b.jump();
-  int same = 0;
-  for (int i = 0; i < 256; ++i) same += a.next_u64() == b.next_u64() ? 1 : 0;
-  EXPECT_EQ(same, 0);
 }
 
 TEST(Fnv1a64, StableValues) {

@@ -6,15 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ckpt/codec.hpp"
+#include "metrics/shard_recorder.hpp"
+#include "metrics/streaming.hpp"
 #include "net/network.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
 #include "scenario/registry.hpp"
 #include "sim/simulator.hpp"
+#include "support/rng.hpp"
 
 namespace gtrix {
 namespace {
@@ -102,10 +107,20 @@ TEST(Sharded, AllBuiltinScenariosIdenticalAcrossShardCounts) {
   // to one cell each): skew reports AND logical event counts must match the
   // serial engine exactly. Covers corrupt cells (thm16-stabilization runs
   // the run_until + corrupt_fraction + realign path) and streaming
-  // recording (the scale scenarios).
+  // recording: the scale scenarios declare it, and every other builtin runs
+  // once more under a streaming override. A clean streaming cell feeds the
+  // live accumulator at each window barrier, shard after shard, so this is
+  // where a feed-order dependence of any report field would show.
   for (const BuiltinInfo& info : builtin_scenarios()) {
     const Scenario scenario = Scenario::from_json(thin_doc(builtin_scenario_doc(info.name)));
+    std::vector<ScenarioCell> cells = scenario.cells();
     for (const ScenarioCell& cell : scenario.cells()) {
+      if (resolve_recording(cell.config.recording_spec) == RecordingMode::kStreaming) continue;
+      ScenarioCell& streaming = cells.emplace_back(cell);
+      streaming.config.recording_spec = ComponentSpec::of("streaming");
+      streaming.label += " (streaming)";
+    }
+    for (const ScenarioCell& cell : cells) {
       const ExperimentResult serial = run_cell(cell.config, cell.corrupt, EngineOptions{});
       const std::string baseline = skew_to_json(serial.skew).dump();
       const std::uint64_t logical = serial.counters.logical_events();
@@ -124,6 +139,82 @@ TEST(Sharded, AllBuiltinScenariosIdenticalAcrossShardCounts) {
         EXPECT_EQ(sharded.counters.iterations, serial.counters.iterations)
             << info.name << " cell " << cell.label;
       }
+    }
+  }
+}
+
+TEST(Sharded, EqualTimestampsOnTwoShardRecordersMergeToTheSerialResult) {
+  // Nodes 0 and 1 (layer 0) pulse at one timestamp every wave; nodes 2 and
+  // 3 (layer 1) follow with jitter. The merge replays shard 0's buffer
+  // {1, 3} before shard 1's {0, 2}, so every window reaches the sink in a
+  // cross-node order the serial engine never produces. Recorder and live
+  // accumulator must still end in the serial state, report and saved bytes.
+  const Grid grid(BaseGraph::path(2), 2);
+  const auto make_recorder = [&](RecordingMode mode) {
+    auto recorder = std::make_unique<Recorder>();
+    recorder->configure(mode);
+    for (GridNodeId g = 0; g < grid.node_count(); ++g) {
+      NodeMeta meta;
+      meta.layer = grid.layer_of(g);
+      meta.base = grid.base_of(g);
+      meta.column = grid.base().column(meta.base);
+      recorder->register_node(g, meta);
+    }
+    return recorder;
+  };
+  const std::vector<bool> faulty(grid.node_count(), false);
+  struct Sink {
+    std::unique_ptr<Recorder> recorder;
+    std::unique_ptr<StreamingSkew> stream;
+  };
+  const auto make_sink = [&](RecordingMode mode) {
+    Sink sink{make_recorder(mode), nullptr};
+    if (mode == RecordingMode::kStreaming) {
+      sink.stream = std::make_unique<StreamingSkew>(grid, faulty, 1);
+      sink.recorder->set_stream(sink.stream.get());
+    }
+    return sink;
+  };
+  const auto saved = [](const auto& codec) {
+    CkptWriter writer;
+    writer.write_section("state", codec);
+    return writer.finish("{}");
+  };
+
+  for (const RecordingMode mode : {RecordingMode::kFull, RecordingMode::kStreaming}) {
+    SCOPED_TRACE(std::string(to_string(mode)));
+    Sink serial = make_sink(mode);
+    Sink merged = make_sink(mode);
+    ShardRecorder shard0(mode);  // nodes 1 and 3
+    ShardRecorder shard1(mode);  // nodes 0 and 2
+    std::vector<ShardRecorder*> shards = {&shard0, &shard1};
+    Rng rng(7);
+    for (Sigma s = 0; s < 12; ++s) {
+      const SimTime t = 2000.0 * static_cast<double>(s);
+      // Window 1: both layer-0 nodes record at t, in serial (node) order.
+      for (const RecNodeId node : {0u, 1u}) serial.recorder->record_pulse(node, s, t);
+      shard1.record_pulse(0, s, t);
+      shard0.record_pulse(1, s, t);
+      merge_shard_records(*merged.recorder, shards);
+      // Window 2: layer 1, one link delay later.
+      const SimTime t2 = t + 1000.0 + rng.uniform(0.0, 20.0);
+      const SimTime t3 = t + 1000.0 + rng.uniform(0.0, 20.0);
+      serial.recorder->record_pulse(2, s, t2);
+      serial.recorder->record_pulse(3, s, t3);
+      shard1.record_pulse(2, s, t2);
+      shard0.record_pulse(3, s, t3);
+      merge_shard_records(*merged.recorder, shards);
+    }
+    EXPECT_TRUE(shard0.pulses().empty());
+    EXPECT_TRUE(shard1.pulses().empty());
+    EXPECT_EQ(saved([&](CkptIo& io) { serial.recorder->checkpoint(io); }),
+              saved([&](CkptIo& io) { merged.recorder->checkpoint(io); }));
+    if (mode == RecordingMode::kStreaming) {
+      const SkewReport report = serial.stream->report(1, 10);
+      EXPECT_GT(report.pairs_checked, 0u);
+      EXPECT_EQ(skew_to_json(merged.stream->report(1, 10)).dump(), skew_to_json(report).dump());
+      EXPECT_EQ(saved([&](CkptIo& io) { serial.stream->checkpoint(io); }),
+                saved([&](CkptIo& io) { merged.stream->checkpoint(io); }));
     }
   }
 }

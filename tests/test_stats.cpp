@@ -2,70 +2,90 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <vector>
-
-#include "support/rng.hpp"
 
 namespace gtrix {
 namespace {
 
-TEST(Summary, EmptyState) {
-  Summary s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_TRUE(std::isnan(s.min()));
-  EXPECT_TRUE(std::isnan(s.max()));
+/// Sums `xs` into a fresh ExactSum in the given order.
+double exact_sum(const std::vector<double>& xs) {
+  ExactSum sum;
+  for (const double x : xs) sum.add(x);
+  return sum.value();
 }
 
-TEST(Summary, SingleValue) {
-  Summary s;
-  s.add(3.5);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.5);
-  EXPECT_DOUBLE_EQ(s.min(), 3.5);
-  EXPECT_DOUBLE_EQ(s.max(), 3.5);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+/// Requires the same bits from every permutation of `xs`.
+void expect_order_free(std::vector<double> xs, double expected) {
+  std::sort(xs.begin(), xs.end());
+  do {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(exact_sum(xs)), std::bit_cast<std::uint64_t>(expected))
+        << "got " << exact_sum(xs) << ", want " << expected;
+  } while (std::next_permutation(xs.begin(), xs.end()));
 }
 
-TEST(Summary, KnownMoments) {
-  Summary s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
+TEST(ExactSum, EmptyIsZero) {
+  const ExactSum sum;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sum.value()), 0u);
 }
 
-TEST(Summary, MergeMatchesSequential) {
-  Rng rng(1);
-  Summary all, left, right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
+TEST(ExactSum, SameBitsInEveryOrder) {
+  const double big = 0x1p53;
+  // Left to right, each 1 is a tie below big's ulp of 2 and rounds away.
+  double naive = big;
+  naive += 1.0;
+  naive += 1.0;
+  EXPECT_EQ(naive, big);
+  expect_order_free({big, 1.0, 1.0}, big + 2.0);
+  expect_order_free({0.1, 0.2, 0.3, 1e-3, 7.0, 1e6}, 1000007.601);
+}
+
+TEST(ExactSum, TiesRoundToEven) {
+  expect_order_free({0x1p53, 1.0}, 0x1p53);              // 2^53 + 1: down to even
+  expect_order_free({0x1p53 + 2.0, 1.0}, 0x1p53 + 4.0);  // 2^53 + 3: up to even
+  expect_order_free({0x1p1000, 0x1p947}, 0x1p1000);      // exact half ulp: even
+  // The same tie with one subnormal far below: no longer a tie, rounds up.
+  expect_order_free({0x1p1000, 0x1p947, 0x1p-1074}, 0x1.0000000000001p+1000);
+}
+
+TEST(ExactSum, SubnormalsMixWithValuesNear2To1000) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(exact_sum({tiny, tiny, tiny}), 3 * tiny);
+  // Subnormals that carry into the smallest normal exponent stay exact.
+  const double min_normal = std::numeric_limits<double>::min();
+  expect_order_free({min_normal / 2, min_normal / 2, tiny}, min_normal + tiny);
+  expect_order_free({0x1p1000, tiny, 0x1.8p999, 3 * tiny, 0x1p-1060}, 0x1.cp1000);
+  // The exact sum leaves the double range: +inf, as correct rounding says.
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_EQ(exact_sum({max, tiny}), max);
+  EXPECT_EQ(exact_sum({max, max}), std::numeric_limits<double>::infinity());
+}
+
+TEST(ExactSum, AMillionEqualValues) {
+  ExactSum sum;
+  double naive = 0.0;
+  for (int i = 0; i < 1000000; ++i) {
+    sum.add(0.1);
+    naive += 0.1;
   }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
+  // 10^6 x the double nearest 0.1, rounded once, is exactly 100000.
+  EXPECT_EQ(sum.value(), 100000.0);
+  EXPECT_NE(naive, 100000.0);
 }
 
-TEST(Summary, MergeWithEmpty) {
-  Summary a;
-  a.add(1.0);
-  a.add(2.0);
-  Summary b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
+TEST(ExactSum, RejectsNegativeAndNonFiniteValues) {
+  ExactSum sum;
+  EXPECT_THROW(sum.add(-1.0), std::logic_error);
+  EXPECT_THROW(sum.add(std::numeric_limits<double>::quiet_NaN()), std::logic_error);
+  EXPECT_THROW(sum.add(std::numeric_limits<double>::infinity()), std::logic_error);
+  sum.add(-0.0);
+  sum.add(2.5);
+  EXPECT_EQ(sum.value(), 2.5);
 }
 
 TEST(Quantile, MedianOdd) {

@@ -3,12 +3,14 @@
 //
 // Full recording replays its kept trace through StreamingSkew; a clean
 // streaming cell feeds the same accumulator live. The contract:
-//  * skew EXTREMA, per-layer vectors, pairs_checked and the deviation count
-//    are BIT-identical between the two feeds on every small builtin
-//    scenario -- the same arithmetic in a different commit order;
-//  * so are the sketch quantiles, whose bins do not depend on the feed
-//    order; only the running mean differs, in its last bits, until the
-//    deviation sum is order-free (ROADMAP item 2);
+//  * every field of the skew report -- extrema, per-layer vectors,
+//    pairs_checked, the deviation count, the sketch quantiles and the mean
+//    of the exact deviation sum -- is BIT-identical between the two feeds
+//    on every small builtin scenario: the same arithmetic in a different
+//    commit order, and none of it depends on that order;
+//  * so are the report and the saved accumulator bytes of two live feeds
+//    that interleave the nodes differently but keep each node's own order
+//    (the sharded engine's per-window replay is one such feed);
 //  * queries that need a per-wave trace or iteration records (conditions,
 //    arbitrary skew windows, realignment) are hard errors on a clean
 //    streaming cell, and so is a wave-ring overflow;
@@ -16,12 +18,15 @@
 //    thread counts.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "ckpt/codec.hpp"
 #include "runner/campaign.hpp"
 #include "scenario/registry.hpp"
+#include "support/rng.hpp"
 
 namespace gtrix {
 namespace {
@@ -58,9 +63,9 @@ void expect_identical_extrema(const SkewReport& full, const SkewReport& other,
   EXPECT_EQ(full.pairs_checked, other.pairs_checked);
 }
 
-/// The deviation summary: both feeds fill the same log-binned sketch, so
-/// the count and every quantile are equal; the running mean sees the pairs
-/// in a different order and differs only by float associativity.
+/// The deviation statistics: both feeds fill the same log-binned sketch and
+/// the same exact sum, so the count, every quantile and the mean are equal
+/// bit for bit.
 void expect_same_deviations(const DeviationStats& full, const DeviationStats& other,
                             const std::string& where) {
   SCOPED_TRACE(where);
@@ -68,7 +73,7 @@ void expect_same_deviations(const DeviationStats& full, const DeviationStats& ot
   EXPECT_EQ(full.p50, other.p50);
   EXPECT_EQ(full.p90, other.p90);
   EXPECT_EQ(full.p99, other.p99);
-  EXPECT_NEAR(other.mean, full.mean, 1e-9 * std::max(1.0, std::abs(full.mean)));
+  EXPECT_EQ(full.mean, other.mean);
 }
 
 TEST(StreamingMetrics, BitIdenticalExtremaOnEveryBuiltinScenario) {
@@ -227,6 +232,68 @@ TEST(StreamingMetrics, RecordingErrorsArePathQualified) {
   EXPECT_THROW(config_from_json(Json::parse(
                    R"({"columns": 4, "recording": "nope"})")),
                JsonError);
+}
+
+/// One recorded pulse, as a feed replays it.
+struct FedPulse {
+  SimTime key = 0.0;  ///< feed order
+  RecNodeId node = 0;
+  Sigma sigma = 0;
+  SimTime t = 0.0;
+};
+
+std::vector<std::uint8_t> saved_bytes(StreamingSkew& stream) {
+  CkptWriter writer;
+  writer.write_section("streaming", [&](CkptIo& io) { stream.checkpoint(io); });
+  return writer.finish("{}");
+}
+
+TEST(StreamingMetrics, CrossNodeFeedOrderChangesNoReportFieldAndNoSavedByte) {
+  // A 6-column, 5-layer grid pulsing Lambda = 2000 apart per wave, one link
+  // delay (1000) per layer, with per-pulse jitter: the serial feed is time
+  // order. The second feed moves every pulse later by up to 900 (less than
+  // one link delay), which reorders the nodes inside each window but keeps
+  // each node's own pulses in order, as the sharded engine's per-window
+  // replay does.
+  const Grid grid(BaseGraph::line_replicated(6), 5);
+  Rng rng(2301);
+  std::vector<FedPulse> time_order;
+  for (GridNodeId g = 0; g < grid.node_count(); ++g) {
+    for (Sigma s = 0; s < 16; ++s) {
+      const SimTime t = 2000.0 * static_cast<double>(s) +
+                        1000.0 * static_cast<double>(grid.layer_of(g)) + rng.uniform(0.0, 30.0);
+      time_order.push_back(FedPulse{t, g, s, t});
+    }
+  }
+  std::vector<FedPulse> reordered = time_order;
+  for (FedPulse& p : reordered) p.key = p.t + rng.uniform(0.0, 900.0);
+  const auto by_key = [](const FedPulse& a, const FedPulse& b) { return a.key < b.key; };
+  std::sort(time_order.begin(), time_order.end(), by_key);
+  std::sort(reordered.begin(), reordered.end(), by_key);
+  const auto node_order_of = [](const std::vector<FedPulse>& feed) {
+    std::vector<RecNodeId> nodes;
+    for (const FedPulse& p : feed) nodes.push_back(p.node);
+    return nodes;
+  };
+  ASSERT_NE(node_order_of(time_order), node_order_of(reordered));
+
+  const auto feed = [&](const std::vector<FedPulse>& pulses, StreamingSkew& stream) {
+    for (const FedPulse& p : pulses) stream.on_pulse(p.node, p.sigma, p.t);
+  };
+  const std::vector<bool> faulty(grid.node_count(), false);
+  StreamingSkew serial(grid, faulty, 2);
+  StreamingSkew moved(grid, faulty, 2);
+  feed(time_order, serial);
+  feed(reordered, moved);
+  EXPECT_EQ(serial.window_overflows(), 0u);
+  EXPECT_EQ(moved.window_overflows(), 0u);
+  const SkewReport a = serial.report(2, 14);
+  const SkewReport b = moved.report(2, 14);
+  ASSERT_GT(a.pairs_checked, 1000u);
+  expect_identical_extrema(a, b, "cross-node reorder");
+  expect_same_deviations(a.deviations, b.deviations, "cross-node reorder");
+  EXPECT_EQ(skew_to_json(a).dump(), skew_to_json(b).dump());
+  EXPECT_EQ(saved_bytes(serial), saved_bytes(moved));
 }
 
 TEST(StreamingMetrics, RingOverflowIsAHardErrorNamingTheCount) {

@@ -11,7 +11,7 @@ Perfetto / chrome://tracing):
   * every span's (pid, tid) has a thread_name, every pid a process_name
     (so Perfetto shows labeled tracks, never bare numbers);
   * span names are from the emitter's fixed vocabulary: per-shard
-    "window"/"window-final"/"drain"/"barrier", cell phases
+    "window"/"window-final"/"barrier", cell phases
     "run"/"corrupt"/"recover"/"realign", and campaign cell labels on pid 1.
 
 Then prints a per-shard busy / barrier-wait breakdown per cell process and
@@ -26,7 +26,7 @@ import json
 import sys
 
 CAMPAIGN_PID = 1
-SHARD_SPANS = {"window", "window-final", "drain", "barrier"}
+SHARD_SPANS = {"window", "window-final", "barrier"}
 PHASE_SPANS = {"run", "corrupt", "recover", "realign"}
 
 
