@@ -59,7 +59,9 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // v10: the "streaming" section saves the deviation sum as an exact 34-word
 // integer in place of the running mean's six-word summary, and a saved RNG
 // stream drops the Box-Muller spare (the "faults" section).
-inline constexpr std::uint32_t kCkptFormatVersion = 10;
+// v11: the "streaming" section splits its tallies into one record per shard
+// and adds the shards' folded layer extrema.
+inline constexpr std::uint32_t kCkptFormatVersion = 11;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

@@ -191,11 +191,16 @@ void Network::checkpoint(CkptIo& io) {
 // --- Recorder ----------------------------------------------------------------
 
 void Recorder::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(Recorder, 96);
+  GTRIX_CKPT_SIZEOF(Recorder, 88);
   GTRIX_CKPT_FIELDS(NodeLog, 3);
-  io.i64(min_sigma_);
-  io.i64(max_sigma_);
-  io.u64(pulses_recorded_);  // mode and anchor are config-derived, not state
+  Lane all = folded();  // restored into lane 0: the accessors fold the lanes
+  io.i64(all.min_sigma);
+  io.i64(all.max_sigma);
+  io.u64(all.pulses);  // mode and anchor are config-derived, not state
+  if (!io.saving()) {
+    lanes_.assign(lanes_.size(), Lane{});
+    lanes_.front() = all;
+  }
   io.same_count(metas_.size(), "recorder node");
   // Every registered node gets a log record. Without kept logs (un-anchored
   // streaming) each is an empty one, exactly as if the logs existed: saving
@@ -212,32 +217,37 @@ void Recorder::checkpoint(CkptIo& io) {
 // --- StreamingSkew -----------------------------------------------------------
 
 void StreamingSkew::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(StreamingSkew, 728);
-  GTRIX_CKPT_FIELDS(WaveExtrema, 3);
-  // Lane and ring sizes follow from the grid and the constant ring.
-  io.each(held_sigma_, "held_sigma", &CkptIo::i64);
-  io.each(held_time_, "held_time", &CkptIo::f64);
-  io.each(recorded_, "recorded", &CkptIo::i64);
-  io.each(held_steady_, "held_steady", [](CkptIo& io, std::vector<bool>::reference bit) {
-    bool steady = bit;  // vector<bool> hands out proxies, not bool&
-    io.flag(steady);
-    if (!io.saving()) bit = steady;
-  });
-  io.each(ring_sigma_, "ring_sigma", &CkptIo::i64);
-  io.each(ring_time_, "ring_time", &CkptIo::f64);
-  io.each(intra_by_layer_, "intra_by_layer", &CkptIo::f64);
-  io.each(inter_by_layer_, "inter_by_layer", &CkptIo::f64);
-  io.each(spread_by_layer_, "spread_by_layer", &CkptIo::f64);
-  io.each(layer_ring_, "layer_ring", [](CkptIo& io, WaveExtrema& e) {
+  GTRIX_CKPT_SIZEOF(StreamingSkew, 320);
+  GTRIX_CKPT_FIELDS(WaveExtrema, 4);
+  GTRIX_CKPT_FIELDS(Shard, 11);
+  const auto extrema = [](CkptIo& io, WaveExtrema& e) {  // `unfolded` is false at a barrier
     io.i64(e.sigma);
     io.f64(e.min);
     io.f64(e.max);
+  };
+  // Lane and ring sizes follow from the grid, shard plan and constant ring.
+  io.each(held_sigma_, "held_sigma", &CkptIo::i64);
+  io.each(held_time_, "held_time", &CkptIo::f64);
+  io.each(recorded_, "recorded", &CkptIo::i64);
+  io.each(held_steady_, "held_steady", [](CkptIo& io, std::uint8_t& steady) {
+    bool flag = steady != 0;
+    io.flag(flag);
+    steady = flag ? 1 : 0;
   });
-  io.u64(pairs_checked_);
-  io.u64(window_overflows_);
-  io.u64(out_of_order_);  // the replay windows are never saved
-  deviation_sum_.checkpoint(io);
-  deviation_sketch_.checkpoint(io);
+  io.each(ring_sigma_, "ring_sigma", &CkptIo::i64);
+  io.each(ring_time_, "ring_time", &CkptIo::f64);
+  io.each(shards_, "shard tally", [&](CkptIo& io, Shard& shard) {  // at a barrier: no cut queued
+    io.each(shard.intra_by_layer, "intra_by_layer", &CkptIo::f64);
+    io.each(shard.inter_by_layer, "inter_by_layer", &CkptIo::f64);
+    io.each(shard.spread_by_layer, "spread_by_layer", &CkptIo::f64);
+    io.each(shard.layer_ring, "layer_ring", extrema);
+    io.u64(shard.pairs_checked);
+    io.u64(shard.window_overflows);
+    io.u64(shard.out_of_order);  // the replay windows are never saved
+    shard.deviation_sum.checkpoint(io);
+    shard.deviation_sketch.checkpoint(io);
+  });
+  io.each(layer_fold_, "layer_fold", extrema);
 }
 
 // --- ExperimentResult --------------------------------------------------------

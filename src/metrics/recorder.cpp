@@ -17,7 +17,7 @@ std::string_view to_string(RecordingMode mode) {
 }
 
 void Recorder::configure(RecordingMode mode) {
-  GTRIX_CHECK_MSG(pulses_recorded_ == 0,
+  GTRIX_CHECK_MSG(pulse_count() == 0,
                   "recording mode must be configured before the first pulse");
   mode_ = mode;
   resize_logs();
@@ -50,8 +50,26 @@ void Recorder::register_node(RecNodeId node, NodeMeta meta) {
   metas_[node] = meta;
 }
 
+void Recorder::set_lanes(std::span<const std::uint32_t> node_lane) {
+  GTRIX_CHECK_MSG(pulse_count() == 0, "recording lanes must be set before the first pulse");
+  GTRIX_CHECK_MSG(node_lane.size() == metas_.size(), "one lane per registered node");
+  const std::size_t lanes = node_lane.empty() ? 1 : std::size_t{std::ranges::max(node_lane)} + 1;
+  GTRIX_CHECK_MSG(lanes <= 65536, "recording lanes overflow the 16-bit lane id");
+  lanes_.assign(lanes, Lane{});
+  for (RecNodeId node = 0; node < metas_.size(); ++node) metas_[node].lane = node_lane[node];
+}
+
+Recorder::Lane Recorder::folded() const noexcept {
+  Lane all;
+  for (const Lane& lane : lanes_) {
+    if (lane.min_sigma != kInvalidSigma) all.widen(lane.min_sigma, lane.max_sigma);
+    all.pulses += lane.pulses;
+  }
+  return all;
+}
+
 void Recorder::set_corruption_anchor() {
-  GTRIX_CHECK_MSG(pulses_recorded_ == 0,
+  GTRIX_CHECK_MSG(pulse_count() == 0,
                   "the corruption anchor must be set before the first pulse");
   if (mode_ == RecordingMode::kFull) return;  // whole trace retained anyway
   anchored_ = true;
@@ -69,17 +87,15 @@ std::uint64_t Recorder::anchored_pulse_count() const {
 
 void Recorder::record_pulse(RecNodeId node, Sigma sigma, SimTime t) {
   GTRIX_CHECK_MSG(node < metas_.size(), "pulse from unregistered node");
-  if (stream_ != nullptr) stream_->on_pulse(node, sigma, t);
-  if (!keeps_logs()) {
-    // No per-wave storage: the streaming accumulators above are the whole
-    // metrics path. Global counters still track the run's envelope. (With a
-    // corruption anchor, streaming mode takes the times path below instead:
-    // realignment and the post-recovery skew window read the pulse trace.)
-    ++pulses_recorded_;
-    if (min_sigma_ == kInvalidSigma || sigma < min_sigma_) min_sigma_ = sigma;
-    if (max_sigma_ == kInvalidSigma || sigma > max_sigma_) max_sigma_ = sigma;
-    return;
-  }
+  const std::uint32_t lane_id = metas_[node].lane;
+  if (stream_ != nullptr) stream_->on_pulse(node, sigma, t, lane_id);
+  Lane& lane = lanes_[lane_id];
+  ++lane.pulses;
+  lane.widen(sigma, sigma);
+  // Without per-wave storage the streaming accumulators above are the whole
+  // metrics path. (With a corruption anchor, streaming mode keeps the times
+  // below: realignment and the post-recovery skew window read the trace.)
+  if (!keeps_logs()) return;
   NodeLog& log = logs_[node];
   if (log.first_sigma == kInvalidSigma) {
     log.first_sigma = sigma;
@@ -96,9 +112,6 @@ void Recorder::record_pulse(RecNodeId node, Sigma sigma, SimTime t) {
     log.times.resize(idx + 1, std::numeric_limits<double>::quiet_NaN());
   }
   log.times[idx] = t;
-  ++pulses_recorded_;
-  if (min_sigma_ == kInvalidSigma || sigma < min_sigma_) min_sigma_ = sigma;
-  if (max_sigma_ == kInvalidSigma || sigma > max_sigma_) max_sigma_ = sigma;
 }
 
 void Recorder::record_iteration(RecNodeId node, const IterationRecord& record) {
@@ -140,12 +153,9 @@ void Recorder::shift_node_sigma(RecNodeId node, Sigma delta) {
   if (log.first_sigma == kInvalidSigma) return;
   log.first_sigma += delta;
   for (IterationRecord& it : log.iterations) it.sigma += delta;
-  if (min_sigma_ != kInvalidSigma) {
-    // Conservative widening of the global range.
-    min_sigma_ = std::min(min_sigma_, log.first_sigma);
-    max_sigma_ = std::max(max_sigma_, log.first_sigma +
-                                          static_cast<Sigma>(log.times.size()) - 1);
-  }
+  // Conservative widening of the global range (the node's lane folds in).
+  lanes_[metas_[node].lane].widen(log.first_sigma,
+                               log.first_sigma + static_cast<Sigma>(log.times.size()) - 1);
 }
 
 Sigma Recorder::last_recorded(RecNodeId node) const {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -69,13 +70,11 @@ struct NodeMeta {
   std::uint32_t column = 0;
   bool faulty = false;
   bool is_source = false;
+  std::uint16_t lane = 0;        ///< recording lane: the node's engine shard (set_lanes)
 };
 
 class Recorder {
  public:
-  Recorder() = default;
-  virtual ~Recorder() = default;
-
   /// Selects the recording mode; must be called before any node records
   /// (the trace would otherwise be part-full, part-streamed). Attaching a
   /// StreamingSkew sink forwards every pulse to it regardless of mode.
@@ -94,11 +93,13 @@ class Recorder {
   const NodeMeta& meta(RecNodeId node) const { return metas_.at(node); }
   std::uint32_t node_count() const noexcept { return static_cast<std::uint32_t>(metas_.size()); }
 
-  // Virtual so the sharded engine can hand nodes a per-shard buffering
-  // proxy (metrics/shard_recorder.hpp) under the same interface; everything
-  // else on Recorder is only called from serial harness code.
-  virtual void record_pulse(RecNodeId node, Sigma sigma, SimTime t);
-  virtual void record_iteration(RecNodeId node, const IterationRecord& record);
+  /// One tally lane per shard, `node_lane[n]` being node n's: nodes then
+  /// record concurrently, each writing only its own log and its shard's
+  /// lane, which the accessors fold. Call after registering every node.
+  void set_lanes(std::span<const std::uint32_t> node_lane);
+
+  void record_pulse(RecNodeId node, Sigma sigma, SimTime t);
+  void record_iteration(RecNodeId node, const IterationRecord& record);
 
   /// Corruption anchor (streaming): switches streaming mode onto the full
   /// pulse-times path, so post-run label realignment and the replay behind
@@ -137,17 +138,18 @@ class Recorder {
   const std::vector<IterationRecord>& iterations(RecNodeId node) const;
 
   /// Smallest / largest sigma recorded for any node (kInvalidSigma if none).
-  Sigma min_sigma() const noexcept { return min_sigma_; }
-  Sigma max_sigma() const noexcept { return max_sigma_; }
+  Sigma min_sigma() const noexcept { return folded().min_sigma; }
+  Sigma max_sigma() const noexcept { return folded().max_sigma; }
 
-  std::uint64_t pulse_count() const noexcept { return pulses_recorded_; }
+  std::uint64_t pulse_count() const noexcept { return folded().pulses; }
 
   static constexpr Sigma kInvalidSigma = std::numeric_limits<Sigma>::min();
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp): sigma extrema, the pulse
   /// counter and every retained node log (pulse times as raw IEEE-754 bits
-  /// so NaN "missing" markers survive). Options and node metas are rebuilt
-  /// by the restored World's construction and only size-validated here.
+  /// so NaN "missing" markers survive), the lanes folded into one. Options,
+  /// node metas and lanes are rebuilt by the restored World's construction
+  /// and only size-validated here.
   void checkpoint(CkptIo& io);
 
  private:
@@ -168,14 +170,26 @@ class Recorder {
   /// std::out_of_range for an unregistered node.
   const NodeLog& log_of(RecNodeId node) const;
 
+  /// One shard's share of the run-wide tallies, on its own cache line.
+  struct alignas(64) Lane {
+    Sigma min_sigma = kInvalidSigma;
+    Sigma max_sigma = kInvalidSigma;
+    std::uint64_t pulses = 0;
+    /// Widens the sigma range to cover [lo, hi].
+    void widen(Sigma lo, Sigma hi) noexcept {
+      if (min_sigma == kInvalidSigma || lo < min_sigma) min_sigma = lo;
+      if (hi > max_sigma) max_sigma = hi;  // kInvalidSigma is the least Sigma
+    }
+  };
+  /// The lanes folded into one: sigma range and pulse count of the run.
+  Lane folded() const noexcept;
+
   RecordingMode mode_ = RecordingMode::kFull;
   bool anchored_ = false;  ///< streaming keeps the pulse trace (corrupt cell)
   StreamingSkew* stream_ = nullptr;
   std::vector<NodeMeta> metas_;
   std::vector<NodeLog> logs_;
-  Sigma min_sigma_ = kInvalidSigma;
-  Sigma max_sigma_ = kInvalidSigma;
-  std::uint64_t pulses_recorded_ = 0;
+  std::vector<Lane> lanes_ = std::vector<Lane>(1);
 };
 
 }  // namespace gtrix

@@ -41,7 +41,7 @@ struct GridTrace {
 /// Distribution summary of the per-pair deviations |t_a - t_b| behind the
 /// extrema above. The count is exact; the quantiles come from a log-binned
 /// sketch in O(1) memory (1% relative error bound -- docs/scaling.md); the
-/// mean is a running mean in the evaluator's feed order.
+/// mean is an exact sum over the count, rounded once.
 struct DeviationStats {
   std::uint64_t count = 0;
   double mean = 0.0;

@@ -62,15 +62,9 @@ World::World(ExperimentConfig config, EngineOptions engine)
     }
   }
 
-  // Trace retention: resolve the mode and, under streaming, stand up the
-  // online skew accumulators before any node can record.
+  // Trace retention: resolve the mode before any node registers (under
+  // streaming, init_shards stands up the online skew accumulator).
   recorder_.configure(resolve_recording(components_.recording));
-  if (recorder_.mode() == RecordingMode::kStreaming) {
-    std::vector<bool> faulty(grid_.node_count(), false);
-    for (const auto& [g, spec] : fault_map_) faulty[g] = true;
-    streaming_ = std::make_unique<StreamingSkew>(grid_, std::move(faulty), config_.warmup);
-    recorder_.set_stream(streaming_.get());
-  }
 
   Rng master(config_.seed);
   Rng delay_rng = master.split("delays");
@@ -90,30 +84,38 @@ World::World(ExperimentConfig config, EngineOptions engine)
 
 void World::init_shards() {
   for (Simulator& sim : sims_) shard_sims_.push_back(&sim);
-  // The serial engine is the Network's one-shard wiring as constructed, and
-  // runs its one queue directly: no cut, no trace buffers to merge and no
-  // windows to time (counters are harvested from always-on sources either
-  // way).
-  if (shard_count_ <= 1) return;
 
   // Contiguous column ranges: shard boundaries are the only edges that
   // cross shards, so the conservative lookahead is an ordinary link delay
   // regardless of topology (line-replicated, torus, and future registry
-  // topologies all expose columns). Line mode's clock source (net id ==
+  // topologies all expose columns), and every layer is cut alike: layer 0
+  // (grid id = base id) maps columns to shards, and a node above takes the
+  // shard of its copy one layer down. Line mode's clock source (net id ==
   // grid node count) feeds column 0, so it stays in shard 0.
+  const std::uint32_t bn = grid_.base().node_count();
   const std::uint32_t columns = grid_.base().column_count();
   std::vector<std::uint32_t> node_shard(net_.node_count(), 0);
-  for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
-    const std::uint32_t col = grid_.base().column(grid_.base_of(g));
-    node_shard[g] = static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(col) * shard_count_ / columns);
+  for (BaseNodeId v = 0; v < bn; ++v) {
+    const std::uint64_t column = grid_.base().column(v);
+    node_shard[v] = static_cast<std::uint32_t>(column * shard_count_ / columns);
   }
-  net_.configure_shards(shard_sims_, node_shard);
-  for (std::uint32_t shard = 0; shard < shard_count_; ++shard) {
-    shard_recorders_.push_back(std::make_unique<ShardRecorder>(recorder_.mode()));
-    shard_recorder_ptrs_.push_back(shard_recorders_.back().get());
+  for (GridNodeId g = bn; g < grid_.node_count(); ++g) node_shard[g] = node_shard[g - bn];
+
+  // The recorder and the live accumulator take one lane per shard.
+  if (recorder_.mode() == RecordingMode::kStreaming) {
+    std::vector<bool> faulty(grid_.node_count(), false);
+    for (const auto& [g, spec] : fault_map_) faulty[g] = true;
+    streaming_ = std::make_unique<StreamingSkew>(grid_, std::move(faulty), config_.warmup,
+                                                 std::span(node_shard).first(bn));
+    recorder_.set_stream(streaming_.get());
   }
-  if (engine_.telemetry) telemetry_ = std::make_unique<Telemetry>(shard_count_);
+  // The serial engine is the Network's one-shard wiring as constructed, with
+  // no cut and no window lanes (counters come from always-on sources).
+  if (shard_count_ > 1) {
+    net_.configure_shards(shard_sims_, node_shard);
+    if (engine_.telemetry) telemetry_ = std::make_unique<Telemetry>(shard_count_);
+  }
+  recorder_.set_lanes(node_shard);
 }
 
 World::~World() = default;
@@ -229,7 +231,7 @@ void World::build_layer0(Rng& clock_rng, Rng& layer0_rng) {
         offset = std::max(0.0, offset + fault_it->second.offset);
       }
       auto emitter = std::make_unique<IdealEmitter>(sim_for(g), net_, g, offset, config_.params,
-                                                    config_.pulses, recorder_for(g));
+                                                    config_.pulses, &recorder_);
       emitter->start();
       emitters_.push_back(std::move(emitter));
     }
@@ -238,7 +240,7 @@ void World::build_layer0(Rng& clock_rng, Rng& layer0_rng) {
 
   // Line propagation (Algorithm 2).
   source_ = std::make_unique<ClockSource>(sim_for(source_id_), net_, source_id_, config_.params,
-                                          config_.pulses, recorder_for(source_id_));
+                                          config_.pulses, &recorder_);
   source_->start();
   for (BaseNodeId v = 0; v < base.node_count(); ++v) {
     const GridNodeId g = grid_.id(v, 0);
@@ -256,7 +258,7 @@ void World::build_layer0(Rng& clock_rng, Rng& layer0_rng) {
       continue;
     }
     auto node = std::make_unique<Layer0LineNode>(sim_for(g), net_, g, make_clock(clock_rng, col, 0),
-                                                 line_pred, config_.params, recorder_for(g),
+                                                 line_pred, config_.params, &recorder_,
                                                  arena_for(g).layer0);
     layer0_by_grid_[g] = node.get();
     net_.set_sink(g, node.get());
@@ -287,7 +289,7 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
       const double period = spec->period > 0.0 ? spec->period : config_.params.lambda;
       const double first_at = (static_cast<double>(layer) + 1.0) * config_.params.lambda;
       auto rogue = std::make_unique<FixedPeriodRogue>(sim_for(g), net_, g, period, first_at,
-                                                      config_.pulses, recorder_for(g));
+                                                      config_.pulses, &recorder_);
       rogue->start();
       rogues_.push_back(rogue.get());
       net_.set_sink(g, rogue.get());
@@ -316,7 +318,7 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
     auto model = algorithm_provider_->make_node(NodeContext{
         sim_for(g), net_, g, std::move(clock), grid_.predecessors(g), config_.params, diameter,
         config_.trim, config_.self_stabilizing, config_.jump_condition, broadcast_offset,
-        recorder_for(g), arena_for(g)});
+        &recorder_, arena_for(g)});
     if (spec != nullptr) install_fault(g, *spec, *model, fault_rng);
     net_.set_sink(g, &model->sink());
     models_[g] = std::move(model);
@@ -385,31 +387,14 @@ void World::install_fault(GridNodeId g, const FaultSpec& spec, NodeModel& model,
   }
 }
 
-void World::run_to_completion() {
+void World::run_until(SimTime deadline) {
   using Clock = std::chrono::steady_clock;
   const bool timed = engine_.telemetry;
   const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-  if (shard_count_ <= 1) {
-    sims_[0].run_all();
-  } else {
-    ShardDriver(shard_sims_, net_, recorder_, shard_recorder_ptrs_,
-                ShardDriverObs{telemetry_.get(), trace_, trace_pid_})
-        .run(kTimeInfinity);
-  }
-  if (timed) run_wall_seconds_ += std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-void World::run_until(SimTime t) {
-  using Clock = std::chrono::steady_clock;
-  const bool timed = engine_.telemetry;
-  const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-  if (shard_count_ <= 1) {
-    sims_[0].run_until(t);
-  } else {
-    ShardDriver(shard_sims_, net_, recorder_, shard_recorder_ptrs_,
-                ShardDriverObs{telemetry_.get(), trace_, trace_pid_})
-        .run(t);
-  }
+  // Window lanes and spans describe windows: a serial run is one window long.
+  ShardDriver(shard_sims_, net_, streaming_.get(),
+              ShardDriverObs{telemetry_.get(), shard_count_ > 1 ? trace_ : nullptr, trace_pid_})
+      .run(deadline);
   if (timed) run_wall_seconds_ += std::chrono::duration<double>(Clock::now() - t0).count();
 }
 

@@ -27,7 +27,6 @@
 #include "graph/grid.hpp"
 #include "metrics/conditions.hpp"
 #include "metrics/realign.hpp"
-#include "metrics/shard_recorder.hpp"
 #include "metrics/skew.hpp"
 #include "metrics/streaming.hpp"
 #include "net/network.hpp"
@@ -146,8 +145,8 @@ struct EngineOptions {
   /// ranges, each with its own event queue, NodeArena and worker thread,
   /// synchronized at the minimum cross-shard link delay. Clamped to the
   /// column count; 0 and 1 both select the serial engine, the one-shard
-  /// case of the same wiring that runs its single queue without worker
-  /// threads or trace buffers.
+  /// case of the same wiring and window loop, which runs its single queue
+  /// in one window on the calling thread.
   std::uint32_t shards = 1;
   /// Engine telemetry (docs/observability.md): World::engine_stats()
   /// harvests counters, window timings and peak RSS after a run. Purely
@@ -168,10 +167,10 @@ class World {
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
-  /// Runs the simulation until the event queue drains. With engine shards
-  /// > 1 this drives all shard queues through the conservative window loop
-  /// (runner/shard_driver.hpp); results are bit-identical either way.
-  void run_to_completion();
+  /// Runs the simulation until the event queue drains, or up to and
+  /// including `t`, through the conservative window loop at every shard
+  /// count (runner/shard_driver.hpp); results do not depend on it.
+  void run_to_completion() { run_until(kTimeInfinity); }
   void run_until(SimTime t);
 
   /// Shards actually used (engine request clamped to the column count).
@@ -264,7 +263,7 @@ class World {
   /// node registers, fault runtimes, the recorder and the streaming
   /// accumulators. Must be called while the World is quiescent (between
   /// run_* calls -- on the sharded engine that is a window barrier with
-  /// every worker parked and every shard-recorder buffer merged). Returns
+  /// every worker parked and the cut exchanged). Returns
   /// the complete checkpoint file image; `meta_json` (may be empty) is
   /// embedded in the header for the runner's own bookkeeping.
   std::vector<std::uint8_t> checkpoint_save(const std::string& meta_json) const;
@@ -304,15 +303,9 @@ class World {
   void build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng);
   void install_fault(GridNodeId g, const FaultSpec& spec, NodeModel& model, Rng& fault_rng);
 
-  /// Per-node wiring lookups: the owning shard's queue, arena and
-  /// recorder. The serial engine records straight into recorder_; more
-  /// shards record into per-shard buffers the ShardDriver merges.
+  /// Per-node wiring lookups: the owning shard's queue and arena.
   Simulator& sim_for(NetNodeId id) { return sims_[shard_of(id)]; }
   NodeArena& arena_for(NetNodeId id) { return arenas_[shard_of(id)]; }
-  Recorder* recorder_for(NetNodeId id) {
-    if (shard_count_ <= 1) return &recorder_;
-    return shard_recorders_[shard_of(id)].get();
-  }
 
   ExperimentConfig config_;
   EngineOptions engine_;
@@ -339,9 +332,6 @@ class World {
   /// World wires; must outlive the node objects below, which hold indices
   /// into it.
   std::vector<NodeArena> arenas_;
-  /// Per-shard trace buffers (empty on the serial engine).
-  std::vector<std::unique_ptr<ShardRecorder>> shard_recorders_;
-  std::vector<ShardRecorder*> shard_recorder_ptrs_;
 
   // Telemetry (EngineOptions::telemetry; null/zero when off). telemetry_
   // holds the per-shard window lanes the ShardDriver workers write;

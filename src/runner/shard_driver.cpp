@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "metrics/streaming.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
@@ -31,23 +32,14 @@ struct WindowPlan {
   SimTime horizon = 0.0;
 };
 
-const char* window_span_name(WindowKind kind) {
-  switch (kind) {
-    case WindowKind::kRunBefore: return "window";
-    case WindowKind::kRunUntil: return "window-final";
-    case WindowKind::kStop: break;
-  }
-  return "stop";
-}
-
 }  // namespace
 
 void ShardDriver::run(SimTime deadline) {
   const std::size_t shards = sims_.size();
-  GTRIX_CHECK_MSG(shards >= 2, "ShardDriver requires at least two shards");
+  GTRIX_CHECK_MSG(shards >= 1, "ShardDriver requires a shard");
   const SimTime lookahead = net_.cross_shard_lookahead();
   GTRIX_CHECK_MSG(lookahead > 0.0, "cross-shard lookahead must be positive");
-  GTRIX_CHECK_MSG(lookahead < kTimeInfinity, "no edge crosses the shard cut");
+  GTRIX_CHECK_MSG(shards == 1 || lookahead < kTimeInfinity, "no edge crosses the shard cut");
 
   WindowPlan plan;
   std::atomic<bool> failed{false};
@@ -62,7 +54,7 @@ void ShardDriver::run(SimTime deadline) {
         plan = WindowPlan{WindowKind::kStop, 0.0};
         return;
       }
-      merge_shard_records(recorder_, shard_recorders_);
+      if (stream_ != nullptr) stream_->exchange();  // the cut nodes' commits
       // Hand the window's cross-shard sends over to the receivers: only here,
       // with every worker parked at the barrier, is it safe to move them out
       // of the send-side cells (workers drain the published buffer while the
@@ -75,16 +67,17 @@ void ShardDriver::run(SimTime deadline) {
         return;
       }
       const SimTime horizon = gmin + lookahead;
-      if (horizon > deadline) {
+      if (horizon > deadline || horizon == kTimeInfinity) {
         // Final window, inclusive: anything sent in it arrives after the
-        // deadline (gmin + L > deadline) and stays parked.
+        // deadline (gmin + L > deadline) and stays parked. One shard has no
+        // cut (L is infinite), so its first window is the final one.
         plan = WindowPlan{WindowKind::kRunUntil, deadline};
       } else {
         plan = WindowPlan{WindowKind::kRunBefore, horizon};
       }
     } catch (...) {
-      // merge_shard_records can only throw via Recorder checks; surface the
-      // error instead of terminating (the completion must be noexcept).
+      // Surface an error of the exchange instead of terminating (the
+      // completion must be noexcept).
       std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
       failed.store(true, std::memory_order_release);
@@ -92,9 +85,9 @@ void ShardDriver::run(SimTime deadline) {
     }
   };
 
-  std::barrier barrier(static_cast<std::ptrdiff_t>(shards), completion);
-
-  auto worker = [&](std::size_t shard) {
+  // `sync` ends a window: the barrier's arrive_and_wait, or at one shard
+  // the completion itself, called inline.
+  auto worker = [&](std::size_t shard, auto&& sync) {
     Simulator& sim = *sims_[shard];
     Telemetry::Lane* lane =
         obs_.telemetry != nullptr ? &obs_.telemetry->lane(static_cast<std::uint32_t>(shard))
@@ -108,7 +101,7 @@ void ShardDriver::run(SimTime deadline) {
     while (true) {
       Clock::time_point t_arrive{};
       if (timed) t_arrive = Clock::now();
-      barrier.arrive_and_wait();
+      sync();
       if (plan.kind == WindowKind::kStop) return;
       Clock::time_point t_start{};
       std::uint64_t executed_before = 0;
@@ -119,15 +112,10 @@ void ShardDriver::run(SimTime deadline) {
       }
       try {
         net_.drain_mailbox(static_cast<std::uint32_t>(shard));
-        switch (plan.kind) {
-          case WindowKind::kRunBefore:
-            sim.run_before(plan.horizon);
-            break;
-          case WindowKind::kRunUntil:
-            sim.run_until(plan.horizon);
-            break;
-          case WindowKind::kStop:
-            break;
+        if (kind == WindowKind::kRunBefore) {
+          sim.run_before(plan.horizon);
+        } else {
+          sim.run_until(plan.horizon);
         }
       } catch (...) {
         // Keep arriving at the barrier so the other workers don't deadlock;
@@ -150,7 +138,8 @@ void ShardDriver::run(SimTime deadline) {
           const std::uint32_t tid = static_cast<std::uint32_t>(shard);
           trace->add_complete(obs_.trace_pid, tid, "barrier", trace->us_at(t_arrive),
                               trace->us_at(t_start) - trace->us_at(t_arrive));
-          trace->add_complete(obs_.trace_pid, tid, window_span_name(kind),
+          trace->add_complete(obs_.trace_pid, tid,
+                              kind == WindowKind::kRunBefore ? "window" : "window-final",
                               trace->us_at(t_start),
                               trace->us_at(t_end) - trace->us_at(t_start),
                               static_cast<std::int64_t>(executed));
@@ -166,11 +155,14 @@ void ShardDriver::run(SimTime deadline) {
     }
   }
 
-  {
+  if (shards == 1) {
+    worker(0, completion);  // the serial engine: no thread, no barrier
+  } else {
+    std::barrier barrier(static_cast<std::ptrdiff_t>(shards), completion);
     std::vector<std::jthread> threads;
     threads.reserve(shards);
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      threads.emplace_back(worker, shard);
+      threads.emplace_back([&, shard] { worker(shard, [&] { barrier.arrive_and_wait(); }); });
     }
   }  // jthreads join here
 

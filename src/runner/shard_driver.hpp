@@ -10,18 +10,20 @@
 // shard may execute all its events in the window [gmin, gmin + L) without
 // ever receiving a message that should have landed inside it. The loop:
 //
-//   barrier (serial completion):  replay the per-shard trace buffers, shard
-//       by shard, into the true Recorder; gmin = min over shard queues +
-//       mailboxes; stop when gmin > deadline, else horizon = gmin + L
-//       (clamped to the inclusive deadline for the final window);
+//   barrier (serial completion):  the live skew accumulator's exchange
+//       (metrics/streaming.hpp); gmin = min over shard queues + mailboxes;
+//       stop when gmin > deadline, else horizon = gmin + L (clamped to the
+//       inclusive deadline for the final window);
 //   workers (parallel):           drain own mailbox in deterministic
 //       (arrival, from, edge) order, then run events strictly below the
 //       horizon (or <= deadline in the final window).
 //
 // Progress: L > 0 (edge delays are positive), so the gmin event itself is
 // always inside its window -- every window executes at least one event. L
-// is also finite: a World's base graph is connected and has at least two
-// layers, so some edge crosses any column cut (run() checks both).
+// is finite with two or more shards: a World's base graph is connected and
+// has at least two layers, so some edge crosses any column cut (run()
+// checks both). At one shard L is infinite: one window runs to the deadline
+// on the calling thread, with no worker thread and no barrier.
 // Safety of the final inclusive window: it only happens when gmin + L >
 // deadline, so messages sent in it arrive strictly after the deadline and
 // stay parked for the next run_until call.
@@ -30,12 +32,12 @@
 #include <cstdint>
 #include <span>
 
-#include "metrics/shard_recorder.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace gtrix {
 
+class StreamingSkew;
 class Telemetry;
 class TraceCollector;
 
@@ -51,17 +53,12 @@ struct ShardDriverObs {
 
 class ShardDriver {
  public:
-  /// All spans are non-owning and must stay alive across run() calls.
-  /// `sims[s]`, `shard_recorders[s]` belong to shard s; `recorder` is the
-  /// true single-threaded Recorder the buffers merge into.
-  ShardDriver(std::span<Simulator* const> sims, Network& net, Recorder& recorder,
-              std::span<ShardRecorder* const> shard_recorders,
+  /// All spans and pointers are non-owning and must stay alive across run()
+  /// calls. `sims[s]` is shard s's queue; `stream` is the live skew
+  /// accumulator whose exchange() runs at every barrier (null when none).
+  ShardDriver(std::span<Simulator* const> sims, Network& net, StreamingSkew* stream,
               ShardDriverObs obs = {})
-      : sims_(sims),
-        net_(net),
-        recorder_(recorder),
-        shard_recorders_(shard_recorders),
-        obs_(obs) {}
+      : sims_(sims), net_(net), stream_(stream), obs_(obs) {}
 
   /// Runs every shard up to and including `deadline` (run_until semantics:
   /// afterwards each shard's now() == deadline, when finite) or to
@@ -72,8 +69,7 @@ class ShardDriver {
  private:
   std::span<Simulator* const> sims_;
   Network& net_;
-  Recorder& recorder_;
-  std::span<ShardRecorder* const> shard_recorders_;
+  StreamingSkew* stream_;
   ShardDriverObs obs_;
 };
 

@@ -28,8 +28,8 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   while (queue_.run_next_due(deadline, now_)) {
     ++executed;
   }
-  // Advance the cursor so subsequent scheduling is relative to the deadline.
-  if (deadline > now_) now_ = deadline;
+  // Advance the cursor so subsequent scheduling is relative to a finite deadline.
+  if (deadline > now_ && deadline < kTimeInfinity) now_ = deadline;
   return executed;
 }
 

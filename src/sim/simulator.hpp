@@ -82,8 +82,9 @@ class alignas(64) Simulator {
   std::uint64_t timer_cancels() const noexcept { return timer_cancels_; }
 
   /// Runs until the queue is empty or the next event is strictly after
-  /// `deadline`. Events exactly at `deadline` are executed. Returns the
-  /// number of events executed.
+  /// `deadline`. Events exactly at `deadline` are executed, and a finite
+  /// deadline leaves now() == deadline. Returns the number of events
+  /// executed.
   std::uint64_t run_until(SimTime deadline);
 
   /// Runs events strictly before `horizon` and leaves now() == horizon.

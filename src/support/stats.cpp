@@ -37,6 +37,17 @@ void ExactSum::add(double x) {
   }
 }
 
+void ExactSum::merge(const ExactSum& other) {
+  std::uint64_t carry = 0;  // 0 or 1
+  for (std::size_t w = 0; w < kWords; ++w) {
+    const std::uint64_t with_carry = words_[w] + carry;
+    carry = with_carry < carry ? 1 : 0;
+    words_[w] = with_carry + other.words_[w];
+    carry += words_[w] < with_carry ? 1 : 0;
+  }
+  GTRIX_CHECK_MSG(carry == 0, "exact sum overflowed its carry room");
+}
+
 double ExactSum::value() const noexcept {
   std::size_t top = kWords;
   while (top > 0 && words_[top - 1] == 0) --top;
@@ -99,6 +110,15 @@ void LogQuantileSketch::add(double x) noexcept {
     return;
   }
   ++counts_[offset];
+}
+
+void LogQuantileSketch::merge(const LogQuantileSketch& other) {
+  GTRIX_CHECK_MSG(gamma_ == other.gamma_ && counts_.size() == other.counts_.size(),
+                  "merged sketches must share their binning");
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  zero_ += other.zero_;
+  overflow_high_ += other.overflow_high_;
+  total_ += other.total_;
 }
 
 double LogQuantileSketch::quantile(double q) const noexcept {

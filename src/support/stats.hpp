@@ -22,8 +22,14 @@ class ExactSum {
   /// Adds x exactly. x must be finite and >= 0 (GTRIX_CHECK).
   void add(double x);
 
+  /// Adds `other`'s words, with carry: a multiset split across accumulators
+  /// merges to the one-accumulator words exactly.
+  void merge(const ExactSum& other);
+
   /// The sum rounded once, to nearest-even (+inf past the double range).
   double value() const noexcept;
+
+  bool operator==(const ExactSum&) const = default;
 
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp): every word.
   void checkpoint(CkptIo& io);
@@ -50,6 +56,9 @@ class LogQuantileSketch {
 
   /// x must be >= 0; values below 1e-9 count as zero.
   void add(double x) noexcept;
+  /// Adds `other`'s bins to this one's (same relative error; GTRIX_CHECK).
+  /// Bin counts add exactly, so a split stream merges to the one-sketch bins.
+  void merge(const LogQuantileSketch& other);
   std::size_t count() const noexcept { return total_; }
   bool empty() const noexcept { return total_ == 0; }
 
@@ -62,6 +71,8 @@ class LogQuantileSketch {
   /// Checkpoint codec (src/ckpt/state_ckpt.cpp): bin counts and totals; the
   /// binning parameters are construction state and must already match.
   void checkpoint(CkptIo& io);
+
+  bool operator==(const LogQuantileSketch&) const = default;
 
  private:
   double gamma_;

@@ -8,7 +8,6 @@
 #include <ostream>
 #include <vector>
 
-#include "metrics/shard_recorder.hpp"
 #include "registry/delay.hpp"
 #include "runner/shard_driver.hpp"
 #include "sim/simulator.hpp"
@@ -244,17 +243,7 @@ CaseRun run_send_cases(std::uint32_t shards) {
   sender.broadcast(sim_of(1), 30.0, 1, 4);  // mixed delays: per edge
   net.inject(3, 1, Pulse{5}, 23.0);         // ties the batched arrival at 1
 
-  if (shards > 1) {
-    Recorder recorder;
-    std::deque<ShardRecorder> buffers;
-    std::vector<ShardRecorder*> buffer_ptrs;
-    for (std::size_t s = 0; s < sims.size(); ++s) {
-      buffer_ptrs.push_back(&buffers.emplace_back(recorder.mode()));
-    }
-    ShardDriver(shard_sims, net, recorder, buffer_ptrs).run(kTimeInfinity);
-  } else {
-    sims[0].run_all();
-  }
+  ShardDriver(shard_sims, net, nullptr).run(kTimeInfinity);
 
   CaseRun run;
   for (const RecordingSink& sink : sinks) run.received.push_back(sink.received);

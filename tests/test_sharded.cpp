@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "ckpt/codec.hpp"
-#include "metrics/shard_recorder.hpp"
 #include "metrics/streaming.hpp"
 #include "net/network.hpp"
 #include "runner/campaign.hpp"
@@ -108,9 +107,10 @@ TEST(Sharded, AllBuiltinScenariosIdenticalAcrossShardCounts) {
   // serial engine exactly. Covers corrupt cells (thm16-stabilization runs
   // the run_until + corrupt_fraction + realign path) and streaming
   // recording: the scale scenarios declare it, and every other builtin runs
-  // once more under a streaming override. A clean streaming cell feeds the
-  // live accumulator at each window barrier, shard after shard, so this is
-  // where a feed-order dependence of any report field would show.
+  // once more under a streaming override. A clean streaming cell's shards
+  // feed the live accumulator concurrently and score the pairs across a
+  // cut at each window's exchange, so this is where a feed-order
+  // dependence of any report field would show.
   for (const BuiltinInfo& info : builtin_scenarios()) {
     const Scenario scenario = Scenario::from_json(thin_doc(builtin_scenario_doc(info.name)));
     std::vector<ScenarioCell> cells = scenario.cells();
@@ -143,35 +143,41 @@ TEST(Sharded, AllBuiltinScenariosIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(Sharded, EqualTimestampsOnTwoShardRecordersMergeToTheSerialResult) {
+TEST(Sharded, EqualTimestampsOnTwoRecorderLanesFoldToTheSerialResult) {
   // Nodes 0 and 1 (layer 0) pulse at one timestamp every wave; nodes 2 and
-  // 3 (layer 1) follow with jitter. The merge replays shard 0's buffer
-  // {1, 3} before shard 1's {0, 2}, so every window reaches the sink in a
-  // cross-node order the serial engine never produces. Recorder and live
-  // accumulator must still end in the serial state, report and saved bytes.
+  // 3 (layer 1) follow with jitter. Two lanes of one recorder take nodes
+  // {1, 3} (lane 0) and {0, 2} (lane 1), so every node is a cut node, each
+  // window records lane 0's node first -- a cross-node order the serial
+  // engine never produces -- and the window's exchange scores every pair.
+  // Recorder and live accumulator must still end in the serial report, and
+  // the recorder, whose lanes are saved folded, in the serial saved bytes.
   const Grid grid(BaseGraph::path(2), 2);
-  const auto make_recorder = [&](RecordingMode mode) {
-    auto recorder = std::make_unique<Recorder>();
-    recorder->configure(mode);
-    for (GridNodeId g = 0; g < grid.node_count(); ++g) {
-      NodeMeta meta;
-      meta.layer = grid.layer_of(g);
-      meta.base = grid.base_of(g);
-      meta.column = grid.base().column(meta.base);
-      recorder->register_node(g, meta);
-    }
-    return recorder;
-  };
+  const std::vector<std::uint32_t> base_lane = {1, 0};  // by base node, in both layers
   const std::vector<bool> faulty(grid.node_count(), false);
   struct Sink {
     std::unique_ptr<Recorder> recorder;
     std::unique_ptr<StreamingSkew> stream;
   };
-  const auto make_sink = [&](RecordingMode mode) {
-    Sink sink{make_recorder(mode), nullptr};
+  const auto make_sink = [&](RecordingMode mode, const std::vector<std::uint32_t>& base_lanes) {
+    Sink sink{std::make_unique<Recorder>(), nullptr};
+    sink.recorder->configure(mode);
+    for (GridNodeId g = 0; g < grid.node_count(); ++g) {
+      NodeMeta meta;
+      meta.layer = grid.layer_of(g);
+      meta.base = grid.base_of(g);
+      meta.column = grid.base().column(meta.base);
+      sink.recorder->register_node(g, meta);
+    }
     if (mode == RecordingMode::kStreaming) {
-      sink.stream = std::make_unique<StreamingSkew>(grid, faulty, 1);
+      sink.stream = std::make_unique<StreamingSkew>(grid, faulty, 1, base_lanes);
       sink.recorder->set_stream(sink.stream.get());
+    }
+    if (!base_lanes.empty()) {
+      std::vector<std::uint32_t> node_lanes;
+      for (GridNodeId g = 0; g < grid.node_count(); ++g) {
+        node_lanes.push_back(base_lanes[grid.base_of(g)]);
+      }
+      sink.recorder->set_lanes(node_lanes);
     }
     return sink;
   };
@@ -183,38 +189,70 @@ TEST(Sharded, EqualTimestampsOnTwoShardRecordersMergeToTheSerialResult) {
 
   for (const RecordingMode mode : {RecordingMode::kFull, RecordingMode::kStreaming}) {
     SCOPED_TRACE(std::string(to_string(mode)));
-    Sink serial = make_sink(mode);
-    Sink merged = make_sink(mode);
-    ShardRecorder shard0(mode);  // nodes 1 and 3
-    ShardRecorder shard1(mode);  // nodes 0 and 2
-    std::vector<ShardRecorder*> shards = {&shard0, &shard1};
+    Sink serial = make_sink(mode, {});
+    Sink lanes = make_sink(mode, base_lane);
+    const auto end_window = [&] {
+      if (lanes.stream != nullptr) lanes.stream->exchange();
+    };
     Rng rng(7);
     for (Sigma s = 0; s < 12; ++s) {
       const SimTime t = 2000.0 * static_cast<double>(s);
-      // Window 1: both layer-0 nodes record at t, in serial (node) order.
+      // Window 1: both layer-0 nodes record at t.
       for (const RecNodeId node : {0u, 1u}) serial.recorder->record_pulse(node, s, t);
-      shard1.record_pulse(0, s, t);
-      shard0.record_pulse(1, s, t);
-      merge_shard_records(*merged.recorder, shards);
+      for (const RecNodeId node : {1u, 0u}) lanes.recorder->record_pulse(node, s, t);
+      end_window();
       // Window 2: layer 1, one link delay later.
       const SimTime t2 = t + 1000.0 + rng.uniform(0.0, 20.0);
       const SimTime t3 = t + 1000.0 + rng.uniform(0.0, 20.0);
       serial.recorder->record_pulse(2, s, t2);
       serial.recorder->record_pulse(3, s, t3);
-      shard1.record_pulse(2, s, t2);
-      shard0.record_pulse(3, s, t3);
-      merge_shard_records(*merged.recorder, shards);
+      lanes.recorder->record_pulse(3, s, t3);
+      lanes.recorder->record_pulse(2, s, t2);
+      end_window();
     }
-    EXPECT_TRUE(shard0.pulses().empty());
-    EXPECT_TRUE(shard1.pulses().empty());
+    EXPECT_EQ(lanes.recorder->pulse_count(), serial.recorder->pulse_count());
     EXPECT_EQ(saved([&](CkptIo& io) { serial.recorder->checkpoint(io); }),
-              saved([&](CkptIo& io) { merged.recorder->checkpoint(io); }));
+              saved([&](CkptIo& io) { lanes.recorder->checkpoint(io); }));
     if (mode == RecordingMode::kStreaming) {
       const SkewReport report = serial.stream->report(1, 10);
       EXPECT_GT(report.pairs_checked, 0u);
-      EXPECT_EQ(skew_to_json(merged.stream->report(1, 10)).dump(), skew_to_json(report).dump());
-      EXPECT_EQ(saved([&](CkptIo& io) { serial.stream->checkpoint(io); }),
-                saved([&](CkptIo& io) { merged.stream->checkpoint(io); }));
+      EXPECT_EQ(skew_to_json(lanes.stream->report(1, 10)).dump(), skew_to_json(report).dump());
+      EXPECT_EQ(lanes.stream->window_overflows(), 0u);
+    }
+  }
+}
+
+TEST(Sharded, CutTopologiesMatchTheSerialSkewAtEveryShardCount) {
+  // A cycle of reach 2 puts a cut node's partners up to two columns across
+  // the cut; at 4 shards of 6 columns shard 1 is column 2 alone, so a pair
+  // from column 1 (shard 0) to column 3 (shard 2) skips a whole shard. The
+  // torus's wrap-around edges cut between the last shard and the first.
+  // Every cross-shard pair must be scored once, at a window's exchange.
+  ComponentSpec cycle = ComponentSpec::of("cycle");
+  cycle.params.set("reach", 2);
+  for (const ComponentSpec& topology : {cycle, ComponentSpec::of("torus")}) {
+    SCOPED_TRACE(topology.kind);
+    ExperimentConfig config;
+    config.topology_spec = topology;
+    config.columns = 6;
+    config.layers = 6;
+    config.pulses = 20;
+    config.recording_spec = ComponentSpec::of("streaming");
+    World serial(config);
+    serial.run_to_completion();
+    const SkewReport want = serial.skew();
+    ASSERT_GT(want.pairs_checked, 0u);
+    for (const std::uint32_t shards : {2u, 3u, 4u}) {
+      EngineOptions engine;
+      engine.shards = shards;
+      World world(config, engine);
+      ASSERT_EQ(world.shard_count(), shards);
+      world.run_to_completion();
+      ASSERT_NE(world.streaming(), nullptr);
+      EXPECT_EQ(world.streaming()->window_overflows(), 0u) << shards << " shards";
+      const SkewReport got = world.skew();
+      EXPECT_EQ(got.pairs_checked, want.pairs_checked) << shards << " shards";
+      EXPECT_EQ(skew_to_json(got).dump(), skew_to_json(want).dump()) << shards << " shards";
     }
   }
 }

@@ -13,20 +13,47 @@
 namespace gtrix {
 namespace {
 
-/// Sums `xs` into a fresh ExactSum in the given order.
-double exact_sum(const std::vector<double>& xs) {
+/// Sums [first, last) into a fresh ExactSum in the given order.
+ExactSum sum_of(std::vector<double>::const_iterator first,
+                std::vector<double>::const_iterator last) {
   ExactSum sum;
-  for (const double x : xs) sum.add(x);
-  return sum.value();
+  for (; first != last; ++first) sum.add(*first);
+  return sum;
 }
 
-/// Requires the same bits from every permutation of `xs`.
+double exact_sum(const std::vector<double>& xs) { return sum_of(xs.begin(), xs.end()).value(); }
+
+/// Requires the same bits from every permutation of `xs`, and the same
+/// words from every split of each permutation across two accumulators that
+/// are then merged.
 void expect_order_free(std::vector<double> xs, double expected) {
   std::sort(xs.begin(), xs.end());
   do {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(exact_sum(xs)), std::bit_cast<std::uint64_t>(expected))
-        << "got " << exact_sum(xs) << ", want " << expected;
+    const ExactSum whole = sum_of(xs.begin(), xs.end());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(whole.value()), std::bit_cast<std::uint64_t>(expected))
+        << "got " << whole.value() << ", want " << expected;
+    for (auto split = xs.cbegin(); split <= xs.cend(); ++split) {
+      ExactSum merged = sum_of(xs.cbegin(), split);
+      merged.merge(sum_of(split, xs.cend()));
+      EXPECT_TRUE(merged == whole) << "split after " << (split - xs.cbegin()) << " values";
+    }
   } while (std::next_permutation(xs.begin(), xs.end()));
+}
+
+/// Requires that `xs` split across two sketches (alternate values) and
+/// merged gives the one-sketch bins exactly.
+void expect_split_sketch_merges_exactly(const std::vector<double>& xs) {
+  LogQuantileSketch whole(0.01);
+  LogQuantileSketch even(0.01);
+  LogQuantileSketch odd(0.01);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    whole.add(xs[i]);
+    (i % 2 == 0 ? even : odd).add(xs[i]);
+  }
+  even.merge(odd);
+  EXPECT_TRUE(even == whole);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(even.quantile(0.9)),
+            std::bit_cast<std::uint64_t>(whole.quantile(0.9)));
 }
 
 TEST(ExactSum, EmptyIsZero) {
@@ -60,6 +87,11 @@ TEST(ExactSum, SubnormalsMixWithValuesNear2To1000) {
   const double min_normal = std::numeric_limits<double>::min();
   expect_order_free({min_normal / 2, min_normal / 2, tiny}, min_normal + tiny);
   expect_order_free({0x1p1000, tiny, 0x1.8p999, 3 * tiny, 0x1p-1060}, 0x1.cp1000);
+  // 2^64 - 2^11 units of 2^-1074, plus 2^11 - 1 units, fill word 0 with
+  // ones; one more unit carries into word 1, in an add or in a merge.
+  const double high_bits = 0x1.fffffffffffffp-1011;
+  const double low_bits = 2047 * tiny;
+  expect_order_free({high_bits, low_bits, tiny}, 0x1p-1010);
   // The exact sum leaves the double range: +inf, as correct rounding says.
   const double max = std::numeric_limits<double>::max();
   EXPECT_EQ(exact_sum({max, tiny}), max);
@@ -119,6 +151,12 @@ TEST(LogQuantileSketchTest, EmptyIsNaN) {
   LogQuantileSketch sketch;
   EXPECT_TRUE(std::isnan(sketch.quantile(0.5)));
   EXPECT_TRUE(sketch.empty());
+  expect_split_sketch_merges_exactly({});
+}
+
+TEST(LogQuantileSketchTest, MergeRequiresTheSameBinning) {
+  LogQuantileSketch sketch(0.01);
+  EXPECT_THROW(sketch.merge(LogQuantileSketch(0.02)), std::logic_error);
 }
 
 TEST(LogQuantileSketchTest, GuaranteedRelativeErrorOnUniformStream) {
@@ -137,6 +175,7 @@ TEST(LogQuantileSketchTest, GuaranteedRelativeErrorOnUniformStream) {
     const double exact = quantile(all, q);
     EXPECT_NEAR(sketch.quantile(q), exact, 0.015 * exact + 1e-6) << "q=" << q;
   }
+  expect_split_sketch_merges_exactly(all);
 }
 
 TEST(LogQuantileSketchTest, PointMassMixtureStaysAccurate) {
@@ -156,6 +195,7 @@ TEST(LogQuantileSketchTest, PointMassMixtureStaysAccurate) {
   EXPECT_NEAR(sketch.quantile(0.5), 0.5, 0.02 * 0.5);
   const double exact_p95 = quantile(all, 0.95);
   EXPECT_NEAR(sketch.quantile(0.95), exact_p95, 0.02 * exact_p95);
+  expect_split_sketch_merges_exactly(all);
 }
 
 TEST(LogQuantileSketchTest, ZerosAndExtremesAreHandled) {
@@ -166,6 +206,9 @@ TEST(LogQuantileSketchTest, ZerosAndExtremesAreHandled) {
   EXPECT_DOUBLE_EQ(sketch.quantile(0.0), 0.0);
   EXPECT_GT(sketch.quantile(1.0), 1e11);
   EXPECT_GT(sketch.memory_bytes(), 0u);
+  std::vector<double> all(10, 0.0);
+  all.push_back(1e15);
+  expect_split_sketch_merges_exactly(all);
 }
 
 }  // namespace
