@@ -61,7 +61,11 @@ inline constexpr std::string_view kCkptMagic = "GTRXCKPT";
 // stream drops the Box-Muller spare (the "faults" section).
 // v11: the "streaming" section splits its tallies into one record per shard
 // and adds the shards' folded layer extrema.
-inline constexpr std::uint32_t kCkptFormatVersion = 11;
+// v12: a gradient node's counters leave its record for one tally per shard
+// at the end of the "nodes" section; the node saves its staged wave and its
+// has-broadcast bit, and its staged iteration record under full recording
+// only.
+inline constexpr std::uint32_t kCkptFormatVersion = 12;
 
 /// Any checkpoint failure: unreadable/corrupt/truncated files, version
 /// mismatches, snapshot/config mismatches. Messages are path-qualified by

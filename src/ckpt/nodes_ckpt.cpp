@@ -1,11 +1,12 @@
 // Checkpoint codecs for every node class: the algorithm nodes (gradient,
-// naive TRIX, Lynch-Welch), the layer-0 line node and the fault behaviours.
-// Each serializes its arena registers through its own accessors, listing
-// them once for both directions (CkptIo). Timer handles are stored
-// verbatim: the event-queue snapshot preserves slot indices and
-// generations, so a restored handle refers to exactly the event it did at
-// save time. A gradient node's deadlines travel as their event keys, and
-// its entry's handle must carry the earliest of them on restore.
+// naive TRIX, Lynch-Welch), the layer-0 line node, the fault behaviours and
+// the gradient nodes' per-shard tally. Each serializes its arena registers
+// through its own accessors, listing them once for both directions
+// (CkptIo). Timer handles are stored verbatim: the event-queue snapshot
+// preserves slot indices and generations, so a restored handle refers to
+// exactly the event it did at save time. A gradient node's deadlines
+// travel as their event keys, and its entry's handle must carry the
+// earliest of them on restore.
 #include "baseline/lw_grid.hpp"
 #include "baseline/trix_node.hpp"
 #include "ckpt/codec.hpp"
@@ -20,8 +21,7 @@ namespace gtrix {
 // --- GradientTrixNode --------------------------------------------------------
 
 void GradientTrixNode::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(GradientTrixNode, 400);
-  GTRIX_CKPT_FIELDS(Counters, 8);
+  GTRIX_CKPT_SIZEOF(GradientTrixNode, 192);
   GTRIX_CHECK_MSG(!entry_stale_, "checkpoint of a gradient node between its entry syncs");
   io.u8(soa_->phase[i_]);
   io.f64(h_own());
@@ -44,22 +44,32 @@ void GradientTrixNode::checkpoint(CkptIo& io) {
     io.u8(seen(s));
     io.i64(slot_sigma(s));
   }
-  ckpt::pending(io, pending_);
-  ckpt::iteration(io, staged_record_);
-  io.u64(counters_.iterations);
-  io.u64(counters_.late_broadcasts);
-  io.u64(counters_.guard_aborts);
-  io.u64(counters_.watchdog_resets);
-  io.u64(counters_.duplicate_drops);
-  io.u64(counters_.pending_overflow);
-  io.u64(counters_.timeout_branches);
-  io.u64(counters_.late_absorbed);
+  // A null queue travels as an empty one; a restore allocates only a
+  // queue that holds messages.
+  std::vector<PendingMsg> none;
+  ckpt::pending(io, pending_ != nullptr ? *pending_ : none);
+  if (!none.empty()) pending_ = std::make_unique<std::vector<PendingMsg>>(std::move(none));
+  io.i64(staged_sigma_);
+  io.flag(has_broadcast_);
+  if (keeps_record_) ckpt::iteration(io, soa_->staged[i_]);
+}
+
+void GradientTally::checkpoint(CkptIo& io) {
+  GTRIX_CKPT_FIELDS(GradientTally, 8);
+  io.u64(iterations);
+  io.u64(late_broadcasts);
+  io.u64(guard_aborts);
+  io.u64(watchdog_resets);
+  io.u64(duplicate_drops);
+  io.u64(pending_overflow);
+  io.u64(timeout_branches);
+  io.u64(late_absorbed);
 }
 
 // --- Layer0LineNode ----------------------------------------------------------
 
 void Layer0LineNode::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(Layer0LineNode, 160);
+  GTRIX_CKPT_SIZEOF(Layer0LineNode, 144);
   io.f64(stored_h());
   io.i64(out_sigma());
   ckpt::timer(io, broadcast_timer());
@@ -69,7 +79,7 @@ void Layer0LineNode::checkpoint(CkptIo& io) {
 // --- TrixNaiveNode -----------------------------------------------------------
 
 void TrixNaiveNode::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 192);
+  GTRIX_CKPT_SIZEOF(TrixNaiveNode, 176);
   io.u8(armed());
   io.u32(seen_count());
   ckpt::timer(io, fire_timer());
@@ -85,7 +95,7 @@ void TrixNaiveNode::checkpoint(CkptIo& io) {
 // --- LynchWelchGridNode ------------------------------------------------------
 
 void LynchWelchGridNode::checkpoint(CkptIo& io) {
-  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 200);
+  GTRIX_CKPT_SIZEOF(LynchWelchGridNode, 184);
   io.u32(seen_count());
   ckpt::timer(io, fire_timer());
   io.same_count(preds_.size(), "lynch-welch node predecessor slot");

@@ -109,6 +109,7 @@ void World::checkpoint_sections(CkptWriter* save_to, const CkptFile* restore_fro
         default: break;
       }
     }
+    for (NodeArena& arena : arenas_) arena.gradient.tally.checkpoint(io);
   });
 
   section("faults", [&](CkptIo& io) {

@@ -14,7 +14,10 @@ HardwareClock::HardwareClock(std::vector<std::pair<SimTime, double>> breakpoints
                              LocalTime offset) {
   GTRIX_CHECK_MSG(!breakpoints.empty(), "empty rate schedule");
   GTRIX_CHECK_MSG(breakpoints.front().first == 0.0, "schedule must start at t=0");
-  if (breakpoints.size() > 1) schedule_.reserve(breakpoints.size());
+  if (breakpoints.size() > 1) {
+    schedule_ = std::make_unique<std::vector<Segment>>();
+    schedule_->reserve(breakpoints.size());
+  }
   LocalTime h = offset;
   for (std::size_t i = 0; i < breakpoints.size(); ++i) {
     const auto [t0, rate] = breakpoints[i];
@@ -25,13 +28,13 @@ HardwareClock::HardwareClock(std::vector<std::pair<SimTime, double>> breakpoints
     }
     const Segment seg{t0, h, rate};
     if (i == 0) origin_ = seg;
-    if (breakpoints.size() > 1) schedule_.push_back(seg);
+    if (schedule_ != nullptr) schedule_->push_back(seg);
   }
 }
 
 LocalTime HardwareClock::to_local_schedule(SimTime t) const {
   // Find the last segment with t0 <= t.
-  auto it = std::upper_bound(schedule_.begin(), schedule_.end(), t,
+  auto it = std::upper_bound(schedule_->begin(), schedule_->end(), t,
                              [](SimTime v, const Segment& s) { return v < s.t0; });
   const Segment& seg = *std::prev(it);
   return seg.h0 + seg.rate * (t - seg.t0);
@@ -40,7 +43,7 @@ LocalTime HardwareClock::to_local_schedule(SimTime t) const {
 SimTime HardwareClock::to_real_schedule(LocalTime h) const {
   // Find the last segment with h0 <= h. h0 is increasing because rates are
   // positive and breakpoints increase.
-  auto it = std::upper_bound(schedule_.begin(), schedule_.end(), h,
+  auto it = std::upper_bound(schedule_->begin(), schedule_->end(), h,
                              [](LocalTime v, const Segment& s) { return v < s.h0; });
   const Segment& seg = *std::prev(it);
   return seg.t0 + (h - seg.h0) / seg.rate;

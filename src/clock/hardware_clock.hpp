@@ -12,6 +12,7 @@
 //    on slowly varying clock speeds).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,7 +38,7 @@ class HardwareClock {
   /// on the hot path. Identical arithmetic to the schedule walk.
   LocalTime to_local(SimTime t) const {
     GTRIX_CHECK_MSG(t >= 0.0, "negative real time");
-    if (schedule_.empty()) [[likely]] {
+    if (schedule_ == nullptr) [[likely]] {
       return origin_.h0 + origin_.rate * (t - origin_.t0);
     }
     return to_local_schedule(t);
@@ -46,7 +47,7 @@ class HardwareClock {
   /// Real time at which the local reading reaches h (h >= H(0)).
   SimTime to_real(LocalTime h) const {
     GTRIX_CHECK_MSG(h >= origin_.h0, "local time precedes clock origin");
-    if (schedule_.empty()) [[likely]] {
+    if (schedule_ == nullptr) [[likely]] {
       return origin_.t0 + (h - origin_.h0) / origin_.rate;
     }
     return to_real_schedule(h);
@@ -69,15 +70,17 @@ class HardwareClock {
   LocalTime to_local_schedule(SimTime t) const;
   SimTime to_real_schedule(LocalTime h) const;
   std::span<const Segment> segments() const {
-    return schedule_.empty() ? std::span<const Segment>(&origin_, 1) : schedule_;
+    return schedule_ == nullptr ? std::span<const Segment>(&origin_, 1)
+                                : std::span<const Segment>(*schedule_);
   }
 
   // The first segment lives inline, so a static-rate clock -- one per grid
-  // node on the default models -- owns no heap memory. A multi-segment
-  // schedule keeps every segment (sorted by t0, schedule_[0] == origin_) in
-  // schedule_, which is empty for a single segment.
+  // node on the default models -- owns no heap memory and spends 8 B on the
+  // schedule. A multi-segment schedule keeps every segment (sorted by t0,
+  // (*schedule_)[0] == origin_) behind schedule_, which is null for a
+  // single segment.
   Segment origin_{};
-  std::vector<Segment> schedule_;
+  std::unique_ptr<std::vector<Segment>> schedule_;
 };
 
 }  // namespace gtrix

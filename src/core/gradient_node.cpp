@@ -18,6 +18,7 @@ GradientTrixNode::GradientTrixNode(Simulator& sim, Network& net, NetNodeId self,
     : sim_(sim),
       net_(net),
       self_(self),
+      keeps_record_(recorder != nullptr && recorder->mode() == RecordingMode::kFull),
       clock_(std::move(clock)),
       preds_(preds),
       broadcast_offset_(broadcast_offset),
@@ -29,7 +30,7 @@ GradientTrixNode::GradientTrixNode(Simulator& sim, Network& net, NetNodeId self,
   // window must keep H_min at or before H_max.
   GTRIX_CHECK_MSG(2 * static_cast<std::size_t>(config.trim) < preds_.size() - 1,
                   "trim too large for degree");
-  i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()), config);
+  i_ = soa_->add_node(static_cast<std::uint32_t>(preds_.size()), config, keeps_record_);
   slot_base_ = soa_->slot_base[i_];
 }
 
@@ -57,14 +58,15 @@ void GradientTrixNode::on_pulse(NetNodeId from, EdgeId /*edge*/, const Pulse& pu
       seen(slot) = 1;
       if (slot > 0) r(slot) = 1;
       slot_sigma(slot) = pulse.stamp;
-      ++counters_.late_absorbed;
+      ++tally().late_absorbed;
       return;
     }
-    if (pending_.size() >= kPendingCap) {
-      pending_.erase(pending_.begin());
-      ++counters_.pending_overflow;
+    if (pending_ == nullptr) pending_ = std::make_unique<std::vector<PendingMsg>>();
+    if (pending_->size() >= kPendingCap) {
+      pending_->erase(pending_->begin());
+      ++tally().pending_overflow;
     }
-    pending_.push_back(PendingMsg{from, h, pulse.stamp});
+    pending_->push_back(PendingMsg{from, h, pulse.stamp});
     return;
   }
   process_message(slot, h, pulse.stamp, now);
@@ -82,7 +84,7 @@ void GradientTrixNode::process_message(std::size_t slot, LocalTime h, Sigma sigm
       slot_sigma(0) = sigma;
       changed = true;
     } else {
-      ++counters_.duplicate_drops;
+      ++tally().duplicate_drops;
     }
   } else {
     // Pulse from a neighbour copy (w, l-1). With trimming, H_min is the
@@ -107,7 +109,7 @@ void GradientTrixNode::process_message(std::size_t slot, LocalTime h, Sigma sigm
       if (seen_before + 1 == degree - trim) h_max() = h;
       changed = true;
     } else {
-      ++counters_.duplicate_drops;
+      ++tally().duplicate_drops;
     }
   }
   if (changed) update_until(now, clock_.to_local(now));
@@ -241,7 +243,7 @@ void GradientTrixNode::on_timer(const Event& event) {
           seen(i) = 0;
           slot_sigma(i) = 0;
         }
-        ++counters_.watchdog_resets;
+        ++tally().watchdog_resets;
         disarm(phase_deadline_);  // any armed until-timer is now meaningless
       }
       break;
@@ -256,17 +258,20 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
   const Params& p = config().params;
   const double kappa = p.kappa();
 
-  IterationRecord rec;
-  rec.sigma = estimate_sigma();
-  rec.h_own = h_own();
-  rec.h_min = h_min();
-  rec.h_max = h_max();
-  rec.own_missing = !std::isfinite(h_own());
-  rec.max_missing = !std::isfinite(h_max());
-  rec.slot_count = static_cast<std::uint8_t>(preds_.size());
-  for (std::size_t i = 0; i < preds_.size(); ++i) {
-    rec.slot_sigma[i] = slot_sigma(i);
-    rec.slot_seen[i] = seen(i) != 0;
+  const Sigma sigma = estimate_sigma();
+  IterationRecord* rec = stage_record();
+  if (rec != nullptr) {
+    rec->sigma = sigma;
+    rec->h_own = h_own();
+    rec->h_min = h_min();
+    rec->h_max = h_max();
+    rec->own_missing = !std::isfinite(h_own());
+    rec->max_missing = !std::isfinite(h_max());
+    rec->slot_count = static_cast<std::uint8_t>(preds_.size());
+    for (std::size_t i = 0; i < preds_.size(); ++i) {
+      rec->slot_sigma[i] = slot_sigma(i);
+      rec->slot_seen[i] = seen(i) != 0;
+    }
   }
 
   const bool branch1 = !config().simplified && !std::isfinite(h_own());
@@ -275,16 +280,16 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     // Algorithm 3 first branch: the own-copy pulse never showed up before
     // H_max + kappa/2 + theta kappa local time; pulse from the last
     // neighbour reception instead: H_max + 3 kappa/2 + Lambda - d.
-    rec.timeout_branch = true;
-    ++counters_.timeout_branches;
+    if (rec != nullptr) rec->timeout_branch = true;
+    ++tally().timeout_branches;
     if (config().self_stabilizing && h_max() > now_local + kGuardSlack) {
-      ++counters_.guard_aborts;  // corrupted state: reception in the future
+      ++tally().guard_aborts;  // corrupted state: reception in the future
       finish_iteration_without_pulse(now);
       return;
     }
     const LocalTime target = h_max() + 1.5 * kappa + p.lambda - p.d;
-    rec.correction = 0.0;  // no own reference; no correction defined
-    schedule_broadcast(now, target + broadcast_offset_, rec);
+    // No own reference, so no correction is defined: the record keeps 0.
+    schedule_broadcast(now, target + broadcast_offset_, sigma);
     return;
   }
 
@@ -308,7 +313,7 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     const double h_max_eff = std::max(h_max(), h_min());
     c = compute_correction(h_own(), h_min(), h_max_eff, p, config().jump_condition);
   }
-  rec.correction = c.value;
+  if (rec != nullptr) rec->correction = c.value;
   const LocalTime target = h_own() + p.lambda - p.d - c.value;
 
   if (config().self_stabilizing) {
@@ -316,12 +321,12 @@ void GradientTrixNode::exit_collect(SimTime now, LocalTime now_local) {
     const bool future_min = c.value < 0.0 && h_min() > now_local + kGuardSlack;
     const bool absurd_wait = target > now_local + (p.lambda - p.d) + kGuardSlack;
     if (future_own || future_min || absurd_wait) {
-      ++counters_.guard_aborts;
+      ++tally().guard_aborts;
       finish_iteration_without_pulse(now);
       return;
     }
   }
-  schedule_broadcast(now, target + broadcast_offset_, rec);
+  schedule_broadcast(now, target + broadcast_offset_, sigma);
 }
 
 void GradientTrixNode::finish_iteration_without_pulse(SimTime now) {
@@ -330,9 +335,15 @@ void GradientTrixNode::finish_iteration_without_pulse(SimTime now) {
   drain_pending(now);
 }
 
-void GradientTrixNode::schedule_broadcast(SimTime now, LocalTime target,
-                                          IterationRecord record) {
-  staged_record_ = record;
+IterationRecord* GradientTrixNode::stage_record() {
+  if (!keeps_record_) return nullptr;
+  IterationRecord& rec = soa_->staged[i_];
+  rec = IterationRecord{};
+  return &rec;
+}
+
+void GradientTrixNode::schedule_broadcast(SimTime now, LocalTime target, Sigma sigma) {
+  staged_sigma_ = sigma;
   set_phase(Phase::kWaitBroadcast);
   disarm(phase_deadline_);  // supersede any stale armed broadcast
   const LocalTime now_local = clock_.to_local(now);
@@ -340,8 +351,8 @@ void GradientTrixNode::schedule_broadcast(SimTime now, LocalTime target,
     // "wait until H(t) = X" with X already reached: act immediately. This
     // occurs during initialization and stabilization; steady-state
     // iterations always schedule into the future (Lemma B.1).
-    ++counters_.late_broadcasts;
-    staged_record_.late = true;
+    ++tally().late_broadcasts;
+    if (keeps_record_) soa_->staged[i_].late = true;
     do_broadcast(now, now_local);
     return;
   }
@@ -353,15 +364,19 @@ void GradientTrixNode::do_broadcast(SimTime now, LocalTime fire_local) {
   // Reached from the broadcast's own entry, or at once from
   // schedule_broadcast: either way nothing is armed.
   GTRIX_DEBUG_CHECK(phase_deadline_ == EventKey{});
-  staged_record_.pulse_time = now;
-  staged_record_.pulse_local = fire_local;
-  last_sigma() = staged_record_.sigma;
-  const Pulse pulse{staged_record_.sigma};
+  last_sigma() = staged_sigma_;
+  const Pulse pulse{staged_sigma_};
   if (recorder_ != nullptr) {
-    recorder_->record_pulse(self_, staged_record_.sigma, now);
-    recorder_->record_iteration(self_, staged_record_);
+    recorder_->record_pulse(self_, staged_sigma_, now);
+    if (keeps_record_) {
+      IterationRecord& rec = soa_->staged[i_];
+      rec.pulse_time = now;
+      rec.pulse_local = fire_local;
+      recorder_->record_iteration(self_, rec);
+    }
   }
-  ++counters_.iterations;
+  ++tally().iterations;
+  has_broadcast_ = true;
   if (send_override_ != nullptr) {
     (*send_override_)(pulse, now);
   } else {
@@ -386,9 +401,10 @@ void GradientTrixNode::reset_iteration_state() {
 }
 
 void GradientTrixNode::drain_pending(SimTime now) {
-  while (!pending_.empty() && phase() == Phase::kCollect) {
-    const PendingMsg msg = pending_.front();
-    pending_.erase(pending_.begin());
+  if (pending_ == nullptr) return;
+  while (!pending_->empty() && phase() == Phase::kCollect) {
+    const PendingMsg msg = pending_->front();
+    pending_->erase(pending_->begin());
     // Queued only after on_pulse resolved the slot; a checkpoint restore
     // is the one way a stranger could get here.
     const int slot = slot_of(msg.from);
@@ -415,7 +431,7 @@ Sigma GradientTrixNode::estimate_sigma() const {
     for (std::size_t j = 0; j < n; ++j) same += vals[j] == vals[i] ? 1U : 0U;
     if (same >= 2) return vals[i];
   }
-  if (counters_.iterations > 0) {
+  if (has_broadcast_) {
     for (std::size_t i = 0; i < n; ++i) {
       if (vals[i] == last_sigma() + 1) return vals[i];
     }
@@ -429,7 +445,7 @@ void GradientTrixNode::corrupt_state(Rng& rng) {
   // control-flow bit. Pending messages and armed timers are dropped /
   // invalidated; freshly scheduled garbage may include a bogus broadcast.
   reset_iteration_state();
-  pending_.clear();
+  if (pending_ != nullptr) pending_->clear();
   const LocalTime now_local = clock_.to_local(sim_.now());
   const double lambda = config().params.lambda;
   const Sigma bogus_sigma = rng.uniform_int(-4, 4);
@@ -457,16 +473,18 @@ void GradientTrixNode::corrupt_state(Rng& rng) {
       if (all) h_max() = h_min() + rng.uniform(0.0, lambda);
     }
   } else {
-    // Mid-wait with a garbage target.
-    IterationRecord rec;
-    rec.sigma = bogus_sigma;
-    rec.correction = rng.uniform(-lambda / 4.0, lambda / 4.0);
-    rec.h_own = now_local;
-    rec.h_min = now_local;
-    rec.h_max = now_local;
+    // Mid-wait with a garbage target. The correction is drawn whether or
+    // not a record keeps it, so the RNG stream is the same in every mode.
+    const double correction = rng.uniform(-lambda / 4.0, lambda / 4.0);
+    if (IterationRecord* rec = stage_record(); rec != nullptr) {
+      rec->sigma = bogus_sigma;
+      rec->correction = correction;
+      rec->h_own = now_local;
+      rec->h_min = now_local;
+      rec->h_max = now_local;
+    }
     const LocalTime target = now_local + rng.uniform(0.0, 2.0 * lambda);
-    // Do not count this garbage emission as a normal late broadcast.
-    schedule_broadcast(sim_.now(), target, rec);
+    schedule_broadcast(sim_.now(), target, bogus_sigma);
   }
   sync_entry();
 }

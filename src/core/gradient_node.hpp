@@ -77,26 +77,15 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   /// to model a transient fault / arbitrary initial state (Theorem 1.6).
   void corrupt_state(Rng& rng);
 
-  struct Counters {
-    std::uint64_t iterations = 0;         ///< completed (broadcast) iterations
-    std::uint64_t late_broadcasts = 0;    ///< broadcast target already passed
-    std::uint64_t guard_aborts = 0;       ///< Alg 4 wait-guard trips (no broadcast)
-    std::uint64_t watchdog_resets = 0;    ///< Alg 4 partial-state clears
-    std::uint64_t duplicate_drops = 0;    ///< repeated pulse within an iteration
-    std::uint64_t pending_overflow = 0;   ///< pending queue cap exceeded
-    std::uint64_t timeout_branches = 0;   ///< Alg 3 first branch taken
-    std::uint64_t late_absorbed = 0;      ///< current-wave pulses consumed mid-wait
-  };
-  const Counters& counters() const noexcept { return counters_; }
-
   const HardwareClock& clock() const noexcept { return clock_; }
   NetNodeId id() const noexcept { return self_; }
 
   /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp): the arena registers
   /// (phase, reception times, slot lanes), the deadlines and the entry's
   /// handle (it stays valid because the queue snapshot preserves slot
-  /// generations), the pending-message queue, the staged iteration record
-  /// and the counters.
+  /// generations), the pending-message queue, the staged wave, the
+  /// has-broadcast bit and, under full recording, the staged iteration
+  /// record. The counters are the arena's (GradientTally).
   void checkpoint(CkptIo& io);
 
  private:
@@ -137,7 +126,10 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   bool entry_in_sync() const;
   void exit_collect(SimTime now, LocalTime now_local);
   void finish_iteration_without_pulse(SimTime now);
-  void schedule_broadcast(SimTime now, LocalTime target, IterationRecord record);
+  /// This iteration's record, reset, in the arena's staged lane; null
+  /// unless the recorder keeps iteration records (full recording).
+  IterationRecord* stage_record();
+  void schedule_broadcast(SimTime now, LocalTime target, Sigma sigma);
   void do_broadcast(SimTime now, LocalTime fire_local);
   void reset_iteration_state();
   void drain_pending(SimTime now);
@@ -157,6 +149,7 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   Sigma& last_sigma() { return soa_->last_sigma[i_]; }
   Sigma last_sigma() const { return soa_->last_sigma[i_]; }
   const GradientNodeConfig& config() const { return soa_->config; }
+  GradientTally& tally() { return soa_->tally; }
   std::uint8_t& r(std::size_t slot) { return soa_->slot_r[slot_base_ + slot]; }
   std::uint8_t r(std::size_t slot) const { return soa_->slot_r[slot_base_ + slot]; }
   std::uint8_t& seen(std::size_t slot) { return soa_->slot_seen[slot_base_ + slot]; }
@@ -167,7 +160,9 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   Simulator& sim_;
   Network& net_;
   NetNodeId self_;
-  bool entry_stale_ = false;  // a deadline changed since the last sync_entry
+  bool entry_stale_ = false;   // a deadline changed since the last sync_entry
+  bool has_broadcast_ = false; // broadcast at least once (estimate_sigma)
+  bool keeps_record_;          // the recorder keeps iteration records (full)
   HardwareClock clock_;
   std::span<const NetNodeId> preds_;  // slot order; [0] is the own copy
   double broadcast_offset_;
@@ -190,12 +185,13 @@ class GradientTrixNode final : public PulseSink, public TimerTarget {
   TimerHandle entry_;
 
   // Cold per-node state: touched once per iteration (or less), kept out of
-  // the hot lanes on purpose. The pending queue is empty in steady state;
-  // as a vector it costs no heap until a message is queued, and its cap of
-  // kPendingCap entries keeps front pops cheap.
-  std::vector<PendingMsg> pending_;
-  IterationRecord staged_record_{};  // filled at exit_collect, recorded at fire
-  Counters counters_;
+  // the hot lanes on purpose. The pending queue is empty in steady state,
+  // so it sits behind a pointer that stays null until a message is queued;
+  // its cap of kPendingCap entries keeps front pops cheap. The staged wave
+  // is what the broadcast needs of the iteration's decision; the whole
+  // record is staged in the arena, and only under full recording.
+  std::unique_ptr<std::vector<PendingMsg>> pending_;
+  Sigma staged_sigma_ = 0;  // set when a broadcast is scheduled, sent at fire
 };
 
 }  // namespace gtrix

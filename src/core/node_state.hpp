@@ -17,10 +17,12 @@
 //
 // Per-predecessor lanes are bump-allocated: a node with k predecessors
 // claims k consecutive entries of the slot lanes and remembers its base
-// offset. Cold, variable-size state (pending-message queues, staged
-// iteration records, counters) stays on the node objects by design -- see
-// docs/performance.md for the split rationale. Configuration that every
-// node of an arena shares is held once, by the arena.
+// offset. Cold, variable-size state (pending-message queues) stays on the
+// node objects by design -- see docs/performance.md for the split
+// rationale. Configuration that every node of an arena shares is held
+// once, by the arena, as are the gradient nodes' counters (one tally per
+// arena, i.e. per shard) and, under full recording only, the iteration
+// record each gradient node stages for its next broadcast.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +35,8 @@
 #include "support/check.hpp"
 
 namespace gtrix {
+
+class CkptIo;
 
 /// The configuration of a GradientTrixNode that every node of one World
 /// shares; a fault's per-node broadcast offset is a constructor argument.
@@ -65,17 +69,57 @@ struct GradientNodeConfig {
   bool operator==(const GradientNodeConfig&) const = default;
 };
 
+/// The gradient nodes' counters of one arena. World sums the tallies of
+/// its shards (World::counters); the totals are engine-invariant. Only the
+/// arena's shard writes it, and it fills its own cache line, so the shards
+/// never share one.
+struct alignas(64) GradientTally {
+  std::uint64_t iterations = 0;         ///< completed (broadcast) iterations
+  std::uint64_t late_broadcasts = 0;    ///< broadcast target already passed
+  std::uint64_t guard_aborts = 0;       ///< Alg 4 wait-guard trips (no broadcast)
+  std::uint64_t watchdog_resets = 0;    ///< Alg 4 partial-state clears
+  std::uint64_t duplicate_drops = 0;    ///< repeated pulse within an iteration
+  std::uint64_t pending_overflow = 0;   ///< pending queue cap exceeded
+  std::uint64_t timeout_branches = 0;   ///< Alg 3 first branch taken
+  std::uint64_t late_absorbed = 0;      ///< current-wave pulses consumed mid-wait
+
+  /// Checkpoint codec (src/ckpt/nodes_ckpt.cpp).
+  void checkpoint(CkptIo& io);
+};
+
 /// Lanes for GradientTrixNode (Algorithms 1/3/4 registers).
 class GradientSoa {
  public:
-  /// Claims one node entry with `slots` per-predecessor lane entries;
-  /// returns the node's arena index. State starts as a fresh iteration.
-  /// The first node's config becomes the arena's; every later node must
-  /// bring the same one.
-  std::uint32_t add_node(std::uint32_t slots, const GradientNodeConfig& node_config) {
+  /// Sizes every lane for `nodes` nodes with `slots` predecessor slots in
+  /// all, so claiming them grows no lane; `keep_records` sizes the staged
+  /// lane too.
+  void reserve(std::uint32_t nodes, std::uint32_t slots, bool keep_records) {
+    phase.reserve(nodes);
+    h_own.reserve(nodes);
+    h_min.reserve(nodes);
+    h_max.reserve(nodes);
+    last_sigma.reserve(nodes);
+    slot_base.reserve(nodes);
+    slot_r.reserve(slots);
+    slot_seen.reserve(slots);
+    slot_sigma.reserve(slots);
+    if (keep_records) staged.reserve(nodes);
+  }
+
+  /// Claims one node entry with `slots` per-predecessor lane entries, and
+  /// a staged record when `keep_record`; returns the node's arena index.
+  /// State starts as a fresh iteration. The first node's config becomes the
+  /// arena's; every later node must bring the same one, and keep its
+  /// records exactly when the first did.
+  std::uint32_t add_node(std::uint32_t slots, const GradientNodeConfig& node_config,
+                         bool keep_record) {
     if (phase.empty()) config = node_config;
     GTRIX_CHECK_MSG(node_config == config, "the gradient nodes of one arena share one config");
     const auto index = static_cast<std::uint32_t>(phase.size());
+    GTRIX_CHECK_MSG(staged.size() == (keep_record ? index : 0),
+                    "the gradient nodes of one arena all keep their iteration records, or "
+                    "none does");
+    if (keep_record) staged.emplace_back();
     phase.push_back(0);
     h_own.push_back(kLocalInfinity);
     h_min.push_back(kLocalInfinity);
@@ -103,6 +147,14 @@ class GradientSoa {
   std::vector<std::uint8_t> slot_r;     ///< neighbour-received flags
   std::vector<std::uint8_t> slot_seen;  ///< any reception this iteration
   std::vector<Sigma> slot_sigma;        ///< wave label each slot carried
+
+  /// The iteration record each node stages between its decision and its
+  /// broadcast, indexed by arena index. Full recording only: empty when
+  /// the recorder keeps no iteration records, and the node then builds
+  /// none.
+  std::vector<IterationRecord> staged;
+
+  GradientTally tally;
 };
 
 /// Lanes for Layer0LineNode (Algorithm 2's single register + timer).

@@ -47,16 +47,6 @@ class GradientNodeModel final : public NodeModel {
   void set_send_override(SendOverride fn) override { node_.set_send_override(std::move(fn)); }
   void corrupt_state(Rng& rng) override { node_.corrupt_state(rng); }
 
-  void add_counters(ExperimentCounters& total) const override {
-    const auto& c = node_.counters();
-    total.iterations += c.iterations;
-    total.late_broadcasts += c.late_broadcasts;
-    total.guard_aborts += c.guard_aborts;
-    total.watchdog_resets += c.watchdog_resets;
-    total.timeout_branches += c.timeout_branches;
-    total.duplicate_drops += c.duplicate_drops;
-  }
-
   GradientTrixNode* gradient() noexcept override { return &node_; }
 
   TimerTarget* timer_target() noexcept override { return &node_; }
@@ -79,6 +69,11 @@ class GradientProvider final : public AlgorithmProvider {
 
   std::unique_ptr<NodeModel> make_node(NodeContext ctx) const override {
     return std::make_unique<GradientNodeModel>(std::move(ctx), simplified_);
+  }
+
+  void reserve(NodeArena& arena, std::uint32_t nodes, std::uint32_t slots,
+               bool keep_records) const override {
+    arena.gradient.reserve(nodes, slots, keep_records);
   }
 
  private:

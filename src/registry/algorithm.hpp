@@ -4,7 +4,7 @@
 // A NodeModel wraps one algorithm-layer grid node (GradientTrixNode, the
 // naive TRIX baseline, the Lynch-Welch-style trimmed-midpoint node, or any
 // registered extension) and exposes the uniform surface World wires:
-// the PulseSink, the fault hooks, state corruption and counters. Providers
+// the PulseSink, the fault hooks and state corruption. Providers
 // declare capabilities so the config layer can reject fault plans and
 // corruption schedules an algorithm cannot honor -- a hard, path-qualified
 // error instead of the silent no-op the enum-era World performed.
@@ -30,7 +30,8 @@ class GradientTrixNode;
 struct NodeArena;
 class CkptIo;
 
-/// Aggregated algorithm counters (summed over all nodes by World).
+/// Aggregated algorithm counters (World sums the gradient nodes' per-shard
+/// tallies, core/node_state.hpp, and the engine's counters).
 struct ExperimentCounters {
   std::uint64_t iterations = 0;
   std::uint64_t late_broadcasts = 0;
@@ -108,8 +109,6 @@ class NodeModel {
   virtual void set_send_override(SendOverride fn);
   virtual void corrupt_state(Rng& rng);
 
-  virtual void add_counters(ExperimentCounters& /*total*/) const {}
-
   /// The wrapped GradientTrixNode, for harnesses that poke gradient
   /// internals (World::gradient_node); null for other algorithms.
   virtual GradientTrixNode* gradient() noexcept { return nullptr; }
@@ -132,6 +131,13 @@ class AlgorithmProvider {
 
   virtual AlgorithmCaps caps() const = 0;
   virtual std::unique_ptr<NodeModel> make_node(NodeContext ctx) const = 0;
+
+  /// Sizes the lanes of `arena` once, before make_node fills them with
+  /// `nodes` nodes and `slots` predecessor slots in all; `keep_records`
+  /// says that the recorder keeps iteration records (full recording).
+  /// World calls it once per shard. Default: nothing, the lanes grow.
+  virtual void reserve(NodeArena& /*arena*/, std::uint32_t /*nodes*/, std::uint32_t /*slots*/,
+                       bool /*keep_records*/) const {}
 };
 
 /// Global registry; built-ins (gradient-full, gradient-simplified,

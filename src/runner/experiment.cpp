@@ -270,6 +270,18 @@ void World::build_algorithm_nodes(Rng& clock_rng, Rng& fault_rng) {
   const BaseGraph& base = grid_.base();
   const std::uint32_t diameter = base.diameter();
 
+  // Size each shard's lanes once (layer 0 holds no algorithm node).
+  std::vector<std::uint32_t> shard_nodes(shard_count_, 0);
+  std::vector<std::uint32_t> shard_slots(shard_count_, 0);
+  for (GridNodeId g = base.node_count(); g < grid_.node_count(); ++g) {
+    ++shard_nodes[shard_of(g)];
+    shard_slots[shard_of(g)] += static_cast<std::uint32_t>(grid_.predecessors(g).size());
+  }
+  for (std::uint32_t s = 0; s < shard_count_; ++s) {
+    algorithm_provider_->reserve(arenas_[s], shard_nodes[s], shard_slots[s],
+                                 recorder_.mode() == RecordingMode::kFull);
+  }
+
   for (GridNodeId g = 0; g < grid_.node_count(); ++g) {
     const std::uint32_t layer = grid_.layer_of(g);
     if (layer == 0) continue;
@@ -518,8 +530,14 @@ ConditionReport World::conditions(std::uint32_t s_max) const {
 
 ExperimentCounters World::counters() const {
   ExperimentCounters total;
-  for (const auto& model : models_) {
-    if (model != nullptr) model->add_counters(total);
+  for (const NodeArena& arena : arenas_) {
+    const GradientTally& t = arena.gradient.tally;
+    total.iterations += t.iterations;
+    total.late_broadcasts += t.late_broadcasts;
+    total.guard_aborts += t.guard_aborts;
+    total.watchdog_resets += t.watchdog_resets;
+    total.timeout_branches += t.timeout_branches;
+    total.duplicate_drops += t.duplicate_drops;
   }
   for (const Simulator& sim : sims_) total.events_executed += sim.executed_events();
   total.messages_sent = net_.messages_sent();

@@ -121,26 +121,52 @@ TEST(Footprint, StreamingRunAllocatesOnlyAsTheQueueGrows) {
                               << world->grid().node_count() << " nodes";
 }
 
-/// The node object holds its clock, pending queue, staged record and
-/// counters, the deadlines of its timers and one queue-entry handle; the
-/// config lives once in the arena. The arena lanes hold, per node, the
-/// phase (1 B), H_own, H_min, H_max and the last wave (4 x 8 B), the slot
-/// base (4 B), and per predecessor slot its flags and wave (10 B): no
-/// timer handles.
+/// The node object holds its clock, a pointer to its pending queue, its
+/// staged wave, the deadlines of its timers and one queue-entry handle; the
+/// config, the counters (one tally per arena) and, under full recording,
+/// the staged iteration record live in the arena. The arena lanes hold, per
+/// node, the phase (1 B), H_own, H_min, H_max and the last wave (4 x 8 B),
+/// the slot base (4 B), and per predecessor slot its flags and wave (10 B);
+/// the staged lane adds one record per node only when records are kept.
+/// reserve() sizes every lane exactly, so no lane keeps growth slack.
 TEST(Footprint, GradientNodeObjectAndArenaLanesStayWithinTheirBytes) {
-  EXPECT_LE(sizeof(GradientTrixNode), 408u);
-  // Powers of two, so every lane's capacity equals its size.
-  constexpr std::uint32_t kNodes = 1024;
+  EXPECT_LE(sizeof(GradientTrixNode), 200u);
+  EXPECT_EQ(sizeof(GradientTally), 64u);
+  EXPECT_EQ(alignof(GradientTally), 64u);
+  constexpr std::uint32_t kNodes = 1000;
   constexpr std::uint32_t kSlots = 4;
-  const std::int64_t before = g_live_bytes.load();
-  {
-    GradientSoa soa;
-    for (std::uint32_t n = 0; n < kNodes; ++n) soa.add_node(kSlots, GradientNodeConfig{});
-    const std::int64_t bytes = g_live_bytes.load() - before;
-    EXPECT_EQ(bytes, static_cast<std::int64_t>(kNodes) * (1 + 4 * 8 + 4 + kSlots * 10))
-        << static_cast<double>(bytes) / kNodes << " B per node";
+  for (const bool keep_records : {false, true}) {
+    const std::int64_t before = g_live_bytes.load();
+    {
+      GradientSoa soa;
+      soa.reserve(kNodes, kNodes * kSlots, keep_records);
+      for (std::uint32_t n = 0; n < kNodes; ++n) {
+        soa.add_node(kSlots, GradientNodeConfig{}, keep_records);
+      }
+      const std::int64_t per_node = 1 + 4 * 8 + 4 + kSlots * 10 +
+                                    (keep_records ? sizeof(IterationRecord) : 0);
+      const std::int64_t bytes = g_live_bytes.load() - before;
+      EXPECT_EQ(bytes, static_cast<std::int64_t>(kNodes) * per_node)
+          << "keep_records " << keep_records << ": " << static_cast<double>(bytes) / kNodes
+          << " B per node";
+    }
+    EXPECT_EQ(g_live_bytes.load(), before);
   }
-  EXPECT_EQ(g_live_bytes.load(), before);
+}
+
+/// The whole construction, per node: node models, arena lanes, the network
+/// CSR, recorder tables, the streaming accumulator's rings and the two
+/// shard queues, as live heap bytes once the World is built. 634 B at this
+/// shape; the 400 B node with its counters and staged record on board,
+/// and its lanes grown by doubling, took 895 B.
+TEST(Footprint, TwoShardStreamingWorldStaysWithinItsConstructionBytesPerNode) {
+  const ExperimentConfig config = streaming_grid();
+  const std::int64_t before = g_live_bytes.load();
+  const auto world = std::make_unique<World>(config, EngineOptions{.shards = 2});
+  const std::int64_t bytes = g_live_bytes.load() - before;
+  const double per_node = static_cast<double>(bytes) / world->grid().node_count();
+  EXPECT_LE(per_node, 660.0) << bytes << " live bytes after building "
+                             << world->grid().node_count() << " nodes at 2 shards";
 }
 
 }  // namespace

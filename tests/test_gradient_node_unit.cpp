@@ -149,7 +149,7 @@ TEST(NodeUnit, LateOwnMessageIsAbsorbedNotDeferred) {
   const auto& its = h.run();
   ASSERT_EQ(its.size(), 1u);  // exactly one pulse; no second iteration began
   EXPECT_TRUE(its[0].timeout_branch);
-  EXPECT_EQ(h.node->counters().late_absorbed, 1u);
+  EXPECT_EQ(h.soa.tally.late_absorbed, 1u);
   EXPECT_DOUBLE_EQ(its[0].pulse_time, 1006.0 + 1.5 * k + h.lambda_minus_d());
 }
 
@@ -208,7 +208,7 @@ TEST(NodeUnit, DuplicateFromSamePredecessorDropped) {
   ASSERT_EQ(its.size(), 1u);
   EXPECT_DOUBLE_EQ(its[0].h_min, 1000.0);
   EXPECT_DOUBLE_EQ(its[0].h_max, 1003.0);
-  EXPECT_EQ(h.node->counters().duplicate_drops, 1u);
+  EXPECT_EQ(h.soa.tally.duplicate_drops, 1u);
 }
 
 TEST(NodeUnit, MessagesFromStrangersIgnored) {
@@ -293,7 +293,7 @@ TEST(NodeUnit, WatchdogClearsStaleFirstNeighbour) {
   h.arrive(h.own_pred, t2 + 2.0, 2);
   h.arrive(h.nbr_b, t2 + 4.0, 2);
   const auto& its = h.run();
-  EXPECT_EQ(h.node->counters().watchdog_resets, 1u);
+  EXPECT_EQ(h.soa.tally.watchdog_resets, 1u);
   ASSERT_EQ(its.size(), 1u);
   EXPECT_DOUBLE_EQ(its[0].h_min, t2);  // the stale 1000.0 was cleared
   EXPECT_EQ(its[0].sigma, 2);

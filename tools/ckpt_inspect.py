@@ -12,7 +12,7 @@ never just round-tripped through the code that wrote it:
 Snapshots (`*.ckpt`, header format "gtrix-checkpoint") and done files
 (`*.done`, "gtrix-cell-done") share it. All integers little-endian. Checks
 performed per file:
-  * magic, supported version (11), CRC over the full image;
+  * magic, supported version (12), CRC over the full image;
   * the JSON header parses, and its version matches the container's;
   * the section table frames exactly the bytes between header and CRC;
   * the header keys, meta keys and sections FORMATS lists for the header's
@@ -34,7 +34,7 @@ import sys
 import zlib
 
 MAGIC = b"GTRXCKPT"
-SUPPORTED_VERSION = 11
+SUPPORTED_VERSION = 12
 # Header format -> (required header keys, required meta keys, mandatory
 # sections).
 FORMATS = {
